@@ -7,7 +7,7 @@ escape-time rendering, and a line-oriented certificate format.
 """
 
 from .intervals import ComplexBox, EmptyIntervalError, Interval, ZeroDivisionBoxError
-from .scan import Leaf, ParamCertificate, ScanTree, adaptive_scan, component_rollup
+from .scan import Leaf, ParamCertificate, adaptive_scan, component_rollup
 from .verify import ClaimResult, Status
 
 __version__ = "0.1.0"
@@ -20,7 +20,6 @@ __all__ = [
     "Status",
     "ClaimResult",
     "Leaf",
-    "ScanTree",
     "ParamCertificate",
     "adaptive_scan",
     "component_rollup",

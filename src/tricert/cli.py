@@ -2,16 +2,18 @@
 
 Exit codes are a stable contract: 0 verified-true rollup, 1 undetermined
 (or falsified), 2 usage error, 3 assumptions present but unacknowledged.
-Configuration comes from an optional flat key=value file plus flags, with
-flags winning; the effective configuration is echoed into certificate
-headers so every artifact is reproducible from its own header.
+Each certificate subcommand declares its parameters once, with their
+defaults; a parameter is set by its flag, else by the same key in an
+optional flat key = value file, else by its default, and the effective
+value is echoed into certificate headers so every artifact is
+reproducible from its own header.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import re
+import struct
 import sys
 
 from .combinatorics import solve_period3_centers
@@ -43,14 +45,6 @@ from .verify import (
 
 __all__ = ["main"]
 
-# the paper-preset rectangles: parameter window R around the period-9
-# component and the dynamical square U of the candidate restriction
-PAPER_R = ComplexBox(Interval(-1.73875, -1.73825), Interval(0.01555, 0.01605))
-PAPER_U = ComplexBox(Interval(-0.3, 0.3), Interval(-0.3, 0.3))
-PAPER_X_REGION = ComplexBox(Interval(0.0, 0.08), Interval(0.0, 0.08))
-PAPER_N = 3
-PAPER_PERIOD = 9
-
 _HEX64 = re.compile(r"^[0-9a-f]{16}$")
 
 
@@ -68,8 +62,6 @@ class _Parser(argparse.ArgumentParser):
 def _parse_endpoint(token: str) -> float:
     token = token.strip()
     if _HEX64.match(token):
-        import struct
-
         return struct.unpack(">d", bytes.fromhex(token))[0]
     try:
         return float(token)
@@ -95,35 +87,40 @@ def _parse_complex(text: str) -> complex:
 
 
 def _parse_size(text: str) -> tuple[int, int]:
-    m = re.match(r"^(\d+)x(\d+)$", text)
+    m = re.match(r"^0*([1-9]\d*)x0*([1-9]\d*)$", text)
     if not m:
         raise UsageError(f"size must look like 600x600: {text!r}")
-    w, h = int(m.group(1)), int(m.group(2))
-    if w < 1 or h < 1:
-        raise UsageError("size components must be >= 1")
-    return w, h
+    return int(m.group(1)), int(m.group(2))
 
 
-_CONFIG_KEYS = {
-    "rect",
-    "region",
-    "n",
-    "period",
-    "max_depth",
-    "min_depth",
-    "min_width",
-    "tol",
-    "contour_depth",
-    "segment_depth",
-    "maxiter",
-    "workers",
-    "out",
-    "image",
-    "acknowledge_assumptions",
+def _parse_bool(text: str) -> bool:
+    return text.lower() in ("1", "true", "yes")
+
+
+# the paper-preset rectangles: parameter window R around the period-9
+# component, the dynamical square U of the candidate restriction and the
+# region X searched for the fixed point of f^6
+_R_TEXT = "-1.73875,-1.73825,0.01555,0.01605"
+_U_TEXT = "-0.3,0.3,-0.3,0.3"
+_X_TEXT = "0.0,0.08,0.0,0.08"
+PAPER_R = _parse_rect(_R_TEXT)
+PAPER_U = _parse_rect(_U_TEXT)
+PAPER_X_REGION = _parse_rect(_X_TEXT)
+PAPER_N = 3
+PAPER_PERIOD = 9
+
+# the parser of every parameter: its flag is --key with '-' for '_', and
+# a flag and a config-file value are text for the same parser
+_PARSERS = {
+    "rect": _parse_rect, "region": _parse_rect, "anchor": _parse_complex,
+    "acknowledge_assumptions": _parse_bool, "min_width": float, "tol": float,
+    "n": int, "period": int, "expect": int, "max_depth": int, "min_depth": int,
+    "segment_depth": int, "contour_depth": int,
 }
+_FORMATS = {_parse_rect: "RE_LO,RE_HI,IM_LO,IM_HI", _parse_complex: "RE,IM"}
 
 
-def _read_config(path: str) -> dict:
+def _read_config(path: str, defaults: dict) -> dict[str, str]:
     values = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -135,7 +132,7 @@ def _read_config(path: str) -> dict:
                     raise UsageError(f"{path}:{line_no}: expected key = value")
                 key, _, value = line.partition("=")
                 key = key.strip().replace("-", "_")
-                if key not in _CONFIG_KEYS:
+                if key not in defaults:
                     raise UsageError(f"{path}:{line_no}: unknown config key {key!r}")
                 values[key] = value.strip()
     except OSError as exc:
@@ -143,54 +140,171 @@ def _read_config(path: str) -> dict:
     return values
 
 
-def _merge(args, config: dict, key: str, parse=None, default=None):
-    """Flag value if given, else config file value, else default."""
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    if key in config:
-        raw = config[key]
-        return parse(raw) if parse else raw
-    return default
+def _resolve(args, defaults: dict[str, str | None]) -> dict[str, str]:
+    """Replace each parameter's text in args by its value: the flag, else
+    the config file, else the default (None: unset).  Returns the texts."""
+    for key in args.flags - defaults.keys():
+        # only scan has flags that apply to some runs and not to others
+        if getattr(args, key) is not None:
+            raise UsageError(f"--{key.replace('_', '-')} does not apply to "
+                             f"--claim {args.claim}")
+    config = _read_config(args.config, defaults) if args.config else {}
+    texts = {}
+    for key, default in defaults.items():
+        text = getattr(args, key)
+        if text is None:
+            text = config.get(key, default)
+        if text is not None:
+            try:
+                setattr(args, key, _PARSERS[key](text))
+            except ValueError:
+                raise UsageError(f"bad value for {key}: {text!r}") from None
+            texts[key] = text
+    return texts
 
 
-def _workers(args, config: dict) -> int:
-    value = _merge(args, config, "workers", parse=int)
-    if value is None:
-        env = os.environ.get("TRICERT_WORKERS")
-        value = int(env) if env else 1
-    if value < 1:
-        raise UsageError("workers must be >= 1")
-    return value
+_PALETTES = {"multiplier": MULTIPLIER_PALETTE, "parabolic": PARABOLIC_PALETTE}
 
 
-def _status_exit(status: Status) -> int:
+def _emit(cert: ParamCertificate, texts: dict[str, str], out, image=None) -> None:
+    for key, text in texts.items():
+        cert.config[f"cli.{key}"] = text
+    if out:
+        with open(out, "wb") as fh:
+            fh.write(serialize(cert))
+    if image:
+        palette = _PALETTES.get(cert.claim.split("-")[0], PALETTE)
+        img = rasterize_scan(cert, palette, 600, 600)
+        with open(image, "wb") as fh:
+            write_ppm(img, fh)
+
+
+def _rollup_exit(label: str, cert: ParamCertificate, acknowledged=False) -> int:
+    status = cert.rollup(acknowledge_assumptions=acknowledged)
+    print(f"{label}: {status.name} over {len(cert.leaves)} leaves")
     return 0 if status is Status.TRUE else 1
 
 
-def _echo_config(cert: ParamCertificate, effective: dict) -> None:
-    for key, value in effective.items():
-        cert.config[f"cli.{key}"] = str(value)
+def _paper_center(rect: ComplexBox, period: int) -> complex:
+    center = find_superattracting_parameter(period, rect.midpoint())
+    if center is None or not rect.contains(center):
+        raise UsageError("no superattracting seed parameter found in the rectangle")
+    return center
 
 
-def _write_certificate(cert: ParamCertificate, path: str | None) -> None:
-    if path:
-        with open(path, "wb") as fh:
-            fh.write(serialize(cert))
+def _paper_orbit(args) -> list[complex]:
+    return float_orbit_of_zero(_paper_center(args.rect, args.period), args.period)
 
 
-def _add_common(sub, with_region=False):
-    sub.add_argument("--config", help="flat key=value configuration file")
-    sub.add_argument("--rect", help="parameter rectangle re_lo,re_hi,im_lo,im_hi")
-    if with_region:
-        sub.add_argument("--region", help="dynamical rectangle re_lo,re_hi,im_lo,im_hi")
-    sub.add_argument("--preset", choices=["paper-R", "paper-U"], action="append",
-                     default=None, help="apply a paper constant set")
-    sub.add_argument("--max-depth", dest="max_depth", type=int)
-    sub.add_argument("--min-width", dest="min_width", type=float)
-    sub.add_argument("--workers", type=int)
-    sub.add_argument("-o", "--out", help="certificate output path")
-    sub.add_argument("--image", help="rasterized scan image output path (P6)")
+def _cmd_render(args) -> int:
+    region = _parse_rect(args.region)
+    width, height = _parse_size(args.size)
+    if args.maxiter < 1:
+        raise UsageError("maxiter must be >= 1")
+    img = render_escape(region, width, height, args.maxiter, args.mode,
+                        _parse_complex(args.c))
+    with open(args.out, "wb") as fh:
+        write_ppm(img, fh)
+    return 0
+
+
+def _cmd_scan(args, texts) -> int:
+    claim = _SCAN_CLAIMS[args.claim][1](args)
+    cert = adaptive_scan(args.rect, claim, args.max_depth, args.min_width, args.min_depth)
+    _emit(cert, {"claim": args.claim, **texts}, args.out, args.image)
+    return _rollup_exit(f"scan {args.claim}", cert)
+
+
+def _cmd_verify_qlike(args, texts) -> int:
+    anchor = args.anchor
+    if anchor is None:
+        anchor = _paper_center(args.rect, PAPER_PERIOD)
+    cert = qlike_certificate(args.rect, args.region, args.n, anchor, args.max_depth,
+                             args.min_width, args.segment_depth)
+    _emit(cert, texts, args.out, args.image)
+    if cert.assumptions and not args.acknowledge_assumptions:
+        print(f"assumptions present, not acknowledged: {ANCHOR_ASSUMPTION}")
+        return 3
+    return _rollup_exit("verify-qlike", cert, args.acknowledge_assumptions)
+
+
+def _cmd_verify_count(args, texts) -> int:
+    cert = count_certificate(args.rect, args.region, args.n, args.expect, args.min_depth,
+                             args.max_depth, args.tol, args.contour_depth)
+    _emit(cert, texts, args.out, args.image)
+    return _rollup_exit("verify-count", cert)
+
+
+def _cmd_verify_arcs(args, texts) -> int:
+    rect, period = args.rect, args.period
+    center = _paper_center(rect, period)
+    orbit = float_orbit_of_zero(center, period)
+    cert = adaptive_scan(rect, ParabolicExclusionClaim(period, orbit),
+                         args.max_depth, args.min_width)
+    _emit(cert, texts, args.out, args.image)
+    components = component_rollup(cert, Status.TRUE)
+    witness, _ = attracting_cycle_box(ComplexBox.around(center, 1e-10), period, orbit)
+    corner = ComplexBox(
+        Interval(rect.re.lo, rect.re.lo + rect.re.width() / 16.0),
+        Interval(rect.im.lo, rect.im.lo + rect.im.width() / 16.0),
+    )
+    absent, _ = attracting_cycle_box(corner, period, orbit)
+    print(f"verify-arcs: {len(components)} verified components, "
+          f"attracting witness {witness.status.name}, "
+          f"absence witness {absent.status.name}")
+    ok = (
+        len(components) == 2
+        and witness.status is Status.TRUE
+        and absent.status is Status.FALSE
+    )
+    return 0 if ok else 1
+
+
+def _cmd_verify_disjoint(args, texts) -> int:
+    status, yellow_cert, red_cert = disjointness_certificate(
+        args.rect, args.period, max_depth=args.max_depth, min_width=args.min_width
+    )
+    _emit(yellow_cert, texts, args.out, args.image)
+    _emit(red_cert, texts, args.red_out)
+    yellow = sum(1 for l in yellow_cert.leaves if l.status is not Status.TRUE)
+    red = sum(1 for l in red_cert.leaves if l.status is not Status.TRUE)
+    print(f"verify-disjoint: {status.name} "
+          f"(yellow leaves {yellow}, red leaves {red})")
+    if yellow == 0 or red == 0:
+        return 1
+    return 0 if status is Status.TRUE else 1
+
+
+# defaults of the claims' own parameters, shared with the verify commands
+_QLIKE = {"region": _U_TEXT, "n": str(PAPER_N), "segment_depth": "14"}
+_COUNT = {"region": _X_TEXT, "n": "6", "tol": "2.0", "contour_depth": "10"}
+_CYCLE = {"period": str(PAPER_PERIOD)}
+_AREA = {"rect": _R_TEXT, "max_depth": "7", "min_width": "0.0"}
+
+# scan --claim NAME: (the claim's own parameters, the claim built from args)
+_SCAN_CLAIMS = {
+    "qlike": (_QLIKE, lambda a: BoundaryDisjointClaim(a.region, a.n, a.segment_depth)),
+    "count": (_COUNT, lambda a: FixedPointCountClaim(a.region, a.n, 1, a.tol,
+                                                     a.contour_depth)),
+    "parabolic": (_CYCLE, lambda a: ParabolicExclusionClaim(a.period, _paper_orbit(a))),
+    "attracting": (_CYCLE, lambda a: AttractingCycleClaim(a.period, _paper_orbit(a))),
+    "multiplier": ({"region": None}, lambda a: MultiplierNonRealClaim(a.region)),
+}
+
+# name: (handler, help, parameter defaults)
+_COMMANDS = {
+    "scan": (_cmd_scan, "run one claim over a rectangle", {**_AREA, "min_depth": "0"}),
+    "verify-qlike": (_cmd_verify_qlike, "quadratic-like restriction certificate",
+                     {**_AREA, **_QLIKE, "max_depth": "14", "anchor": None,
+                      "acknowledge_assumptions": "false"}),
+    "verify-count": (_cmd_verify_count, "unique fixed point of the even iterate",
+                     {"rect": _R_TEXT, **_COUNT, "expect": "1", "min_depth": "1",
+                      "max_depth": "4"}),
+    "verify-arcs": (_cmd_verify_arcs, "parabolic-exclusion scan and witnesses",
+                    {**_AREA, **_CYCLE}),
+    "verify-disjoint": (_cmd_verify_disjoint, "real-multiplier locus vs parabolic arcs",
+                        {**_AREA, **_CYCLE}),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -209,288 +323,38 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", default="0,0", help="Julia parameter re,im")
     p.add_argument("-o", "--out", required=True)
 
-    p = subs.add_parser("scan", help="run one claim over a rectangle")
-    p.add_argument("--claim", required=True,
-                   choices=["qlike", "count", "parabolic", "attracting", "multiplier"])
-    _add_common(p, with_region=True)
-    p.add_argument("--n", type=int)
-    p.add_argument("--period", type=int)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--contour-depth", dest="contour_depth", type=int)
-    p.add_argument("--segment-depth", dest="segment_depth", type=int)
-    p.add_argument("--min-depth", dest="min_depth", type=int)
-
-    p = subs.add_parser("verify-qlike", help="quadratic-like restriction certificate")
-    _add_common(p, with_region=True)
-    p.add_argument("--n", type=int)
-    p.add_argument("--segment-depth", dest="segment_depth", type=int)
-    p.add_argument("--anchor", help="anchor parameter re,im")
-    p.add_argument("--acknowledge-assumptions", dest="acknowledge_assumptions",
-                   action="store_true", default=None)
-
-    p = subs.add_parser("verify-count", help="unique fixed point of the even iterate")
-    _add_common(p, with_region=True)
-    p.add_argument("--n", type=int)
-    p.add_argument("--expect", type=int, default=1)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--contour-depth", dest="contour_depth", type=int)
-    p.add_argument("--min-depth", dest="min_depth", type=int)
-
-    p = subs.add_parser("verify-arcs", help="parabolic-exclusion scan and witnesses")
-    _add_common(p)
-    p.add_argument("--period", type=int)
-
-    p = subs.add_parser("verify-disjoint", help="real-multiplier locus vs parabolic arcs")
-    _add_common(p)
-    p.add_argument("--period", type=int)
-    p.add_argument("--red-out", dest="red_out", help="parabolic certificate path")
+    for name, (_, help_text, defaults) in _COMMANDS.items():
+        p = subs.add_parser(name, help=help_text)
+        flags = list(defaults)
+        if name == "scan":
+            p.add_argument("--claim", required=True, choices=list(_SCAN_CLAIMS))
+            flags += [key for own, _ in _SCAN_CLAIMS.values() for key in own]
+        p.set_defaults(flags=set(flags))
+        p.add_argument("--config", help="flat key = value file; keys as the flags below")
+        for key in dict.fromkeys(flags):
+            flag, parse = "--" + key.replace("_", "-"), _PARSERS[key]
+            if parse is _parse_bool:
+                p.add_argument(flag, dest=key, action="store_const", const="true")
+            else:
+                p.add_argument(flag, dest=key, metavar=_FORMATS.get(parse))
+        p.add_argument("-o", "--out", help="certificate output path")
+        p.add_argument("--image", help="rasterized scan image output path (P6)")
+    subs.choices["verify-disjoint"].add_argument(
+        "--red-out", dest="red_out", help="parabolic certificate path")
 
     subs.add_parser("centers", help="report the certified period-3 centers")
     return parser
 
 
-def _cmd_render(args) -> int:
-    region = _parse_rect(args.region)
-    width, height = _parse_size(args.size)
-    if args.maxiter < 1:
-        raise UsageError("maxiter must be >= 1")
-    img = render_escape(region, width, height, args.maxiter, args.mode,
-                        _parse_complex(args.c))
-    with open(args.out, "wb") as fh:
-        write_ppm(img, fh)
-    return 0
-
-
-def _paper_orbit(rect: ComplexBox, period: int) -> list[complex]:
-    center = find_superattracting_parameter(period, rect.midpoint())
-    if center is None or not rect.contains(center):
-        raise UsageError("no superattracting seed parameter found in the rectangle")
-    return float_orbit_of_zero(center, period)
-
-
-def _scan_palette(claim_name: str):
-    if claim_name.startswith("multiplier"):
-        return MULTIPLIER_PALETTE
-    if claim_name.startswith("parabolic"):
-        return PARABOLIC_PALETTE
-    return PALETTE
-
-
-def _emit(cert: ParamCertificate, effective: dict, args, tree=None) -> None:
-    _echo_config(cert, effective)
-    _write_certificate(cert, args.out)
-    if getattr(args, "image", None) and tree is not None:
-        img = rasterize_scan(tree, _scan_palette(tree.claim), 600, 600)
-        with open(args.image, "wb") as fh:
-            write_ppm(img, fh)
-
-
-def _tree_of(cert: ParamCertificate):
-    from .scan import ScanTree
-
-    return ScanTree(root=cert.root, claim=cert.claim, config=cert.config,
-                    leaves=cert.leaves)
-
-
-def _cmd_verify_qlike(args) -> int:
-    config = _read_config(args.config) if args.config else {}
-    rect = _merge(args, config, "rect", parse=_parse_rect, default=PAPER_R)
-    if isinstance(rect, str):
-        rect = _parse_rect(rect)
-    region = _merge(args, config, "region", parse=_parse_rect, default=PAPER_U)
-    if isinstance(region, str):
-        region = _parse_rect(region)
-    n = int(_merge(args, config, "n", parse=int, default=PAPER_N))
-    max_depth = int(_merge(args, config, "max_depth", parse=int, default=14))
-    min_width = float(_merge(args, config, "min_width", parse=float, default=0.0))
-    segment_depth = int(_merge(args, config, "segment_depth", parse=int, default=14))
-    workers = _workers(args, config)
-    anchor_text = _merge(args, config, "anchor") if hasattr(args, "anchor") else None
-    if anchor_text:
-        anchor = _parse_complex(anchor_text)
-    else:
-        center = find_superattracting_parameter(PAPER_PERIOD, rect.midpoint())
-        if center is None or not rect.contains(center):
-            raise UsageError("no anchor found; pass --anchor explicitly")
-        anchor = center
-    acknowledged = bool(
-        _merge(args, config, "acknowledge_assumptions",
-               parse=lambda v: v.lower() in ("1", "true", "yes"), default=False)
-    )
-    cert = qlike_certificate(rect, region, n, anchor, max_depth, min_width,
-                             workers, segment_depth)
-    effective = {
-        "rect": args.rect or "paper-R",
-        "n": n,
-        "max_depth": max_depth,
-        "workers": workers,
-        "acknowledge_assumptions": acknowledged,
-    }
-    _emit(cert, effective, args, _tree_of(cert))
-    if cert.assumptions and not acknowledged:
-        print(f"assumptions present, not acknowledged: {ANCHOR_ASSUMPTION}")
-        return 3
-    status = cert.rollup(acknowledge_assumptions=acknowledged)
-    print(f"verify-qlike: {status.name} over {len(cert.leaves)} leaves")
-    return _status_exit(status)
-
-
-def _cmd_verify_count(args) -> int:
-    config = _read_config(args.config) if args.config else {}
-    rect = _merge(args, config, "rect", parse=_parse_rect, default=PAPER_R)
-    if isinstance(rect, str):
-        rect = _parse_rect(rect)
-    region = _merge(args, config, "region", parse=_parse_rect,
-                    default=PAPER_X_REGION)
-    if isinstance(region, str):
-        region = _parse_rect(region)
-    if region.re.lo == region.re.hi or region.im.lo == region.im.hi:
-        raise UsageError("search region must have positive area")
-    n = int(_merge(args, config, "n", parse=int, default=6))
-    max_depth = int(_merge(args, config, "max_depth", parse=int, default=4))
-    min_depth = int(_merge(args, config, "min_depth", parse=int, default=1))
-    tol = float(_merge(args, config, "tol", parse=float, default=2.0))
-    contour_depth = int(_merge(args, config, "contour_depth", parse=int, default=10))
-    workers = _workers(args, config)
-    cert = count_certificate(rect, region, n, args.expect, min_depth, max_depth,
-                             tol, contour_depth, workers)
-    effective = {
-        "rect": args.rect or "paper-R",
-        "n": n,
-        "expect": args.expect,
-        "tol": tol,
-        "workers": workers,
-    }
-    _emit(cert, effective, args, _tree_of(cert))
-    status = cert.rollup()
-    print(f"verify-count: {status.name} over {len(cert.leaves)} leaves")
-    return _status_exit(status)
-
-
-def _cmd_verify_arcs(args) -> int:
-    config = _read_config(args.config) if args.config else {}
-    rect = _merge(args, config, "rect", parse=_parse_rect, default=PAPER_R)
-    if isinstance(rect, str):
-        rect = _parse_rect(rect)
-    period = int(_merge(args, config, "period", parse=int, default=PAPER_PERIOD))
-    max_depth = int(_merge(args, config, "max_depth", parse=int, default=7))
-    min_width = float(_merge(args, config, "min_width", parse=float, default=0.0))
-    workers = _workers(args, config)
-    orbit = _paper_orbit(rect, period)
-    tree = adaptive_scan(rect, ParabolicExclusionClaim(period, orbit),
-                         max_depth, min_width, workers)
-    cert = ParamCertificate.from_tree(tree)
-    effective = {"rect": args.rect or "paper-R", "period": period,
-                 "max_depth": max_depth, "workers": workers}
-    _emit(cert, effective, args, tree)
-    components = component_rollup(tree, Status.TRUE)
-    center = find_superattracting_parameter(period, rect.midpoint())
-    witness, _ = attracting_cycle_box(ComplexBox.around(center, 1e-10), period, orbit)
-    corner = ComplexBox(
-        Interval(rect.re.lo, rect.re.lo + rect.re.width() / 16.0),
-        Interval(rect.im.lo, rect.im.lo + rect.im.width() / 16.0),
-    )
-    absent, _ = attracting_cycle_box(corner, period, orbit)
-    print(f"verify-arcs: {len(components)} verified components, "
-          f"attracting witness {witness.status.name}, "
-          f"absence witness {absent.status.name}")
-    ok = (
-        len(components) == 2
-        and witness.status is Status.TRUE
-        and absent.status is Status.FALSE
-    )
-    return 0 if ok else 1
-
-
-def _cmd_verify_disjoint(args) -> int:
-    config = _read_config(args.config) if args.config else {}
-    rect = _merge(args, config, "rect", parse=_parse_rect, default=PAPER_R)
-    if isinstance(rect, str):
-        rect = _parse_rect(rect)
-    period = int(_merge(args, config, "period", parse=int, default=PAPER_PERIOD))
-    max_depth = int(_merge(args, config, "max_depth", parse=int, default=7))
-    min_width = float(_merge(args, config, "min_width", parse=float, default=0.0))
-    workers = _workers(args, config)
-    status, yellow_tree, red_tree = disjointness_certificate(
-        rect, period, max_depth=max_depth, min_width=min_width, workers=workers
-    )
-    effective = {"rect": args.rect or "paper-R", "period": period,
-                 "max_depth": max_depth, "workers": workers}
-    yellow_cert = ParamCertificate.from_tree(yellow_tree)
-    _emit(yellow_cert, effective, args, yellow_tree)
-    if args.red_out:
-        red_cert = ParamCertificate.from_tree(red_tree)
-        _echo_config(red_cert, effective)
-        _write_certificate(red_cert, args.red_out)
-    yellow = sum(1 for l in yellow_tree.leaves if l.status is not Status.TRUE)
-    red = sum(1 for l in red_tree.leaves if l.status is not Status.TRUE)
-    print(f"verify-disjoint: {status.name} "
-          f"(yellow leaves {yellow}, red leaves {red})")
-    if yellow == 0 or red == 0:
-        return 1
-    return _status_exit(status)
-
-
-def _cmd_scan(args) -> int:
-    config = _read_config(args.config) if args.config else {}
-    rect = _merge(args, config, "rect", parse=_parse_rect, default=PAPER_R)
-    if isinstance(rect, str):
-        rect = _parse_rect(rect)
-    max_depth = int(_merge(args, config, "max_depth", parse=int, default=7))
-    min_depth = int(_merge(args, config, "min_depth", parse=int, default=0))
-    min_width = float(_merge(args, config, "min_width", parse=float, default=0.0))
-    workers = _workers(args, config)
-    name = args.claim
-    if name == "qlike":
-        region = _merge(args, config, "region", parse=_parse_rect, default=PAPER_U)
-        if isinstance(region, str):
-            region = _parse_rect(region)
-        n = int(_merge(args, config, "n", parse=int, default=PAPER_N))
-        segment_depth = int(_merge(args, config, "segment_depth", parse=int,
-                                   default=14))
-        claim = BoundaryDisjointClaim(region, n, segment_depth)
-    elif name == "count":
-        region = _merge(args, config, "region", parse=_parse_rect,
-                        default=PAPER_X_REGION)
-        if isinstance(region, str):
-            region = _parse_rect(region)
-        n = int(_merge(args, config, "n", parse=int, default=6))
-        tol = float(_merge(args, config, "tol", parse=float, default=2.0))
-        contour_depth = int(_merge(args, config, "contour_depth", parse=int,
-                                   default=10))
-        claim = FixedPointCountClaim(region, n, 1, tol, contour_depth)
-    elif name in ("parabolic", "attracting"):
-        period = int(_merge(args, config, "period", parse=int, default=PAPER_PERIOD))
-        orbit = _paper_orbit(rect, period)
-        cls = ParabolicExclusionClaim if name == "parabolic" else AttractingCycleClaim
-        claim = cls(period, orbit)
-    else:
-        region = _merge(args, config, "region", parse=_parse_rect, default=None)
-        if isinstance(region, str):
-            region = _parse_rect(region)
-        claim = MultiplierNonRealClaim(region)
-    tree = adaptive_scan(rect, claim, max_depth, min_width, workers, min_depth)
-    cert = ParamCertificate.from_tree(tree)
-    effective = {"claim": name, "rect": args.rect or "paper-R",
-                 "max_depth": max_depth, "workers": workers}
-    _emit(cert, effective, args, tree)
-    status = cert.rollup()
-    print(f"scan {name}: {status.name} over {len(cert.leaves)} leaves")
-    return _status_exit(status)
-
-
-def _cmd_centers(_args) -> int:
+def _cmd_centers() -> int:
     solutions = solve_period3_centers()
     for sol in solutions:
         mid = sol.c.midpoint()
         print(f"{sol.label}: {mid.real:+.12f} {mid.imag:+.12f}  "
               f"(width {sol.c.width():.2e})")
-    c_star = next(s for s in solutions if s.label == "c*")
-    omega1 = next(s for s in solutions if s.label == "omega*c*")
-    omega2 = next(s for s in solutions if s.label == "omega2*c*")
-    rot = abs(omega1.c.midpoint()) - abs(c_star.c.midpoint())
-    rot2 = abs(omega2.c.midpoint()) - abs(c_star.c.midpoint())
-    consistent = abs(rot) < 1e-9 and abs(rot2) < 1e-9
+    radius = {sol.label: abs(sol.c.midpoint()) for sol in solutions}
+    consistent = all(abs(radius[label] - radius["c*"]) < 1e-9
+                     for label in ("omega*c*", "omega2*c*"))
     print(f"rotation consistency: {consistent}")
     return 0 if consistent else 1
 
@@ -501,17 +365,15 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    handlers = {
-        "render": _cmd_render,
-        "scan": _cmd_scan,
-        "verify-qlike": _cmd_verify_qlike,
-        "verify-count": _cmd_verify_count,
-        "verify-arcs": _cmd_verify_arcs,
-        "verify-disjoint": _cmd_verify_disjoint,
-        "centers": _cmd_centers,
-    }
     try:
-        return handlers[args.command](args)
+        if args.command == "render":
+            return _cmd_render(args)
+        if args.command == "centers":
+            return _cmd_centers()
+        handler, _, defaults = _COMMANDS[args.command]
+        if args.command == "scan":
+            defaults = {**defaults, **_SCAN_CLAIMS[args.claim][0]}
+        return handler(args, _resolve(args, defaults))
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -20,55 +20,28 @@ from dataclasses import dataclass
 from .intervals import ComplexBox, Interval, ZeroDivisionBoxError
 
 __all__ = [
-    "OrbitEnclosure",
-    "OrbitOverflow",
     "EscapeResult",
     "NewtonStatus",
     "NewtonResult",
+    "ConjHolomorphicForm",
+    "OMEGA",
     "eval_f",
     "eval_f2",
-    "iterate",
     "escape_test",
     "even_iterate",
     "holo_derivative",
     "antiholo_modulus",
-    "conj_holomorphic_form",
     "interval_newton_fixed",
-    "certify_cycle",
     "krawczyk_cycle",
     "krawczyk_absence",
     "float_f",
     "float_iterate",
     "float_newton_fixed",
     "float_newton_cycle",
-    "omega_enclosure",
 ]
 
 # escape beyond this endpoint magnitude is treated as numeric blow-up
 _BLOWUP = 1e100
-
-
-class OrbitOverflow(ArithmeticError):
-    """An iterate enclosure left the representable range (escaped to infinity)."""
-
-    def __init__(self, boxes):
-        super().__init__("orbit enclosure escaped to infinity")
-        self.boxes = boxes
-
-
-@dataclass(frozen=True)
-class OrbitEnclosure:
-    """A certified periodic orbit: one box per orbit point.
-
-    modulus encloses prod_i 2|z_i|; the multiplier of an odd-period cycle
-    (the derivative of the doubled iterate) is the square of that product.
-    unique means every box passed the interval-Newton interior test.
-    """
-
-    period: int
-    boxes: tuple[ComplexBox, ...]
-    modulus: Interval
-    unique: bool
 
 
 class EscapeResult:
@@ -100,22 +73,6 @@ def eval_f(c: ComplexBox, z: ComplexBox) -> ComplexBox:
 def eval_f2(c: ComplexBox, z: ComplexBox) -> ComplexBox:
     """Enclosure of the holomorphic second iterate (z^2 + conj(c))^2 + c."""
     return (z.sqr() + c.conj()).sqr() + c
-
-
-def iterate(c: ComplexBox, z0: ComplexBox, n: int) -> list[ComplexBox]:
-    """Boxes enclosing f_c^k(z0) for k = 0..n.
-
-    Raises OrbitOverflow (carrying the partial orbit) if an enclosure
-    blows past the representable range.
-    """
-    boxes = [z0]
-    z = z0
-    for _ in range(n):
-        z = eval_f(c, z)
-        if max(abs(z.re.lo), abs(z.re.hi), abs(z.im.lo), abs(z.im.hi)) > _BLOWUP:
-            raise OrbitOverflow(boxes)
-        boxes.append(z)
-    return boxes
 
 
 def escape_test(c: ComplexBox, z0: ComplexBox, maxiter: int) -> EscapeResult:
@@ -202,10 +159,6 @@ class ConjHolomorphicForm:
 
     def derivative(self, z: ComplexBox) -> ComplexBox:
         return self.value_and_derivative(z)[1]
-
-
-def conj_holomorphic_form(c: ComplexBox, n: int) -> ConjHolomorphicForm:
-    return ConjHolomorphicForm(c, n)
 
 
 # ---------------------------------------------------------------------------
@@ -516,50 +469,6 @@ def krawczyk_absence(
     return any(not b.intersects(k) for b, k in zip(boxes, images))
 
 
-def certify_cycle(
-    c: ComplexBox,
-    period: int,
-    orbit_guess: list[complex],
-    radii,
-) -> OrbitEnclosure | None:
-    """Certify a period-`period` orbit near a floating-point guess.
-
-    Runs interval Newton on f_c^period around each guessed orbit point,
-    sweeping the seed radii independently per point (the certifiable
-    window differs along the orbit), checks orbit consistency (f image of
-    box i meets box i+1), and returns None when any certification fails.
-    """
-    if len(orbit_guess) != period:
-        raise ValueError("orbit guess length must equal the period")
-    if isinstance(radii, float):
-        radii = (radii,)
-    boxes = []
-    for z in orbit_guess:
-        box = None
-        for radius in radii:
-            res = interval_newton_fixed(c, period, ComplexBox.around(z, radius))
-            if res.status is NewtonStatus.CERTIFIED:
-                box = res.box
-                break
-        if box is None:
-            return None
-        boxes.append(box)
-    for i in range(period):
-        if not eval_f(c, boxes[i]).intersects(boxes[(i + 1) % period]):
-            return None
-    # distinct boxes certify the exact period
-    for i in range(period):
-        for j in range(i + 1, period):
-            if boxes[i].intersects(boxes[j]):
-                return None
-    return OrbitEnclosure(
-        period=period,
-        boxes=tuple(boxes),
-        modulus=antiholo_modulus(boxes),
-        unique=True,
-    )
-
-
 # ---------------------------------------------------------------------------
 # non-rigorous floating-point companions (seeds and oracles)
 # ---------------------------------------------------------------------------
@@ -621,7 +530,3 @@ _SQRT3 = Interval.point(3.0).sqrt()
 
 # enclosure of omega = (-1 + sqrt(3) i) / 2, the tricorn's rotational symmetry
 OMEGA = ComplexBox(Interval.point(-0.5), _SQRT3.scale(0.5))
-
-
-def omega_enclosure() -> ComplexBox:
-    return OMEGA

@@ -1,4 +1,4 @@
-"""Escape-time images and rasterization of scan trees.
+"""Escape-time images and rasterization of scan certificates.
 
 Escape rendering is deliberately plain floating point: figures
 illustrate, certificates certify.  Pixel centers are placed with integer
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .intervals import ComplexBox
-from .scan import ScanTree
+from .scan import ParamCertificate
 from .verify import Status
 
 __all__ = [
@@ -130,26 +130,26 @@ def render_escape(
 
 
 def rasterize_scan(
-    tree: ScanTree,
+    cert: ParamCertificate,
     palette: dict[Status, tuple[int, int, int]],
     width: int,
     height: int,
 ) -> ImageBuffer:
     """Paint each pixel with the color of the deepest leaf containing its
-    center (first leaf in tree order on depth ties)."""
+    center (first leaf in certificate order on depth ties)."""
     if width < 1 or height < 1:
         raise ValueError("image dimensions must be >= 1")
-    xs = _axis_centers(tree.root.re.lo, tree.root.re.hi, width, flip=False)
-    ys = _axis_centers(tree.root.im.lo, tree.root.im.hi, height, flip=True)
+    xs = _axis_centers(cert.root.re.lo, cert.root.re.hi, width, flip=False)
+    ys = _axis_centers(cert.root.im.lo, cert.root.im.hi, height, flip=True)
     rgb = np.zeros((height, width, 3), dtype=np.uint8)
     # shallow first; within a depth, later-ordered leaves painted first so
-    # the first containing leaf wins ties, matching ScanTree.leaf_at
+    # the first containing leaf wins ties, matching ParamCertificate.leaf_at
     order = sorted(
-        range(len(tree.leaves)),
-        key=lambda i: (tree.leaves[i].depth, -i),
+        range(len(cert.leaves)),
+        key=lambda i: (cert.leaves[i].depth, -i),
     )
     for i in order:
-        leaf = tree.leaves[i]
+        leaf = cert.leaves[i]
         color = palette[leaf.status]
         cols = np.nonzero((xs >= leaf.box.re.lo) & (xs <= leaf.box.re.hi))[0]
         rows = np.nonzero((ys >= leaf.box.im.lo) & (ys <= leaf.box.im.hi))[0]

@@ -4,22 +4,20 @@ The engine is generic over claims: a claim evaluates one parameter box to
 a ClaimResult and hands a continuation seed to the children of that box.
 Only Undetermined boxes are refined, children always in (SW, SE, NW, NE)
 order, so two runs with the same configuration produce bit-identical
-certificates regardless of the worker count.
+certificates.
 """
 
 from __future__ import annotations
 
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .intervals import ComplexBox, Interval
-from .verify import ClaimResult, Status
+from .verify import Status
 
 __all__ = [
     "TOOL_VERSION",
     "Leaf",
-    "ScanTree",
     "ParamCertificate",
     "adaptive_scan",
     "component_rollup",
@@ -47,23 +45,26 @@ class Leaf:
 
 
 @dataclass
-class ScanTree:
-    """Leaves of an adaptive scan, tiling the root rectangle exactly."""
+class ParamCertificate:
+    """Leaves of an adaptive scan, tiling the root rectangle exactly, with
+    the claim metadata that makes them reproducible."""
 
-    root: ComplexBox
     claim: str
+    root: ComplexBox
     config: dict
     leaves: list[Leaf]
+    assumptions: list[str] = field(default_factory=list)
+    tool: str = TOOL_VERSION
 
-    def rollup(self) -> Status:
+    def rollup(self, acknowledge_assumptions: bool = False) -> Status:
+        """TRUE only if every leaf is TRUE and any assumptions are acknowledged."""
+        if self.assumptions and not acknowledge_assumptions:
+            return Status.UNDETERMINED
         if all(leaf.status is Status.TRUE for leaf in self.leaves):
             return Status.TRUE
         if any(leaf.status is Status.FALSE for leaf in self.leaves):
             return Status.FALSE
         return Status.UNDETERMINED
-
-    def leaves_with(self, status: Status) -> list[Leaf]:
-        return [leaf for leaf in self.leaves if leaf.status is status]
 
     def leaf_at(self, z: complex) -> Leaf:
         """Deepest leaf containing the point; first in leaf order on ties."""
@@ -81,15 +82,14 @@ def adaptive_scan(
     claim,
     max_depth: int,
     min_width: float = 0.0,
-    workers: int = 1,
     min_depth: int = 0,
-) -> ScanTree:
+) -> ParamCertificate:
     """Classify rect by the claim, refining Undetermined boxes quadwise.
 
     Boxes above min_depth are split without being evaluated.  Budget
-    exhaustion leaves Undetermined leaves in place, never failure.
-    Results are independent of the worker count: boxes are keyed by their
-    quadtree path and assembled in path order.
+    exhaustion leaves Undetermined leaves in place, never failure.  The
+    walk is depth first with children in quadrant order, so the leaves
+    come out in the order of their quadtree paths.
     """
     if rect.is_empty:
         raise ValueError("cannot scan an empty rectangle")
@@ -97,57 +97,43 @@ def adaptive_scan(
         raise ValueError("max_depth must be >= 0")
     if not 0 <= min_depth <= max_depth:
         raise ValueError("min_depth must lie in [0, max_depth]")
-    leaves: dict[tuple, Leaf] = {}
-    frontier = [((), rect, claim.initial_seed(rect))]
+    leaves: list[Leaf] = []
+    stack = [(0, rect, claim.initial_seed(rect))]
+    while stack:
+        depth, box, seed = stack.pop()
+        result = None
+        if depth >= min_depth:
+            result, seed = claim.evaluate(box, seed)
+        refine = result is None or (
+            result.status is Status.UNDETERMINED
+            and depth < max_depth
+            and box.width() > min_width
+        )
+        if refine:
+            # reversed, so the first quadrant is popped first
+            for child in reversed(box.quarter()):
+                stack.append((depth + 1, child, seed))
+        else:
+            leaves.append(Leaf(depth, box, result.status, result.effort))
 
-    def process(node):
-        path, box, seed = node
-        if len(path) < min_depth:
-            return path, box, None, seed
-        result, child_seed = claim.evaluate(box, seed)
-        return path, box, result, child_seed
-
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        while frontier:
-            if pool is not None:
-                outcomes = list(pool.map(process, frontier))
-            else:
-                outcomes = [process(node) for node in frontier]
-            frontier = []
-            for path, box, result, child_seed in outcomes:
-                depth = len(path)
-                refine = result is None or (
-                    result.status is Status.UNDETERMINED
-                    and depth < max_depth
-                    and box.width() > min_width
-                )
-                if refine:
-                    for quadrant, child in enumerate(box.quarter()):
-                        frontier.append((path + (quadrant,), child, child_seed))
-                else:
-                    leaves[path] = Leaf(depth, box, result.status, result.effort)
-    finally:
-        if pool is not None:
-            pool.shutdown()
-
-    ordered = [leaves[path] for path in sorted(leaves)]
     config = {
         "max_depth": str(max_depth),
         "min_depth": str(min_depth),
         "min_width": repr(min_width),
     }
     config.update(claim.config())
-    return ScanTree(root=rect, claim=claim.name, config=config, leaves=ordered)
+    return ParamCertificate(claim=claim.name, root=rect, config=config, leaves=leaves)
 
 
-def component_rollup(tree: ScanTree, status: Status = Status.TRUE) -> list[list[int]]:
+def component_rollup(
+    cert: ParamCertificate, status: Status = Status.TRUE
+) -> list[list[int]]:
     """Connected components of same-status leaves under 4-adjacency.
 
     Two leaves are adjacent when they share an edge segment of positive
-    length.  Returns lists of indices into tree.leaves.
+    length.  Returns lists of indices into cert.leaves.
     """
-    idx = [i for i, leaf in enumerate(tree.leaves) if leaf.status is status]
+    idx = [i for i, leaf in enumerate(cert.leaves) if leaf.status is status]
     parent = {i: i for i in idx}
 
     def find(i):
@@ -165,7 +151,7 @@ def component_rollup(tree: ScanTree, status: Status = Status.TRUE) -> list[list[
         starts: dict[float, list[int]] = {}
         ends: dict[float, list[int]] = {}
         for i in idx:
-            b = tree.leaves[i].box
+            b = cert.leaves[i].box
             starts.setdefault(lo_key(b), []).append(i)
             ends.setdefault(hi_key(b), []).append(i)
         for v, left in ends.items():
@@ -173,9 +159,9 @@ def component_rollup(tree: ScanTree, status: Status = Status.TRUE) -> list[list[
             if not right:
                 continue
             for i in left:
-                si = span(tree.leaves[i].box)
+                si = span(cert.leaves[i].box)
                 for j in right:
-                    sj = span(tree.leaves[j].box)
+                    sj = span(cert.leaves[j].box)
                     if max(si.lo, sj.lo) < min(si.hi, sj.hi):
                         union(i, j)
 
@@ -186,38 +172,6 @@ def component_rollup(tree: ScanTree, status: Status = Status.TRUE) -> list[list[
     for i in idx:
         groups.setdefault(find(i), []).append(i)
     return sorted(groups.values())
-
-
-@dataclass
-class ParamCertificate:
-    """A scan tree plus the claim metadata that makes it reproducible."""
-
-    claim: str
-    root: ComplexBox
-    config: dict
-    leaves: list[Leaf]
-    assumptions: list[str] = field(default_factory=list)
-    tool: str = TOOL_VERSION
-
-    @staticmethod
-    def from_tree(tree: ScanTree, assumptions: list[str] | None = None) -> "ParamCertificate":
-        return ParamCertificate(
-            claim=tree.claim,
-            root=tree.root,
-            config=dict(tree.config),
-            leaves=list(tree.leaves),
-            assumptions=list(assumptions or []),
-        )
-
-    def rollup(self, acknowledge_assumptions: bool = False) -> Status:
-        """TRUE only if every leaf is TRUE and any assumptions are acknowledged."""
-        if self.assumptions and not acknowledge_assumptions:
-            return Status.UNDETERMINED
-        if all(leaf.status is Status.TRUE for leaf in self.leaves):
-            return Status.TRUE
-        if any(leaf.status is Status.FALSE for leaf in self.leaves):
-            return Status.FALSE
-        return Status.UNDETERMINED
 
 
 def serialize(cert: ParamCertificate) -> bytes:

@@ -20,10 +20,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .dynamics import (
+    ConjHolomorphicForm,
     NewtonStatus,
-    OrbitEnclosure,
     antiholo_modulus,
-    conj_holomorphic_form,
     eval_f,
     even_iterate,
     float_f,
@@ -260,7 +259,7 @@ def preimage_count(
 
     Solutions are the zeros of the holomorphic companion H(z) - conj(w).
     """
-    form = conj_holomorphic_form(c, n)
+    form = ConjHolomorphicForm(c, n)
     wbar = ComplexBox.point(w.conjugate())
 
     def val(z: ComplexBox) -> ComplexBox:
@@ -301,12 +300,24 @@ def _refine_orbit(c_mid: complex, period: int, orbit_guess):
     return orbit, residual < _NEWTON_RESIDUAL_TOL
 
 
-def _certify_tracked_cycle(c: ComplexBox, period: int, orbit_guess):
-    """Krawczyk certification of the continued cycle; None when it fails."""
+def _certify_tracked_cycle(c: ComplexBox, period: int, orbit_guess) -> Interval | None:
+    """Enclosure of prod 2|z_i| over the orbit boxes of the continued cycle,
+    certified by Krawczyk; None when certification fails.  The multiplier
+    of an odd-period cycle (the derivative of the doubled iterate) is the
+    square of that product.
+
+    The coupled system is also solved by a shorter cycle traversed several
+    times, which puts one point in two boxes; pairwise disjoint boxes
+    certify the exact period.
+    """
     status, boxes = krawczyk_cycle(c, period, orbit_guess, max(1e-9, c.width()))
     if status is not NewtonStatus.CERTIFIED:
         return None
-    return OrbitEnclosure(period, tuple(boxes), antiholo_modulus(boxes), True)
+    for i in range(period):
+        for j in range(i + 1, period):
+            if boxes[i].intersects(boxes[j]):
+                return None
+    return antiholo_modulus(boxes)
 
 
 def _cycle_absent(c: ComplexBox, period: int, orbit_guess) -> bool:
@@ -317,7 +328,7 @@ def _cycle_absent(c: ComplexBox, period: int, orbit_guess) -> bool:
 
 def attracting_cycle_box(
     c: ComplexBox, period: int, orbit_guess
-) -> tuple[ClaimResult, list[complex] | None]:
+) -> tuple[ClaimResult, list[complex]]:
     """Is the tracked period-p cycle attracting over the whole box?
 
     TRUE when the Krawczyk operator recertifies the cycle and the squared
@@ -326,9 +337,9 @@ def attracting_cycle_box(
     """
     refined, converged = _refine_orbit(c.midpoint(), period, orbit_guess)
     if converged:
-        orbit = _certify_tracked_cycle(c, period, refined)
-        if orbit is not None:
-            m2 = orbit.modulus.sqr()
+        modulus = _certify_tracked_cycle(c, period, refined)
+        if modulus is not None:
+            m2 = modulus.sqr()
             if m2.hi < 1.0:
                 return ClaimResult(Status.TRUE), refined
             if m2.lo > 1.0:
@@ -341,7 +352,7 @@ def attracting_cycle_box(
 
 def parabolic_excluded(
     c: ComplexBox, period: int, orbit_guess
-) -> tuple[ClaimResult, list[complex] | None]:
+) -> tuple[ClaimResult, list[complex]]:
     """Does the tracked cycle certifiably avoid multiplier one?
 
     TRUE when the squared modulus enclosure excludes 1 (either side) or
@@ -350,9 +361,9 @@ def parabolic_excluded(
     """
     refined, converged = _refine_orbit(c.midpoint(), period, orbit_guess)
     if converged:
-        orbit = _certify_tracked_cycle(c, period, refined)
-        if orbit is not None:
-            m2 = orbit.modulus.sqr()
+        modulus = _certify_tracked_cycle(c, period, refined)
+        if modulus is not None:
+            m2 = modulus.sqr()
             if m2.hi < 1.0 or m2.lo > 1.0:
                 return ClaimResult(Status.TRUE), refined
             return ClaimResult(Status.UNDETERMINED), refined
@@ -463,21 +474,7 @@ class FixedPointCountClaim:
         return ClaimResult(status, enc.segments), None
 
 
-class _TrackedCycleClaim:
-    """Shared continuation plumbing for cycle claims."""
-
-    period: int
-
-    def initial_seed(self, rect: ComplexBox):
-        raise NotImplementedError
-
-    def _continued(self, box: ComplexBox, seed):
-        if seed is None:
-            seed = self.initial_seed(box)
-        return seed
-
-
-class ParabolicExclusionClaim(_TrackedCycleClaim):
+class ParabolicExclusionClaim:
     """Scan claim: tracked period-p cycle avoids multiplier one (red = U)."""
 
     def __init__(self, period: int, initial_orbit: list[complex]):
@@ -493,14 +490,10 @@ class ParabolicExclusionClaim(_TrackedCycleClaim):
         return orbit
 
     def evaluate(self, box: ComplexBox, seed):
-        seed = self._continued(box, seed)
-        if seed is None:
-            return ClaimResult(Status.UNDETERMINED), None
-        result, refined = parabolic_excluded(box, self.period, seed)
-        return result, refined or seed
+        return parabolic_excluded(box, self.period, seed)
 
 
-class AttractingCycleClaim(_TrackedCycleClaim):
+class AttractingCycleClaim:
     """Scan claim: tracked period-p cycle is attracting over the box."""
 
     def __init__(self, period: int, initial_orbit: list[complex]):
@@ -516,14 +509,10 @@ class AttractingCycleClaim(_TrackedCycleClaim):
         return orbit
 
     def evaluate(self, box: ComplexBox, seed):
-        seed = self._continued(box, seed)
-        if seed is None:
-            return ClaimResult(Status.UNDETERMINED), None
-        result, refined = attracting_cycle_box(box, self.period, seed)
-        return result, refined or seed
+        return attracting_cycle_box(box, self.period, seed)
 
 
-class MultiplierNonRealClaim(_TrackedCycleClaim):
+class MultiplierNonRealClaim:
     """Scan claim: multiplier of the f^6 fixed point is non-real (yellow = U)."""
 
     def __init__(self, region: ComplexBox | None = None, guess: complex = 0.04 + 0.04j):
@@ -538,9 +527,8 @@ class MultiplierNonRealClaim(_TrackedCycleClaim):
         return self.guess
 
     def evaluate(self, box: ComplexBox, seed):
-        guess = seed if seed is not None else self.guess
-        result, refined = multiplier_im_excludes_zero(box, self.region, guess)
-        return result, refined if refined is not None else guess
+        result, refined = multiplier_im_excludes_zero(box, self.region, seed)
+        return result, refined if refined is not None else seed
 
 
 # ---------------------------------------------------------------------------
@@ -577,7 +565,6 @@ def qlike_certificate(
     anchor: complex,
     max_depth: int = 14,
     min_width: float = 0.0,
-    workers: int = 1,
     segment_depth: int = 14,
 ):
     """Certificate that f_c^n restricts quadratic-likely to U over the rect.
@@ -586,13 +573,13 @@ def qlike_certificate(
     pass the (non-rigorous, recorded) bounded-critical-orbit heuristic and
     a certified preimage count of 2.  Returns a ParamCertificate.
     """
-    from .scan import ParamCertificate, adaptive_scan
+    from .scan import adaptive_scan
 
     if not param_rect.contains(anchor):
         raise ValueError("anchor parameter must lie in the parameter rectangle")
     claim = BoundaryDisjointClaim(u, n, segment_depth)
-    tree = adaptive_scan(param_rect, claim, max_depth, min_width, workers)
-    cert = ParamCertificate.from_tree(tree, assumptions=[ANCHOR_ASSUMPTION])
+    cert = adaptive_scan(param_rect, claim, max_depth, min_width)
+    cert.assumptions.append(ANCHOR_ASSUMPTION)
     anchor_box = ComplexBox.point(anchor)
     degree = preimage_count(anchor_box, 0j, u, n)
     cert.config["anchor"] = f"{anchor.real!r},{anchor.imag!r}"
@@ -617,7 +604,6 @@ def count_certificate(
     max_depth: int = 4,
     tol: float = 2.0,
     contour_depth: int = 10,
-    workers: int = 1,
 ):
     """Certificate that f_c^n has exactly `expect` fixed points in the
     region for every parameter in the rectangle.
@@ -626,13 +612,10 @@ def count_certificate(
     integrand's parameter-width contribution shrinks with the boxes, so
     small leaves decide quickly where the root would crawl.
     """
-    from .scan import ParamCertificate, adaptive_scan
+    from .scan import adaptive_scan
 
     claim = FixedPointCountClaim(region, n, expect, tol, contour_depth)
-    tree = adaptive_scan(
-        param_rect, claim, max_depth, workers=workers, min_depth=min_depth
-    )
-    return ParamCertificate.from_tree(tree)
+    return adaptive_scan(param_rect, claim, max_depth, min_depth=min_depth)
 
 
 def disjointness_certificate(
@@ -642,12 +625,11 @@ def disjointness_certificate(
     x_region: ComplexBox | None = None,
     max_depth: int = 9,
     min_width: float = 0.0,
-    workers: int = 1,
 ):
     """Certify that the possibly-real-multiplier locus and the possibly-
     parabolic locus occupy disjoint closed leaf unions over the rect.
 
-    Returns (status, yellow_tree, red_tree): yellow leaves are the
+    Returns (status, yellow_cert, red_cert): yellow leaves are the
     Undetermined leaves of the multiplier-realness scan, red leaves the
     Undetermined leaves of the parabolic-exclusion scan.
     """
@@ -658,25 +640,21 @@ def disjointness_certificate(
         if center is None or not param_rect.contains(center):
             raise ValueError("no superattracting seed parameter found in the rectangle")
         initial_orbit = float_orbit_of_zero(center, period)
-    yellow_tree = adaptive_scan(
-        param_rect, MultiplierNonRealClaim(x_region), max_depth, min_width, workers
+    yellow_cert = adaptive_scan(
+        param_rect, MultiplierNonRealClaim(x_region), max_depth, min_width
     )
-    red_tree = adaptive_scan(
-        param_rect,
-        ParabolicExclusionClaim(period, initial_orbit),
-        max_depth,
-        min_width,
-        workers,
+    red_cert = adaptive_scan(
+        param_rect, ParabolicExclusionClaim(period, initial_orbit), max_depth, min_width
     )
-    yellow = [leaf.box for leaf in yellow_tree.leaves if leaf.status is not Status.TRUE]
-    red = [leaf.box for leaf in red_tree.leaves if leaf.status is not Status.TRUE]
+    yellow = [leaf.box for leaf in yellow_cert.leaves if leaf.status is not Status.TRUE]
+    red = [leaf.box for leaf in red_cert.leaves if leaf.status is not Status.TRUE]
     if not yellow or not red:
         status = Status.TRUE  # one locus certified empty: vacuously disjoint
     elif any(a.intersects(b) for a in yellow for b in red):
         status = Status.UNDETERMINED  # closures touch at this budget
     else:
         status = Status.TRUE
-    return status, yellow_tree, red_tree
+    return status, yellow_cert, red_cert
 
 
 def float_orbit_of_zero(c: complex, period: int) -> list[complex]:

@@ -1,5 +1,7 @@
 """Exit codes, argument parsing, and config composition of the CLI."""
 
+import hashlib
+
 import pytest
 
 from tricert.cli import main
@@ -66,7 +68,7 @@ class TestScan:
 
     def test_config_file_merge(self, tmp_path):
         cfg = tmp_path / "scan.cfg"
-        cfg.write_text("max_depth = 1  # shallow\nworkers = 2\n")
+        cfg.write_text("max_depth = 1  # shallow\n")
         out = tmp_path / "cert.txt"
         code = _run([
             "scan", "--claim", "qlike", "--config", str(cfg), "-o", str(out),
@@ -95,13 +97,50 @@ class TestScan:
     def test_missing_config_file_exits_2(self):
         assert _run(["scan", "--claim", "qlike", "--config", "/no/such/file"]) == 2
 
-    def test_workers_env_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("TRICERT_WORKERS", "2")
+    def test_config_rect_is_echoed(self, tmp_path):
+        cfg = tmp_path / "scan.cfg"
+        cfg.write_text("rect = -1.7386,-1.7384,0.0157,0.0159\n")
         out = tmp_path / "cert.txt"
-        code = _run(["scan", "--claim", "qlike", "--max-depth", "1", "-o", str(out)])
+        code = _run(["scan", "--claim", "qlike", "--config", str(cfg),
+                     "--max-depth", "0", "-o", str(out)])
         assert code == 0
         cert = parse(out.read_bytes())
-        assert cert.config["cli.workers"] == "2"
+        assert cert.config["cli.rect"] == "-1.7386,-1.7384,0.0157,0.0159"
+        assert cert.root.re.lo == -1.7386
+
+    @pytest.mark.parametrize("argv, key", [
+        (["verify-arcs"], "contour_depth"),
+        (["verify-count"], "workers"),
+        (["scan", "--claim", "qlike"], "period"),
+        (["scan", "--claim", "parabolic"], "region"),
+    ])
+    def test_config_key_the_command_does_not_use_exits_2(self, tmp_path, argv, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = 5\n")
+        assert _run(argv + ["--config", str(cfg)]) == 2
+
+    def test_flag_of_another_claim_exits_2(self):
+        assert _run(["scan", "--claim", "qlike", "--period", "9"]) == 2
+
+    def test_bad_config_value_exits_2(self, tmp_path):
+        cfg = tmp_path / "scan.cfg"
+        cfg.write_text("max_depth = deep\n")
+        assert _run(["scan", "--claim", "qlike", "--config", str(cfg)]) == 2
+
+    def test_golden_qlike_certificate(self, tmp_path):
+        # a numpy-free scan of the qlike-wide rectangle; the digest excludes
+        # the #config.cli.* echo, so it pins the leaves and the claim config
+        out = tmp_path / "cert.txt"
+        code = _run([
+            "scan", "--claim", "qlike", "--rect", "-1.8025,-1.6745,-0.0482,0.0798",
+            "--max-depth", "3", "--segment-depth", "8", "-o", str(out),
+        ])
+        assert code == 1
+        lines = out.read_bytes().splitlines(keepends=True)
+        body = b"".join(ln for ln in lines if not ln.startswith(b"#config.cli."))
+        assert hashlib.sha256(body).hexdigest() == (
+            "8209bcc676ef9964b4f5c2aab4193da65a211127cb33cc3e797e14e7c4152752"
+        )
 
     def test_scan_image_output(self, tmp_path):
         out = tmp_path / "cert.txt"
@@ -126,6 +165,27 @@ class TestVerifyQlike:
                      "--acknowledge-assumptions"])
         assert code == 0
         assert "TRUE" in capsys.readouterr().out
+
+    def test_anchor_from_config(self, tmp_path):
+        cfg = tmp_path / "q.cfg"
+        cfg.write_text("anchor = -1.7385,0.0158\nacknowledge_assumptions = yes\n")
+        out = tmp_path / "q.txt"
+        _run(["verify-qlike", "--config", str(cfg), "--max-depth", "0", "-o", str(out)])
+        cert = parse(out.read_bytes())
+        assert cert.config["anchor"] == "-1.7385,0.0158"
+        assert cert.config["cli.acknowledge_assumptions"] == "yes"
+
+
+class TestVerifyCount:
+    def test_expect_from_config(self, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("expect = 2\n")
+        out = tmp_path / "c.txt"
+        code = _run(["verify-count", "--config", str(cfg), "--min-depth", "0",
+                     "--max-depth", "0", "--rect", "-1.73875,-1.7387,0.01555,0.0156",
+                     "-o", str(out)])
+        assert code == 1  # the region holds one fixed point, not two
+        assert parse(out.read_bytes()).config["expect"] == "2"
 
 
 class TestCenters:

@@ -12,7 +12,7 @@ from tricert.render import (
     render_escape,
     write_ppm,
 )
-from tricert.scan import ScanTree, adaptive_scan
+from tricert.scan import ParamCertificate, adaptive_scan
 from tricert.verify import ClaimResult, Status
 
 SQUARE = ComplexBox(Interval(-2.0, 2.0), Interval(-2.0, 2.0))
@@ -124,7 +124,7 @@ class TestRasterize:
         from tricert.scan import Leaf
 
         leaf = Leaf(0, self.UNIT, Status.TRUE)
-        tree = ScanTree(self.UNIT, "synthetic", {}, [leaf])
+        tree = ParamCertificate("synthetic", self.UNIT, {}, [leaf])
         img = rasterize_scan(tree, PALETTE, 8, 8)
         cyan = PALETTE[Status.TRUE]
         for y in range(8):

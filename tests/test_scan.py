@@ -1,6 +1,5 @@
 """Adaptive subdivision, component rollup, and certificate round-trips."""
 
-import hashlib
 import struct
 
 import pytest
@@ -9,7 +8,6 @@ from tricert.intervals import ComplexBox, Interval
 from tricert.scan import (
     Leaf,
     ParamCertificate,
-    ScanTree,
     adaptive_scan,
     component_rollup,
     parse,
@@ -112,14 +110,6 @@ class TestAdaptiveScan:
         with pytest.raises(ValueError):
             tree.leaf_at(5 + 5j)
 
-    def test_determinism_across_worker_counts(self):
-        digests = []
-        for workers in (1, 4):
-            tree = adaptive_scan(UNIT, _checkerboard(4), 4, workers=workers)
-            cert = ParamCertificate.from_tree(tree)
-            digests.append(hashlib.sha256(serialize(cert)).hexdigest())
-        assert digests[0] == digests[1]
-
 
 class TestComponentRollup:
     def test_all_true_single_component(self):
@@ -132,7 +122,7 @@ class TestComponentRollup:
             tree = adaptive_scan(UNIT, _checkerboard(depth), depth)
             components = component_rollup(tree, Status.TRUE)
             cells = set()
-            for leaf in tree.leaves_with(Status.TRUE):
+            for leaf in (l for l in tree.leaves if l.status is Status.TRUE):
                 m = leaf.box.midpoint()
                 cells.add((int(m.real * 2 ** depth), int(m.imag * 2 ** depth)))
             assert len(components) == _flood_fill_components(cells)
@@ -144,14 +134,15 @@ class TestComponentRollup:
         left = Leaf(2, ComplexBox(Interval(0.0, 0.25), Interval(0.0, 0.25)), Status.TRUE)
         right = Leaf(1, ComplexBox(Interval(0.25, 0.5), Interval(0.0, 0.5)), Status.TRUE)
         far = Leaf(1, ComplexBox(Interval(0.5, 1.0), Interval(0.75, 1.0)), Status.TRUE)
-        tree = ScanTree(UNIT, "synthetic", {}, [left, right, far])
+        tree = ParamCertificate("synthetic", UNIT, {}, [left, right, far])
         assert len(component_rollup(tree, Status.TRUE)) == 2
 
 
 class TestCertificates:
     def _sample(self):
-        tree = adaptive_scan(UNIT, _checkerboard(3), 3)
-        return ParamCertificate.from_tree(tree, assumptions=["heuristic seed"])
+        cert = adaptive_scan(UNIT, _checkerboard(3), 3)
+        cert.assumptions.append("heuristic seed")
+        return cert
 
     def test_round_trip_is_byte_identical(self):
         cert = self._sample()
@@ -194,7 +185,7 @@ class TestCertificates:
 
     def test_assumptions_gate_rollup(self):
         claim = _GridClaim(1, lambda z: Status.TRUE)
-        tree = adaptive_scan(UNIT, claim, 1)
-        cert = ParamCertificate.from_tree(tree, assumptions=["needs a human look"])
+        cert = adaptive_scan(UNIT, claim, 1)
+        cert.assumptions.append("needs a human look")
         assert cert.rollup() is Status.UNDETERMINED
         assert cert.rollup(acknowledge_assumptions=True) is Status.TRUE

@@ -18,6 +18,7 @@ from tricert.verify import (
     find_superattracting_parameter,
     float_orbit_of_zero,
     multiplier_im_excludes_zero,
+    parabolic_excluded,
     preimage_count,
 )
 
@@ -164,6 +165,17 @@ class TestCycleClaims:
         orbit = float_orbit_of_zero(center, 9)
         result, _ = attracting_cycle_box(ComplexBox.around(center, 1e-10), 9, orbit)
         assert result.status is Status.TRUE
+
+    def test_repeated_shorter_cycle_is_not_certified(self):
+        # the period-3 orbit of 0 at the airplane center, traversed twice,
+        # solves the coupled period-6 system but is no cycle of period 6
+        c = find_superattracting_parameter(3, -1.75 + 0j)
+        orbit = float_orbit_of_zero(c, 3) * 2
+        box = ComplexBox.around(c, 1e-10)
+        attracting, _ = attracting_cycle_box(box, 6, orbit)
+        excluded, _ = parabolic_excluded(box, 6, orbit)
+        assert attracting.status is Status.UNDETERMINED
+        assert excluded.status is Status.UNDETERMINED
 
     def test_multiplier_nonreal_newton_failure(self):
         result, refined = multiplier_im_excludes_zero(
