@@ -160,7 +160,27 @@ def _resolve(args, defaults: dict[str, str | None]) -> dict[str, str]:
             except ValueError:
                 raise UsageError(f"bad value for {key}: {text!r}") from None
             texts[key] = text
+    _check_ranges(args)
     return texts
+
+
+# the least meaningful value of each integer parameter
+_LEAST = {"max_depth": 0, "min_depth": 0, "segment_depth": 0, "contour_depth": 0,
+          "n": 1, "period": 1}
+
+
+def _check_ranges(args) -> None:
+    """Refuse out-of-range values as usage errors.  The claims reject some of
+    them with ValueError, which main must not catch: EmptyIntervalError is a
+    ValueError too."""
+    for key, least in _LEAST.items():
+        value = getattr(args, key, None)
+        if value is not None and value < least:
+            raise UsageError(f"{key} must be >= {least}")
+    if getattr(args, "min_depth", None) is not None and args.min_depth > args.max_depth:
+        raise UsageError("min_depth must not exceed max_depth")
+    if getattr(args, "anchor", None) is not None and not args.rect.contains(args.anchor):
+        raise UsageError("anchor must lie in rect")
 
 
 _PALETTES = {"multiplier": MULTIPLIER_PALETTE, "parabolic": PARABOLIC_PALETTE}

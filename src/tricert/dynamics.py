@@ -17,7 +17,9 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .intervals import ComplexBox, Interval, ZeroDivisionBoxError
+import numpy as np
+
+from .intervals import ComplexBox, EmptyIntervalError, Interval, ZeroDivisionBoxError
 
 __all__ = [
     "EscapeResult",
@@ -264,11 +266,6 @@ def interval_newton_fixed(
     return NewtonResult(NewtonStatus.CERTIFIED if certified else NewtonStatus.UNKNOWN, box)
 
 
-def _cycle_residuals(c: ComplexBox, points: list[ComplexBox]) -> list[ComplexBox]:
-    p = len(points)
-    return [eval_f(c, points[i]) - points[(i + 1) % p] for i in range(p)]
-
-
 def float_newton_cycle(
     c: complex,
     period: int,
@@ -282,8 +279,6 @@ def float_newton_cycle(
     final residual max |f(z_i) - z_{i+1}|; callers decide whether the
     residual is small enough to call it converged.
     """
-    import numpy as np
-
     p = period
     orbit = list(orbit_guess)
     if len(orbit) != p:
@@ -317,6 +312,35 @@ def float_newton_cycle(
     return orbit, residual
 
 
+# Array twins of the Interval operations.  Where Interval picks an endpoint
+# by a sign test or by Python's min/max, these take np.minimum/np.maximum:
+# the values are the same and may differ only in the sign of a zero, which
+# the outward nextafter step maps to the same endpoint.
+
+
+def _down(x):
+    return np.nextafter(x, -math.inf)
+
+
+def _up(x):
+    return np.nextafter(x, math.inf)
+
+
+def _scale(lo, hi, k):
+    """Interval.scale on endpoint arrays, by exact scalars k (an array or a float)."""
+    a, b = lo * k, hi * k
+    return _down(np.minimum(a, b)), _up(np.maximum(a, b))
+
+
+def _mul(alo, ahi, blo, bhi):
+    """Interval.__mul__ on endpoint arrays."""
+    p0, p1, p2, p3 = alo * blo, alo * bhi, ahi * blo, ahi * bhi
+    lo = np.minimum(np.minimum(p0, p1), np.minimum(p2, p3))
+    hi = np.maximum(np.maximum(p0, p1), np.maximum(p2, p3))
+    return _down(lo), _up(hi)
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def _krawczyk_image(c: ComplexBox, boxes: list[ComplexBox]) -> list[ComplexBox] | None:
     """One Krawczyk step for the coupled cyclic system G_i = f(z_i) - z_{i+1}.
 
@@ -326,21 +350,28 @@ def _krawczyk_image(c: ComplexBox, boxes: list[ComplexBox]) -> list[ComplexBox] 
     entrywise so Y J(mid) cancels against I before interval widths add.
     G is exactly linear in c, so the parameter enters once per row with a
     signed coefficient and the orbit's c-sensitivities can cancel.
-    """
-    import numpy as np
 
+    Intervals are held as float64 endpoint arrays over the coordinates
+    (re z_0, im z_0, re z_1, ...), and every operation is that of
+    `Interval`, rounded outward with nextafter.  Entries that do not
+    depend on each other are computed at once; the sums along each row
+    run column by column, in the order of the scalar formula
+        K_r = m_r + sum_c M_rc (Z_c - m_c) - sum_c Y_rc G_c(m) - su_r cu - sv_r cv,
+    so every endpoint equals the one of the scalar evaluation.
+    """
     p = len(boxes)
+    n = 2 * p
     mids = [b.midpoint() for b in boxes]
+    mid = np.array([(m.real, m.imag) for m in mids]).ravel()
+    x, yv = mid[0::2], mid[1::2]
     # float midpoint Jacobian: d f(z) / d(x, y) = [[2x, -2y], [-2y, -2x]]
-    j0 = np.zeros((2 * p, 2 * p))
-    for i, m in enumerate(mids):
-        j0[2 * i, 2 * i] = 2.0 * m.real
-        j0[2 * i, 2 * i + 1] = -2.0 * m.imag
-        j0[2 * i + 1, 2 * i] = -2.0 * m.imag
-        j0[2 * i + 1, 2 * i + 1] = -2.0 * m.real
-        k = (i + 1) % p
-        j0[2 * i, 2 * k] -= 1.0
-        j0[2 * i + 1, 2 * k + 1] -= 1.0
+    re, im = np.arange(0, n, 2), np.arange(1, n, 2)
+    nxt = (re + 2) % n
+    j0 = np.zeros((n, n))
+    j0[re, re], j0[re, im] = 2.0 * x, -2.0 * yv
+    j0[im, re], j0[im, im] = -2.0 * yv, -2.0 * x
+    j0[re, nxt] -= 1.0
+    j0[im, nxt + 1] -= 1.0
     try:
         y = np.linalg.inv(j0)
     except np.linalg.LinAlgError:
@@ -350,46 +381,67 @@ def _krawczyk_image(c: ComplexBox, boxes: list[ComplexBox]) -> list[ComplexBox] 
     c_mid = c.midpoint()
     cu = c.re - Interval.point(c_mid.real)
     cv = c.im - Interval.point(c_mid.imag)
-    gm = _cycle_residuals(ComplexBox.point(c_mid), [ComplexBox.point(m) for m in mids])
-    rvec: list[Interval] = []
-    for b, m in zip(boxes, mids):
-        rvec.extend((b.re - Interval.point(m.real), b.im - Interval.point(m.imag)))
-    n = 2 * p
-    dblocks = []
-    for b in boxes:
-        x2, y2 = b.re.scale(2.0), b.im.scale(2.0)
-        dblocks.append(((x2, -y2), (-y2, -x2)))
-    # K = m - Y G(m) + (I - Y J(Z)) (Z - m)
-    kvec: list[Interval] = []
-    for r in range(n):
-        acc = Interval.point(0.0)
-        for j in range(p):
-            d = dblocks[j]
-            prev = (j - 1) % p
-            for col in (0, 1):
-                cc = 2 * j + col
-                yj = (
-                    d[0][col].scale(y[r, 2 * j])
-                    + d[1][col].scale(y[r, 2 * j + 1])
-                    - Interval.point(y[r, 2 * prev + col])
-                )
-                m_entry = Interval.point(1.0 if r == cc else 0.0) - yj
-                acc = acc + m_entry * rvec[cc]
-        su = sv = 0.0
-        for cidx in range(n):
-            coeff = y[r, cidx]
-            if cidx % 2 == 0:
-                su += coeff
-            else:
-                sv += coeff
-            if coeff != 0.0:
-                half = gm[cidx // 2]
-                g = half.re if cidx % 2 == 0 else half.im
-                acc = acc - g.scale(coeff)
-        acc = acc - cu.scale(su) - cv.scale(sv)
-        base = mids[r // 2].real if r % 2 == 0 else mids[r // 2].imag
-        kvec.append(Interval.point(base) + acc)
-    return [ComplexBox(kvec[2 * i], kvec[2 * i + 1]) for i in range(p)]
+    # G(m): conj(m_i)^2 + c_mid - m_{i+1}, as eval_f on point boxes
+    sq = x * x, yv * yv
+    xx_lo, xx_hi = np.maximum(_down(sq[0]), 0.0), _up(sq[0])
+    yy_lo, yy_hi = np.maximum(_down(sq[1]), 0.0), _up(sq[1])
+    xy_lo, xy_hi = _scale(_down(x * yv), _up(x * yv), 2.0)
+    x_next, y_next = mid[nxt], mid[nxt + 1]
+    g = np.empty((2, n))
+    g[0, re] = _down(_down(_down(xx_lo - yy_hi) + c_mid.real) - x_next)
+    g[1, re] = _up(_up(_up(xx_hi - yy_lo) + c_mid.real) - x_next)
+    g[0, im] = _down(_down(-xy_hi + c_mid.imag) - y_next)
+    g[1, im] = _up(_up(-xy_lo + c_mid.imag) - y_next)
+    # raise where Interval would: an overflow elsewhere reaches K as a
+    # non-finite endpoint, but a residual is skipped in rows where Y_rc == 0
+    if not np.all(np.isfinite(g)):
+        raise EmptyIntervalError("non-finite residual at the midpoint")
+    lo = np.array([(b.re.lo, b.im.lo) for b in boxes]).ravel()
+    hi = np.array([(b.re.hi, b.im.hi) for b in boxes]).ravel()
+    r_lo, r_hi = _down(lo - mid), _up(hi - mid)
+    # J(Z) blocks by column 2j + col: row 2j holds d0, row 2j + 1 holds d1
+    z2_lo, z2_hi = _down(lo * 2.0), _up(hi * 2.0)
+    x2, y2 = (z2_lo[re], z2_hi[re]), (z2_lo[im], z2_hi[im])
+    d0_lo = np.column_stack((x2[0], -y2[1])).ravel()
+    d0_hi = np.column_stack((x2[1], -y2[0])).ravel()
+    d1_lo = np.column_stack((-y2[1], -x2[1])).ravel()
+    d1_hi = np.column_stack((-y2[0], -x2[0])).ravel()
+    # M = I - (Y_{:,2j} d0 + Y_{:,2j+1} d1 - Y_{:,2(j-1)+col}), entrywise
+    s0 = _scale(d0_lo, d0_hi, np.repeat(y[:, re], 2, axis=1))
+    s1 = _scale(d1_lo, d1_hi, np.repeat(y[:, im], 2, axis=1))
+    prev = y[:, (np.arange(n) - 2) % n]
+    t_lo = _down(_down(s0[0] + s1[0]) - prev)
+    t_hi = _up(_up(s0[1] + s1[1]) - prev)
+    eye = np.eye(n)
+    prod = _mul(_down(eye - t_hi), _up(eye - t_lo), r_lo, r_hi)
+    gy = _scale(g[0], g[1], y)
+    # su, sv: the left-to-right float sums of each row's even and odd Y entries
+    s = np.zeros((n, 2))
+    for j in range(0, n, 2):
+        s = s + y[:, j:j + 2]
+    cs = _scale(np.array([cu.lo, cv.lo]), np.array([cu.hi, cv.hi]), s)
+    # the terms added to each row in order, a - [lo, hi] as a + [-hi, -lo]:
+    # M (Z - m) by column, -Y G(m) by column where Y_rc != 0, -cu su, -cv sv, m
+    terms = np.stack((
+        np.column_stack((prod[0], -gy[1], -cs[1], mid)).T,
+        np.column_stack((prod[1], -gy[0], -cs[0], mid)).T,
+    ), axis=1)
+    # the rows that take each term (None: all of them)
+    nonzero = y != 0.0
+    takers = [None] * (2 * n + 3)
+    for cidx in np.flatnonzero(~nonzero.all(axis=0)):
+        takers[n + cidx] = nonzero[:, cidx]
+    # acc holds the lo row and the hi row, rounded down and up
+    acc = np.zeros((2, n))
+    outward = np.repeat([[-math.inf], [math.inf]], n, axis=1)
+    for term, rows in zip(terms, takers):
+        step = np.nextafter(acc + term, outward)
+        acc = step if rows is None else np.where(rows, step, acc)
+    k_lo, k_hi = acc.tolist()
+    return [
+        ComplexBox(Interval(k_lo[i], k_hi[i]), Interval(k_lo[i + 1], k_hi[i + 1]))
+        for i in range(0, n, 2)
+    ]
 
 
 def krawczyk_cycle(

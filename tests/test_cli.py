@@ -127,6 +127,18 @@ class TestScan:
         cfg.write_text("max_depth = deep\n")
         assert _run(["scan", "--claim", "qlike", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["--max-depth", "-1"],
+        ["--min-depth", "3", "--max-depth", "1"],
+        ["--segment-depth", "-1", "--max-depth", "0"],
+    ])
+    def test_depth_out_of_range_exits_2(self, argv, capsys):
+        assert _run(["scan", "--claim", "qlike", *argv]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_period_out_of_range_exits_2(self):
+        assert _run(["scan", "--claim", "parabolic", "--period", "0"]) == 2
+
     def test_golden_qlike_certificate(self, tmp_path):
         # a numpy-free scan of the qlike-wide rectangle; the digest excludes
         # the #config.cli.* echo, so it pins the leaves and the claim config
@@ -165,6 +177,9 @@ class TestVerifyQlike:
                      "--acknowledge-assumptions"])
         assert code == 0
         assert "TRUE" in capsys.readouterr().out
+
+    def test_anchor_outside_rect_exits_2(self):
+        assert _run(["verify-qlike", "--anchor", "0,0", "--max-depth", "0"]) == 2
 
     def test_anchor_from_config(self, tmp_path):
         cfg = tmp_path / "q.cfg"

@@ -1,9 +1,16 @@
 """Map evaluation, derivatives, and cycle certification."""
 
 import random
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from mpmath import mpf, workdps
 
+from tricert import dynamics
+from tricert.cli import PAPER_R
 from tricert.dynamics import (
     OMEGA,
     ConjHolomorphicForm,
@@ -23,7 +30,13 @@ from tricert.dynamics import (
     krawczyk_absence,
     krawczyk_cycle,
 )
-from tricert.intervals import ComplexBox, Interval
+from tricert.intervals import ComplexBox, EmptyIntervalError, Interval
+from tricert.scan import adaptive_scan, serialize
+from tricert.verify import (
+    ParabolicExclusionClaim,
+    find_superattracting_parameter,
+    float_orbit_of_zero,
+)
 
 
 def _pt(z: complex) -> ComplexBox:
@@ -234,3 +247,206 @@ def test_omega_enclosure_is_cube_root_of_unity():
     w3 = OMEGA * OMEGA * OMEGA
     assert w3.contains(1 + 0j)
     assert w3.width() < 1e-14
+
+
+# ---------------------------------------------------------------------------
+# the array Krawczyk kernel against the scalar Interval evaluation
+# ---------------------------------------------------------------------------
+
+
+# the scalar Interval kernel that dynamics._krawczyk_image replaced, kept
+# verbatim (with the residual helper it called) as its bitwise oracle
+def _cycle_residuals(c: ComplexBox, points: list[ComplexBox]) -> list[ComplexBox]:
+    p = len(points)
+    return [eval_f(c, points[i]) - points[(i + 1) % p] for i in range(p)]
+
+
+def _scalar_krawczyk_image(c: ComplexBox, boxes: list[ComplexBox]) -> list[ComplexBox] | None:
+    """One Krawczyk step for the coupled cyclic system G_i = f(z_i) - z_{i+1}.
+
+    Returns the componentwise image K(Z) or None when the midpoint
+    Jacobian is singular.  The preconditioner is the floating-point
+    inverse of the midpoint Jacobian; the matrix I - Y J(Z) is formed
+    entrywise so Y J(mid) cancels against I before interval widths add.
+    G is exactly linear in c, so the parameter enters once per row with a
+    signed coefficient and the orbit's c-sensitivities can cancel.
+    """
+    import numpy as np
+
+    p = len(boxes)
+    mids = [b.midpoint() for b in boxes]
+    # float midpoint Jacobian: d f(z) / d(x, y) = [[2x, -2y], [-2y, -2x]]
+    j0 = np.zeros((2 * p, 2 * p))
+    for i, m in enumerate(mids):
+        j0[2 * i, 2 * i] = 2.0 * m.real
+        j0[2 * i, 2 * i + 1] = -2.0 * m.imag
+        j0[2 * i + 1, 2 * i] = -2.0 * m.imag
+        j0[2 * i + 1, 2 * i + 1] = -2.0 * m.real
+        k = (i + 1) % p
+        j0[2 * i, 2 * k] -= 1.0
+        j0[2 * i + 1, 2 * k + 1] -= 1.0
+    try:
+        y = np.linalg.inv(j0)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.all(np.isfinite(y)):
+        return None
+    c_mid = c.midpoint()
+    cu = c.re - Interval.point(c_mid.real)
+    cv = c.im - Interval.point(c_mid.imag)
+    gm = _cycle_residuals(ComplexBox.point(c_mid), [ComplexBox.point(m) for m in mids])
+    rvec: list[Interval] = []
+    for b, m in zip(boxes, mids):
+        rvec.extend((b.re - Interval.point(m.real), b.im - Interval.point(m.imag)))
+    n = 2 * p
+    dblocks = []
+    for b in boxes:
+        x2, y2 = b.re.scale(2.0), b.im.scale(2.0)
+        dblocks.append(((x2, -y2), (-y2, -x2)))
+    # K = m - Y G(m) + (I - Y J(Z)) (Z - m)
+    kvec: list[Interval] = []
+    for r in range(n):
+        acc = Interval.point(0.0)
+        for j in range(p):
+            d = dblocks[j]
+            prev = (j - 1) % p
+            for col in (0, 1):
+                cc = 2 * j + col
+                yj = (
+                    d[0][col].scale(y[r, 2 * j])
+                    + d[1][col].scale(y[r, 2 * j + 1])
+                    - Interval.point(y[r, 2 * prev + col])
+                )
+                m_entry = Interval.point(1.0 if r == cc else 0.0) - yj
+                acc = acc + m_entry * rvec[cc]
+        su = sv = 0.0
+        for cidx in range(n):
+            coeff = y[r, cidx]
+            if cidx % 2 == 0:
+                su += coeff
+            else:
+                sv += coeff
+            if coeff != 0.0:
+                half = gm[cidx // 2]
+                g = half.re if cidx % 2 == 0 else half.im
+                acc = acc - g.scale(coeff)
+        acc = acc - cu.scale(su) - cv.scale(sv)
+        base = mids[r // 2].real if r % 2 == 0 else mids[r // 2].imag
+        kvec.append(Interval.point(base) + acc)
+    return [ComplexBox(kvec[2 * i], kvec[2 * i + 1]) for i in range(p)]
+
+
+_PAPER_C = find_superattracting_parameter(9, PAPER_R.midpoint())
+_PAPER_ORBIT = float_orbit_of_zero(_PAPER_C, 9)
+_RADIUS = st.floats(-9.0, -2.0).map(lambda e: 10.0 ** e)
+
+
+@st.composite
+def _krawczyk_inputs(draw):
+    """(parameter box, orbit boxes): point or small parameter boxes, and
+    orbits in the plane, on the real axis (where Y has zero entries) or
+    about the paper's period-9 orbit."""
+    p = draw(st.sampled_from((1, 2, 3, 9)))
+    coord = st.floats(-2.0, 2.0)
+    kind = draw(st.sampled_from(("plane", "real", "paper") if p == 9 else ("plane", "real")))
+    if kind == "paper":
+        c, orbit = _PAPER_C, _PAPER_ORBIT
+    else:
+        c = complex(draw(coord), draw(coord))
+        orbit = [complex(draw(coord), 0.0 if kind == "real" else draw(coord))
+                 for _ in range(p)]
+    boxes = [ComplexBox.around(z, draw(_RADIUS)) for z in orbit]
+    c_radius = draw(st.one_of(st.just(0.0), st.floats(-12.0, -3.0).map(lambda e: 10.0 ** e)))
+    cbox = ComplexBox.around(c, c_radius) if c_radius else ComplexBox.point(c)
+    return cbox, boxes
+
+
+def _bits(image):
+    if image is None:
+        return None
+    return [tuple(x.hex() for x in (b.re.lo, b.re.hi, b.im.lo, b.im.hi)) for b in image]
+
+
+class TestKrawczykKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(_krawczyk_inputs())
+    def test_endpoints_match_scalar_oracle(self, inputs):
+        c, boxes = inputs
+        assert _bits(dynamics._krawczyk_image(c, boxes)) == _bits(
+            _scalar_krawczyk_image(c, boxes))
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.sampled_from((1, 2, 3, 9)), st.integers(3, 40), st.booleans())
+    def test_singular_midpoint_jacobian(self, p, k, point_c):
+        # every midpoint at 1/2: each block is diag(1, -1), so the cycle's
+        # multiplier matrix has eigenvalue 1 and J(mid) is singular
+        r = 2.0 ** -k
+        boxes = [ComplexBox(Interval(0.5 - r, 0.5 + r), Interval(-r, r))] * p
+        c = ComplexBox.point(0.25 + 0j) if point_c else ComplexBox.around(0.25 + 0j, r)
+        assert dynamics._krawczyk_image(c, boxes) is None
+        assert _scalar_krawczyk_image(c, boxes) is None
+
+    def test_overflow_raises_like_the_oracle(self):
+        boxes = [ComplexBox.around(1e200 + 0j, 1e190), ComplexBox.around(1e-3j, 1e-6)]
+        for kernel in (dynamics._krawczyk_image, _scalar_krawczyk_image):
+            with pytest.raises(EmptyIntervalError):
+                kernel(ComplexBox.point(0j), boxes)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_krawczyk_inputs(), st.data())
+    def test_image_contains_exact_krawczyk_points(self, inputs, data):
+        """For c in C and z in Z, m - Y G_c(m) + (I - Y J(z)) (z - m),
+        evaluated at 60 digits with the kernel's own Y, lies in K(Z)."""
+        c, boxes = inputs
+        inverses = []
+        inv = np.linalg.inv
+
+        def spy(a):
+            inverses.append(inv(a))
+            return inverses[-1]
+
+        with mock.patch.object(np.linalg, "inv", spy):
+            image = dynamics._krawczyk_image(c, boxes)
+        assume(image is not None)
+        unit = st.floats(0.0, 1.0)
+
+        def sample(i: Interval):
+            return mpf(i.lo) + data.draw(unit) * (mpf(i.hi) - mpf(i.lo))
+
+        p, n = len(boxes), 2 * len(boxes)
+        with workdps(60):
+            y = [[mpf(v) for v in row] for row in inverses[0].tolist()]
+            m = [mpf(t) for b in boxes for t in (b.midpoint().real, b.midpoint().imag)]
+            z = [sample(t) for b in boxes for t in (b.re, b.im)]
+            cu, cv = sample(c.re), sample(c.im)
+            d = [z[k] - m[k] for k in range(n)]
+            g, jd = [], []
+            for i in range(p):
+                x, v, nx, nv = m[2 * i], m[2 * i + 1], 2 * ((i + 1) % p), 2 * ((i + 1) % p) + 1
+                g += [x * x - v * v + cu - m[nx], -2 * x * v + cv - m[nv]]
+                zx, zv = z[2 * i], z[2 * i + 1]
+                jd += [2 * zx * d[2 * i] - 2 * zv * d[2 * i + 1] - d[nx],
+                       -2 * zv * d[2 * i] - 2 * zx * d[2 * i + 1] - d[nv]]
+            for r in range(n):
+                k = m[r] - sum(y[r][j] * g[j] for j in range(n)) + d[r] - sum(
+                    y[r][j] * jd[j] for j in range(n))
+                box = image[r // 2]
+                enclosure = box.re if r % 2 == 0 else box.im
+                assert mpf(enclosure.lo) <= k <= mpf(enclosure.hi)
+
+
+def test_scan_bytes_match_scalar_oracle(monkeypatch):
+    calls = []
+
+    def scalar(c, boxes):
+        calls.append(1)
+        return _scalar_krawczyk_image(c, boxes)
+
+    def certificate():
+        claim = ParabolicExclusionClaim(9, _PAPER_ORBIT)
+        return serialize(adaptive_scan(PAPER_R, claim, 3))
+
+    array = certificate()
+    monkeypatch.setattr(dynamics, "_krawczyk_image", scalar)
+    assert certificate() == array
+    assert calls
