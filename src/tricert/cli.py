@@ -181,6 +181,9 @@ def _check_ranges(args) -> None:
         raise UsageError("min_depth must not exceed max_depth")
     if getattr(args, "anchor", None) is not None and not args.rect.contains(args.anchor):
         raise UsageError("anchor must lie in rect")
+    counts = args.command == "verify-count" or getattr(args, "claim", None) == "count"
+    if counts and args.n % 2:
+        raise UsageError("n must be even: the count claim counts fixed points of f^n")
 
 
 _PALETTES = {"multiplier": MULTIPLIER_PALETTE, "parabolic": PARABOLIC_PALETTE}
@@ -282,7 +285,8 @@ def _cmd_verify_arcs(args, texts) -> int:
 
 def _cmd_verify_disjoint(args, texts) -> int:
     status, yellow_cert, red_cert = disjointness_certificate(
-        args.rect, args.period, max_depth=args.max_depth, min_width=args.min_width
+        args.rect, args.period, x_region=PAPER_X_REGION, max_depth=args.max_depth,
+        min_width=args.min_width,
     )
     _emit(yellow_cert, texts, args.out, args.image)
     _emit(red_cert, texts, args.red_out)

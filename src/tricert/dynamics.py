@@ -6,9 +6,12 @@ ordinary complex derivative, accumulated through the factored chain-rule
 form 4 z (z^2 + conj(c)).  Odd iterates are handled through the
 holomorphic companion H with f_c^n(z) = conj(H(z)).
 
-Interval-Newton certification of fixed points of f_c^n works on the
-2x2 real Jacobian built from the Wirtinger derivative enclosures, which
-covers the holomorphic and the conj-linear case uniformly.
+Fixed points of f_c^n and cycles of f_c have one certifier: the Krawczyk
+operator on the coupled cyclic system G_i = f_c(z_i) - z_{i+1}, in which
+each residual is a single map application, so the certifier never
+evaluates an iterate of f.  Moduli and multipliers are read from the
+certified orbit boxes.  The interval-Newton step on a 2x2 real Jacobian remains for the
+parameter-space solves of the combinatorics module.
 """
 
 from __future__ import annotations
@@ -33,12 +36,11 @@ __all__ = [
     "even_iterate",
     "holo_derivative",
     "antiholo_modulus",
-    "interval_newton_fixed",
+    "cycle_multiplier",
     "krawczyk_cycle",
     "krawczyk_absence",
     "float_f",
     "float_iterate",
-    "float_newton_fixed",
     "float_newton_cycle",
 ]
 
@@ -134,6 +136,20 @@ def antiholo_modulus(orbit: list[ComplexBox]) -> Interval:
     return prod
 
 
+def cycle_multiplier(orbit: list[ComplexBox]) -> ComplexBox:
+    """Enclosure of (f_c^p)'(z_0) along the boxes of a cycle of even period p.
+
+    (f_c^2)'(z) = 4 z conj(f_c(z)), so the multiplier is
+    prod_j 4 z_{2j} conj(z_{2j+1}); its modulus is antiholo_modulus.
+    """
+    if len(orbit) % 2 != 0:
+        raise ValueError("the multiplier of f_c^p is holomorphic only for even p")
+    prod = ComplexBox.point(1.0 + 0.0j)
+    for z, w in zip(orbit[0::2], orbit[1::2]):
+        prod = prod * (z * w.conj()).scale(4.0)
+    return prod
+
+
 class ConjHolomorphicForm:
     """Holomorphic H with f_c^n(z) = conj(H(z)) for odd n.
 
@@ -212,58 +228,6 @@ def newton_step(
     if not seed.intersects(image):
         return NewtonResult(NewtonStatus.NONE, ComplexBox.EMPTY)
     return NewtonResult(NewtonStatus.UNKNOWN, image.intersection(seed))
-
-
-def _fixed_point_data(c: ComplexBox, n: int, z: ComplexBox, mid: ComplexBox):
-    """F, A, B for F(z) = f_c^n(z) - z on (value at mid, derivatives over z)."""
-    if n % 2 == 0:
-        g_mid = even_iterate(c, mid, n)
-        a = holo_derivative(c, z, n) - ComplexBox.point(1.0 + 0.0j)
-        b = ComplexBox.point(0j)
-        return g_mid - mid, a, b
-    form = ConjHolomorphicForm(c, n)
-    h_mid = form.value(mid)
-    dh = form.derivative(z)
-    return h_mid.conj() - mid, ComplexBox.point(-1.0 + 0.0j), dh.conj()
-
-
-def interval_newton_fixed(
-    c: ComplexBox,
-    n: int,
-    seed: ComplexBox,
-    max_steps: int = 30,
-) -> NewtonResult:
-    """Certify a fixed point of f_c^n inside the seed box.
-
-    Returns CERTIFIED with a contracted enclosure when the Newton image
-    lands strictly inside the seed (existence and uniqueness), NONE when
-    the image is disjoint from the seed (no fixed point), UNKNOWN otherwise.
-    """
-    box = seed
-    certified = False
-    for _ in range(max_steps):
-        mid = ComplexBox.point(box.midpoint())
-        fm, a, b = _fixed_point_data(c, n, box, mid)
-        step = newton_step(fm, a, b, box.midpoint(), box)
-        if step.status is NewtonStatus.NONE:
-            if certified:
-                # contraction lost the point only through rounding; keep box
-                return NewtonResult(NewtonStatus.CERTIFIED, box)
-            return NewtonResult(NewtonStatus.NONE, ComplexBox.EMPTY)
-        if step.status is NewtonStatus.UNKNOWN and not certified:
-            if step.box.is_empty or step.box.width() >= box.width():
-                return NewtonResult(NewtonStatus.UNKNOWN, box)
-            box = step.box
-            continue
-        if step.status is NewtonStatus.CERTIFIED:
-            certified = True
-        new_box = step.box
-        if new_box.is_empty or new_box.width() >= 0.99 * box.width():
-            return NewtonResult(
-                NewtonStatus.CERTIFIED if certified else NewtonStatus.UNKNOWN, box
-            )
-        box = new_box
-    return NewtonResult(NewtonStatus.CERTIFIED if certified else NewtonStatus.UNKNOWN, box)
 
 
 def float_newton_cycle(
@@ -534,48 +498,6 @@ def float_iterate(c: complex, z: complex, n: int) -> complex:
     for _ in range(n):
         z = float_f(c, z)
     return z
-
-
-def _float_fixed_point_data(c: complex, n: int, z: complex):
-    if n % 2 == 0:
-        d = 1.0 + 0.0j
-        w = z
-        cb = c.conjugate()
-        for _ in range(n // 2):
-            d *= 4.0 * w * (w * w + cb)
-            w = (w * w + cb) ** 2 + c
-        return w - z, d - 1.0, 0.0j
-    cb = c.conjugate()
-    d = 1.0 + 0.0j
-    w = z
-    for _ in range((n - 1) // 2):
-        d *= 4.0 * w * (w * w + cb)
-        w = (w * w + cb) ** 2 + c
-    h = w * w + cb
-    dh = 2.0 * w * d
-    return h.conjugate() - z, -1.0 + 0.0j, dh.conjugate()
-
-
-def float_newton_fixed(c: complex, n: int, z0: complex, steps: int = 80) -> complex | None:
-    """Plain float Newton for a fixed point of f_c^n; None if it diverges."""
-    z = z0
-    for _ in range(steps):
-        f, a, b = _float_fixed_point_data(c, n, z)
-        j11 = a.real + b.real
-        j12 = -a.imag + b.imag
-        j21 = a.imag + b.imag
-        j22 = a.real - b.real
-        det = j11 * j22 - j12 * j21
-        if det == 0.0 or not math.isfinite(det):
-            return None
-        dx = (f.real * j22 - f.imag * j12) / det
-        dy = (f.imag * j11 - f.real * j21) / det
-        z = complex(z.real - dx, z.imag - dy)
-        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-            return None
-        if abs(f) < 1e-14:
-            return z
-    return z if abs(_float_fixed_point_data(c, n, z)[0]) < 1e-10 else None
 
 
 _SQRT3 = Interval.point(3.0).sqrt()

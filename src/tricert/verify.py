@@ -9,8 +9,12 @@ is always legal):
 * attracting-cycle / parabolic-exclusion certification of a tracked cycle;
 * non-realness of the multiplier of the certified fixed point of f_c^6.
 
-Cycle claims use continuation: the floating-point orbit refined at a
-parameter box seeds the interval Newton for its children.
+The last two share one certifier: the Krawczyk operator on the coupled
+cyclic system, whose orbit boxes must be pairwise disjoint (the exact
+period).  The fixed point of f_c^6 is z_0 of a certified period-6 cycle,
+and its box must lie in the region X.  Cycle claims use continuation: the
+floating-point orbit refined at a parameter box seeds the Krawczyk
+certification of its children.
 """
 
 from __future__ import annotations
@@ -26,10 +30,10 @@ from .dynamics import (
     eval_f,
     even_iterate,
     float_f,
+    cycle_multiplier,
+    float_iterate,
     float_newton_cycle,
-    float_newton_fixed,
     holo_derivative,
-    interval_newton_fixed,
     krawczyk_absence,
     krawczyk_cycle,
 )
@@ -300,11 +304,12 @@ def _refine_orbit(c_mid: complex, period: int, orbit_guess):
     return orbit, residual < _NEWTON_RESIDUAL_TOL
 
 
-def _certify_tracked_cycle(c: ComplexBox, period: int, orbit_guess) -> Interval | None:
-    """Enclosure of prod 2|z_i| over the orbit boxes of the continued cycle,
-    certified by Krawczyk; None when certification fails.  The multiplier
-    of an odd-period cycle (the derivative of the doubled iterate) is the
-    square of that product.
+def _certify_tracked_cycle(
+    c: ComplexBox, period: int, orbit_guess
+) -> list[ComplexBox] | None:
+    """Orbit boxes of the continued cycle, certified by Krawczyk; None when
+    certification fails.  The multiplier of an odd-period cycle (the
+    derivative of the doubled iterate) is the square of antiholo_modulus.
 
     The coupled system is also solved by a shorter cycle traversed several
     times, which puts one point in two boxes; pairwise disjoint boxes
@@ -317,7 +322,7 @@ def _certify_tracked_cycle(c: ComplexBox, period: int, orbit_guess) -> Interval 
         for j in range(i + 1, period):
             if boxes[i].intersects(boxes[j]):
                 return None
-    return antiholo_modulus(boxes)
+    return boxes
 
 
 def _cycle_absent(c: ComplexBox, period: int, orbit_guess) -> bool:
@@ -337,9 +342,9 @@ def attracting_cycle_box(
     """
     refined, converged = _refine_orbit(c.midpoint(), period, orbit_guess)
     if converged:
-        modulus = _certify_tracked_cycle(c, period, refined)
-        if modulus is not None:
-            m2 = modulus.sqr()
+        boxes = _certify_tracked_cycle(c, period, refined)
+        if boxes is not None:
+            m2 = antiholo_modulus(boxes).sqr()
             if m2.hi < 1.0:
                 return ClaimResult(Status.TRUE), refined
             if m2.lo > 1.0:
@@ -361,9 +366,9 @@ def parabolic_excluded(
     """
     refined, converged = _refine_orbit(c.midpoint(), period, orbit_guess)
     if converged:
-        modulus = _certify_tracked_cycle(c, period, refined)
-        if modulus is not None:
-            m2 = modulus.sqr()
+        boxes = _certify_tracked_cycle(c, period, refined)
+        if boxes is not None:
+            m2 = antiholo_modulus(boxes).sqr()
             if m2.hi < 1.0 or m2.lo > 1.0:
                 return ClaimResult(Status.TRUE), refined
             return ClaimResult(Status.UNDETERMINED), refined
@@ -373,36 +378,32 @@ def parabolic_excluded(
 
 
 def multiplier_im_excludes_zero(
-    c: ComplexBox,
-    region: ComplexBox | None = None,
-    guess: complex = 0.04 + 0.04j,
-) -> tuple[ClaimResult, complex | None]:
+    c: ComplexBox, orbit_guess, region: ComplexBox | None = None
+) -> tuple[ClaimResult, list[complex]]:
     """Is the multiplier of the certified fixed point of f_c^6 non-real?
 
-    TRUE when the enclosure of Im (f_c^6)'(x_c) excludes 0; UNDETERMINED
-    (possibly real, the yellow band) otherwise or on Newton failure.
+    The fixed point x_c is z_0 of the tracked period-6 cycle, certified by
+    Krawczyk.  TRUE when the box of z_0 lies in the region and the
+    enclosure of Im (f_c^6)'(x_c), read from the orbit boxes, excludes 0;
+    UNDETERMINED (possibly real, the yellow band) otherwise.
     """
-    refined = float_newton_fixed(c.midpoint(), 6, guess)
-    if refined is None:
-        return ClaimResult(Status.UNDETERMINED), None
-    if region is not None and not region.contains(refined):
-        return ClaimResult(Status.UNDETERMINED), refined
-    base = max(c.width(), 1e-10)
-    for radius in (4.0 * base, 64.0 * base, 1024.0 * base):
-        if radius > 0.01:
-            break
-        res = interval_newton_fixed(c, 6, ComplexBox.around(refined, radius))
-        if res.status is NewtonStatus.CERTIFIED:
-            m = holo_derivative(c, res.box, 6)
-            if not m.im.contains(0.0):
-                return ClaimResult(Status.TRUE), refined
-            return ClaimResult(Status.UNDETERMINED), refined
+    refined, converged = _refine_orbit(c.midpoint(), 6, orbit_guess)
+    if converged:
+        boxes = _certify_tracked_cycle(c, 6, refined)
+        if (boxes is not None
+                and (region is None or region.contains_box(boxes[0]))
+                and not cycle_multiplier(boxes).im.contains(0.0)):
+            return ClaimResult(Status.TRUE), refined
     return ClaimResult(Status.UNDETERMINED), refined
 
 
 # ---------------------------------------------------------------------------
 # claim adapters for the subdivision engine
 # ---------------------------------------------------------------------------
+
+
+def _rect_text(r: ComplexBox) -> str:
+    return f"{r.re.lo},{r.re.hi},{r.im.lo},{r.im.hi}"
 
 
 class BoundaryDisjointClaim:
@@ -416,7 +417,7 @@ class BoundaryDisjointClaim:
 
     def config(self) -> dict:
         return {
-            "u": f"{self.u.re.lo},{self.u.re.hi},{self.u.im.lo},{self.u.im.hi}",
+            "u": _rect_text(self.u),
             "n": str(self.n),
             "segment_depth": str(self.segment_depth),
         }
@@ -452,9 +453,8 @@ class FixedPointCountClaim:
         self.name = f"fixed-point-count-f{n}"
 
     def config(self) -> dict:
-        r = self.region
         return {
-            "region": f"{r.re.lo},{r.re.hi},{r.im.lo},{r.im.hi}",
+            "region": _rect_text(self.region),
             "n": str(self.n),
             "expect": str(self.expect),
             "tol": repr(self.tol),
@@ -521,14 +521,18 @@ class MultiplierNonRealClaim:
         self.name = "multiplier-nonreal-p6"
 
     def config(self) -> dict:
-        return {"guess": f"{self.guess.real},{self.guess.imag}"}
+        config = {"guess": f"{self.guess.real},{self.guess.imag}"}
+        if self.region is not None:
+            config["region"] = _rect_text(self.region)
+        return config
 
     def initial_seed(self, rect: ComplexBox):
-        return self.guess
+        c = rect.midpoint()
+        orbit, _ = _refine_orbit(c, 6, [float_iterate(c, self.guess, k) for k in range(6)])
+        return orbit
 
     def evaluate(self, box: ComplexBox, seed):
-        result, refined = multiplier_im_excludes_zero(box, self.region, seed)
-        return result, refined if refined is not None else seed
+        return multiplier_im_excludes_zero(box, seed, self.region)
 
 
 # ---------------------------------------------------------------------------

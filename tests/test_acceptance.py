@@ -46,7 +46,7 @@ def _report(capsys, number, title, ok):
 def disjoint_run():
     start = time.time()
     status, yellow_tree, red_tree = disjointness_certificate(
-        PAPER_R, PAPER_PERIOD, max_depth=7
+        PAPER_R, PAPER_PERIOD, x_region=PAPER_X_REGION, max_depth=7
     )
     return status, yellow_tree, red_tree, time.time() - start
 

@@ -139,6 +139,10 @@ class TestScan:
     def test_period_out_of_range_exits_2(self):
         assert _run(["scan", "--claim", "parabolic", "--period", "0"]) == 2
 
+    def test_odd_count_iterate_exits_2(self, capsys):
+        assert _run(["scan", "--claim", "count", "--n", "3", "--max-depth", "0"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_golden_qlike_certificate(self, tmp_path):
         # a numpy-free scan of the qlike-wide rectangle; the digest excludes
         # the #config.cli.* echo, so it pins the leaves and the claim config
@@ -201,6 +205,19 @@ class TestVerifyCount:
                      "-o", str(out)])
         assert code == 1  # the region holds one fixed point, not two
         assert parse(out.read_bytes()).config["expect"] == "2"
+
+    def test_odd_iterate_exits_2(self, capsys):
+        code = _run(["verify-count", "--n", "3", "--min-depth", "0", "--max-depth", "0"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestVerifyDisjoint:
+    def test_yellow_is_tied_to_x(self, tmp_path):
+        out = tmp_path / "y.txt"
+        _run(["verify-disjoint", "--max-depth", "0", "-o", str(out),
+              "--red-out", str(tmp_path / "r.txt")])
+        assert parse(out.read_bytes()).config["region"] == "0.0,0.08,0.0,0.08"
 
 
 class TestCenters:

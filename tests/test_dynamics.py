@@ -17,6 +17,7 @@ from tricert.dynamics import (
     EscapeResult,
     NewtonStatus,
     antiholo_modulus,
+    cycle_multiplier,
     escape_test,
     eval_f,
     eval_f2,
@@ -24,9 +25,7 @@ from tricert.dynamics import (
     float_f,
     float_iterate,
     float_newton_cycle,
-    float_newton_fixed,
     holo_derivative,
-    interval_newton_fixed,
     krawczyk_absence,
     krawczyk_cycle,
 )
@@ -140,6 +139,22 @@ class TestDerivatives:
             assert abs(d - approx) <= 1e-6 * abs(approx)
             checked += 1
 
+    def test_cycle_multiplier_is_the_chain_rule(self):
+        # prod 4 z_2j conj(z_2j+1) is the derivative of f^n along any orbit
+        rng = random.Random(29)
+        for _ in range(200):
+            c = _pt(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
+            z = _pt(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
+            n = rng.choice((2, 4, 6))
+            orbit = [z]
+            for _ in range(n - 1):
+                orbit.append(eval_f(c, orbit[-1]))
+            assert cycle_multiplier(orbit).intersects(holo_derivative(c, z, n))
+
+    def test_cycle_multiplier_needs_even_period(self):
+        with pytest.raises(ValueError):
+            cycle_multiplier([_pt(0j), _pt(1 + 0j), _pt(1j)])
+
     def test_modulus_superattracting(self):
         orbit = [_pt(0j), _pt(-1 + 0j)]
         assert antiholo_modulus(orbit).contains(0.0)
@@ -173,26 +188,6 @@ class TestConjHolomorphicForm:
         v, d = form.value_and_derivative(z)
         assert v.intersects(form.value(z))
         assert d.intersects(form.derivative(z))
-
-
-class TestIntervalNewton:
-    def test_fixed_point_of_quartic(self):
-        # c=0, n=2: fixed points of z^4 include 1
-        res = interval_newton_fixed(_pt(0j), 2, ComplexBox.around(1 + 0j, 0.1))
-        assert res.status is NewtonStatus.CERTIFIED
-        assert res.box.contains(1 + 0j)
-
-    def test_no_fixed_point_far_away(self):
-        res = interval_newton_fixed(_pt(0j), 2, ComplexBox.around(5 + 0j, 0.05))
-        assert res.status is NewtonStatus.NONE
-
-    def test_odd_iterate_fixed_point(self):
-        # fixed point of f_c^1 for small real c: z = conj(z)^2 + c
-        c = 0.1 + 0j
-        z = float_newton_fixed(c, 1, 0.2 + 0j)
-        assert z is not None
-        res = interval_newton_fixed(_pt(c), 1, ComplexBox.around(z, 1e-4))
-        assert res.status is NewtonStatus.CERTIFIED
 
 
 class TestKrawczyk:

@@ -1,9 +1,13 @@
 """Containment soundness and geometry of intervals and complex boxes."""
 
+import contextlib
 import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from mpmath import iv
 
 from tricert.intervals import (
     ComplexBox,
@@ -191,3 +195,69 @@ class TestComplexBox:
             z = _box_member(rng, a)
             assert r.contains(1.0 / z)
             done += 1
+
+
+_ENDPOINTS = st.one_of(st.floats(-1e6, 1e6), st.floats(-1e-6, 1e-6))
+
+
+@st.composite
+def _intervals(draw, sign=0):
+    """Intervals of any sign, or of the given strict sign."""
+    a, b = sorted((draw(_ENDPOINTS), draw(_ENDPOINTS)))
+    if sign:
+        a, b = sorted((sign * max(abs(a), 1e-300), sign * max(abs(b), 1e-300)))
+    return Interval(a, b)
+
+
+def _boxes():
+    return st.builds(ComplexBox, _intervals(), _intervals())
+
+
+def _iv(x: Interval):
+    return iv.mpf([x.lo, x.hi])
+
+
+@contextlib.contextmanager
+def _iv_digits(dps):
+    saved, iv.dps = iv.dps, dps
+    try:
+        yield
+    finally:
+        iv.dps = saved
+
+
+class TestAgainstMpmathIv:
+    """The same formula in mpmath.iv at 60 digits lies inside tricert's
+    enclosure: an independent oracle for each operation's rounding."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_intervals(), _intervals(), _intervals(sign=1), _intervals(sign=-1))
+    def test_interval_ops(self, x, y, pos, neg):
+        with _iv_digits(60):
+            a, b = _iv(x), _iv(y)
+            assert a + b in _iv(x + y)
+            assert a - b in _iv(x - y)
+            assert a * b in _iv(x * y)
+            assert a ** 2 in _iv(x.sqr())
+            assert iv.sqrt(_iv(pos)) in _iv(pos.sqrt())
+            assert 1 / _iv(pos) in _iv(pos.recip())
+            assert 1 / _iv(neg) in _iv(neg.recip())
+
+    @settings(max_examples=300, deadline=None)
+    @given(_boxes(), _boxes())
+    def test_complex_box_ops(self, z, w):
+        with _iv_digits(60):
+            a, b, c, d = _iv(z.re), _iv(z.im), _iv(w.re), _iv(w.im)
+            prod, sq = z * w, z.sqr()
+            assert a * c - b * d in _iv(prod.re)
+            assert a * d + b * c in _iv(prod.im)
+            assert a ** 2 - b ** 2 in _iv(sq.re)
+            assert 2 * a * b in _iv(sq.im)
+            norm = a ** 2 + b ** 2
+            assert iv.sqrt(norm) in _iv(z.abs())
+            try:
+                r = z.recip()
+            except (ZeroDivisionBoxError, EmptyIntervalError):
+                return  # |z|^2 may be 0, or 1/|z|^2 overflows
+            assert a / norm in _iv(r.re)
+            assert -(b / norm) in _iv(r.im)

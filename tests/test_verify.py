@@ -4,12 +4,19 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from mpmath import mpc, mpf, workdps
 
+from tricert.cli import PAPER_R, PAPER_X_REGION
+from tricert.dynamics import cycle_multiplier, float_iterate
 from tricert.intervals import ComplexBox, Interval
 from tricert.verify import (
     TWO_PI,
     ContourEnclosure,
+    MultiplierNonRealClaim,
     Status,
+    _certify_tracked_cycle,
     attracting_cycle_box,
     boundary_disjoint,
     contour_integral,
@@ -178,16 +185,87 @@ class TestCycleClaims:
         assert excluded.status is Status.UNDETERMINED
 
     def test_multiplier_nonreal_newton_failure(self):
-        result, refined = multiplier_im_excludes_zero(
-            ComplexBox.point(1e8 + 1e8j)
-        )
+        c = 1e8 + 1e8j
+        orbit = [float_iterate(c, 0.04 + 0.04j, k) for k in range(6)]
+        result, refined = multiplier_im_excludes_zero(ComplexBox.point(c), orbit)
         assert result.status is Status.UNDETERMINED
 
     def test_multiplier_real_on_real_axis(self):
-        # conjugation symmetry forces a real multiplier for real c
-        c = ComplexBox.around(-0.2 + 0j, 1e-10)
-        result, _ = multiplier_im_excludes_zero(c, guess=0.17 + 0j)
+        # conjugation symmetry forces a real multiplier for real c; at c = -2
+        # the real 6-cycle 2 cos(2 pi 2^k / 63) is certified, yet not TRUE
+        c = ComplexBox.around(-2.0 + 0j, 1e-10)
+        orbit = [2.0 * math.cos(math.tau * 2**k / 63) + 0j for k in range(6)]
+        assert _certify_tracked_cycle(c, 6, orbit) is not None
+        result, _ = multiplier_im_excludes_zero(c, orbit)
         assert result.status is not Status.TRUE
+
+    def test_multiplier_needs_the_fixed_point_box_in_the_region(self):
+        # a region that holds the float fixed point but not its whole
+        # certified box says nothing about the fixed point of f^6 in it
+        c = ComplexBox.around(PAPER_R.midpoint(), 1e-6)
+        orbit = MultiplierNonRealClaim().initial_seed(c)
+        z0 = _certify_tracked_cycle(c, 6, orbit)[0]
+        cut = ComplexBox(Interval(0.0, (orbit[0].real + z0.re.hi) / 2.0), PAPER_X_REGION.im)
+        assert cut.contains(orbit[0]) and not cut.contains_box(z0)
+        whole, _ = multiplier_im_excludes_zero(c, orbit, PAPER_X_REGION)
+        partial, _ = multiplier_im_excludes_zero(c, orbit, cut)
+        assert whole.status is Status.TRUE
+        assert partial.status is Status.UNDETERMINED
+
+    def test_multiplier_claim_echoes_its_region(self):
+        assert MultiplierNonRealClaim(PAPER_X_REGION).config() == {
+            "guess": "0.04,0.04", "region": "0.0,0.08,0.0,0.08"}
+        assert "region" not in MultiplierNonRealClaim().config()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+       st.sampled_from((1e-9, 1e-7, 1e-5, 1.25e-4)), st.data())
+def test_multiplier_boxes_hold_the_exact_fixed_point(u, v, radius, data):
+    """Oracle: for c sampled in a small box about a point of PAPER_R, the
+    fixed point of f^6 found by Newton at 50 digits lies, with its orbit,
+    in the certified boxes, and (f^6)' there in the multiplier enclosure."""
+    c_mid = complex(PAPER_R.re.lo + u * PAPER_R.re.width(),
+                    PAPER_R.im.lo + v * PAPER_R.im.width())
+    cbox = ComplexBox.around(c_mid, radius)
+    claim = MultiplierNonRealClaim(PAPER_X_REGION)
+    result, orbit = claim.evaluate(cbox, claim.initial_seed(cbox))
+    boxes = _certify_tracked_cycle(cbox, 6, orbit)
+    assume(boxes is not None)
+    enclosure = cycle_multiplier(boxes)
+    unit = st.floats(0.0, 1.0)
+
+    def inside(x, iv: Interval) -> bool:
+        return mpf(iv.lo) <= x <= mpf(iv.hi)
+
+    with workdps(50):
+        c = mpc(mpf(cbox.re.lo) + data.draw(unit) * (mpf(cbox.re.hi) - mpf(cbox.re.lo)),
+                mpf(cbox.im.lo) + data.draw(unit) * (mpf(cbox.im.hi) - mpf(cbox.im.lo)))
+        z = mpc(orbit[0])
+        for _ in range(60):
+            # f^6 = F^3 with the holomorphic F(w) = (w^2 + conj(c))^2 + c
+            w, d = z, mpc(1)
+            for _ in range(3):
+                d *= 4 * w * (w * w + c.conjugate())
+                w = (w * w + c.conjugate()) ** 2 + c
+            step = (w - z) / (d - 1)
+            z -= step
+            if abs(step) < mpf(10) ** -45:
+                break
+        exact = [z]
+        for _ in range(5):
+            exact.append(exact[-1].conjugate() ** 2 + c)
+        assert abs(exact[-1].conjugate() ** 2 + c - z) < mpf(10) ** -40
+        for point, box in zip(exact, boxes):
+            assert inside(point.real, box.re) and inside(point.imag, box.im)
+        multiplier, w = mpc(1), z
+        for _ in range(3):
+            multiplier *= 4 * w * (w * w + c.conjugate())
+            w = (w * w + c.conjugate()) ** 2 + c
+        assert inside(multiplier.real, enclosure.re)
+        assert inside(multiplier.imag, enclosure.im)
+    if result.status is Status.TRUE:
+        assert PAPER_X_REGION.contains_box(boxes[0]) and not enclosure.im.contains(0.0)
 
 
 def test_two_pi_encloses_tau():
