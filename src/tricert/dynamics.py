@@ -4,7 +4,8 @@ The map is f_c(z) = conj(z)^2 + c.  Its second iterate
 f_c^2(z) = (z^2 + conj(c))^2 + c is holomorphic, so even iterates carry an
 ordinary complex derivative, accumulated through the factored chain-rule
 form 4 z (z^2 + conj(c)).  Odd iterates are handled through the
-holomorphic companion H with f_c^n(z) = conj(H(z)).
+holomorphic companion H with f_c^n(z) = conj(H(z)).  These evaluators use
+only the ComplexBox arithmetic, so they also run on a BoxArray batch.
 
 Fixed points of f_c^n and cycles of f_c have one certifier: the Krawczyk
 operator on the coupled cyclic system G_i = f_c(z_i) - z_{i+1}, in which
@@ -22,7 +23,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .intervals import ComplexBox, EmptyIntervalError, Interval, ZeroDivisionBoxError
+from .intervals import (
+    ComplexBox,
+    EmptyIntervalError,
+    Interval,
+    ZeroDivisionBoxError,
+    _down_arr,
+    _mul_arr,
+    _scale_arr,
+    _up_arr,
+)
 
 __all__ = [
     "EscapeResult",
@@ -123,8 +133,9 @@ def holo_derivative(c: ComplexBox, z: ComplexBox, n: int) -> ComplexBox:
     cbar = c.conj()
     d = ComplexBox.point(1.0 + 0.0j)
     for _ in range(n // 2):
-        d = d * (z * (z.sqr() + cbar)).scale(4.0)
-        z = (z.sqr() + cbar).sqr() + c
+        w = z.sqr() + cbar
+        d = d * (z * w).scale(4.0)
+        z = w.sqr() + c
     return d
 
 
@@ -171,8 +182,9 @@ class ConjHolomorphicForm:
         c, cbar = self.c, self.c.conj()
         d = ComplexBox.point(1.0 + 0.0j)
         for _ in range((self.n - 1) // 2):
-            d = d * (z * (z.sqr() + cbar)).scale(4.0)
-            z = (z.sqr() + cbar).sqr() + c
+            w = z.sqr() + cbar
+            d = d * (z * w).scale(4.0)
+            z = w.sqr() + c
         return z.sqr() + cbar, (z * d).scale(2.0)
 
     def derivative(self, z: ComplexBox) -> ComplexBox:
@@ -276,34 +288,6 @@ def float_newton_cycle(
     return orbit, residual
 
 
-# Array twins of the Interval operations.  Where Interval picks an endpoint
-# by a sign test or by Python's min/max, these take np.minimum/np.maximum:
-# the values are the same and may differ only in the sign of a zero, which
-# the outward nextafter step maps to the same endpoint.
-
-
-def _down(x):
-    return np.nextafter(x, -math.inf)
-
-
-def _up(x):
-    return np.nextafter(x, math.inf)
-
-
-def _scale(lo, hi, k):
-    """Interval.scale on endpoint arrays, by exact scalars k (an array or a float)."""
-    a, b = lo * k, hi * k
-    return _down(np.minimum(a, b)), _up(np.maximum(a, b))
-
-
-def _mul(alo, ahi, blo, bhi):
-    """Interval.__mul__ on endpoint arrays."""
-    p0, p1, p2, p3 = alo * blo, alo * bhi, ahi * blo, ahi * bhi
-    lo = np.minimum(np.minimum(p0, p1), np.minimum(p2, p3))
-    hi = np.maximum(np.maximum(p0, p1), np.maximum(p2, p3))
-    return _down(lo), _up(hi)
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def _krawczyk_image(c: ComplexBox, boxes: list[ComplexBox]) -> list[ComplexBox] | None:
     """One Krawczyk step for the coupled cyclic system G_i = f(z_i) - z_{i+1}.
@@ -347,43 +331,43 @@ def _krawczyk_image(c: ComplexBox, boxes: list[ComplexBox]) -> list[ComplexBox] 
     cv = c.im - Interval.point(c_mid.imag)
     # G(m): conj(m_i)^2 + c_mid - m_{i+1}, as eval_f on point boxes
     sq = x * x, yv * yv
-    xx_lo, xx_hi = np.maximum(_down(sq[0]), 0.0), _up(sq[0])
-    yy_lo, yy_hi = np.maximum(_down(sq[1]), 0.0), _up(sq[1])
-    xy_lo, xy_hi = _scale(_down(x * yv), _up(x * yv), 2.0)
+    xx_lo, xx_hi = np.maximum(_down_arr(sq[0]), 0.0), _up_arr(sq[0])
+    yy_lo, yy_hi = np.maximum(_down_arr(sq[1]), 0.0), _up_arr(sq[1])
+    xy_lo, xy_hi = _scale_arr(_down_arr(x * yv), _up_arr(x * yv), 2.0)
     x_next, y_next = mid[nxt], mid[nxt + 1]
     g = np.empty((2, n))
-    g[0, re] = _down(_down(_down(xx_lo - yy_hi) + c_mid.real) - x_next)
-    g[1, re] = _up(_up(_up(xx_hi - yy_lo) + c_mid.real) - x_next)
-    g[0, im] = _down(_down(-xy_hi + c_mid.imag) - y_next)
-    g[1, im] = _up(_up(-xy_lo + c_mid.imag) - y_next)
+    g[0, re] = _down_arr(_down_arr(_down_arr(xx_lo - yy_hi) + c_mid.real) - x_next)
+    g[1, re] = _up_arr(_up_arr(_up_arr(xx_hi - yy_lo) + c_mid.real) - x_next)
+    g[0, im] = _down_arr(_down_arr(-xy_hi + c_mid.imag) - y_next)
+    g[1, im] = _up_arr(_up_arr(-xy_lo + c_mid.imag) - y_next)
     # raise where Interval would: an overflow elsewhere reaches K as a
     # non-finite endpoint, but a residual is skipped in rows where Y_rc == 0
     if not np.all(np.isfinite(g)):
         raise EmptyIntervalError("non-finite residual at the midpoint")
     lo = np.array([(b.re.lo, b.im.lo) for b in boxes]).ravel()
     hi = np.array([(b.re.hi, b.im.hi) for b in boxes]).ravel()
-    r_lo, r_hi = _down(lo - mid), _up(hi - mid)
+    r_lo, r_hi = _down_arr(lo - mid), _up_arr(hi - mid)
     # J(Z) blocks by column 2j + col: row 2j holds d0, row 2j + 1 holds d1
-    z2_lo, z2_hi = _down(lo * 2.0), _up(hi * 2.0)
+    z2_lo, z2_hi = _down_arr(lo * 2.0), _up_arr(hi * 2.0)
     x2, y2 = (z2_lo[re], z2_hi[re]), (z2_lo[im], z2_hi[im])
     d0_lo = np.column_stack((x2[0], -y2[1])).ravel()
     d0_hi = np.column_stack((x2[1], -y2[0])).ravel()
     d1_lo = np.column_stack((-y2[1], -x2[1])).ravel()
     d1_hi = np.column_stack((-y2[0], -x2[0])).ravel()
     # M = I - (Y_{:,2j} d0 + Y_{:,2j+1} d1 - Y_{:,2(j-1)+col}), entrywise
-    s0 = _scale(d0_lo, d0_hi, np.repeat(y[:, re], 2, axis=1))
-    s1 = _scale(d1_lo, d1_hi, np.repeat(y[:, im], 2, axis=1))
+    s0 = _scale_arr(d0_lo, d0_hi, np.repeat(y[:, re], 2, axis=1))
+    s1 = _scale_arr(d1_lo, d1_hi, np.repeat(y[:, im], 2, axis=1))
     prev = y[:, (np.arange(n) - 2) % n]
-    t_lo = _down(_down(s0[0] + s1[0]) - prev)
-    t_hi = _up(_up(s0[1] + s1[1]) - prev)
+    t_lo = _down_arr(_down_arr(s0[0] + s1[0]) - prev)
+    t_hi = _up_arr(_up_arr(s0[1] + s1[1]) - prev)
     eye = np.eye(n)
-    prod = _mul(_down(eye - t_hi), _up(eye - t_lo), r_lo, r_hi)
-    gy = _scale(g[0], g[1], y)
+    prod = _mul_arr(_down_arr(eye - t_hi), _up_arr(eye - t_lo), r_lo, r_hi)
+    gy = _scale_arr(g[0], g[1], y)
     # su, sv: the left-to-right float sums of each row's even and odd Y entries
     s = np.zeros((n, 2))
     for j in range(0, n, 2):
         s = s + y[:, j:j + 2]
-    cs = _scale(np.array([cu.lo, cv.lo]), np.array([cu.hi, cv.hi]), s)
+    cs = _scale_arr(np.array([cu.lo, cv.lo]), np.array([cu.hi, cv.hi]), s)
     # the terms added to each row in order, a - [lo, hi] as a + [-hi, -lo]:
     # M (Z - m) by column, -Y G(m) by column where Y_rc != 0, -cu su, -cv sv, m
     terms = np.stack((

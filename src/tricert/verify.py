@@ -23,6 +23,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .dynamics import (
     ConjHolomorphicForm,
     NewtonStatus,
@@ -37,7 +39,7 @@ from .dynamics import (
     krawczyk_absence,
     krawczyk_cycle,
 )
-from .intervals import ComplexBox, Interval, ZeroDivisionBoxError
+from .intervals import BoxArray, ComplexBox, Interval, _up_arr
 
 __all__ = [
     "Status",
@@ -149,38 +151,19 @@ def boundary_disjoint(
 # ---------------------------------------------------------------------------
 
 
-def _edge_integral(val_fn, der_fn, a: complex, b: complex, budget: float, depth: int):
-    """Enclosure of the integral of der/val along the straight segment a->b.
-
-    Returns (box, segments) or None when the denominator cannot be
-    certified nonzero at full depth.  The average of the integrand over
-    the segment lies in its enclosure, so each piece contributes
-    enclosure * (b - a).
-    """
-    seg = ComplexBox.point(a).hull(ComplexBox.point(b))
-    try:
-        integrand = der_fn(seg) * val_fn(seg).recip()
-    except ZeroDivisionBoxError:
-        integrand = None
-    if integrand is not None:
-        contribution = integrand * ComplexBox.point(b - a)
-        if contribution.width() <= budget or depth <= 0:
-            return contribution, 1
-    elif depth <= 0:
-        return None
-    mid = complex(
-        Interval(min(a.real, b.real), max(a.real, b.real)).midpoint(),
-        Interval(min(a.imag, b.imag), max(a.imag, b.imag)).midpoint(),
-    )
-    left = _edge_integral(val_fn, der_fn, a, mid, budget / 2.0, depth - 1)
-    if left is None:
-        return None
-    right = _edge_integral(val_fn, der_fn, mid, b, budget / 2.0, depth - 1)
-    if right is None:
-        return None
-    return left[0] + right[0], left[1] + right[1]
+def _midpoint(a, b):
+    """Interval(min(a, b), max(a, b)).midpoint(), row by row."""
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    m = 0.5 * (lo + hi)
+    m = np.where(np.isfinite(m), m, 0.5 * lo + 0.5 * hi)
+    return np.minimum(np.maximum(m, lo), hi)
 
 
+def _interleave(x, y):
+    return np.column_stack((x, y)).ravel()
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def contour_integral(
     val_fn,
     der_fn,
@@ -191,22 +174,71 @@ def contour_integral(
     """Enclosure of the counterclockwise contour integral of der/val over
     the boundary of an axis-aligned rectangle.
 
-    None when the denominator enclosure cannot exclude 0 on some piece of
-    the contour at full subdivision depth.
+    Each edge is cut into straight segments.  The average of the integrand
+    over a segment a->b lies in its enclosure, so the segment contributes
+    der(S) / val(S) * (b - a), S the hull of the segment.  A segment is
+    kept when its contribution is at most the budget wide (tol / 4 per
+    edge, halved at each level) or the depth is exhausted; otherwise it is
+    split at its midpoint.  A segment whose integrand cannot be formed,
+    because |val(S)|^2 cannot exclude 0 or an endpoint is non-finite, is
+    split too, and at full depth makes the result None.
+
+    The walk is level-synchronous: each level calls val_fn and der_fn once,
+    on a BoxArray holding every live segment of the four edges.  They must
+    take a BoxArray and use only the ComplexBox arithmetic (+, -, *, conj,
+    sqr, scale), which BoxArray repeats row by row with the same endpoints.
+    The kept contributions are summed bottom-up as left + right and the
+    edges in order, so the enclosure and its segment count are those of a
+    depth-first recursion over the same segments.  (A segment endpoint may
+    hold a zero of the other sign than Python's min/max would pick; it
+    reaches the enclosure only through rounded operations, which map both
+    zeros to the same endpoint.)
     """
-    z00 = complex(region.re.lo, region.im.lo)
-    z10 = complex(region.re.hi, region.im.lo)
-    z11 = complex(region.re.hi, region.im.hi)
-    z01 = complex(region.re.lo, region.im.hi)
+    re, im = region.re, region.im
+    ax, ay = np.array([re.lo, re.hi, re.hi, re.lo]), np.array([im.lo, im.lo, im.hi, im.hi])
+    bx, by = np.roll(ax, -1), np.roll(ay, -1)
+    budget, depth = tol / 4.0, max_depth
+    levels = []
+    while len(ax):
+        seg = BoxArray((np.minimum(ax, bx), np.maximum(ax, bx)),
+                       (np.minimum(ay, by), np.maximum(ay, by)))
+        der, val = der_fn(seg), val_fn(seg)
+        if isinstance(val, ComplexBox):  # val_fn ignored its argument
+            val = BoxArray.of([val] * len(seg))
+        dx, dy = bx - ax, by - ay
+        piece = der * val.recip() * BoxArray((dx, dx), (dy, dy))
+        formed = piece.finite()
+        if depth <= 0:
+            if not formed.all():
+                return None
+            kept = formed
+        else:
+            width = np.maximum(_up_arr(piece.re[1] - piece.re[0]),
+                               _up_arr(piece.im[1] - piece.im[0]))
+            kept = formed & (width <= budget)
+        levels.append((piece, kept))
+        split = ~kept
+        ax, ay, bx, by = ax[split], ay[split], bx[split], by[split]
+        mx, my = _midpoint(ax, bx), _midpoint(ay, by)
+        ax, ay, bx, by = (_interleave(ax, mx), _interleave(ay, my),
+                          _interleave(mx, bx), _interleave(my, by))
+        budget /= 2.0
+        depth -= 1
+    # bottom-up: a split segment's value is the sum of its two children,
+    # which sit at 2k and 2k + 1 of the next level for its rank k
+    value = count = None
+    for piece, kept in reversed(levels):
+        cnt = np.ones(len(kept), dtype=np.int64)
+        if value is not None:
+            summed = value[0::2] + value[1::2]
+            for dst, src in zip((*piece.re, *piece.im), (*summed.re, *summed.im)):
+                dst[~kept] = src
+            cnt[~kept] = count[0::2] + count[1::2]
+        value, count = piece, cnt
     total = ComplexBox.point(0j)
-    segments = 0
-    for a, b in ((z00, z10), (z10, z11), (z11, z01), (z01, z00)):
-        piece = _edge_integral(val_fn, der_fn, a, b, tol / 4.0, max_depth)
-        if piece is None:
-            return None
-        total = total + piece[0]
-        segments += piece[1]
-    return ContourEnclosure(total, segments)
+    for edge in value.boxes():
+        total = total + edge
+    return ContourEnclosure(total, int(count.sum()))
 
 
 def decide_count(enclosure: ContourEnclosure, max_count: int = 16) -> int | None:

@@ -211,6 +211,14 @@ class TestVerifyCount:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_overflowing_region_is_undetermined(self, tmp_path):
+        # f^2 overflows all along this region's contour
+        out = tmp_path / "c.txt"
+        code = _run(["verify-count", "--region", "1e80,2e80,1e80,2e80", "--n", "2",
+                     "--min-depth", "0", "--max-depth", "0", "-o", str(out)])
+        assert code == 1
+        assert [leaf.status.value for leaf in parse(out.read_bytes()).leaves] == ["U"]
+
 
 class TestVerifyDisjoint:
     def test_yellow_is_tied_to_x(self, tmp_path):

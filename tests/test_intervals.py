@@ -4,12 +4,14 @@ import contextlib
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import iv
 
 from tricert.intervals import (
+    BoxArray,
     ComplexBox,
     EmptyIntervalError,
     Interval,
@@ -158,6 +160,22 @@ class TestComplexBox:
         with pytest.raises(ZeroDivisionBoxError):
             ComplexBox(Interval(-1.0, 1.0), Interval(-1.0, 1.0)).recip()
 
+    def test_recip_overflow_refused(self):
+        # |z|^2 is positive but subnormal, so 1/|z|^2 overflows
+        z = ComplexBox(Interval(0.0, 0.0), Interval(-1.0, -2.817337595393107e-160))
+        with pytest.raises(ZeroDivisionBoxError):
+            z.recip()
+        with pytest.raises(ZeroDivisionBoxError):
+            Interval(1e-320, 1.0).recip()
+        with pytest.raises(ZeroDivisionBoxError):
+            Interval(-1.0, -1e-320).recip()
+        # 1/|z|^2 is finite, but its product with im z overflows
+        wide = ComplexBox(Interval(0.0, 0.0), Interval(2.4125832194209025e-153, 1047.0))
+        with pytest.raises(ZeroDivisionBoxError):
+            wide.recip()
+        r = BoxArray.of([z, wide, ComplexBox.point(2j)]).recip()
+        assert r.finite().tolist() == [False, False, True]
+
     def test_width_outward(self):
         u = ComplexBox(Interval(-0.3, 0.3), Interval(-0.3, 0.3))
         w = u.width()
@@ -257,7 +275,73 @@ class TestAgainstMpmathIv:
             assert iv.sqrt(norm) in _iv(z.abs())
             try:
                 r = z.recip()
-            except (ZeroDivisionBoxError, EmptyIntervalError):
+            except ZeroDivisionBoxError:
                 return  # |z|^2 may be 0, or 1/|z|^2 overflows
             assert a / norm in _iv(r.re)
             assert -(b / norm) in _iv(r.im)
+
+
+# endpoints of every scale, with signed zeros: tiny ones make |z|^2 subnormal
+# and 1/|z|^2 overflow, huge ones overflow squares and products
+_ANY_ENDPOINTS = st.one_of(
+    st.floats(-1e6, 1e6), st.floats(-1e-155, 1e-155), st.floats(-1e160, 1e160),
+    st.sampled_from((0.0, -0.0, 1.0, -1.0)),
+)
+
+
+@st.composite
+def _any_boxes(draw):
+    a, b = sorted((draw(_ANY_ENDPOINTS), draw(_ANY_ENDPOINTS)))
+    c, d = sorted((draw(_ANY_ENDPOINTS), draw(_ANY_ENDPOINTS)))
+    return ComplexBox(Interval(a, b), Interval(c, d))
+
+
+def _hex(box: ComplexBox):
+    return tuple(v.hex() for v in (box.re.lo, box.re.hi, box.im.lo, box.im.hi))
+
+
+def _scalar_hex(op, *args):
+    """The endpoints of the ComplexBox result, or None where it raises."""
+    try:
+        return _hex(op(*args))
+    except (EmptyIntervalError, ZeroDivisionBoxError):
+        return None
+
+
+def _rows_hex(batch: BoxArray):
+    """The endpoints of each row, or None for a row with a non-finite one."""
+    cols = [v.tolist() for v in (*batch.re, *batch.im)]
+    finite = batch.finite().tolist()
+    return [tuple(c[i].hex() for c in cols) if finite[i] else None for i in range(len(batch))]
+
+
+_BINARY = {
+    "add": lambda x, y: x + y,
+    "sub": lambda x, y: x - y,
+    "mul": lambda x, y: x * y,
+}
+_UNARY = {
+    "conj": lambda x: x.conj(),
+    "sqr": lambda x: x.sqr(),
+    "recip": lambda x: x.recip(),
+    "scale 4": lambda x: x.scale(4.0),
+    "scale -0.5": lambda x: x.scale(-0.5),
+    "scale 0": lambda x: x.scale(0.0),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_any_boxes(), _any_boxes()), min_size=1, max_size=6), _any_boxes())
+def test_box_array_ops_match_complex_box(pairs, w):
+    """Every BoxArray row has the endpoints (float.hex) of the ComplexBox
+    result, and is non-finite exactly where ComplexBox raises; a ComplexBox
+    operand broadcasts on either side."""
+    xs, ys = [p[0] for p in pairs], [p[1] for p in pairs]
+    x, y = BoxArray.of(xs), BoxArray.of(ys)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name, op in _BINARY.items():
+            assert _rows_hex(op(x, y)) == [_scalar_hex(op, a, b) for a, b in pairs], name
+            assert _rows_hex(op(x, w)) == [_scalar_hex(op, a, w) for a in xs], name
+            assert _rows_hex(op(w, x)) == [_scalar_hex(op, w, a) for a in xs], name
+        for name, op in _UNARY.items():
+            assert _rows_hex(op(x)) == [_scalar_hex(op, a) for a in xs], name

@@ -4,13 +4,14 @@ import math
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath import mpc, mpf, workdps
 
+from tricert import verify
 from tricert.cli import PAPER_R, PAPER_X_REGION
 from tricert.dynamics import cycle_multiplier, float_iterate
-from tricert.intervals import ComplexBox, Interval
+from tricert.intervals import ComplexBox, Interval, ZeroDivisionBoxError
 from tricert.verify import (
     TWO_PI,
     ContourEnclosure,
@@ -53,6 +54,146 @@ def _poly_fns(roots):
         return total
 
     return val, der
+
+
+# The depth-first contour integral that preceded the level-synchronous one
+# in tricert.verify, kept as the bitwise oracle for it.
+
+
+def _scalar_edge_integral(val_fn, der_fn, a: complex, b: complex, budget: float, depth: int):
+    """Enclosure of the integral of der/val along the straight segment a->b.
+
+    Returns (box, segments) or None when the denominator cannot be
+    certified nonzero at full depth.  The average of the integrand over
+    the segment lies in its enclosure, so each piece contributes
+    enclosure * (b - a).
+    """
+    seg = ComplexBox.point(a).hull(ComplexBox.point(b))
+    try:
+        integrand = der_fn(seg) * val_fn(seg).recip()
+    except ZeroDivisionBoxError:
+        integrand = None
+    if integrand is not None:
+        contribution = integrand * ComplexBox.point(b - a)
+        if contribution.width() <= budget or depth <= 0:
+            return contribution, 1
+    elif depth <= 0:
+        return None
+    mid = complex(
+        Interval(min(a.real, b.real), max(a.real, b.real)).midpoint(),
+        Interval(min(a.imag, b.imag), max(a.imag, b.imag)).midpoint(),
+    )
+    left = _scalar_edge_integral(val_fn, der_fn, a, mid, budget / 2.0, depth - 1)
+    if left is None:
+        return None
+    right = _scalar_edge_integral(val_fn, der_fn, mid, b, budget / 2.0, depth - 1)
+    if right is None:
+        return None
+    return left[0] + right[0], left[1] + right[1]
+
+
+def _scalar_contour_integral(
+    val_fn,
+    der_fn,
+    region: ComplexBox,
+    tol: float = 1.0,
+    max_depth: int = 16,
+) -> ContourEnclosure | None:
+    """Enclosure of the counterclockwise contour integral of der/val over
+    the boundary of an axis-aligned rectangle.
+
+    None when the denominator enclosure cannot exclude 0 on some piece of
+    the contour at full subdivision depth.
+    """
+    z00 = complex(region.re.lo, region.im.lo)
+    z10 = complex(region.re.hi, region.im.lo)
+    z11 = complex(region.re.hi, region.im.hi)
+    z01 = complex(region.re.lo, region.im.hi)
+    total = ComplexBox.point(0j)
+    segments = 0
+    for a, b in ((z00, z10), (z10, z11), (z11, z01), (z01, z00)):
+        piece = _scalar_edge_integral(val_fn, der_fn, a, b, tol / 4.0, max_depth)
+        if piece is None:
+            return None
+        total = total + piece[0]
+        segments += piece[1]
+    return ContourEnclosure(total, segments)
+
+
+def _enc_hex(enc):
+    if enc is None:
+        return None
+    v = enc.value
+    return tuple(x.hex() for x in (v.re.lo, v.re.hi, v.im.lo, v.im.hi)), enc.segments
+
+
+class _BothContours:
+    """Stands in for verify.contour_integral: runs it and the oracle on the
+    same arguments and records both results."""
+
+    def __init__(self):
+        self.results = []
+
+    def __call__(self, *args):
+        new = contour_integral(*args)
+        self.results.append((_enc_hex(new), _enc_hex(_scalar_contour_integral(*args))))
+        return new
+
+
+def _against_oracle(fn, *args):
+    """The (new, oracle) contour results of the contour fn runs."""
+    both = _BothContours()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "contour_integral", both)
+        fn(*args)
+    assert both.results
+    return both.results
+
+
+# the unit square, and a flat one whose edges run from -0.0 to 0.0
+_REGIONS = (ComplexBox(Interval(-1.0, 1.0), Interval(-1.0, 1.0)),
+            ComplexBox(Interval(-0.0, 0.0), Interval(-1.0, 1.0)))
+# a root coordinate in the plane, or exactly on the line of an edge
+_ROOT_COORD = st.one_of(st.floats(-1.6, 1.6), st.sampled_from((-1.0, 0.0, 1.0)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.builds(complex, _ROOT_COORD, _ROOT_COORD), min_size=1, max_size=4),
+       st.sampled_from(_REGIONS), st.sampled_from((0.3, 1.5)), st.sampled_from((0, 3, 8)))
+def test_contour_matches_scalar_oracle_on_polynomials(roots, region, tol, depth):
+    val, der = _poly_fns(roots)
+    new = contour_integral(val, der, region, tol, depth)
+    assert _enc_hex(new) == _enc_hex(_scalar_contour_integral(val, der, region, tol, depth))
+    re, im = region.re, region.im
+    if any(region.contains(r) and (r.real in (re.lo, re.hi) or r.imag in (im.lo, im.hi))
+           for r in roots):
+        assert new is None  # a zero on the contour
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.sampled_from((0.0, 1e-6, 1e-4)),
+       st.sampled_from((2, 4, 6)), st.sampled_from((2, 5, 7)))
+@example(0.25, 0.25, 1.25e-4, 6, 10)  # a quarter of R at the paper's settings
+def test_contour_matches_scalar_oracle_on_the_count_integrand(u, v, radius, n, depth):
+    c = ComplexBox.around(complex(PAPER_R.re.lo + u * PAPER_R.re.width(),
+                                  PAPER_R.im.lo + v * PAPER_R.im.width()), radius)
+    [(new, old)] = _against_oracle(count_fixed_points, c, PAPER_X_REGION, n, 2.0, depth)
+    assert new == old
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.floats(-0.3, 0.3), st.floats(-0.3, 0.3), st.sampled_from((1, 3)),
+       st.sampled_from((0.5, 1.0)), st.sampled_from((3, 8)))
+def test_contour_matches_scalar_oracle_on_preimage_count(x, y, n, tol, depth):
+    c = ComplexBox.around(R_RECT.midpoint(), 1e-6)
+    [(new, old)] = _against_oracle(preimage_count, c, complex(x, y), U_RECT, n, tol, depth)
+    assert new == old
+
+
+def test_overflow_is_undetermined():
+    # f^2 overflows on every piece of this contour; Undetermined, not a raise
+    far = ComplexBox(Interval(1e80, 2e80), Interval(1e80, 2e80))
+    assert count_fixed_points(ComplexBox.point(0j), far, 2) == (None, None)
 
 
 class TestBoundaryDisjoint:
