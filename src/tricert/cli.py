@@ -26,16 +26,15 @@ from .render import (
     render_escape,
     write_ppm,
 )
-from .scan import ParamCertificate, adaptive_scan, component_rollup, serialize
+from .scan import ParamCertificate, adaptive_scan, serialize
 from .verify import (
     ANCHOR_ASSUMPTION,
-    AttractingCycleClaim,
     BoundaryDisjointClaim,
     FixedPointCountClaim,
     MultiplierNonRealClaim,
     ParabolicExclusionClaim,
     Status,
-    attracting_cycle_box,
+    component_witnesses,
     count_certificate,
     disjointness_certificate,
     find_superattracting_parameter,
@@ -265,21 +264,11 @@ def _cmd_verify_arcs(args, texts) -> int:
     cert = adaptive_scan(rect, ParabolicExclusionClaim(period, orbit),
                          args.max_depth, args.min_width)
     _emit(cert, texts, args.out, args.image)
-    components = component_rollup(cert, Status.TRUE)
-    witness, _ = attracting_cycle_box(ComplexBox.around(center, 1e-10), period, orbit)
-    corner = ComplexBox(
-        Interval(rect.re.lo, rect.re.lo + rect.re.width() / 16.0),
-        Interval(rect.im.lo, rect.im.lo + rect.im.width() / 16.0),
-    )
-    absent, _ = attracting_cycle_box(corner, period, orbit)
-    print(f"verify-arcs: {len(components)} verified components, "
-          f"attracting witness {witness.status.name}, "
-          f"absence witness {absent.status.name}")
-    ok = (
-        len(components) == 2
-        and witness.status is Status.TRUE
-        and absent.status is Status.FALSE
-    )
+    components, attracting, repelling = component_witnesses(cert, period, center)
+    print(f"verify-arcs: {components} verified components, "
+          f"attracting witness {attracting.name}, "
+          f"repelling witness {repelling.name}")
+    ok = components == 2 and attracting is Status.TRUE and repelling is Status.FALSE
     return 0 if ok else 1
 
 
@@ -311,7 +300,6 @@ _SCAN_CLAIMS = {
     "count": (_COUNT, lambda a: FixedPointCountClaim(a.region, a.n, 1, a.tol,
                                                      a.contour_depth)),
     "parabolic": (_CYCLE, lambda a: ParabolicExclusionClaim(a.period, _paper_orbit(a))),
-    "attracting": (_CYCLE, lambda a: AttractingCycleClaim(a.period, _paper_orbit(a))),
     "multiplier": ({"region": None}, lambda a: MultiplierNonRealClaim(a.region)),
 }
 

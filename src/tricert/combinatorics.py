@@ -1,12 +1,14 @@
 """Exact angle dynamics under multiplication by -2 and the certified
-period-3 center computation.
+period-3 centers.
 
 Angles live in Q/Z as exact big-integer rationals; unlinkedness is a pure
-circular-order test and must never touch floats.  The center solver
-reproduces the classical case analysis for f_c^3(0) = 0: writing
-s = c + conj(c) and t = |c|^2, the real and imaginary residuals factor so
-that the solutions are 0, the real airplane parameter, and its two
-rotations by the cube root of unity.
+circular-order test and must never touch floats.  The classical case
+analysis of f_c^3(0) = 0 (writing s = c + conj(c) and t = |c|^2, the real
+and imaginary residuals factor) gives the solutions 0, the real airplane
+parameter c*, and its two rotations by the cube root of unity omega.  The
+airplane root is certified by bisection on its real cubic; the rotations
+follow from the exact symmetry f_{omega c}(omega z) = omega f_c(z), which
+carries the critical orbit of c* onto that of omega c*.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dynamics import OMEGA, NewtonStatus, newton_step
+from .dynamics import OMEGA, eval_f
 from .intervals import ComplexBox, Interval
 
 __all__ = [
@@ -24,7 +26,6 @@ __all__ = [
     "periodic_angles",
     "unlinked",
     "per3_residuals",
-    "per3_value",
     "real_root_enclosure",
     "solve_period3_centers",
     "AIRPLANE_CUBIC",
@@ -122,22 +123,6 @@ def per3_residuals(s: Interval, t: Interval) -> tuple[Interval, Interval]:
     return re_part, im_factor
 
 
-def per3_value(c: ComplexBox) -> ComplexBox:
-    """Enclosure of f_c^3(0) = c^4 + 2 c^2 conj(c) + conj(c)^2 + c."""
-    cb = c.conj()
-    c2 = c.sqr()
-    return c2.sqr() + (c2 * cb).scale(2.0) + cb.sqr() + c
-
-
-def _per3_wirtinger(c: ComplexBox) -> tuple[ComplexBox, ComplexBox]:
-    """d/dc and d/dconj(c) of f_c^3(0) over the box."""
-    cb = c.conj()
-    four = 4.0
-    a = (c.sqr() * c).scale(four) + (c * cb).scale(four) + ComplexBox.point(1 + 0j)
-    b = c.sqr().scale(2.0) + cb.scale(2.0)
-    return a, b
-
-
 # real factor of f_c^3(0) for real c: c (c^3 + 2 c^2 + c + 1)
 AIRPLANE_CUBIC = (1.0, 1.0, 2.0, 1.0)  # c^3 + 2c^2 + c + 1, ascending: 1 + c + 2c^2 + c^3
 
@@ -193,54 +178,29 @@ class CenterSolution:
     label: str  # "zero", "c*", "omega*c*", "omega2*c*"
 
 
-def _newton_refine_per3(seed: ComplexBox, steps: int = 40) -> ComplexBox | None:
-    """Interval Newton in the parameter for f_c^3(0) = 0."""
-    box = seed
-    certified = False
-    for _ in range(steps):
-        mid = box.midpoint()
-        fm = per3_value(ComplexBox.point(mid))
-        a, b = _per3_wirtinger(box)
-        res = newton_step(fm, a, b, mid, box)
-        if res.status is NewtonStatus.NONE:
-            return box if certified else None
-        if res.status is NewtonStatus.CERTIFIED:
-            certified = True
-        if res.box.is_empty or res.box.width() >= 0.99 * box.width():
-            break
-        box = res.box
-    return box if certified else None
-
-
 def solve_period3_centers() -> list[CenterSolution]:
     """Certified enclosures of the four parameters with f_c^3(0) = 0.
 
     Returns c = 0 plus the real airplane parameter and its two rotations
     by omega = (-1 + sqrt(3) i)/2, each verified superattracting of exact
-    period 3 (f^3(0) encloses 0 while f(0) and f^2(0) exclude it).
+    period 3 (f^3(0) encloses 0 while f(0) and f^2(0) exclude it).  The
+    rotations are the products OMEGA^k c*: f_{omega c}(omega z) =
+    omega f_c(z) holds exactly, so the critical orbit of omega^k c* is
+    omega^k times that of c*, and f^3(0) vanishes at omega^k c* as at c*.
     """
     root = real_root_enclosure(AIRPLANE_CUBIC, Interval(-1.8, -1.7))
     # Im(c*) is exactly 0: the real factor of f_c^3(0) is c (c^3+2c^2+c+1)
     c_star = ComplexBox(root, Interval.point(0.0))
     solutions = [CenterSolution(ComplexBox.point(0j), "zero"),
-                 CenterSolution(c_star, "c*")]
-    for k, label in ((1, "omega*c*"), (2, "omega2*c*")):
-        w = OMEGA
-        for _ in range(k - 1):
-            w = w * OMEGA
-        seed_mid = w.midpoint() * complex(root.midpoint(), 0.0)
-        box = _newton_refine_per3(ComplexBox.around(seed_mid, 1e-6))
-        if box is None:
-            raise RuntimeError(f"failed to certify center {label}")
-        solutions.append(CenterSolution(box, label))
+                 CenterSolution(c_star, "c*"),
+                 CenterSolution(OMEGA * c_star, "omega*c*"),
+                 CenterSolution(OMEGA * OMEGA * c_star, "omega2*c*")]
     for sol in solutions[1:]:
         _check_exact_period3(sol)
     return solutions
 
 
 def _check_exact_period3(sol: CenterSolution) -> None:
-    from .dynamics import eval_f
-
     c = sol.c
     z1 = c  # f(0) = c
     z2 = eval_f(c, z1)

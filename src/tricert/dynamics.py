@@ -11,15 +11,13 @@ Fixed points of f_c^n and cycles of f_c have one certifier: the Krawczyk
 operator on the coupled cyclic system G_i = f_c(z_i) - z_{i+1}, in which
 each residual is a single map application, so the certifier never
 evaluates an iterate of f.  Moduli and multipliers are read from the
-certified orbit boxes.  The interval-Newton step on a 2x2 real Jacobian remains for the
-parameter-space solves of the combinatorics module.
+certified orbit boxes.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +25,6 @@ from .intervals import (
     ComplexBox,
     EmptyIntervalError,
     Interval,
-    ZeroDivisionBoxError,
     _down_arr,
     _mul_arr,
     _scale_arr,
@@ -35,16 +32,11 @@ from .intervals import (
 )
 
 __all__ = [
-    "EscapeResult",
     "NewtonStatus",
-    "NewtonResult",
-    "ConjHolomorphicForm",
     "OMEGA",
     "eval_f",
-    "eval_f2",
-    "escape_test",
     "even_iterate",
-    "holo_derivative",
+    "conj_holomorphic_form",
     "antiholo_modulus",
     "cycle_multiplier",
     "krawczyk_cycle",
@@ -54,89 +46,27 @@ __all__ = [
     "float_newton_cycle",
 ]
 
-# escape beyond this endpoint magnitude is treated as numeric blow-up
-_BLOWUP = 1e100
-
-
-class EscapeResult:
-    """Outcome of escape_test: certified escape, bounded-so-far, or unknown."""
-
-    __slots__ = ("kind", "iterations")
-
-    ESCAPED = "escaped"
-    BOUNDED = "bounded"
-    UNKNOWN = "unknown"
-
-    def __init__(self, kind: str, iterations: int):
-        self.kind = kind
-        self.iterations = iterations
-
-    @property
-    def escaped(self) -> bool:
-        return self.kind == EscapeResult.ESCAPED
-
-    def __repr__(self) -> str:
-        return f"EscapeResult({self.kind}, {self.iterations})"
-
 
 def eval_f(c: ComplexBox, z: ComplexBox) -> ComplexBox:
     """Enclosure of f_c(z) = conj(z)^2 + c."""
     return z.sqr().conj() + c
 
 
-def eval_f2(c: ComplexBox, z: ComplexBox) -> ComplexBox:
-    """Enclosure of the holomorphic second iterate (z^2 + conj(c))^2 + c."""
-    return (z.sqr() + c.conj()).sqr() + c
+def even_iterate(c: ComplexBox, z: ComplexBox, n: int) -> tuple[ComplexBox, ComplexBox]:
+    """Enclosures of f_c^n(z) and (f_c^n)'(z) for even n >= 0, from one orbit walk.
 
-
-def escape_test(c: ComplexBox, z0: ComplexBox, maxiter: int) -> EscapeResult:
-    """Certified escape check for the orbit of z0.
-
-    Escape at step k is certified when the enclosure of |z_k| has lower
-    bound above both 2 and sup|c|; then |f_c(z)| >= |z|(1 + eps) for every
-    point in the box, so divergence is proven.
+    f_c^2(z) = (z^2 + conj(c))^2 + c has (f_c^2)'(z) = 4 z (z^2 + conj(c)),
+    accumulated along the orbit of second iterates.
     """
-    cmag = c.abs().hi
-    z = z0
-    for k in range(maxiter + 1):
-        a = z.abs()
-        if a.lo > 2.0 and a.lo > cmag:
-            return EscapeResult(EscapeResult.ESCAPED, k)
-        if k == maxiter:
-            break
-        z = eval_f(c, z)
-        if max(abs(z.re.lo), abs(z.re.hi), abs(z.im.lo), abs(z.im.hi)) > _BLOWUP:
-            # enclosure blew up without a certified lower bound
-            return EscapeResult(EscapeResult.UNKNOWN, k + 1)
-        if z.width() > 8.0:
-            return EscapeResult(EscapeResult.UNKNOWN, k + 1)
-    return EscapeResult(EscapeResult.BOUNDED, maxiter)
-
-
-def even_iterate(c: ComplexBox, z: ComplexBox, n: int) -> ComplexBox:
-    """Enclosure of f_c^n(z) for even n >= 0."""
     if n % 2 != 0 or n < 0:
         raise ValueError("even_iterate needs even n >= 0")
-    for _ in range(n // 2):
-        z = eval_f2(c, z)
-    return z
-
-
-def holo_derivative(c: ComplexBox, z: ComplexBox, n: int) -> ComplexBox:
-    """Enclosure of (f_c^n)'(z) for even n >= 2, via the f^2 chain rule.
-
-    (f_c^2)'(w) = 4 w (w^2 + conj(c)), accumulated along the orbit of
-    second iterates.
-    """
-    if n % 2 != 0 or n < 2:
-        raise ValueError("holo_derivative needs even n >= 2")
     cbar = c.conj()
     d = ComplexBox.point(1.0 + 0.0j)
     for _ in range(n // 2):
         w = z.sqr() + cbar
         d = d * (z * w).scale(4.0)
         z = w.sqr() + c
-    return d
+    return z, d
 
 
 def antiholo_modulus(orbit: list[ComplexBox]) -> Interval:
@@ -161,85 +91,29 @@ def cycle_multiplier(orbit: list[ComplexBox]) -> ComplexBox:
     return prod
 
 
-class ConjHolomorphicForm:
-    """Holomorphic H with f_c^n(z) = conj(H(z)) for odd n.
+def conj_holomorphic_form(
+    c: ComplexBox, z: ComplexBox, n: int
+) -> tuple[ComplexBox, ComplexBox]:
+    """Enclosures of H(z) and H'(z) for the holomorphic H with
+    f_c^n(z) = conj(H(z)), n odd.
 
     H(z) = (f_c^{n-1}(z))^2 + conj(c) and
     H'(z) = 2 f_c^{n-1}(z) (f_c^{n-1})'(z).
     """
-
-    def __init__(self, c: ComplexBox, n: int):
-        if n % 2 != 1 or n < 1:
-            raise ValueError("conj-holomorphic form needs odd n >= 1")
-        self.c = c
-        self.n = n
-
-    def value(self, z: ComplexBox) -> ComplexBox:
-        e = even_iterate(self.c, z, self.n - 1)
-        return e.sqr() + self.c.conj()
-
-    def value_and_derivative(self, z: ComplexBox) -> tuple[ComplexBox, ComplexBox]:
-        c, cbar = self.c, self.c.conj()
-        d = ComplexBox.point(1.0 + 0.0j)
-        for _ in range((self.n - 1) // 2):
-            w = z.sqr() + cbar
-            d = d * (z * w).scale(4.0)
-            z = w.sqr() + c
-        return z.sqr() + cbar, (z * d).scale(2.0)
-
-    def derivative(self, z: ComplexBox) -> ComplexBox:
-        return self.value_and_derivative(z)[1]
+    if n % 2 != 1 or n < 1:
+        raise ValueError("conj-holomorphic form needs odd n >= 1")
+    e, d = even_iterate(c, z, n - 1)
+    return e.sqr() + c.conj(), (e * d).scale(2.0)
 
 
 # ---------------------------------------------------------------------------
-# interval Newton on the 2x2 real Jacobian
+# Krawczyk certification of cycles
 # ---------------------------------------------------------------------------
 
 
 class NewtonStatus(enum.Enum):
-    CERTIFIED = "certified"  # unique zero, Newton image interior to the seed
-    NONE = "none"  # Newton image disjoint from the seed: no zero
+    CERTIFIED = "certified"  # unique zero, Krawczyk image interior to the seed
     UNKNOWN = "unknown"  # singular Jacobian or inconclusive geometry
-
-
-@dataclass(frozen=True)
-class NewtonResult:
-    status: NewtonStatus
-    box: ComplexBox
-
-
-def newton_step(
-    value_mid: ComplexBox,
-    wirtinger_a: ComplexBox,
-    wirtinger_b: ComplexBox,
-    mid: complex,
-    seed: ComplexBox,
-) -> NewtonResult:
-    """One interval-Newton step for F(z) = 0 on the seed box.
-
-    wirtinger_a encloses dF/dz over the seed, wirtinger_b encloses
-    dF/dconj(z); value_mid encloses F at the midpoint.  The real Jacobian is
-        [[Re A + Re B, -Im A + Im B],
-         [Im A + Im B,  Re A - Re B]].
-    """
-    j11 = wirtinger_a.re + wirtinger_b.re
-    j12 = -wirtinger_a.im + wirtinger_b.im
-    j21 = wirtinger_a.im + wirtinger_b.im
-    j22 = wirtinger_a.re - wirtinger_b.re
-    det = j11 * j22 - j12 * j21
-    try:
-        inv_det = det.recip()
-    except ZeroDivisionBoxError:
-        return NewtonResult(NewtonStatus.UNKNOWN, seed)
-    fx, fy = value_mid.re, value_mid.im
-    dx = (fx * j22 - fy * j12) * inv_det
-    dy = (fy * j11 - fx * j21) * inv_det
-    image = ComplexBox(Interval.point(mid.real) - dx, Interval.point(mid.imag) - dy)
-    if seed.strictly_contains(image):
-        return NewtonResult(NewtonStatus.CERTIFIED, image.intersection(seed))
-    if not seed.intersects(image):
-        return NewtonResult(NewtonStatus.NONE, ComplexBox.EMPTY)
-    return NewtonResult(NewtonStatus.UNKNOWN, image.intersection(seed))
 
 
 def float_newton_cycle(

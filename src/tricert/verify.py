@@ -26,16 +26,15 @@ from enum import Enum
 import numpy as np
 
 from .dynamics import (
-    ConjHolomorphicForm,
     NewtonStatus,
     antiholo_modulus,
+    conj_holomorphic_form,
+    cycle_multiplier,
     eval_f,
     even_iterate,
     float_f,
-    cycle_multiplier,
     float_iterate,
     float_newton_cycle,
-    holo_derivative,
     krawczyk_absence,
     krawczyk_cycle,
 )
@@ -53,10 +52,10 @@ __all__ = [
     "attracting_cycle_box",
     "parabolic_excluded",
     "multiplier_im_excludes_zero",
+    "component_witnesses",
     "BoundaryDisjointClaim",
     "FixedPointCountClaim",
     "ParabolicExclusionClaim",
-    "AttractingCycleClaim",
     "MultiplierNonRealClaim",
     "find_superattracting_parameter",
     "float_orbit_of_zero",
@@ -163,16 +162,24 @@ def _interleave(x, y):
     return np.column_stack((x, y)).ravel()
 
 
+def _integrand(fn, re, im) -> BoxArray:
+    """der / val over the boxes re x im, where fn(z) = (val, der); the rows
+    where it cannot be formed are non-finite."""
+    val, der = fn(BoxArray(re, im))
+    if isinstance(val, ComplexBox):  # fn ignored its argument
+        val = BoxArray.of([val] * len(re[0]))
+    return der * val.recip()
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def contour_integral(
-    val_fn,
-    der_fn,
+    fn,
     region: ComplexBox,
     tol: float = 1.0,
     max_depth: int = 16,
 ) -> ContourEnclosure | None:
     """Enclosure of the counterclockwise contour integral of der/val over
-    the boundary of an axis-aligned rectangle.
+    the boundary of an axis-aligned rectangle, where fn(z) = (val, der).
 
     Each edge is cut into straight segments.  The average of the integrand
     over a segment a->b lies in its enclosure, so the segment contributes
@@ -181,14 +188,17 @@ def contour_integral(
     edge, halved at each level) or the depth is exhausted; otherwise it is
     split at its midpoint.  A segment whose integrand cannot be formed,
     because |val(S)|^2 cannot exclude 0 or an endpoint is non-finite, is
-    split too, and at full depth makes the result None.
+    split too, and at full depth makes the result None.  The result is
+    None at once when the integrand cannot be formed at the start point a
+    of such a segment: the outward-rounded operations are inclusion-
+    isotonic, so every segment that holds a fails at every depth.
 
-    The walk is level-synchronous: each level calls val_fn and der_fn once,
-    on a BoxArray holding every live segment of the four edges.  They must
-    take a BoxArray and use only the ComplexBox arithmetic (+, -, *, conj,
-    sqr, scale), which BoxArray repeats row by row with the same endpoints.
-    The kept contributions are summed bottom-up as left + right and the
-    edges in order, so the enclosure and its segment count are those of a
+    The walk is level-synchronous: each level calls fn once, on a BoxArray
+    holding every live segment of the four edges.  fn must take a BoxArray
+    and use only the ComplexBox arithmetic (+, -, *, conj, sqr, scale),
+    which BoxArray repeats row by row with the same endpoints.  The kept
+    contributions are summed bottom-up as left + right and the edges in
+    order, so the enclosure and its segment count are those of a
     depth-first recursion over the same segments.  (A segment endpoint may
     hold a zero of the other sign than Python's min/max would pick; it
     reaches the enclosure only through rounded operations, which map both
@@ -200,17 +210,16 @@ def contour_integral(
     budget, depth = tol / 4.0, max_depth
     levels = []
     while len(ax):
-        seg = BoxArray((np.minimum(ax, bx), np.maximum(ax, bx)),
-                       (np.minimum(ay, by), np.maximum(ay, by)))
-        der, val = der_fn(seg), val_fn(seg)
-        if isinstance(val, ComplexBox):  # val_fn ignored its argument
-            val = BoxArray.of([val] * len(seg))
         dx, dy = bx - ax, by - ay
-        piece = der * val.recip() * BoxArray((dx, dx), (dy, dy))
+        piece = _integrand(fn, (np.minimum(ax, bx), np.maximum(ax, bx)),
+                           (np.minimum(ay, by), np.maximum(ay, by)))
+        piece = piece * BoxArray((dx, dx), (dy, dy))
         formed = piece.finite()
-        if depth <= 0:
-            if not formed.all():
+        if not formed.all():
+            fx, fy = ax[~formed], ay[~formed]
+            if depth <= 0 or not _integrand(fn, (fx, fx), (fy, fy)).finite().all():
                 return None
+        if depth <= 0:
             kept = formed
         else:
             width = np.maximum(_up_arr(piece.re[1] - piece.re[0]),
@@ -271,13 +280,11 @@ def count_fixed_points(
         raise ValueError("fixed-point counting needs an even iterate")
     one = ComplexBox.point(1 + 0j)
 
-    def val(z: ComplexBox) -> ComplexBox:
-        return even_iterate(c, z, n) - z
+    def fn(z: ComplexBox) -> tuple[ComplexBox, ComplexBox]:
+        value, derivative = even_iterate(c, z, n)
+        return value - z, derivative - one
 
-    def der(z: ComplexBox) -> ComplexBox:
-        return holo_derivative(c, z, n) - one
-
-    enc = contour_integral(val, der, region, tol, max_depth)
+    enc = contour_integral(fn, region, tol, max_depth)
     if enc is None:
         return None, None
     return enc, decide_count(enc)
@@ -295,16 +302,13 @@ def preimage_count(
 
     Solutions are the zeros of the holomorphic companion H(z) - conj(w).
     """
-    form = ConjHolomorphicForm(c, n)
     wbar = ComplexBox.point(w.conjugate())
 
-    def val(z: ComplexBox) -> ComplexBox:
-        return form.value(z) - wbar
+    def fn(z: ComplexBox) -> tuple[ComplexBox, ComplexBox]:
+        value, derivative = conj_holomorphic_form(c, z, n)
+        return value - wbar, derivative
 
-    def der(z: ComplexBox) -> ComplexBox:
-        return form.derivative(z)
-
-    enc = contour_integral(val, der, u, tol, max_depth)
+    enc = contour_integral(fn, u, tol, max_depth)
     if enc is None:
         return None
     return decide_count(enc)
@@ -429,6 +433,31 @@ def multiplier_im_excludes_zero(
     return ClaimResult(Status.UNDETERMINED), refined
 
 
+def component_witnesses(red_cert, period: int, center: complex) -> tuple[int, Status, Status]:
+    """The checks that a parabolic-exclusion certificate shows the two
+    period-p components of its rect.
+
+    Returns the number of connected TRUE components of red_cert, then the
+    status of attracting_cycle_box for the cycle through the critical
+    orbit of the superattracting center: on a 1e-10 box about the center
+    (the attracting witness, TRUE) and on the lower-left 1/16 corner of
+    the rect (the repelling witness, FALSE).  For a corner wider than
+    _ABSENCE_MAX_WIDTH, as at the paper's rect, absence is never tried, so
+    FALSE there is a certified cycle with squared modulus above 1.
+    """
+    from .scan import component_rollup
+
+    rect = red_cert.root
+    orbit = float_orbit_of_zero(center, period)
+    attracting, _ = attracting_cycle_box(ComplexBox.around(center, 1e-10), period, orbit)
+    corner = ComplexBox(
+        Interval(rect.re.lo, rect.re.lo + rect.re.width() / 16.0),
+        Interval(rect.im.lo, rect.im.lo + rect.im.width() / 16.0),
+    )
+    repelling, _ = attracting_cycle_box(corner, period, orbit)
+    return len(component_rollup(red_cert, Status.TRUE)), attracting.status, repelling.status
+
+
 # ---------------------------------------------------------------------------
 # claim adapters for the subdivision engine
 # ---------------------------------------------------------------------------
@@ -523,25 +552,6 @@ class ParabolicExclusionClaim:
 
     def evaluate(self, box: ComplexBox, seed):
         return parabolic_excluded(box, self.period, seed)
-
-
-class AttractingCycleClaim:
-    """Scan claim: tracked period-p cycle is attracting over the box."""
-
-    def __init__(self, period: int, initial_orbit: list[complex]):
-        self.period = period
-        self.initial_orbit = list(initial_orbit)
-        self.name = f"attracting-cycle-p{period}"
-
-    def config(self) -> dict:
-        return {"period": str(self.period)}
-
-    def initial_seed(self, rect: ComplexBox):
-        orbit, _ = _refine_orbit(rect.midpoint(), self.period, self.initial_orbit)
-        return orbit
-
-    def evaluate(self, box: ComplexBox, seed):
-        return attracting_cycle_box(box, self.period, seed)
 
 
 class MultiplierNonRealClaim:

@@ -14,25 +14,24 @@ from tricert.cli import PAPER_N, PAPER_PERIOD, PAPER_R, PAPER_U, PAPER_X_REGION
 from tricert.dynamics import (
     NewtonStatus,
     antiholo_modulus,
+    even_iterate,
     float_newton_cycle,
-    holo_derivative,
     krawczyk_cycle,
 )
 from tricert.intervals import ComplexBox, Interval
 from tricert.render import render_escape, write_ppm
-from tricert.scan import adaptive_scan, component_rollup, serialize
+from tricert.scan import adaptive_scan, serialize
 from tricert.verify import (
     TWO_PI,
     MultiplierNonRealClaim,
     Status,
-    attracting_cycle_box,
+    component_witnesses,
     contour_integral,
     count_certificate,
     count_fixed_points,
     decide_count,
     disjointness_certificate,
     find_superattracting_parameter,
-    float_orbit_of_zero,
     qlike_certificate,
 )
 
@@ -109,22 +108,9 @@ def test_acceptance_3_disjoint_loci(capsys, disjoint_run):
 
 def test_acceptance_4_component_witnesses(capsys, disjoint_run):
     _, _, red_tree, _ = disjoint_run
-    components = component_rollup(red_tree, Status.TRUE)
     center = find_superattracting_parameter(PAPER_PERIOD, PAPER_R.midpoint())
-    orbit = float_orbit_of_zero(center, PAPER_PERIOD)
-    witness, _ = attracting_cycle_box(
-        ComplexBox.around(center, 1e-10), PAPER_PERIOD, orbit
-    )
-    corner = ComplexBox(
-        Interval(PAPER_R.re.lo, PAPER_R.re.lo + PAPER_R.re.width() / 16.0),
-        Interval(PAPER_R.im.lo, PAPER_R.im.lo + PAPER_R.im.width() / 16.0),
-    )
-    absent, _ = attracting_cycle_box(corner, PAPER_PERIOD, orbit)
-    ok = (
-        len(components) == 2
-        and witness.status is Status.TRUE
-        and absent.status is Status.FALSE
-    )
+    components, attracting, repelling = component_witnesses(red_tree, PAPER_PERIOD, center)
+    ok = components == 2 and attracting is Status.TRUE and repelling is Status.FALSE
     _report(capsys, 4, "period-9 component witnesses", ok)
 
 
@@ -222,7 +208,8 @@ def _poly_oracle_suite(count):
                 total = total + acc
             return total
 
-        enc = contour_integral(val, der, region, tol=1.5, max_depth=12)
+        enc = contour_integral(lambda z: (val(z), der(z)), region, tol=1.5,
+                               max_depth=12)
         if enc is None or decide_count(enc) != inside:
             return False
         done += 1
@@ -244,7 +231,7 @@ def _odd_multiplier_suite(count):
         if status is not NewtonStatus.CERTIFIED:
             continue
         m2 = antiholo_modulus(boxes).sqr()
-        d = holo_derivative(cbox, boxes[0], 2)
+        _, d = even_iterate(cbox, boxes[0], 2)
         # the odd-cycle multiplier is real and nonnegative, and equals the
         # derivative of the doubled iterate
         if m2.lo < 0.0 or not d.im.contains(0.0) or not d.re.intersects(m2):

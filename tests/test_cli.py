@@ -1,6 +1,7 @@
 """Exit codes, argument parsing, and config composition of the CLI."""
 
 import hashlib
+import re
 
 import pytest
 
@@ -122,6 +123,9 @@ class TestScan:
     def test_flag_of_another_claim_exits_2(self):
         assert _run(["scan", "--claim", "qlike", "--period", "9"]) == 2
 
+    def test_attracting_claim_is_gone(self):
+        assert _run(["scan", "--claim", "attracting", "--max-depth", "0"]) == 2
+
     def test_bad_config_value_exits_2(self, tmp_path):
         cfg = tmp_path / "scan.cfg"
         cfg.write_text("max_depth = deep\n")
@@ -237,3 +241,15 @@ class TestCenters:
             assert label in out
         assert "-1.754877666" in out
         assert "rotation consistency: True" in out
+        widths = [float(w) for w in re.findall(r"\(width (\S+)\)", out)]
+        assert len(widths) == 4 and all(w < 1e-9 for w in widths)
+
+
+class TestVerifyArcs:
+    def test_witness_labels(self, capsys):
+        code = _run(["verify-arcs", "--max-depth", "2"])
+        out = capsys.readouterr().out
+        # at depth 2 the red scan does not yet separate the two components
+        assert code == 1
+        assert out == ("verify-arcs: 1 verified components, attracting witness TRUE, "
+                       "repelling witness FALSE\n")

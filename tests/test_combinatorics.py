@@ -4,19 +4,19 @@ import time
 from fractions import Fraction
 
 import pytest
+from mpmath import findroot, mpc, mpf, sqrt, workdps
 
 from tricert.combinatorics import (
     AIRPLANE_CUBIC,
     Angle,
     angle_map,
     per3_residuals,
-    per3_value,
     periodic_angles,
     real_root_enclosure,
     solve_period3_centers,
     unlinked,
 )
-from tricert.intervals import ComplexBox, Interval
+from tricert.intervals import Interval
 
 # independently computed by 60 rounds of plain bisection on c^3+2c^2+c+1
 AIRPLANE_ROOT = -1.7548776662466927
@@ -96,27 +96,6 @@ class TestUnlinked:
 
 
 class TestPer3:
-    def test_value_matches_direct_oracle(self):
-        import random
-
-        rng = random.Random(21)
-        for _ in range(2000):
-            c = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-            direct = c ** 4 + 2 * c ** 2 * c.conjugate() + c.conjugate() ** 2 + c
-            box = per3_value(ComplexBox.point(c))
-            assert abs(box.midpoint() - direct) <= 1e-9 * max(1.0, abs(direct))
-            assert box.contains(direct) or box.width() < 1e-9
-
-    def test_value_is_third_iterate_of_zero(self):
-        import random
-
-        from tricert.dynamics import float_iterate
-
-        rng = random.Random(22)
-        for _ in range(500):
-            c = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
-            assert per3_value(ComplexBox.point(c)).contains(float_iterate(c, 0j, 3))
-
     def test_origin_residuals(self):
         re, _ = per3_residuals(Interval.point(0.0), Interval.point(0.0))
         assert re.contains(0.0)
@@ -181,3 +160,16 @@ class TestCenters:
         base = abs(by_label["c*"])
         assert abs(abs(by_label["omega*c*"]) - base) < 1e-9
         assert abs(abs(by_label["omega2*c*"]) - base) < 1e-9
+
+    def test_rotated_centers_hold_the_exact_rotations(self):
+        # oracle: the real root of c^3 + 2c^2 + c + 1 at 50 digits, and its
+        # rotations by omega = (-1 + sqrt(3) i) / 2
+        by_label = {s.label: s.c for s in solve_period3_centers()}
+        with workdps(50):
+            root = findroot(lambda c: ((c + 2) * c + 1) * c + 1, mpf(-1.75))
+            omega = mpc(-1, sqrt(3)) / 2
+            for label, point in (("c*", root), ("omega*c*", omega * root),
+                                 ("omega2*c*", omega ** 2 * root)):
+                box = by_label[label]
+                assert mpf(box.re.lo) <= point.real <= mpf(box.re.hi), label
+                assert mpf(box.im.lo) <= point.imag <= mpf(box.im.hi), label

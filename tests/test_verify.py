@@ -34,8 +34,8 @@ R_RECT = ComplexBox(Interval(-1.73875, -1.73825), Interval(0.01555, 0.01605))
 U_RECT = ComplexBox(Interval(-0.3, 0.3), Interval(-0.3, 0.3))
 
 
-def _poly_fns(roots):
-    """val/der box evaluators for prod (z - r) over the given roots."""
+def _poly_fn(roots):
+    """The (val, der) box evaluator for prod (z - r) over the given roots."""
 
     def val(z: ComplexBox) -> ComplexBox:
         acc = ComplexBox.point(1 + 0j)
@@ -53,14 +53,14 @@ def _poly_fns(roots):
             total = total + acc
         return total
 
-    return val, der
+    return lambda z: (val(z), der(z))
 
 
 # The depth-first contour integral that preceded the level-synchronous one
 # in tricert.verify, kept as the bitwise oracle for it.
 
 
-def _scalar_edge_integral(val_fn, der_fn, a: complex, b: complex, budget: float, depth: int):
+def _scalar_edge_integral(fn, a: complex, b: complex, budget: float, depth: int):
     """Enclosure of the integral of der/val along the straight segment a->b.
 
     Returns (box, segments) or None when the denominator cannot be
@@ -69,8 +69,9 @@ def _scalar_edge_integral(val_fn, der_fn, a: complex, b: complex, budget: float,
     enclosure * (b - a).
     """
     seg = ComplexBox.point(a).hull(ComplexBox.point(b))
+    val, der = fn(seg)
     try:
-        integrand = der_fn(seg) * val_fn(seg).recip()
+        integrand = der * val.recip()
     except ZeroDivisionBoxError:
         integrand = None
     if integrand is not None:
@@ -83,24 +84,23 @@ def _scalar_edge_integral(val_fn, der_fn, a: complex, b: complex, budget: float,
         Interval(min(a.real, b.real), max(a.real, b.real)).midpoint(),
         Interval(min(a.imag, b.imag), max(a.imag, b.imag)).midpoint(),
     )
-    left = _scalar_edge_integral(val_fn, der_fn, a, mid, budget / 2.0, depth - 1)
+    left = _scalar_edge_integral(fn, a, mid, budget / 2.0, depth - 1)
     if left is None:
         return None
-    right = _scalar_edge_integral(val_fn, der_fn, mid, b, budget / 2.0, depth - 1)
+    right = _scalar_edge_integral(fn, mid, b, budget / 2.0, depth - 1)
     if right is None:
         return None
     return left[0] + right[0], left[1] + right[1]
 
 
 def _scalar_contour_integral(
-    val_fn,
-    der_fn,
+    fn,
     region: ComplexBox,
     tol: float = 1.0,
     max_depth: int = 16,
 ) -> ContourEnclosure | None:
     """Enclosure of the counterclockwise contour integral of der/val over
-    the boundary of an axis-aligned rectangle.
+    the boundary of an axis-aligned rectangle, where fn(z) = (val, der).
 
     None when the denominator enclosure cannot exclude 0 on some piece of
     the contour at full subdivision depth.
@@ -112,7 +112,7 @@ def _scalar_contour_integral(
     total = ComplexBox.point(0j)
     segments = 0
     for a, b in ((z00, z10), (z10, z11), (z11, z01), (z01, z00)):
-        piece = _scalar_edge_integral(val_fn, der_fn, a, b, tol / 4.0, max_depth)
+        piece = _scalar_edge_integral(fn, a, b, tol / 4.0, max_depth)
         if piece is None:
             return None
         total = total + piece[0]
@@ -161,9 +161,9 @@ _ROOT_COORD = st.one_of(st.floats(-1.6, 1.6), st.sampled_from((-1.0, 0.0, 1.0)))
 @given(st.lists(st.builds(complex, _ROOT_COORD, _ROOT_COORD), min_size=1, max_size=4),
        st.sampled_from(_REGIONS), st.sampled_from((0.3, 1.5)), st.sampled_from((0, 3, 8)))
 def test_contour_matches_scalar_oracle_on_polynomials(roots, region, tol, depth):
-    val, der = _poly_fns(roots)
-    new = contour_integral(val, der, region, tol, depth)
-    assert _enc_hex(new) == _enc_hex(_scalar_contour_integral(val, der, region, tol, depth))
+    fn = _poly_fn(roots)
+    new = contour_integral(fn, region, tol, depth)
+    assert _enc_hex(new) == _enc_hex(_scalar_contour_integral(fn, region, tol, depth))
     re, im = region.re, region.im
     if any(region.contains(r) and (r.real in (re.lo, re.hi) or r.imag in (im.lo, im.hi))
            for r in roots):
@@ -269,8 +269,7 @@ class TestContourCounting:
             if near_edge:
                 continue
             inside = sum(1 for r in roots if abs(r.real) < 1.0 and abs(r.imag) < 1.0)
-            val, der = _poly_fns(roots)
-            enc = contour_integral(val, der, region, tol=1.5, max_depth=12)
+            enc = contour_integral(_poly_fn(roots), region, tol=1.5, max_depth=12)
             assert enc is not None
             assert enc.value.re.contains(0.0)
             assert enc.value.im.intersects(TWO_PI.scale(float(inside)))
