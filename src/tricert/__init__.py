@@ -2,8 +2,8 @@
 
 Interval-certified predicates over parameter rectangles: quadratic-like
 restriction, argument-principle fixed-point counting, attracting-cycle
-and parabolic-exclusion certification, plus exact angle combinatorics,
-escape-time rendering, and a line-oriented certificate format.
+and parabolic-exclusion certification, plus the certified period-3
+centers, escape-time rendering, and a line-oriented certificate format.
 """
 
 from .intervals import ComplexBox, EmptyIntervalError, Interval, ZeroDivisionBoxError

@@ -1,126 +1,27 @@
-"""Exact angle dynamics under multiplication by -2 and the certified
-period-3 centers.
+"""The certified period-3 centers of the tricorn.
 
-Angles live in Q/Z as exact big-integer rationals; unlinkedness is a pure
-circular-order test and must never touch floats.  The classical case
-analysis of f_c^3(0) = 0 (writing s = c + conj(c) and t = |c|^2, the real
-and imaginary residuals factor) gives the solutions 0, the real airplane
-parameter c*, and its two rotations by the cube root of unity omega.  The
-airplane root is certified by bisection on its real cubic; the rotations
-follow from the exact symmetry f_{omega c}(omega z) = omega f_c(z), which
-carries the critical orbit of c* onto that of omega c*.
+The classical case analysis of f_c^3(0) = 0 (writing s = c + conj(c) and
+t = |c|^2, the real and imaginary residuals factor) gives the solutions 0,
+the real airplane parameter c*, and its two rotations by the cube root of
+unity omega.  The airplane root is certified by bisection on its real
+cubic; the rotations follow from the exact symmetry
+f_{omega c}(omega z) = omega f_c(z), which carries the critical orbit of
+c* onto that of omega c*.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .dynamics import OMEGA, eval_f
 from .intervals import ComplexBox, Interval
 
 __all__ = [
-    "Angle",
     "CenterSolution",
-    "angle_map",
-    "periodic_angles",
-    "unlinked",
-    "per3_residuals",
     "real_root_enclosure",
     "solve_period3_centers",
     "AIRPLANE_CUBIC",
 ]
-
-
-@dataclass(frozen=True, order=True)
-class Angle:
-    """A rational angle mod 1, always reduced with 0 <= value < 1."""
-
-    value: Fraction
-
-    def __init__(self, numerator, denominator: int | None = None):
-        if denominator is None:
-            frac = Fraction(numerator)
-        else:
-            frac = Fraction(numerator, denominator)
-        object.__setattr__(self, "value", frac % 1)
-
-    @property
-    def numerator(self) -> int:
-        return self.value.numerator
-
-    @property
-    def denominator(self) -> int:
-        return self.value.denominator
-
-    def __repr__(self) -> str:
-        return f"Angle({self.numerator}/{self.denominator})"
-
-
-def angle_map(theta: Angle) -> Angle:
-    """The angle action theta -> -2 theta mod 1."""
-    return Angle(-2 * theta.value)
-
-
-def periodic_angles(n: int) -> list[Angle]:
-    """All angles with (angle_map)^n fixed, i.e. ((-2)^n - 1) theta in Z.
-
-    Exact period divides n; the count is |(-2)^n - 1|.
-    """
-    if n < 1:
-        raise ValueError("period must be >= 1")
-    d = abs((-2) ** n - 1)
-    return [Angle(k, d) for k in range(d)]
-
-
-def unlinked(a: set[Angle] | list[Angle], b: set[Angle] | list[Angle]) -> bool:
-    """True iff a lies in one component of the circle minus b.
-
-    The sets must be disjoint.  An empty b leaves the circle connected.
-    """
-    avals = sorted({x.value for x in a})
-    bvals = sorted({x.value for x in b})
-    if set(avals) & set(bvals):
-        raise ValueError("angle sets must be disjoint")
-    if len(bvals) <= 1 or not avals:
-        return True
-    # count which gap between consecutive b-angles each a-angle falls in
-    gaps = set()
-    for x in avals:
-        lo = 0
-        hi = len(bvals)
-        while lo < hi:
-            midx = (lo + hi) // 2
-            if bvals[midx] < x:
-                lo = midx + 1
-            else:
-                hi = midx
-        gaps.add(lo % len(bvals))
-        if len(gaps) > 1:
-            return False
-    return True
-
-
-def per3_residuals(s: Interval, t: Interval) -> tuple[Interval, Interval]:
-    """Enclosures of 2 Re f_c^3(0) and the odd factor of 2 Im f_c^3(0).
-
-    With s = c + conj(c) and t = |c|^2:
-        2 Re f^3(0) = s^4 + (1 - 4t) s^2 + (1 + 2t) s + 2 t^2 - 2t
-        2 Im f^3(0) = (c - conj(c)) * (s^3 - (s - 1)(1 + 2t))
-    The first return value is the real residual, the second the factor
-    s^3 - (s - 1)(1 + 2t).
-    """
-    one = Interval.point(1.0)
-    s2 = s.sqr()
-    re_part = (
-        s2.sqr()
-        + (one - t.scale(4.0)) * s2
-        + (one + t.scale(2.0)) * s
-        + t.sqr().scale(2.0)
-        - t.scale(2.0)
-    )
-    im_factor = s * s2 - (s - one) * (one + t.scale(2.0))
-    return re_part, im_factor
 
 
 # real factor of f_c^3(0) for real c: c (c^3 + 2 c^2 + c + 1)

@@ -294,8 +294,9 @@ def krawczyk_cycle(
             return NewtonStatus.UNKNOWN, []
         inside = all(b.strictly_contains(k) for b, k in zip(boxes, images))
         if inside:
-            # contract toward the fixed point, then hand back tight boxes
-            boxes = [k.intersection(b) for b, k in zip(boxes, images)]
+            # contract toward the fixed point, then hand back tight boxes; each
+            # image lies strictly inside its box, so it is what the two share
+            boxes = images
             certified = True
             remaining -= 1
             if remaining <= 0:

@@ -4,7 +4,9 @@ Every arithmetic operation is containment-sound: the result encloses the
 exact mathematical image of its inputs.  Endpoints are binary64; outward
 rounding is done by stepping each computed endpoint to the adjacent
 representable value (nextafter), never by switching the FPU rounding mode.
-All values are immutable and safe to share between threads.
+All values are immutable and safe to share between threads.  Intervals and
+boxes are never empty: a non-finite or inverted endpoint pair raises
+EmptyIntervalError, so no operation needs an emptiness case.
 
 BoxArray holds a batch of boxes as float64 endpoint arrays and repeats the
 ComplexBox arithmetic row by row with bit-identical endpoints.
@@ -14,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 
@@ -24,7 +25,8 @@ _INF = math.inf
 
 
 class EmptyIntervalError(ValueError):
-    """Raised when an operation requires a nonempty interval or box."""
+    """Raised when an interval would get a non-finite or an inverted endpoint
+    pair, and by sqrt of an interval with a negative part."""
 
 
 class ZeroDivisionBoxError(ZeroDivisionError):
@@ -42,21 +44,17 @@ def _up(x: float) -> float:
 
 @dataclass(frozen=True, slots=True)
 class Interval:
-    """Closed real interval [lo, hi] with finite binary64 endpoints.
+    """Closed real interval [lo, hi] with finite binary64 endpoints, lo <= hi.
 
-    The empty interval is the distinct singleton ``Interval.EMPTY``,
-    recognizable via ``is_empty``; it is absorbing for arithmetic.
+    An interval is never empty: any other endpoint pair raises
+    EmptyIntervalError.
     """
 
     lo: float
     hi: float
 
-    EMPTY: ClassVar["Interval"]
-
     def __post_init__(self):
         lo, hi = self.lo, self.hi
-        if lo == _INF and hi == -_INF:
-            return  # the EMPTY sentinel
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise EmptyIntervalError(f"non-finite endpoints [{lo}, {hi}]")
         if lo > hi:
@@ -76,52 +74,24 @@ class Interval:
 
     # -- predicates ------------------------------------------------------
 
-    @property
-    def is_empty(self) -> bool:
-        return self.lo > self.hi
-
     def contains(self, x: float) -> bool:
         return self.lo <= x <= self.hi
 
     def contains_interval(self, other: "Interval") -> bool:
-        if other.is_empty:
-            return True
         return self.lo <= other.lo and other.hi <= self.hi
 
     def strictly_contains(self, other: "Interval") -> bool:
-        if other.is_empty:
-            return True
         return self.lo < other.lo and other.hi < self.hi
 
     def intersects(self, other: "Interval") -> bool:
-        if self.is_empty or other.is_empty:
-            return False
         return self.lo <= other.hi and other.lo <= self.hi
-
-    # -- lattice ---------------------------------------------------------
-
-    def intersection(self, other: "Interval") -> "Interval":
-        if not self.intersects(other):
-            return Interval.EMPTY
-        return Interval(max(self.lo, other.lo), min(self.hi, other.hi))
-
-    def hull(self, other: "Interval") -> "Interval":
-        if self.is_empty:
-            return other
-        if other.is_empty:
-            return self
-        return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
 
     # -- measure ---------------------------------------------------------
 
     def width(self) -> float:
-        if self.is_empty:
-            return 0.0
         return _up(self.hi - self.lo)
 
     def midpoint(self) -> float:
-        if self.is_empty:
-            raise EmptyIntervalError("midpoint of empty interval")
         m = 0.5 * (self.lo + self.hi)
         if not math.isfinite(m):
             m = 0.5 * self.lo + 0.5 * self.hi
@@ -135,39 +105,27 @@ class Interval:
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other: "Interval") -> "Interval":
-        if self.is_empty or other.is_empty:
-            return Interval.EMPTY
         return Interval(_down(self.lo + other.lo), _up(self.hi + other.hi))
 
     def __sub__(self, other: "Interval") -> "Interval":
-        if self.is_empty or other.is_empty:
-            return Interval.EMPTY
         return Interval(_down(self.lo - other.hi), _up(self.hi - other.lo))
 
     def __neg__(self) -> "Interval":
-        if self.is_empty:
-            return Interval.EMPTY
         return Interval(-self.hi, -self.lo)
 
     def __mul__(self, other: "Interval") -> "Interval":
-        if self.is_empty or other.is_empty:
-            return Interval.EMPTY
         a, b, c, d = self.lo, self.hi, other.lo, other.hi
         p0, p1, p2, p3 = a * c, a * d, b * c, b * d
         return Interval(_down(min(p0, p1, p2, p3)), _up(max(p0, p1, p2, p3)))
 
     def scale(self, k: float) -> "Interval":
         """Multiply by an exact scalar."""
-        if self.is_empty:
-            return Interval.EMPTY
         if k >= 0:
             return Interval(_down(self.lo * k), _up(self.hi * k))
         return Interval(_down(self.hi * k), _up(self.lo * k))
 
     def sqr(self) -> "Interval":
         """Tight enclosure of {x^2 : x in self} (never dips below 0)."""
-        if self.is_empty:
-            return Interval.EMPTY
         a, b = self.lo, self.hi
         if a >= 0:
             return Interval(max(_down(a * a), 0.0), _up(b * b))
@@ -176,8 +134,6 @@ class Interval:
         return Interval(0.0, _up(max(a * a, b * b)))
 
     def sqrt(self) -> "Interval":
-        if self.is_empty:
-            return Interval.EMPTY
         if self.lo < 0:
             raise EmptyIntervalError(f"sqrt of interval with negative part: {self}")
         lo = 0.0 if self.lo == 0.0 else max(_down(math.sqrt(self.lo)), 0.0)
@@ -186,8 +142,6 @@ class Interval:
     def recip(self) -> "Interval":
         """Enclosure of {1/x}; refuses intervals containing 0 and intervals
         so close to 0 that the reciprocal overflows."""
-        if self.is_empty:
-            return Interval.EMPTY
         if self.lo <= 0.0 <= self.hi:
             raise ZeroDivisionBoxError(f"recip of interval containing 0: {self}")
         lo, hi = _down(1.0 / self.hi), _up(1.0 / self.lo)
@@ -195,32 +149,8 @@ class Interval:
             raise ZeroDivisionBoxError(f"recip of interval overflows: {self}")
         return Interval(lo, hi)
 
-    def abs(self) -> "Interval":
-        if self.is_empty:
-            return Interval.EMPTY
-        if self.lo >= 0:
-            return self
-        if self.hi <= 0:
-            return -self
-        return Interval(0.0, max(-self.lo, self.hi))
-
-    def mag(self) -> float:
-        """sup |x| over the interval."""
-        if self.is_empty:
-            return 0.0
-        return max(abs(self.lo), abs(self.hi))
-
     def __repr__(self) -> str:
-        if self.is_empty:
-            return "Interval.EMPTY"
         return f"[{self.lo!r}, {self.hi!r}]"
-
-
-_empty = object.__new__(Interval)
-object.__setattr__(_empty, "lo", _INF)
-object.__setattr__(_empty, "hi", -_INF)
-Interval.EMPTY = _empty
-del _empty
 
 
 @dataclass(frozen=True, slots=True)
@@ -230,8 +160,6 @@ class ComplexBox:
     re: Interval
     im: Interval
 
-    EMPTY: ClassVar["ComplexBox"]
-
     @staticmethod
     def point(z: complex) -> "ComplexBox":
         return ComplexBox(Interval.point(z.real), Interval.point(z.imag))
@@ -240,73 +168,44 @@ class ComplexBox:
     def around(z: complex, r: float) -> "ComplexBox":
         return ComplexBox(Interval.around(z.real, r), Interval.around(z.imag, r))
 
-    @staticmethod
-    def rect(re_lo: float, re_hi: float, im_lo: float, im_hi: float) -> "ComplexBox":
-        return ComplexBox(Interval(re_lo, re_hi), Interval(im_lo, im_hi))
-
-    @property
-    def is_empty(self) -> bool:
-        return self.re.is_empty or self.im.is_empty
-
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other: "ComplexBox") -> "ComplexBox":
         if not isinstance(other, ComplexBox):
             return NotImplemented  # a BoxArray operand: BoxArray.__radd__
-        if self.is_empty or other.is_empty:
-            return ComplexBox.EMPTY
         return ComplexBox(self.re + other.re, self.im + other.im)
 
     def __sub__(self, other: "ComplexBox") -> "ComplexBox":
         if not isinstance(other, ComplexBox):
             return NotImplemented  # a BoxArray operand: BoxArray.__rsub__
-        if self.is_empty or other.is_empty:
-            return ComplexBox.EMPTY
         return ComplexBox(self.re - other.re, self.im - other.im)
-
-    def __neg__(self) -> "ComplexBox":
-        if self.is_empty:
-            return ComplexBox.EMPTY
-        return ComplexBox(-self.re, -self.im)
 
     def __mul__(self, other: "ComplexBox") -> "ComplexBox":
         if not isinstance(other, ComplexBox):
             return NotImplemented  # a BoxArray operand: BoxArray.__rmul__
-        if self.is_empty or other.is_empty:
-            return ComplexBox.EMPTY
         a, b, c, d = self.re, self.im, other.re, other.im
         return ComplexBox(a * c - b * d, a * d + b * c)
 
     def conj(self) -> "ComplexBox":
         """Complex conjugate; the imaginary sign flip is exact."""
-        if self.is_empty:
-            return ComplexBox.EMPTY
         return ComplexBox(self.re, -self.im)
 
     def sqr(self) -> "ComplexBox":
         """Enclosure of {z^2}, using the tight real-square specialization."""
-        if self.is_empty:
-            return ComplexBox.EMPTY
         a, b = self.re, self.im
         return ComplexBox(a.sqr() - b.sqr(), (a * b).scale(2.0))
 
     def scale(self, k: float) -> "ComplexBox":
-        if self.is_empty:
-            return ComplexBox.EMPTY
         return ComplexBox(self.re.scale(k), self.im.scale(k))
 
     def abs_sqr(self) -> Interval:
         """Enclosure of {|z|^2}; the true value is nonnegative, so the
         outward-rounded lower bound is clamped at 0."""
-        if self.is_empty:
-            return Interval.EMPTY
         s = self.re.sqr() + self.im.sqr()
         return Interval(max(s.lo, 0.0), s.hi) if s.lo < 0.0 else s
 
     def abs(self) -> Interval:
         """Enclosure of {|z|}; lower bound exactly 0 when the box contains 0."""
-        if self.is_empty:
-            return Interval.EMPTY
         if self.contains(0j):
             m = self.abs_sqr()
             return Interval(0.0, m.sqrt().hi)
@@ -316,8 +215,6 @@ class ComplexBox:
         """Enclosure of {1/z}; refuses boxes whose |z|^2 cannot exclude 0
         and boxes whose enclosure overflows (1/|z|^2, or its products with
         the coordinates)."""
-        if self.is_empty:
-            return ComplexBox.EMPTY
         n = self.abs_sqr()
         if n.lo <= 0.0:
             raise ZeroDivisionBoxError(f"recip of box possibly containing 0: {self}")
@@ -333,44 +230,22 @@ class ComplexBox:
         return self.re.contains(z.real) and self.im.contains(z.imag)
 
     def contains_box(self, other: "ComplexBox") -> bool:
-        if other.is_empty:
-            return True
         return self.re.contains_interval(other.re) and self.im.contains_interval(other.im)
 
     def strictly_contains(self, other: "ComplexBox") -> bool:
-        if other.is_empty:
-            return True
         return self.re.strictly_contains(other.re) and self.im.strictly_contains(other.im)
 
     def intersects(self, other: "ComplexBox") -> bool:
         return self.re.intersects(other.re) and self.im.intersects(other.im)
 
-    def intersection(self, other: "ComplexBox") -> "ComplexBox":
-        if not self.intersects(other):
-            return ComplexBox.EMPTY
-        return ComplexBox(self.re.intersection(other.re), self.im.intersection(other.im))
-
-    def hull(self, other: "ComplexBox") -> "ComplexBox":
-        if self.is_empty:
-            return other
-        if other.is_empty:
-            return self
-        return ComplexBox(self.re.hull(other.re), self.im.hull(other.im))
-
     def width(self) -> float:
-        if self.is_empty:
-            return 0.0
         return max(self.re.width(), self.im.width())
 
     def midpoint(self) -> complex:
-        if self.is_empty:
-            raise EmptyIntervalError("midpoint of empty box")
         return complex(self.re.midpoint(), self.im.midpoint())
 
     def bisect(self) -> tuple["ComplexBox", "ComplexBox"]:
         """Split the wider coordinate at a representable midpoint."""
-        if self.is_empty:
-            raise EmptyIntervalError("bisect of empty box")
         if self.re.width() >= self.im.width():
             a, b = self.re.bisect()
             return ComplexBox(a, self.im), ComplexBox(b, self.im)
@@ -389,12 +264,7 @@ class ComplexBox:
         )
 
     def __repr__(self) -> str:
-        if self.is_empty:
-            return "ComplexBox.EMPTY"
         return f"ComplexBox({self.re!r} + {self.im!r} i)"
-
-
-ComplexBox.EMPTY = ComplexBox(Interval.EMPTY, Interval.EMPTY)
 
 
 # ---------------------------------------------------------------------------

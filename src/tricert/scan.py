@@ -91,8 +91,6 @@ def adaptive_scan(
     walk is depth first with children in quadrant order, so the leaves
     come out in the order of their quadtree paths.
     """
-    if rect.is_empty:
-        raise ValueError("cannot scan an empty rectangle")
     if max_depth < 0:
         raise ValueError("max_depth must be >= 0")
     if not 0 <= min_depth <= max_depth:

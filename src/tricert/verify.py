@@ -367,6 +367,29 @@ def _cycle_absent(c: ComplexBox, period: int, orbit_guess) -> bool:
     return krawczyk_absence(c, period, orbit_guess, _ABSENCE_RADIUS)
 
 
+def _tracked_modulus(c: ComplexBox, period: int, orbit_guess):
+    """Refine the orbit at the box midpoint, certify the cycle by Krawczyk
+    and read its squared modulus product.
+
+    Returns (m2, refined); m2 is None when the cycle is not certified.
+    """
+    refined, converged = _refine_orbit(c.midpoint(), period, orbit_guess)
+    if converged:
+        boxes = _certify_tracked_cycle(c, period, refined)
+        if boxes is not None:
+            return antiholo_modulus(boxes).sqr(), refined
+    return None, refined
+
+
+def _modulus_status(m2: Interval) -> Status:
+    """TRUE for a strictly attracting, FALSE for a strictly repelling cycle."""
+    if m2.hi < 1.0:
+        return Status.TRUE
+    if m2.lo > 1.0:
+        return Status.FALSE
+    return Status.UNDETERMINED
+
+
 def attracting_cycle_box(
     c: ComplexBox, period: int, orbit_guess
 ) -> tuple[ClaimResult, list[complex]]:
@@ -376,16 +399,9 @@ def attracting_cycle_box(
     modulus product is strictly below 1; FALSE when it certifies absence
     in the tracked neighborhood or the multiplier is strictly repelling.
     """
-    refined, converged = _refine_orbit(c.midpoint(), period, orbit_guess)
-    if converged:
-        boxes = _certify_tracked_cycle(c, period, refined)
-        if boxes is not None:
-            m2 = antiholo_modulus(boxes).sqr()
-            if m2.hi < 1.0:
-                return ClaimResult(Status.TRUE), refined
-            if m2.lo > 1.0:
-                return ClaimResult(Status.FALSE), refined
-            return ClaimResult(Status.UNDETERMINED), refined
+    m2, refined = _tracked_modulus(c, period, orbit_guess)
+    if m2 is not None:
+        return ClaimResult(_modulus_status(m2)), refined
     if _cycle_absent(c, period, refined):
         return ClaimResult(Status.FALSE), refined
     return ClaimResult(Status.UNDETERMINED), refined
@@ -400,17 +416,12 @@ def parabolic_excluded(
     the cycle is certified absent in the tracked neighborhood;
     UNDETERMINED otherwise.
     """
-    refined, converged = _refine_orbit(c.midpoint(), period, orbit_guess)
-    if converged:
-        boxes = _certify_tracked_cycle(c, period, refined)
-        if boxes is not None:
-            m2 = antiholo_modulus(boxes).sqr()
-            if m2.hi < 1.0 or m2.lo > 1.0:
-                return ClaimResult(Status.TRUE), refined
-            return ClaimResult(Status.UNDETERMINED), refined
-    if _cycle_absent(c, period, refined):
-        return ClaimResult(Status.TRUE), refined
-    return ClaimResult(Status.UNDETERMINED), refined
+    m2, refined = _tracked_modulus(c, period, orbit_guess)
+    if m2 is not None:
+        excluded = m2.hi < 1.0 or m2.lo > 1.0
+    else:
+        excluded = _cycle_absent(c, period, refined)
+    return ClaimResult(Status.TRUE if excluded else Status.UNDETERMINED), refined
 
 
 def multiplier_im_excludes_zero(
@@ -439,11 +450,12 @@ def component_witnesses(red_cert, period: int, center: complex) -> tuple[int, St
 
     Returns the number of connected TRUE components of red_cert, then the
     status of attracting_cycle_box for the cycle through the critical
-    orbit of the superattracting center: on a 1e-10 box about the center
-    (the attracting witness, TRUE) and on the lower-left 1/16 corner of
-    the rect (the repelling witness, FALSE).  For a corner wider than
-    _ABSENCE_MAX_WIDTH, as at the paper's rect, absence is never tried, so
-    FALSE there is a certified cycle with squared modulus above 1.
+    orbit of the superattracting center on a 1e-10 box about the center
+    (the attracting witness, TRUE), and the modulus status of that cycle
+    on the lower-left 1/16 corner of the rect (the repelling witness,
+    FALSE).  The repelling witness is FALSE only for a certified cycle
+    with squared modulus above 1; a certified absence there is
+    UNDETERMINED, since it shows no repelling cycle.
     """
     from .scan import component_rollup
 
@@ -454,8 +466,9 @@ def component_witnesses(red_cert, period: int, center: complex) -> tuple[int, St
         Interval(rect.re.lo, rect.re.lo + rect.re.width() / 16.0),
         Interval(rect.im.lo, rect.im.lo + rect.im.width() / 16.0),
     )
-    repelling, _ = attracting_cycle_box(corner, period, orbit)
-    return len(component_rollup(red_cert, Status.TRUE)), attracting.status, repelling.status
+    m2, _ = _tracked_modulus(corner, period, orbit)
+    repelling = Status.UNDETERMINED if m2 is None else _modulus_status(m2)
+    return len(component_rollup(red_cert, Status.TRUE)), attracting.status, repelling
 
 
 # ---------------------------------------------------------------------------

@@ -240,7 +240,6 @@ class TestCenters:
         for label in ("zero", "c*", "omega*c*", "omega2*c*"):
             assert label in out
         assert "-1.754877666" in out
-        assert "rotation consistency: True" in out
         widths = [float(w) for w in re.findall(r"\(width (\S+)\)", out)]
         assert len(widths) == 4 and all(w < 1e-9 for w in widths)
 

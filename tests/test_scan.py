@@ -98,10 +98,9 @@ class TestAdaptiveScan:
             for leaf in tree.leaves
         )
         assert area == 1.0
-        hull = tree.leaves[0].box
-        for leaf in tree.leaves[1:]:
-            hull = hull.hull(leaf.box)
-        assert hull == UNIT
+        boxes = [leaf.box for leaf in tree.leaves]
+        assert min(b.re.lo for b in boxes) == UNIT.re.lo and max(b.re.hi for b in boxes) == UNIT.re.hi
+        assert min(b.im.lo for b in boxes) == UNIT.im.lo and max(b.im.hi for b in boxes) == UNIT.im.hi
 
     def test_leaf_at_prefers_deepest(self):
         tree = adaptive_scan(UNIT, _checkerboard(2), 2)
@@ -178,6 +177,15 @@ class TestCertificates:
         ) + "\n"
         with pytest.raises(ValueError):
             parse(tampered.encode())
+
+    def test_empty_leaf_rejected(self):
+        # [inf, -inf] endpoints are no box: such a leaf must not parse, let
+        # alone as a TRUE leaf that rollup counts
+        inf, ninf = "7ff0000000000000", "fff0000000000000"
+        rect = " ".join(struct.pack(">d", v).hex() for v in (0.0, 1.0, 0.0, 1.0))
+        data = f"#claim=x\n#rect={rect}\n#leaves=1\n0 0 T {inf} {ninf} {inf} {ninf}\n"
+        with pytest.raises(ValueError):
+            parse(data.encode())
 
     def test_unknown_header_rejected(self):
         with pytest.raises(ValueError):

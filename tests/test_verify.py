@@ -12,6 +12,7 @@ from tricert import verify
 from tricert.cli import PAPER_R, PAPER_X_REGION
 from tricert.dynamics import cycle_multiplier, float_iterate
 from tricert.intervals import ComplexBox, Interval, ZeroDivisionBoxError
+from tricert.scan import Leaf, ParamCertificate
 from tricert.verify import (
     TWO_PI,
     ContourEnclosure,
@@ -20,6 +21,7 @@ from tricert.verify import (
     _certify_tracked_cycle,
     attracting_cycle_box,
     boundary_disjoint,
+    component_witnesses,
     contour_integral,
     count_fixed_points,
     decide_count,
@@ -68,7 +70,8 @@ def _scalar_edge_integral(fn, a: complex, b: complex, budget: float, depth: int)
     the segment lies in its enclosure, so each piece contributes
     enclosure * (b - a).
     """
-    seg = ComplexBox.point(a).hull(ComplexBox.point(b))
+    seg = ComplexBox(Interval(min(a.real, b.real), max(a.real, b.real)),
+                     Interval(min(a.imag, b.imag), max(a.imag, b.imag)))
     val, der = fn(seg)
     try:
         integrand = der * val.recip()
@@ -237,6 +240,14 @@ class TestContourCounting:
         assert count == 0
         assert enc.value.contains(0j)
 
+    def test_contour_bits_are_pinned(self):
+        # the batch contour uses elementwise numpy only, no BLAS, so these
+        # endpoints hold on any machine
+        enc, count = count_fixed_points(PAPER_R.quarter()[0], PAPER_X_REGION, 6, 2.0, 10)
+        assert count == 1
+        assert _enc_hex(enc) == (("-0x1.46c752a5cca58p+0", "0x1.4ade13d51c050p+0",
+                                  "0x1.39ad090fa616bp+2", "0x1.005fa910ba29dp+3"), 3305)
+
     def test_odd_iterate_rejected(self):
         with pytest.raises(ValueError):
             count_fixed_points(ComplexBox.point(0j), U_RECT, 3)
@@ -323,6 +334,18 @@ class TestCycleClaims:
         excluded, _ = parabolic_excluded(box, 6, orbit)
         assert attracting.status is Status.UNDETERMINED
         assert excluded.status is Status.UNDETERMINED
+
+    def test_absence_is_no_repelling_witness(self, monkeypatch):
+        # on a rect narrow enough that absence is tried at the corner, a
+        # certified absence there shows no repelling cycle
+        monkeypatch.setattr(verify, "krawczyk_cycle",
+                            lambda *args, **kwargs: (verify.NewtonStatus.UNKNOWN, []))
+        monkeypatch.setattr(verify, "krawczyk_absence", lambda *args: True)
+        rect = ComplexBox.around(R_RECT.midpoint(), 3.2e-5)
+        assert rect.width() / 16.0 < verify._ABSENCE_MAX_WIDTH
+        cert = ParamCertificate("red", rect, {}, [Leaf(0, rect, Status.TRUE)])
+        _, _, repelling = component_witnesses(cert, 9, R_RECT.midpoint())
+        assert repelling is Status.UNDETERMINED
 
     def test_multiplier_nonreal_newton_failure(self):
         c = 1e8 + 1e8j
