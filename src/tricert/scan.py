@@ -1,10 +1,11 @@
 """Adaptive quadtree subdivision of parameter rectangles.
 
-The engine is generic over claims: a claim evaluates one parameter box to
-a ClaimResult and hands a continuation seed to the children of that box.
-Only Undetermined boxes are refined, children always in (SW, SE, NW, NE)
-order, so two runs with the same configuration produce bit-identical
-certificates.
+The engine is generic over claims: a claim evaluates a whole level of
+parameter boxes at once to ClaimResults and hands each box's continuation
+seed to the children of that box.  Only Undetermined boxes are refined,
+children always in (SW, SE, NW, NE) order, and the leaves are listed in
+the order of their quadtree paths, so two runs with the same configuration
+produce bit-identical certificates.
 """
 
 from __future__ import annotations
@@ -86,33 +87,39 @@ def adaptive_scan(
 ) -> ParamCertificate:
     """Classify rect by the claim, refining Undetermined boxes quadwise.
 
+    The walk is level-synchronous: the live boxes of each depth from
+    min_depth on are evaluated by one claim.evaluate_level(boxes, seeds)
+    call, which returns their results and the seeds of their children.
     Boxes above min_depth are split without being evaluated.  Budget
     exhaustion leaves Undetermined leaves in place, never failure.  The
-    walk is depth first with children in quadrant order, so the leaves
-    come out in the order of their quadtree paths.
+    leaves are sorted by quadtree path (quadrant indices from the root),
+    the order in which a depth-first walk would emit them.
     """
     if max_depth < 0:
         raise ValueError("max_depth must be >= 0")
     if not 0 <= min_depth <= max_depth:
         raise ValueError("min_depth must lie in [0, max_depth]")
-    leaves: list[Leaf] = []
-    stack = [(0, rect, claim.initial_seed(rect))]
-    while stack:
-        depth, box, seed = stack.pop()
-        result = None
+    leaves: list[tuple[tuple[int, ...], Leaf]] = []
+    frontier = [((), rect, claim.initial_seed(rect))]
+    depth = 0
+    while frontier:
+        paths, boxes, seeds = (list(column) for column in zip(*frontier))
+        results = [None] * len(boxes)
         if depth >= min_depth:
-            result, seed = claim.evaluate(box, seed)
-        refine = result is None or (
-            result.status is Status.UNDETERMINED
-            and depth < max_depth
-            and box.width() > min_width
-        )
-        if refine:
-            # reversed, so the first quadrant is popped first
-            for child in reversed(box.quarter()):
-                stack.append((depth + 1, child, seed))
-        else:
-            leaves.append(Leaf(depth, box, result.status, result.effort))
+            results, seeds = claim.evaluate_level(boxes, seeds)
+        frontier = []
+        for path, box, result, seed in zip(paths, boxes, results, seeds):
+            if result is None or (
+                result.status is Status.UNDETERMINED
+                and depth < max_depth
+                and box.width() > min_width
+            ):
+                frontier += [(path + (k,), child, seed)
+                             for k, child in enumerate(box.quarter())]
+            else:
+                leaves.append((path, Leaf(depth, box, result.status, result.effort)))
+        depth += 1
+    leaves.sort(key=lambda item: item[0])
 
     config = {
         "max_depth": str(max_depth),
@@ -120,7 +127,9 @@ def adaptive_scan(
         "min_width": repr(min_width),
     }
     config.update(claim.config())
-    return ParamCertificate(claim=claim.name, root=rect, config=config, leaves=leaves)
+    return ParamCertificate(
+        claim=claim.name, root=rect, config=config, leaves=[leaf for _, leaf in leaves]
+    )
 
 
 def component_rollup(

@@ -30,7 +30,6 @@ from .dynamics import (
     antiholo_modulus,
     conj_holomorphic_form,
     cycle_multiplier,
-    eval_f,
     even_iterate,
     float_f,
     float_iterate,
@@ -45,6 +44,7 @@ __all__ = [
     "ClaimResult",
     "ContourEnclosure",
     "boundary_disjoint",
+    "boundary_disjoint_level",
     "contour_integral",
     "count_fixed_points",
     "decide_count",
@@ -53,6 +53,7 @@ __all__ = [
     "parabolic_excluded",
     "multiplier_im_excludes_zero",
     "component_witnesses",
+    "PerBoxClaim",
     "BoundaryDisjointClaim",
     "FixedPointCountClaim",
     "ParabolicExclusionClaim",
@@ -94,60 +95,10 @@ class ContourEnclosure:
 # ---------------------------------------------------------------------------
 
 
-def _boundary_segments(u: ComplexBox) -> list[ComplexBox]:
-    """The four edges of dU as degenerate boxes."""
-    re, im = u.re, u.im
-    return [
-        ComplexBox(re, Interval.point(im.lo)),
-        ComplexBox(re, Interval.point(im.hi)),
-        ComplexBox(Interval.point(re.lo), im),
-        ComplexBox(Interval.point(re.hi), im),
-    ]
-
-
-def boundary_disjoint(
-    c: ComplexBox, u: ComplexBox, n: int, max_depth: int = 14
-) -> ClaimResult:
-    """Does f_c^n(dU) avoid dU, uniformly over the parameter box?
-
-    TRUE: every piece of dU maps strictly inside U or strictly off the
-    closure of U.  FALSE: some piece maps strictly inside while another
-    maps strictly outside, so for every parameter in the box the image
-    curve crosses dU.  UNDETERMINED otherwise.
-    """
-    if u.re.lo == u.re.hi or u.im.lo == u.im.hi:
-        raise ValueError("dynamical rectangle must have positive area")
-    if n < 1:
-        raise ValueError("iterate must be >= 1")
-    stack = [(seg, 0) for seg in _boundary_segments(u)]
-    effort = 0
-    saw_inside = saw_outside = saw_undet = False
-    while stack:
-        seg, depth = stack.pop()
-        z = seg
-        for _ in range(n):
-            z = eval_f(c, z)
-        effort += 1
-        if u.strictly_contains(z):
-            saw_inside = True
-        elif not z.intersects(u):
-            saw_outside = True
-        elif depth < max_depth:
-            a, b = seg.bisect()
-            stack.append((a, depth + 1))
-            stack.append((b, depth + 1))
-        else:
-            saw_undet = True
-    if saw_inside and saw_outside:
-        return ClaimResult(Status.FALSE, effort)
-    if saw_undet:
-        return ClaimResult(Status.UNDETERMINED, effort)
-    return ClaimResult(Status.TRUE, effort)
-
-
-# ---------------------------------------------------------------------------
-# argument-principle counting
-# ---------------------------------------------------------------------------
+# rows of one segment batch; a batch that splits pushes at most two
+# batches one segment level deeper, so the stack of one walk holds at most
+# two batches per level
+_ROW_CAP = 4096
 
 
 def _midpoint(a, b):
@@ -160,6 +111,116 @@ def _midpoint(a, b):
 
 def _interleave(x, y):
     return np.column_stack((x, y)).ravel()
+
+
+def _bisect_rows(re, im):
+    """ComplexBox.bisect row by row: the halves of row k sit at 2k and 2k + 1."""
+
+    def halves(pair):
+        m = _midpoint(*pair)
+        return _interleave(pair[0], m), _interleave(m, pair[1])
+
+    def twice(pair):
+        return np.repeat(pair[0], 2), np.repeat(pair[1], 2)
+
+    wide = np.repeat(_up_arr(re[1] - re[0]) >= _up_arr(im[1] - im[0]), 2)
+    re2 = np.where(wide, halves(re), twice(re))
+    im2 = np.where(wide, twice(im), halves(im))
+    return (re2[0], re2[1]), (im2[0], im2[1])
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _segment_walk(cs: BoxArray, u: ComplexBox, n: int, max_depth: int, effort, flags):
+    """The boundary test of the parameter rows of cs, from one stack of
+    batches of at most _ROW_CAP segment rows: adds each row's segment count
+    to effort and sets its inside, outside and undetermined flags (the
+    three rows of flags)."""
+    inside, outside, undet = flags
+    count = len(cs)
+    re, im = u.re, u.im
+    edges = np.array([(re.lo, re.hi, im.lo, im.lo), (re.lo, re.hi, im.hi, im.hi),
+                      (re.lo, re.lo, im.lo, im.hi), (re.hi, re.hi, im.lo, im.hi)])
+    e = np.tile(edges, (count, 1)).T
+    stack = [(BoxArray((e[0], e[1]), (e[2], e[3])), np.repeat(np.arange(count), 4), 0)]
+    while stack:
+        seg, owner, depth = stack.pop()
+        z, c = seg, cs[owner]
+        for _ in range(n):
+            z = z.sqr().conj() + c
+        effort += np.bincount(owner, minlength=count)
+        finite = z.finite()
+        (a, b), (p, q) = z.re, z.im
+        strict = (re.lo < a) & (b < re.hi) & (im.lo < p) & (q < im.hi)
+        meets = (re.lo <= b) & (a <= re.hi) & (im.lo <= q) & (p <= im.hi)
+        inside[owner[finite & strict]] = True
+        outside[owner[finite & ~meets]] = True
+        undet[owner[~finite]] = True
+        split = finite & meets & ~strict
+        if depth >= max_depth:
+            undet[owner[split]] = True
+        elif split.any():
+            seg = seg[split]
+            halves = BoxArray(*_bisect_rows(seg.re, seg.im))
+            owner = np.repeat(owner[split], 2)
+            for k in range(0, len(owner), _ROW_CAP):
+                rows = slice(k, k + _ROW_CAP)
+                stack.append((halves[rows], owner[rows], depth + 1))
+
+
+def boundary_disjoint_level(
+    boxes: list[ComplexBox], u: ComplexBox, n: int, max_depth: int = 14
+) -> list[ClaimResult]:
+    """boundary_disjoint for each parameter box, evaluated in batches.
+
+    A row is one boundary segment of one box, with that box's c row.  The
+    rows of _ROW_CAP // 4 boxes at a time start as the four edges of dU and
+    are iterated n times through BoxArray, which repeats the ComplexBox
+    arithmetic bit for bit.  A row strictly inside U or off U is decided;
+    any other row is bisected below max_depth, and at max_depth marks its
+    box Undetermined.  A row that is not finite, where the ComplexBox
+    evaluation would overflow, marks its box Undetermined and is not split.
+    The flags and segment count of a box are a union and a sum over its
+    rows, so they do not depend on the order of evaluation.
+    """
+    if u.re.lo == u.re.hi or u.im.lo == u.im.hi:
+        raise ValueError("dynamical rectangle must have positive area")
+    if n < 1:
+        raise ValueError("iterate must be >= 1")
+    count, step = len(boxes), _ROW_CAP // 4
+    cs = BoxArray.of(boxes)
+    effort = np.zeros(count, dtype=np.int64)
+    flags = np.zeros((3, count), dtype=bool)
+    for k in range(0, count, step):
+        _segment_walk(cs[k:k + step], u, n, max_depth, effort[k:k + step], flags[:, k:k + step])
+    results = []
+    for segments, (inside, outside, undet) in zip(effort.tolist(), flags.T.tolist()):
+        if inside and outside:
+            status = Status.FALSE
+        elif undet:
+            status = Status.UNDETERMINED
+        else:
+            status = Status.TRUE
+        results.append(ClaimResult(status, segments))
+    return results
+
+
+def boundary_disjoint(
+    c: ComplexBox, u: ComplexBox, n: int, max_depth: int = 14
+) -> ClaimResult:
+    """Does f_c^n(dU) avoid dU, uniformly over the parameter box?
+
+    TRUE: every piece of dU maps strictly inside U or strictly off the
+    closure of U.  FALSE: some piece maps strictly inside while another
+    maps strictly outside, so for every parameter in the box the image
+    curve crosses dU.  UNDETERMINED otherwise, also when the enclosure of
+    some piece overflows.  The one-box call of boundary_disjoint_level.
+    """
+    return boundary_disjoint_level([c], u, n, max_depth)[0]
+
+
+# ---------------------------------------------------------------------------
+# argument-principle counting
+# ---------------------------------------------------------------------------
 
 
 def _integrand(fn, re, im) -> BoxArray:
@@ -480,6 +541,15 @@ def _rect_text(r: ComplexBox) -> str:
     return f"{r.re.lo},{r.re.hi},{r.im.lo},{r.im.hi}"
 
 
+class PerBoxClaim:
+    """Base of the claims that evaluate one parameter box at a time:
+    evaluate_level maps evaluate(box, seed) -> (result, seed) over a level."""
+
+    def evaluate_level(self, boxes, seeds):
+        pairs = [self.evaluate(box, seed) for box, seed in zip(boxes, seeds)]
+        return [result for result, _ in pairs], [seed for _, seed in pairs]
+
+
 class BoundaryDisjointClaim:
     """Scan claim: f_c^n(dU) disjoint from dU (the cyan/green/blue test)."""
 
@@ -499,11 +569,11 @@ class BoundaryDisjointClaim:
     def initial_seed(self, rect: ComplexBox):
         return None
 
-    def evaluate(self, box: ComplexBox, seed):
-        return boundary_disjoint(box, self.u, self.n, self.segment_depth), None
+    def evaluate_level(self, boxes, seeds):
+        return boundary_disjoint_level(boxes, self.u, self.n, self.segment_depth), seeds
 
 
-class FixedPointCountClaim:
+class FixedPointCountClaim(PerBoxClaim):
     """Scan claim: the even iterate has exactly `expect` fixed points in
     the region, decided by the argument-principle enclosure.
 
@@ -548,7 +618,7 @@ class FixedPointCountClaim:
         return ClaimResult(status, enc.segments), None
 
 
-class ParabolicExclusionClaim:
+class ParabolicExclusionClaim(PerBoxClaim):
     """Scan claim: tracked period-p cycle avoids multiplier one (red = U)."""
 
     def __init__(self, period: int, initial_orbit: list[complex]):
@@ -567,7 +637,7 @@ class ParabolicExclusionClaim:
         return parabolic_excluded(box, self.period, seed)
 
 
-class MultiplierNonRealClaim:
+class MultiplierNonRealClaim(PerBoxClaim):
     """Scan claim: multiplier of the f^6 fixed point is non-real (yellow = U)."""
 
     def __init__(self, region: ComplexBox | None = None, guess: complex = 0.04 + 0.04j):

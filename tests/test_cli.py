@@ -148,7 +148,7 @@ class TestScan:
         assert capsys.readouterr().err.startswith("error: ")
 
     def test_golden_qlike_certificate(self, tmp_path):
-        # a numpy-free scan of the qlike-wide rectangle; the digest excludes
+        # a shallow scan of the qlike-wide rectangle; the digest excludes
         # the #config.cli.* echo, so it pins the leaves and the claim config
         out = tmp_path / "cert.txt"
         code = _run([
@@ -161,6 +161,38 @@ class TestScan:
         assert hashlib.sha256(body).hexdigest() == (
             "8209bcc676ef9964b4f5c2aab4193da65a211127cb33cc3e797e14e7c4152752"
         )
+
+    def test_golden_qlike_wide_certificate(self, tmp_path):
+        # the whole qlike-wide workload: 3,469 leaves, 1,910 Undetermined;
+        # the digests are those of the depth-first scan that preceded the
+        # level-synchronous one
+        out, img = tmp_path / "Q", tmp_path / "Q.ppm"
+        code = _run([
+            "scan", "--claim", "qlike", "--rect", "-1.8025,-1.6745,-0.0482,0.0798",
+            "--max-depth", "8", "--segment-depth", "8", "-o", str(out), "--image", str(img),
+        ])
+        assert code == 1
+        lines = out.read_bytes().splitlines(keepends=True)
+        body = b"".join(ln for ln in lines if not ln.startswith(b"#config.cli."))
+        assert hashlib.sha256(body).hexdigest() == (
+            "751eb6845cc8826e6612f8604c51bec87125a8b1436c9967bcbeb37550ce6b9d"
+        )
+        assert hashlib.sha256(img.read_bytes()).hexdigest() == (
+            "12b0903c0e319634d12f87ad4db19e8442ae6195a5631579314d12ecc06882d9"
+        )
+
+    def test_overflowing_qlike_rect_is_undetermined(self, tmp_path, capsys):
+        # every boundary image overflows: Undetermined leaves, not a traceback
+        out = tmp_path / "cert.txt"
+        code = _run([
+            "scan", "--claim", "qlike", "--rect", "1e200,2e200,1e200,2e200",
+            "--max-depth", "1", "--segment-depth", "2", "-o", str(out),
+        ])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == "scan qlike: UNDETERMINED over 4 leaves\n"
+        assert captured.err == ""
+        assert [leaf.status.value for leaf in parse(out.read_bytes()).leaves] == ["U"] * 4
 
     def test_scan_image_output(self, tmp_path):
         out = tmp_path / "cert.txt"

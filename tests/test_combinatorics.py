@@ -1,5 +1,7 @@
 """The certified period-3 centers."""
 
+import cmath
+import math
 import time
 
 import pytest
@@ -56,11 +58,14 @@ class TestCenters:
         assert c_star.c.im == Interval.point(0.0)
 
     def test_rotation_consistency(self):
+        # omega^k c* is c* turned by 2 pi k / 3: a swapped or unrotated
+        # center changes the argument differences
         solutions = solve_period3_centers()
         by_label = {s.label: s.c.midpoint() for s in solutions}
-        base = abs(by_label["c*"])
-        assert abs(abs(by_label["omega*c*"]) - base) < 1e-9
-        assert abs(abs(by_label["omega2*c*"]) - base) < 1e-9
+        base = cmath.phase(by_label["c*"])
+        for label, turn in (("omega*c*", 2 * math.pi / 3), ("omega2*c*", 4 * math.pi / 3)):
+            diff = (cmath.phase(by_label[label]) - base) % (2 * math.pi)
+            assert abs(diff - turn) < 1e-9, label
 
     def test_rotated_centers_hold_the_exact_rotations(self):
         # oracle: the real root of c^3 + 2c^2 + c + 1 at 50 digits, and its

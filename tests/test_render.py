@@ -13,7 +13,7 @@ from tricert.render import (
     write_ppm,
 )
 from tricert.scan import ParamCertificate, adaptive_scan
-from tricert.verify import ClaimResult, Status
+from tricert.verify import ClaimResult, PerBoxClaim, Status
 
 SQUARE = ComplexBox(Interval(-2.0, 2.0), Interval(-2.0, 2.0))
 
@@ -98,7 +98,7 @@ class TestEscape:
             render_escape(SQUARE, 4, 4, 10, mode="nova")
 
 
-class _QuadrantClaim:
+class _QuadrantClaim(PerBoxClaim):
     """TRUE in the lower-left quadrant at depth 1, FALSE elsewhere."""
 
     name = "synthetic-quadrant"

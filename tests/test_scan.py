@@ -1,6 +1,8 @@
 """Adaptive subdivision, component rollup, and certificate round-trips."""
 
+import itertools
 import struct
+from collections import Counter
 
 import pytest
 
@@ -13,12 +15,12 @@ from tricert.scan import (
     parse,
     serialize,
 )
-from tricert.verify import ClaimResult, Status
+from tricert.verify import ClaimResult, PerBoxClaim, Status
 
 UNIT = ComplexBox(Interval(0.0, 1.0), Interval(0.0, 1.0))
 
 
-class _GridClaim:
+class _GridClaim(PerBoxClaim):
     """Synthetic claim: refine to target_depth, then classify by a grid
     function of the box midpoint.  Deterministic and cheap."""
 
@@ -64,6 +66,86 @@ def _flood_fill_components(cells):
                     remaining.remove(nb)
                     stack.append(nb)
     return count
+
+
+def _depth_first_scan(rect, claim, max_depth, min_width=0.0, min_depth=0):
+    """The depth-first walk that preceded the level-synchronous one in
+    tricert.scan, kept as the oracle of its leaves and their order."""
+    leaves = []
+    stack = [(0, rect, claim.initial_seed(rect))]
+    while stack:
+        depth, box, seed = stack.pop()
+        result = None
+        if depth >= min_depth:
+            result, seed = claim.evaluate(box, seed)
+        refine = result is None or (
+            result.status is Status.UNDETERMINED
+            and depth < max_depth
+            and box.width() > min_width
+        )
+        if refine:
+            # reversed, so the first quadrant is popped first
+            for child in reversed(box.quarter()):
+                stack.append((depth + 1, child, seed))
+        else:
+            leaves.append(Leaf(depth, box, result.status, result.effort))
+    return leaves
+
+
+class _SeedClaim(PerBoxClaim):
+    """Synthetic claim that hands each box itself as its children's seed,
+    records the seed every box receives, and classifies by a hash of the
+    box midpoint, Undetermined on about a third of the boxes."""
+
+    name = "synthetic-seed"
+
+    def __init__(self):
+        self.received = []
+
+    def config(self):
+        return {}
+
+    def initial_seed(self, rect):
+        return "root"
+
+    def evaluate(self, box, seed):
+        self.received.append((box, seed))
+        m = box.midpoint()
+        k = int(m.real * 1009 + m.imag * 2003)
+        return ClaimResult(list(Status)[k % 3], k % 17), box
+
+
+def _scan_settings():
+    for min_depth, max_depth in itertools.product(range(3), range(5)):
+        if min_depth <= max_depth:
+            for min_width in (0.0, 0.2, 0.07):
+                yield max_depth, min_width, min_depth
+
+
+class TestScanOrderOracle:
+    @pytest.mark.parametrize("max_depth,min_width,min_depth", list(_scan_settings()))
+    def test_grid_claim_matches_depth_first(self, max_depth, min_width, min_depth):
+        mixed = lambda z: list(Status)[int(z.real * 7 + z.imag * 13) % 3]
+        level, oracle = _GridClaim(3, mixed), _GridClaim(3, mixed)
+        cert = adaptive_scan(UNIT, level, max_depth, min_width, min_depth)
+        assert cert.leaves == _depth_first_scan(UNIT, oracle, max_depth, min_width, min_depth)
+        assert level.calls == oracle.calls
+
+    @pytest.mark.parametrize("max_depth,min_width,min_depth", list(_scan_settings()))
+    def test_seeds_match_depth_first(self, max_depth, min_width, min_depth):
+        level, oracle = _SeedClaim(), _SeedClaim()
+        cert = adaptive_scan(UNIT, level, max_depth, min_width, min_depth)
+        assert cert.leaves == _depth_first_scan(UNIT, oracle, max_depth, min_width, min_depth)
+        assert len(level.received) == len(oracle.received)
+        assert Counter(level.received) == Counter(oracle.received)
+        # a box receives the root seed above the first evaluated level, and
+        # its parent box below it
+        top = UNIT.width() / 2 ** min_depth
+        for box, seed in level.received:
+            if seed == "root":
+                assert box.width() == top
+            else:
+                assert box in seed.quarter()
 
 
 class TestAdaptiveScan:

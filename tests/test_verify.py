@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -9,18 +10,21 @@ from hypothesis import strategies as st
 from mpmath import mpc, mpf, workdps
 
 from tricert import verify
-from tricert.cli import PAPER_R, PAPER_X_REGION
-from tricert.dynamics import cycle_multiplier, float_iterate
-from tricert.intervals import ComplexBox, Interval, ZeroDivisionBoxError
-from tricert.scan import Leaf, ParamCertificate
+from tricert.cli import PAPER_R, PAPER_U, PAPER_X_REGION, _parse_rect
+from tricert.dynamics import cycle_multiplier, eval_f, float_iterate
+from tricert.intervals import ComplexBox, EmptyIntervalError, Interval, ZeroDivisionBoxError
+from tricert.scan import Leaf, ParamCertificate, adaptive_scan
 from tricert.verify import (
     TWO_PI,
+    BoundaryDisjointClaim,
+    ClaimResult,
     ContourEnclosure,
     MultiplierNonRealClaim,
     Status,
     _certify_tracked_cycle,
     attracting_cycle_box,
     boundary_disjoint,
+    boundary_disjoint_level,
     component_witnesses,
     contour_integral,
     count_fixed_points,
@@ -199,6 +203,71 @@ def test_overflow_is_undetermined():
     assert count_fixed_points(ComplexBox.point(0j), far, 2) == (None, None)
 
 
+# The depth-first boundary test that preceded the batched one in
+# tricert.verify, kept as the bitwise oracle for it.
+
+
+def _scalar_boundary_disjoint(c: ComplexBox, u: ComplexBox, n: int, max_depth: int = 14):
+    """boundary_disjoint one segment at a time; raises EmptyIntervalError
+    where an enclosure overflows."""
+    re, im = u.re, u.im
+    edges = [ComplexBox(re, Interval.point(im.lo)), ComplexBox(re, Interval.point(im.hi)),
+             ComplexBox(Interval.point(re.lo), im), ComplexBox(Interval.point(re.hi), im)]
+    stack = [(seg, 0) for seg in edges]
+    effort = 0
+    saw_inside = saw_outside = saw_undet = False
+    while stack:
+        seg, depth = stack.pop()
+        z = seg
+        for _ in range(n):
+            z = eval_f(c, z)
+        effort += 1
+        if u.strictly_contains(z):
+            saw_inside = True
+        elif not z.intersects(u):
+            saw_outside = True
+        elif depth < max_depth:
+            a, b = seg.bisect()
+            stack.append((a, depth + 1))
+            stack.append((b, depth + 1))
+        else:
+            saw_undet = True
+    if saw_inside and saw_outside:
+        return ClaimResult(Status.FALSE, effort)
+    if saw_undet:
+        return ClaimResult(Status.UNDETERMINED, effort)
+    return ClaimResult(Status.TRUE, effort)
+
+
+QLIKE_WIDE = _parse_rect("-1.8025,-1.6745,-0.0482,0.0798")
+# U = [-1/4, 1/4]^2 and the point c = 1/4 + i/8: f_c maps the corner
+# 1/4 + i/4 exactly onto the edge point 1/4, so the image of every segment
+# through that corner meets dU at every depth and the box is never TRUE
+QUARTER_U = ComplexBox(Interval(-0.25, 0.25), Interval(-0.25, 0.25))
+TOUCHING_C = ComplexBox.point(0.25 + 0.125j)
+
+
+def _grid(rect: ComplexBox, level: int) -> list[ComplexBox]:
+    """The 4^level quadtree cells of rect at one level."""
+    boxes = [rect]
+    for _ in range(level):
+        boxes = [child for box in boxes for child in box.quarter()]
+    return boxes
+
+
+# parameter boxes and dynamical squares on dyadic grids, where images land
+# exactly on dU often
+_DYADIC = st.integers(-128, 64).map(lambda k: k / 64.0)
+_PARAM_BOX = st.builds(
+    lambda x, y, w, h: ComplexBox(Interval(x, x + w), Interval(y, y + h)),
+    _DYADIC, _DYADIC, st.sampled_from((0.0, 2.0 ** -12, 2.0 ** -6)),
+    st.sampled_from((0.0, 2.0 ** -12, 2.0 ** -6)),
+)
+_U_BOXES = (U_RECT, PAPER_U, QUARTER_U,
+            ComplexBox(Interval(-0.5, 0.25), Interval(-0.125, 0.5)),
+            ComplexBox(Interval(-2.0, 2.0), Interval(-2.0, 2.0)))
+
+
 class TestBoundaryDisjoint:
     def test_reference_rectangle_verified(self):
         result = boundary_disjoint(R_RECT, U_RECT, 3)
@@ -222,6 +291,103 @@ class TestBoundaryDisjoint:
     def test_bad_iterate_rejected(self):
         with pytest.raises(ValueError):
             boundary_disjoint(R_RECT, U_RECT, 0)
+
+    @pytest.mark.parametrize("depth", [0, 3, 8])
+    def test_touching_image_is_undetermined(self, depth):
+        oracle = _scalar_boundary_disjoint(TOUCHING_C, QUARTER_U, 1, depth)
+        assert boundary_disjoint(TOUCHING_C, QUARTER_U, 1, depth) == oracle
+        assert oracle.status is not Status.TRUE
+
+    def test_overflow_is_undetermined(self):
+        # every segment image overflows: the oracle raises, the batch marks
+        # the box Undetermined and splits nothing
+        far = ComplexBox(Interval(1e200, 2e200), Interval(1e200, 2e200))
+        with pytest.raises(EmptyIntervalError):
+            _scalar_boundary_disjoint(far, U_RECT, 3, 2)
+        near = ComplexBox.around(R_RECT.midpoint(), 1e-6)
+        results = boundary_disjoint_level([far, near, far], U_RECT, 3, 2)
+        assert results[0] == results[2] == ClaimResult(Status.UNDETERMINED, 4)
+        assert results[1] == _scalar_boundary_disjoint(near, U_RECT, 3, 2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(_PARAM_BOX, min_size=1, max_size=6), st.sampled_from(_U_BOXES),
+           st.integers(1, 3), st.integers(0, 8))
+    @example([TOUCHING_C, ComplexBox.point(0j)], QUARTER_U, 1, 8)
+    def test_batch_matches_scalar_oracle(self, boxes, u, n, depth):
+        oracle = [_scalar_boundary_disjoint(c, u, n, depth) for c in boxes]
+        assert boundary_disjoint_level(boxes, u, n, depth) == oracle
+
+    def test_mixed_frontier_matches_scalar_oracle(self):
+        # one level of the qlike-wide scan: TRUE, FALSE and Undetermined
+        # owners share the batches
+        boxes = _grid(QLIKE_WIDE, 3)
+        results = boundary_disjoint_level(boxes, PAPER_U, 3, 8)
+        assert {r.status for r in results} == set(Status)
+        assert results == [_scalar_boundary_disjoint(c, PAPER_U, 3, 8) for c in boxes]
+
+    def test_small_row_cap_splits_the_stack(self, monkeypatch):
+        # 8 rows per batch: two boxes per walk, and every level that splits
+        # more than 4 rows pushes two batches
+        boxes = _grid(QLIKE_WIDE, 2)
+        wide = boundary_disjoint_level(boxes, PAPER_U, 3, 6)
+        monkeypatch.setattr(verify, "_ROW_CAP", 8)
+        batches = []
+        walk = verify._segment_walk
+
+        def counted(cs, *args):
+            batches.append(len(cs))
+            return walk(cs, *args)
+
+        monkeypatch.setattr(verify, "_segment_walk", counted)
+        assert boundary_disjoint_level(boxes, PAPER_U, 3, 6) == wide
+        assert batches == [2] * 8
+        assert wide == [_scalar_boundary_disjoint(c, PAPER_U, 3, 6) for c in boxes]
+
+    def test_live_rows_are_bounded(self, monkeypatch):
+        # the rows on the stack plus the batch under evaluation stay within
+        # _ROW_CAP per segment level (plus one), however many boxes
+        boxes = _grid(QLIKE_WIDE, 3)
+        monkeypatch.setattr(verify, "_ROW_CAP", 64)
+        capped, peak = _live_rows(lambda: boundary_disjoint_level(boxes, PAPER_U, 3, 6))
+        assert peak <= 64 * (6 + 2)
+        monkeypatch.setattr(verify, "_ROW_CAP", 4 * len(boxes))
+        uncapped, wide_peak = _live_rows(lambda: boundary_disjoint_level(boxes, PAPER_U, 3, 6))
+        assert capped == uncapped
+        assert wide_peak > 64 * (6 + 2)
+
+    def test_qlike_wide_effort_matches_scalar_oracle(self):
+        # the qlike-wide workload's scan: 177,752 segment evaluations over
+        # its 3,469 leaves, the total of the depth-first walk; the oracle
+        # rechecks every fifth leaf (all of them take about 8 s)
+        cert = adaptive_scan(QLIKE_WIDE, BoundaryDisjointClaim(PAPER_U, 3, 8), 8)
+        assert len(cert.leaves) == 3469
+        assert sum(leaf.effort for leaf in cert.leaves) == 177_752
+        for leaf in cert.leaves[::5]:
+            oracle = _scalar_boundary_disjoint(leaf.box, PAPER_U, 3, 8)
+            assert (leaf.status, leaf.effort) == (oracle.status, oracle.effort)
+
+
+def _live_rows(run):
+    """run()'s result, and the largest number of segment rows that
+    _segment_walk held on its stack plus in the batch under evaluation,
+    sampled at every line it executed."""
+    code = verify._segment_walk.__wrapped__.__code__
+    peak = 0
+
+    def local(frame, event, arg):
+        nonlocal peak
+        if event == "line":
+            seg, stack = frame.f_locals.get("seg"), frame.f_locals.get("stack", ())
+            live = sum(len(owner) for _, owner, _ in stack) + (0 if seg is None else len(seg))
+            peak = max(peak, live)
+        return local
+
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        result = run()
+    finally:
+        sys.settrace(None)
+    return result, peak
 
 
 class TestContourCounting:
