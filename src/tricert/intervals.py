@@ -287,6 +287,20 @@ def _up_arr(x):
     return np.nextafter(x, _INF)
 
 
+def _interleave(x, y):
+    """Arrays x and y merged along their last axis: x_0, y_0, x_1, y_1, ..."""
+    out = np.empty((*x.shape[:-1], 2 * x.shape[-1]))
+    out[..., 0::2], out[..., 1::2] = x, y
+    return out
+
+
+def _mid_arr(lo, hi):
+    """Interval.midpoint on endpoint arrays."""
+    m = 0.5 * (lo + hi)
+    m = np.where(np.isfinite(m), m, 0.5 * lo + 0.5 * hi)
+    return np.minimum(np.maximum(m, lo), hi)
+
+
 def _scale_arr(lo, hi, k):
     """Interval.scale on endpoint arrays, by exact scalars k (an array or a float)."""
     a, b = lo * k, hi * k

@@ -15,6 +15,14 @@ period).  The fixed point of f_c^6 is z_0 of a certified period-6 cycle,
 and its box must lie in the region X.  Cycle claims use continuation: the
 floating-point orbit refined at a parameter box seeds the Krawczyk
 certification of its children.
+
+Every claim evaluates a whole quadtree level at once.  The qlike claim
+puts the boundary segments of a level in capped BoxArray batches; the two
+cycle claims read their statuses from tracked_cycle_level, which refines,
+certifies and tries absence on the whole level in batched float Newton and
+Krawczyk calls, their rows dynamics._CHUNK at a time.  The one-box
+functions (parabolic_excluded, multiplier_im_excludes_zero,
+attracting_cycle_box, component_witnesses) are one-box calls of it.
 """
 
 from __future__ import annotations
@@ -26,18 +34,18 @@ from enum import Enum
 import numpy as np
 
 from .dynamics import (
-    NewtonStatus,
+    _orbit_boxes,
     antiholo_modulus,
     conj_holomorphic_form,
     cycle_multiplier,
     even_iterate,
     float_f,
     float_iterate,
-    float_newton_cycle,
-    krawczyk_absence,
-    krawczyk_cycle,
+    float_newton_rows,
+    krawczyk_absence_rows,
+    krawczyk_cycle_rows,
 )
-from .intervals import BoxArray, ComplexBox, Interval, _up_arr
+from .intervals import BoxArray, ComplexBox, Interval, _interleave, _mid_arr, _up_arr
 
 __all__ = [
     "Status",
@@ -49,6 +57,7 @@ __all__ = [
     "count_fixed_points",
     "decide_count",
     "preimage_count",
+    "tracked_cycle_level",
     "attracting_cycle_box",
     "parabolic_excluded",
     "multiplier_im_excludes_zero",
@@ -103,14 +112,7 @@ _ROW_CAP = 4096
 
 def _midpoint(a, b):
     """Interval(min(a, b), max(a, b)).midpoint(), row by row."""
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
-    m = 0.5 * (lo + hi)
-    m = np.where(np.isfinite(m), m, 0.5 * lo + 0.5 * hi)
-    return np.minimum(np.maximum(m, lo), hi)
-
-
-def _interleave(x, y):
-    return np.column_stack((x, y)).ravel()
+    return _mid_arr(np.minimum(a, b), np.maximum(a, b))
 
 
 def _bisect_rows(re, im):
@@ -389,57 +391,71 @@ _ABSENCE_RADIUS = 3e-4
 _ABSENCE_MAX_WIDTH = 5e-6
 
 
-def _refine_orbit(c_mid: complex, period: int, orbit_guess):
-    """Coupled float-Newton refresh of the whole orbit at the box midpoint.
+def _refine_orbit(c_mids, guesses):
+    """Coupled float-Newton refresh of each orbit at its box midpoint.
 
-    Returns (orbit, converged); the orbit is returned even on failure so
-    continuation can keep tracking through regions without a cycle.
+    c_mids is a (B,) and guesses a (B, p) complex array.  Returns (orbits,
+    converged); a row keeps its refined orbit even on failure, so
+    continuation can keep tracking through regions without a cycle, and
+    its guess when the refined orbit is not finite.
     """
-    orbit, residual = float_newton_cycle(c_mid, period, orbit_guess)
-    if not all(math.isfinite(z.real) and math.isfinite(z.imag) for z in orbit):
-        return list(orbit_guess), False
-    return orbit, residual < _NEWTON_RESIDUAL_TOL
+    orbits, residual = float_newton_rows(c_mids, guesses)
+    finite = np.isfinite(orbits).all(axis=1)
+    orbits[~finite] = guesses[~finite]
+    return orbits, finite & (residual < _NEWTON_RESIDUAL_TOL)
 
 
-def _certify_tracked_cycle(
-    c: ComplexBox, period: int, orbit_guess
-) -> list[ComplexBox] | None:
-    """Orbit boxes of the continued cycle, certified by Krawczyk; None when
-    certification fails.  The multiplier of an odd-period cycle (the
-    derivative of the doubled iterate) is the square of antiholo_modulus.
+def _pairwise_disjoint(lo, hi):
+    """The rows of (B, 2p) orbit-box endpoints whose p boxes are pairwise
+    disjoint."""
+    meet = np.ones((len(lo), lo.shape[1] // 2, lo.shape[1] // 2), dtype=bool)
+    for axis in (0, 1):
+        a, b = lo[:, axis::2], hi[:, axis::2]
+        meet &= (a[:, :, None] <= b[:, None, :]) & (a[:, None, :] <= b[:, :, None])
+    return ~np.triu(meet, 1).any(axis=(1, 2))
 
-    The coupled system is also solved by a shorter cycle traversed several
-    times, which puts one point in two boxes; pairwise disjoint boxes
-    certify the exact period.
+
+def tracked_cycle_level(boxes: list[ComplexBox], period: int, seeds, absence: bool = True):
+    """The tracked period-p cycle over each parameter box of a level.
+
+    Each seed orbit is refined by float Newton at its box midpoint.  Where
+    Newton converges, Krawczyk certifies the cycle over the whole box; the
+    coupled system is also solved by a shorter cycle traversed several
+    times, which puts one point in two boxes, so only pairwise disjoint
+    orbit boxes count (the exact period).  With absence, a box at most
+    _ABSENCE_MAX_WIDTH wide whose cycle is not certified gets one
+    Krawczyk step on the _ABSENCE_RADIUS neighborhood of its refined
+    orbit.  Every step runs on the whole level, its kernel and Newton rows
+    _CHUNK at a time, and decides each row as it would by itself.
+
+    Returns one (cycle, absent, refined orbit, effort) per box: cycle is
+    None or the (lo, hi) endpoint rows of the certified orbit boxes, over
+    the coordinates (re z_0, im z_0, re z_1, ...), and effort counts the
+    Krawczyk images run for the box.
     """
-    status, boxes = krawczyk_cycle(c, period, orbit_guess, max(1e-9, c.width()))
-    if status is not NewtonStatus.CERTIFIED:
-        return None
-    for i in range(period):
-        for j in range(i + 1, period):
-            if boxes[i].intersects(boxes[j]):
-                return None
-    return boxes
-
-
-def _cycle_absent(c: ComplexBox, period: int, orbit_guess) -> bool:
-    if c.width() > _ABSENCE_MAX_WIDTH:
-        return False
-    return krawczyk_absence(c, period, orbit_guess, _ABSENCE_RADIUS)
-
-
-def _tracked_modulus(c: ComplexBox, period: int, orbit_guess):
-    """Refine the orbit at the box midpoint, certify the cycle by Krawczyk
-    and read its squared modulus product.
-
-    Returns (m2, refined); m2 is None when the cycle is not certified.
-    """
-    refined, converged = _refine_orbit(c.midpoint(), period, orbit_guess)
-    if converged:
-        boxes = _certify_tracked_cycle(c, period, refined)
-        if boxes is not None:
-            return antiholo_modulus(boxes).sqr(), refined
-    return None, refined
+    count = len(boxes)
+    guesses = np.array(seeds, dtype=complex)
+    if guesses.shape != (count, period):
+        raise ValueError("orbit guess length must equal the period")
+    c = BoxArray.of(boxes)
+    orbits, converged = _refine_orbit(np.array([box.midpoint() for box in boxes]), guesses)
+    widths = np.array([box.width() for box in boxes])
+    cycles, effort = [None] * count, np.zeros(count, dtype=np.int64)
+    held = np.zeros(count, dtype=bool)
+    rows = np.flatnonzero(converged)
+    if len(rows):
+        certified, lo, hi, images = krawczyk_cycle_rows(
+            c[rows], orbits[rows], np.maximum(1e-9, widths[rows]))
+        effort[rows] = images
+        held[rows] = certified & _pairwise_disjoint(lo, hi)
+        for k in np.flatnonzero(held[rows]).tolist():
+            cycles[rows[k]] = lo[k], hi[k]
+    absent = np.zeros(count, dtype=bool)
+    rows = np.flatnonzero(~held & (widths <= _ABSENCE_MAX_WIDTH))
+    if absence and len(rows):
+        absent[rows] = krawczyk_absence_rows(c[rows], orbits[rows], _ABSENCE_RADIUS)
+        effort[rows] += 1
+    return list(zip(cycles, absent.tolist(), orbits.tolist(), effort.tolist()))
 
 
 def _modulus_status(m2: Interval) -> Status:
@@ -451,6 +467,32 @@ def _modulus_status(m2: Interval) -> Status:
     return Status.UNDETERMINED
 
 
+def _cycle_modulus(cycle) -> Status:
+    """_modulus_status of the squared modulus product of a certified cycle."""
+    return _modulus_status(antiholo_modulus(_orbit_boxes(*cycle)).sqr())
+
+
+def _excluded_status(cycle, absent: bool) -> Status:
+    """TRUE when the squared modulus enclosure of the certified cycle
+    excludes 1 (either side) or the cycle is certified absent."""
+    if cycle is not None:
+        excluded = _cycle_modulus(cycle) is not Status.UNDETERMINED
+    else:
+        excluded = absent
+    return Status.TRUE if excluded else Status.UNDETERMINED
+
+
+def _nonreal_status(cycle, region: ComplexBox | None) -> Status:
+    """TRUE when the box of z_0 of the certified period-6 cycle lies in the
+    region and the enclosure of Im (f_c^6)'(z_0) excludes 0."""
+    if cycle is None:
+        return Status.UNDETERMINED
+    boxes = _orbit_boxes(*cycle)
+    if region is not None and not region.contains_box(boxes[0]):
+        return Status.UNDETERMINED
+    return Status.UNDETERMINED if cycle_multiplier(boxes).im.contains(0.0) else Status.TRUE
+
+
 def attracting_cycle_box(
     c: ComplexBox, period: int, orbit_guess
 ) -> tuple[ClaimResult, list[complex]]:
@@ -459,13 +501,14 @@ def attracting_cycle_box(
     TRUE when the Krawczyk operator recertifies the cycle and the squared
     modulus product is strictly below 1; FALSE when it certifies absence
     in the tracked neighborhood or the multiplier is strictly repelling.
+    The one-box call of tracked_cycle_level.
     """
-    m2, refined = _tracked_modulus(c, period, orbit_guess)
-    if m2 is not None:
-        return ClaimResult(_modulus_status(m2)), refined
-    if _cycle_absent(c, period, refined):
-        return ClaimResult(Status.FALSE), refined
-    return ClaimResult(Status.UNDETERMINED), refined
+    [(cycle, absent, refined, effort)] = tracked_cycle_level([c], period, [orbit_guess])
+    if cycle is not None:
+        status = _cycle_modulus(cycle)
+    else:
+        status = Status.FALSE if absent else Status.UNDETERMINED
+    return ClaimResult(status, effort), refined
 
 
 def parabolic_excluded(
@@ -475,14 +518,10 @@ def parabolic_excluded(
 
     TRUE when the squared modulus enclosure excludes 1 (either side) or
     the cycle is certified absent in the tracked neighborhood;
-    UNDETERMINED otherwise.
+    UNDETERMINED otherwise.  The one-box call of tracked_cycle_level.
     """
-    m2, refined = _tracked_modulus(c, period, orbit_guess)
-    if m2 is not None:
-        excluded = m2.hi < 1.0 or m2.lo > 1.0
-    else:
-        excluded = _cycle_absent(c, period, refined)
-    return ClaimResult(Status.TRUE if excluded else Status.UNDETERMINED), refined
+    [(cycle, absent, refined, effort)] = tracked_cycle_level([c], period, [orbit_guess])
+    return ClaimResult(_excluded_status(cycle, absent), effort), refined
 
 
 def multiplier_im_excludes_zero(
@@ -493,16 +532,11 @@ def multiplier_im_excludes_zero(
     The fixed point x_c is z_0 of the tracked period-6 cycle, certified by
     Krawczyk.  TRUE when the box of z_0 lies in the region and the
     enclosure of Im (f_c^6)'(x_c), read from the orbit boxes, excludes 0;
-    UNDETERMINED (possibly real, the yellow band) otherwise.
+    UNDETERMINED (possibly real, the yellow band) otherwise.  The one-box
+    call of tracked_cycle_level.
     """
-    refined, converged = _refine_orbit(c.midpoint(), 6, orbit_guess)
-    if converged:
-        boxes = _certify_tracked_cycle(c, 6, refined)
-        if (boxes is not None
-                and (region is None or region.contains_box(boxes[0]))
-                and not cycle_multiplier(boxes).im.contains(0.0)):
-            return ClaimResult(Status.TRUE), refined
-    return ClaimResult(Status.UNDETERMINED), refined
+    [(cycle, _, refined, effort)] = tracked_cycle_level([c], 6, [orbit_guess], absence=False)
+    return ClaimResult(_nonreal_status(cycle, region), effort), refined
 
 
 def component_witnesses(red_cert, period: int, center: complex) -> tuple[int, Status, Status]:
@@ -515,8 +549,8 @@ def component_witnesses(red_cert, period: int, center: complex) -> tuple[int, St
     (the attracting witness, TRUE), and the modulus status of that cycle
     on the lower-left 1/16 corner of the rect (the repelling witness,
     FALSE).  The repelling witness is FALSE only for a certified cycle
-    with squared modulus above 1; a certified absence there is
-    UNDETERMINED, since it shows no repelling cycle.
+    with squared modulus above 1; absence is not tried there, since it
+    shows no repelling cycle.
     """
     from .scan import component_rollup
 
@@ -527,8 +561,8 @@ def component_witnesses(red_cert, period: int, center: complex) -> tuple[int, St
         Interval(rect.re.lo, rect.re.lo + rect.re.width() / 16.0),
         Interval(rect.im.lo, rect.im.lo + rect.im.width() / 16.0),
     )
-    m2, _ = _tracked_modulus(corner, period, orbit)
-    repelling = Status.UNDETERMINED if m2 is None else _modulus_status(m2)
+    [(cycle, _, _, _)] = tracked_cycle_level([corner], period, [orbit], absence=False)
+    repelling = Status.UNDETERMINED if cycle is None else _cycle_modulus(cycle)
     return len(component_rollup(red_cert, Status.TRUE)), attracting.status, repelling
 
 
@@ -618,8 +652,15 @@ class FixedPointCountClaim(PerBoxClaim):
         return ClaimResult(status, enc.segments), None
 
 
-class ParabolicExclusionClaim(PerBoxClaim):
-    """Scan claim: tracked period-p cycle avoids multiplier one (red = U)."""
+def _initial_seed(rect: ComplexBox, orbit: list[complex]) -> list[complex]:
+    """The orbit refined at the rect's midpoint: the seed of a tracked scan."""
+    orbits, _ = _refine_orbit(np.array([rect.midpoint()]), np.array([orbit], dtype=complex))
+    return orbits[0].tolist()
+
+
+class ParabolicExclusionClaim:
+    """Scan claim: tracked period-p cycle avoids multiplier one (red = U).
+    A level is one tracked_cycle_level call, with absence."""
 
     def __init__(self, period: int, initial_orbit: list[complex]):
         self.period = period
@@ -630,15 +671,18 @@ class ParabolicExclusionClaim(PerBoxClaim):
         return {"period": str(self.period)}
 
     def initial_seed(self, rect: ComplexBox):
-        orbit, _ = _refine_orbit(rect.midpoint(), self.period, self.initial_orbit)
-        return orbit
+        return _initial_seed(rect, self.initial_orbit)
 
-    def evaluate(self, box: ComplexBox, seed):
-        return parabolic_excluded(box, self.period, seed)
+    def evaluate_level(self, boxes, seeds):
+        tracked = tracked_cycle_level(boxes, self.period, seeds)
+        return ([ClaimResult(_excluded_status(cycle, absent), effort)
+                 for cycle, absent, _, effort in tracked],
+                [refined for _, _, refined, _ in tracked])
 
 
-class MultiplierNonRealClaim(PerBoxClaim):
-    """Scan claim: multiplier of the f^6 fixed point is non-real (yellow = U)."""
+class MultiplierNonRealClaim:
+    """Scan claim: multiplier of the f^6 fixed point is non-real (yellow = U).
+    A level is one tracked_cycle_level call of period 6, without absence."""
 
     def __init__(self, region: ComplexBox | None = None, guess: complex = 0.04 + 0.04j):
         self.region = region
@@ -653,11 +697,13 @@ class MultiplierNonRealClaim(PerBoxClaim):
 
     def initial_seed(self, rect: ComplexBox):
         c = rect.midpoint()
-        orbit, _ = _refine_orbit(c, 6, [float_iterate(c, self.guess, k) for k in range(6)])
-        return orbit
+        return _initial_seed(rect, [float_iterate(c, self.guess, k) for k in range(6)])
 
-    def evaluate(self, box: ComplexBox, seed):
-        return multiplier_im_excludes_zero(box, seed, self.region)
+    def evaluate_level(self, boxes, seeds):
+        tracked = tracked_cycle_level(boxes, 6, seeds, absence=False)
+        return ([ClaimResult(_nonreal_status(cycle, self.region), effort)
+                 for cycle, _, _, effort in tracked],
+                [refined for _, _, refined, _ in tracked])
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Map evaluation, derivatives, and cycle certification."""
 
+import functools
+import math
 import random
 from unittest import mock
 
@@ -9,8 +11,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mpf, workdps
 
-from tricert import dynamics
-from tricert.cli import PAPER_R
+from tricert import dynamics, verify
+from tricert.cli import PAPER_R, PAPER_X_REGION
 from tricert.dynamics import (
     OMEGA,
     NewtonStatus,
@@ -22,13 +24,18 @@ from tricert.dynamics import (
     float_f,
     float_iterate,
     float_newton_cycle,
+    float_newton_rows,
     krawczyk_absence,
     krawczyk_cycle,
 )
-from tricert.intervals import ComplexBox, EmptyIntervalError, Interval
+from tricert.intervals import BoxArray, ComplexBox, EmptyIntervalError, Interval
 from tricert.scan import adaptive_scan, serialize
 from tricert.verify import (
+    ClaimResult,
+    MultiplierNonRealClaim,
     ParabolicExclusionClaim,
+    PerBoxClaim,
+    Status,
     find_superattracting_parameter,
     float_orbit_of_zero,
 )
@@ -313,11 +320,10 @@ _RADIUS = st.floats(-9.0, -2.0).map(lambda e: 10.0 ** e)
 
 
 @st.composite
-def _krawczyk_inputs(draw):
-    """(parameter box, orbit boxes): point or small parameter boxes, and
-    orbits in the plane, on the real axis (where Y has zero entries) or
-    about the paper's period-9 orbit."""
-    p = draw(st.sampled_from((1, 2, 3, 9)))
+def _krawczyk_row(draw, p):
+    """(parameter box, orbit boxes) of period p: point or small parameter
+    boxes, and orbits in the plane, on the real axis (where Y has zero
+    entries) or about the paper's period-9 orbit."""
     coord = st.floats(-2.0, 2.0)
     kind = draw(st.sampled_from(("plane", "real", "paper") if p == 9 else ("plane", "real")))
     if kind == "paper":
@@ -330,6 +336,32 @@ def _krawczyk_inputs(draw):
     c_radius = draw(st.one_of(st.just(0.0), st.floats(-12.0, -3.0).map(lambda e: 10.0 ** e)))
     cbox = ComplexBox.around(c, c_radius) if c_radius else ComplexBox.point(c)
     return cbox, boxes
+
+
+def _krawczyk_inputs():
+    return st.sampled_from((1, 2, 3, 9)).flatmap(_krawczyk_row)
+
+
+def _singular_row(p: int, k: int, point_c: bool):
+    """A row whose midpoint Jacobian is singular: every midpoint at 1/2, so
+    each block is diag(1, -1) and the cycle's multiplier matrix has
+    eigenvalue 1."""
+    r = 2.0 ** -k
+    boxes = [ComplexBox(Interval(0.5 - r, 0.5 + r), Interval(-r, r))] * p
+    c = ComplexBox.point(0.25 + 0j) if point_c else ComplexBox.around(0.25 + 0j, r)
+    return c, boxes
+
+
+def _batch(rows):
+    """The BoxArray of the rows' parameters and the (lo, hi) endpoint rows
+    of their orbit boxes."""
+    lo = np.array([[t for b in boxes for t in (b.re.lo, b.im.lo)] for _, boxes in rows])
+    hi = np.array([[t for b in boxes for t in (b.re.hi, b.im.hi)] for _, boxes in rows])
+    return BoxArray.of([c for c, _ in rows]), (lo, hi)
+
+
+def _row_bits(k_lo, k_hi, ok, i):
+    return _bits(dynamics._orbit_boxes(k_lo[i], k_hi[i])) if ok[i] else None
 
 
 def _bits(image):
@@ -363,6 +395,43 @@ class TestKrawczykKernel:
             with pytest.raises(EmptyIntervalError):
                 kernel(ComplexBox.point(0j), boxes)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from((1, 2, 3, 9)).flatmap(
+               lambda p: st.lists(st.one_of(
+                   _krawczyk_row(p),
+                   st.builds(_singular_row, st.just(p), st.integers(3, 40), st.booleans())),
+                   min_size=1, max_size=6)),
+           st.data())
+    def test_mixed_batch_matches_scalar_oracle(self, rows, data):
+        # point and box c, real-axis rows (zeros in Y) and singular rows
+        # share one stack; each row is its own scalar evaluation, and a
+        # batch of one gives the same row
+        oracle = []
+        for c, boxes in rows:
+            try:
+                oracle.append(_bits(_scalar_krawczyk_image(c, boxes)))
+            except EmptyIntervalError:
+                with pytest.raises(EmptyIntervalError):
+                    dynamics._krawczyk_image(*_batch(rows))
+                return
+        k_lo, k_hi, ok = dynamics._krawczyk_image(*_batch(rows))
+        assert [_row_bits(k_lo, k_hi, ok, i) for i in range(len(rows))] == oracle
+        i = data.draw(st.integers(0, len(rows) - 1))
+        assert _row_bits(*dynamics._krawczyk_image(*_batch(rows[i:i + 1])), 0) == oracle[i]
+        assert _bits(dynamics._krawczyk_image(*rows[i])) == oracle[i]
+
+    def test_singular_row_is_lost_alone(self, monkeypatch):
+        # stacked inv raises LinAlgError for the whole stack; only the
+        # singular row comes back without an image, also across chunks
+        good = (ComplexBox.around(_PAPER_C, 1e-8),
+                [ComplexBox.around(z, 1e-7) for z in _PAPER_ORBIT])
+        rows = [good, _singular_row(9, 20, True), good, good, _singular_row(9, 4, False)]
+        for chunk in (32, 2):
+            monkeypatch.setattr(dynamics, "_CHUNK", chunk)
+            k_lo, k_hi, ok = dynamics._krawczyk_image(*_batch(rows))
+            assert ok.tolist() == [True, False, True, True, False]
+            assert _row_bits(k_lo, k_hi, ok, 2) == _bits(_scalar_krawczyk_image(*good))
+
     @settings(max_examples=60, deadline=None)
     @given(_krawczyk_inputs(), st.data())
     def test_image_contains_exact_krawczyk_points(self, inputs, data):
@@ -386,7 +455,7 @@ class TestKrawczykKernel:
 
         p, n = len(boxes), 2 * len(boxes)
         with workdps(60):
-            y = [[mpf(v) for v in row] for row in inverses[0].tolist()]
+            y = [[mpf(v) for v in row] for row in inverses[0][0].tolist()]
             m = [mpf(t) for b in boxes for t in (b.midpoint().real, b.midpoint().imag)]
             z = [sample(t) for b in boxes for t in (b.re, b.im)]
             cu, cv = sample(c.re), sample(c.im)
@@ -406,18 +475,309 @@ class TestKrawczykKernel:
                 assert mpf(enclosure.lo) <= k <= mpf(enclosure.hi)
 
 
-def test_scan_bytes_match_scalar_oracle(monkeypatch):
-    calls = []
+# ---------------------------------------------------------------------------
+# the batched float Newton against the scalar loop
+# ---------------------------------------------------------------------------
 
-    def scalar(c, boxes):
-        calls.append(1)
+
+# the scalar float Newton that dynamics.float_newton_rows replaced, kept
+# verbatim as its bitwise oracle
+def _scalar_float_newton_cycle(
+    c: complex,
+    period: int,
+    orbit_guess: list[complex],
+    steps: int = 50,
+) -> tuple[list[complex], float]:
+    """Floating-point Newton on the coupled cyclic system.
+
+    Refines the whole orbit at once, which stays stable where per-point
+    iteration of f^period would wrap.  Returns the refined orbit and the
+    final residual max |f(z_i) - z_{i+1}|; callers decide whether the
+    residual is small enough to call it converged.
+    """
+    p = period
+    orbit = list(orbit_guess)
+    if len(orbit) != p:
+        raise ValueError("orbit guess length must equal the period")
+    for _ in range(steps):
+        j0 = np.zeros((2 * p, 2 * p))
+        g = np.zeros(2 * p)
+        for i, z in enumerate(orbit):
+            k = (i + 1) % p
+            fz = float_f(c, z)
+            g[2 * i] = (fz - orbit[k]).real
+            g[2 * i + 1] = (fz - orbit[k]).imag
+            j0[2 * i, 2 * i] = 2.0 * z.real
+            j0[2 * i, 2 * i + 1] = -2.0 * z.imag
+            j0[2 * i + 1, 2 * i] = -2.0 * z.imag
+            j0[2 * i + 1, 2 * i + 1] = -2.0 * z.real
+            j0[2 * i, 2 * k] -= 1.0
+            j0[2 * i + 1, 2 * k + 1] -= 1.0
+        try:
+            delta = np.linalg.solve(j0, g)
+        except np.linalg.LinAlgError:
+            break
+        if not np.all(np.isfinite(delta)):
+            break
+        orbit = [z - complex(delta[2 * i], delta[2 * i + 1]) for i, z in enumerate(orbit)]
+        if np.abs(delta).max() < 1e-14:
+            break
+    residual = max(
+        abs(float_f(c, orbit[i]) - orbit[(i + 1) % p]) for i in range(p)
+    )
+    return orbit, residual
+
+
+def _hex_orbit(orbit):
+    return [(z.real.hex(), z.imag.hex()) for z in orbit]
+
+
+def _newton_rows_match_oracle(rows):
+    """Each row of float_newton_rows against the scalar loop, bit for bit.
+    Where CPython's complex power or abs overflows, the loop raises
+    OverflowError and the row instead ends with a residual that is not
+    finite."""
+    p = len(rows[0][1])
+    orbits, residual = float_newton_rows(np.array([c for c, _ in rows], dtype=complex),
+                                         np.array([g for _, g in rows], dtype=complex))
+    assert orbits.shape == (len(rows), p)
+    for (c, guess), orbit, res in zip(rows, orbits.tolist(), residual.tolist()):
+        try:
+            want, want_res = _scalar_float_newton_cycle(c, p, guess)
+        except OverflowError:
+            assert not math.isfinite(res)
+            continue
+        assert _hex_orbit(orbit) == _hex_orbit(want)
+        assert res.hex() == want_res.hex() or math.isnan(res) and math.isnan(want_res)
+
+
+# a period-p orbit guess about the paper's period-9 cycle (p = 9, moved by
+# up to `scale`, so rows converge after different numbers of steps), or
+# anywhere in the plane
+@st.composite
+def _newton_row(draw, p):
+    scale = draw(st.floats(-14.0, -1.0).map(lambda e: 10.0 ** e))
+    unit = st.floats(-1.0, 1.0)
+    if p == 9 and draw(st.booleans()):
+        c = _PAPER_C + complex(draw(unit), draw(unit)) * 3e-4
+        guess = [z + complex(draw(unit), draw(unit)) * scale for z in _PAPER_ORBIT]
+    else:
+        c = complex(draw(st.floats(-2.0, 1.0)), draw(unit))
+        guess = [complex(2.0 * draw(unit), 2.0 * draw(unit)) for _ in range(p)]
+    return c, guess
+
+
+def _stuck_rows(p):
+    """A row whose first Jacobian is singular (every point at 1/2), and one
+    whose first step is not finite: c = 1e300 makes the residual huge and a
+    point one ulp off 1/2 makes the Jacobian nearly singular."""
+    return [(0.25 + 0j, [0.5 + 0j] * p),
+            (1e300 + 0j, [0.5 + 2.0 ** -53 + 0j] + [0.5 + 0j] * (p - 1))]
+
+
+class TestFloatNewtonRows:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from((1, 2, 6, 9)).flatmap(
+        lambda p: st.tuples(st.lists(_newton_row(p), min_size=1, max_size=8),
+                            st.lists(st.sampled_from(_stuck_rows(p)), max_size=2))),
+        st.randoms())
+    def test_rows_match_scalar_oracle(self, drawn, rng):
+        rows = drawn[0] + drawn[1]
+        rng.shuffle(rows)
+        _newton_rows_match_oracle(rows)
+
+    def test_rows_stop_on_their_own(self, monkeypatch):
+        # a converging row, a singular one and a non-finite step share every
+        # stack, in one chunk and across chunks of 2
+        near = (_PAPER_C, [z + 1e-4 for z in _PAPER_ORBIT])
+        rows = [near, *_stuck_rows(9), near]
+        for chunk in (32, 2):
+            monkeypatch.setattr(dynamics, "_CHUNK", chunk)
+            _newton_rows_match_oracle(rows)
+            orbits, residual = float_newton_rows(np.array([c for c, _ in rows]),
+                                                 np.array([g for _, g in rows]))
+            assert residual[0] < 1e-12 and residual[3] < 1e-12
+            # the stuck rows keep their guesses
+            assert orbits[1].tolist() == rows[1][1] and orbits[2].tolist() == rows[2][1]
+
+    def test_overflow_is_not_converged(self):
+        # the scalar loop raises OverflowError from conj(z) ** 2 here
+        rows = [(0j, [1e200 + 0j, 1e-3j]), (-1 + 0j, [0.05 + 0.01j, -0.9 - 0.02j])]
+        with pytest.raises(OverflowError):
+            _scalar_float_newton_cycle(0j, 2, rows[0][1])
+        _newton_rows_match_oracle(rows)
+
+
+# ---------------------------------------------------------------------------
+# the tracked-cycle claims against the per-box path
+# ---------------------------------------------------------------------------
+
+
+# The per-box tracked-cycle path that preceded verify.tracked_cycle_level,
+# on the scalar kernel and the scalar Newton, kept as the bitwise oracle of
+# the batch; it counts the Krawczyk images of each box as its effort.
+
+
+def _scalar_krawczyk_cycle(kernel, c, period, orbit_guess, radius, tighten=3):
+    """krawczyk_cycle one box at a time, with the kernel passed in."""
+    p = period
+    boxes = [ComplexBox.around(z, radius) for z in orbit_guess]
+    certified = False
+    remaining = max(tighten, 1)
+    for _ in range(24):
+        images = kernel(c, boxes)
+        if images is None:
+            return NewtonStatus.UNKNOWN, []
+        inside = all(b.strictly_contains(k) for b, k in zip(boxes, images))
+        if inside:
+            boxes = images
+            certified = True
+            remaining -= 1
+            if remaining <= 0:
+                return NewtonStatus.CERTIFIED, boxes
+            continue
+        if certified:
+            return NewtonStatus.CERTIFIED, boxes
+        if any(not b.intersects(k) for b, k in zip(boxes, images)):
+            return NewtonStatus.UNKNOWN, []
+        grown = []
+        for k in images:
+            pad = 0.125 * k.width() + 4.0 * radius
+            grown.append(
+                ComplexBox(
+                    Interval(k.re.lo - pad, k.re.hi + pad),
+                    Interval(k.im.lo - pad, k.im.hi + pad),
+                )
+            )
+        if max(g.width() for g in grown) > 0.5:
+            return NewtonStatus.UNKNOWN, []
+        boxes = grown
+    return (NewtonStatus.CERTIFIED, boxes) if certified else (NewtonStatus.UNKNOWN, [])
+
+
+def _scalar_refine_orbit(c_mid, period, orbit_guess):
+    orbit, residual = _scalar_float_newton_cycle(c_mid, period, orbit_guess)
+    if not all(math.isfinite(z.real) and math.isfinite(z.imag) for z in orbit):
+        return list(orbit_guess), False
+    return orbit, residual < 1e-10
+
+
+def _scalar_tracked_cycle(c: ComplexBox, period: int, orbit_guess, absence: bool):
+    """(orbit boxes or None, absent, refined orbit, Krawczyk images) of one box."""
+    images = []
+
+    def kernel(c, boxes):
+        images.append(1)
         return _scalar_krawczyk_image(c, boxes)
 
-    def certificate():
-        claim = ParabolicExclusionClaim(9, _PAPER_ORBIT)
-        return serialize(adaptive_scan(PAPER_R, claim, 3))
+    refined, converged = _scalar_refine_orbit(c.midpoint(), period, orbit_guess)
+    boxes = None
+    if converged:
+        status, found = _scalar_krawczyk_cycle(kernel, c, period, refined, max(1e-9, c.width()))
+        if status is NewtonStatus.CERTIFIED and not any(
+                found[i].intersects(found[j])
+                for i in range(period) for j in range(i + 1, period)):
+            boxes = found
+    absent = False
+    if absence and boxes is None and c.width() <= verify._ABSENCE_MAX_WIDTH:
+        near = [ComplexBox.around(z, verify._ABSENCE_RADIUS) for z in refined]
+        image = kernel(c, near)
+        absent = image is not None and any(not b.intersects(k) for b, k in zip(near, image))
+    return boxes, absent, refined, len(images)
 
-    array = certificate()
-    monkeypatch.setattr(dynamics, "_krawczyk_image", scalar)
-    assert certificate() == array
-    assert calls
+
+def _scalar_excluded(boxes, absent):
+    if boxes is not None:
+        m2 = antiholo_modulus(boxes).sqr()
+        return m2.hi < 1.0 or m2.lo > 1.0
+    return absent
+
+
+def _scalar_nonreal(region):
+    def status(boxes, absent):
+        return (boxes is not None and region.contains_box(boxes[0])
+                and not cycle_multiplier(boxes).im.contains(0.0))
+    return status
+
+
+class _ScalarTrackedClaim(PerBoxClaim):
+    """A tracked-cycle claim evaluated box by box on the per-box path, with
+    the batch claim's name and header and its seeds refined by the scalar
+    Newton."""
+
+    def __init__(self, claim, period, initial_orbit, absence, verdict):
+        self.name, self.config = claim.name, claim.config
+        self.period, self.initial_orbit = period, initial_orbit
+        self.absence, self.verdict = absence, verdict
+
+    def initial_seed(self, rect):
+        guess = self.initial_orbit(rect.midpoint())
+        return _scalar_refine_orbit(rect.midpoint(), self.period, guess)[0]
+
+    def evaluate(self, box, seed):
+        boxes, absent, refined, effort = _scalar_tracked_cycle(box, self.period, seed, self.absence)
+        status = Status.TRUE if self.verdict(boxes, absent) else Status.UNDETERMINED
+        return ClaimResult(status, effort), refined
+
+
+def _cell(rect: ComplexBox, path) -> ComplexBox:
+    for k in path:
+        rect = rect.quarter()[k]
+    return rect
+
+
+# sub-rects of PAPER_R whose depth-3 leaves are 3.9e-6 wide: on RED_CELL the
+# red scan tries absence on 52 boxes and certifies it on 33; on YELLOW_CELL
+# the yellow scan leaves 22 of 46 leaves Undetermined.  The red scan of the
+# whole PAPER_R runs the top levels, where the inflation radius is about the
+# box width.
+RED_CELL = _cell(PAPER_R, (0, 3, 1, 3))
+YELLOW_CELL = _cell(PAPER_R, (2, 0, 0, 2))
+
+
+def _tracked_claims():
+    """(rect, batch claim, per-box oracle claim) for red and yellow."""
+    red = ParabolicExclusionClaim(9, _PAPER_ORBIT)
+    yellow = MultiplierNonRealClaim(PAPER_X_REGION)
+    red_oracle = _ScalarTrackedClaim(red, 9, lambda c: _PAPER_ORBIT, True, _scalar_excluded)
+    return [
+        (PAPER_R, red, red_oracle),
+        (RED_CELL, red, red_oracle),
+        (YELLOW_CELL, yellow, _ScalarTrackedClaim(
+            yellow, 6, lambda c: [float_iterate(c, yellow.guess, k) for k in range(6)], False,
+            _scalar_nonreal(PAPER_X_REGION))),
+    ]
+
+
+def _leaves(cert):
+    return [(leaf.depth, leaf.status, leaf.effort) for leaf in cert.leaves]
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_scans():
+    """The per-box scans of _tracked_claims: (seed, bytes, leaves) each."""
+    return [(oracle.initial_seed(rect), serialize(cert), _leaves(cert))
+            for rect, _, oracle in _tracked_claims()
+            for cert in [adaptive_scan(rect, oracle, 3)]]
+
+
+def _assert_scans_match_oracle():
+    for (rect, claim, _), (seed, data, leaves) in zip(_tracked_claims(), _oracle_scans()):
+        assert claim.initial_seed(rect) == seed
+        batch = adaptive_scan(rect, claim, 3)
+        assert (serialize(batch), _leaves(batch)) == (data, leaves)
+        assert {leaf.status for leaf in batch.leaves} == {Status.TRUE, Status.UNDETERMINED}
+        assert sum(leaf.effort for leaf in batch.leaves) > 0
+
+
+def test_scan_bytes_match_scalar_oracle():
+    # red on PAPER_R, red with certified absence and yellow: the certificate
+    # bytes and each leaf's status and effort are those of the per-box path
+    _assert_scans_match_oracle()
+
+
+def test_small_chunk_scan_matches_scalar_oracle(monkeypatch):
+    # two rows per kernel and Newton call: every round spans many chunks,
+    # and rows leave each chunk at different rounds
+    monkeypatch.setattr(dynamics, "_CHUNK", 2)
+    _assert_scans_match_oracle()

@@ -3,15 +3,17 @@
 import math
 import random
 import sys
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath import mpc, mpf, workdps
 
-from tricert import verify
+from tricert import dynamics, verify
 from tricert.cli import PAPER_R, PAPER_U, PAPER_X_REGION, _parse_rect
-from tricert.dynamics import cycle_multiplier, eval_f, float_iterate
+from tricert.dynamics import _orbit_boxes, cycle_multiplier, eval_f, float_iterate
 from tricert.intervals import ComplexBox, EmptyIntervalError, Interval, ZeroDivisionBoxError
 from tricert.scan import Leaf, ParamCertificate, adaptive_scan
 from tricert.verify import (
@@ -21,7 +23,6 @@ from tricert.verify import (
     ContourEnclosure,
     MultiplierNonRealClaim,
     Status,
-    _certify_tracked_cycle,
     attracting_cycle_box,
     boundary_disjoint,
     boundary_disjoint_level,
@@ -34,6 +35,7 @@ from tricert.verify import (
     multiplier_im_excludes_zero,
     parabolic_excluded,
     preimage_count,
+    tracked_cycle_level,
 )
 
 R_RECT = ComplexBox(Interval(-1.73875, -1.73825), Interval(0.01555, 0.01605))
@@ -469,6 +471,72 @@ class TestPreimageCount:
         assert preimage_count(ComplexBox.point(anchor), 0j, U_RECT, 3) == 2
 
 
+def _paper_claims():
+    center = find_superattracting_parameter(9, R_RECT.midpoint())
+    return (verify.ParabolicExclusionClaim(9, float_orbit_of_zero(center, 9)),
+            MultiplierNonRealClaim(PAPER_X_REGION))
+
+
+class TestTrackedCycleLevel:
+    def test_effort_counts_kernel_rows(self, monkeypatch):
+        # the paper's red and yellow scans at depth 6: the effort of each
+        # level's results adds up to the Krawczyk kernel rows run for it
+        # (4,841 and 1,252 over all levels; the leaves keep 3,530 and 940)
+        rows = []
+        kernel = dynamics._krawczyk_image
+
+        def spy(c, boxes):
+            rows.append(len(c))
+            return kernel(c, boxes)
+
+        monkeypatch.setattr(dynamics, "_krawczyk_image", spy)
+        totals = []
+        for claim in _paper_claims():
+            levels, evaluate = [], claim.evaluate_level
+
+            def counted(boxes, seeds):
+                start = len(rows)
+                results, children = evaluate(boxes, seeds)
+                levels.append((sum(r.effort for r in results), sum(rows[start:])))
+                return results, children
+
+            claim.evaluate_level = counted
+            cert = adaptive_scan(R_RECT, claim, 6)
+            assert all(effort == kernel_rows for effort, kernel_rows in levels)
+            totals.append((sum(effort for effort, _ in levels),
+                           sum(leaf.effort for leaf in cert.leaves)))
+        assert totals == [(4841, 3530), (1252, 940)]
+
+    def test_traced_peak_is_bounded_by_the_chunk(self, monkeypatch):
+        # the 536 boxes of the red scan's level 6 take about as much traced
+        # heap as 64 of them, _CHUNK rows at a time; one chunk of all rows
+        # takes about ten times as much
+        claim = _paper_claims()[0]
+        levels, evaluate = [], claim.evaluate_level
+
+        def recorded(boxes, seeds):
+            levels.append((boxes, seeds))
+            return evaluate(boxes, seeds)
+
+        claim.evaluate_level = recorded
+        adaptive_scan(R_RECT, claim, 6)
+        boxes, seeds = levels[6]
+        assert len(boxes) == 536
+
+        def peak(count, chunk):
+            monkeypatch.setattr(dynamics, "_CHUNK", chunk)
+            tracemalloc.start()
+            try:
+                evaluate(boxes[:count], seeds[:count])
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        capped = peak(536, 32)
+        assert capped < 2 * peak(64, 32)
+        assert peak(536, 536) > 5 * capped
+
+
 class TestCycleClaims:
     def test_attracting_fixed_point_of_origin(self):
         result, refined = attracting_cycle_box(
@@ -502,11 +570,15 @@ class TestCycleClaims:
         assert excluded.status is Status.UNDETERMINED
 
     def test_absence_is_no_repelling_witness(self, monkeypatch):
-        # on a rect narrow enough that absence is tried at the corner, a
-        # certified absence there shows no repelling cycle
-        monkeypatch.setattr(verify, "krawczyk_cycle",
-                            lambda *args, **kwargs: (verify.NewtonStatus.UNKNOWN, []))
-        monkeypatch.setattr(verify, "krawczyk_absence", lambda *args: True)
+        # on a rect narrow enough for absence at the corner, a certified
+        # absence there would show no repelling cycle
+        def uncertified(c, orbits, radius):
+            lo = np.zeros((len(c), 2 * orbits.shape[1]))
+            return np.zeros(len(c), dtype=bool), lo, lo, np.ones(len(c), dtype=np.int64)
+
+        monkeypatch.setattr(verify, "krawczyk_cycle_rows", uncertified)
+        monkeypatch.setattr(verify, "krawczyk_absence_rows",
+                            lambda c, orbits, radius: np.ones(len(c), dtype=bool))
         rect = ComplexBox.around(R_RECT.midpoint(), 3.2e-5)
         assert rect.width() / 16.0 < verify._ABSENCE_MAX_WIDTH
         cert = ParamCertificate("red", rect, {}, [Leaf(0, rect, Status.TRUE)])
@@ -524,7 +596,7 @@ class TestCycleClaims:
         # the real 6-cycle 2 cos(2 pi 2^k / 63) is certified, yet not TRUE
         c = ComplexBox.around(-2.0 + 0j, 1e-10)
         orbit = [2.0 * math.cos(math.tau * 2**k / 63) + 0j for k in range(6)]
-        assert _certify_tracked_cycle(c, 6, orbit) is not None
+        assert tracked_cycle_level([c], 6, [orbit])[0][0] is not None
         result, _ = multiplier_im_excludes_zero(c, orbit)
         assert result.status is not Status.TRUE
 
@@ -533,7 +605,7 @@ class TestCycleClaims:
         # certified box says nothing about the fixed point of f^6 in it
         c = ComplexBox.around(PAPER_R.midpoint(), 1e-6)
         orbit = MultiplierNonRealClaim().initial_seed(c)
-        z0 = _certify_tracked_cycle(c, 6, orbit)[0]
+        z0 = _orbit_boxes(*tracked_cycle_level([c], 6, [orbit])[0][0])[0]
         cut = ComplexBox(Interval(0.0, (orbit[0].real + z0.re.hi) / 2.0), PAPER_X_REGION.im)
         assert cut.contains(orbit[0]) and not cut.contains_box(z0)
         whole, _ = multiplier_im_excludes_zero(c, orbit, PAPER_X_REGION)
@@ -558,9 +630,11 @@ def test_multiplier_boxes_hold_the_exact_fixed_point(u, v, radius, data):
                     PAPER_R.im.lo + v * PAPER_R.im.width())
     cbox = ComplexBox.around(c_mid, radius)
     claim = MultiplierNonRealClaim(PAPER_X_REGION)
-    result, orbit = claim.evaluate(cbox, claim.initial_seed(cbox))
-    boxes = _certify_tracked_cycle(cbox, 6, orbit)
-    assume(boxes is not None)
+    seed = claim.initial_seed(cbox)
+    [result], _ = claim.evaluate_level([cbox], [seed])
+    [(cycle, _, orbit, _)] = tracked_cycle_level([cbox], 6, [seed], absence=False)
+    assume(cycle is not None)
+    boxes = _orbit_boxes(*cycle)
     enclosure = cycle_multiplier(boxes)
     unit = st.floats(0.0, 1.0)
 
