@@ -11,7 +11,7 @@ Fixed points of f_c^n and cycles of f_c have one certifier: the Krawczyk
 operator on the coupled cyclic system G_i = f_c(z_i) - z_{i+1}, in which
 each residual is a single map application, so the certifier never
 evaluates an iterate of f.  Moduli and multipliers are read from the
-certified orbit boxes.
+certified orbit boxes, a batch of cycles at a time.
 
 The certifier and its float Newton seed run on a leading batch axis: one
 call takes B rows, each a parameter box and an orbit, as (B, 2p) endpoint
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import math
 
 import numpy as np
 
@@ -35,11 +34,13 @@ from .intervals import (
     ComplexBox,
     EmptyIntervalError,
     Interval,
+    _abs_pair,
     _down_arr,
     _interleave,
     _mid_arr,
     _mul_arr,
     _scale_arr,
+    _sqr_pair,
     _up_arr,
 )
 
@@ -49,8 +50,9 @@ __all__ = [
     "eval_f",
     "even_iterate",
     "conj_holomorphic_form",
-    "antiholo_modulus",
     "cycle_multiplier",
+    "squared_modulus_rows",
+    "multiplier_rows",
     "krawczyk_cycle",
     "krawczyk_cycle_rows",
     "krawczyk_absence",
@@ -84,19 +86,12 @@ def even_iterate(c: ComplexBox, z: ComplexBox, n: int) -> tuple[ComplexBox, Comp
     return z, d
 
 
-def antiholo_modulus(orbit: list[ComplexBox]) -> Interval:
-    """Enclosure of prod_i 2|z_i| along the orbit boxes."""
-    prod = Interval.point(1.0)
-    for z in orbit:
-        prod = prod * z.abs().scale(2.0)
-    return prod
-
-
 def cycle_multiplier(orbit: list[ComplexBox]) -> ComplexBox:
     """Enclosure of (f_c^p)'(z_0) along the boxes of a cycle of even period p.
 
     (f_c^2)'(z) = 4 z conj(f_c(z)), so the multiplier is
-    prod_j 4 z_{2j} conj(z_{2j+1}); its modulus is antiholo_modulus.
+    prod_j 4 z_{2j} conj(z_{2j+1}); its modulus is prod_i 2|z_i|.  The
+    boxes may be BoxArray columns, one row per cycle.
     """
     if len(orbit) % 2 != 0:
         raise ValueError("the multiplier of f_c^p is holomorphic only for even p")
@@ -104,6 +99,31 @@ def cycle_multiplier(orbit: list[ComplexBox]) -> ComplexBox:
     for z, w in zip(orbit[0::2], orbit[1::2]):
         prod = prod * (z * w.conj()).scale(4.0)
     return prod
+
+
+def _orbit_columns(lo, hi) -> list[BoxArray]:
+    """The orbit boxes of (B, 2p) endpoint rows as p BoxArray columns."""
+    return [BoxArray((lo[:, i], hi[:, i]), (lo[:, i + 1], hi[:, i + 1]))
+            for i in range(0, lo.shape[1], 2)]
+
+
+def squared_modulus_rows(lo, hi):
+    """Enclosures of (prod_i 2|z_i|)^2, the squared modulus of the
+    multiplier of f_c^p along a cycle, for the orbit boxes of each row of
+    (B, 2p) endpoints over (re z_0, im z_0, re z_1, ...).
+
+    Returns (lo, hi) arrays, each endpoint that of the Interval product
+    [1, 1] * 2|z_0| * ... * 2|z_{p-1}| squared, with |z| = ComplexBox.abs.
+    """
+    prod = np.ones(len(lo)), np.ones(len(lo))
+    for z in _orbit_columns(lo, hi):
+        prod = _mul_arr(*prod, *_scale_arr(*_abs_pair(z.re, z.im), 2.0))
+    return _sqr_pair(prod)
+
+
+def multiplier_rows(lo, hi) -> BoxArray:
+    """cycle_multiplier of the orbit boxes of each row of (B, 2p) endpoints."""
+    return cycle_multiplier(_orbit_columns(lo, hi))
 
 
 def conj_holomorphic_form(
@@ -321,9 +341,12 @@ def _krawczyk_rows(c: BoxArray, lo, hi):
         s = s + y[:, :, j:j + 2]
     cs = _scale_arr(np.stack((cu[0], cv[0]), axis=2), np.stack((cu[1], cv[1]), axis=2), s)
     # the terms added to each row in order, a - [lo, hi] as a + [-hi, -lo]:
-    # M (Z - m) by column, -Y G(m) by column where Y_rc != 0, -cu su, -cv sv, m
+    # M (Z - m) by column, -Y G(m) by column where Y_rc != 0, -cu su, -cv sv, m;
+    # the lo sums run negated, so both rows round up (-down(a + b) is
+    # up(-a + -b): round to nearest is symmetric, and up and down step
+    # either zero alike)
     terms = np.stack((
-        np.concatenate((prod[0], -gy[1], -cs[1], mid[:, :, None]), axis=2),
+        np.concatenate((-prod[0], gy[1], cs[1], -mid[:, :, None]), axis=2),
         np.concatenate((prod[1], -gy[0], -cs[0], mid[:, :, None]), axis=2),
     ))
     # the rows that take the term -Y_rc G_c(m) of a column c with a zero
@@ -331,15 +354,14 @@ def _krawczyk_rows(c: BoxArray, lo, hi):
     nonzero = y != 0.0
     takers = {n + cidx: nonzero[:, :, cidx]
               for cidx in np.flatnonzero(~nonzero.all(axis=(0, 1))).tolist()}
-    # acc holds the lo rows and the hi rows, rounded down and up
+    # acc holds the negated lo rows and the hi rows
     acc = np.zeros((2, b, n))
-    outward = np.array([-math.inf, math.inf])[:, None, None]
     for t in range(terms.shape[3]):
-        step = np.nextafter(acc + terms[..., t], outward)
+        step = _up_arr(acc + terms[..., t])
         acc = np.where(takers[t], step, acc) if t in takers else step
     if not np.isfinite(acc[:, ok]).all():
         raise EmptyIntervalError("non-finite Krawczyk image")
-    return acc[0], acc[1], ok
+    return -acc[0], acc[1], ok
 
 
 def _krawczyk_image(c, boxes):
@@ -361,7 +383,8 @@ def _krawczyk_image(c, boxes):
     add.  G is exactly linear in c, so the parameter enters once per row
     with a signed coefficient and the orbit's c-sensitivities can cancel.
 
-    Every operation is that of `Interval`, rounded outward with nextafter.
+    Every operation is that of `Interval`, rounded outward to the adjacent
+    binary64 value.
     Entries that do not depend on each other are computed at once; the
     sums along each row run column by column, in the order of the scalar
     formula

@@ -34,16 +34,15 @@ from enum import Enum
 import numpy as np
 
 from .dynamics import (
-    _orbit_boxes,
-    antiholo_modulus,
     conj_holomorphic_form,
-    cycle_multiplier,
     even_iterate,
     float_f,
     float_iterate,
     float_newton_rows,
     krawczyk_absence_rows,
     krawczyk_cycle_rows,
+    multiplier_rows,
+    squared_modulus_rows,
 )
 from .intervals import BoxArray, ComplexBox, Interval, _interleave, _mid_arr, _up_arr
 
@@ -438,8 +437,10 @@ def tracked_cycle_level(boxes: list[ComplexBox], period: int, seeds, absence: bo
     if guesses.shape != (count, period):
         raise ValueError("orbit guess length must equal the period")
     c = BoxArray.of(boxes)
-    orbits, converged = _refine_orbit(np.array([box.midpoint() for box in boxes]), guesses)
-    widths = np.array([box.width() for box in boxes])
+    mids = np.empty(count, dtype=complex)
+    mids.real, mids.imag = _mid_arr(*c.re), _mid_arr(*c.im)
+    orbits, converged = _refine_orbit(mids, guesses)
+    widths = np.maximum(_up_arr(c.re[1] - c.re[0]), _up_arr(c.im[1] - c.im[0]))
     cycles, effort = [None] * count, np.zeros(count, dtype=np.int64)
     held = np.zeros(count, dtype=bool)
     rows = np.flatnonzero(converged)
@@ -458,39 +459,60 @@ def tracked_cycle_level(boxes: list[ComplexBox], period: int, seeds, absence: bo
     return list(zip(cycles, absent.tolist(), orbits.tolist(), effort.tolist()))
 
 
-def _modulus_status(m2: Interval) -> Status:
-    """TRUE for a strictly attracting, FALSE for a strictly repelling cycle."""
-    if m2.hi < 1.0:
-        return Status.TRUE
-    if m2.lo > 1.0:
-        return Status.FALSE
-    return Status.UNDETERMINED
+# The statuses of a level are read at once from the endpoint rows of its
+# certified cycles, in the BoxArray twins of the Interval and ComplexBox
+# arithmetic, so every enclosure is the one the scalar read would give.  A
+# read with a non-finite endpoint, where that arithmetic raised
+# EmptyIntervalError, decides nothing.
 
 
-def _cycle_modulus(cycle) -> Status:
-    """_modulus_status of the squared modulus product of a certified cycle."""
-    return _modulus_status(antiholo_modulus(_orbit_boxes(*cycle)).sqr())
+def _cycle_rows(tracked):
+    """The indices of the boxes of a level with a certified cycle, and the
+    (K, 2p) endpoint arrays of their orbit boxes."""
+    rows = [k for k, (cycle, _, _, _) in enumerate(tracked) if cycle is not None]
+    cycles = [tracked[k][0] for k in rows]
+    return rows, np.array([lo for lo, _ in cycles]), np.array([hi for _, hi in cycles])
 
 
-def _excluded_status(cycle, absent: bool) -> Status:
-    """TRUE when the squared modulus enclosure of the certified cycle
-    excludes 1 (either side) or the cycle is certified absent."""
-    if cycle is not None:
-        excluded = _cycle_modulus(cycle) is not Status.UNDETERMINED
-    else:
-        excluded = absent
-    return Status.TRUE if excluded else Status.UNDETERMINED
+def _modulus_statuses(tracked) -> list[Status | None]:
+    """Per box of a level: TRUE for a strictly attracting and FALSE for a
+    strictly repelling certified cycle, by its squared modulus product;
+    UNDETERMINED when that enclosure holds 1; None without a cycle."""
+    statuses = [None] * len(tracked)
+    rows, lo, hi = _cycle_rows(tracked)
+    if rows:
+        m_lo, m_hi = squared_modulus_rows(lo, hi)
+        finite = np.isfinite(m_lo) & np.isfinite(m_hi)
+        attracting, repelling = finite & (m_hi < 1.0), finite & (m_lo > 1.0)
+        for k, a, r in zip(rows, attracting.tolist(), repelling.tolist()):
+            statuses[k] = Status.TRUE if a else Status.FALSE if r else Status.UNDETERMINED
+    return statuses
 
 
-def _nonreal_status(cycle, region: ComplexBox | None) -> Status:
-    """TRUE when the box of z_0 of the certified period-6 cycle lies in the
-    region and the enclosure of Im (f_c^6)'(z_0) excludes 0."""
-    if cycle is None:
-        return Status.UNDETERMINED
-    boxes = _orbit_boxes(*cycle)
-    if region is not None and not region.contains_box(boxes[0]):
-        return Status.UNDETERMINED
-    return Status.UNDETERMINED if cycle_multiplier(boxes).im.contains(0.0) else Status.TRUE
+def _excluded_statuses(tracked) -> list[Status]:
+    """Per box of a level: TRUE when the squared modulus enclosure of the
+    certified cycle excludes 1 (either side) or the cycle is certified
+    absent."""
+    return [Status.TRUE if (absent if modulus is None else modulus is not Status.UNDETERMINED)
+            else Status.UNDETERMINED
+            for modulus, (_, absent, _, _) in zip(_modulus_statuses(tracked), tracked)]
+
+
+def _nonreal_statuses(tracked, region: ComplexBox | None) -> list[Status]:
+    """Per box of a level: TRUE when the box of z_0 of the certified period-6
+    cycle lies in the region and the enclosure of Im (f_c^6)'(z_0) excludes
+    0."""
+    statuses = [Status.UNDETERMINED] * len(tracked)
+    rows, lo, hi = _cycle_rows(tracked)
+    if rows:
+        m = multiplier_rows(lo, hi)
+        ok = m.finite() & ((m.im[0] > 0.0) | (m.im[1] < 0.0))
+        if region is not None:
+            ok &= ((region.re.lo <= lo[:, 0]) & (hi[:, 0] <= region.re.hi)
+                   & (region.im.lo <= lo[:, 1]) & (hi[:, 1] <= region.im.hi))
+        for k in np.flatnonzero(ok).tolist():
+            statuses[rows[k]] = Status.TRUE
+    return statuses
 
 
 def attracting_cycle_box(
@@ -503,10 +525,9 @@ def attracting_cycle_box(
     in the tracked neighborhood or the multiplier is strictly repelling.
     The one-box call of tracked_cycle_level.
     """
-    [(cycle, absent, refined, effort)] = tracked_cycle_level([c], period, [orbit_guess])
-    if cycle is not None:
-        status = _cycle_modulus(cycle)
-    else:
+    tracked = tracked_cycle_level([c], period, [orbit_guess])
+    [(_, absent, refined, effort)], [status] = tracked, _modulus_statuses(tracked)
+    if status is None:
         status = Status.FALSE if absent else Status.UNDETERMINED
     return ClaimResult(status, effort), refined
 
@@ -520,8 +541,9 @@ def parabolic_excluded(
     the cycle is certified absent in the tracked neighborhood;
     UNDETERMINED otherwise.  The one-box call of tracked_cycle_level.
     """
-    [(cycle, absent, refined, effort)] = tracked_cycle_level([c], period, [orbit_guess])
-    return ClaimResult(_excluded_status(cycle, absent), effort), refined
+    tracked = tracked_cycle_level([c], period, [orbit_guess])
+    [(_, _, refined, effort)], [status] = tracked, _excluded_statuses(tracked)
+    return ClaimResult(status, effort), refined
 
 
 def multiplier_im_excludes_zero(
@@ -535,8 +557,9 @@ def multiplier_im_excludes_zero(
     UNDETERMINED (possibly real, the yellow band) otherwise.  The one-box
     call of tracked_cycle_level.
     """
-    [(cycle, _, refined, effort)] = tracked_cycle_level([c], 6, [orbit_guess], absence=False)
-    return ClaimResult(_nonreal_status(cycle, region), effort), refined
+    tracked = tracked_cycle_level([c], 6, [orbit_guess], absence=False)
+    [(_, _, refined, effort)], [status] = tracked, _nonreal_statuses(tracked, region)
+    return ClaimResult(status, effort), refined
 
 
 def component_witnesses(red_cert, period: int, center: complex) -> tuple[int, Status, Status]:
@@ -561,8 +584,8 @@ def component_witnesses(red_cert, period: int, center: complex) -> tuple[int, St
         Interval(rect.re.lo, rect.re.lo + rect.re.width() / 16.0),
         Interval(rect.im.lo, rect.im.lo + rect.im.width() / 16.0),
     )
-    [(cycle, _, _, _)] = tracked_cycle_level([corner], period, [orbit], absence=False)
-    repelling = Status.UNDETERMINED if cycle is None else _cycle_modulus(cycle)
+    [repelling] = _modulus_statuses(tracked_cycle_level([corner], period, [orbit], absence=False))
+    repelling = Status.UNDETERMINED if repelling is None else repelling
     return len(component_rollup(red_cert, Status.TRUE)), attracting.status, repelling
 
 
@@ -675,8 +698,8 @@ class ParabolicExclusionClaim:
 
     def evaluate_level(self, boxes, seeds):
         tracked = tracked_cycle_level(boxes, self.period, seeds)
-        return ([ClaimResult(_excluded_status(cycle, absent), effort)
-                 for cycle, absent, _, effort in tracked],
+        return ([ClaimResult(status, effort)
+                 for status, (_, _, _, effort) in zip(_excluded_statuses(tracked), tracked)],
                 [refined for _, _, refined, _ in tracked])
 
 
@@ -701,8 +724,8 @@ class MultiplierNonRealClaim:
 
     def evaluate_level(self, boxes, seeds):
         tracked = tracked_cycle_level(boxes, 6, seeds, absence=False)
-        return ([ClaimResult(_nonreal_status(cycle, self.region), effort)
-                 for cycle, _, _, effort in tracked],
+        return ([ClaimResult(status, effort)
+                 for status, (_, _, _, effort) in zip(_nonreal_statuses(tracked, self.region), tracked)],
                 [refined for _, _, refined, _ in tracked])
 
 
@@ -821,14 +844,16 @@ def disjointness_certificate(
     red_cert = adaptive_scan(
         param_rect, ParabolicExclusionClaim(period, initial_orbit), max_depth, min_width
     )
-    yellow = [leaf.box for leaf in yellow_cert.leaves if leaf.status is not Status.TRUE]
-    red = [leaf.box for leaf in red_cert.leaves if leaf.status is not Status.TRUE]
-    if not yellow or not red:
-        status = Status.TRUE  # one locus certified empty: vacuously disjoint
-    elif any(a.intersects(b) for a in yellow for b in red):
-        status = Status.UNDETERMINED  # closures touch at this budget
-    else:
-        status = Status.TRUE
+    yellow, red = (BoxArray.of([leaf.box for leaf in cert.leaves if leaf.status is not Status.TRUE])
+                   for cert in (yellow_cert, red_cert))
+    # every yellow box against every red box: closed boxes meet when both
+    # coordinate intervals do (ComplexBox.intersects)
+    meet = np.ones((len(yellow), len(red)), dtype=bool)
+    for a, b in ((yellow.re, red.re), (yellow.im, red.im)):
+        meet &= (a[0][:, None] <= b[1][None, :]) & (b[0][None, :] <= a[1][:, None])
+    # closures that touch at this budget are Undetermined; with one locus
+    # certified empty the two are vacuously disjoint
+    status = Status.UNDETERMINED if meet.any() else Status.TRUE
     return status, yellow_cert, red_cert
 
 

@@ -8,15 +8,16 @@ fixture and are shared by the disjointness and component checks.
 import random
 import time
 
+import numpy as np
 import pytest
 
 from tricert.cli import PAPER_N, PAPER_PERIOD, PAPER_R, PAPER_U, PAPER_X_REGION
 from tricert.dynamics import (
     NewtonStatus,
-    antiholo_modulus,
     even_iterate,
     float_newton_cycle,
     krawczyk_cycle,
+    squared_modulus_rows,
 )
 from tricert.intervals import ComplexBox, Interval
 from tricert.render import render_escape, write_ppm
@@ -229,7 +230,10 @@ def _odd_multiplier_suite(count):
         status, boxes = krawczyk_cycle(cbox, 1, orbit, 1e-8)
         if status is not NewtonStatus.CERTIFIED:
             continue
-        m2 = antiholo_modulus(boxes).sqr()
+        [z] = boxes  # a fixed point: one orbit box
+        m_lo, m_hi = squared_modulus_rows(np.array([[z.re.lo, z.im.lo]]),
+                                          np.array([[z.re.hi, z.im.hi]]))
+        m2 = Interval(float(m_lo[0]), float(m_hi[0]))
         _, d = even_iterate(cbox, boxes[0], 2)
         # the odd-cycle multiplier is real and nonnegative, and equals the
         # derivative of the doubled iterate

@@ -11,12 +11,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mpf, workdps
 
-from tricert import dynamics, verify
+from tricert import dynamics, intervals, verify
 from tricert.cli import PAPER_R, PAPER_X_REGION
 from tricert.dynamics import (
     OMEGA,
     NewtonStatus,
-    antiholo_modulus,
     conj_holomorphic_form,
     cycle_multiplier,
     eval_f,
@@ -27,8 +26,10 @@ from tricert.dynamics import (
     float_newton_rows,
     krawczyk_absence,
     krawczyk_cycle,
+    multiplier_rows,
+    squared_modulus_rows,
 )
-from tricert.intervals import BoxArray, ComplexBox, EmptyIntervalError, Interval
+from tricert.intervals import BoxArray, ComplexBox, EmptyIntervalError, Interval, _abs_pair
 from tricert.scan import adaptive_scan, serialize
 from tricert.verify import (
     ClaimResult,
@@ -43,6 +44,19 @@ from tricert.verify import (
 
 def _pt(z: complex) -> ComplexBox:
     return ComplexBox.point(z)
+
+
+def _rows(boxes):
+    """The (1, 2p) endpoint rows of one orbit's boxes."""
+    lo = np.array([[v for b in boxes for v in (b.re.lo, b.im.lo)]])
+    hi = np.array([[v for b in boxes for v in (b.re.hi, b.im.hi)]])
+    return lo, hi
+
+
+def _squared_modulus(boxes) -> Interval:
+    """squared_modulus_rows of one orbit, as an Interval."""
+    lo, hi = squared_modulus_rows(*_rows(boxes))
+    return Interval(float(lo[0]), float(hi[0]))
 
 
 class TestEvaluation:
@@ -149,11 +163,11 @@ class TestDerivatives:
 
     def test_modulus_superattracting(self):
         orbit = [_pt(0j), _pt(-1 + 0j)]
-        assert antiholo_modulus(orbit).contains(0.0)
+        assert _squared_modulus(orbit).contains(0.0)
 
     def test_modulus_lower_bound_with_origin(self):
         orbit = [ComplexBox(Interval(-0.1, 0.1), Interval(-0.1, 0.1)), _pt(1 + 0j)]
-        m = antiholo_modulus(orbit)
+        m = _squared_modulus(orbit)
         assert m.contains(0.0)
         assert -1e-300 <= m.lo <= 0.0
 
@@ -179,7 +193,7 @@ class TestKrawczyk:
         assert status is NewtonStatus.CERTIFIED
         assert boxes[0].contains(0j)
         assert boxes[1].contains(-1 + 0j)
-        assert antiholo_modulus(boxes).contains(0.0)
+        assert _squared_modulus(boxes).contains(0.0)
 
     def test_fixed_point_at_origin(self):
         status, boxes = krawczyk_cycle(_pt(0j), 1, [0j], 1e-6)
@@ -686,9 +700,19 @@ def _scalar_tracked_cycle(c: ComplexBox, period: int, orbit_guess, absence: bool
     return boxes, absent, refined, len(images)
 
 
+# the scalar modulus read that dynamics.squared_modulus_rows replaced, kept
+# verbatim as its bitwise oracle
+def _scalar_antiholo_modulus(orbit: list[ComplexBox]) -> Interval:
+    """Enclosure of prod_i 2|z_i| along the orbit boxes."""
+    prod = Interval.point(1.0)
+    for z in orbit:
+        prod = prod * z.abs().scale(2.0)
+    return prod
+
+
 def _scalar_excluded(boxes, absent):
     if boxes is not None:
-        m2 = antiholo_modulus(boxes).sqr()
+        m2 = _scalar_antiholo_modulus(boxes).sqr()
         return m2.hi < 1.0 or m2.lo > 1.0
     return absent
 
@@ -781,3 +805,77 @@ def test_small_chunk_scan_matches_scalar_oracle(monkeypatch):
     # and rows leave each chunk at different rounds
     monkeypatch.setattr(dynamics, "_CHUNK", 2)
     _assert_scans_match_oracle()
+
+
+def test_step_rounding_scan_matches_scalar_oracle(monkeypatch):
+    # every rounding call takes the integer step, down to one-entry arrays
+    monkeypatch.setattr(intervals, "_STEP_MIN", 0)
+    _assert_scans_match_oracle()
+
+
+# ---------------------------------------------------------------------------
+# the array status reads against the scalar Interval reads
+# ---------------------------------------------------------------------------
+
+
+_UNIT = st.floats(0.0, 2.0)
+# positive coordinates whose squares round to 0 or a subnormal
+_TINY = st.floats(1e-300, 1e-160)
+
+
+@st.composite
+def _read_box(draw):
+    """A box that contains 0, touches 0 on one axis, has a |z|^2 whose lower
+    endpoint rounds to exactly 0 without containing 0, or lies anywhere."""
+    kind = draw(st.sampled_from(("across", "touch", "tiny", "any")))
+    if kind == "across":
+        re, im = (Interval(-draw(_UNIT), draw(_UNIT)) for _ in range(2))
+    elif kind == "touch":
+        zero = draw(st.sampled_from((0.0, -0.0)))
+        re = draw(st.sampled_from((Interval(zero, draw(_UNIT)), Interval(-draw(_UNIT), zero))))
+        a, b = sorted((draw(_UNIT), draw(_UNIT)))
+        im = Interval(a + 1e-3, b + 1e-3)
+    elif kind == "tiny":
+        re, im = (Interval(*sorted((draw(_TINY), draw(_TINY)))) for _ in range(2))
+    else:
+        re, im = (Interval(*sorted((draw(_UNIT) - 1.0, draw(_UNIT) - 1.0))) for _ in range(2))
+    if draw(st.booleans()):
+        re, im = im, re
+    return ComplexBox(re, im)
+
+
+def _hex_interval(iv: Interval):
+    return iv.lo.hex(), iv.hi.hex()
+
+
+def test_read_boxes_reach_zero_endpoints():
+    # a box across 0 and a tiny one off 0 put the lower endpoint of |z| at
+    # 0; a box touching 0 on one axis puts it there for that coordinate
+    for z in (ComplexBox(Interval(-1.0, 1.0), Interval(-1.0, 1.0)),
+              ComplexBox(Interval(1e-200, 1e-190), Interval(1e-200, 1e-190))):
+        assert z.abs().lo == 0.0 and _squared_modulus([z]).lo == 0.0
+    touch = ComplexBox(Interval(-0.0, 1.0), Interval(0.5, 1.0))
+    assert touch.re.sqr().lo == 0.0 and touch.abs().lo > 0.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from((1, 2, 3, 6, 9)).flatmap(
+    lambda p: st.lists(st.lists(_read_box(), min_size=p, max_size=p), min_size=1, max_size=5)))
+def test_array_reads_match_scalar_reads(orbits):
+    """_abs_pair gives the endpoints (float.hex) of ComplexBox.abs, and
+    squared_modulus_rows and multiplier_rows, row by row, those of the
+    scalar antiholo_modulus(boxes).sqr() and cycle_multiplier(boxes)."""
+    rows = [_rows(boxes) for boxes in orbits]
+    lo, hi = np.concatenate([r[0] for r in rows]), np.concatenate([r[1] for r in rows])
+    z = BoxArray.of([box for boxes in orbits for box in boxes])
+    assert [(a.hex(), b.hex()) for a, b in zip(*(v.tolist() for v in _abs_pair(z.re, z.im)))] == [
+        _hex_interval(box.abs()) for boxes in orbits for box in boxes]
+    m_lo, m_hi = squared_modulus_rows(lo, hi)
+    assert [(a.hex(), b.hex()) for a, b in zip(m_lo.tolist(), m_hi.tolist())] == [
+        _hex_interval(_scalar_antiholo_modulus(boxes).sqr()) for boxes in orbits]
+    if len(orbits[0]) % 2 == 0:
+        m = multiplier_rows(lo, hi)
+        cols = [v.tolist() for v in (*m.re, *m.im)]
+        scalar = [cycle_multiplier(boxes) for boxes in orbits]
+        assert [tuple(c[k].hex() for c in cols) for k in range(len(orbits))] == [
+            _hex_interval(w.re) + _hex_interval(w.im) for w in scalar]

@@ -3,6 +3,7 @@
 import contextlib
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -10,12 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import iv
 
+from tricert import intervals
 from tricert.intervals import (
     BoxArray,
     ComplexBox,
     EmptyIntervalError,
     Interval,
     ZeroDivisionBoxError,
+    _down_arr,
+    _mid_arr,
+    _up_arr,
 )
 
 
@@ -337,3 +342,87 @@ def test_box_array_ops_match_complex_box(pairs, w):
             assert _rows_hex(op(w, x)) == [_scalar_hex(op, w, a) for a in xs], name
         for name, op in _UNARY.items():
             assert _rows_hex(op(x)) == [_scalar_hex(op, a) for a in xs], name
+
+
+# ---------------------------------------------------------------------------
+# outward rounding of endpoint arrays
+# ---------------------------------------------------------------------------
+
+
+def _bit_patterns():
+    """Every exponent with the mantissas 0, 1, 2^51, 2^52 - 1 and four drawn
+    ones, of both signs: the zeros, the subnormals (5e-324 among them), the
+    normals up to max, the infinities and nans."""
+    rng = np.random.default_rng(5)
+    mantissas = np.array([0, 1, 2**51, 2**52 - 1, *rng.integers(0, 2**52, 4)], dtype=np.int64)
+    bits = ((np.arange(2048, dtype=np.int64)[:, None] << 52) | mantissas).ravel()
+    return np.concatenate((bits, bits | np.int64(-2**63))).view(np.float64)
+
+
+def _assert_rounds_like_nextafter(x):
+    """_down_arr and _up_arr give np.nextafter's bits on every non-nan entry
+    of x, keep x's shape, and keep each nan a nan."""
+    with np.errstate(over="ignore", invalid="ignore"):  # signaling nans
+        for ours, direction in ((_down_arr(x), -math.inf), (_up_arr(x), math.inf)):
+            ours, theirs = np.asarray(ours), np.asarray(np.nextafter(x, direction))
+            assert ours.shape == np.shape(x)
+            nan = np.isnan(np.asarray(x))
+            assert np.array_equal(np.isnan(ours), nan)
+            assert np.array_equal(ours[~nan].view(np.int64), theirs[~nan].view(np.int64))
+
+
+class TestOutwardRounding:
+    def test_patterns_cover_the_special_values(self):
+        x = _bit_patterns()
+        for v in (0.0, 5e-324, sys.float_info.max, math.inf):
+            assert (x.view(np.int64) == np.float64(v).view(np.int64)).any()
+            assert (x.view(np.int64) == np.float64(-v).view(np.int64)).any()
+        assert np.isnan(x).sum() == 2 * 7 and len(x) > 8 * intervals._STEP_MIN
+
+    @pytest.mark.parametrize("offset", [-1, 0])
+    def test_both_sides_of_the_cutoff(self, offset):
+        # every pattern in arrays of _STEP_MIN - 1 entries (nextafter) and of
+        # _STEP_MIN entries (the integer step)
+        x, n = _bit_patterns(), intervals._STEP_MIN + offset
+        for k in range(0, len(x), n):
+            _assert_rounds_like_nextafter(x[k:k + n] if k + n <= len(x) else x[-n:])
+
+    @pytest.mark.parametrize("step_min", [0, None])
+    def test_shapes_and_strides(self, monkeypatch, step_min):
+        # 0-d, 3-D and non-contiguous arrays, by the integer step alone
+        # (step_min 0) and by the size rule
+        if step_min is not None:
+            monkeypatch.setattr(intervals, "_STEP_MIN", step_min)
+        x = _bit_patterns()
+        for v in (0.0, -0.0, 5e-324, -5e-324, 1.5, -sys.float_info.max, math.inf, -math.inf,
+                  math.nan):
+            _assert_rounds_like_nextafter(np.array(v))
+        _assert_rounds_like_nextafter(x.reshape(16, 32, -1))
+        _assert_rounds_like_nextafter(x[::3])
+        _assert_rounds_like_nextafter(x.reshape(64, -1)[:, 1::2])
+        _assert_rounds_like_nextafter(x.reshape(16, 32, -1).transpose(2, 0, 1))
+
+    def test_nan_stays_nan(self):
+        # nans whose pattern one integer step would turn into -0.0 or -inf
+        x = np.array([0x7FFFFFFFFFFFFFFF, -0x000FFFFFFFFFFFFF], dtype=np.int64).view(np.float64)
+        x = np.resize(x, intervals._STEP_MIN)
+        assert np.isnan(x).all()
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(_down_arr(x)).all() and np.isnan(_up_arr(x)).all()
+
+
+_TWIN_ENDPOINTS = st.one_of(
+    _ANY_ENDPOINTS, st.sampled_from((sys.float_info.max, -sys.float_info.max, 5e-324, -5e-324)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_TWIN_ENDPOINTS, _TWIN_ENDPOINTS), min_size=1, max_size=8))
+def test_midpoint_and_width_arrays_match_interval(pairs):
+    """_mid_arr and _up_arr(hi - lo) give the bits of Interval.midpoint and
+    Interval.width, signed zeros and the overflowing lo + hi included."""
+    ivs = [Interval(min(a, b), max(a, b)) for a, b in pairs]
+    lo, hi = np.array([x.lo for x in ivs]), np.array([x.hi for x in ivs])
+    with np.errstate(over="ignore"):
+        mid, width = _mid_arr(lo, hi), _up_arr(hi - lo)
+    assert [v.hex() for v in mid.tolist()] == [x.midpoint().hex() for x in ivs]
+    assert [v.hex() for v in width.tolist()] == [x.width().hex() for x in ivs]

@@ -30,6 +30,7 @@ from tricert.verify import (
     contour_integral,
     count_fixed_points,
     decide_count,
+    disjointness_certificate,
     find_superattracting_parameter,
     float_orbit_of_zero,
     multiplier_im_excludes_zero,
@@ -669,6 +670,40 @@ def test_multiplier_boxes_hold_the_exact_fixed_point(u, v, radius, data):
         assert inside(multiplier.imag, enclosure.im)
     if result.status is Status.TRUE:
         assert PAPER_X_REGION.contains_box(boxes[0]) and not enclosure.im.contains(0.0)
+
+
+def _grid_cert(claim, rect, undetermined):
+    """A depth-2 certificate of rect: the cells (column, row) listed are
+    Undetermined, the others TRUE."""
+    cells = [(i, j) for j in range(4) for i in range(4)]
+    boxes = {(i, j): rect.quarter()[(j // 2) * 2 + i // 2].quarter()[(j % 2) * 2 + i % 2]
+             for i, j in cells}
+    leaves = [Leaf(2, boxes[cell], Status.UNDETERMINED if cell in undetermined else Status.TRUE)
+              for cell in cells]
+    return ParamCertificate(claim.name, rect, claim.config(), leaves)
+
+
+@pytest.mark.parametrize("red_extra, status", [
+    ((1, 3), Status.UNDETERMINED),  # shares an edge with the yellow (0, 3)
+    ((1, 2), Status.UNDETERMINED),  # shares the corner (1/4, 3/4) with (0, 3)
+    ((2, 2), Status.TRUE),          # touches no yellow cell
+])
+def test_disjointness_verdict_of_touching_closed_boxes(monkeypatch, red_extra, status):
+    # yellow holds two cells of the left column, red the right column and
+    # one more cell; exactly one yellow and one red closed box meet, or none
+    rect = ComplexBox(Interval(0.0, 1.0), Interval(0.0, 1.0))
+    yellow, red = {(0, 0), (0, 3)}, {(3, 0), (3, 1), (3, 2), (3, 3), red_extra}
+
+    def scan(rect, claim, max_depth, min_width=0.0):
+        cells = yellow if isinstance(claim, MultiplierNonRealClaim) else red
+        return _grid_cert(claim, rect, cells)
+
+    monkeypatch.setattr("tricert.scan.adaptive_scan", scan)
+    found, yellow_cert, red_cert = disjointness_certificate(rect, 9, [0j] * 9, max_depth=2)
+    pairs = [(a, b) for a in yellow_cert.leaves for b in red_cert.leaves
+             if a.status is b.status is Status.UNDETERMINED and a.box.intersects(b.box)]
+    assert len(pairs) == (status is Status.UNDETERMINED)
+    assert found is status
 
 
 def test_two_pi_encloses_tau():
