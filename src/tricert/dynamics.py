@@ -10,13 +10,15 @@ only the ComplexBox arithmetic, so they also run on a BoxArray batch.
 Fixed points of f_c^n and cycles of f_c have one certifier: the Krawczyk
 operator on the coupled cyclic system G_i = f_c(z_i) - z_{i+1}, in which
 each residual is a single map application, so the certifier never
-evaluates an iterate of f.  Moduli and multipliers are read from the
-certified orbit boxes, a batch of cycles at a time.
+evaluates an iterate of f.  Its image is one midpoint-radius evaluation in
+round to nearest, whose radius carries a priori bounds of every rounding
+error.  Moduli and multipliers are read from the certified orbit boxes, a
+batch of cycles at a time.
 
 The certifier and its float Newton seed run on a leading batch axis: one
 call takes B rows, each a parameter box and an orbit, as (B, 2p) endpoint
 arrays, and decides every row as it would decide it alone, bit for bit.
-The (B, 2p, 2p) Jacobians, preconditioners and interval matrices go
+The (B, 2p, 2p) Jacobians, preconditioners and matrices I - Y J go
 through _CHUNK rows at a time, so a call's memory does not grow with B.
 The one-box functions krawczyk_cycle, krawczyk_absence and
 float_newton_cycle are one-row calls of the batch.
@@ -292,112 +294,107 @@ def float_newton_cycle(
     return orbits[0].tolist(), float(residual[0])
 
 
+# binary64 round to nearest: the unit roundoff u (gamma_k <= (k + 1) u), the
+# smallest subnormal eta, and the largest 2p that _krawczyk_rows's bounds cover
+_U, _ETA, _MAX_N = 2.0 ** -53, 2.0 ** -1074, 400
+# a v row by row, for (B, n, n) a and (B, n) v
+_matvec = functools.partial(np.einsum, "brc,bc->br")
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _krawczyk_rows(c: BoxArray, lo, hi):
-    """The kernel of _krawczyk_image on one chunk of rows."""
+    """The kernel of _krawczyk_image on one chunk of rows.
+
+    For z in Z and c in C, with d = z - m, |d| <= r and (du, dv) = c -
+    c_mid, |du|, |dv| <= rho, the Krawczyk point is
+        K = m - Y G(m) - su du - sv dv + (A - Y (J(z) - J(m))) d,
+    with G at c_mid, A = I - Y J(m) and su, sv the exact sums of each
+    row's even and odd entries of Y.  A float sum of products whose terms
+    each pass at most k roundings is within gamma_k = k u / (1 - k u) times
+    their moduli's sum, in any order and with or without FMA (Higham,
+    Accuracy and Stability, ch. 3), plus eta/2 per product that underflows:
+    - g = fl(G(m)): x^2 passes 4 roundings, so |G(m) - g| <= gamma_4 g_sum
+      + eta, g_sum = x^2 + y^2 + |c_re| + |x_next| or 2|xy| + |c_im| + |y_next|;
+    - center = fl(m - fl(Y g)) is within gamma_n |Y| |g| + n eta + u |center|
+      of m - Y g, and s = fl(su, sv) within gamma_p sum_j |Y_{r,2j}| (or
+      |Y_{r,2j+1}|) of su (or sv);
+    - a = fl(I - ((Y_{:,2j} d0 + Y_{:,2j+1} d1) - Y_{:,prev})) passes 4
+      roundings: |A - a| <= gamma_4 (I + |Y| |J(m)|) + 2 eta, |J(m)| in that
+      3-term form;
+    - |J(z) - J(m)| has the blocks 2 [[|dx|, |dy|], [|dy|, |dx|]], so it
+      takes r to (2 (rx^2 + ry^2), 4 rx ry) on each orbit point.
+    Altogether |K - center| <= |Y| t + |a| r + |s| rho + gamma_4 r
+    + 2 eta sum(r) + u |center| + n eta, with
+        t = gamma_4 (g_sum + |J(m)| r) + gamma_n |g| + |J(Z) - J(m)| r + gamma_p rho.
+    The float evaluation of this bound passes each nonnegative term through
+    at most n + 20 roundings, each losing a relative u or, on a product,
+    eta/2 to underflow.  (1 - u)^k (1 + 2^-44) >= 1 for k <= 511 covers the
+    relative losses while n <= _MAX_N; the floor 2^-1060 on t covers the
+    at most 8 eta an entry of t loses before |Y| multiplies it, 2u |center|
+    the center's rounding and 2^-1000 the other underflows.  The endpoints
+    center -+ rad are then stepped outward once.
+    """
     b, n = lo.shape
-    mid = _mid_arr(lo, hi)
-    x, yv = mid[:, 0::2], mid[:, 1::2]
+    p = n // 2
+    m = _mid_arr(lo, hi)
+    x, yv = m[:, 0::2], m[:, 1::2]
     y, ok = _stacked(np.linalg.inv, _jacobian(x, yv))
     ok &= np.isfinite(y).all(axis=(1, 2))
     y[~ok] = 0.0
-    c_re, c_im = _mid_arr(*c.re)[:, None], _mid_arr(*c.im)[:, None]
-    cu = _down_arr(c.re[0][:, None] - c_re), _up_arr(c.re[1][:, None] - c_re)
-    cv = _down_arr(c.im[0][:, None] - c_im), _up_arr(c.im[1][:, None] - c_im)
-    # G(m): conj(m_i)^2 + c_mid - m_{i+1}, as eval_f on point boxes
-    sq = x * x, yv * yv
-    xx_lo, xx_hi = np.maximum(_down_arr(sq[0]), 0.0), _up_arr(sq[0])
-    yy_lo, yy_hi = np.maximum(_down_arr(sq[1]), 0.0), _up_arr(sq[1])
-    xy_lo, xy_hi = _scale_arr(_down_arr(x * yv), _up_arr(x * yv), 2.0)
-    x_next, y_next = _next(x), _next(yv)
-    g = np.stack((
-        _interleave(_down_arr(_down_arr(_down_arr(xx_lo - yy_hi) + c_re) - x_next),
-                    _down_arr(_down_arr(-xy_hi + c_im) - y_next)),
-        _interleave(_up_arr(_up_arr(_up_arr(xx_hi - yy_lo) + c_re) - x_next),
-                    _up_arr(_up_arr(-xy_lo + c_im) - y_next)),
-    ))
-    # raise where Interval would: an overflow elsewhere reaches K as a
-    # non-finite endpoint, but a residual is skipped in rows where Y_rc == 0
-    if not np.isfinite(g[:, ok]).all():
-        raise EmptyIntervalError("non-finite residual at the midpoint")
-    r_lo, r_hi = _down_arr(lo - mid), _up_arr(hi - mid)
-    # J(Z) blocks by column 2j + col: row 2j holds d0, row 2j + 1 holds d1
-    z2_lo, z2_hi = _down_arr(lo * 2.0), _up_arr(hi * 2.0)
-    x2, y2 = (z2_lo[:, 0::2], z2_hi[:, 0::2]), (z2_lo[:, 1::2], z2_hi[:, 1::2])
-    d0 = _interleave(x2[0], -y2[1]), _interleave(x2[1], -y2[0])
-    d1 = _interleave(-y2[1], -x2[1]), _interleave(-y2[0], -x2[0])
-    # M = I - (Y_{:,2j} d0 + Y_{:,2j+1} d1 - Y_{:,2(j-1)+col}), entrywise
-    s0 = _scale_arr(d0[0][:, None], d0[1][:, None], np.repeat(y[:, :, 0::2], 2, axis=2))
-    s1 = _scale_arr(d1[0][:, None], d1[1][:, None], np.repeat(y[:, :, 1::2], 2, axis=2))
-    prev = y[:, :, (np.arange(n) - 2) % n]
-    t_lo = _down_arr(_down_arr(s0[0] + s1[0]) - prev)
-    t_hi = _up_arr(_up_arr(s0[1] + s1[1]) - prev)
-    eye = np.eye(n)
-    prod = _mul_arr(_down_arr(eye - t_hi), _up_arr(eye - t_lo), r_lo[:, None], r_hi[:, None])
-    gy = _scale_arr(g[0][:, None], g[1][:, None], y)
-    # su, sv: the left-to-right float sums of each row's even and odd Y entries
-    s = np.zeros((b, n, 2))
-    for j in range(0, n, 2):
-        s = s + y[:, :, j:j + 2]
-    cs = _scale_arr(np.stack((cu[0], cv[0]), axis=2), np.stack((cu[1], cv[1]), axis=2), s)
-    # the terms added to each row in order, a - [lo, hi] as a + [-hi, -lo]:
-    # M (Z - m) by column, -Y G(m) by column where Y_rc != 0, -cu su, -cv sv, m;
-    # the lo sums run negated, so both rows round up (-down(a + b) is
-    # up(-a + -b): round to nearest is symmetric, and up and down step
-    # either zero alike)
-    terms = np.stack((
-        np.concatenate((-prod[0], gy[1], cs[1], -mid[:, :, None]), axis=2),
-        np.concatenate((prod[1], -gy[0], -cs[0], mid[:, :, None]), axis=2),
-    ))
-    # the rows that take the term -Y_rc G_c(m) of a column c with a zero
-    # Y_rc (every row takes every other term)
-    nonzero = y != 0.0
-    takers = {n + cidx: nonzero[:, :, cidx]
-              for cidx in np.flatnonzero(~nonzero.all(axis=(0, 1))).tolist()}
-    # acc holds the negated lo rows and the hi rows
-    acc = np.zeros((2, b, n))
-    for t in range(terms.shape[3]):
-        step = _up_arr(acc + terms[..., t])
-        acc = np.where(takers[t], step, acc) if t in takers else step
-    if not np.isfinite(acc[:, ok]).all():
+    r = _up_arr(np.maximum(hi - m, m - lo))
+    c_lo, c_hi = np.stack((c.re[0], c.im[0]), axis=1), np.stack((c.re[1], c.im[1]), axis=1)
+    c_mid = _mid_arr(c_lo, c_hi)
+    rho = _up_arr(np.maximum(c_hi - c_mid, c_mid - c_lo))
+    xx, yy, xy = x * x, yv * yv, 2.0 * (x * yv)
+    x_next, y_next, cu, cv = _next(x), _next(yv), c_mid[:, :1], c_mid[:, 1:]
+    g = _interleave(((xx - yy) + cu) - x_next, (cv - xy) - y_next)
+    g_sum = _interleave((xx + yy) + (np.abs(cu) + np.abs(x_next)),
+                        (np.abs(xy) + np.abs(cv)) + np.abs(y_next))
+    # column 2j + col of J(m) holds d0 in row 2j, d1 in row 2j + 1 and -1 in
+    # row 2(j - 1) + col; A = I - Y J(m) entrywise, so Y J(m) cancels against I
+    d0, d1 = _interleave(2.0 * x, -2.0 * yv), _interleave(-2.0 * yv, -2.0 * x)
+    yj = (np.repeat(y[:, :, 0::2], 2, axis=2) * d0[:, None]
+          + np.repeat(y[:, :, 1::2], 2, axis=2) * d1[:, None])
+    a = np.eye(n) - (yj - y[:, :, (np.arange(n) - 2) % n])
+    ax, ay, rx, ry = np.abs(x), np.abs(yv), r[:, 0::2], r[:, 1::2]
+    jr = _interleave(2.0 * (ax * rx + ay * ry) + _next(rx), 2.0 * (ay * rx + ax * ry) + _next(ry))
+    dj = _interleave(2.0 * (rx * rx + ry * ry), (2.0 * rx) * (2.0 * ry))
+    t = (5 * _U * (g_sum + jr) + (n + 1) * _U * np.abs(g)) + (dj + (p + 1) * _U * np.tile(rho, p))
+    s = y.reshape(b, n, p, 2).sum(axis=2)
+    center = m - _matvec(y, g)
+    rad = ((_matvec(np.abs(y), t + 2.0 ** -1060) + _matvec(np.abs(a), r))
+           + (_matvec(np.abs(s), rho) + (5 * _U * r + 2.0 * _ETA * r.sum(axis=1)[:, None])))
+    rad = (rad * (1.0 + 2.0 ** -44) + 2.0 * _U * np.abs(center)) + 2.0 ** -1000
+    k_lo, k_hi = _down_arr(center - rad), _up_arr(center + rad)
+    if not (np.isfinite(k_lo[ok]).all() and np.isfinite(k_hi[ok]).all()):
         raise EmptyIntervalError("non-finite Krawczyk image")
-    return -acc[0], acc[1], ok
+    return k_lo, k_hi, ok
 
 
-def _krawczyk_image(c, boxes):
+def _krawczyk_image(c: BoxArray, boxes):
     """One Krawczyk step for the coupled cyclic system G_i = f(z_i) - z_{i+1},
-    for B rows at once.
+    for B rows at once, _CHUNK at a time.
 
     c is a BoxArray of B parameter rows and boxes a pair (lo, hi) of
     (B, 2p) endpoint arrays over the coordinates (re z_0, im z_0, re z_1,
-    ...) of each row's orbit boxes.  Returns the endpoints of the
-    componentwise images K(Z) and the mask of the rows whose midpoint
-    Jacobian is regular; the other rows carry no image.  The rows go
-    through _CHUNK at a time.  Called with a ComplexBox c and a list of p
-    ComplexBoxes, the form of the scalar evaluation, it returns the image
-    boxes, or None when the Jacobian is singular.
+    ...) of each row's orbit boxes.  Returns the endpoints of the images
+    K(Z) and the mask of the rows whose midpoint Jacobian is regular; the
+    other rows carry no image.
 
-    The preconditioner is the floating-point inverse of the midpoint
-    Jacobian, from one stacked np.linalg.inv; the matrix I - Y J(Z) is
-    formed entrywise so Y J(mid) cancels against I before interval widths
-    add.  G is exactly linear in c, so the parameter enters once per row
-    with a signed coefficient and the orbit's c-sensitivities can cancel.
-
-    Every operation is that of `Interval`, rounded outward to the adjacent
-    binary64 value.
-    Entries that do not depend on each other are computed at once; the
-    sums along each row run column by column, in the order of the scalar
-    formula
-        K_r = m_r + sum_c M_rc (Z_c - m_c) - sum_c Y_rc G_c(m) - su_r cu - sv_r cv,
-    so every endpoint equals the one of the scalar evaluation.  Where that
-    evaluation raises EmptyIntervalError, on an overflow in a row with a
-    regular Jacobian, so does the batch.
+    Y is the float inverse of the midpoint Jacobian, from one stacked
+    np.linalg.inv.  The image is one midpoint-radius evaluation in round
+    to nearest (Rump, BIT 39, 1999; Acta Numerica 19, 2010): the center
+    m - Y G(m, c_mid), and a radius bounding a priori the spread of K over
+    C and Z and every rounding error (derived in _krawczyk_rows).  I - Y
+    J(m) is formed entrywise, so Y J(m) cancels against I before radii
+    add; G is exactly linear in c, so c enters through the signed sums of
+    Y's even and odd columns, and the orbit's c-sensitivities can cancel.
+    Each row's sums see that row alone, so its image has the same bits in
+    any batch.  An overflow in a row with a regular Jacobian raises
+    EmptyIntervalError.
     """
-    if isinstance(c, ComplexBox):
-        lo = np.array([[(b.re.lo, b.im.lo) for b in boxes]]).reshape(1, -1)
-        hi = np.array([[(b.re.hi, b.im.hi) for b in boxes]]).reshape(1, -1)
-        k_lo, k_hi, ok = _krawczyk_image(BoxArray.of([c]), (lo, hi))
-        return _orbit_boxes(k_lo[0], k_hi[0]) if ok[0] else None
+    if boxes[0].shape[1] > _MAX_N:
+        raise ValueError(f"the Krawczyk bounds hold up to period {_MAX_N // 2}")
     return _chunked(_krawczyk_rows, c, *boxes)
 
 
@@ -418,47 +415,49 @@ def krawczyk_cycle_rows(c: BoxArray, orbits, radius):
 
     c is a BoxArray of B parameter rows, orbits a (B, p) complex array of
     orbit guesses and radius a (B,) array.  Each round evaluates the
-    images of the rows still open, which decide by the rules of
-    krawczyk_cycle, so every row ends as it would by itself.  Returns
-    (certified, lo, hi, images): the mask of certified rows, the (B, 2p)
-    endpoints of their orbit boxes, and the number of Krawczyk images each
-    row ran.
+    images of the rows still open, _CHUNK rows at a time, which decide by
+    the rules of krawczyk_cycle and update their boxes in place: every row
+    ends as it would by itself, and no array holds a round's images.
+    Returns (certified, lo, hi, images): the mask of certified rows, the
+    (B, 2p) endpoints of their orbit boxes, and the number of Krawczyk
+    images each row ran.
     """
     p = orbits.shape[1]
     lo, hi = _around(orbits, radius[:, None])
-    count = len(lo)
-    certified = np.zeros(count, dtype=bool)
-    remaining = np.full(count, _TIGHTEN)
-    images = np.zeros(count, dtype=np.int64)
-    live = np.arange(count)
-    for _ in range(_ROUNDS):
-        if not len(live):
-            break
-        images[live] += 1
-        z_lo, z_hi = lo[live], hi[live]
-        k_lo, k_hi, regular = _krawczyk_image(c[live], (z_lo, z_hi))
+    certified, remaining = np.zeros(len(lo), dtype=bool), np.full(len(lo), _TIGHTEN)
+    images, live = np.zeros(len(lo), dtype=np.int64), np.arange(len(lo))
+
+    def round_rows(rows):  # one round; returns the mask of the rows still open
+        z_lo, z_hi = lo[rows], hi[rows]
+        k_lo, k_hi, regular = _krawczyk_image(c[rows], (z_lo, z_hi))
         # an image strictly inside its boxes certifies the cycle: contract
         # toward the fixed point, then hand back tight boxes; each image
         # lies strictly inside its box, so it is what the two share
         inside = regular & ((z_lo < k_lo) & (k_hi < z_hi)).all(axis=1)
-        won = live[inside]
+        won = rows[inside]
         lo[won], hi[won] = k_lo[inside], k_hi[inside]
         certified[won] = True
         remaining[won] -= 1
         # any other image ends a certified row; an uncertified row fails
         # when its image misses its boxes, else grows by epsilon inflation
         # unless that makes a box wider than 0.5
-        grow = regular & ~certified[live] & ((z_lo <= k_hi) & (k_lo <= z_hi)).all(axis=1)
+        grow = regular & ~certified[rows] & ((z_lo <= k_hi) & (k_lo <= z_hi)).all(axis=1)
         width = _up_arr(k_hi - k_lo).reshape(-1, p, 2).max(axis=2)
-        pad = np.repeat(0.125 * width + 4.0 * radius[live, None], 2, axis=1)
+        pad = np.repeat(0.125 * width + 4.0 * radius[rows, None], 2, axis=1)
         g_lo, g_hi = k_lo - pad, k_hi + pad
         if not (np.isfinite(g_lo[grow]).all() and np.isfinite(g_hi[grow]).all()):
             raise EmptyIntervalError("non-finite inflated box")
         grow &= _up_arr(g_hi - g_lo).max(axis=1) <= 0.5
-        lo[live[grow]], hi[live[grow]] = g_lo[grow], g_hi[grow]
+        lo[rows[grow]], hi[rows[grow]] = g_lo[grow], g_hi[grow]
         # a singular Jacobian fails, even after a certified round
-        certified[live[~regular]] = False
-        live = live[grow | (inside & (remaining[live] > 0))]
+        certified[rows[~regular]] = False
+        return (grow | (inside & (remaining[rows] > 0)),)
+
+    for _ in range(_ROUNDS):
+        if not len(live):
+            break
+        images[live] += 1
+        live = live[_chunked(round_rows, live)[0]]
     return certified, lo, hi, images
 
 

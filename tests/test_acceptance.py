@@ -5,6 +5,7 @@ terminal.  The heavy parabolic/multiplier scans run once in a module
 fixture and are shared by the disjointness and component checks.
 """
 
+import hashlib
 import random
 import time
 
@@ -13,13 +14,12 @@ import pytest
 
 from tricert.cli import PAPER_N, PAPER_PERIOD, PAPER_R, PAPER_U, PAPER_X_REGION
 from tricert.dynamics import (
-    NewtonStatus,
     even_iterate,
-    float_newton_cycle,
-    krawczyk_cycle,
+    float_newton_rows,
+    krawczyk_cycle_rows,
     squared_modulus_rows,
 )
-from tricert.intervals import ComplexBox, Interval
+from tricert.intervals import BoxArray, ComplexBox, Interval
 from tricert.render import render_escape, write_ppm
 from tricert.scan import adaptive_scan, serialize
 from tricert.verify import (
@@ -98,10 +98,14 @@ def test_acceptance_3_disjoint_loci(capsys, disjoint_run):
     status, yellow_tree, red_tree, elapsed = disjoint_run
     yellow = [l for l in yellow_tree.leaves if l.status is not Status.TRUE]
     red = [l for l in red_tree.leaves if l.status is not Status.TRUE]
+    # the yellow certificate's bytes, pinned: Y is the same under every
+    # OpenBLAS kernel tried (R depends on the kernel through the float seeds)
+    digest = hashlib.sha256(serialize(yellow_tree)).hexdigest()
     ok = (
         status is Status.TRUE
         and len(yellow) > 0
         and len(red) > 0
+        and digest == "9087dfed2c785cd11eb618aea2a060cad06ec2d9d09c2d30acf64a54b35aea39"
         and elapsed < 1800.0
     )
     _report(capsys, 3, "real-multiplier and parabolic loci disjoint", ok)
@@ -217,30 +221,24 @@ def _poly_oracle_suite(count):
 
 
 def _odd_multiplier_suite(count):
+    # one Newton call on all draws and one Krawczyk call on the converged
+    # ones; the first `count` certified fixed points in draw order are checked
     rng = random.Random(63)
-    certified = 0
-    attempts = 0
-    while certified < count and attempts < 4 * count:
-        attempts += 1
-        c = complex(rng.uniform(-0.7, 0.4), rng.uniform(-0.6, 0.6))
-        orbit, residual = float_newton_cycle(c, 1, [0.1 + 0.1j])
-        if residual > 1e-10:
-            continue
-        cbox = ComplexBox.point(c)
-        status, boxes = krawczyk_cycle(cbox, 1, orbit, 1e-8)
-        if status is not NewtonStatus.CERTIFIED:
-            continue
-        [z] = boxes  # a fixed point: one orbit box
-        m_lo, m_hi = squared_modulus_rows(np.array([[z.re.lo, z.im.lo]]),
-                                          np.array([[z.re.hi, z.im.hi]]))
-        m2 = Interval(float(m_lo[0]), float(m_hi[0]))
-        _, d = even_iterate(cbox, boxes[0], 2)
-        # the odd-cycle multiplier is real and nonnegative, and equals the
-        # derivative of the doubled iterate
-        if m2.lo < 0.0 or not d.im.contains(0.0) or not d.re.intersects(m2):
-            return False
-        certified += 1
-    return certified >= count
+    c = np.array([complex(rng.uniform(-0.7, 0.4), rng.uniform(-0.6, 0.6))
+                  for _ in range(4 * count)])
+    orbits, residual = float_newton_rows(c, np.full((len(c), 1), 0.1 + 0.1j))
+    converged = residual <= 1e-10
+    cbox = BoxArray.of([ComplexBox.point(v) for v in c[converged].tolist()])
+    certified, lo, hi, _ = krawczyk_cycle_rows(cbox, orbits[converged], np.full(len(cbox), 1e-8))
+    rows = np.flatnonzero(certified)[:count]
+    lo, hi = lo[rows], hi[rows]
+    m_lo, m_hi = squared_modulus_rows(lo, hi)  # a fixed point: one orbit box
+    _, d = even_iterate(cbox[rows], BoxArray((lo[:, 0], hi[:, 0]), (lo[:, 1], hi[:, 1])), 2)
+    # the odd-cycle multiplier is real and nonnegative, and equals the
+    # derivative of the doubled iterate
+    ok = ((m_lo >= 0.0) & (d.im[0] <= 0.0) & (0.0 <= d.im[1])
+          & (d.re[0] <= m_hi) & (m_lo <= d.re[1]))
+    return len(rows) == count and bool(ok.all())
 
 
 def test_acceptance_6_property_suites(capsys):

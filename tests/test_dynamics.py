@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath import mpf, workdps
 
@@ -246,8 +246,9 @@ def test_omega_enclosure_is_cube_root_of_unity():
 # ---------------------------------------------------------------------------
 
 
-# the scalar Interval kernel that dynamics._krawczyk_image replaced, kept
-# verbatim (with the residual helper it called) as its bitwise oracle
+# the scalar Interval kernel, rounded outward after every operation, kept
+# verbatim (with the residual helper it called): the oracle of the image's
+# regular rows and width, and of the tracked scans' certificate bytes
 def _cycle_residuals(c: ComplexBox, points: list[ComplexBox]) -> list[ComplexBox]:
     p = len(points)
     return [eval_f(c, points[i]) - points[(i + 1) % p] for i in range(p)]
@@ -331,6 +332,7 @@ def _scalar_krawczyk_image(c: ComplexBox, boxes: list[ComplexBox]) -> list[Compl
 _PAPER_C = find_superattracting_parameter(9, PAPER_R.midpoint())
 _PAPER_ORBIT = float_orbit_of_zero(_PAPER_C, 9)
 _RADIUS = st.floats(-9.0, -2.0).map(lambda e: 10.0 ** e)
+_PAPER_ROW = (ComplexBox.around(_PAPER_C, 1e-8), [ComplexBox.around(z, 1e-7) for z in _PAPER_ORBIT])
 
 
 @st.composite
@@ -374,8 +376,14 @@ def _batch(rows):
     return BoxArray.of([c for c, _ in rows]), (lo, hi)
 
 
-def _row_bits(k_lo, k_hi, ok, i):
-    return _bits(dynamics._orbit_boxes(k_lo[i], k_hi[i])) if ok[i] else None
+def _row_boxes(k_lo, k_hi, ok, i):
+    return dynamics._orbit_boxes(k_lo[i], k_hi[i]) if ok[i] else None
+
+
+def _image(c, boxes):
+    """The image boxes of one row from its one-row batch, or None when its
+    midpoint Jacobian is singular."""
+    return _row_boxes(*dynamics._krawczyk_image(*_batch([(c, boxes)])), 0)
 
 
 def _bits(image):
@@ -384,14 +392,42 @@ def _bits(image):
     return [tuple(x.hex() for x in (b.re.lo, b.re.hi, b.im.lo, b.im.hi)) for b in image]
 
 
-class TestKrawczykKernel:
-    @settings(max_examples=200, deadline=None)
-    @given(_krawczyk_inputs())
-    def test_endpoints_match_scalar_oracle(self, inputs):
-        c, boxes = inputs
-        assert _bits(dynamics._krawczyk_image(c, boxes)) == _bits(
-            _scalar_krawczyk_image(c, boxes))
+@functools.lru_cache(maxsize=None)
+def _scan_kernel_rows():
+    """250 evenly spaced kernel rows of each of the depth-6 red and yellow
+    scans of PAPER_R, as a list of (parameter box, orbit boxes) per scan."""
+    samples = []
+    for claim in (ParabolicExclusionClaim(9, _PAPER_ORBIT), MultiplierNonRealClaim(PAPER_X_REGION)):
+        rows, kernel = [], dynamics._krawczyk_image
 
+        def spy(c, boxes):
+            rows.extend(zip(c.boxes(), *boxes))
+            return kernel(c, boxes)
+
+        with mock.patch.object(dynamics, "_krawczyk_image", spy):
+            adaptive_scan(PAPER_R, claim, 6)
+        samples.append([(c, dynamics._orbit_boxes(lo, hi)) for c, lo, hi in
+                        (rows[k] for k in np.linspace(0, len(rows) - 1, 250).astype(int))])
+    return samples
+
+
+@st.composite
+def _converged_row(draw):
+    """A converged period-9 cycle at a parameter in PAPER_R, in orbit boxes of
+    radius at most 1e-13, under a parameter box of radius up to 1e-2: the
+    rounding of the sums of Y's columns, which scale the parameter radius,
+    then shows at the image's edge."""
+    unit = st.floats(0.0, 1.0)
+    c = complex(PAPER_R.re.lo + draw(unit) * PAPER_R.re.width(),
+                PAPER_R.im.lo + draw(unit) * PAPER_R.im.width())
+    orbit, residual = float_newton_cycle(c, 9, _PAPER_ORBIT)
+    assume(residual < 1e-12)
+    boxes = [ComplexBox.around(z, draw(st.floats(-16.0, -13.0).map(lambda e: 10.0 ** e)))
+             for z in orbit]
+    return ComplexBox.around(c, draw(st.floats(-8.0, -2.0).map(lambda e: 10.0 ** e))), boxes
+
+
+class TestKrawczykKernel:
     @settings(max_examples=20, deadline=None)
     @given(st.sampled_from((1, 2, 3, 9)), st.integers(3, 40), st.booleans())
     def test_singular_midpoint_jacobian(self, p, k, point_c):
@@ -400,57 +436,61 @@ class TestKrawczykKernel:
         r = 2.0 ** -k
         boxes = [ComplexBox(Interval(0.5 - r, 0.5 + r), Interval(-r, r))] * p
         c = ComplexBox.point(0.25 + 0j) if point_c else ComplexBox.around(0.25 + 0j, r)
-        assert dynamics._krawczyk_image(c, boxes) is None
+        assert _image(c, boxes) is None
         assert _scalar_krawczyk_image(c, boxes) is None
 
     def test_overflow_raises_like_the_oracle(self):
         boxes = [ComplexBox.around(1e200 + 0j, 1e190), ComplexBox.around(1e-3j, 1e-6)]
-        for kernel in (dynamics._krawczyk_image, _scalar_krawczyk_image):
+        for kernel in (_image, _scalar_krawczyk_image):
             with pytest.raises(EmptyIntervalError):
                 kernel(ComplexBox.point(0j), boxes)
 
+    def test_periods_beyond_the_error_bounds_are_refused(self):
+        # the scale 1 + 2^-44 covers the roundings of the radius up to 2p = 400
+        row = np.zeros((1, 402))
+        with pytest.raises(ValueError):
+            dynamics._krawczyk_image(BoxArray.of([ComplexBox.point(0j)]), (row, row))
+
     @settings(max_examples=100, deadline=None)
     @given(st.sampled_from((1, 2, 3, 9)).flatmap(
-               lambda p: st.lists(st.one_of(
-                   _krawczyk_row(p),
-                   st.builds(_singular_row, st.just(p), st.integers(3, 40), st.booleans())),
-                   min_size=1, max_size=6)),
-           st.data())
-    def test_mixed_batch_matches_scalar_oracle(self, rows, data):
+        lambda p: st.lists(st.one_of(
+            _krawczyk_row(p),
+            st.builds(_singular_row, st.just(p), st.integers(3, 40), st.booleans())),
+            min_size=1, max_size=6)))
+    @example([_PAPER_ROW, _singular_row(9, 20, True), _PAPER_ROW, _PAPER_ROW,
+              _singular_row(9, 4, False)])
+    def test_rows_match_their_one_row_batches(self, rows):
         # point and box c, real-axis rows (zeros in Y) and singular rows
-        # share one stack; each row is its own scalar evaluation, and a
-        # batch of one gives the same row
-        oracle = []
-        for c, boxes in rows:
-            try:
-                oracle.append(_bits(_scalar_krawczyk_image(c, boxes)))
-            except EmptyIntervalError:
-                with pytest.raises(EmptyIntervalError):
-                    dynamics._krawczyk_image(*_batch(rows))
-                return
-        k_lo, k_hi, ok = dynamics._krawczyk_image(*_batch(rows))
-        assert [_row_bits(k_lo, k_hi, ok, i) for i in range(len(rows))] == oracle
-        i = data.draw(st.integers(0, len(rows) - 1))
-        assert _row_bits(*dynamics._krawczyk_image(*_batch(rows[i:i + 1])), 0) == oracle[i]
-        assert _bits(dynamics._krawczyk_image(*rows[i])) == oracle[i]
-
-    def test_singular_row_is_lost_alone(self, monkeypatch):
-        # stacked inv raises LinAlgError for the whole stack; only the
-        # singular row comes back without an image, also across chunks
-        good = (ComplexBox.around(_PAPER_C, 1e-8),
-                [ComplexBox.around(z, 1e-7) for z in _PAPER_ORBIT])
-        rows = [good, _singular_row(9, 20, True), good, good, _singular_row(9, 4, False)]
+        # share one stack, in one chunk and across chunks of 2: each row's
+        # image has the bits of its one-row batch, and only the rows whose
+        # Jacobian the scalar evaluation finds singular go without one
+        # (stacked inv raises LinAlgError for the whole stack)
+        regular = [_scalar_krawczyk_image(c, boxes) is not None for c, boxes in rows]
+        alone = [_bits(_image(c, boxes)) for c, boxes in rows]
         for chunk in (32, 2):
-            monkeypatch.setattr(dynamics, "_CHUNK", chunk)
+            with mock.patch.object(dynamics, "_CHUNK", chunk):
+                k_lo, k_hi, ok = dynamics._krawczyk_image(*_batch(rows))
+            assert ok.tolist() == regular
+            assert [_bits(_row_boxes(k_lo, k_hi, ok, i)) for i in range(len(rows))] == alone
+
+    def test_width_against_scalar_oracle(self):
+        # on kernel rows of the paper's scans the error bounds of the
+        # midpoint-radius image widen it by at most 1e-6 of the width of
+        # the scalar evaluation, which rounds outward after every operation
+        for rows in _scan_kernel_rows():
             k_lo, k_hi, ok = dynamics._krawczyk_image(*_batch(rows))
-            assert ok.tolist() == [True, False, True, True, False]
-            assert _row_bits(k_lo, k_hi, ok, 2) == _bits(_scalar_krawczyk_image(*good))
+            assert ok.all()
+            for (c, boxes), lo, hi in zip(rows, k_lo, k_hi):
+                oracle = _scalar_krawczyk_image(c, boxes)
+                widths = [t.hi - t.lo for b in oracle for t in (b.re, b.im)]
+                assert (hi - lo <= (1.0 + 1e-6) * np.array(widths)).all()
 
     @settings(max_examples=60, deadline=None)
-    @given(_krawczyk_inputs(), st.data())
+    @given(st.one_of(_krawczyk_inputs(), _converged_row()), st.data())
     def test_image_contains_exact_krawczyk_points(self, inputs, data):
-        """For c in C and z in Z, m - Y G_c(m) + (I - Y J(z)) (z - m),
-        evaluated at 60 digits with the kernel's own Y, lies in K(Z)."""
+        """For z in Z and c at a sample and the four corners of C,
+        m - Y G_c(m) + (I - Y J(z)) (z - m), evaluated at 60 digits with the
+        kernel's own Y, lies in K(Z)."""
         c, boxes = inputs
         inverses = []
         inv = np.linalg.inv
@@ -460,7 +500,7 @@ class TestKrawczykKernel:
             return inverses[-1]
 
         with mock.patch.object(np.linalg, "inv", spy):
-            image = dynamics._krawczyk_image(c, boxes)
+            image = _image(c, boxes)
         assume(image is not None)
         unit = st.floats(0.0, 1.0)
 
@@ -472,21 +512,22 @@ class TestKrawczykKernel:
             y = [[mpf(v) for v in row] for row in inverses[0][0].tolist()]
             m = [mpf(t) for b in boxes for t in (b.midpoint().real, b.midpoint().imag)]
             z = [sample(t) for b in boxes for t in (b.re, b.im)]
-            cu, cv = sample(c.re), sample(c.im)
             d = [z[k] - m[k] for k in range(n)]
-            g, jd = [], []
-            for i in range(p):
-                x, v, nx, nv = m[2 * i], m[2 * i + 1], 2 * ((i + 1) % p), 2 * ((i + 1) % p) + 1
-                g += [x * x - v * v + cu - m[nx], -2 * x * v + cv - m[nv]]
-                zx, zv = z[2 * i], z[2 * i + 1]
-                jd += [2 * zx * d[2 * i] - 2 * zv * d[2 * i + 1] - d[nx],
-                       -2 * zv * d[2 * i] - 2 * zx * d[2 * i + 1] - d[nv]]
-            for r in range(n):
-                k = m[r] - sum(y[r][j] * g[j] for j in range(n)) + d[r] - sum(
-                    y[r][j] * jd[j] for j in range(n))
-                box = image[r // 2]
-                enclosure = box.re if r % 2 == 0 else box.im
-                assert mpf(enclosure.lo) <= k <= mpf(enclosure.hi)
+            corners = [(mpf(u), mpf(v)) for u in (c.re.lo, c.re.hi) for v in (c.im.lo, c.im.hi)]
+            for cu, cv in [(sample(c.re), sample(c.im)), *corners]:
+                g, jd = [], []
+                for i in range(p):
+                    x, v, nx, nv = m[2 * i], m[2 * i + 1], 2 * ((i + 1) % p), 2 * ((i + 1) % p) + 1
+                    g += [x * x - v * v + cu - m[nx], -2 * x * v + cv - m[nv]]
+                    zx, zv = z[2 * i], z[2 * i + 1]
+                    jd += [2 * zx * d[2 * i] - 2 * zv * d[2 * i + 1] - d[nx],
+                           -2 * zv * d[2 * i] - 2 * zx * d[2 * i + 1] - d[nv]]
+                for r in range(n):
+                    k = m[r] - sum(y[r][j] * g[j] for j in range(n)) + d[r] - sum(
+                        y[r][j] * jd[j] for j in range(n))
+                    box = image[r // 2]
+                    enclosure = box.re if r % 2 == 0 else box.im
+                    assert mpf(enclosure.lo) <= k <= mpf(enclosure.hi)
 
 
 # ---------------------------------------------------------------------------
