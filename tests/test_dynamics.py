@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mpf, workdps
 
@@ -453,25 +453,50 @@ class TestKrawczykKernel:
 
     @settings(max_examples=100, deadline=None)
     @given(st.sampled_from((1, 2, 3, 9)).flatmap(
-        lambda p: st.lists(st.one_of(
-            _krawczyk_row(p),
-            st.builds(_singular_row, st.just(p), st.integers(3, 40), st.booleans())),
-            min_size=1, max_size=6)))
-    @example([_PAPER_ROW, _singular_row(9, 20, True), _PAPER_ROW, _PAPER_ROW,
-              _singular_row(9, 4, False)])
-    def test_rows_match_their_one_row_batches(self, rows):
+               lambda p: st.lists(st.one_of(
+                   _krawczyk_row(p),
+                   st.builds(_singular_row, st.just(p), st.integers(3, 40), st.booleans())),
+                   min_size=1, max_size=6)),
+           st.data())
+    def test_mixed_batch_matches_scalar_oracle(self, rows, data):
         # point and box c, real-axis rows (zeros in Y) and singular rows
-        # share one stack, in one chunk and across chunks of 2: each row's
-        # image has the bits of its one-row batch, and only the rows whose
-        # Jacobian the scalar evaluation finds singular go without one
-        # (stacked inv raises LinAlgError for the whole stack)
-        regular = [_scalar_krawczyk_image(c, boxes) is not None for c, boxes in rows]
+        # share one stack, in one chunk and across chunks of 2: only the
+        # rows whose Jacobian the scalar evaluation finds singular go
+        # without an image, an overflow raises like the scalar evaluation,
+        # and each row's image has the bits of its one-row batch
+        regular = []
+        for c, boxes in rows:
+            try:
+                regular.append(_scalar_krawczyk_image(c, boxes) is not None)
+            except EmptyIntervalError:
+                with pytest.raises(EmptyIntervalError):
+                    dynamics._krawczyk_image(*_batch(rows))
+                return
         alone = [_bits(_image(c, boxes)) for c, boxes in rows]
         for chunk in (32, 2):
             with mock.patch.object(dynamics, "_CHUNK", chunk):
                 k_lo, k_hi, ok = dynamics._krawczyk_image(*_batch(rows))
             assert ok.tolist() == regular
             assert [_bits(_row_boxes(k_lo, k_hi, ok, i)) for i in range(len(rows))] == alone
+        i = data.draw(st.integers(0, len(rows) - 1))
+        assert _bits(_row_boxes(k_lo, k_hi, ok, i)) == _bits(_image(*rows[i]))
+
+    def test_singular_row_is_lost_alone(self, monkeypatch):
+        # stacked inv raises LinAlgError for the whole stack; only the
+        # singular rows come back without an image, also across chunks,
+        # and the others keep the bits of their one-row batches
+        rows = [_PAPER_ROW, _singular_row(9, 20, True), _PAPER_ROW, _PAPER_ROW,
+                _singular_row(9, 4, False)]
+        assert [_scalar_krawczyk_image(c, boxes) is not None for c, boxes in rows] == [
+            True, False, True, True, False]
+        alone = _bits(_image(*_PAPER_ROW))
+        assert alone is not None
+        for chunk in (32, 2):
+            monkeypatch.setattr(dynamics, "_CHUNK", chunk)
+            k_lo, k_hi, ok = dynamics._krawczyk_image(*_batch(rows))
+            assert ok.tolist() == [True, False, True, True, False]
+            for i in (0, 2, 3):
+                assert _bits(_row_boxes(k_lo, k_hi, ok, i)) == alone
 
     def test_width_against_scalar_oracle(self):
         # on kernel rows of the paper's scans the error bounds of the
