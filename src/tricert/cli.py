@@ -1,12 +1,11 @@
 """Command-line surface for certification runs and rendering.
 
 Exit codes are a stable contract: 0 verified-true rollup, 1 undetermined
-(or falsified), 2 usage error, 3 assumptions present but unacknowledged.
-Each certificate subcommand declares its parameters once, with their
-defaults; a parameter is set by its flag, else by the same key in an
-optional flat key = value file, else by its default, and the effective
-value is echoed into certificate headers so every artifact is
-reproducible from its own header.
+(or falsified), 2 usage error.  Each certificate subcommand declares its
+parameters once, with their defaults; a parameter is set by its flag,
+else by the same key in an optional flat key = value file, else by its
+default, and the effective value is echoed into certificate headers so
+every artifact is reproducible from its own header.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from .render import (
 )
 from .scan import ParamCertificate, adaptive_scan, serialize
 from .verify import (
-    ANCHOR_ASSUMPTION,
     BoundaryDisjointClaim,
     FixedPointCountClaim,
     MultiplierNonRealClaim,
@@ -92,10 +90,6 @@ def _parse_size(text: str) -> tuple[int, int]:
     return int(m.group(1)), int(m.group(2))
 
 
-def _parse_bool(text: str) -> bool:
-    return text.lower() in ("1", "true", "yes")
-
-
 # the paper-preset rectangles: parameter window R around the period-9
 # component, the dynamical square U of the candidate restriction and the
 # region X searched for the fixed point of f^6
@@ -112,9 +106,8 @@ PAPER_PERIOD = 9
 # a flag and a config-file value are text for the same parser
 _PARSERS = {
     "rect": _parse_rect, "region": _parse_rect, "anchor": _parse_complex,
-    "acknowledge_assumptions": _parse_bool, "min_width": float, "tol": float,
-    "n": int, "period": int, "expect": int, "max_depth": int, "min_depth": int,
-    "segment_depth": int, "contour_depth": int,
+    "min_width": float, "tol": float, "n": int, "period": int, "expect": int,
+    "max_depth": int, "min_depth": int, "segment_depth": int, "contour_depth": int,
 }
 _FORMATS = {_parse_rect: "RE_LO,RE_HI,IM_LO,IM_HI", _parse_complex: "RE,IM"}
 
@@ -201,8 +194,8 @@ def _emit(cert: ParamCertificate, texts: dict[str, str], out, image=None) -> Non
             write_ppm(img, fh)
 
 
-def _rollup_exit(label: str, cert: ParamCertificate, acknowledged=False) -> int:
-    status = cert.rollup(acknowledge_assumptions=acknowledged)
+def _rollup_exit(label: str, cert: ParamCertificate) -> int:
+    status = cert.rollup()
     print(f"{label}: {status.name} over {len(cert.leaves)} leaves")
     return 0 if status is Status.TRUE else 1
 
@@ -244,10 +237,7 @@ def _cmd_verify_qlike(args, texts) -> int:
     cert = qlike_certificate(args.rect, args.region, args.n, anchor, args.max_depth,
                              args.min_width, args.segment_depth)
     _emit(cert, texts, args.out, args.image)
-    if cert.assumptions and not args.acknowledge_assumptions:
-        print(f"assumptions present, not acknowledged: {ANCHOR_ASSUMPTION}")
-        return 3
-    return _rollup_exit("verify-qlike", cert, args.acknowledge_assumptions)
+    return _rollup_exit("verify-qlike", cert)
 
 
 def _cmd_verify_count(args, texts) -> int:
@@ -307,8 +297,7 @@ _SCAN_CLAIMS = {
 _COMMANDS = {
     "scan": (_cmd_scan, "run one claim over a rectangle", {**_AREA, "min_depth": "0"}),
     "verify-qlike": (_cmd_verify_qlike, "quadratic-like restriction certificate",
-                     {**_AREA, **_QLIKE, "max_depth": "14", "anchor": None,
-                      "acknowledge_assumptions": "false"}),
+                     {**_AREA, **_QLIKE, "max_depth": "14", "anchor": None}),
     "verify-count": (_cmd_verify_count, "unique fixed point of the even iterate",
                      {"rect": _R_TEXT, **_COUNT, "expect": "1", "min_depth": "1",
                       "max_depth": "4"}),
@@ -344,11 +333,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(flags=set(flags))
         p.add_argument("--config", help="flat key = value file; keys as the flags below")
         for key in dict.fromkeys(flags):
-            flag, parse = "--" + key.replace("_", "-"), _PARSERS[key]
-            if parse is _parse_bool:
-                p.add_argument(flag, dest=key, action="store_const", const="true")
-            else:
-                p.add_argument(flag, dest=key, metavar=_FORMATS.get(parse))
+            p.add_argument("--" + key.replace("_", "-"), dest=key,
+                           metavar=_FORMATS.get(_PARSERS[key]))
         p.add_argument("-o", "--out", help="certificate output path")
         p.add_argument("--image", help="rasterized scan image output path (P6)")
     subs.choices["verify-disjoint"].add_argument(

@@ -410,20 +410,21 @@ def _around(orbits, radius):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def krawczyk_cycle_rows(c: BoxArray, orbits, radius):
+def krawczyk_cycle_rows(c: BoxArray, boxes, radius):
     """krawczyk_cycle for B rows at once.
 
-    c is a BoxArray of B parameter rows, orbits a (B, p) complex array of
-    orbit guesses and radius a (B,) array.  Each round evaluates the
+    c is a BoxArray of B parameter rows, boxes the (lo, hi) pair of (B, 2p)
+    endpoint arrays of the start boxes, _around each orbit guess with its
+    row's radius, and radius that (B,) array.  Each round evaluates the
     images of the rows still open, _CHUNK rows at a time, which decide by
     the rules of krawczyk_cycle and update their boxes in place: every row
     ends as it would by itself, and no array holds a round's images.
     Returns (certified, lo, hi, images): the mask of certified rows, the
-    (B, 2p) endpoints of their orbit boxes, and the number of Krawczyk
-    images each row ran.
+    endpoint arrays of boxes, refined in place (the orbit boxes of the
+    certified rows), and the number of Krawczyk images each row ran.
     """
-    p = orbits.shape[1]
-    lo, hi = _around(orbits, radius[:, None])
+    lo, hi = boxes
+    p = lo.shape[1] // 2
     certified, remaining = np.zeros(len(lo), dtype=bool), np.full(len(lo), _TIGHTEN)
     images, live = np.zeros(len(lo), dtype=np.int64), np.arange(len(lo))
 
@@ -483,7 +484,8 @@ def krawczyk_cycle(
     if len(orbit_guess) != period:
         raise ValueError("orbit guess length must equal the period")
     certified, lo, hi, _ = krawczyk_cycle_rows(
-        BoxArray.of([c]), np.array([orbit_guess], dtype=complex), np.array([radius]))
+        BoxArray.of([c]), _around(np.array([orbit_guess], dtype=complex), radius),
+        np.array([radius]))
     if not certified[0]:
         return NewtonStatus.UNKNOWN, []
     return NewtonStatus.CERTIFIED, _orbit_boxes(lo[0], hi[0])

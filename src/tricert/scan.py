@@ -11,7 +11,7 @@ produce bit-identical certificates.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .intervals import ComplexBox, Interval
 from .verify import Status
@@ -54,13 +54,10 @@ class ParamCertificate:
     root: ComplexBox
     config: dict
     leaves: list[Leaf]
-    assumptions: list[str] = field(default_factory=list)
     tool: str = TOOL_VERSION
 
-    def rollup(self, acknowledge_assumptions: bool = False) -> Status:
-        """TRUE only if every leaf is TRUE and any assumptions are acknowledged."""
-        if self.assumptions and not acknowledge_assumptions:
-            return Status.UNDETERMINED
+    def rollup(self) -> Status:
+        """TRUE only if every leaf is TRUE; FALSE if some leaf is FALSE."""
         if all(leaf.status is Status.TRUE for leaf in self.leaves):
             return Status.TRUE
         if any(leaf.status is Status.FALSE for leaf in self.leaves):
@@ -193,8 +190,6 @@ def serialize(cert: ParamCertificate) -> bytes:
     ]
     for key in sorted(cert.config):
         lines.append(f"#config.{key}={cert.config[key]}")
-    for assumption in cert.assumptions:
-        lines.append(f"#assumption={assumption}")
     lines.append(f"#leaves={len(cert.leaves)}")
     for index, leaf in enumerate(cert.leaves):
         b = leaf.box
@@ -209,7 +204,6 @@ def parse(data: bytes) -> ParamCertificate:
     claim = tool = None
     rect = None
     config: dict = {}
-    assumptions: list[str] = []
     leaves: list[Leaf] = []
     declared = None
     for line in data.decode("utf-8").splitlines():
@@ -226,8 +220,6 @@ def parse(data: bytes) -> ParamCertificate:
                 tool = value
             elif key == "leaves":
                 declared = int(value)
-            elif key == "assumption":
-                assumptions.append(value)
             elif key.startswith("config."):
                 config[key[len("config."):]] = value
             else:
@@ -252,6 +244,5 @@ def parse(data: bytes) -> ParamCertificate:
         root=rect,
         config=config,
         leaves=leaves,
-        assumptions=assumptions,
         tool=tool or TOOL_VERSION,
     )

@@ -23,6 +23,12 @@ certifies and tries absence on the whole level in batched float Newton and
 Krawczyk calls, their rows dynamics._CHUNK at a time.  The one-box
 functions (parabolic_excluded, multiplier_im_excludes_zero,
 attracting_cycle_box, component_witnesses) are one-box calls of it.
+
+The quadratic-like certificate proves its anchor with the same kernels:
+the boundary walk and a preimage count make g = f_c^n quadratic-like at
+the anchor, and a certified attracting cycle of g in U makes its filled
+Julia set connected (see qlike_certificate).  The anchor's float critical
+orbit only seeds that cycle.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from enum import Enum
 import numpy as np
 
 from .dynamics import (
+    _around,
     conj_holomorphic_form,
     even_iterate,
     float_f,
@@ -68,11 +75,9 @@ __all__ = [
     "MultiplierNonRealClaim",
     "find_superattracting_parameter",
     "float_orbit_of_zero",
-    "anchor_orbit_bounded",
     "qlike_certificate",
     "count_certificate",
     "disjointness_certificate",
-    "ANCHOR_ASSUMPTION",
 ]
 
 TWO_PI = Interval(math.nextafter(math.tau, 0.0), math.nextafter(math.tau, 4.0 * math.pi))
@@ -114,6 +119,13 @@ def _midpoint(a, b):
     return _mid_arr(np.minimum(a, b), np.maximum(a, b))
 
 
+def _inside(u: ComplexBox, re, im):
+    """The rows of the boxes re x im (endpoint pairs of arrays) that lie
+    strictly inside U."""
+    (a, b), (p, q) = re, im
+    return (u.re.lo < a) & (b < u.re.hi) & (u.im.lo < p) & (q < u.im.hi)
+
+
 def _bisect_rows(re, im):
     """ComplexBox.bisect row by row: the halves of row k sit at 2k and 2k + 1."""
 
@@ -151,7 +163,7 @@ def _segment_walk(cs: BoxArray, u: ComplexBox, n: int, max_depth: int, effort, f
         effort += np.bincount(owner, minlength=count)
         finite = z.finite()
         (a, b), (p, q) = z.re, z.im
-        strict = (re.lo < a) & (b < re.hi) & (im.lo < p) & (q < im.hi)
+        strict = _inside(u, z.re, z.im)
         meets = (re.lo <= b) & (a <= re.hi) & (im.lo <= q) & (p <= im.hi)
         inside[owner[finite & strict]] = True
         outside[owner[finite & ~meets]] = True
@@ -433,20 +445,24 @@ def tracked_cycle_level(boxes: list[ComplexBox], period: int, seeds, absence: bo
     Krawczyk images run for the box.
     """
     count = len(boxes)
-    guesses = np.array(seeds, dtype=complex)
-    if guesses.shape != (count, period):
+    orbits = np.array(seeds, dtype=complex)
+    if orbits.shape != (count, period):
         raise ValueError("orbit guess length must equal the period")
     c = BoxArray.of(boxes)
     mids = np.empty(count, dtype=complex)
     mids.real, mids.imag = _mid_arr(*c.re), _mid_arr(*c.im)
-    orbits, converged = _refine_orbit(mids, guesses)
+    # only Newton reads the guesses: rebinding the name frees them
+    orbits, converged = _refine_orbit(mids, orbits)
     widths = np.maximum(_up_arr(c.re[1] - c.re[0]), _up_arr(c.im[1] - c.im[0]))
     cycles, effort = [None] * count, np.zeros(count, dtype=np.int64)
     held = np.zeros(count, dtype=bool)
     rows = np.flatnonzero(converged)
     if len(rows):
+        # the start boxes are built first, so no copy of the converged
+        # orbits lives through the rounds
+        radius = np.maximum(1e-9, widths[rows])
         certified, lo, hi, images = krawczyk_cycle_rows(
-            c[rows], orbits[rows], np.maximum(1e-9, widths[rows]))
+            c[rows], _around(orbits[rows], radius[:, None]), radius)
         effort[rows] = images
         held[rows] = certified & _pairwise_disjoint(lo, hi)
         for k in np.flatnonzero(held[rows]).tolist():
@@ -730,30 +746,95 @@ class MultiplierNonRealClaim:
 
 
 # ---------------------------------------------------------------------------
-# floating-point helpers for seeds and anchors
+# certificate builders, and the proof of the quadratic-like anchor
 # ---------------------------------------------------------------------------
 
 
-ANCHOR_ASSUMPTION = (
-    "anchor renormalizability is a non-rigorous heuristic: "
-    "the float orbit of the critical point stays in U for 200 steps"
-)
+# the anchor's float critical orbit seeds its cycle: p is the least return
+# up to _SEED_MAX_PERIOD within _SEED_TOL of the point _SEED_STEPS steps out
+_SEED_STEPS, _SEED_MAX_PERIOD, _SEED_TOL = 4096, 64, 1e-6
+# why an anchor proof fails, by the status of its cycle's squared modulus
+_MODULUS_FAILURES = {None: "uncertified", Status.FALSE: "repelling",
+                     Status.UNDETERMINED: "modulus-straddles-1"}
 
 
-def anchor_orbit_bounded(c: complex, u: ComplexBox, n: int, steps: int = 200) -> bool:
-    """Non-rigorous: the critical orbit under f_c^n stays in U.
+def _critical_seed(c: complex) -> list[complex] | None:
+    """One period of the float critical orbit of f_c past its transient, in
+    the phase of the critical point: its entry i is the point reached after
+    a multiple of p plus i steps.  None when the orbit leaves the disk of
+    radius max(2, |c|), from which it escapes, or shows no period."""
+    orbit, escape = [0j], max(2.0, abs(c))
+    for _ in range(_SEED_STEPS + _SEED_MAX_PERIOD):
+        orbit.append(float_f(c, orbit[-1]))
+        if not abs(orbit[-1]) <= escape:
+            return None
+    tail = orbit[_SEED_STEPS:]
+    for p in range(1, len(tail)):
+        if abs(tail[p] - tail[0]) < _SEED_TOL:
+            shift = -_SEED_STEPS % p
+            return tail[shift:p] + tail[:shift]
+    return None
 
-    This is the 'contains a renormalizable parameter' hypothesis of the
-    quadratic-like certificate and is recorded as an assumption, never as
-    a verified fact.
+
+def _anchor_cycle(point: ComplexBox, u: ComplexBox, n: int, seed) -> dict[str, str]:
+    """Condition (iv) of qlike_certificate at the anchor's point box, from
+    the float seed of a cycle: anchor_proof, and with a proof the cycle's
+    entries (see _anchor_proof)."""
+    from .scan import _hex
+
+    p = len(seed)
+    tracked = tracked_cycle_level([point], p, [seed], absence=False)
+    [(cycle, _, _, _)], [modulus] = tracked, _modulus_statuses(tracked)
+    if modulus is not Status.TRUE:
+        return {"anchor_proof": _MODULUS_FAILURES[modulus]}
+    lo, hi = cycle
+    inside = _inside(u, (lo[0::2], hi[0::2]), (lo[1::2], hi[1::2]))
+    residue = next((r for r in range(n) if inside[r::n].all()), None)
+    if residue is None:
+        return {"anchor_proof": "cycle-leaves-u"}
+    m_lo, m_hi = squared_modulus_rows(lo[None], hi[None])
+    ends = [v for k in range(2 * residue, 2 * p, 2 * n)
+            for v in (lo[k], hi[k], lo[k + 1], hi[k + 1])]
+    return {"anchor_proof": "proven", "anchor_period": str(p), "anchor_residue": str(residue),
+            "anchor_cycle": " ".join(map(_hex, ends)),
+            "anchor_modulus": f"{_hex(m_lo[0])} {_hex(m_hi[0])}"}
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _anchor_proof(c: complex, u: ComplexBox, n: int, segment_depth: int) -> dict[str, str]:
+    """The #config entries of the anchor proof of qlike_certificate at c.
+
+    anchor_preimage_count is the count of (ii), and anchor_proof is
+    'proven' or the first condition that fails: 'boundary' (i),
+    'preimage-count' (ii), 'critical-value' (iii), 'seed' (the float
+    critical orbit gives no period that n divides), then 'uncertified',
+    'repelling', 'modulus-straddles-1' or 'cycle-leaves-u' (iv).  A proof
+    also records the cycle of (iv): anchor_period p, anchor_residue r,
+    anchor_cycle the hex endpoints (re lo, re hi, im lo, im hi) of the
+    boxes of z_r, z_{r+n}, ... in turn, and anchor_modulus the hex
+    endpoints of the squared modulus enclosure.  z_i is the cycle point
+    that the critical orbit nears after a multiple of p plus i steps, so
+    residue 0 is the g-cycle that the g-orbit of 0 follows.
     """
-    z = 0j
-    for _ in range(steps):
-        for _ in range(n):
-            z = float_f(c, z)
-        if not u.contains(z):
-            return False
-    return True
+    point = ComplexBox.point(c)
+    cs = BoxArray.of([point])
+    entries = {"anchor_preimage_count": str(preimage_count(point, 0j, u, n))}
+    flags = np.zeros((3, 1), dtype=bool)
+    _segment_walk(cs, u, n, segment_depth, np.zeros(1, dtype=np.int64), flags)
+    z = BoxArray.of([ComplexBox.point(0j)])
+    for _ in range(n):
+        z = z.sqr().conj() + cs
+    if flags[:, 0].tolist() != [False, True, False]:  # inside, outside, undetermined
+        reason = "boundary"
+    elif entries["anchor_preimage_count"] != "2":
+        reason = "preimage-count"
+    elif not _inside(u, z.re, z.im)[0]:
+        reason = "critical-value"
+    elif (seed := _critical_seed(c)) is None or len(seed) % n:
+        reason = "seed"
+    else:
+        return {**entries, **_anchor_cycle(point, u, n, seed)}
+    return {**entries, "anchor_proof": reason}
 
 
 def qlike_certificate(
@@ -765,11 +846,40 @@ def qlike_certificate(
     min_width: float = 0.0,
     segment_depth: int = 14,
 ):
-    """Certificate that f_c^n restricts quadratic-likely to U over the rect.
+    """Certificate that f_c^n restricts quadratic-likely to U over the rect,
+    about a renormalizable anchor.  Returns a ParamCertificate.
 
-    Every leaf must pass the boundary-disjointness test; the anchor must
-    pass the (non-rigorous, recorded) bounded-critical-orbit heuristic and
-    a certified preimage count of 2.  Returns a ParamCertificate.
+    Every leaf must pass the boundary-disjointness test.  TRUE leaves stay
+    TRUE only when, with g = f_c^n at c = anchor (a point box):
+    (i) every piece of dU maps strictly off the closure of U (the boundary
+        walk decides all of dU outside);
+    (ii) preimage_count of 0 in U is 2;
+    (iii) g(0) lies strictly in U;
+    (iv) one tracked_cycle_level row certifies a cycle z_0, ..., z_{p-1}
+        of f_c, seeded by the float critical orbit: p is a multiple of n,
+        the boxes are pairwise disjoint, the squared modulus product
+        (prod 2|z_i|)^2 is below 1, and the boxes of z_r, z_{r+n}, ... (a
+        cycle of g) lie strictly in U for one residue r.
+    Then K(g) is connected (Douady and Hubbard, "On the dynamics of
+    polynomial-like mappings", Ann. Sci. ENS 18, 1985):
+    - g is a polynomial map (the conjugate of one for odd n), so each
+      component V of g^-1(U) maps properly onto U and holds a preimage of
+      0; preimages count with multiplicity.  By (i), g(dU) misses the
+      closure of U, so no V meets dU: each V lies in U or off its closure.
+    - By (iii), 0 lies in a component U' inside U, where the critical
+      point 0 gives g local degree 2.  By (ii), U' holds both preimages of
+      0 in U, so it is the only component inside U: g^-1(U) and U meet in
+      U' alone, and g: U' -> U is quadratic-like (a point of dU' on dU
+      would map into dU, against (i)).
+    - The cycle of (iv) lies in U and maps into U, so it lies in U' and
+      in K(g).  The holomorphic g o g is polynomial-like of degree 4 with
+      K(g o g) = K(g), and the cycle is attracting for it: its multiplier
+      modulus is prod 2|z_i| or its square, and (prod 2|z_i|)^2 < 1.  So
+      its immediate basin, part of K(g), holds a critical point of g o g:
+      0 or a g-preimage of 0.  Either way 0, the only critical point of g
+      on U', lies in K(g), so K(g) is connected.
+    The header records the anchor and the entries of _anchor_proof, so
+    the proof can be checked again from the certificate.
     """
     from .scan import adaptive_scan
 
@@ -777,13 +887,9 @@ def qlike_certificate(
         raise ValueError("anchor parameter must lie in the parameter rectangle")
     claim = BoundaryDisjointClaim(u, n, segment_depth)
     cert = adaptive_scan(param_rect, claim, max_depth, min_width)
-    cert.assumptions.append(ANCHOR_ASSUMPTION)
-    anchor_box = ComplexBox.point(anchor)
-    degree = preimage_count(anchor_box, 0j, u, n)
     cert.config["anchor"] = f"{anchor.real!r},{anchor.imag!r}"
-    cert.config["anchor_orbit_bounded"] = str(anchor_orbit_bounded(anchor, u, n))
-    cert.config["anchor_preimage_count"] = str(degree)
-    if degree != 2 or cert.config["anchor_orbit_bounded"] != "True":
+    cert.config.update(_anchor_proof(anchor, u, n, segment_depth))
+    if cert.config["anchor_proof"] != "proven":
         cert.leaves = [
             type(leaf)(leaf.depth, leaf.box, Status.UNDETERMINED, leaf.effort)
             if leaf.status is Status.TRUE
@@ -855,6 +961,11 @@ def disjointness_certificate(
     # certified empty the two are vacuously disjoint
     status = Status.UNDETERMINED if meet.any() else Status.TRUE
     return status, yellow_cert, red_cert
+
+
+# ---------------------------------------------------------------------------
+# floating-point seeds
+# ---------------------------------------------------------------------------
 
 
 def float_orbit_of_zero(c: complex, period: int) -> list[complex]:

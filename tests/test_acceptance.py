@@ -14,6 +14,7 @@ import pytest
 
 from tricert.cli import PAPER_N, PAPER_PERIOD, PAPER_R, PAPER_U, PAPER_X_REGION
 from tricert.dynamics import (
+    _around,
     even_iterate,
     float_newton_rows,
     krawczyk_cycle_rows,
@@ -57,10 +58,11 @@ def test_acceptance_1_quadratic_like(capsys):
     cert = qlike_certificate(PAPER_R, PAPER_U, PAPER_N, anchor, max_depth=14)
     elapsed = time.time() - start
     ok = (
-        cert.rollup(acknowledge_assumptions=True) is Status.TRUE
+        cert.rollup() is Status.TRUE
         and all(leaf.status is Status.TRUE for leaf in cert.leaves)
         and all(leaf.depth <= 14 for leaf in cert.leaves)
         and cert.config["anchor_preimage_count"] == "2"
+        and cert.config["anchor_proof"] == "proven"
         and elapsed < 600.0
     )
     _report(capsys, 1, "quadratic-like restriction over R", ok)
@@ -229,7 +231,9 @@ def _odd_multiplier_suite(count):
     orbits, residual = float_newton_rows(c, np.full((len(c), 1), 0.1 + 0.1j))
     converged = residual <= 1e-10
     cbox = BoxArray.of([ComplexBox.point(v) for v in c[converged].tolist()])
-    certified, lo, hi, _ = krawczyk_cycle_rows(cbox, orbits[converged], np.full(len(cbox), 1e-8))
+    radius = np.full(len(cbox), 1e-8)
+    certified, lo, hi, _ = krawczyk_cycle_rows(cbox, _around(orbits[converged], radius[:, None]),
+                                               radius)
     rows = np.flatnonzero(certified)[:count]
     lo, hi = lo[rows], hi[rows]
     m_lo, m_hi = squared_modulus_rows(lo, hi)  # a fixed point: one orbit box

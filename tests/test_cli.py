@@ -2,11 +2,13 @@
 
 import hashlib
 import re
+import warnings
 
 import pytest
 
 from tricert.cli import main
 from tricert.scan import parse
+from tricert.verify import Status
 
 
 def _run(argv):
@@ -206,29 +208,75 @@ class TestScan:
 
 
 class TestVerifyQlike:
-    def test_unacknowledged_assumptions_exit_3(self, tmp_path, capsys):
-        code = _run(["verify-qlike", "--max-depth", "2", "-o",
-                     str(tmp_path / "q.txt")])
-        assert code == 3
-        assert "assumptions" in capsys.readouterr().out
-
-    def test_acknowledged_run_exits_0(self, capsys):
-        code = _run(["verify-qlike", "--max-depth", "2",
-                     "--acknowledge-assumptions"])
+    def test_proven_anchor_exits_0(self, tmp_path, capsys):
+        # the anchor is proven, not assumed: no flag is needed for exit 0,
+        # and the header carries the proof's data in place of an assumption
+        out = tmp_path / "q.txt"
+        code = _run(["verify-qlike", "--max-depth", "2", "-o", str(out)])
         assert code == 0
-        assert "TRUE" in capsys.readouterr().out
+        assert capsys.readouterr().out == "verify-qlike: TRUE over 1 leaves\n"
+        data = out.read_bytes()
+        assert b"#assumption=" not in data
+        config = parse(data).config
+        assert config["anchor_proof"] == "proven"
+        assert config["anchor_period"] == "9"
+        assert len(config["anchor_cycle"].split()) == 4 * 3
+
+    def test_acknowledge_flag_is_gone(self, capsys):
+        code = _run(["verify-qlike", "--max-depth", "2", "--acknowledge-assumptions"])
+        assert code == 2
+        assert "--acknowledge-assumptions" in capsys.readouterr().err
+
+    def test_acknowledge_config_key_is_gone(self, tmp_path, capsys):
+        cfg = tmp_path / "q.cfg"
+        cfg.write_text("acknowledge_assumptions = yes\n")
+        assert _run(["verify-qlike", "--config", str(cfg), "--max-depth", "0"]) == 2
+        assert "unknown config key" in capsys.readouterr().err
 
     def test_anchor_outside_rect_exits_2(self):
         assert _run(["verify-qlike", "--anchor", "0,0", "--max-depth", "0"]) == 2
 
     def test_anchor_from_config(self, tmp_path):
         cfg = tmp_path / "q.cfg"
-        cfg.write_text("anchor = -1.7385,0.0158\nacknowledge_assumptions = yes\n")
+        cfg.write_text("anchor = -1.7385,0.0158\n")
         out = tmp_path / "q.txt"
         _run(["verify-qlike", "--config", str(cfg), "--max-depth", "0", "-o", str(out)])
         cert = parse(out.read_bytes())
         assert cert.config["anchor"] == "-1.7385,0.0158"
-        assert cert.config["cli.acknowledge_assumptions"] == "yes"
+        assert cert.config["cli.anchor"] == "-1.7385,0.0158"
+
+    @pytest.mark.parametrize("flags, reason", [
+        # the critical orbit escapes: no cycle to certify
+        (["--anchor", "-1.7385,0.0158"], "seed"),
+        # the lower-left 1/32 corner of the paper's rect, outside the
+        # period-9 component: its critical orbit escapes too, and the
+        # 9-cycle there is repelling (TestAnchorProof in test_verify.py)
+        (["--anchor", "-1.738734375,0.015565625"], "seed"),
+        # the center's g-cycle does not fit through this U
+        (["--region", "-0.1,0.1,-0.1,0.1"], "boundary"),
+        # at c = 0 all of dU maps into U
+        (["--rect", "-0.001,0.001,-0.001,0.001", "--anchor", "0,0"], "boundary"),
+        # every enclosure at the anchor overflows, without a warning
+        (["--rect", "1e200,2e200,1e200,2e200", "--anchor", "1.5e200,1.5e200",
+          "--segment-depth", "2"], "boundary"),
+    ])
+    def test_unproven_anchor_exits_1(self, tmp_path, capsys, flags, reason):
+        out = tmp_path / "q.txt"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = _run(["verify-qlike", *flags, "--max-depth", "2", "-o", str(out)])
+        assert code == 1
+        assert capsys.readouterr().out.startswith("verify-qlike: ")
+        cert = parse(out.read_bytes())
+        assert cert.config["anchor_proof"] == reason
+        assert "anchor_cycle" not in cert.config
+        assert all(leaf.status is not Status.TRUE for leaf in cert.leaves)
+
+    def test_settable_values(self):
+        from tricert.cli import _COMMANDS
+
+        assert sorted(_COMMANDS["verify-qlike"][2]) == [
+            "anchor", "max_depth", "min_width", "n", "rect", "region", "segment_depth"]
 
 
 class TestVerifyCount:

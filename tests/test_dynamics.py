@@ -532,27 +532,62 @@ class TestKrawczykKernel:
         def sample(i: Interval):
             return mpf(i.lo) + data.draw(unit) * (mpf(i.hi) - mpf(i.lo))
 
-        p, n = len(boxes), 2 * len(boxes)
         with workdps(60):
             y = [[mpf(v) for v in row] for row in inverses[0][0].tolist()]
             m = [mpf(t) for b in boxes for t in (b.midpoint().real, b.midpoint().imag)]
             z = [sample(t) for b in boxes for t in (b.re, b.im)]
-            d = [z[k] - m[k] for k in range(n)]
             corners = [(mpf(u), mpf(v)) for u in (c.re.lo, c.re.hi) for v in (c.im.lo, c.im.hi)]
             for cu, cv in [(sample(c.re), sample(c.im)), *corners]:
-                g, jd = [], []
-                for i in range(p):
-                    x, v, nx, nv = m[2 * i], m[2 * i + 1], 2 * ((i + 1) % p), 2 * ((i + 1) % p) + 1
-                    g += [x * x - v * v + cu - m[nx], -2 * x * v + cv - m[nv]]
-                    zx, zv = z[2 * i], z[2 * i + 1]
-                    jd += [2 * zx * d[2 * i] - 2 * zv * d[2 * i + 1] - d[nx],
-                           -2 * zv * d[2 * i] - 2 * zx * d[2 * i + 1] - d[nv]]
-                for r in range(n):
-                    k = m[r] - sum(y[r][j] * g[j] for j in range(n)) + d[r] - sum(
-                        y[r][j] * jd[j] for j in range(n))
-                    box = image[r // 2]
-                    enclosure = box.re if r % 2 == 0 else box.im
-                    assert mpf(enclosure.lo) <= k <= mpf(enclosure.hi)
+                _assert_encloses(image, _exact_krawczyk_point(y, m, z, cu, cv))
+
+    @pytest.mark.parametrize("e", [2.0 ** -10, 2.0 ** -35])
+    def test_image_holds_the_preconditioner_error(self, e):
+        """K(Z) must hold the exact Krawczyk points for any preconditioner Y.
+        At a real fixed point near x = -1/2, J(m) = diag(2x - 1, -2^-20),
+        and Y_11 = -(1 + e) 2^20 leaves A_11 = 1 - Y_11 J_11 = -e exactly.
+        With Z = {x} x [-r, r] the im row of K is then A_11 (z_1 - m_1),
+        while every other term of that row's radius is rounding-sized: the
+        float a_11 keeps -2^-10, so |a| r must carry it; the float product
+        Y_11 (-2x) rounds 2^-35 away and a_11 = 0, so gamma_4 |Y| |J(m)| r
+        must."""
+        x, r = -0.5 + 2.0 ** -21, 2.0 ** -20
+        y = np.array([[[1.0 / (2.0 * x - 1.0), 0.0], [0.0, -(1.0 + e) * 2.0 ** 20]]])
+        boxes = [ComplexBox(Interval.point(x), Interval(-r, r))]
+        with mock.patch.object(np.linalg, "inv", lambda a: y.copy()):
+            image = _image(ComplexBox.point(complex(x - x * x, 0.0)), boxes)
+        with workdps(60):
+            ys = [[mpf(v) for v in row] for row in y[0].tolist()]
+            m = [mpf(x), mpf(0)]
+            assert 1 - ys[1][1] * (-2 * m[0] - 1) == -mpf(e)
+            for side in (-1, 1):
+                k = _exact_krawczyk_point(ys, m, [mpf(x), side * mpf(r)], mpf(x - x * x), mpf(0))
+                assert abs(k[1]) == mpf(e) * r
+                _assert_encloses(image, k)
+
+
+def _exact_krawczyk_point(y, m, z, cu, cv):
+    """m - Y G_c(m) + (I - Y J(z)) (z - m) for the coupled cyclic system, at
+    the working mpmath precision, with y, m and z lists of mpf over the
+    coordinates (re z_0, im z_0, re z_1, ...) and c = cu + i cv."""
+    n, p = len(m), len(m) // 2
+    d = [z[k] - m[k] for k in range(n)]
+    g, jd = [], []
+    for i in range(p):
+        x, v, nx, nv = m[2 * i], m[2 * i + 1], 2 * ((i + 1) % p), 2 * ((i + 1) % p) + 1
+        g += [x * x - v * v + cu - m[nx], -2 * x * v + cv - m[nv]]
+        zx, zv = z[2 * i], z[2 * i + 1]
+        jd += [2 * zx * d[2 * i] - 2 * zv * d[2 * i + 1] - d[nx],
+               -2 * zv * d[2 * i] - 2 * zx * d[2 * i + 1] - d[nv]]
+    return [m[r] - sum(y[r][j] * g[j] for j in range(n)) + d[r]
+            - sum(y[r][j] * jd[j] for j in range(n)) for r in range(n)]
+
+
+def _assert_encloses(image, point):
+    """Each coordinate of the point lies in its interval of the image boxes."""
+    for r, value in enumerate(point):
+        box = image[r // 2]
+        enclosure = box.re if r % 2 == 0 else box.im
+        assert mpf(enclosure.lo) <= value <= mpf(enclosure.hi)
 
 
 # ---------------------------------------------------------------------------

@@ -221,9 +221,7 @@ class TestComponentRollup:
 
 class TestCertificates:
     def _sample(self):
-        cert = adaptive_scan(UNIT, _checkerboard(3), 3)
-        cert.assumptions.append("heuristic seed")
-        return cert
+        return adaptive_scan(UNIT, _checkerboard(3), 3)
 
     def test_round_trip_is_byte_identical(self):
         cert = self._sample()
@@ -236,7 +234,6 @@ class TestCertificates:
         back = parse(serialize(cert))
         assert back.claim == cert.claim
         assert back.root == cert.root
-        assert back.assumptions == cert.assumptions
         assert back.config == cert.config
         assert len(back.leaves) == len(cert.leaves)
         for a, b in zip(back.leaves, cert.leaves):
@@ -270,12 +267,14 @@ class TestCertificates:
             parse(data.encode())
 
     def test_unknown_header_rejected(self):
-        with pytest.raises(ValueError):
-            parse(b"#claim=x\n#mystery=1\n")
+        # certificates record no assumptions: a legacy #assumption= line is
+        # refused like any unknown header
+        for header in (b"#mystery=1", b"#assumption=x"):
+            with pytest.raises(ValueError):
+                parse(b"#claim=x\n" + header + b"\n")
 
-    def test_assumptions_gate_rollup(self):
+    def test_all_true_leaves_roll_up_true(self):
         claim = _GridClaim(1, lambda z: Status.TRUE)
         cert = adaptive_scan(UNIT, claim, 1)
-        cert.assumptions.append("needs a human look")
-        assert cert.rollup() is Status.UNDETERMINED
-        assert cert.rollup(acknowledge_assumptions=True) is Status.TRUE
+        assert cert.rollup() is Status.TRUE
+        assert component_rollup(cert, Status.TRUE) == [[0, 1, 2, 3]]

@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath import mpc, mpf, workdps
 
-from tricert import dynamics, verify
+from tricert import dynamics, scan, verify
 from tricert.cli import PAPER_R, PAPER_U, PAPER_X_REGION, _parse_rect
 from tricert.dynamics import _orbit_boxes, cycle_multiplier, eval_f, float_iterate
 from tricert.intervals import ComplexBox, EmptyIntervalError, Interval, ZeroDivisionBoxError
@@ -36,6 +36,7 @@ from tricert.verify import (
     multiplier_im_excludes_zero,
     parabolic_excluded,
     preimage_count,
+    qlike_certificate,
     tracked_cycle_level,
 )
 
@@ -277,14 +278,17 @@ class TestBoundaryDisjoint:
         assert result.status is Status.TRUE
 
     def test_origin_fails_the_degree_check(self):
-        # for c=0 the boundary image z^8-bar lands inside U, but the
-        # restriction has degree 8, which the anchor preimage count rejects
-        from tricert.verify import qlike_certificate
-
+        # for c=0 the boundary image z^8-bar lands inside U, which the
+        # boundary scan calls TRUE; but the restriction has degree 8, and
+        # the anchor proof refuses it already at condition (i): all of dU
+        # must map off U
         rect = ComplexBox(Interval(-0.001, 0.001), Interval(-0.001, 0.001))
+        [leaf] = adaptive_scan(rect, BoundaryDisjointClaim(U_RECT, 3), 0).leaves
+        assert leaf.status is Status.TRUE
         cert = qlike_certificate(rect, U_RECT, 3, 0j, max_depth=0)
         assert cert.config["anchor_preimage_count"] == "8"
-        assert cert.rollup(acknowledge_assumptions=True) is not Status.TRUE
+        assert cert.config["anchor_proof"] == "boundary"
+        assert [leaf.status for leaf in cert.leaves] == [Status.UNDETERMINED]
 
     def test_degenerate_u_rejected(self):
         flat = ComplexBox(Interval(-0.3, 0.3), Interval.point(0.0))
@@ -472,6 +476,66 @@ class TestPreimageCount:
         assert preimage_count(ComplexBox.point(anchor), 0j, U_RECT, 3) == 2
 
 
+_CENTER = find_superattracting_parameter(9, PAPER_R.midpoint())
+# the lower-left 1/32 corner of PAPER_R, outside the period-9 component
+_CORNER = complex(PAPER_R.re.lo + PAPER_R.re.width() / 32, PAPER_R.im.lo + PAPER_R.im.width() / 32)
+
+
+def _anchored(anchor: complex):
+    """The qlike certificate in PAPER_U of the 1e-6 box about the anchor,
+    one leaf."""
+    return qlike_certificate(ComplexBox.around(anchor, 1e-6), PAPER_U, 3, anchor, max_depth=0)
+
+
+def _unhex(text: str) -> list[float]:
+    return [scan._unhex(token) for token in text.split()]
+
+
+class TestAnchorProof:
+    """The anchor is proven by conditions (i)-(iv) of qlike_certificate;
+    breaking any of them leaves the leaves Undetermined."""
+
+    def test_center_is_proven(self):
+        cert = _anchored(_CENTER)
+        config = cert.config
+        assert config["anchor_proof"] == "proven"
+        assert cert.rollup() is Status.TRUE
+        assert (config["anchor_period"], config["anchor_residue"]) == ("9", "0")
+        ends = _unhex(config["anchor_cycle"])
+        boxes = [ComplexBox(Interval(*ends[k:k + 2]), Interval(*ends[k + 2:k + 4]))
+                 for k in range(0, len(ends), 4)]
+        # the boxes of z_0, z_3 and z_6 lie strictly in U, z_0 holds the
+        # critical point (the anchor is the center), and g = f^3 maps each
+        # onto a set that meets the next
+        assert len(boxes) == 3 and all(PAPER_U.strictly_contains(b) for b in boxes)
+        assert boxes[0].contains(0j)
+        c = ComplexBox.point(_CENTER)
+        for k, box in enumerate(boxes):
+            assert eval_f(c, eval_f(c, eval_f(c, box))).intersects(boxes[(k + 1) % 3])
+        m_lo, m_hi = _unhex(config["anchor_modulus"])
+        assert 0.0 <= m_lo <= m_hi < 1.0
+
+    def test_repelling_cycle_is_refused(self, monkeypatch):
+        # (i)-(iii) hold at the corner, but its critical orbit escapes; fed
+        # the center's period-9 orbit as seed, Krawczyk certifies the
+        # corner's repelling 9-cycle, which proves nothing
+        assert _anchored(_CORNER).config["anchor_proof"] == "seed"
+        monkeypatch.setattr(verify, "_critical_seed", lambda c: float_orbit_of_zero(_CENTER, 9))
+        cert = _anchored(_CORNER)
+        assert cert.config["anchor_proof"] == "repelling"
+        assert "anchor_cycle" not in cert.config
+        assert cert.rollup() is Status.UNDETERMINED
+
+    def test_cycle_must_fit_in_u(self):
+        # the center's g-cycle reaches 0.166 from 0, outside [-0.1, 0.1]^2
+        # (in that U condition (i) fails first: test_cli.py runs it)
+        seed = float_orbit_of_zero(_CENTER, 9)
+        point = ComplexBox.point(_CENTER)
+        small = ComplexBox(Interval(-0.1, 0.1), Interval(-0.1, 0.1))
+        assert verify._anchor_cycle(point, small, 3, seed) == {"anchor_proof": "cycle-leaves-u"}
+        assert verify._anchor_cycle(point, PAPER_U, 3, seed)["anchor_proof"] == "proven"
+
+
 def _paper_claims():
     center = find_superattracting_parameter(9, R_RECT.midpoint())
     return (verify.ParabolicExclusionClaim(9, float_orbit_of_zero(center, 9)),
@@ -573,8 +637,8 @@ class TestCycleClaims:
     def test_absence_is_no_repelling_witness(self, monkeypatch):
         # on a rect narrow enough for absence at the corner, a certified
         # absence there would show no repelling cycle
-        def uncertified(c, orbits, radius):
-            lo = np.zeros((len(c), 2 * orbits.shape[1]))
+        def uncertified(c, boxes, radius):
+            lo = np.zeros(boxes[0].shape)
             return np.zeros(len(c), dtype=bool), lo, lo, np.ones(len(c), dtype=np.int64)
 
         monkeypatch.setattr(verify, "krawczyk_cycle_rows", uncertified)
