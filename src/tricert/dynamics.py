@@ -10,10 +10,12 @@ only the ComplexBox arithmetic, so they also run on a BoxArray batch.
 Fixed points of f_c^n and cycles of f_c have one certifier: the Krawczyk
 operator on the coupled cyclic system G_i = f_c(z_i) - z_{i+1}, in which
 each residual is a single map application, so the certifier never
-evaluates an iterate of f.  Its image is one midpoint-radius evaluation in
-round to nearest, whose radius carries a priori bounds of every rounding
-error.  Moduli and multipliers are read from the certified orbit boxes, a
-batch of cycles at a time.
+evaluates an iterate of f.  Its preconditioner is the closed-form inverse
+of the block-cyclic midpoint Jacobian, in plain float64 arithmetic with no
+LAPACK, and its image is one midpoint-radius evaluation in round to
+nearest, whose radius carries a priori bounds of every rounding error.
+Moduli and multipliers are read from the certified orbit boxes, a batch of
+cycles at a time.
 
 The certifier and its float Newton seed run on a leading batch axis: one
 call takes B rows, each a parameter box and an orbit, as (B, 2p) endpoint
@@ -154,8 +156,12 @@ class NewtonStatus(enum.Enum):
 
 
 # rows of one Krawczyk kernel or float Newton call: the (rows, 2p, 2p)
-# matrices of a call stay this small however large the level's frontier
-_CHUNK = 32
+# matrices of a call stay this small however large the level's frontier.
+# A period-9 kernel call costs about 0.2 ms plus 18 us a row, so fewer
+# calls pay off: on verify-disjoint at depth 6, 32, 64, 128 and 256 rows
+# took 0.42, 0.39, 0.34 and 0.34 s at a peak RSS of 34.5, 34.5, 35.3 and
+# 35.5 MB, and 128 has the speed of 256 at less memory
+_CHUNK = 128
 # float Newton steps, and the epsilon-inflation rounds and tightening
 # steps of the Krawczyk certification
 _NEWTON_STEPS = 50
@@ -172,21 +178,22 @@ def _chunked(fn, *rows):
     return tuple(np.concatenate(column) for column in zip(*parts))
 
 
-def _stacked(solver, a, *b):
-    """solver on a stack of matrices, and the mask of the rows it solved.
+def _stacked(a, b):
+    """np.linalg.solve on a stack of systems a x = b, and the mask of the
+    rows it solved.
 
     numpy raises LinAlgError for the whole stack when one matrix is
     singular; the rows are then solved one at a time, bit for bit as in
     the stack, and only the singular ones are lost.
     """
     try:
-        return solver(a, *b), np.ones(len(a), dtype=bool)
+        return np.linalg.solve(a, b), np.ones(len(a), dtype=bool)
     except np.linalg.LinAlgError:
         pass
-    out, solved = np.zeros_like(b[0] if b else a), np.ones(len(a), dtype=bool)
+    out, solved = np.zeros_like(b), np.ones(len(a), dtype=bool)
     for i in range(len(a)):
         try:
-            out[i] = solver(a[i], *(x[i] for x in b))
+            out[i] = np.linalg.solve(a[i], b[i])
         except np.linalg.LinAlgError:
             solved[i] = False
     return out, solved
@@ -221,6 +228,58 @@ def _jacobian(x, y):
     return j0.reshape(b, 2 * p, 2 * p)
 
 
+@functools.lru_cache(maxsize=None)
+def _cyclic_gather(p: int):
+    """Flat indices into the (p, 2, 2, p) products [m, r, s, j] of a p-cycle
+    in the order (i, r, j, s) of Y's rows and columns: the m = i - j - 1
+    mod p maps L_{j+1}, ..., L_{i-1} lead from z_{j+1} to z_i."""
+    i, r, j, s = np.indices((p, 2, p, 2))
+    return (((i - j - 1) % p * 2 + r) * 2 + s) * p + j
+
+
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def _cyclic_inverse(x, y):
+    """The inverses of the midpoint Jacobians of _jacobian at the orbits
+    x + iy, as a C-contiguous (B, 2p, 2p) array, from their block-cyclic
+    structure alone.
+
+    Block row i of J reads L_i d_i - d_{i+1}, where L_k d = w_k conj(d),
+    w_k = 2 conj(z_k), is the real 2x2 block D_k = [[2x, -2y], [-2y, -2x]].
+    A residual g_j alone solves to d_{j+1} = (M_j - I)^-1 g_j, where M_j =
+    L_j L_{j-1} ... L_{j+1} is the map once round the cycle, and then d_i =
+    L_{i-1} ... L_{j+1} d_{j+1}: that product times (M_j - I)^-1 is block
+    (i, j) of Y.  One loop of p steps forms the products of m = 0, ..., p
+    maps for every j at once; the last is M_j.  M_j is d -> mu d for even
+    p and d -> mu conj(d) for odd p, so (M_j - I)^-1 is d / (mu - 1) or
+    (d + mu conj(d)) / (|mu|^2 - 1); here it is the adjugate over the
+    determinant.  Only real float64 multiply, add, subtract and divide run,
+    and each sum has two terms, so Y has the same bits on every machine.
+    A singular cycle (mu = 1, or |mu| = 1 for odd p) divides by a zero
+    determinant and leaves the row non-finite.  Any Y keeps the Krawczyk
+    image sound.
+    """
+    b, p = x.shape
+    # [r, t, row, k]: entry (r, t) of D_{k mod p}, k = 0, ..., 2p - 1
+    d = np.empty((2, 2, b, 2 * p))
+    d[0, 0, :, :p], d[0, 1, :, :p], d[1, 1, :, :p] = 2.0 * x, -2.0 * y, -2.0 * x
+    d[1, 0, :, :p] = d[0, 1, :, :p]
+    d[..., p:] = d[..., :p]
+    # [m, r, t, row, j]: L_{j+m} ... L_{j+1}, the identity for m = 0
+    chain = np.empty((p + 1, 2, 2, b, p))
+    chain[0] = np.eye(2)[:, :, None, None]
+    for m in range(p):
+        np.sum(d[:, :, None, :, m + 1:m + 1 + p] * chain[m], axis=1, out=chain[m + 1])
+    a, e = chain[p, 0, 0] - 1.0, chain[p, 1, 1] - 1.0
+    det = a * e - chain[p, 0, 1] * chain[p, 1, 0]
+    inv = np.stack((np.stack((e, -chain[p, 0, 1])), np.stack((-chain[p, 1, 0], a)))) / det
+    # [row, m, r, s, j]: the products times (M_j - I)^-1
+    blocks = np.empty((b, p, 2, 2, p))
+    view = blocks.transpose(1, 2, 3, 0, 4)
+    np.multiply(chain[:p, :, 0, None], inv[0], out=view)
+    view += chain[:p, :, 1, None] * inv[1]
+    return blocks.reshape(b, -1).take(_cyclic_gather(p), axis=1).reshape(b, 2 * p, 2 * p)
+
+
 def _float_f_rows(c_re, c_im, x, y):
     """float_f on coordinate arrays, operation for operation: CPython
     computes conj(z) ** 2 as 1 * (conj(z) * conj(z)).  Where CPython raises
@@ -233,7 +292,7 @@ def _float_f_rows(c_re, c_im, x, y):
 def _newton_steps(x, y, g):
     """The Newton steps of a chunk of rows at the orbits x + iy, whose
     residuals are g, and the mask of the rows with a regular Jacobian."""
-    delta, solved = _stacked(np.linalg.solve, _jacobian(x, y), g[..., None])
+    delta, solved = _stacked(_jacobian(x, y), g[..., None])
     return delta[..., 0], solved
 
 
@@ -297,7 +356,9 @@ def float_newton_cycle(
 # binary64 round to nearest: the unit roundoff u (gamma_k <= (k + 1) u), the
 # smallest subnormal eta, and the largest 2p that _krawczyk_rows's bounds cover
 _U, _ETA, _MAX_N = 2.0 ** -53, 2.0 ** -1074, 400
-# a v row by row, for (B, n, n) a and (B, n) v
+# a v row by row, for (B, n, n) a and (B, n) v; einsum picks its summation
+# order from the operand strides, so a row sums alike in any batch only
+# when both operands are C-ordered
 _matvec = functools.partial(np.einsum, "brc,bc->br")
 
 
@@ -338,8 +399,10 @@ def _krawczyk_rows(c: BoxArray, lo, hi):
     p = n // 2
     m = _mid_arr(lo, hi)
     x, yv = m[:, 0::2], m[:, 1::2]
-    y, ok = _stacked(np.linalg.inv, _jacobian(x, yv))
-    ok &= np.isfinite(y).all(axis=(1, 2))
+    # every operand of _matvec is C-ordered, so each row's sums run in the
+    # order of its one-row batch
+    y = _cyclic_inverse(x, yv)
+    ok = np.isfinite(y).all(axis=(1, 2))
     y[~ok] = 0.0
     r = _up_arr(np.maximum(hi - m, m - lo))
     c_lo, c_hi = np.stack((c.re[0], c.im[0]), axis=1), np.stack((c.re[1], c.im[1]), axis=1)
@@ -381,17 +444,17 @@ def _krawczyk_image(c: BoxArray, boxes):
     K(Z) and the mask of the rows whose midpoint Jacobian is regular; the
     other rows carry no image.
 
-    Y is the float inverse of the midpoint Jacobian, from one stacked
-    np.linalg.inv.  The image is one midpoint-radius evaluation in round
-    to nearest (Rump, BIT 39, 1999; Acta Numerica 19, 2010): the center
-    m - Y G(m, c_mid), and a radius bounding a priori the spread of K over
-    C and Z and every rounding error (derived in _krawczyk_rows).  I - Y
-    J(m) is formed entrywise, so Y J(m) cancels against I before radii
-    add; G is exactly linear in c, so c enters through the signed sums of
-    Y's even and odd columns, and the orbit's c-sensitivities can cancel.
-    Each row's sums see that row alone, so its image has the same bits in
-    any batch.  An overflow in a row with a regular Jacobian raises
-    EmptyIntervalError.
+    Y is a float inverse of the midpoint Jacobian, from its block-cyclic
+    structure (_cyclic_inverse), with the same bits on every machine.  The
+    image is one midpoint-radius evaluation in round to nearest (Rump,
+    BIT 39, 1999; Acta Numerica 19, 2010): the center m - Y G(m, c_mid),
+    and a radius bounding a priori the spread of K over C and Z and every
+    rounding error (derived in _krawczyk_rows).  I - Y J(m) is formed
+    entrywise, so Y J(m) cancels against I before radii add; G is exactly
+    linear in c, so c enters through the signed sums of Y's even and odd
+    columns, and the orbit's c-sensitivities can cancel.  Each row's sums
+    see that row alone, so its image has the same bits in any batch.  An
+    overflow in a row with a regular Jacobian raises EmptyIntervalError.
     """
     if boxes[0].shape[1] > _MAX_N:
         raise ValueError(f"the Krawczyk bounds hold up to period {_MAX_N // 2}")

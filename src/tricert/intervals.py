@@ -374,9 +374,8 @@ def _sqr_pair(a):
     lo, hi = a
     ll, hh = lo * lo, hi * hi
     pos, neg = lo >= 0.0, hi <= 0.0
-    new_lo = np.where(pos, np.maximum(_down_arr(ll), 0.0),
-                      np.where(neg, np.maximum(_down_arr(hh), 0.0), 0.0))
-    new_hi = np.where(pos, _up_arr(hh), np.where(neg, _up_arr(ll), _up_arr(np.maximum(ll, hh))))
+    new_lo = np.where(pos | neg, np.maximum(_down_arr(np.where(pos, ll, hh)), 0.0), 0.0)
+    new_hi = _up_arr(np.where(pos, hh, np.where(neg, ll, np.maximum(ll, hh))))
     return new_lo, new_hi
 
 

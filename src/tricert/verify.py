@@ -878,10 +878,13 @@ def qlike_certificate(
       its immediate basin, part of K(g), holds a critical point of g o g:
       0 or a g-preimage of 0.  Either way 0, the only critical point of g
       on U', lies in K(g), so K(g) is connected.
-    The header records the anchor and the entries of _anchor_proof, so
-    the proof can be checked again from the certificate.
+    The proof speaks for the anchor's own component of TRUE leaves
+    (component_rollup): a component none of whose closed boxes holds the
+    anchor has no anchor, and its leaves become UNDETERMINED.  The header
+    records the anchor and the entries of _anchor_proof, so the proof can
+    be checked again from the certificate.
     """
-    from .scan import adaptive_scan
+    from .scan import adaptive_scan, component_rollup
 
     if not param_rect.contains(anchor):
         raise ValueError("anchor parameter must lie in the parameter rectangle")
@@ -889,13 +892,17 @@ def qlike_certificate(
     cert = adaptive_scan(param_rect, claim, max_depth, min_width)
     cert.config["anchor"] = f"{anchor.real!r},{anchor.imag!r}"
     cert.config.update(_anchor_proof(anchor, u, n, segment_depth))
-    if cert.config["anchor_proof"] != "proven":
-        cert.leaves = [
-            type(leaf)(leaf.depth, leaf.box, Status.UNDETERMINED, leaf.effort)
-            if leaf.status is Status.TRUE
-            else leaf
-            for leaf in cert.leaves
-        ]
+    anchored = set()
+    if cert.config["anchor_proof"] == "proven":
+        for part in component_rollup(cert):
+            if any(cert.leaves[i].box.contains(anchor) for i in part):
+                anchored.update(part)
+    cert.leaves = [
+        type(leaf)(leaf.depth, leaf.box, Status.UNDETERMINED, leaf.effort)
+        if leaf.status is Status.TRUE and i not in anchored
+        else leaf
+        for i, leaf in enumerate(cert.leaves)
+    ]
     return cert
 
 

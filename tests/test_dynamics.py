@@ -1,13 +1,18 @@
 """Map evaluation, derivatives, and cycle certification."""
 
 import functools
+import hashlib
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath import mpf, workdps
 
@@ -368,6 +373,12 @@ def _singular_row(p: int, k: int, point_c: bool):
     return c, boxes
 
 
+def _exact_box(z: complex, r: float) -> ComplexBox:
+    """The box of radius r about z, for z -+ r exact in binary64: its
+    midpoint is exactly z."""
+    return ComplexBox(Interval(z.real - r, z.real + r), Interval(z.imag - r, z.imag + r))
+
+
 def _batch(rows):
     """The BoxArray of the rows' parameters and the (lo, hi) endpoint rows
     of their orbit boxes."""
@@ -457,8 +468,13 @@ class TestKrawczykKernel:
                    _krawczyk_row(p),
                    st.builds(_singular_row, st.just(p), st.integers(3, 40), st.booleans())),
                    min_size=1, max_size=6)),
-           st.data())
-    def test_mixed_batch_matches_scalar_oracle(self, rows, data):
+           st.integers(0, 5))
+    # einsum picks its summation order from the operand strides: a Y with
+    # strides (8, 64, 16) at B = 2 summed these rows unlike their one-row
+    # batches, which are C-ordered
+    @example([(ComplexBox.point(0j), [ComplexBox.around(0j, r0), ComplexBox.around(1 + 1j, r1)])
+              for r0, r1 in ((1e-2, 1e-4), (1e-3, 1e-3))], 0)
+    def test_mixed_batch_matches_scalar_oracle(self, rows, pick):
         # point and box c, real-axis rows (zeros in Y) and singular rows
         # share one stack, in one chunk and across chunks of 2: only the
         # rows whose Jacobian the scalar evaluation finds singular go
@@ -478,13 +494,13 @@ class TestKrawczykKernel:
                 k_lo, k_hi, ok = dynamics._krawczyk_image(*_batch(rows))
             assert ok.tolist() == regular
             assert [_bits(_row_boxes(k_lo, k_hi, ok, i)) for i in range(len(rows))] == alone
-        i = data.draw(st.integers(0, len(rows) - 1))
+        i = pick % len(rows)
         assert _bits(_row_boxes(k_lo, k_hi, ok, i)) == _bits(_image(*rows[i]))
 
     def test_singular_row_is_lost_alone(self, monkeypatch):
-        # stacked inv raises LinAlgError for the whole stack; only the
-        # singular rows come back without an image, also across chunks,
-        # and the others keep the bits of their one-row batches
+        # a singular row's preconditioner is not finite; only the singular
+        # rows come back without an image, also across chunks, and the
+        # others keep the bits of their one-row batches
         rows = [_PAPER_ROW, _singular_row(9, 20, True), _PAPER_ROW, _PAPER_ROW,
                 _singular_row(9, 4, False)]
         assert [_scalar_krawczyk_image(c, boxes) is not None for c, boxes in rows] == [
@@ -518,13 +534,13 @@ class TestKrawczykKernel:
         kernel's own Y, lies in K(Z)."""
         c, boxes = inputs
         inverses = []
-        inv = np.linalg.inv
+        inv = dynamics._cyclic_inverse
 
-        def spy(a):
-            inverses.append(inv(a))
+        def spy(x, y):
+            inverses.append(inv(x, y))
             return inverses[-1]
 
-        with mock.patch.object(np.linalg, "inv", spy):
+        with mock.patch.object(dynamics, "_cyclic_inverse", spy):
             image = _image(c, boxes)
         assume(image is not None)
         unit = st.floats(0.0, 1.0)
@@ -553,7 +569,7 @@ class TestKrawczykKernel:
         x, r = -0.5 + 2.0 ** -21, 2.0 ** -20
         y = np.array([[[1.0 / (2.0 * x - 1.0), 0.0], [0.0, -(1.0 + e) * 2.0 ** 20]]])
         boxes = [ComplexBox(Interval.point(x), Interval(-r, r))]
-        with mock.patch.object(np.linalg, "inv", lambda a: y.copy()):
+        with mock.patch.object(dynamics, "_cyclic_inverse", lambda x, v: y.copy()):
             image = _image(ComplexBox.point(complex(x - x * x, 0.0)), boxes)
         with workdps(60):
             ys = [[mpf(v) for v in row] for row in y[0].tolist()]
@@ -588,6 +604,107 @@ def _assert_encloses(image, point):
         box = image[r // 2]
         enclosure = box.re if r % 2 == 0 else box.im
         assert mpf(enclosure.lo) <= value <= mpf(enclosure.hi)
+
+
+# ---------------------------------------------------------------------------
+# the block-cyclic preconditioner
+# ---------------------------------------------------------------------------
+
+
+def _orbits(p):
+    """One to four (x, y) orbit coordinate rows of period p in [-2, 2]^2."""
+    coord = st.floats(-2.0, 2.0)
+    return st.lists(st.lists(st.tuples(coord, coord), min_size=p, max_size=p),
+                    min_size=1, max_size=4).map(
+        lambda rows: (np.array([[u for u, _ in r] for r in rows]),
+                      np.array([[v for _, v in r] for r in rows])))
+
+
+@st.composite
+def _singular_cycle(draw):
+    """The exact orbit of a singular p-cycle: w_k = 2 conj(z_k) = s_k 2^e_k
+    with |s_k| = 1, the last factor chosen so that the multiplier mu of the
+    map once round the cycle is 1 for even p, and of modulus 1 for odd p."""
+    p = draw(st.sampled_from((1, 2, 3, 6, 9)))
+    unit = st.sampled_from((1, -1, 1j, -1j))
+    factors = draw(st.lists(st.tuples(unit, st.integers(-3, 3)), min_size=p - 1, max_size=p - 1))
+    w = [s * 2.0 ** e for s, e in factors]
+    if p % 2:
+        w.append(draw(unit) * 2.0 ** -sum(e for _, e in factors))
+    else:
+        # mu = w_{p-1} conj(w_{p-2}) w_{p-3} ... conj(w_0), exact in these units
+        rest = 1
+        for k, v in enumerate(w):
+            rest *= v.conjugate() if (p - 1 - k) % 2 else v
+        w.append(1 / rest)
+    return [v.conjugate() / 2 for v in w]
+
+
+class TestCyclicInverse:
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from((1, 2, 3, 6, 9)).flatmap(_orbits))
+    def test_matches_lapack_inverse(self, orbits):
+        # on well-conditioned Jacobians the closed form is np.linalg.inv to
+        # 1e-12 relative and inverts J to 1e-12; it is C-ordered, and each
+        # row has the bits of its one-row batch
+        x, y = orbits
+        j = dynamics._jacobian(x, y)
+        assume((np.linalg.cond(j) <= 100.0).all())
+        inverse = dynamics._cyclic_inverse(x, y)
+        assert inverse.flags.c_contiguous and inverse.shape == j.shape
+        for k in range(len(x)):
+            lapack = np.linalg.inv(j[k])
+            assert np.abs(inverse[k] - lapack).max() <= 1e-12 * np.abs(lapack).max()
+            assert np.abs(np.eye(len(j[k])) - inverse[k] @ j[k]).max() <= 1e-12
+            alone = dynamics._cyclic_inverse(x[k:k + 1], y[k:k + 1])[0]
+            assert alone.tobytes() == inverse[k].tobytes()
+
+    @settings(max_examples=50, deadline=None)
+    @given(_singular_cycle(), st.integers(10, 30), st.booleans())
+    def test_singular_cycle_has_no_image(self, orbit, k, point_c):
+        # mu = 1 (even p) or |mu| = 1 (odd p) exactly: the inverse divides
+        # by zero, and the row goes without an image beside a regular one
+        x, y = np.array([[z.real for z in orbit]]), np.array([[z.imag for z in orbit]])
+        assert not np.isfinite(dynamics._cyclic_inverse(x, y)).all()
+        boxes = [_exact_box(z, 2.0 ** -k) for z in orbit]
+        c = ComplexBox.point(0.25 + 0j) if point_c else _exact_box(0.25 + 0j, 2.0 ** -k)
+        regular = (c, [_exact_box(complex(0.1 * (i + 1), 0.05), 2.0 ** -k) for i in range(len(orbit))])
+        _, _, ok = dynamics._krawczyk_image(*_batch([(c, boxes), regular]))
+        assert ok.tolist() == [False, True]
+
+
+_KERNEL_BITS = """
+import hashlib, sys
+import numpy as np
+from tricert import dynamics
+from tricert.intervals import BoxArray
+a = np.load(sys.argv[1])
+out = dynamics._krawczyk_image(BoxArray((a["c0"], a["c1"]), (a["c2"], a["c3"])), (a["lo"], a["hi"]))
+print(hashlib.sha256(b"".join(t.tobytes() for t in out)).hexdigest())
+"""
+
+
+def test_kernel_bits_do_not_depend_on_the_blas_kernel(tmp_path):
+    # OPENBLAS_CORETYPE makes OpenBLAS load the kernels of another x86-64
+    # CPU; a LAPACK preconditioner changed the images' last bits with it,
+    # the block-cyclic one leaves k_lo, k_hi and ok byte for byte the same
+    c, (lo, hi) = _batch(_scan_kernel_rows()[0][::6][:40])
+    assert lo.shape == (40, 18)
+    batch = tmp_path / "batch.npz"
+    np.savez(batch, c0=c.re[0], c1=c.re[1], c2=c.im[0], c3=c.im[1], lo=lo, hi=hi)
+    src = str(Path(dynamics.__file__).resolve().parents[1])
+    digests = set()
+    for core in (None, "Prescott", "Haswell"):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        if core:
+            env["OPENBLAS_CORETYPE"] = core
+        run = subprocess.run([sys.executable, "-c", _KERNEL_BITS, str(batch)], env=env,
+                             capture_output=True, text=True, check=True)
+        digests.add(run.stdout.strip())
+    k_lo, k_hi, ok = dynamics._krawczyk_image(c, (lo, hi))
+    assert ok.all()
+    assert digests == {hashlib.sha256(k_lo.tobytes() + k_hi.tobytes() + ok.tobytes()).hexdigest()}
 
 
 # ---------------------------------------------------------------------------

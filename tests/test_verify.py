@@ -526,6 +526,37 @@ class TestAnchorProof:
         assert "anchor_cycle" not in cert.config
         assert cert.rollup() is Status.UNDETERMINED
 
+    @pytest.mark.parametrize("depth, sizes, kept", [(5, [50, 182], 0), (6, [32, 108, 390], 32)])
+    def test_only_the_anchor_component_stays_true(self, monkeypatch, depth, sizes, kept):
+        # over [-1.8, 0.2] x [-0.25, 0.25] with U = [-0.3, 0.3]^2 the scan's
+        # TRUE leaves fall into components, one of them about c = 0; the
+        # proven anchor keeps TRUE only the component with a box holding
+        # it, none at depth 5, where the anchor's own leaf is Undetermined
+        scanned = []
+
+        def recorded(*args, **kwargs):
+            cert = adaptive_scan(*args, **kwargs)
+            scanned.append(ParamCertificate(cert.claim, cert.root, {}, list(cert.leaves)))
+            return cert
+
+        monkeypatch.setattr(scan, "adaptive_scan", recorded)
+        rect = ComplexBox(Interval(-1.8, 0.2), Interval(-0.25, 0.25))
+        u = ComplexBox(Interval(-0.3, 0.3), Interval(-0.3, 0.3))
+        cert = qlike_certificate(rect, u, 3, _CENTER, max_depth=depth, segment_depth=8)
+        assert cert.config["anchor_proof"] == "proven"
+        before = scanned[0].leaves
+        parts = scan.component_rollup(scanned[0])
+        assert sorted(map(len, parts)) == sizes
+        true = {i for i, leaf in enumerate(cert.leaves) if leaf.status is Status.TRUE}
+        assert len(true) == kept
+        [about_zero] = [part for part in parts if any(before[i].box.contains(0j) for i in part)]
+        assert not true & set(about_zero)
+        for part in parts:
+            anchored = any(before[i].box.contains(_CENTER) for i in part)
+            assert all((i in true) == anchored for i in part)
+        assert all(leaf.status is old.status or old.status is Status.TRUE
+                   for leaf, old in zip(cert.leaves, before))
+
     def test_cycle_must_fit_in_u(self):
         # the center's g-cycle reaches 0.166 from 0, outside [-0.1, 0.1]^2
         # (in that U condition (i) fails first: test_cli.py runs it)
