@@ -22,13 +22,11 @@ call takes B rows, each a parameter box and an orbit, as (B, 2p) endpoint
 arrays, and decides every row as it would decide it alone, bit for bit.
 The (B, 2p, 2p) Jacobians, preconditioners and matrices I - Y J go
 through _CHUNK rows at a time, so a call's memory does not grow with B.
-The one-box functions krawczyk_cycle, krawczyk_absence and
-float_newton_cycle are one-row calls of the batch.
+The one-box function krawczyk_absence is a one-row call of the batch.
 """
 
 from __future__ import annotations
 
-import enum
 import functools
 
 import numpy as np
@@ -49,7 +47,6 @@ from .intervals import (
 )
 
 __all__ = [
-    "NewtonStatus",
     "OMEGA",
     "eval_f",
     "even_iterate",
@@ -57,13 +54,11 @@ __all__ = [
     "cycle_multiplier",
     "squared_modulus_rows",
     "multiplier_rows",
-    "krawczyk_cycle",
     "krawczyk_cycle_rows",
     "krawczyk_absence",
     "krawczyk_absence_rows",
     "float_f",
     "float_iterate",
-    "float_newton_cycle",
     "float_newton_rows",
 ]
 
@@ -148,11 +143,6 @@ def conj_holomorphic_form(
 # ---------------------------------------------------------------------------
 # Krawczyk certification of cycles
 # ---------------------------------------------------------------------------
-
-
-class NewtonStatus(enum.Enum):
-    CERTIFIED = "certified"  # unique zero, Krawczyk image interior to the seed
-    UNKNOWN = "unknown"  # singular Jacobian or inconclusive geometry
 
 
 # rows of one Krawczyk kernel or float Newton call: the (rows, 2p, 2p)
@@ -335,24 +325,6 @@ def float_newton_rows(c, orbits):
     return orbits, residual
 
 
-def float_newton_cycle(
-    c: complex,
-    period: int,
-    orbit_guess: list[complex],
-) -> tuple[list[complex], float]:
-    """Floating-point Newton on the coupled cyclic system.
-
-    Refines the whole orbit at once, which stays stable where per-point
-    iteration of f^period would wrap.  Returns the refined orbit and the
-    final residual; the one-row call of float_newton_rows.
-    """
-    if len(orbit_guess) != period:
-        raise ValueError("orbit guess length must equal the period")
-    orbits, residual = float_newton_rows(np.array([c], dtype=complex),
-                                         np.array([orbit_guess], dtype=complex))
-    return orbits[0].tolist(), float(residual[0])
-
-
 # binary64 round to nearest: the unit roundoff u (gamma_k <= (k + 1) u), the
 # smallest subnormal eta, and the largest 2p that _krawczyk_rows's bounds cover
 _U, _ETA, _MAX_N = 2.0 ** -53, 2.0 ** -1074, 400
@@ -414,11 +386,17 @@ def _krawczyk_rows(c: BoxArray, lo, hi):
     g_sum = _interleave((xx + yy) + (np.abs(cu) + np.abs(x_next)),
                         (np.abs(xy) + np.abs(cv)) + np.abs(y_next))
     # column 2j + col of J(m) holds d0 in row 2j, d1 in row 2j + 1 and -1 in
-    # row 2(j - 1) + col; A = I - Y J(m) entrywise, so Y J(m) cancels against I
-    d0, d1 = _interleave(2.0 * x, -2.0 * yv), _interleave(-2.0 * yv, -2.0 * x)
-    yj = (np.repeat(y[:, :, 0::2], 2, axis=2) * d0[:, None]
-          + np.repeat(y[:, :, 1::2], 2, axis=2) * d1[:, None])
-    a = np.eye(n) - (yj - y[:, :, (np.arange(n) - 2) % n])
+    # row 2(j - 1) + col; A = I - Y J(m) entrywise, so Y J(m) cancels against I.
+    # Each column parity of A is written in place from views of Y, and the -1
+    # entries subtract Y shifted by two columns: no (B, 2p, 2p) temporary
+    a = np.empty((b, n, n))
+    a4, y4 = a.reshape(b, n, p, 2), y.reshape(b, n, p, 2)
+    for col, (d0, d1) in enumerate(((2.0 * x, -2.0 * yv), (-2.0 * yv, -2.0 * x))):
+        np.multiply(y4[..., 0], d0[:, None], out=a4[..., col])
+        a4[..., col] += y4[..., 1] * d1[:, None]
+    a[..., 2:] -= y[..., :-2]
+    a[..., :2] -= y[..., -2:]
+    np.subtract(np.eye(n), a, out=a)
     ax, ay, rx, ry = np.abs(x), np.abs(yv), r[:, 0::2], r[:, 1::2]
     jr = _interleave(2.0 * (ax * rx + ay * ry) + _next(rx), 2.0 * (ay * rx + ax * ry) + _next(ry))
     dj = _interleave(2.0 * (rx * rx + ry * ry), (2.0 * rx) * (2.0 * ry))
@@ -461,11 +439,6 @@ def _krawczyk_image(c: BoxArray, boxes):
     return _chunked(_krawczyk_rows, c, *boxes)
 
 
-def _orbit_boxes(lo, hi) -> list[ComplexBox]:
-    """The orbit boxes of one (2p,) endpoint row."""
-    return BoxArray((lo[0::2], hi[0::2]), (lo[1::2], hi[1::2])).boxes()
-
-
 def _around(orbits, radius):
     """The endpoint rows of ComplexBox.around(z, radius) for each orbit point."""
     mid = _interleave(orbits.real, orbits.imag)
@@ -474,17 +447,27 @@ def _around(orbits, radius):
 
 @np.errstate(over="ignore", invalid="ignore")
 def krawczyk_cycle_rows(c: BoxArray, boxes, radius):
-    """krawczyk_cycle for B rows at once.
+    """Krawczyk existence certification of a full cycle as a coupled
+    system, for B rows at once.
 
-    c is a BoxArray of B parameter rows, boxes the (lo, hi) pair of (B, 2p)
-    endpoint arrays of the start boxes, _around each orbit guess with its
-    row's radius, and radius that (B,) array.  Each round evaluates the
-    images of the rows still open, _CHUNK rows at a time, which decide by
-    the rules of krawczyk_cycle and update their boxes in place: every row
-    ends as it would by itself, and no array holds a round's images.
-    Returns (certified, lo, hi, images): the mask of certified rows, the
-    endpoint arrays of boxes, refined in place (the orbit boxes of the
-    certified rows), and the number of Krawczyk images each row ran.
+    Each residual involves a single map application, so there is no
+    iterate-depth wrapping.  c is a BoxArray of B parameter rows, boxes the
+    (lo, hi) pair of (B, 2p) endpoint arrays of the start boxes, _around
+    each orbit guess with its row's radius, and radius that (B,) array.
+    The boxes grow by epsilon inflation, which hands every orbit point a
+    radius matched to its own parameter sensitivity: an image strictly
+    inside its boxes certifies the cycle and is tightened up to _TIGHTEN
+    times; an image that misses its boxes, a singular Jacobian or an
+    inflated box wider than 0.5 fails.  Absence is the job of
+    krawczyk_absence_rows, where the searched region is explicit.
+
+    Each round evaluates the images of the rows still open, _CHUNK rows at
+    a time, which decide by these rules and update their boxes in place:
+    every row ends as it would by itself, and no array holds a round's
+    images.  Returns (certified, lo, hi, images): the mask of certified
+    rows, the endpoint arrays of boxes, refined in place (the tight orbit
+    boxes of the certified rows), and the number of Krawczyk images each
+    row ran.
     """
     lo, hi = boxes
     p = lo.shape[1] // 2
@@ -523,35 +506,6 @@ def krawczyk_cycle_rows(c: BoxArray, boxes, radius):
         images[live] += 1
         live = live[_chunked(round_rows, live)[0]]
     return certified, lo, hi, images
-
-
-def krawczyk_cycle(
-    c: ComplexBox,
-    period: int,
-    orbit_guess: list[complex],
-    radius: float,
-) -> tuple[NewtonStatus, list[ComplexBox]]:
-    """Krawczyk existence certification of a full cycle as a coupled system.
-
-    Each residual involves a single map application, so there is no
-    iterate-depth wrapping.  Starts from boxes of the given radius around
-    the guess and grows them by epsilon inflation, which hands every orbit
-    point a radius matched to its own parameter sensitivity: an image
-    strictly inside its boxes certifies the cycle and is tightened up to
-    _TIGHTEN times; an image that misses its boxes, a singular Jacobian
-    or an inflated box wider than 0.5 fails.  Returns (CERTIFIED, tight
-    enclosures) or (UNKNOWN, []); absence is the job of krawczyk_absence,
-    where the searched region is explicit.  The one-row call of
-    krawczyk_cycle_rows.
-    """
-    if len(orbit_guess) != period:
-        raise ValueError("orbit guess length must equal the period")
-    certified, lo, hi, _ = krawczyk_cycle_rows(
-        BoxArray.of([c]), _around(np.array([orbit_guess], dtype=complex), radius),
-        np.array([radius]))
-    if not certified[0]:
-        return NewtonStatus.UNKNOWN, []
-    return NewtonStatus.CERTIFIED, _orbit_boxes(lo[0], hi[0])
 
 
 def krawczyk_absence_rows(c: BoxArray, orbits, radius: float):

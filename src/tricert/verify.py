@@ -20,9 +20,8 @@ Every claim evaluates a whole quadtree level at once.  The qlike claim
 puts the boundary segments of a level in capped BoxArray batches; the two
 cycle claims read their statuses from tracked_cycle_level, which refines,
 certifies and tries absence on the whole level in batched float Newton and
-Krawczyk calls, their rows dynamics._CHUNK at a time.  The one-box
-functions (parabolic_excluded, multiplier_im_excludes_zero,
-attracting_cycle_box, component_witnesses) are one-box calls of it.
+Krawczyk calls, their rows dynamics._CHUNK at a time.  The two witnesses
+of component_witnesses are one-box calls of it.
 
 The quadratic-like certificate proves its anchor with the same kernels:
 the boundary walk and a preimage count make g = f_c^n quadratic-like at
@@ -64,9 +63,6 @@ __all__ = [
     "decide_count",
     "preimage_count",
     "tracked_cycle_level",
-    "attracting_cycle_box",
-    "parabolic_excluded",
-    "multiplier_im_excludes_zero",
     "component_witnesses",
     "PerBoxClaim",
     "BoundaryDisjointClaim",
@@ -531,51 +527,15 @@ def _nonreal_statuses(tracked, region: ComplexBox | None) -> list[Status]:
     return statuses
 
 
-def attracting_cycle_box(
-    c: ComplexBox, period: int, orbit_guess
-) -> tuple[ClaimResult, list[complex]]:
-    """Is the tracked period-p cycle attracting over the whole box?
-
-    TRUE when the Krawczyk operator recertifies the cycle and the squared
-    modulus product is strictly below 1; FALSE when it certifies absence
-    in the tracked neighborhood or the multiplier is strictly repelling.
-    The one-box call of tracked_cycle_level.
-    """
-    tracked = tracked_cycle_level([c], period, [orbit_guess])
-    [(_, absent, refined, effort)], [status] = tracked, _modulus_statuses(tracked)
+def _witness(c: ComplexBox, period: int, orbit, absence: bool) -> Status:
+    """The modulus status of the tracked cycle on one box (_modulus_statuses);
+    without a certified cycle FALSE for a certified absence, else
+    UNDETERMINED."""
+    tracked = tracked_cycle_level([c], period, [orbit], absence)
+    [(_, absent, _, _)], [status] = tracked, _modulus_statuses(tracked)
     if status is None:
-        status = Status.FALSE if absent else Status.UNDETERMINED
-    return ClaimResult(status, effort), refined
-
-
-def parabolic_excluded(
-    c: ComplexBox, period: int, orbit_guess
-) -> tuple[ClaimResult, list[complex]]:
-    """Does the tracked cycle certifiably avoid multiplier one?
-
-    TRUE when the squared modulus enclosure excludes 1 (either side) or
-    the cycle is certified absent in the tracked neighborhood;
-    UNDETERMINED otherwise.  The one-box call of tracked_cycle_level.
-    """
-    tracked = tracked_cycle_level([c], period, [orbit_guess])
-    [(_, _, refined, effort)], [status] = tracked, _excluded_statuses(tracked)
-    return ClaimResult(status, effort), refined
-
-
-def multiplier_im_excludes_zero(
-    c: ComplexBox, orbit_guess, region: ComplexBox | None = None
-) -> tuple[ClaimResult, list[complex]]:
-    """Is the multiplier of the certified fixed point of f_c^6 non-real?
-
-    The fixed point x_c is z_0 of the tracked period-6 cycle, certified by
-    Krawczyk.  TRUE when the box of z_0 lies in the region and the
-    enclosure of Im (f_c^6)'(x_c), read from the orbit boxes, excludes 0;
-    UNDETERMINED (possibly real, the yellow band) otherwise.  The one-box
-    call of tracked_cycle_level.
-    """
-    tracked = tracked_cycle_level([c], 6, [orbit_guess], absence=False)
-    [(_, _, refined, effort)], [status] = tracked, _nonreal_statuses(tracked, region)
-    return ClaimResult(status, effort), refined
+        return Status.FALSE if absent else Status.UNDETERMINED
+    return status
 
 
 def component_witnesses(red_cert, period: int, center: complex) -> tuple[int, Status, Status]:
@@ -583,26 +543,24 @@ def component_witnesses(red_cert, period: int, center: complex) -> tuple[int, St
     period-p components of its rect.
 
     Returns the number of connected TRUE components of red_cert, then the
-    status of attracting_cycle_box for the cycle through the critical
-    orbit of the superattracting center on a 1e-10 box about the center
-    (the attracting witness, TRUE), and the modulus status of that cycle
-    on the lower-left 1/16 corner of the rect (the repelling witness,
-    FALSE).  The repelling witness is FALSE only for a certified cycle
-    with squared modulus above 1; absence is not tried there, since it
-    shows no repelling cycle.
+    _witness statuses of the cycle through the critical orbit of the
+    superattracting center: on a 1e-10 box about the center (the
+    attracting witness, TRUE), and on the lower-left 1/16 corner of the
+    rect (the repelling witness, FALSE).  The repelling witness is FALSE
+    only for a certified cycle with squared modulus above 1; absence is
+    not tried there, since it shows no repelling cycle.
     """
     from .scan import component_rollup
 
     rect = red_cert.root
     orbit = float_orbit_of_zero(center, period)
-    attracting, _ = attracting_cycle_box(ComplexBox.around(center, 1e-10), period, orbit)
+    attracting = _witness(ComplexBox.around(center, 1e-10), period, orbit, absence=True)
     corner = ComplexBox(
         Interval(rect.re.lo, rect.re.lo + rect.re.width() / 16.0),
         Interval(rect.im.lo, rect.im.lo + rect.im.width() / 16.0),
     )
-    [repelling] = _modulus_statuses(tracked_cycle_level([corner], period, [orbit], absence=False))
-    repelling = Status.UNDETERMINED if repelling is None else repelling
-    return len(component_rollup(red_cert, Status.TRUE)), attracting.status, repelling
+    repelling = _witness(corner, period, orbit, absence=False)
+    return len(component_rollup(red_cert, Status.TRUE)), attracting, repelling
 
 
 # ---------------------------------------------------------------------------

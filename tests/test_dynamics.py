@@ -20,17 +20,15 @@ from tricert import dynamics, intervals, verify
 from tricert.cli import PAPER_R, PAPER_X_REGION
 from tricert.dynamics import (
     OMEGA,
-    NewtonStatus,
     conj_holomorphic_form,
     cycle_multiplier,
     eval_f,
     even_iterate,
     float_f,
     float_iterate,
-    float_newton_cycle,
     float_newton_rows,
     krawczyk_absence,
-    krawczyk_cycle,
+    krawczyk_cycle_rows,
     multiplier_rows,
     squared_modulus_rows,
 )
@@ -44,6 +42,7 @@ from tricert.verify import (
     Status,
     find_superattracting_parameter,
     float_orbit_of_zero,
+    tracked_cycle_level,
 )
 
 
@@ -56,6 +55,26 @@ def _rows(boxes):
     lo = np.array([[v for b in boxes for v in (b.re.lo, b.im.lo)]])
     hi = np.array([[v for b in boxes for v in (b.re.hi, b.im.hi)]])
     return lo, hi
+
+
+def _orbit_boxes(lo, hi) -> list[ComplexBox]:
+    """The orbit boxes of one (2p,) endpoint row."""
+    return BoxArray((lo[0::2], hi[0::2]), (lo[1::2], hi[1::2])).boxes()
+
+
+def _krawczyk_cycle(c: ComplexBox, orbit, radius: float):
+    """krawczyk_cycle_rows on one row: its certified orbit boxes, or None."""
+    certified, lo, hi, _ = krawczyk_cycle_rows(
+        BoxArray.of([c]), dynamics._around(np.array([orbit], dtype=complex), radius),
+        np.array([radius]))
+    return _orbit_boxes(lo[0], hi[0]) if certified[0] else None
+
+
+def _float_newton(c: complex, orbit):
+    """float_newton_rows on one row: its refined orbit and residual."""
+    orbits, residual = float_newton_rows(np.array([c], dtype=complex),
+                                         np.array([orbit], dtype=complex))
+    return orbits[0].tolist(), float(residual[0])
 
 
 def _squared_modulus(boxes) -> Interval:
@@ -194,47 +213,46 @@ class TestConjHolomorphicForm:
 
 class TestKrawczyk:
     def test_superattracting_two_cycle(self):
-        status, boxes = krawczyk_cycle(_pt(-1 + 0j), 2, [0j, -1 + 0j], 1e-6)
-        assert status is NewtonStatus.CERTIFIED
+        boxes = _krawczyk_cycle(_pt(-1 + 0j), [0j, -1 + 0j], 1e-6)
+        assert boxes is not None
         assert boxes[0].contains(0j)
         assert boxes[1].contains(-1 + 0j)
         assert _squared_modulus(boxes).contains(0.0)
 
     def test_fixed_point_at_origin(self):
-        status, boxes = krawczyk_cycle(_pt(0j), 1, [0j], 1e-6)
-        assert status is NewtonStatus.UNKNOWN or boxes[0].contains(0j)
+        boxes = _krawczyk_cycle(_pt(0j), [0j], 1e-6)
+        assert boxes is None or boxes[0].contains(0j)
 
     def test_attracting_fixed_point(self):
         c = 0.1 + 0.05j
-        orbit, residual = float_newton_cycle(c, 1, [0.1 + 0.1j])
+        orbit, residual = _float_newton(c, [0.1 + 0.1j])
         assert residual < 1e-12
-        status, boxes = krawczyk_cycle(_pt(c), 1, orbit, 1e-8)
-        assert status is NewtonStatus.CERTIFIED
+        boxes = _krawczyk_cycle(_pt(c), orbit, 1e-8)
+        assert boxes is not None
         assert boxes[0].contains(orbit[0])
 
     def test_certification_over_small_parameter_box(self):
         c = ComplexBox.around(0.1 + 0.05j, 1e-6)
-        orbit, _ = float_newton_cycle(0.1 + 0.05j, 1, [0.1 + 0.1j])
-        status, boxes = krawczyk_cycle(c, 1, orbit, 1e-6)
-        assert status is NewtonStatus.CERTIFIED
+        orbit, _ = _float_newton(0.1 + 0.05j, [0.1 + 0.1j])
+        assert _krawczyk_cycle(c, orbit, 1e-6) is not None
 
     def test_absence_far_from_any_cycle(self):
         assert krawczyk_absence(_pt(0j), 1, [5 + 5j], 1e-3)
 
     def test_absence_refuses_genuine_cycle(self):
-        orbit, _ = float_newton_cycle(0.1 + 0.05j, 1, [0.1 + 0.1j])
+        orbit, _ = _float_newton(0.1 + 0.05j, [0.1 + 0.1j])
         assert not krawczyk_absence(_pt(0.1 + 0.05j), 1, orbit, 1e-3)
 
     def test_guess_length_checked(self):
-        with pytest.raises(ValueError):
-            krawczyk_cycle(_pt(0j), 2, [0j], 1e-6)
+        with pytest.raises(ValueError, match="orbit guess length must equal the period"):
+            tracked_cycle_level([_pt(0j)], 2, [[0j]])
         with pytest.raises(ValueError):
             krawczyk_absence(_pt(0j), 2, [0j], 1e-6)
 
 
 class TestFloatNewtonCycle:
     def test_two_cycle_converges(self):
-        orbit, residual = float_newton_cycle(-1 + 0j, 2, [0.05 + 0.01j, -0.9 - 0.02j])
+        orbit, residual = _float_newton(-1 + 0j, [0.05 + 0.01j, -0.9 - 0.02j])
         assert residual < 1e-12
         values = sorted((round(z.real, 6), round(z.imag, 6)) for z in orbit)
         assert values == [(-1.0, 0.0), (0.0, 0.0)]
@@ -388,7 +406,7 @@ def _batch(rows):
 
 
 def _row_boxes(k_lo, k_hi, ok, i):
-    return dynamics._orbit_boxes(k_lo[i], k_hi[i]) if ok[i] else None
+    return _orbit_boxes(k_lo[i], k_hi[i]) if ok[i] else None
 
 
 def _image(c, boxes):
@@ -417,7 +435,7 @@ def _scan_kernel_rows():
 
         with mock.patch.object(dynamics, "_krawczyk_image", spy):
             adaptive_scan(PAPER_R, claim, 6)
-        samples.append([(c, dynamics._orbit_boxes(lo, hi)) for c, lo, hi in
+        samples.append([(c, _orbit_boxes(lo, hi)) for c, lo, hi in
                         (rows[k] for k in np.linspace(0, len(rows) - 1, 250).astype(int))])
     return samples
 
@@ -431,7 +449,7 @@ def _converged_row(draw):
     unit = st.floats(0.0, 1.0)
     c = complex(PAPER_R.re.lo + draw(unit) * PAPER_R.re.width(),
                 PAPER_R.im.lo + draw(unit) * PAPER_R.im.width())
-    orbit, residual = float_newton_cycle(c, 9, _PAPER_ORBIT)
+    orbit, residual = _float_newton(c, _PAPER_ORBIT)
     assume(residual < 1e-12)
     boxes = [ComplexBox.around(z, draw(st.floats(-16.0, -13.0).map(lambda e: 10.0 ** e)))
              for z in orbit]
@@ -851,7 +869,8 @@ class TestFloatNewtonRows:
 
 
 def _scalar_krawczyk_cycle(kernel, c, period, orbit_guess, radius, tighten=3):
-    """krawczyk_cycle one box at a time, with the kernel passed in."""
+    """The rules of krawczyk_cycle_rows one box at a time, with the kernel
+    passed in: (certified, the tight orbit boxes or [])."""
     p = period
     boxes = [ComplexBox.around(z, radius) for z in orbit_guess]
     certified = False
@@ -859,19 +878,19 @@ def _scalar_krawczyk_cycle(kernel, c, period, orbit_guess, radius, tighten=3):
     for _ in range(24):
         images = kernel(c, boxes)
         if images is None:
-            return NewtonStatus.UNKNOWN, []
+            return False, []
         inside = all(b.strictly_contains(k) for b, k in zip(boxes, images))
         if inside:
             boxes = images
             certified = True
             remaining -= 1
             if remaining <= 0:
-                return NewtonStatus.CERTIFIED, boxes
+                return True, boxes
             continue
         if certified:
-            return NewtonStatus.CERTIFIED, boxes
+            return True, boxes
         if any(not b.intersects(k) for b, k in zip(boxes, images)):
-            return NewtonStatus.UNKNOWN, []
+            return False, []
         grown = []
         for k in images:
             pad = 0.125 * k.width() + 4.0 * radius
@@ -882,9 +901,9 @@ def _scalar_krawczyk_cycle(kernel, c, period, orbit_guess, radius, tighten=3):
                 )
             )
         if max(g.width() for g in grown) > 0.5:
-            return NewtonStatus.UNKNOWN, []
+            return False, []
         boxes = grown
-    return (NewtonStatus.CERTIFIED, boxes) if certified else (NewtonStatus.UNKNOWN, [])
+    return (True, boxes) if certified else (False, [])
 
 
 def _scalar_refine_orbit(c_mid, period, orbit_guess):
@@ -905,8 +924,8 @@ def _scalar_tracked_cycle(c: ComplexBox, period: int, orbit_guess, absence: bool
     refined, converged = _scalar_refine_orbit(c.midpoint(), period, orbit_guess)
     boxes = None
     if converged:
-        status, found = _scalar_krawczyk_cycle(kernel, c, period, refined, max(1e-9, c.width()))
-        if status is NewtonStatus.CERTIFIED and not any(
+        certified, found = _scalar_krawczyk_cycle(kernel, c, period, refined, max(1e-9, c.width()))
+        if certified and not any(
                 found[i].intersects(found[j])
                 for i in range(period) for j in range(i + 1, period)):
             boxes = found

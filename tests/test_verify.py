@@ -13,8 +13,14 @@ from mpmath import mpc, mpf, workdps
 
 from tricert import dynamics, scan, verify
 from tricert.cli import PAPER_R, PAPER_U, PAPER_X_REGION, _parse_rect
-from tricert.dynamics import _orbit_boxes, cycle_multiplier, eval_f, float_iterate
-from tricert.intervals import ComplexBox, EmptyIntervalError, Interval, ZeroDivisionBoxError
+from tricert.dynamics import cycle_multiplier, eval_f, float_iterate
+from tricert.intervals import (
+    BoxArray,
+    ComplexBox,
+    EmptyIntervalError,
+    Interval,
+    ZeroDivisionBoxError,
+)
 from tricert.scan import Leaf, ParamCertificate, adaptive_scan
 from tricert.verify import (
     TWO_PI,
@@ -22,8 +28,8 @@ from tricert.verify import (
     ClaimResult,
     ContourEnclosure,
     MultiplierNonRealClaim,
+    ParabolicExclusionClaim,
     Status,
-    attracting_cycle_box,
     boundary_disjoint,
     boundary_disjoint_level,
     component_witnesses,
@@ -33,8 +39,6 @@ from tricert.verify import (
     disjointness_certificate,
     find_superattracting_parameter,
     float_orbit_of_zero,
-    multiplier_im_excludes_zero,
-    parabolic_excluded,
     preimage_count,
     qlike_certificate,
     tracked_cycle_level,
@@ -42,6 +46,17 @@ from tricert.verify import (
 
 R_RECT = ComplexBox(Interval(-1.73875, -1.73825), Interval(0.01555, 0.01605))
 U_RECT = ComplexBox(Interval(-0.3, 0.3), Interval(-0.3, 0.3))
+
+
+def _orbit_boxes(lo, hi) -> list[ComplexBox]:
+    """The orbit boxes of one (2p,) endpoint row."""
+    return BoxArray((lo[0::2], hi[0::2]), (lo[1::2], hi[1::2])).boxes()
+
+
+def _nonreal(c: ComplexBox, orbit, region: ComplexBox | None = None) -> ClaimResult:
+    """MultiplierNonRealClaim's result for one box, seeded with the orbit."""
+    [result], _ = MultiplierNonRealClaim(region).evaluate_level([c], [orbit])
+    return result
 
 
 def _poly_fn(roots):
@@ -74,19 +89,18 @@ def _scalar_edge_integral(fn, a: complex, b: complex, budget: float, depth: int)
     """Enclosure of the integral of der/val along the straight segment a->b.
 
     Returns (box, segments) or None when the denominator cannot be
-    certified nonzero at full depth.  The average of the integrand over
-    the segment lies in its enclosure, so each piece contributes
-    enclosure * (b - a).
+    certified nonzero, or the contribution overflows, at full depth.  The
+    average of the integrand over the segment lies in its enclosure, so
+    each piece contributes enclosure * (b - a).
     """
     seg = ComplexBox(Interval(min(a.real, b.real), max(a.real, b.real)),
                      Interval(min(a.imag, b.imag), max(a.imag, b.imag)))
     val, der = fn(seg)
     try:
-        integrand = der * val.recip()
-    except ZeroDivisionBoxError:
-        integrand = None
-    if integrand is not None:
-        contribution = integrand * ComplexBox.point(b - a)
+        contribution = der * val.recip() * ComplexBox.point(b - a)
+    except (ZeroDivisionBoxError, EmptyIntervalError):
+        contribution = None
+    if contribution is not None:
         if contribution.width() <= budget or depth <= 0:
             return contribution, 1
     elif depth <= 0:
@@ -171,6 +185,9 @@ _ROOT_COORD = st.one_of(st.floats(-1.6, 1.6), st.sampled_from((-1.0, 0.0, 1.0)))
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.builds(complex, _ROOT_COORD, _ROOT_COORD), min_size=1, max_size=4),
        st.sampled_from(_REGIONS), st.sampled_from((0.3, 1.5)), st.sampled_from((0, 3, 8)))
+# a root so near the contour that der / val overflows on the segment
+# through it, which fails that segment like a zero of val
+@example([1.5j, 6.24443287045962e-155j], _REGIONS[1], 0.3, 3)
 def test_contour_matches_scalar_oracle_on_polynomials(roots, region, tol, depth):
     fn = _poly_fn(roots)
     new = contour_integral(fn, region, tol, depth)
@@ -635,24 +652,21 @@ class TestTrackedCycleLevel:
 
 class TestCycleClaims:
     def test_attracting_fixed_point_of_origin(self):
-        result, refined = attracting_cycle_box(
-            ComplexBox.around(0.05 + 0.02j, 1e-9), 1, [0.06 + 0.03j]
-        )
-        assert result.status is Status.TRUE
+        box, orbit = ComplexBox.around(0.05 + 0.02j, 1e-9), [0.06 + 0.03j]
+        assert verify._witness(box, 1, orbit, absence=True) is Status.TRUE
+        [(_, _, refined, _)] = tracked_cycle_level([box], 1, [orbit])
         assert refined is not None
 
     def test_repelling_cycle_reported_false(self):
         # the fixed point of f_c near z=1 for c=0 has multiplier 4
-        result, _ = attracting_cycle_box(
-            ComplexBox.around(0j, 1e-9), 1, [1.0 + 0j]
-        )
-        assert result.status is Status.FALSE
+        box = ComplexBox.around(0j, 1e-9)
+        assert verify._witness(box, 1, [1.0 + 0j], absence=True) is Status.FALSE
 
     def test_attracting_period9_at_component_center(self):
         center = find_superattracting_parameter(9, R_RECT.midpoint())
         orbit = float_orbit_of_zero(center, 9)
-        result, _ = attracting_cycle_box(ComplexBox.around(center, 1e-10), 9, orbit)
-        assert result.status is Status.TRUE
+        box = ComplexBox.around(center, 1e-10)
+        assert verify._witness(box, 9, orbit, absence=True) is Status.TRUE
 
     def test_repeated_shorter_cycle_is_not_certified(self):
         # the period-3 orbit of 0 at the airplane center, traversed twice,
@@ -660,9 +674,8 @@ class TestCycleClaims:
         c = find_superattracting_parameter(3, -1.75 + 0j)
         orbit = float_orbit_of_zero(c, 3) * 2
         box = ComplexBox.around(c, 1e-10)
-        attracting, _ = attracting_cycle_box(box, 6, orbit)
-        excluded, _ = parabolic_excluded(box, 6, orbit)
-        assert attracting.status is Status.UNDETERMINED
+        [excluded], _ = ParabolicExclusionClaim(6, orbit).evaluate_level([box], [orbit])
+        assert verify._witness(box, 6, orbit, absence=True) is Status.UNDETERMINED
         assert excluded.status is Status.UNDETERMINED
 
     def test_absence_is_no_repelling_witness(self, monkeypatch):
@@ -684,8 +697,7 @@ class TestCycleClaims:
     def test_multiplier_nonreal_newton_failure(self):
         c = 1e8 + 1e8j
         orbit = [float_iterate(c, 0.04 + 0.04j, k) for k in range(6)]
-        result, refined = multiplier_im_excludes_zero(ComplexBox.point(c), orbit)
-        assert result.status is Status.UNDETERMINED
+        assert _nonreal(ComplexBox.point(c), orbit).status is Status.UNDETERMINED
 
     def test_multiplier_real_on_real_axis(self):
         # conjugation symmetry forces a real multiplier for real c; at c = -2
@@ -693,8 +705,7 @@ class TestCycleClaims:
         c = ComplexBox.around(-2.0 + 0j, 1e-10)
         orbit = [2.0 * math.cos(math.tau * 2**k / 63) + 0j for k in range(6)]
         assert tracked_cycle_level([c], 6, [orbit])[0][0] is not None
-        result, _ = multiplier_im_excludes_zero(c, orbit)
-        assert result.status is not Status.TRUE
+        assert _nonreal(c, orbit).status is not Status.TRUE
 
     def test_multiplier_needs_the_fixed_point_box_in_the_region(self):
         # a region that holds the float fixed point but not its whole
@@ -704,8 +715,7 @@ class TestCycleClaims:
         z0 = _orbit_boxes(*tracked_cycle_level([c], 6, [orbit])[0][0])[0]
         cut = ComplexBox(Interval(0.0, (orbit[0].real + z0.re.hi) / 2.0), PAPER_X_REGION.im)
         assert cut.contains(orbit[0]) and not cut.contains_box(z0)
-        whole, _ = multiplier_im_excludes_zero(c, orbit, PAPER_X_REGION)
-        partial, _ = multiplier_im_excludes_zero(c, orbit, cut)
+        whole, partial = _nonreal(c, orbit, PAPER_X_REGION), _nonreal(c, orbit, cut)
         assert whole.status is Status.TRUE
         assert partial.status is Status.UNDETERMINED
 
