@@ -2,10 +2,11 @@
 
 Exit codes are a stable contract: 0 verified-true rollup, 1 undetermined
 (or falsified), 2 usage error.  Each certificate subcommand declares its
-parameters once, with their defaults; a parameter is set by its flag,
-else by the same key in an optional flat key = value file, else by its
-default, and the effective value is echoed into certificate headers so
-every artifact is reproducible from its own header.
+parameters once, with their defaults (read from the claim field that
+declares one); a parameter is set by its flag, else by the same key in an
+optional flat key = value file, else by its default, and the effective
+value is echoed into certificate headers so every artifact is
+reproducible from its own header.
 """
 
 from __future__ import annotations
@@ -33,10 +34,8 @@ from .verify import (
     ParabolicExclusionClaim,
     Status,
     component_witnesses,
-    count_certificate,
     disjointness_certificate,
     find_superattracting_parameter,
-    float_orbit_of_zero,
     qlike_certificate,
 )
 
@@ -173,6 +172,8 @@ def _check_ranges(args) -> None:
         raise UsageError("min_depth must not exceed max_depth")
     if getattr(args, "anchor", None) is not None and not args.rect.contains(args.anchor):
         raise UsageError("anchor must lie in rect")
+    if getattr(args, "period", None) is not None:  # the parabolic claim's seed
+        _paper_center(args.rect, args.period)
     counts = args.command == "verify-count" or getattr(args, "claim", None) == "count"
     if counts and args.n % 2:
         raise UsageError("n must be even: the count claim counts fixed points of f^n")
@@ -207,10 +208,6 @@ def _paper_center(rect: ComplexBox, period: int) -> complex:
     return center
 
 
-def _paper_orbit(args) -> list[complex]:
-    return float_orbit_of_zero(_paper_center(args.rect, args.period), args.period)
-
-
 def _cmd_render(args) -> int:
     region = _parse_rect(args.region)
     width, height = _parse_size(args.size)
@@ -241,20 +238,18 @@ def _cmd_verify_qlike(args, texts) -> int:
 
 
 def _cmd_verify_count(args, texts) -> int:
-    cert = count_certificate(args.rect, args.region, args.n, args.expect, args.min_depth,
-                             args.max_depth, args.tol, args.contour_depth)
+    claim = FixedPointCountClaim(args.region, args.n, args.expect, args.tol, args.contour_depth)
+    cert = adaptive_scan(args.rect, claim, args.max_depth, min_depth=args.min_depth)
     _emit(cert, texts, args.out, args.image)
     return _rollup_exit("verify-count", cert)
 
 
 def _cmd_verify_arcs(args, texts) -> int:
     rect, period = args.rect, args.period
-    center = _paper_center(rect, period)
-    orbit = float_orbit_of_zero(center, period)
-    cert = adaptive_scan(rect, ParabolicExclusionClaim(period, orbit),
-                         args.max_depth, args.min_width)
+    cert = adaptive_scan(rect, ParabolicExclusionClaim(period), args.max_depth, args.min_width)
     _emit(cert, texts, args.out, args.image)
-    components, attracting, repelling = component_witnesses(cert, period, center)
+    components, attracting, repelling = component_witnesses(
+        cert, period, _paper_center(rect, period))
     print(f"verify-arcs: {components} verified components, "
           f"attracting witness {attracting.name}, "
           f"repelling witness {repelling.name}")
@@ -264,9 +259,7 @@ def _cmd_verify_arcs(args, texts) -> int:
 
 def _cmd_verify_disjoint(args, texts) -> int:
     status, yellow_cert, red_cert = disjointness_certificate(
-        args.rect, args.period, x_region=PAPER_X_REGION, max_depth=args.max_depth,
-        min_width=args.min_width,
-    )
+        args.rect, args.period, PAPER_X_REGION, args.max_depth, args.min_width)
     _emit(yellow_cert, texts, args.out, args.image)
     _emit(red_cert, texts, args.red_out)
     yellow = sum(1 for l in yellow_cert.leaves if l.status is not Status.TRUE)
@@ -279,17 +272,19 @@ def _cmd_verify_disjoint(args, texts) -> int:
 
 
 # defaults of the claims' own parameters, shared with the verify commands
-_QLIKE = {"region": _U_TEXT, "n": str(PAPER_N), "segment_depth": "14"}
-_COUNT = {"region": _X_TEXT, "n": "6", "tol": "2.0", "contour_depth": "10"}
+_QLIKE = {"region": _U_TEXT, "n": str(PAPER_N),
+          "segment_depth": str(BoundaryDisjointClaim.segment_depth)}
+_COUNT = {"region": _X_TEXT, "n": "6", "tol": str(FixedPointCountClaim.tol),
+          "contour_depth": str(FixedPointCountClaim.contour_depth)}
 _CYCLE = {"period": str(PAPER_PERIOD)}
 _AREA = {"rect": _R_TEXT, "max_depth": "7", "min_width": "0.0"}
 
 # scan --claim NAME: (the claim's own parameters, the claim built from args)
 _SCAN_CLAIMS = {
     "qlike": (_QLIKE, lambda a: BoundaryDisjointClaim(a.region, a.n, a.segment_depth)),
-    "count": (_COUNT, lambda a: FixedPointCountClaim(a.region, a.n, 1, a.tol,
-                                                     a.contour_depth)),
-    "parabolic": (_CYCLE, lambda a: ParabolicExclusionClaim(a.period, _paper_orbit(a))),
+    "count": (_COUNT, lambda a: FixedPointCountClaim(a.region, a.n, tol=a.tol,
+                                                     contour_depth=a.contour_depth)),
+    "parabolic": (_CYCLE, lambda a: ParabolicExclusionClaim(a.period)),
     "multiplier": ({"region": None}, lambda a: MultiplierNonRealClaim(a.region)),
 }
 
@@ -299,8 +294,8 @@ _COMMANDS = {
     "verify-qlike": (_cmd_verify_qlike, "quadratic-like restriction certificate",
                      {**_AREA, **_QLIKE, "max_depth": "14", "anchor": None}),
     "verify-count": (_cmd_verify_count, "unique fixed point of the even iterate",
-                     {"rect": _R_TEXT, **_COUNT, "expect": "1", "min_depth": "1",
-                      "max_depth": "4"}),
+                     {"rect": _R_TEXT, **_COUNT, "expect": str(FixedPointCountClaim.expect),
+                      "min_depth": "1", "max_depth": "4"}),
     "verify-arcs": (_cmd_verify_arcs, "parabolic-exclusion scan and witnesses",
                     {**_AREA, **_CYCLE}),
     "verify-disjoint": (_cmd_verify_disjoint, "real-multiplier locus vs parabolic arcs",

@@ -23,6 +23,10 @@ certifies and tries absence on the whole level in batched float Newton and
 Krawczyk calls, their rows dynamics._CHUNK at a time.  The two witnesses
 of component_witnesses are one-box calls of it.
 
+Each scan claim is a dataclass of its certificate parameters, which
+config() writes into the header; its root seed is a function of the
+header's rect and config alone.
+
 The quadratic-like certificate proves its anchor with the same kernels:
 the boundary walk and a preimage count make g = f_c^n quadratic-like at
 the anchor, and a certified attracting cycle of g in U makes its filled
@@ -33,7 +37,7 @@ orbit only seeds that cycle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -72,7 +76,6 @@ __all__ = [
     "find_superattracting_parameter",
     "float_orbit_of_zero",
     "qlike_certificate",
-    "count_certificate",
     "disjointness_certificate",
 ]
 
@@ -568,11 +571,29 @@ def component_witnesses(red_cert, period: int, center: complex) -> tuple[int, St
 # ---------------------------------------------------------------------------
 
 
-def _rect_text(r: ComplexBox) -> str:
-    return f"{r.re.lo},{r.re.hi},{r.im.lo},{r.im.hi}"
+def _text(value) -> str:
+    """A claim parameter as its certificate header writes it."""
+    if isinstance(value, ComplexBox):
+        return f"{value.re.lo},{value.re.hi},{value.im.lo},{value.im.hi}"
+    if isinstance(value, complex):
+        return f"{value.real},{value.imag}"
+    return str(value)
 
 
-class PerBoxClaim:
+class _Claim:
+    """Base of the scan claims, dataclasses whose fields are their
+    certificate parameters: config() is the header text of each field that
+    is set, and a claim without continuation seeds its root with None."""
+
+    def config(self) -> dict:
+        return {field.name: _text(value) for field in fields(self)
+                if (value := getattr(self, field.name)) is not None}
+
+    def initial_seed(self, rect: ComplexBox):
+        return None
+
+
+class PerBoxClaim(_Claim):
     """Base of the claims that evaluate one parameter box at a time:
     evaluate_level maps evaluate(box, seed) -> (result, seed) over a level."""
 
@@ -581,63 +602,39 @@ class PerBoxClaim:
         return [result for result, _ in pairs], [seed for _, seed in pairs]
 
 
-class BoundaryDisjointClaim:
+@dataclass
+class BoundaryDisjointClaim(_Claim):
     """Scan claim: f_c^n(dU) disjoint from dU (the cyan/green/blue test)."""
 
-    def __init__(self, u: ComplexBox, n: int, segment_depth: int = 14):
-        self.u = u
-        self.n = n
-        self.segment_depth = segment_depth
-        self.name = "qlike-boundary"
-
-    def config(self) -> dict:
-        return {
-            "u": _rect_text(self.u),
-            "n": str(self.n),
-            "segment_depth": str(self.segment_depth),
-        }
-
-    def initial_seed(self, rect: ComplexBox):
-        return None
+    u: ComplexBox
+    n: int
+    segment_depth: int = 14
+    name = "qlike-boundary"
 
     def evaluate_level(self, boxes, seeds):
         return boundary_disjoint_level(boxes, self.u, self.n, self.segment_depth), seeds
 
 
+@dataclass
 class FixedPointCountClaim(PerBoxClaim):
     """Scan claim: the even iterate has exactly `expect` fixed points in
     the region, decided by the argument-principle enclosure.
 
     TRUE needs the enclosure to isolate 2 pi i expect alone: real part
     containing 0, imaginary part meeting only that one multiple of 2 pi.
+    Pre-split scans of it (min_depth) decide small boxes quickly, where
+    the root's contour would crawl.
     """
 
-    def __init__(
-        self,
-        region: ComplexBox,
-        n: int,
-        expect: int = 1,
-        tol: float = 2.0,
-        contour_depth: int = 10,
-    ):
-        self.region = region
-        self.n = n
-        self.expect = expect
-        self.tol = tol
-        self.contour_depth = contour_depth
-        self.name = f"fixed-point-count-f{n}"
+    region: ComplexBox
+    n: int
+    expect: int = 1
+    tol: float = 2.0
+    contour_depth: int = 10
 
-    def config(self) -> dict:
-        return {
-            "region": _rect_text(self.region),
-            "n": str(self.n),
-            "expect": str(self.expect),
-            "tol": repr(self.tol),
-            "contour_depth": str(self.contour_depth),
-        }
-
-    def initial_seed(self, rect: ComplexBox):
-        return None
+    @property
+    def name(self) -> str:
+        return f"fixed-point-count-f{self.n}"
 
     def evaluate(self, box: ComplexBox, seed):
         enc, count = count_fixed_points(
@@ -655,20 +652,25 @@ def _initial_seed(rect: ComplexBox, orbit: list[complex]) -> list[complex]:
     return orbits[0].tolist()
 
 
-class ParabolicExclusionClaim:
+@dataclass
+class ParabolicExclusionClaim(_Claim):
     """Scan claim: tracked period-p cycle avoids multiplier one (red = U).
-    A level is one tracked_cycle_level call, with absence."""
+    A level is one tracked_cycle_level call, with absence.  The root is
+    seeded by the critical orbit of the period-p center that Newton finds
+    from the rect's midpoint, so the certificate's rect and period fix the
+    seed; the center need not lie in the rect."""
 
-    def __init__(self, period: int, initial_orbit: list[complex]):
-        self.period = period
-        self.initial_orbit = list(initial_orbit)
-        self.name = f"parabolic-excluded-p{period}"
+    period: int
 
-    def config(self) -> dict:
-        return {"period": str(self.period)}
+    @property
+    def name(self) -> str:
+        return f"parabolic-excluded-p{self.period}"
 
     def initial_seed(self, rect: ComplexBox):
-        return _initial_seed(rect, self.initial_orbit)
+        center = find_superattracting_parameter(self.period, rect.midpoint())
+        if center is None:
+            raise ValueError("no superattracting seed parameter found from the midpoint")
+        return _initial_seed(rect, float_orbit_of_zero(center, self.period))
 
     def evaluate_level(self, boxes, seeds):
         tracked = tracked_cycle_level(boxes, self.period, seeds)
@@ -677,20 +679,14 @@ class ParabolicExclusionClaim:
                 [refined for _, _, refined, _ in tracked])
 
 
-class MultiplierNonRealClaim:
+@dataclass
+class MultiplierNonRealClaim(_Claim):
     """Scan claim: multiplier of the f^6 fixed point is non-real (yellow = U).
     A level is one tracked_cycle_level call of period 6, without absence."""
 
-    def __init__(self, region: ComplexBox | None = None, guess: complex = 0.04 + 0.04j):
-        self.region = region
-        self.guess = guess
-        self.name = "multiplier-nonreal-p6"
-
-    def config(self) -> dict:
-        config = {"guess": f"{self.guess.real},{self.guess.imag}"}
-        if self.region is not None:
-            config["region"] = _rect_text(self.region)
-        return config
+    region: ComplexBox | None = None
+    guess: complex = 0.04 + 0.04j
+    name = "multiplier-nonreal-p6"
 
     def initial_seed(self, rect: ComplexBox):
         c = rect.midpoint()
@@ -704,7 +700,7 @@ class MultiplierNonRealClaim:
 
 
 # ---------------------------------------------------------------------------
-# certificate builders, and the proof of the quadratic-like anchor
+# the qlike and disjointness certificates, and the proof of the qlike anchor
 # ---------------------------------------------------------------------------
 
 
@@ -800,9 +796,9 @@ def qlike_certificate(
     u: ComplexBox,
     n: int,
     anchor: complex,
-    max_depth: int = 14,
+    max_depth: int,
     min_width: float = 0.0,
-    segment_depth: int = 14,
+    segment_depth: int = BoundaryDisjointClaim.segment_depth,
 ):
     """Certificate that f_c^n restricts quadratic-likely to U over the rect,
     about a renormalizable anchor.  Returns a ParamCertificate.
@@ -864,57 +860,25 @@ def qlike_certificate(
     return cert
 
 
-def count_certificate(
-    param_rect: ComplexBox,
-    region: ComplexBox,
-    n: int = 6,
-    expect: int = 1,
-    min_depth: int = 1,
-    max_depth: int = 4,
-    tol: float = 2.0,
-    contour_depth: int = 10,
-):
-    """Certificate that f_c^n has exactly `expect` fixed points in the
-    region for every parameter in the rectangle.
-
-    The rectangle is pre-split to min_depth before any contour runs: the
-    integrand's parameter-width contribution shrinks with the boxes, so
-    small leaves decide quickly where the root would crawl.
-    """
-    from .scan import adaptive_scan
-
-    claim = FixedPointCountClaim(region, n, expect, tol, contour_depth)
-    return adaptive_scan(param_rect, claim, max_depth, min_depth=min_depth)
-
-
 def disjointness_certificate(
     param_rect: ComplexBox,
-    period: int = 9,
-    initial_orbit: list[complex] | None = None,
-    x_region: ComplexBox | None = None,
-    max_depth: int = 9,
+    period: int,
+    x_region: ComplexBox | None,
+    max_depth: int,
     min_width: float = 0.0,
 ):
     """Certify that the possibly-real-multiplier locus and the possibly-
     parabolic locus occupy disjoint closed leaf unions over the rect.
 
     Returns (status, yellow_cert, red_cert): yellow leaves are the
-    Undetermined leaves of the multiplier-realness scan, red leaves the
-    Undetermined leaves of the parabolic-exclusion scan.
+    Undetermined leaves of the multiplier-realness scan in x_region, red
+    leaves the Undetermined leaves of the period parabolic-exclusion scan.
     """
     from .scan import adaptive_scan
 
-    if initial_orbit is None:
-        center = find_superattracting_parameter(period, param_rect.midpoint())
-        if center is None or not param_rect.contains(center):
-            raise ValueError("no superattracting seed parameter found in the rectangle")
-        initial_orbit = float_orbit_of_zero(center, period)
-    yellow_cert = adaptive_scan(
-        param_rect, MultiplierNonRealClaim(x_region), max_depth, min_width
-    )
-    red_cert = adaptive_scan(
-        param_rect, ParabolicExclusionClaim(period, initial_orbit), max_depth, min_width
-    )
+    yellow_cert, red_cert = (
+        adaptive_scan(param_rect, claim, max_depth, min_width)
+        for claim in (MultiplierNonRealClaim(x_region), ParabolicExclusionClaim(period)))
     yellow, red = (BoxArray.of([leaf.box for leaf in cert.leaves if leaf.status is not Status.TRUE])
                    for cert in (yellow_cert, red_cert))
     # every yellow box against every red box: closed boxes meet when both

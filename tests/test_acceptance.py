@@ -25,11 +25,11 @@ from tricert.render import render_escape, write_ppm
 from tricert.scan import adaptive_scan, serialize
 from tricert.verify import (
     TWO_PI,
+    FixedPointCountClaim,
     MultiplierNonRealClaim,
     Status,
     component_witnesses,
     contour_integral,
-    count_certificate,
     count_fixed_points,
     decide_count,
     disjointness_certificate,
@@ -47,7 +47,7 @@ def _report(capsys, number, title, ok):
 def disjoint_run():
     start = time.time()
     status, yellow_tree, red_tree = disjointness_certificate(
-        PAPER_R, PAPER_PERIOD, x_region=PAPER_X_REGION, max_depth=7
+        PAPER_R, PAPER_PERIOD, PAPER_X_REGION, 7
     )
     return status, yellow_tree, red_tree, time.time() - start
 
@@ -70,7 +70,7 @@ def test_acceptance_1_quadratic_like(capsys):
 
 def test_acceptance_2_unique_fixed_point(capsys):
     start = time.time()
-    cert = count_certificate(PAPER_R, PAPER_X_REGION)
+    cert = adaptive_scan(PAPER_R, FixedPointCountClaim(PAPER_X_REGION, 6), 4, min_depth=1)
     leaves_ok = len(cert.leaves) > 0 and all(
         leaf.status is Status.TRUE for leaf in cert.leaves
     )

@@ -6,7 +6,7 @@ import warnings
 
 import pytest
 
-from tricert.cli import main
+from tricert.cli import _COMMANDS, _SCAN_CLAIMS, main
 from tricert.scan import parse
 from tricert.verify import Status
 
@@ -272,12 +272,6 @@ class TestVerifyQlike:
         assert "anchor_cycle" not in cert.config
         assert all(leaf.status is not Status.TRUE for leaf in cert.leaves)
 
-    def test_settable_values(self):
-        from tricert.cli import _COMMANDS
-
-        assert sorted(_COMMANDS["verify-qlike"][2]) == [
-            "anchor", "max_depth", "min_width", "n", "rect", "region", "segment_depth"]
-
 
 class TestVerifyCount:
     def test_expect_from_config(self, tmp_path):
@@ -332,3 +326,192 @@ class TestVerifyArcs:
         assert code == 1
         assert out == ("verify-arcs: 1 verified components, attracting witness TRUE, "
                        "repelling witness FALSE\n")
+
+
+_AREA = ["max_depth", "min_width", "rect"]
+
+
+class TestParameters:
+    @pytest.mark.parametrize("command, claim, keys", [
+        pytest.param("verify-qlike", None, ["anchor", "max_depth", "min_width", "n", "rect",
+                                            "region", "segment_depth"], id="verify-qlike"),
+        pytest.param("verify-count", None, ["contour_depth", "expect", "max_depth", "min_depth",
+                                            "n", "rect", "region", "tol"], id="verify-count"),
+        pytest.param("verify-arcs", None, sorted(_AREA + ["period"]), id="verify-arcs"),
+        pytest.param("verify-disjoint", None, sorted(_AREA + ["period"]), id="verify-disjoint"),
+        pytest.param("scan", "qlike", sorted(_AREA + ["min_depth", "n", "region",
+                                                      "segment_depth"]), id="scan-qlike"),
+        pytest.param("scan", "count", sorted(_AREA + ["contour_depth", "min_depth", "n",
+                                                      "region", "tol"]), id="scan-count"),
+        pytest.param("scan", "parabolic", sorted(_AREA + ["min_depth", "period"]),
+                     id="scan-parabolic"),
+        pytest.param("scan", "multiplier", sorted(_AREA + ["min_depth", "region"]),
+                     id="scan-multiplier"),
+    ])
+    def test_settable_values(self, command, claim, keys):
+        # no knob appears unnoticed; the multiplier claim's guess is fixed
+        defaults = _COMMANDS[command][2]
+        if claim is not None:
+            defaults = {**defaults, **_SCAN_CLAIMS[claim][0]}
+        assert sorted(defaults) == keys
+        assert "guess" not in defaults
+
+    @pytest.mark.parametrize("argv", [
+        ["verify-disjoint"], ["verify-arcs"], ["scan", "--claim", "parabolic"],
+    ], ids=["verify-disjoint", "verify-arcs", "scan-parabolic"])
+    def test_rect_without_center_exits_2(self, argv, capsys):
+        # the parabolic claim seeds its scan from the period-9 center found
+        # from the rect's midpoint: without one that is a usage error
+        assert _run([*argv, "--rect", "0.3,0.31,0.5,0.51", "--max-depth", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: no superattracting seed parameter found in the rectangle\n"
+        assert "Traceback" not in err
+
+
+# per run at default settings: its arguments (the certificate goes to C)
+# and the #claim and #config lines of the certificate at depth 0.  The
+# anchor proof's cycle and modulus endpoints are left out: the float seed
+# of their Krawczyk step may differ across BLAS kernels, and
+# TestAnchorProof checks them.
+_RED = """\
+#claim=parabolic-excluded-p9
+#config.cli.max_depth=0
+#config.cli.min_width=0.0
+#config.cli.period=9
+#config.cli.rect=-1.73875,-1.73825,0.01555,0.01605
+#config.max_depth=0
+#config.min_depth=0
+#config.min_width=0.0
+#config.period=9
+"""
+_HEADERS = {
+    "verify-qlike": (["verify-qlike"], """\
+#claim=qlike-boundary
+#config.anchor=-1.7384677075422084,0.01577114241202889
+#config.anchor_period=9
+#config.anchor_preimage_count=2
+#config.anchor_proof=proven
+#config.anchor_residue=0
+#config.cli.max_depth=0
+#config.cli.min_width=0.0
+#config.cli.n=3
+#config.cli.rect=-1.73875,-1.73825,0.01555,0.01605
+#config.cli.region=-0.3,0.3,-0.3,0.3
+#config.cli.segment_depth=14
+#config.max_depth=0
+#config.min_depth=0
+#config.min_width=0.0
+#config.n=3
+#config.segment_depth=14
+#config.u=-0.3,0.3,-0.3,0.3
+"""),
+    "verify-count": (["verify-count", "--min-depth", "0"], """\
+#claim=fixed-point-count-f6
+#config.cli.contour_depth=10
+#config.cli.expect=1
+#config.cli.max_depth=0
+#config.cli.min_depth=0
+#config.cli.n=6
+#config.cli.rect=-1.73875,-1.73825,0.01555,0.01605
+#config.cli.region=0.0,0.08,0.0,0.08
+#config.cli.tol=2.0
+#config.contour_depth=10
+#config.expect=1
+#config.max_depth=0
+#config.min_depth=0
+#config.min_width=0.0
+#config.n=6
+#config.region=0.0,0.08,0.0,0.08
+#config.tol=2.0
+"""),
+    "verify-disjoint-Y": (["verify-disjoint", "--red-out", "R"], """\
+#claim=multiplier-nonreal-p6
+#config.cli.max_depth=0
+#config.cli.min_width=0.0
+#config.cli.period=9
+#config.cli.rect=-1.73875,-1.73825,0.01555,0.01605
+#config.guess=0.04,0.04
+#config.max_depth=0
+#config.min_depth=0
+#config.min_width=0.0
+#config.region=0.0,0.08,0.0,0.08
+"""),
+    "verify-disjoint-R": (["verify-disjoint", "-o", "Y", "--red-out", "C"], _RED),
+    "verify-arcs": (["verify-arcs"], _RED),
+    "scan-qlike": (["scan", "--claim", "qlike"], """\
+#claim=qlike-boundary
+#config.cli.claim=qlike
+#config.cli.max_depth=0
+#config.cli.min_depth=0
+#config.cli.min_width=0.0
+#config.cli.n=3
+#config.cli.rect=-1.73875,-1.73825,0.01555,0.01605
+#config.cli.region=-0.3,0.3,-0.3,0.3
+#config.cli.segment_depth=14
+#config.max_depth=0
+#config.min_depth=0
+#config.min_width=0.0
+#config.n=3
+#config.segment_depth=14
+#config.u=-0.3,0.3,-0.3,0.3
+"""),
+    "scan-count": (["scan", "--claim", "count"], """\
+#claim=fixed-point-count-f6
+#config.cli.claim=count
+#config.cli.contour_depth=10
+#config.cli.max_depth=0
+#config.cli.min_depth=0
+#config.cli.min_width=0.0
+#config.cli.n=6
+#config.cli.rect=-1.73875,-1.73825,0.01555,0.01605
+#config.cli.region=0.0,0.08,0.0,0.08
+#config.cli.tol=2.0
+#config.contour_depth=10
+#config.expect=1
+#config.max_depth=0
+#config.min_depth=0
+#config.min_width=0.0
+#config.n=6
+#config.region=0.0,0.08,0.0,0.08
+#config.tol=2.0
+"""),
+    "scan-parabolic": (["scan", "--claim", "parabolic"], """\
+#claim=parabolic-excluded-p9
+#config.cli.claim=parabolic
+#config.cli.max_depth=0
+#config.cli.min_depth=0
+#config.cli.min_width=0.0
+#config.cli.period=9
+#config.cli.rect=-1.73875,-1.73825,0.01555,0.01605
+#config.max_depth=0
+#config.min_depth=0
+#config.min_width=0.0
+#config.period=9
+"""),
+    "scan-multiplier": (["scan", "--claim", "multiplier"], """\
+#claim=multiplier-nonreal-p6
+#config.cli.claim=multiplier
+#config.cli.max_depth=0
+#config.cli.min_depth=0
+#config.cli.min_width=0.0
+#config.cli.rect=-1.73875,-1.73825,0.01555,0.01605
+#config.guess=0.04,0.04
+#config.max_depth=0
+#config.min_depth=0
+#config.min_width=0.0
+"""),
+}
+
+
+@pytest.mark.parametrize("case", list(_HEADERS))
+def test_header_echoes_the_claim_parameters(tmp_path, monkeypatch, case):
+    # the header alone determines each run: the claim's parameters and the
+    # values the command line set
+    argv, expected = _HEADERS[case]
+    monkeypatch.chdir(tmp_path)
+    _run([*argv, "--max-depth", "0"] + ([] if "-o" in argv else ["-o", "C"]))
+    lines = (tmp_path / "C").read_text().splitlines(keepends=True)
+    header = "".join(line for line in lines if line.startswith(("#claim=", "#config."))
+                     and not line.startswith(("#config.anchor_cycle=",
+                                              "#config.anchor_modulus=")))
+    assert header == expected

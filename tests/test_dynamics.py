@@ -426,7 +426,7 @@ def _scan_kernel_rows():
     """250 evenly spaced kernel rows of each of the depth-6 red and yellow
     scans of PAPER_R, as a list of (parameter box, orbit boxes) per scan."""
     samples = []
-    for claim in (ParabolicExclusionClaim(9, _PAPER_ORBIT), MultiplierNonRealClaim(PAPER_X_REGION)):
+    for claim in (ParabolicExclusionClaim(9), MultiplierNonRealClaim(PAPER_X_REGION)):
         rows, kernel = [], dynamics._krawczyk_image
 
         def spy(c, boxes):
@@ -966,13 +966,13 @@ class _ScalarTrackedClaim(PerBoxClaim):
     the batch claim's name and header and its seeds refined by the scalar
     Newton."""
 
-    def __init__(self, claim, period, initial_orbit, absence, verdict):
+    def __init__(self, claim, period, orbit_at, absence, verdict):
         self.name, self.config = claim.name, claim.config
-        self.period, self.initial_orbit = period, initial_orbit
+        self.period, self.orbit_at = period, orbit_at
         self.absence, self.verdict = absence, verdict
 
     def initial_seed(self, rect):
-        guess = self.initial_orbit(rect.midpoint())
+        guess = self.orbit_at(rect.midpoint())
         return _scalar_refine_orbit(rect.midpoint(), self.period, guess)[0]
 
     def evaluate(self, box, seed):
@@ -998,9 +998,13 @@ YELLOW_CELL = _cell(PAPER_R, (2, 0, 0, 2))
 
 def _tracked_claims():
     """(rect, batch claim, per-box oracle claim) for red and yellow."""
-    red = ParabolicExclusionClaim(9, _PAPER_ORBIT)
+    red = ParabolicExclusionClaim(9)
     yellow = MultiplierNonRealClaim(PAPER_X_REGION)
-    red_oracle = _ScalarTrackedClaim(red, 9, lambda c: _PAPER_ORBIT, True, _scalar_excluded)
+    # the red seed is the critical orbit of the center found from the rect's
+    # midpoint, as the batch claim finds it
+    red_oracle = _ScalarTrackedClaim(
+        red, 9, lambda c: float_orbit_of_zero(find_superattracting_parameter(9, c), 9), True,
+        _scalar_excluded)
     return [
         (PAPER_R, red, red_oracle),
         (RED_CELL, red, red_oracle),

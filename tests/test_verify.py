@@ -1,5 +1,6 @@
 """Parameter-space predicates: boundary tests, counting, cycle claims."""
 
+import dataclasses
 import math
 import random
 import sys
@@ -27,6 +28,7 @@ from tricert.verify import (
     BoundaryDisjointClaim,
     ClaimResult,
     ContourEnclosure,
+    FixedPointCountClaim,
     MultiplierNonRealClaim,
     ParabolicExclusionClaim,
     Status,
@@ -585,9 +587,7 @@ class TestAnchorProof:
 
 
 def _paper_claims():
-    center = find_superattracting_parameter(9, R_RECT.midpoint())
-    return (verify.ParabolicExclusionClaim(9, float_orbit_of_zero(center, 9)),
-            MultiplierNonRealClaim(PAPER_X_REGION))
+    return ParabolicExclusionClaim(9), MultiplierNonRealClaim(PAPER_X_REGION)
 
 
 class TestTrackedCycleLevel:
@@ -674,7 +674,7 @@ class TestCycleClaims:
         c = find_superattracting_parameter(3, -1.75 + 0j)
         orbit = float_orbit_of_zero(c, 3) * 2
         box = ComplexBox.around(c, 1e-10)
-        [excluded], _ = ParabolicExclusionClaim(6, orbit).evaluate_level([box], [orbit])
+        [excluded], _ = ParabolicExclusionClaim(6).evaluate_level([box], [orbit])
         assert verify._witness(box, 6, orbit, absence=True) is Status.UNDETERMINED
         assert excluded.status is Status.UNDETERMINED
 
@@ -693,6 +693,11 @@ class TestCycleClaims:
         cert = ParamCertificate("red", rect, {}, [Leaf(0, rect, Status.TRUE)])
         _, _, repelling = component_witnesses(cert, 9, R_RECT.midpoint())
         assert repelling is Status.UNDETERMINED
+
+    def test_parabolic_seed_needs_a_center(self):
+        # Newton finds no period-9 center from this midpoint to seed from
+        with pytest.raises(ValueError, match="no superattracting seed parameter"):
+            ParabolicExclusionClaim(9).initial_seed(ComplexBox.around(100 + 100j, 1.0))
 
     def test_multiplier_nonreal_newton_failure(self):
         c = 1e8 + 1e8j
@@ -719,10 +724,22 @@ class TestCycleClaims:
         assert whole.status is Status.TRUE
         assert partial.status is Status.UNDETERMINED
 
-    def test_multiplier_claim_echoes_its_region(self):
-        assert MultiplierNonRealClaim(PAPER_X_REGION).config() == {
-            "guess": "0.04,0.04", "region": "0.0,0.08,0.0,0.08"}
-        assert "region" not in MultiplierNonRealClaim().config()
+
+@pytest.mark.parametrize("claim, config", [
+    (BoundaryDisjointClaim(PAPER_U, 3),
+     {"u": "-0.3,0.3,-0.3,0.3", "n": "3", "segment_depth": "14"}),
+    (FixedPointCountClaim(PAPER_X_REGION, 6, tol=0.5),
+     {"region": "0.0,0.08,0.0,0.08", "n": "6", "expect": "1", "tol": "0.5",
+      "contour_depth": "10"}),
+    (ParabolicExclusionClaim(9), {"period": "9"}),
+    (MultiplierNonRealClaim(PAPER_X_REGION), {"guess": "0.04,0.04", "region": "0.0,0.08,0.0,0.08"}),
+    (MultiplierNonRealClaim(), {"guess": "0.04,0.04"}),
+], ids=["qlike", "count", "parabolic", "multiplier-region", "multiplier"])
+def test_claim_echoes_its_parameters(claim, config):
+    # the header holds each set field of the claim, and nothing else
+    assert claim.config() == config
+    assert config.keys() == {field.name for field in dataclasses.fields(claim)
+                             if getattr(claim, field.name) is not None}
 
 
 @settings(max_examples=100, deadline=None)
@@ -804,7 +821,7 @@ def test_disjointness_verdict_of_touching_closed_boxes(monkeypatch, red_extra, s
         return _grid_cert(claim, rect, cells)
 
     monkeypatch.setattr("tricert.scan.adaptive_scan", scan)
-    found, yellow_cert, red_cert = disjointness_certificate(rect, 9, [0j] * 9, max_depth=2)
+    found, yellow_cert, red_cert = disjointness_certificate(rect, 9, None, 2)
     pairs = [(a, b) for a in yellow_cert.leaves for b in red_cert.leaves
              if a.status is b.status is Status.UNDETERMINED and a.box.intersects(b.box)]
     assert len(pairs) == (status is Status.UNDETERMINED)
