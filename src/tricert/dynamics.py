@@ -40,8 +40,9 @@ from .intervals import (
     _down_arr,
     _interleave,
     _mid_arr,
-    _mul_arr,
-    _scale_arr,
+    _mul,
+    _round,
+    _scale,
     _sqr_pair,
     _up_arr,
 )
@@ -116,7 +117,8 @@ def squared_modulus_rows(lo, hi):
     """
     prod = np.ones(len(lo)), np.ones(len(lo))
     for z in _orbit_columns(lo, hi):
-        prod = _mul_arr(*prod, *_scale_arr(*_abs_pair(z.re, z.im), 2.0))
+        (twice,) = _round(_scale(_abs_pair(z.re, z.im), 2.0))
+        (prod,) = _round(_mul(prod, twice))
     return _sqr_pair(prod)
 
 

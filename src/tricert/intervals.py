@@ -6,6 +6,12 @@ rounding is done by stepping each computed endpoint to the adjacent
 representable value, never by switching the FPU rounding mode: scalars by
 math.nextafter, endpoint arrays by np.nextafter or, from _STEP_MIN entries
 on, by one integer step on the bit pattern, which gives the same value.
+A BoxArray operation rounds stage by stage: the endpoints of one stage
+(the two squares and the product in sqr, then the difference and the
+doubled product; the four endpoints of + and -) are stacked in one buffer
+and rounded in one pass, and the _STEP_MIN rule applies to that buffer:
+a stage of k endpoints takes the integer step from 1,024 / k rows on,
+about where the step overtakes np.nextafter.
 All values are immutable and safe to share between threads.  Intervals and
 boxes are never empty: a non-finite or inverted endpoint pair raises
 EmptyIntervalError, so no operation needs an emptiness case.
@@ -273,23 +279,19 @@ class ComplexBox:
 # endpoint arrays
 # ---------------------------------------------------------------------------
 
-# Array twins of the Interval operations, on float64 endpoint arrays.  Where
-# Interval picks an endpoint by a sign test or by Python's min/max, these
-# take np.minimum/np.maximum: the values are the same and may differ only in
-# the sign of a zero, which the outward step maps to the same endpoint (and
-# sqr clamps at 0.0 a value of _down_arr, which is never -0.0).
-# np.minimum/np.maximum propagate nan.
-
-
-# Arrays with at least this many entries are rounded by the integer step,
-# smaller ones by np.nextafter.  Both give the same bits on every non-nan
-# entry, and a nan stays a nan (the step leaves it alone; nextafter may
-# return another nan).  np.nextafter calls libm once per entry, while the
-# step runs a few whole-array passes and allocations, which cost more on
-# small arrays.  Per call on a 2-vCPU VM (numpy 2.4), nextafter is faster
-# at 768 entries (11.3 against 12.2 us) and the step from 896 (12.5
-# against 12.9 us); at 10,368 entries, a (32, 18, 18) block of the
-# Krawczyk kernel, the step takes 34 us against 169 us.
+# A BoxArray operation rounds in stages: all the endpoints that one stage of
+# the ComplexBox formula rounds are stacked into one buffer and rounded in
+# one pass (_outward).  A buffer of at least this many entries is rounded
+# by the integer step, a smaller one by np.nextafter, so a stage of k
+# endpoints takes the step from 1,024 / k rows on.  Both give the same
+# bits on every non-nan entry, and a nan stays a nan (the step leaves it
+# alone; nextafter may return another nan).  np.nextafter calls libm once
+# per entry, while the step runs a fixed number of whole-buffer passes,
+# which cost more on small buffers.  _outward of a stage of 4 endpoints on
+# a 2-vCPU VM (numpy 2.4) takes 8.3 us by nextafter against 10.6 us by the
+# step at 512 entries, 13.0 against 12.5 us at 1,024 and 24.9 against
+# 13.6 us at 2,048; for stages of 1 to 8 endpoints the two cross between
+# 768 and 1,024 entries.
 _STEP_MIN = 1024
 
 
@@ -297,30 +299,57 @@ def _step_up(y):
     """y stepped up in place to the next binary64 value, by one integer step
     on its bit pattern: +1 for a value of sign bit 0, -1 for sign bit 1.
     y must hold no -0.0 (its +0.0 steps to 5e-324, as nextafter steps both
-    zeros); +inf and nan entries are not stepped."""
+    zeros); +inf and nan entries are not stepped.  The steps are built in a
+    1-byte array, since an 8-byte temporary as large as a stage buffer of
+    8 x 4,096 entries made the step 4 times slower."""
+    d = np.signbit(y).view(np.int8)
+    d *= -2
+    d += 1
+    d *= y < _INF
     b = y.view(np.int64)
-    s = b >> 63
-    s |= 1
-    s *= y < _INF
-    b += s
+    b += d
     return y
+
+
+def _outward(lows, highs):
+    """The arrays of lows rounded down and those of highs rounded up, each
+    entry to the adjacent binary64 value (np.nextafter toward -inf and
+    +inf): two stacked arrays, one row per input, rounded in one pass.
+
+    The inputs are equally shaped arrays.  A lower endpoint x is rounded
+    as -(-x rounded up), the same value, so the whole buffer is rounded
+    up: the lows go in as 0.0 - x, which is -x exactly with +0.0 for
+    either zero, and are negated back at the end.  Before the integer step
+    the highs become x + 0.0, which maps -0.0 to +0.0, since the step
+    turns a -0.0 into a nan; np.nextafter steps both zeros alike."""
+    k = len(lows)
+    buf = np.array((*lows, *highs), dtype=float)
+    lo, hi = buf[:k], buf[k:]
+    np.subtract(0.0, lo, out=lo)
+    if buf.size < _STEP_MIN:
+        np.nextafter(buf, _INF, out=buf)
+    else:
+        np.add(hi, 0.0, out=hi)
+        _step_up(buf)
+    np.negative(lo, out=lo)
+    return lo, hi
+
+
+def _round(*pairs):
+    """The unrounded (lo, hi) endpoint pairs of one stage, rounded outward
+    together: each lo down and each hi up."""
+    lo, hi = _outward([p[0] for p in pairs], [p[1] for p in pairs])
+    return [(lo[i], hi[i]) for i in range(len(pairs))]
 
 
 def _down_arr(x):
     """The next binary64 value below each entry of x (nextafter toward -inf)."""
-    if np.size(x) < _STEP_MIN:
-        return np.nextafter(x, -_INF)
-    # 0.0 - x is -x exactly, with +0.0 for either zero
-    y = _step_up(np.subtract(0.0, x, out=np.empty(np.shape(x))))
-    return np.negative(y, out=y)
+    return _outward((x,), ())[0][0]
 
 
 def _up_arr(x):
     """The next binary64 value above each entry of x (nextafter toward +inf)."""
-    if np.size(x) < _STEP_MIN:
-        return np.nextafter(x, _INF)
-    # x + 0.0 is x, with +0.0 for either zero
-    return _step_up(np.add(x, 0.0, out=np.empty(np.shape(x))))
+    return _outward((), (x,))[1][0]
 
 
 def _interleave(x, y):
@@ -339,30 +368,52 @@ def _mid_arr(lo, hi):
     return np.minimum(hi, np.maximum(lo, m))
 
 
-def _scale_arr(lo, hi, k):
-    """Interval.scale on endpoint arrays, by exact scalars k (an array or a float)."""
-    a, b = lo * k, hi * k
-    return _down_arr(np.minimum(a, b)), _up_arr(np.maximum(a, b))
+# The Interval operations on (lo, hi) pairs of float64 endpoint arrays,
+# before rounding: each returns the pair that Interval rounds outward, and
+# _round rounds the pairs of one stage of a BoxArray operation together.
+# Where Interval picks an endpoint by a sign test or by Python's min/max,
+# these take np.minimum/np.maximum: the values are the same and may differ
+# only in the sign of a zero, which the outward step maps to the same
+# endpoint.  np.minimum/np.maximum propagate nan.
 
 
-def _mul_arr(alo, ahi, blo, bhi):
-    """Interval.__mul__ on endpoint arrays."""
+def _add(a, b):
+    return a[0] + b[0], a[1] + b[1]
+
+
+def _sub(a, b):
+    return a[0] - b[1], a[1] - b[0]
+
+
+def _mul(a, b):
+    (alo, ahi), (blo, bhi) = a, b
     p0, p1, p2, p3 = alo * blo, alo * bhi, ahi * blo, ahi * bhi
-    lo = np.minimum(np.minimum(p0, p1), np.minimum(p2, p3))
-    hi = np.maximum(np.maximum(p0, p1), np.maximum(p2, p3))
-    return _down_arr(lo), _up_arr(hi)
+    return (np.minimum(np.minimum(p0, p1), np.minimum(p2, p3)),
+            np.maximum(np.maximum(p0, p1), np.maximum(p2, p3)))
 
 
-# The same on (lo, hi) pairs, and the ComplexBox operations on (re, im)
-# pairs of pairs.
+def _scale(a, k):
+    """Interval.scale by exact scalars k (an array or a float)."""
+    x, y = a[0] * k, a[1] * k
+    return np.minimum(x, y), np.maximum(x, y)
 
 
-def _add_pair(a, b):
-    return _down_arr(a[0] + b[0]), _up_arr(a[1] + b[1])
+def _sqr(a):
+    """Interval.sqr: the smaller and the larger square of a's endpoints, row
+    by row, and the mask of the rows that do not straddle 0, which _clamp
+    needs after rounding.  The squares are those that Interval.sqr selects
+    by the signs of the endpoints: the smaller is the lower endpoint where
+    a does not straddle 0, and the larger is always the upper one."""
+    lo, hi = a
+    ll, hh = lo * lo, hi * hi
+    return (np.minimum(ll, hh), np.maximum(ll, hh)), (lo >= 0.0) | (hi <= 0.0)
 
 
-def _sub_pair(a, b):
-    return _down_arr(a[0] - b[1]), _up_arr(a[1] - b[0])
+def _clamp(a, keep):
+    """The rounded pair of _sqr with its lower endpoint clamped at 0.0, and
+    0.0 in the rows that straddle 0 (keep False).  The clamp sees no -0.0:
+    a lower endpoint rounded down is never -0.0."""
+    return np.where(keep, np.maximum(a[0], 0.0), 0.0), a[1]
 
 
 def _neg_pair(a):
@@ -370,13 +421,17 @@ def _neg_pair(a):
 
 
 def _sqr_pair(a):
-    """Interval.sqr: the branch on the signs of the endpoints, row by row."""
-    lo, hi = a
-    ll, hh = lo * lo, hi * hi
-    pos, neg = lo >= 0.0, hi <= 0.0
-    new_lo = np.where(pos | neg, np.maximum(_down_arr(np.where(pos, ll, hh)), 0.0), 0.0)
-    new_hi = _up_arr(np.where(pos, hh, np.where(neg, ll, np.maximum(ll, hh))))
-    return new_lo, new_hi
+    """Interval.sqr on a pair, rounded."""
+    raw, keep = _sqr(a)
+    return _clamp(_round(raw)[0], keep)
+
+
+def _abs_sqr(re, im):
+    """ComplexBox.abs_sqr on (re, im) pairs before its clamp at 0: the
+    rounded sum of the rounded squares, in two stages."""
+    (a, keep_a), (b, keep_b) = _sqr(re), _sqr(im)
+    a, b = _round(a, b)
+    return _round(_add(_clamp(a, keep_a), _clamp(b, keep_b)))[0]
 
 
 def _abs_pair(re, im):
@@ -384,23 +439,24 @@ def _abs_pair(re, im):
     lower endpoint is exactly 0 where the one of |z|^2 is at most 0 (always
     so when the box contains 0).  np.sqrt is correctly rounded, like
     math.sqrt."""
-    n_lo, n_hi = _add_pair(_sqr_pair(re), _sqr_pair(im))
+    n_lo, n_hi = _abs_sqr(re, im)
     pos = n_lo > 0.0
-    return np.where(pos, _down_arr(np.sqrt(np.where(pos, n_lo, 0.0))), 0.0), _up_arr(np.sqrt(n_hi))
+    lo, hi = _round((np.sqrt(np.where(pos, n_lo, 0.0)), np.sqrt(n_hi)))[0]
+    return np.where(pos, lo, 0.0), hi
 
 
 def _cadd(x, y):
-    return _add_pair(x[0], y[0]), _add_pair(x[1], y[1])
+    return _round(_add(x[0], y[0]), _add(x[1], y[1]))
 
 
 def _csub(x, y):
-    return _sub_pair(x[0], y[0]), _sub_pair(x[1], y[1])
+    return _round(_sub(x[0], y[0]), _sub(x[1], y[1]))
 
 
 def _cmul(x, y):
     (a, b), (c, d) = x, y
-    return (_sub_pair(_mul_arr(*a, *c), _mul_arr(*b, *d)),
-            _add_pair(_mul_arr(*a, *d), _mul_arr(*b, *c)))
+    ac, bd, ad, bc = _round(_mul(a, c), _mul(b, d), _mul(a, d), _mul(b, c))
+    return _round(_sub(ac, bd), _add(ad, bc))
 
 
 def _pairs(x):
@@ -484,21 +540,25 @@ class BoxArray:
         return BoxArray(self.re, _neg_pair(self.im))
 
     def sqr(self) -> "BoxArray":
-        a, b = self.re, self.im
-        return BoxArray(_sub_pair(_sqr_pair(a), _sqr_pair(b)), _scale_arr(*_mul_arr(*a, *b), 2.0))
+        """Two stages: the squares of re and im and their product, then the
+        difference of the squares and the doubled product."""
+        (a, keep_a), (b, keep_b) = _sqr(self.re), _sqr(self.im)
+        a, b, ab = _round(a, b, _mul(self.re, self.im))
+        return BoxArray(*_round(_sub(_clamp(a, keep_a), _clamp(b, keep_b)), _scale(ab, 2.0)))
 
     def scale(self, k: float) -> "BoxArray":
-        return BoxArray(_scale_arr(*self.re, k), _scale_arr(*self.im, k))
+        return BoxArray(*_round(_scale(self.re, k), _scale(self.im, k)))
 
     @np.errstate(divide="ignore", over="ignore", invalid="ignore")
     def recip(self) -> "BoxArray":
         """Enclosure of {1/z} per row; non-finite in the rows ComplexBox.recip
         refuses."""
-        n_lo, n_hi = _add_pair(_sqr_pair(self.re), _sqr_pair(self.im))
-        r = _down_arr(1.0 / n_hi), _up_arr(1.0 / n_lo)
+        n_lo, n_hi = _abs_sqr(self.re, self.im)
+        r = _round((1.0 / n_hi, 1.0 / n_lo))[0]
         # nan where |z|^2 cannot exclude 0 (ComplexBox clamps |z|^2 at 0 only
         # there) or is non-finite; an overflow of 1/|z|^2 or of the products
         # below leaves an infinite endpoint
         ok = (n_lo > 0.0) & np.isfinite(n_hi)
         r = np.where(ok, r[0], np.nan), np.where(ok, r[1], np.nan)
-        return BoxArray(_mul_arr(*self.re, *r), _neg_pair(_mul_arr(*self.im, *r)))
+        re, im = _round(_mul(self.re, r), _mul(self.im, r))
+        return BoxArray(re, _neg_pair(im))

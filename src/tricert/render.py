@@ -135,26 +135,34 @@ def rasterize_scan(
     width: int,
     height: int,
 ) -> ImageBuffer:
-    """Paint each pixel with the color of the deepest leaf containing its
-    center (first leaf in certificate order on depth ties)."""
+    """Paint each pixel with the color of the leaf ParamCertificate.leaf_at
+    returns for its center: the deepest leaf whose closed box contains the
+    center, the first in certificate order among those.  So a center on an
+    edge shared by leaves of one depth takes the color of the earlier leaf.
+
+    A leaf covers the pixel columns whose center lies in [re.lo, re.hi]
+    and the rows whose center lies in [im.lo, im.hi].  np.searchsorted
+    finds these ranges for all leaves at once on the monotone center axes.
+    Leaves are painted shallow first, and within a depth in reverse
+    certificate order, so the leaf that leaf_at picks is painted last."""
     if width < 1 or height < 1:
         raise ValueError("image dimensions must be >= 1")
     xs = _axis_centers(cert.root.re.lo, cert.root.re.hi, width, flip=False)
-    ys = _axis_centers(cert.root.im.lo, cert.root.im.hi, height, flip=True)
+    # ascending: image row j has the center ys[height - 1 - j]
+    ys = _axis_centers(cert.root.im.lo, cert.root.im.hi, height, flip=True)[::-1]
+    leaves = cert.leaves
+    e = np.array([(leaf.box.re.lo, leaf.box.re.hi, leaf.box.im.lo, leaf.box.im.hi)
+                  for leaf in leaves], dtype=float).reshape(-1, 4).T
+    col_lo, col_hi = np.searchsorted(xs, e[0], "left"), np.searchsorted(xs, e[1], "right")
+    row_lo = height - np.searchsorted(ys, e[3], "right")
+    row_hi = height - np.searchsorted(ys, e[2], "left")
+    depths = np.array([leaf.depth for leaf in leaves], dtype=np.int64)
+    order = np.lexsort((-np.arange(len(leaves)), depths))
+    colors = {status: np.array(color, dtype=np.uint8) for status, color in palette.items()}
     rgb = np.zeros((height, width, 3), dtype=np.uint8)
-    # shallow first; within a depth, later-ordered leaves painted first so
-    # the first containing leaf wins ties, matching ParamCertificate.leaf_at
-    order = sorted(
-        range(len(cert.leaves)),
-        key=lambda i: (cert.leaves[i].depth, -i),
-    )
-    for i in order:
-        leaf = cert.leaves[i]
-        color = palette[leaf.status]
-        cols = np.nonzero((xs >= leaf.box.re.lo) & (xs <= leaf.box.re.hi))[0]
-        rows = np.nonzero((ys >= leaf.box.im.lo) & (ys <= leaf.box.im.hi))[0]
-        if cols.size and rows.size:
-            rgb[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1] = color
+    for i, r0, r1, c0, c1 in zip(order.tolist(),
+                                 *(v[order].tolist() for v in (row_lo, row_hi, col_lo, col_hi))):
+        rgb[r0:r1, c0:c1] = colors[leaves[i].status]
     return ImageBuffer(width, height, bytearray(rgb.tobytes()))
 
 

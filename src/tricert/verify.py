@@ -912,7 +912,9 @@ def find_superattracting_parameter(
     """Float Newton in the parameter for f_c^period(0) = 0 near c0.
 
     Finite-difference Jacobian on the underlying real 2-system; good
-    enough for a continuation seed, never used in a certificate.
+    enough for a continuation seed, never used in a certificate.  None when
+    Newton fails, also when an iterate overflows the complex power of
+    float_f.
     """
 
     def g(c: complex) -> complex:
@@ -923,18 +925,21 @@ def find_superattracting_parameter(
 
     c = c0
     h = 1e-9
-    for _ in range(steps):
-        v = g(c)
-        if abs(v) < 1e-14:
-            return c
-        gx = (g(c + h) - g(c - h)) / (2.0 * h)
-        gy = (g(c + 1j * h) - g(c - 1j * h)) / (2.0 * h)
-        det = gx.real * gy.imag - gx.imag * gy.real
-        if det == 0.0 or not math.isfinite(det):
-            return None
-        dx = (v.real * gy.imag - v.imag * gy.real) / det
-        dy = (v.imag * gx.real - v.real * gx.imag) / det
-        c = complex(c.real - dx, c.imag - dy)
-        if not (math.isfinite(c.real) and math.isfinite(c.imag)):
-            return None
-    return c if abs(g(c)) < 1e-10 else None
+    try:
+        for _ in range(steps):
+            v = g(c)
+            if abs(v) < 1e-14:
+                return c
+            gx = (g(c + h) - g(c - h)) / (2.0 * h)
+            gy = (g(c + 1j * h) - g(c - 1j * h)) / (2.0 * h)
+            det = gx.real * gy.imag - gx.imag * gy.real
+            if det == 0.0 or not math.isfinite(det):
+                return None
+            dx = (v.real * gy.imag - v.imag * gy.real) / det
+            dy = (v.imag * gx.real - v.real * gx.imag) / det
+            c = complex(c.real - dx, c.imag - dy)
+            if not (math.isfinite(c.real) and math.isfinite(c.imag)):
+                return None
+        return c if abs(g(c)) < 1e-10 else None
+    except OverflowError:
+        return None

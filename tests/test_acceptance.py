@@ -21,7 +21,7 @@ from tricert.dynamics import (
     squared_modulus_rows,
 )
 from tricert.intervals import BoxArray, ComplexBox, Interval
-from tricert.render import render_escape, write_ppm
+from tricert.render import MULTIPLIER_PALETTE, rasterize_scan, render_escape, write_ppm
 from tricert.scan import adaptive_scan, serialize
 from tricert.verify import (
     TWO_PI,
@@ -103,11 +103,15 @@ def test_acceptance_3_disjoint_loci(capsys, disjoint_run):
     # the yellow certificate's bytes, pinned: Y is the same under every
     # OpenBLAS kernel tried (R depends on the kernel through the float seeds)
     digest = hashlib.sha256(serialize(yellow_tree)).hexdigest()
+    # and its image in the multiplier palette, as verify-disjoint writes it
+    image = write_ppm(rasterize_scan(yellow_tree, MULTIPLIER_PALETTE, 600, 600))
     ok = (
         status is Status.TRUE
         and len(yellow) > 0
         and len(red) > 0
         and digest == "9087dfed2c785cd11eb618aea2a060cad06ec2d9d09c2d30acf64a54b35aea39"
+        and hashlib.sha256(image).hexdigest()
+        == "8406bed26e81a9163699fe2bf970d9783d89a87fb74b89683882a786a0d1948d"
         and elapsed < 1800.0
     )
     _report(capsys, 3, "real-multiplier and parabolic loci disjoint", ok)

@@ -357,15 +357,18 @@ class TestParameters:
         assert "guess" not in defaults
 
     @pytest.mark.parametrize("argv", [
-        ["verify-disjoint"], ["verify-arcs"], ["scan", "--claim", "parabolic"],
-    ], ids=["verify-disjoint", "verify-arcs", "scan-parabolic"])
+        ["verify-disjoint"], ["verify-arcs"], ["scan", "--claim", "parabolic"], ["verify-qlike"],
+    ], ids=["verify-disjoint", "verify-arcs", "scan-parabolic", "verify-qlike"])
     def test_rect_without_center_exits_2(self, argv, capsys):
         # the parabolic claim seeds its scan from the period-9 center found
-        # from the rect's midpoint: without one that is a usage error
-        assert _run([*argv, "--rect", "0.3,0.31,0.5,0.51", "--max-depth", "0"]) == 2
-        err = capsys.readouterr().err
-        assert err == "error: no superattracting seed parameter found in the rectangle\n"
-        assert "Traceback" not in err
+        # from the rect's midpoint, as verify-qlike its anchor: without one
+        # that is a usage error.  On the second rect the critical orbit
+        # overflows the float iteration's complex power.
+        for rect in ("0.3,0.31,0.5,0.51", "0.9e10,1.1e10,-1,1"):
+            assert _run([*argv, "--rect", rect, "--max-depth", "0"]) == 2
+            err = capsys.readouterr().err
+            assert err == "error: no superattracting seed parameter found in the rectangle\n"
+            assert "Traceback" not in err
 
 
 # per run at default settings: its arguments (the certificate goes to C)

@@ -4,10 +4,11 @@ import contextlib
 import math
 import random
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import iv
 
@@ -327,12 +328,10 @@ _UNARY = {
 }
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.tuples(_any_boxes(), _any_boxes()), min_size=1, max_size=6), _any_boxes())
-def test_box_array_ops_match_complex_box(pairs, w):
-    """Every BoxArray row has the endpoints (float.hex) of the ComplexBox
-    result, and is non-finite exactly where ComplexBox raises; a ComplexBox
-    operand broadcasts on either side."""
+def _assert_ops_match(pairs, w):
+    """Every BoxArray row of the pairs' first and second boxes has the
+    endpoints (float.hex) of the ComplexBox result, and is non-finite exactly
+    where ComplexBox raises; w broadcasts on either side."""
     xs, ys = [p[0] for p in pairs], [p[1] for p in pairs]
     x, y = BoxArray.of(xs), BoxArray.of(ys)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -342,6 +341,55 @@ def test_box_array_ops_match_complex_box(pairs, w):
             assert _rows_hex(op(w, x)) == [_scalar_hex(op, w, a) for a in xs], name
         for name, op in _UNARY.items():
             assert _rows_hex(op(x)) == [_scalar_hex(op, a) for a in xs], name
+
+
+def _box(a, b, c, d):
+    return ComplexBox(Interval(a, b), Interval(c, d))
+
+
+# signed zeros: the upper bound of re * im in this box's sqr is -0.0
+_SQR_NEG_ZERO = _box(0.0, 0.009375, -0.3, -0.3)
+# + cancels exactly to 0 in the lower re and the upper im endpoint
+_CANCELS = (_box(1.0, 2.0, -3.0, -1.0), _box(-1.0, 3.0, 0.5, 1.0))
+# endpoints +-0.0: with x, y these boxes, x + x and x - y have -0.0 as the
+# upper endpoint of re and of im before rounding
+_ZEROS = (_box(-0.0, -0.0, -1.0, -0.0), _box(0.0, 0.0, 0.0, 0.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_any_boxes(), _any_boxes()), min_size=1, max_size=6), _any_boxes())
+@example([(_SQR_NEG_ZERO, _ZEROS[0])], _ZEROS[0])
+@example([_CANCELS], _SQR_NEG_ZERO)
+@example([_ZEROS, _CANCELS], _ZEROS[0])
+def test_box_array_ops_match_complex_box(pairs, w):
+    """The ComplexBox endpoints on every row, by np.nextafter (these batches
+    are below _STEP_MIN) and by the integer step alone (_STEP_MIN 0)."""
+    _assert_ops_match(pairs, w)
+    with mock.patch.object(intervals, "_STEP_MIN", 0):
+        _assert_ops_match(pairs, w)
+
+
+@pytest.mark.parametrize("rows", sorted({-(-intervals._STEP_MIN // k) + d
+                                         for k in (2, 4, 6, 8) for d in (-1, 0)}))
+def test_box_array_ops_at_the_cutoff(rows):
+    """The same at the row counts that put a stage of 2, 4, 6 or 8
+    endpoints just below _STEP_MIN (np.nextafter) and at or just above it
+    (the integer step), on rows drawn like _any_boxes with the signed-zero
+    rows among them."""
+    rng = random.Random(rows)
+    scales = (1e6, 1e-155, 1e160)
+
+    def endpoint():
+        k = rng.randrange(4)
+        return rng.choice((0.0, -0.0, 1.0, -1.0)) if k == 3 else rng.uniform(-scales[k], scales[k])
+
+    def box():
+        a, b, c, d = (endpoint() for _ in range(4))
+        return _box(min(a, b), max(a, b), min(c, d), max(c, d))
+
+    special = [(_SQR_NEG_ZERO, _ZEROS[0]), _CANCELS, _ZEROS]
+    pairs = special + [(box(), box()) for _ in range(rows - len(special))]
+    _assert_ops_match(pairs, _SQR_NEG_ZERO)
 
 
 # ---------------------------------------------------------------------------

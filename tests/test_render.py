@@ -2,17 +2,22 @@
 
 import io
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tricert.intervals import ComplexBox, Interval
 from tricert.render import (
+    MULTIPLIER_PALETTE,
     PALETTE,
     ImageBuffer,
+    _axis_centers,
     rasterize_scan,
     render_escape,
     write_ppm,
 )
-from tricert.scan import ParamCertificate, adaptive_scan
+from tricert.scan import Leaf, ParamCertificate, adaptive_scan
 from tricert.verify import ClaimResult, PerBoxClaim, Status
 
 SQUARE = ComplexBox(Interval(-2.0, 2.0), Interval(-2.0, 2.0))
@@ -121,8 +126,6 @@ class TestRasterize:
     UNIT = ComplexBox(Interval(0.0, 1.0), Interval(0.0, 1.0))
 
     def test_uniform_tree(self):
-        from tricert.scan import Leaf
-
         leaf = Leaf(0, self.UNIT, Status.TRUE)
         tree = ParamCertificate("synthetic", self.UNIT, {}, [leaf])
         img = rasterize_scan(tree, PALETTE, 8, 8)
@@ -140,3 +143,87 @@ class TestRasterize:
                 cy = 0.5 - (2 * y + 1 - 16) * (1.0 / 32.0)
                 expected = PALETTE[tree.leaf_at(complex(cx, cy)).status]
                 assert img.pixel(x, y) == expected
+
+
+def _scalar_rasterize_scan(cert, palette, width, height):
+    """rasterize_scan leaf by leaf: each leaf's pixel rows and columns found
+    by comparing every center with its box, painted shallow first and
+    within a depth in reverse certificate order."""
+    xs = _axis_centers(cert.root.re.lo, cert.root.re.hi, width, flip=False)
+    ys = _axis_centers(cert.root.im.lo, cert.root.im.hi, height, flip=True)
+    rgb = np.zeros((height, width, 3), dtype=np.uint8)
+    order = sorted(range(len(cert.leaves)), key=lambda i: (cert.leaves[i].depth, -i))
+    for i in order:
+        leaf = cert.leaves[i]
+        cols = np.nonzero((xs >= leaf.box.re.lo) & (xs <= leaf.box.re.hi))[0]
+        rows = np.nonzero((ys >= leaf.box.im.lo) & (ys <= leaf.box.im.hi))[0]
+        if cols.size and rows.size:
+            rgb[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1] = palette[leaf.status]
+    return ImageBuffer(width, height, bytearray(rgb.tobytes()))
+
+
+@st.composite
+def _certificates(draw):
+    """A random quadtree certificate (random splits to depth 5 and random
+    statuses, in quadtree order or shuffled) with an image size.  On a
+    dyadic root of width * 2^k by height * 2^k the pixel centers are
+    exact, and a width (height) of 2-adic order v puts centers on the
+    vertical (horizontal) edges that the splits of depth v + 1 make, so
+    centers fall on edges shared by leaves.  Leaves smaller than a pixel
+    may hold no center."""
+    width, height = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        k = draw(st.integers(-3, 3))
+        re0, im0 = draw(st.integers(-8, 8)) * 2.0 ** k, draw(st.integers(-8, 8)) * 2.0 ** k
+        root = ComplexBox(Interval(re0, re0 + width * 2.0 ** k),
+                          Interval(im0, im0 + height * 2.0 ** k))
+    else:
+        corners = st.floats(-4.0, 4.0, allow_subnormal=False)
+        a, b, c, d = (draw(corners) for _ in range(4))
+        if a == b or c == d:
+            b, d = a + 1.0, c + 0.5
+        root = ComplexBox(Interval(min(a, b), max(a, b)), Interval(min(c, d), max(c, d)))
+    leaves = []
+
+    def grow(box, depth):
+        if depth < 5 and draw(st.integers(0, 2)) == 0:
+            for child in box.quarter():
+                grow(child, depth + 1)
+        else:
+            leaves.append(Leaf(depth, box, draw(st.sampled_from(list(Status)))))
+
+    grow(root, 0)
+    if draw(st.booleans()):
+        leaves = draw(st.permutations(leaves))
+    return ParamCertificate("synthetic", root, {}, leaves), width, height
+
+
+def _quadrants(box, depth, statuses):
+    return [Leaf(depth, b, s) for b, s in zip(box.quarter(), statuses)]
+
+
+_T, _F, _U = Status.TRUE, Status.FALSE, Status.UNDETERMINED
+_UNIT = TestRasterize.UNIT
+# the center of a 1x1 image is the corner of all four quadrants, and odd
+# sizes put centers on the midlines
+_TIES = ParamCertificate("synthetic", _UNIT, {}, _quadrants(_UNIT, 1, (_T, _F, _U, _F)))
+# the SW quadrant split again: only its NE leaf holds the 1x1 center, which
+# it shares with the three shallower quadrants
+_DEEP_CORNER = ParamCertificate(
+    "synthetic", _UNIT, {},
+    _quadrants(_UNIT.quarter()[0], 2, (_U, _T, _F, _T)) + _quadrants(_UNIT, 1, (_U, _F, _U, _F))[1:])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_certificates())
+@example((_TIES, 1, 1))
+@example((_TIES, 3, 5))
+@example((_DEEP_CORNER, 1, 1))
+@example((_DEEP_CORNER, 4, 4))
+def test_rasterize_matches_scalar_painter(drawn):
+    """The image bytes equal those of the leaf-by-leaf painter."""
+    cert, width, height = drawn
+    for palette in (PALETTE, MULTIPLIER_PALETTE):
+        ours = rasterize_scan(cert, palette, width, height)
+        theirs = _scalar_rasterize_scan(cert, palette, width, height)
+        assert bytes(ours.pixels) == bytes(theirs.pixels)
