@@ -33,6 +33,7 @@ from .verify import (
     MultiplierNonRealClaim,
     ParabolicExclusionClaim,
     Status,
+    _MAX_SEGMENT_DEPTH,
     component_witnesses,
     disjointness_certificate,
     find_superattracting_parameter,
@@ -168,6 +169,8 @@ def _check_ranges(args) -> None:
         value = getattr(args, key, None)
         if value is not None and value < least:
             raise UsageError(f"{key} must be >= {least}")
+    if (getattr(args, "segment_depth", None) or 0) > _MAX_SEGMENT_DEPTH:
+        raise UsageError(f"segment_depth must be <= {_MAX_SEGMENT_DEPTH}")
     if getattr(args, "min_depth", None) is not None and args.min_depth > args.max_depth:
         raise UsageError("min_depth must not exceed max_depth")
     if getattr(args, "anchor", None) is not None and not args.rect.contains(args.anchor):

@@ -17,7 +17,9 @@ floating-point orbit refined at a parameter box seeds the Krawczyk
 certification of its children.
 
 Every claim evaluates a whole quadtree level at once.  The qlike claim
-puts the boundary segments of a level in capped BoxArray batches; the two
+puts the boundary segments of a level in capped BoxArray batches, and
+each child box resumes its boundary walk from its parent's open blocks
+(see boundary_disjoint_level); the two
 cycle claims read their statuses from tracked_cycle_level, which refines,
 certifies and tries absence on the whole level in batched float Newton and
 Krawczyk calls, their rows dynamics._CHUNK at a time.  The two witnesses
@@ -107,10 +109,14 @@ class ContourEnclosure:
 # ---------------------------------------------------------------------------
 
 
-# rows of one segment batch; a batch that splits pushes at most two
-# batches one segment level deeper, so the stack of one walk holds at most
-# two batches per level
+# rows of one segment batch, and of the starts of one walk; a batch's split
+# rows (at most _ROW_CAP) wait in one frame, so one walk holds at most one
+# frame per segment level
 _ROW_CAP = 4096
+
+# the deepest segment depth at which a segment's node number 2^depth +
+# index (see _Segments) stays an exact int64
+_MAX_SEGMENT_DEPTH = 62
 
 
 def _midpoint(a, b):
@@ -126,86 +132,248 @@ def _inside(u: ComplexBox, re, im):
 
 
 def _bisect_rows(re, im):
-    """ComplexBox.bisect row by row: the halves of row k sit at 2k and 2k + 1."""
+    """ComplexBox.bisect on rows of boundary segments: the halves of row k
+    sit at 2k and 2k + 1.  One coordinate of a segment is a point whose
+    endpoints are the same float, and the midpoint of such a point is that
+    float, so halving both coordinates splits the other one as bisect
+    does.  Only where im has width 0 does bisect split re (it splits re on
+    a tie) and copy im, whose endpoints may be -0.0 and 0.0 there."""
+    lo, hi = np.stack((re[0], im[0])), np.stack((re[1], im[1]))
+    m = _midpoint(lo, hi)
+    lo, hi = _interleave(lo, m), _interleave(m, hi)
+    flat = np.repeat(im[0] == im[1], 2)
+    im_lo = np.where(flat, np.repeat(im[0], 2), lo[1])
+    im_hi = np.where(flat, np.repeat(im[1], 2), hi[1])
+    return (lo[0], hi[0]), (im_lo, im_hi)
 
-    def halves(pair):
-        m = _midpoint(*pair)
-        return _interleave(pair[0], m), _interleave(m, pair[1])
 
-    def twice(pair):
-        return np.repeat(pair[0], 2), np.repeat(pair[1], 2)
+class _Segments:
+    """Boundary segments, one a row.  Row k is the box seg[k] on an edge of
+    dU, walked for parameter row owner[k], and node[k] = 2^depth + index
+    places it in the walk tree of its edge: depth bisections of the edge
+    make 2^depth pieces, index counts them from the edge's start, and the
+    halves of node m are 2m and 2m + 1."""
 
-    wide = np.repeat(_up_arr(re[1] - re[0]) >= _up_arr(im[1] - im[0]), 2)
-    re2 = np.where(wide, halves(re), twice(re))
-    im2 = np.where(wide, twice(im), halves(im))
-    return (re2[0], re2[1]), (im2[0], im2[1])
+    __slots__ = ("seg", "owner", "node")
+
+    def __init__(self, seg: BoxArray, owner, node):
+        self.seg, self.owner, self.node = seg, owner, node
+
+    @staticmethod
+    def edges(u: ComplexBox) -> "_Segments":
+        """The four edges of dU, for parameter row 0."""
+        re, im = u.re, u.im
+        e = np.array([(re.lo, re.hi, im.lo, im.lo), (re.lo, re.hi, im.hi, im.hi),
+                      (re.lo, re.lo, im.lo, im.hi), (re.hi, re.hi, im.lo, im.hi)]).T
+        return _Segments(BoxArray((e[0], e[1]), (e[2], e[3])), np.zeros(4, dtype=np.int64),
+                         np.ones(4, dtype=np.int64))
+
+    @staticmethod
+    def concat(parts: list["_Segments"]) -> "_Segments":
+        if len(parts) == 1:
+            return parts[0]
+        seg = BoxArray(*(tuple(np.concatenate([getattr(p.seg, axis)[k] for p in parts])
+                               for k in (0, 1)) for axis in ("re", "im")))
+        return _Segments(seg, np.concatenate([p.owner for p in parts]),
+                         np.concatenate([p.node for p in parts]))
+
+    def __len__(self) -> int:
+        return len(self.owner)
+
+    def __getitem__(self, rows) -> "_Segments":
+        return _Segments(self.seg[rows], self.owner[rows], self.node[rows])
+
+    def halves(self) -> "_Segments":
+        """The halves of every row, at 2k and 2k + 1."""
+        node = np.repeat(2 * self.node, 2)
+        node[1::2] += 1
+        return _Segments(BoxArray(*_bisect_rows(self.seg.re, self.seg.im)),
+                         np.repeat(self.owner, 2), node)
+
+
+@dataclass(frozen=True)
+class _Walked:
+    """What the boundary walks of a level hand on: per parameter row its
+    inside and outside flags, and its open blocks, the rows
+    offsets[i]:offsets[i + 1] of blocks."""
+
+    blocks: _Segments
+    offsets: np.ndarray
+    inside: np.ndarray
+    outside: np.ndarray
+
+
+class _Frame:
+    """The split rows of one batch (parents), waiting for the walks of
+    their halves: opened[2j] and opened[2j + 1] say whether the halves of
+    parents[j] are open, the halves from 2 * next on are not walked yet,
+    and on completion the open flags of the parents go to dest[at]."""
+
+    __slots__ = ("parents", "opened", "next", "dest", "at")
+
+    def __init__(self, parents: _Segments, dest, at):
+        self.parents, self.dest, self.at = parents, dest, at
+        self.opened = np.zeros(2 * len(parents), dtype=bool)
+        self.next = 0
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _segment_walk(cs: BoxArray, u: ComplexBox, n: int, max_depth: int, effort, flags):
-    """The boundary test of the parameter rows of cs, from one stack of
-    batches of at most _ROW_CAP segment rows: adds each row's segment count
-    to effort and sets its inside, outside and undetermined flags (the
-    three rows of flags)."""
-    inside, outside, undet = flags
-    count = len(cs)
+def _segment_walk(cs: BoxArray, u: ComplexBox, n: int, max_depth: int, starts: _Segments,
+                  effort, inside, outside, inherited) -> list[_Segments]:
+    """Walks the segments starts (at most _ROW_CAP rows): adds each
+    parameter row's segment count to effort, sets its inside and outside
+    flags, and returns its open blocks.  A parameter row that has found
+    the flag opposite to one it inherited (the pair inherited) is FALSE,
+    so its split segments are not halved; a walk from the edges inherits
+    no flag and runs whole.
+
+    A segment is open when it is an open leaf (undecided at max_depth, or
+    not finite) or when both its halves are open.  Each batch's split rows
+    wait in a _Frame while their halves are walked, _ROW_CAP // 2 parents
+    at a time; when all are walked, a lone open half is a block, and so is
+    an open start.  So the walk holds the starts, one batch, at most one
+    frame of _ROW_CAP rows per segment level and the parents of the lone
+    open halves found so far."""
     re, im = u.re, u.im
-    edges = np.array([(re.lo, re.hi, im.lo, im.lo), (re.lo, re.hi, im.hi, im.hi),
-                      (re.lo, re.lo, im.lo, im.hi), (re.hi, re.hi, im.lo, im.hi)])
-    e = np.tile(edges, (count, 1)).T
-    stack = [(BoxArray((e[0], e[1]), (e[2], e[3])), np.repeat(np.arange(count), 4), 0)]
-    while stack:
-        seg, owner, depth = stack.pop()
-        z, c = seg, cs[owner]
+    deepest = 1 << max_depth  # the first node at max_depth
+    top = np.zeros(len(starts), dtype=bool)
+    rows, dest, at = starts, top, 0
+    frames, lone, picks = [], [], []
+    while rows is not None:
+        owner = rows.owner
+        z, c = rows.seg, cs[owner]
         for _ in range(n):
             z = z.sqr().conj() + c
-        effort += np.bincount(owner, minlength=count)
+        effort += np.bincount(owner, minlength=len(effort))
         finite = z.finite()
         (a, b), (p, q) = z.re, z.im
+        # a row strictly inside U is finite and meets U
         strict = _inside(u, z.re, z.im)
-        meets = (re.lo <= b) & (a <= re.hi) & (im.lo <= q) & (p <= im.hi)
-        inside[owner[finite & strict]] = True
-        outside[owner[finite & ~meets]] = True
-        undet[owner[~finite]] = True
-        split = finite & meets & ~strict
-        if depth >= max_depth:
-            undet[owner[split]] = True
-        elif split.any():
-            seg = seg[split]
-            halves = BoxArray(*_bisect_rows(seg.re, seg.im))
-            owner = np.repeat(owner[split], 2)
-            for k in range(0, len(owner), _ROW_CAP):
-                rows = slice(k, k + _ROW_CAP)
-                stack.append((halves[rows], owner[rows], depth + 1))
+        meets = finite & (re.lo <= b) & (a <= re.hi) & (im.lo <= q) & (p <= im.hi)
+        inside[owner[strict]] = True
+        outside[owner[finite ^ meets]] = True
+        split = meets ^ strict
+        crossed = (inherited[0] & outside) | (inherited[1] & inside)
+        grow = split & (rows.node < deepest) & ~crossed[owner]
+        np.logical_or(~finite, split ^ grow, out=dest[at:at + len(rows)])
+        where = np.flatnonzero(grow)
+        if len(where):
+            frames.append(_Frame(rows[where], dest, at + where))
+        rows = None
+        while frames and rows is None:
+            frame = frames[-1]
+            if frame.next < len(frame.parents):
+                part = frame.parents[frame.next:frame.next + _ROW_CAP // 2]
+                rows, dest, at = part.halves(), frame.opened, 2 * frame.next
+                frame.next += len(part)
+                continue
+            frames.pop()
+            first, second = frame.opened[0::2], frame.opened[1::2]
+            one = np.flatnonzero(first ^ second)
+            if len(one):
+                lone.append(frame.parents[one])
+                picks.append(second[one])
+            frame.dest[frame.at] = first & second
+    if not lone:
+        return [starts[top]]
+    # the lone open halves, bisected again all at once
+    halves = _Segments.concat(lone).halves()
+    return [starts[top], halves[np.arange(0, len(halves), 2) + np.concatenate(picks)]]
 
 
-def boundary_disjoint_level(
-    boxes: list[ComplexBox], u: ComplexBox, n: int, max_depth: int = 14
-) -> list[ClaimResult]:
-    """boundary_disjoint for each parameter box, evaluated in batches.
+def _starts(seeds, u: ComplexBox) -> tuple[_Segments, np.ndarray, np.ndarray]:
+    """The segments where the walks of a level start, and the inside and
+    outside flags that its parameter rows inherit.  A row seeded
+    (walked, i) resumes from the open blocks and flags of row i of walked,
+    one seeded None from the four edges of dU with no flag set."""
+    edges = _Segments.edges(u)
+    fresh = (_Walked(edges, np.array([0, 4]), *np.zeros((2, 1), dtype=bool)), 0)
+    pairs = [seed or fresh for seed in seeds]
+    inside, outside = np.zeros((2, len(pairs)), dtype=bool)
+    parts = []
+    for walked in {id(w): w for w, _ in pairs}.values():
+        boxes = np.array([k for k, (w, _) in enumerate(pairs) if w is walked], dtype=np.int64)
+        parent = np.array([i for w, i in pairs if w is walked], dtype=np.int64)
+        inside[boxes], outside[boxes] = walked.inside[parent], walked.outside[parent]
+        start, size = walked.offsets[parent], np.diff(walked.offsets)[parent]
+        # row j of the part is row j - (rows before its box) + start of its box
+        part = walked.blocks[np.arange(size.sum()) + np.repeat(start - np.cumsum(size) + size, size)]
+        part.owner = np.repeat(boxes, size)
+        parts.append(part)
+    return _Segments.concat(parts or [edges[:0]]), inside, outside
 
-    A row is one boundary segment of one box, with that box's c row.  The
-    rows of _ROW_CAP // 4 boxes at a time start as the four edges of dU and
-    are iterated n times through BoxArray, which repeats the ComplexBox
-    arithmetic bit for bit.  A row strictly inside U or off U is decided;
-    any other row is bisected below max_depth, and at max_depth marks its
-    box Undetermined.  A row that is not finite, where the ComplexBox
-    evaluation would overflow, marks its box Undetermined and is not split.
-    The flags and segment count of a box are a union and a sum over its
-    rows, so they do not depend on the order of evaluation.
-    """
+
+def _walk_level(boxes: list[ComplexBox], u: ComplexBox, n: int, max_depth: int, seeds):
+    """The boundary walks of a level's parameter boxes, resumed from their
+    seeds (see _starts): each box's segment count and the _Walked that its
+    children resume from.  The starts go _ROW_CAP at a time, shallowest
+    first, so that the deep ones, which end within a few segment levels,
+    share their walks."""
     if u.re.lo == u.re.hi or u.im.lo == u.im.hi:
         raise ValueError("dynamical rectangle must have positive area")
     if n < 1:
         raise ValueError("iterate must be >= 1")
-    count, step = len(boxes), _ROW_CAP // 4
+    if not 0 <= max_depth <= _MAX_SEGMENT_DEPTH:
+        raise ValueError(f"segment depth must lie in [0, {_MAX_SEGMENT_DEPTH}]")
     cs = BoxArray.of(boxes)
-    effort = np.zeros(count, dtype=np.int64)
-    flags = np.zeros((3, count), dtype=bool)
-    for k in range(0, count, step):
-        _segment_walk(cs[k:k + step], u, n, max_depth, effort[k:k + step], flags[:, k:k + step])
+    starts, inside, outside = _starts(seeds, u)
+    starts = starts[np.argsort(starts.node, kind="stable")]
+    inherited = inside.copy(), outside.copy()
+    effort = np.zeros(len(boxes), dtype=np.int64)
+    blocks = [starts[:0]]
+    for k in range(0, len(starts), _ROW_CAP):
+        blocks += _segment_walk(cs, u, n, max_depth, starts[k:k + _ROW_CAP], effort,
+                                inside, outside, inherited)
+    blocks = _Segments.concat(blocks)
+    blocks = blocks[np.argsort(blocks.owner, kind="stable")]
+    offsets = np.searchsorted(blocks.owner, np.arange(len(boxes) + 1))
+    return effort, _Walked(blocks, offsets, inside, outside)
+
+
+def boundary_disjoint_level(
+    boxes: list[ComplexBox], u: ComplexBox, n: int, max_depth: int = 14, seeds=None
+) -> tuple[list[ClaimResult], list]:
+    """boundary_disjoint for each parameter box, evaluated in batches, and
+    the seeds that the children of each box resume from.
+
+    A row is one boundary segment of one box, with that box's c row.  A
+    box seeded None starts from the four edges of dU; a box seeded with
+    the seed returned for a box that contains it (its parent) starts from
+    that box's open blocks and flags.  Rows go
+    _ROW_CAP at a time through BoxArray, which repeats the ComplexBox
+    arithmetic bit for bit, n times.  A row strictly inside U or off U is
+    decided; any other row is bisected below max_depth, and at max_depth
+    is an open leaf.  A row that is not finite, where the ComplexBox
+    evaluation would overflow, is an open leaf and is not split.  A box
+    with an open leaf is Undetermined unless it is FALSE.  The flags of a
+    box are a union over its rows, so they do not depend on the order of
+    evaluation, and from the edges neither does its segment count.  A box
+    that finds the flag opposite to one it inherited is FALSE whatever
+    else it finds, so its split rows are no longer halved, and its count
+    depends on the order of evaluation.
+
+    A box's open blocks are the maximal nodes of its walk trees with no
+    decided node below them: sibling halves that are both open merge into
+    their parent, recursively.  Its children walk only those.  The
+    BoxArray operations are inclusion-isotonic (each endpoint is an
+    outward rounding of a monotone formula; Moore, Interval Analysis,
+    1966), and a child's c lies in its parent's, so the child's image of a
+    segment lies in the parent's.  So the child decides every node that
+    the parent decided, with the same flag; a node that is not finite for
+    the child was not finite for the parent, which did not split it; and
+    where the child's walk from the edges decides a node above a block,
+    that node holds a node the parent decided, and the resumed walk
+    decides the block at once, with the same flag.  So a resumed walk
+    gives every box the flags, open leaves and status of a walk from the
+    four edges; its segment count is that of its own evaluations.
+    """
+    if seeds is None:
+        seeds = [None] * len(boxes)
+    effort, walked = _walk_level(boxes, u, n, max_depth, seeds)
     results = []
-    for segments, (inside, outside, undet) in zip(effort.tolist(), flags.T.tolist()):
+    for segments, inside, outside, undet in zip(
+            effort.tolist(), walked.inside.tolist(), walked.outside.tolist(),
+            (np.diff(walked.offsets) > 0).tolist()):
         if inside and outside:
             status = Status.FALSE
         elif undet:
@@ -213,7 +381,7 @@ def boundary_disjoint_level(
         else:
             status = Status.TRUE
         results.append(ClaimResult(status, segments))
-    return results
+    return results, [(walked, i) for i in range(len(boxes))]
 
 
 def boundary_disjoint(
@@ -227,7 +395,7 @@ def boundary_disjoint(
     curve crosses dU.  UNDETERMINED otherwise, also when the enclosure of
     some piece overflows.  The one-box call of boundary_disjoint_level.
     """
-    return boundary_disjoint_level([c], u, n, max_depth)[0]
+    return boundary_disjoint_level([c], u, n, max_depth)[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -604,7 +772,13 @@ class PerBoxClaim(_Claim):
 
 @dataclass
 class BoundaryDisjointClaim(_Claim):
-    """Scan claim: f_c^n(dU) disjoint from dU (the cyan/green/blue test)."""
+    """Scan claim: f_c^n(dU) disjoint from dU (the cyan/green/blue test).
+
+    A box's seed is what its parent's boundary walk left open: its inside
+    and outside flags and its open blocks.  The root starts from the four
+    edges of dU.  Each box's status is the one of a walk from the edges
+    (see boundary_disjoint_level), and its effort counts the segments
+    that its own level evaluated."""
 
     u: ComplexBox
     n: int
@@ -612,7 +786,7 @@ class BoundaryDisjointClaim(_Claim):
     name = "qlike-boundary"
 
     def evaluate_level(self, boxes, seeds):
-        return boundary_disjoint_level(boxes, self.u, self.n, self.segment_depth), seeds
+        return boundary_disjoint_level(boxes, self.u, self.n, self.segment_depth, seeds)
 
 
 @dataclass
@@ -773,12 +947,11 @@ def _anchor_proof(c: complex, u: ComplexBox, n: int, segment_depth: int) -> dict
     point = ComplexBox.point(c)
     cs = BoxArray.of([point])
     entries = {"anchor_preimage_count": str(preimage_count(point, 0j, u, n))}
-    flags = np.zeros((3, 1), dtype=bool)
-    _segment_walk(cs, u, n, segment_depth, np.zeros(1, dtype=np.int64), flags)
+    _, walked = _walk_level([point], u, n, segment_depth, [None])
     z = BoxArray.of([ComplexBox.point(0j)])
     for _ in range(n):
         z = z.sqr().conj() + cs
-    if flags[:, 0].tolist() != [False, True, False]:  # inside, outside, undetermined
+    if walked.inside[0] or not walked.outside[0] or len(walked.blocks):
         reason = "boundary"
     elif entries["anchor_preimage_count"] != "2":
         reason = "preimage-count"

@@ -183,6 +183,21 @@ class TestScan:
             "12b0903c0e319634d12f87ad4db19e8442ae6195a5631579314d12ecc06882d9"
         )
 
+    def test_golden_qlike_deep_segment_certificate(self, tmp_path):
+        # the qlike-wide rectangle at segment depth 14, where the walks of
+        # the deeper levels resume from thousands of open blocks
+        out = tmp_path / "Q"
+        code = _run([
+            "scan", "--claim", "qlike", "--rect", "-1.8025,-1.6745,-0.0482,0.0798",
+            "--max-depth", "6", "--segment-depth", "14", "-o", str(out),
+        ])
+        assert code == 1
+        lines = out.read_bytes().splitlines(keepends=True)
+        body = b"".join(ln for ln in lines if not ln.startswith(b"#config.cli."))
+        assert hashlib.sha256(body).hexdigest() == (
+            "52b679a4eae9c3b6b8da0808d0cab9ec64cceec3773428113dd81f4966ae4004"
+        )
+
     def test_overflowing_qlike_rect_is_undetermined(self, tmp_path, capsys):
         # every boundary image overflows: Undetermined leaves, not a traceback
         out = tmp_path / "cert.txt"
@@ -369,6 +384,12 @@ class TestParameters:
             err = capsys.readouterr().err
             assert err == "error: no superattracting seed parameter found in the rectangle\n"
             assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", [["scan", "--claim", "qlike"], ["verify-qlike"]])
+    def test_segment_depth_above_62_exits_2(self, command, capsys):
+        # a segment's node number 2^depth + index must stay an int64
+        assert _run([*command, "--segment-depth", "63", "--max-depth", "0"]) == 2
+        assert capsys.readouterr().err == "error: segment_depth must be <= 62\n"
 
 
 # per run at default settings: its arguments (the certificate goes to C)

@@ -331,7 +331,7 @@ class TestBoundaryDisjoint:
         with pytest.raises(EmptyIntervalError):
             _scalar_boundary_disjoint(far, U_RECT, 3, 2)
         near = ComplexBox.around(R_RECT.midpoint(), 1e-6)
-        results = boundary_disjoint_level([far, near, far], U_RECT, 3, 2)
+        results, _ = boundary_disjoint_level([far, near, far], U_RECT, 3, 2)
         assert results[0] == results[2] == ClaimResult(Status.UNDETERMINED, 4)
         assert results[1] == _scalar_boundary_disjoint(near, U_RECT, 3, 2)
 
@@ -341,61 +341,149 @@ class TestBoundaryDisjoint:
     @example([TOUCHING_C, ComplexBox.point(0j)], QUARTER_U, 1, 8)
     def test_batch_matches_scalar_oracle(self, boxes, u, n, depth):
         oracle = [_scalar_boundary_disjoint(c, u, n, depth) for c in boxes]
-        assert boundary_disjoint_level(boxes, u, n, depth) == oracle
+        assert boundary_disjoint_level(boxes, u, n, depth)[0] == oracle
 
     def test_mixed_frontier_matches_scalar_oracle(self):
         # one level of the qlike-wide scan: TRUE, FALSE and Undetermined
         # owners share the batches
         boxes = _grid(QLIKE_WIDE, 3)
-        results = boundary_disjoint_level(boxes, PAPER_U, 3, 8)
+        results, _ = boundary_disjoint_level(boxes, PAPER_U, 3, 8)
         assert {r.status for r in results} == set(Status)
         assert results == [_scalar_boundary_disjoint(c, PAPER_U, 3, 8) for c in boxes]
 
     def test_small_row_cap_splits_the_stack(self, monkeypatch):
-        # 8 rows per batch: two boxes per walk, and every level that splits
-        # more than 4 rows pushes two batches
+        # 8 rows per batch: each walk starts from the edges of two boxes,
+        # and the halves of at most 4 parents make one batch
         boxes = _grid(QLIKE_WIDE, 2)
-        wide = boundary_disjoint_level(boxes, PAPER_U, 3, 6)
+        wide, wide_seeds = boundary_disjoint_level(boxes, PAPER_U, 3, 6)
         monkeypatch.setattr(verify, "_ROW_CAP", 8)
-        batches = []
+        walks = []
         walk = verify._segment_walk
 
-        def counted(cs, *args):
-            batches.append(len(cs))
-            return walk(cs, *args)
+        def counted(cs, u, n, max_depth, starts, *args):
+            walks.append(len(starts))
+            return walk(cs, u, n, max_depth, starts, *args)
 
         monkeypatch.setattr(verify, "_segment_walk", counted)
-        assert boundary_disjoint_level(boxes, PAPER_U, 3, 6) == wide
-        assert batches == [2] * 8
+        results, seeds = boundary_disjoint_level(boxes, PAPER_U, 3, 6)
+        assert results == wide
+        assert walks == [8] * 8
         assert wide == [_scalar_boundary_disjoint(c, PAPER_U, 3, 6) for c in boxes]
+        children, child_seeds = _children(boxes, results, seeds)
+        _, wide_child_seeds = _children(boxes, wide, wide_seeds)
+        resumed, _ = boundary_disjoint_level(children, PAPER_U, 3, 6, child_seeds)
+        wide_resumed, _ = boundary_disjoint_level(children, PAPER_U, 3, 6, wide_child_seeds)
+        assert [r.status for r in resumed] == [r.status for r in wide_resumed]
 
     def test_live_rows_are_bounded(self, monkeypatch):
-        # the rows on the stack plus the batch under evaluation stay within
-        # _ROW_CAP per segment level (plus one), however many boxes
+        # the rows that a walk holds stay within _ROW_CAP per segment level
+        # (plus two), however many boxes, from the edges and resumed; a
+        # resumed box that turns FALSE stops halving, so only its segment
+        # count depends on how the rows are batched
         boxes = _grid(QLIKE_WIDE, 3)
         monkeypatch.setattr(verify, "_ROW_CAP", 64)
-        capped, peak = _live_rows(lambda: boundary_disjoint_level(boxes, PAPER_U, 3, 6))
+        (capped, seeds), peak = _live_rows(lambda: boundary_disjoint_level(boxes, PAPER_U, 3, 6))
         assert peak <= 64 * (6 + 2)
-        monkeypatch.setattr(verify, "_ROW_CAP", 4 * len(boxes))
-        uncapped, wide_peak = _live_rows(lambda: boundary_disjoint_level(boxes, PAPER_U, 3, 6))
+        children, child_seeds = _children(boxes, capped, seeds)
+        resumed, resumed_peak = _live_rows(
+            lambda: boundary_disjoint_level(children, PAPER_U, 3, 6, child_seeds)[0])
+        assert resumed_peak <= 64 * (6 + 2)
+        monkeypatch.setattr(verify, "_ROW_CAP", 1 << 20)
+        (uncapped, _), wide_peak = _live_rows(
+            lambda: boundary_disjoint_level(boxes, PAPER_U, 3, 6))
+        wide_resumed, wide_resumed_peak = _live_rows(
+            lambda: boundary_disjoint_level(children, PAPER_U, 3, 6, child_seeds)[0])
         assert capped == uncapped
-        assert wide_peak > 64 * (6 + 2)
+        assert [r.status for r in resumed] == [r.status for r in wide_resumed]
+        assert min(wide_peak, wide_resumed_peak) > 64 * (6 + 2)
 
-    def test_qlike_wide_effort_matches_scalar_oracle(self):
-        # the qlike-wide workload's scan: 177,752 segment evaluations over
-        # its 3,469 leaves, the total of the depth-first walk; the oracle
-        # rechecks every fifth leaf (all of them take about 8 s)
-        cert = adaptive_scan(QLIKE_WIDE, BoundaryDisjointClaim(PAPER_U, 3, 8), 8)
+    def test_qlike_wide_effort_matches_scalar_oracle(self, monkeypatch):
+        # the qlike-wide workload's scan: each level's effort adds up to the
+        # segment rows it evaluated, 64,120 over all levels (the walks from
+        # the edges evaluate 253,612), of which the 3,469 leaves keep
+        # 33,044; the oracle rechecks the status of every fifth leaf (all
+        # of them take about 8 s)
+        rows = []
+        inside = verify._inside
+
+        def spy(u, re, im):
+            rows.append(len(re[0]))
+            return inside(u, re, im)
+
+        monkeypatch.setattr(verify, "_inside", spy)
+        claim = BoundaryDisjointClaim(PAPER_U, 3, 8)
+        levels, evaluate = [], claim.evaluate_level
+
+        def counted(boxes, seeds):
+            start = len(rows)
+            results, children = evaluate(boxes, seeds)
+            levels.append((sum(r.effort for r in results), sum(rows[start:])))
+            return results, children
+
+        claim.evaluate_level = counted
+        cert = adaptive_scan(QLIKE_WIDE, claim, 8)
+        assert all(effort == evaluated for effort, evaluated in levels)
+        assert sum(effort for effort, _ in levels) == 64_120
         assert len(cert.leaves) == 3469
-        assert sum(leaf.effort for leaf in cert.leaves) == 177_752
+        assert sum(leaf.effort for leaf in cert.leaves) == 33_044
         for leaf in cert.leaves[::5]:
-            oracle = _scalar_boundary_disjoint(leaf.box, PAPER_U, 3, 8)
-            assert (leaf.status, leaf.effort) == (oracle.status, oracle.effort)
+            assert leaf.status is _scalar_boundary_disjoint(leaf.box, PAPER_U, 3, 8).status
+
+    @pytest.mark.parametrize("max_depth, segment_depth, resumed, fresh", [
+        (8, 8, 64_120, 253_612),
+        (6, 14, 976_594, 1_304_964),
+    ])
+    def test_resumed_levels_match_walks_from_the_edges(self, max_depth, segment_depth,
+                                                       resumed, fresh):
+        # every level of the qlike-wide scan: the walks resumed from the
+        # parents' open blocks give the statuses of the walks from the four
+        # edges, from fewer segment evaluations in all
+        claim = BoundaryDisjointClaim(PAPER_U, 3, segment_depth)
+        totals, evaluate = [0, 0], claim.evaluate_level
+
+        def checked(boxes, seeds):
+            results, children = evaluate(boxes, seeds)
+            unseeded, _ = boundary_disjoint_level(boxes, PAPER_U, 3, segment_depth)
+            assert [r.status for r in results] == [r.status for r in unseeded]
+            totals[0] += sum(r.effort for r in results)
+            totals[1] += sum(r.effort for r in unseeded)
+            return results, children
+
+        claim.evaluate_level = checked
+        adaptive_scan(QLIKE_WIDE, claim, max_depth)
+        assert totals == [resumed, fresh]
+        assert totals[0] <= totals[1]
+
+    @settings(max_examples=60, deadline=None)
+    @given(_PARAM_BOX, st.sampled_from(_U_BOXES), st.integers(1, 3), st.integers(0, 8))
+    @example(TOUCHING_C, QUARTER_U, 1, 8)
+    def test_resumed_children_match_scalar_oracle(self, parent, u, n, depth):
+        # the four children of any parent, resumed from its open blocks
+        _, [seed] = boundary_disjoint_level([parent], u, n, depth)
+        children = parent.quarter()
+        results, _ = boundary_disjoint_level(children, u, n, depth, [seed] * 4)
+        assert ([r.status for r in results]
+                == [_scalar_boundary_disjoint(c, u, n, depth).status for c in children])
+
+    def test_segment_depth_is_capped(self):
+        # a segment's node number 2^depth + index is an int64 up to depth 62
+        with pytest.raises(ValueError):
+            boundary_disjoint(R_RECT, U_RECT, 3, 63)
+        assert boundary_disjoint(R_RECT, U_RECT, 3, 62) == boundary_disjoint(R_RECT, U_RECT, 3)
+
+
+def _children(boxes, results, seeds):
+    """The quarters of the Undetermined boxes of a level, each with its
+    parent's seed, as adaptive_scan hands them on."""
+    pairs = [(child, seed) for box, result, seed in zip(boxes, results, seeds)
+             if result.status is Status.UNDETERMINED for child in box.quarter()]
+    return [child for child, _ in pairs], [seed for _, seed in pairs]
 
 
 def _live_rows(run):
     """run()'s result, and the largest number of segment rows that
-    _segment_walk held on its stack plus in the batch under evaluation,
+    _segment_walk held at once: its starts, the batch under evaluation, the
+    parents waiting in its frames and those of its lone open halves,
     sampled at every line it executed."""
     code = verify._segment_walk.__wrapped__.__code__
     peak = 0
@@ -403,8 +491,11 @@ def _live_rows(run):
     def local(frame, event, arg):
         nonlocal peak
         if event == "line":
-            seg, stack = frame.f_locals.get("seg"), frame.f_locals.get("stack", ())
-            live = sum(len(owner) for _, owner, _ in stack) + (0 if seg is None else len(seg))
+            names = frame.f_locals
+            starts, rows = names["starts"], names.get("rows")
+            live = (len(starts) + (0 if rows is None or rows is starts else len(rows))
+                    + sum(len(f.parents) for f in names.get("frames", ()))
+                    + sum(len(part) for part in names.get("lone", ())))
             peak = max(peak, live)
         return local
 
