@@ -12,6 +12,7 @@ reproducible from its own header.
 from __future__ import annotations
 
 import argparse
+import math
 import re
 import struct
 import sys
@@ -169,6 +170,11 @@ def _check_ranges(args) -> None:
         value = getattr(args, key, None)
         if value is not None and value < least:
             raise UsageError(f"{key} must be >= {least}")
+    min_width, tol = getattr(args, "min_width", None), getattr(args, "tol", None)
+    if min_width is not None and not math.isfinite(min_width):
+        raise UsageError("min_width must be finite")  # box.width() > nan never splits
+    if tol is not None and not 0.0 < tol < math.inf:
+        raise UsageError("tol must be finite and > 0")
     if (getattr(args, "segment_depth", None) or 0) > _MAX_SEGMENT_DEPTH:
         raise UsageError(f"segment_depth must be <= {_MAX_SEGMENT_DEPTH}")
     if getattr(args, "min_depth", None) is not None and args.min_depth > args.max_depth:

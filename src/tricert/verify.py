@@ -19,10 +19,12 @@ certification of its children.
 Every claim evaluates a whole quadtree level at once.  The qlike claim
 puts the boundary segments of a level in capped BoxArray batches, and
 each child box resumes its boundary walk from its parent's open blocks
-(see boundary_disjoint_level); the two
-cycle claims read their statuses from tracked_cycle_level, which refines,
-certifies and tries absence on the whole level in batched float Newton and
-Krawczyk calls, their rows dynamics._CHUNK at a time.  The two witnesses
+(see boundary_disjoint_level); the count claim walks the contours of all
+the boxes of a level as one, its segment rows tagged with their box (see
+_contour_walk); the two cycle claims read their statuses from
+tracked_cycle_level, which refines, certifies and tries absence on the
+whole level in batched float Newton and Krawczyk calls, their rows
+dynamics._CHUNK at a time.  The two witnesses
 of component_witnesses are one-box calls of it.
 
 Each scan claim is a dataclass of its certificate parameters, which
@@ -70,7 +72,6 @@ __all__ = [
     "preimage_count",
     "tracked_cycle_level",
     "component_witnesses",
-    "PerBoxClaim",
     "BoundaryDisjointClaim",
     "FixedPointCountClaim",
     "ParabolicExclusionClaim",
@@ -403,16 +404,101 @@ def boundary_disjoint(
 # ---------------------------------------------------------------------------
 
 
-def _integrand(fn, re, im) -> BoxArray:
-    """der / val over the boxes re x im, where fn(z) = (val, der); the rows
-    where it cannot be formed are non-finite."""
-    val, der = fn(BoxArray(re, im))
-    if isinstance(val, ComplexBox):  # fn ignored its argument
-        val = BoxArray.of([val] * len(re[0]))
-    return der * val.recip()
+# rows of one integrand call of _contour_walk, which holds a whole level of
+# every contour besides: the count integrand's temporaries take about 400
+# bytes a row
+_CONTOUR_ROWS = 2048
+
+
+def _pieces(fn, cs: BoxArray, owner, ax, ay, bx, by) -> BoxArray:
+    """der(S) / val(S) * (b - a) for each segment a->b, S its hull, where
+    fn(c, z) = (val, der) and row k has the parameter row cs[owner[k]];
+    non-finite in the rows where der / val cannot be formed, also on a
+    point a = b, whose factor b - a = 0 keeps a finite der / val finite.
+    The rows go _CONTOUR_ROWS at a time, and a row's bits do not depend on
+    its batch."""
+    out = np.empty((4, len(owner)))
+    for k in range(0, len(owner), _CONTOUR_ROWS):
+        rows = slice(k, k + _CONTOUR_ROWS)
+        a, b, p, q = ax[rows], bx[rows], ay[rows], by[rows]
+        val, der = fn(cs[owner[rows]], BoxArray((np.minimum(a, b), np.maximum(a, b)),
+                                                (np.minimum(p, q), np.maximum(p, q))))
+        if isinstance(val, ComplexBox):  # fn ignored its argument
+            val = BoxArray.of([val] * len(a))
+        piece = der * val.recip() * BoxArray((b - a, b - a), (q - p, q - p))
+        out[:, rows] = *piece.re, *piece.im
+    return BoxArray((out[0], out[1]), (out[2], out[3]))
 
 
 @np.errstate(over="ignore", invalid="ignore")
+def _contour_walk(fn, cs: BoxArray, region: ComplexBox, tol: float,
+                  max_depth: int) -> list[ContourEnclosure | None]:
+    """contour_integral of z -> fn(c, z) over the region, for each parameter
+    row c of cs, in one level-synchronous walk.
+
+    A row is one segment of one contour, tagged with its owner, the index
+    of its row of cs.  Each level evaluates the integrand on the live
+    segments of every contour (see _pieces), and the halves of a split
+    segment take its place, so the rows stay grouped by owner and in
+    order.  A contour that fails (see contour_integral) is None, and its
+    rows are split no further; the other contours go on as if alone.  The
+    kept contributions are summed bottom-up as left + right and each
+    contour's edges in order, so every enclosure and its segment count are
+    those of a depth-first recursion over the same segments.  (A segment
+    endpoint may hold a zero of the other sign than Python's min/max would
+    pick; it reaches the enclosure only through rounded operations, which
+    map both zeros to the same endpoint.)
+    """
+    re, im = region.re, region.im
+    corners = np.array([re.lo, re.hi, re.hi, re.lo]), np.array([im.lo, im.lo, im.hi, im.hi])
+    ax, ay = (np.tile(v, len(cs)) for v in corners)
+    bx, by = (np.tile(np.roll(v, -1), len(cs)) for v in corners)
+    owner = np.repeat(np.arange(len(cs)), 4)
+    failed = np.zeros(len(cs), dtype=bool)
+    budget, depth = tol / 4.0, max_depth
+    levels = []
+    while len(ax):
+        piece = _pieces(fn, cs, owner, ax, ay, bx, by)
+        formed = piece.finite()
+        bad = np.flatnonzero(~formed)
+        if depth <= 0:
+            kept = formed
+        else:
+            width = np.maximum(_up_arr(piece.re[1] - piece.re[0]),
+                               _up_arr(piece.im[1] - piece.im[0]))
+            kept = formed & (width <= budget)
+            if len(bad):  # above full depth, a failing start point fails
+                fx, fy = ax[bad], ay[bad]
+                bad = bad[~_pieces(fn, cs, owner[bad], fx, fy, fx, fy).finite()]
+        failed[owner[bad]] = True
+        split = ~(kept | failed[owner])
+        levels.append((piece, split))
+        ax, ay, bx, by, owner = ax[split], ay[split], bx[split], by[split], owner[split]
+        mx, my = _midpoint(ax, bx), _midpoint(ay, by)
+        ax, ay, bx, by = (_interleave(ax, mx), _interleave(ay, my),
+                          _interleave(mx, bx), _interleave(my, by))
+        owner = np.repeat(owner, 2)
+        budget /= 2.0
+        depth -= 1
+    # bottom-up: a split segment's value is the sum of its two children,
+    # which sit at 2k and 2k + 1 of the next level for its rank k
+    value = count = None
+    for piece, split in reversed(levels):
+        cnt = np.ones(len(split), dtype=np.int64)
+        if value is not None:
+            summed = value[0::2] + value[1::2]
+            for dst, src in zip((*piece.re, *piece.im), (*summed.re, *summed.im)):
+                dst[split] = src
+            cnt[split] = count[0::2] + count[1::2]
+        value, count = piece, cnt
+    total = ComplexBox.point(0j)
+    for edge in range(4):
+        total = total + value[edge::4]
+    boxes = iter(total[~failed].boxes())
+    return [None if lost else ContourEnclosure(next(boxes), segments) for lost, segments
+            in zip(failed.tolist(), count.reshape(-1, 4).sum(axis=1).tolist())]
+
+
 def contour_integral(
     fn,
     region: ComplexBox,
@@ -434,61 +520,13 @@ def contour_integral(
     of such a segment: the outward-rounded operations are inclusion-
     isotonic, so every segment that holds a fails at every depth.
 
-    The walk is level-synchronous: each level calls fn once, on a BoxArray
-    holding every live segment of the four edges.  fn must take a BoxArray
-    and use only the ComplexBox arithmetic (+, -, *, conj, sqr, scale),
-    which BoxArray repeats row by row with the same endpoints.  The kept
-    contributions are summed bottom-up as left + right and the edges in
-    order, so the enclosure and its segment count are those of a
-    depth-first recursion over the same segments.  (A segment endpoint may
-    hold a zero of the other sign than Python's min/max would pick; it
-    reaches the enclosure only through rounded operations, which map both
-    zeros to the same endpoint.)
+    fn must take a BoxArray and use only the ComplexBox arithmetic (+, -,
+    *, conj, sqr, scale), which BoxArray repeats row by row with the same
+    endpoints.  The one-contour call of _contour_walk.
     """
-    re, im = region.re, region.im
-    ax, ay = np.array([re.lo, re.hi, re.hi, re.lo]), np.array([im.lo, im.lo, im.hi, im.hi])
-    bx, by = np.roll(ax, -1), np.roll(ay, -1)
-    budget, depth = tol / 4.0, max_depth
-    levels = []
-    while len(ax):
-        dx, dy = bx - ax, by - ay
-        piece = _integrand(fn, (np.minimum(ax, bx), np.maximum(ax, bx)),
-                           (np.minimum(ay, by), np.maximum(ay, by)))
-        piece = piece * BoxArray((dx, dx), (dy, dy))
-        formed = piece.finite()
-        if not formed.all():
-            fx, fy = ax[~formed], ay[~formed]
-            if depth <= 0 or not _integrand(fn, (fx, fx), (fy, fy)).finite().all():
-                return None
-        if depth <= 0:
-            kept = formed
-        else:
-            width = np.maximum(_up_arr(piece.re[1] - piece.re[0]),
-                               _up_arr(piece.im[1] - piece.im[0]))
-            kept = formed & (width <= budget)
-        levels.append((piece, kept))
-        split = ~kept
-        ax, ay, bx, by = ax[split], ay[split], bx[split], by[split]
-        mx, my = _midpoint(ax, bx), _midpoint(ay, by)
-        ax, ay, bx, by = (_interleave(ax, mx), _interleave(ay, my),
-                          _interleave(mx, bx), _interleave(my, by))
-        budget /= 2.0
-        depth -= 1
-    # bottom-up: a split segment's value is the sum of its two children,
-    # which sit at 2k and 2k + 1 of the next level for its rank k
-    value = count = None
-    for piece, kept in reversed(levels):
-        cnt = np.ones(len(kept), dtype=np.int64)
-        if value is not None:
-            summed = value[0::2] + value[1::2]
-            for dst, src in zip((*piece.re, *piece.im), (*summed.re, *summed.im)):
-                dst[~kept] = src
-            cnt[~kept] = count[0::2] + count[1::2]
-        value, count = piece, cnt
-    total = ComplexBox.point(0j)
-    for edge in value.boxes():
-        total = total + edge
-    return ContourEnclosure(total, int(count.sum()))
+    [enc] = _contour_walk(lambda _, z: fn(z), BoxArray.of([ComplexBox.point(0j)]),
+                          region, tol, max_depth)
+    return enc
 
 
 def decide_count(enclosure: ContourEnclosure, max_count: int = 16) -> int | None:
@@ -504,6 +542,21 @@ def decide_count(enclosure: ContourEnclosure, max_count: int = 16) -> int | None
     return None
 
 
+def _fixed_point_contours(boxes: list[ComplexBox], region: ComplexBox, n: int, tol: float,
+                          max_depth: int) -> list[ContourEnclosure | None]:
+    """The contour enclosure of count_fixed_points for each parameter box,
+    all in one _contour_walk."""
+    if n % 2 != 0 or n < 2:
+        raise ValueError("fixed-point counting needs an even iterate")
+    one = ComplexBox.point(1 + 0j)
+
+    def fn(c, z):
+        value, derivative = even_iterate(c, z, n)
+        return value - z, derivative - one
+
+    return _contour_walk(fn, BoxArray.of(boxes), region, tol, max_depth)
+
+
 def count_fixed_points(
     c: ComplexBox,
     region: ComplexBox,
@@ -515,17 +568,9 @@ def count_fixed_points(
 
     Uses the argument-principle integral of ((f^n)' - 1)/(f^n(z) - z);
     the count is decided when the enclosure isolates exactly one multiple
-    of 2 pi i.
+    of 2 pi i.  The one-box call of FixedPointCountClaim's walk.
     """
-    if n % 2 != 0 or n < 2:
-        raise ValueError("fixed-point counting needs an even iterate")
-    one = ComplexBox.point(1 + 0j)
-
-    def fn(z: ComplexBox) -> tuple[ComplexBox, ComplexBox]:
-        value, derivative = even_iterate(c, z, n)
-        return value - z, derivative - one
-
-    enc = contour_integral(fn, region, tol, max_depth)
+    [enc] = _fixed_point_contours([c], region, n, tol, max_depth)
     if enc is None:
         return None, None
     return enc, decide_count(enc)
@@ -761,15 +806,6 @@ class _Claim:
         return None
 
 
-class PerBoxClaim(_Claim):
-    """Base of the claims that evaluate one parameter box at a time:
-    evaluate_level maps evaluate(box, seed) -> (result, seed) over a level."""
-
-    def evaluate_level(self, boxes, seeds):
-        pairs = [self.evaluate(box, seed) for box, seed in zip(boxes, seeds)]
-        return [result for result, _ in pairs], [seed for _, seed in pairs]
-
-
 @dataclass
 class BoundaryDisjointClaim(_Claim):
     """Scan claim: f_c^n(dU) disjoint from dU (the cyan/green/blue test).
@@ -790,14 +826,17 @@ class BoundaryDisjointClaim(_Claim):
 
 
 @dataclass
-class FixedPointCountClaim(PerBoxClaim):
+class FixedPointCountClaim(_Claim):
     """Scan claim: the even iterate has exactly `expect` fixed points in
     the region, decided by the argument-principle enclosure.
 
     TRUE needs the enclosure to isolate 2 pi i expect alone: real part
     containing 0, imaginary part meeting only that one multiple of 2 pi.
-    Pre-split scans of it (min_depth) decide small boxes quickly, where
-    the root's contour would crawl.
+    The contours of a level are one walk (_fixed_point_contours), which
+    gives each box the enclosure of count_fixed_points; a box whose
+    contour fails is UNDETERMINED with no effort.  Pre-split scans of it
+    (min_depth) decide small boxes quickly, where the root's contour would
+    crawl.
     """
 
     region: ComplexBox
@@ -810,14 +849,12 @@ class FixedPointCountClaim(PerBoxClaim):
     def name(self) -> str:
         return f"fixed-point-count-f{self.n}"
 
-    def evaluate(self, box: ComplexBox, seed):
-        enc, count = count_fixed_points(
-            box, self.region, self.n, self.tol, self.contour_depth
-        )
-        if enc is None:
-            return ClaimResult(Status.UNDETERMINED), None
-        status = Status.TRUE if count == self.expect else Status.UNDETERMINED
-        return ClaimResult(status, enc.segments), None
+    def evaluate_level(self, boxes, seeds):
+        encs = _fixed_point_contours(boxes, self.region, self.n, self.tol, self.contour_depth)
+        return ([ClaimResult(Status.UNDETERMINED) if enc is None else
+                 ClaimResult(Status.TRUE if decide_count(enc) == self.expect
+                             else Status.UNDETERMINED, enc.segments)
+                 for enc in encs], [None] * len(boxes))
 
 
 def _initial_seed(rect: ComplexBox, orbit: list[complex]) -> list[complex]:

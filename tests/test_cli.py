@@ -299,6 +299,17 @@ class TestVerifyCount:
         assert code == 1  # the region holds one fixed point, not two
         assert parse(out.read_bytes()).config["expect"] == "2"
 
+    def test_golden_count_certificate(self, tmp_path):
+        # the 4 depth-1 boxes of PAPER_R at the paper's settings, each TRUE;
+        # the digest is that of the walks box by box that preceded the
+        # walk of the whole level
+        out = tmp_path / "C"
+        assert _run(["verify-count", "--min-depth", "1", "--max-depth", "4", "--tol", "2",
+                     "--contour-depth", "10", "-o", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "a7ce5ccb8405bc293af3f8258379140bccfaf884da27310c486a2abf35ea2d4e"
+        )
+
     def test_odd_iterate_exits_2(self, capsys):
         code = _run(["verify-count", "--n", "3", "--min-depth", "0", "--max-depth", "0"])
         assert code == 2
@@ -391,6 +402,31 @@ class TestParameters:
         assert _run([*command, "--segment-depth", "63", "--max-depth", "0"]) == 2
         assert capsys.readouterr().err == "error: segment_depth must be <= 62\n"
 
+
+    @pytest.mark.parametrize("argv, error", [
+        # nan made the qlike scan one U leaf, as box.width() > nan never splits
+        (["scan", "--claim", "qlike", "--min-width", "nan"], "min_width must be finite"),
+        (["verify-qlike", "--min-width", "inf"], "min_width must be finite"),
+        (["verify-disjoint", "--min-width=-inf"], "min_width must be finite"),
+        # nan walked every contour to full depth and wrote tol=nan
+        (["verify-count", "--tol", "nan", "--min-depth", "0"], "tol must be finite and > 0"),
+        (["verify-count", "--tol", "inf", "--min-depth", "0"], "tol must be finite and > 0"),
+        (["scan", "--claim", "count", "--tol", "0"], "tol must be finite and > 0"),
+        (["scan", "--claim", "count", "--tol", "-1"], "tol must be finite and > 0"),
+    ], ids=["scan-min-width-nan", "qlike-min-width-inf", "disjoint-min-width--inf",
+            "count-tol-nan", "count-tol-inf", "scan-tol-0", "scan-tol--1"])
+    def test_float_out_of_range_exits_2(self, argv, error, tmp_path, capsys):
+        out = tmp_path / "C"
+        assert _run([*argv, "--max-depth", "0", "-o", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert not out.exists()
+
+    def test_float_config_value_out_of_range_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("tol = nan\n")
+        assert _run(["verify-count", "--config", str(cfg), "--min-depth", "0",
+                     "--max-depth", "0"]) == 2
+        assert capsys.readouterr().err == "error: tol must be finite and > 0\n"
 
 # per run at default settings: its arguments (the certificate goes to C)
 # and the #claim and #config lines of the certificate at depth 0.  The

@@ -38,7 +38,6 @@ from tricert.verify import (
     ClaimResult,
     MultiplierNonRealClaim,
     ParabolicExclusionClaim,
-    PerBoxClaim,
     Status,
     find_superattracting_parameter,
     float_orbit_of_zero,
@@ -961,7 +960,16 @@ def _scalar_nonreal(region):
     return status
 
 
-class _ScalarTrackedClaim(PerBoxClaim):
+class _PerBox:
+    """Base of the oracle claims, which evaluate one box at a time:
+    evaluate_level maps evaluate(box, seed) -> (result, seed) over a level."""
+
+    def evaluate_level(self, boxes, seeds):
+        pairs = [self.evaluate(box, seed) for box, seed in zip(boxes, seeds)]
+        return [result for result, _ in pairs], [seed for _, seed in pairs]
+
+
+class _ScalarTrackedClaim(_PerBox):
     """A tracked-cycle claim evaluated box by box on the per-box path, with
     the batch claim's name and header and its seeds refined by the scalar
     Newton."""

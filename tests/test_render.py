@@ -18,7 +18,7 @@ from tricert.render import (
     write_ppm,
 )
 from tricert.scan import Leaf, ParamCertificate, adaptive_scan
-from tricert.verify import ClaimResult, PerBoxClaim, Status
+from tricert.verify import ClaimResult, Status
 
 SQUARE = ComplexBox(Interval(-2.0, 2.0), Interval(-2.0, 2.0))
 
@@ -103,7 +103,16 @@ class TestEscape:
             render_escape(SQUARE, 4, 4, 10, mode="nova")
 
 
-class _QuadrantClaim(PerBoxClaim):
+class _PerBox:
+    """Base of the synthetic claims, which evaluate one box at a time:
+    evaluate_level maps evaluate(box, seed) -> (result, seed) over a level."""
+
+    def evaluate_level(self, boxes, seeds):
+        pairs = [self.evaluate(box, seed) for box, seed in zip(boxes, seeds)]
+        return [result for result, _ in pairs], [seed for _, seed in pairs]
+
+
+class _QuadrantClaim(_PerBox):
     """TRUE in the lower-left quadrant at depth 1, FALSE elsewhere."""
 
     name = "synthetic-quadrant"

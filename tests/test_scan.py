@@ -15,12 +15,21 @@ from tricert.scan import (
     parse,
     serialize,
 )
-from tricert.verify import ClaimResult, PerBoxClaim, Status
+from tricert.verify import ClaimResult, Status
 
 UNIT = ComplexBox(Interval(0.0, 1.0), Interval(0.0, 1.0))
 
 
-class _GridClaim(PerBoxClaim):
+class _PerBox:
+    """Base of the synthetic claims, which evaluate one box at a time:
+    evaluate_level maps evaluate(box, seed) -> (result, seed) over a level."""
+
+    def evaluate_level(self, boxes, seeds):
+        pairs = [self.evaluate(box, seed) for box, seed in zip(boxes, seeds)]
+        return [result for result, _ in pairs], [seed for _, seed in pairs]
+
+
+class _GridClaim(_PerBox):
     """Synthetic claim: refine to target_depth, then classify by a grid
     function of the box midpoint.  Deterministic and cheap."""
 
@@ -92,7 +101,7 @@ def _depth_first_scan(rect, claim, max_depth, min_width=0.0, min_depth=0):
     return leaves
 
 
-class _SeedClaim(PerBoxClaim):
+class _SeedClaim(_PerBox):
     """Synthetic claim that hands each box itself as its children's seed,
     records the seed every box receives, and classifies by a hash of the
     box midpoint, Undetermined on about a third of the boxes."""

@@ -14,7 +14,7 @@ from mpmath import mpc, mpf, workdps
 
 from tricert import dynamics, scan, verify
 from tricert.cli import PAPER_R, PAPER_U, PAPER_X_REGION, _parse_rect
-from tricert.dynamics import cycle_multiplier, eval_f, float_iterate
+from tricert.dynamics import cycle_multiplier, eval_f, even_iterate, float_iterate
 from tricert.intervals import (
     BoxArray,
     ComplexBox,
@@ -154,24 +154,38 @@ def _enc_hex(enc):
     return tuple(x.hex() for x in (v.re.lo, v.re.hi, v.im.lo, v.im.hi)), enc.segments
 
 
+_WALK = verify._contour_walk
+
+
+def _scalar_hex(fn, region, tol, depth):
+    """_enc_hex of the oracle, or EmptyIntervalError where its scalar
+    evaluation of fn overflows."""
+    try:
+        return _enc_hex(_scalar_contour_integral(fn, region, tol, depth))
+    except EmptyIntervalError:
+        return EmptyIntervalError
+
+
 class _BothContours:
-    """Stands in for verify.contour_integral: runs it and the oracle on the
-    same arguments and records both results."""
+    """Stands in for verify._contour_walk: runs it, and the oracle on each
+    of its contours alone, and records both results per contour."""
 
     def __init__(self):
         self.results = []
 
-    def __call__(self, *args):
-        new = contour_integral(*args)
-        self.results.append((_enc_hex(new), _enc_hex(_scalar_contour_integral(*args))))
+    def __call__(self, fn, cs, region, tol, depth):
+        new = _WALK(fn, cs, region, tol, depth)
+        for c, enc in zip(cs.boxes(), new):
+            old = _scalar_hex(lambda z: fn(c, z), region, tol, depth)
+            self.results.append((_enc_hex(enc), old))
         return new
 
 
 def _against_oracle(fn, *args):
-    """The (new, oracle) contour results of the contour fn runs."""
+    """The (new, oracle) contour results of the contours fn runs."""
     both = _BothContours()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(verify, "contour_integral", both)
+        mp.setattr(verify, "_contour_walk", both)
         fn(*args)
     assert both.results
     return both.results
@@ -200,6 +214,27 @@ def test_contour_matches_scalar_oracle_on_polynomials(roots, region, tol, depth)
         assert new is None  # a zero on the contour
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.builds(complex, _ROOT_COORD, _ROOT_COORD), max_size=2),
+       st.lists(st.builds(complex, _ROOT_COORD, _ROOT_COORD), min_size=2, max_size=5),
+       st.sampled_from(_REGIONS), st.sampled_from((0.3, 1.5)), st.sampled_from((0, 3, 8)))
+def test_contour_walk_matches_scalar_oracle_per_contour(roots, own, region, tol, depth):
+    # contour k counts the zeros of a polynomial with the shared roots and
+    # the root own[k], its parameter; one walk gives each contour the
+    # oracle's result on it alone, also where others of the walk fail
+    poly = _poly_fn(roots)
+
+    def fn(c, z):
+        val, der = poly(z)
+        return val * (z - c), der * (z - c) + val
+
+    both = _BothContours()
+    both(fn, BoxArray.of([ComplexBox.point(r) for r in own]), region, tol, depth)
+    assert len(both.results) == len(own)
+    for new, old in both.results:
+        assert new == old
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.sampled_from((0.0, 1e-6, 1e-4)),
        st.sampled_from((2, 4, 6)), st.sampled_from((2, 5, 7)))
@@ -224,6 +259,58 @@ def test_overflow_is_undetermined():
     # f^2 overflows on every piece of this contour; Undetermined, not a raise
     far = ComplexBox(Interval(1e80, 2e80), Interval(1e80, 2e80))
     assert count_fixed_points(ComplexBox.point(0j), far, 2) == (None, None)
+
+
+# parameter boxes whose contours over PAPER_X_REGION fail: on the first
+# f^6(z) - z holds 0 at every contour point; on the second f^6 overflows
+# (as over the region of test_overflow_is_undetermined)
+_WIDE_C = ComplexBox(Interval(-4.0, 4.0), Interval(-4.0, 4.0))
+_FAR_C = ComplexBox(Interval(1e80, 2e80), Interval(1e80, 2e80))
+
+
+def test_count_level_matches_scalar_oracle_box_by_box():
+    # one walk for the level; each box as the oracle walks it alone, where
+    # the two failing boxes are None and leave the others alone
+    q = PAPER_R.quarter()
+    boxes = [q[0], _WIDE_C, q[3], _FAR_C, q[1]]
+    claim = FixedPointCountClaim(PAPER_X_REGION, 6, contour_depth=8)
+    both = _BothContours()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "_contour_walk", both)
+        results, seeds = claim.evaluate_level(boxes, [None] * len(boxes))
+    new, old = zip(*both.results)
+    assert [enc is None for enc in new] == [False, True, False, True, False]
+    assert new[:3] + new[4:] == old[:3] + old[4:]
+    assert old[3] is EmptyIntervalError  # the scalar f^6 raises where the walk fails
+    assert [r.status for r in results] == [Status.TRUE, Status.UNDETERMINED, Status.TRUE,
+                                           Status.UNDETERMINED, Status.TRUE]
+    assert [r.effort for r in results] == [0 if enc is None else enc[1] for enc in new]
+    assert seeds == [None] * len(boxes)
+
+
+def test_count_level_does_not_depend_on_the_batch():
+    # the 4 depth-1 boxes of PAPER_R in one walk, box by box, and in one
+    # walk whose integrand calls see at most 64 rows: the same results
+    claim = FixedPointCountClaim(PAPER_X_REGION, 6)
+    boxes = list(PAPER_R.quarter())
+    alone = [claim.evaluate_level([box], [None])[0][0] for box in boxes]
+    rows = []
+
+    def spy(c, z, n):
+        rows.append(len(z))
+        return even_iterate(c, z, n)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "even_iterate", spy)
+        level, _ = claim.evaluate_level(boxes, [None] * 4)
+        # the deepest level of the walk holds 12,626 rows
+        assert (sum(rows), max(rows)) == (26470, verify._CONTOUR_ROWS)
+        rows.clear()
+        mp.setattr(verify, "_CONTOUR_ROWS", 64)
+        capped, _ = claim.evaluate_level(boxes, [None] * 4)
+    assert level == alone == capped
+    assert [r.status for r in level] == [Status.TRUE] * 4
+    assert (sum(rows), max(rows)) == (26470, 64)
 
 
 # The depth-first boundary test that preceded the batched one in
