@@ -7,8 +7,7 @@ centers, escape-time rendering, and a line-oriented certificate format.
 """
 
 from .intervals import ComplexBox, EmptyIntervalError, Interval, ZeroDivisionBoxError
-from .scan import Leaf, ParamCertificate, adaptive_scan, component_rollup
-from .verify import ClaimResult, Status
+from .scan import ClaimResult, Leaf, ParamCertificate, Status, adaptive_scan, component_rollup
 
 __version__ = "0.1.0"
 

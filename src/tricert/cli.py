@@ -27,13 +27,13 @@ from .render import (
     render_escape,
     write_ppm,
 )
-from .scan import ParamCertificate, adaptive_scan, serialize
+from .scan import ParamCertificate, Status, adaptive_scan, serialize
 from .verify import (
     BoundaryDisjointClaim,
     FixedPointCountClaim,
     MultiplierNonRealClaim,
     ParabolicExclusionClaim,
-    Status,
+    _MAX_COUNT,
     _MAX_SEGMENT_DEPTH,
     component_witnesses,
     disjointness_certificate,
@@ -74,6 +74,9 @@ def _parse_rect(text: str) -> ComplexBox:
     a, b, c, d = (_parse_endpoint(p) for p in parts)
     if not (a < b and c < d):
         raise UsageError(f"rectangle endpoints must be ordered: {text!r}")
+    # render's pixel centres need finite sides and midpoints
+    if not all(map(math.isfinite, (b - a, d - c, a + b, c + d))):
+        raise UsageError(f"rectangle sides and midpoint must be finite: {text!r}")
     return ComplexBox(Interval(a, b), Interval(c, d))
 
 
@@ -186,6 +189,8 @@ def _check_ranges(args) -> None:
     counts = args.command == "verify-count" or getattr(args, "claim", None) == "count"
     if counts and args.n % 2:
         raise UsageError("n must be even: the count claim counts fixed points of f^n")
+    if not 0 <= getattr(args, "expect", 0) <= _MAX_COUNT:
+        raise UsageError(f"expect must lie in [0, {_MAX_COUNT}], the counts that can be isolated")
 
 
 _PALETTES = {"multiplier": MULTIPLIER_PALETTE, "parabolic": PARABOLIC_PALETTE}

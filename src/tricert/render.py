@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .intervals import ComplexBox
-from .scan import ParamCertificate
-from .verify import Status
+from .scan import ParamCertificate, Status
 
 __all__ = [
     "ImageBuffer",

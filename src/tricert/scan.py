@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from enum import Enum
 
 from .intervals import ComplexBox, Interval
-from .verify import Status
 
 __all__ = [
     "TOOL_VERSION",
+    "Status",
+    "ClaimResult",
     "Leaf",
     "ParamCertificate",
     "adaptive_scan",
@@ -35,6 +37,18 @@ def _hex(x: float) -> str:
 
 def _unhex(s: str) -> float:
     return struct.unpack(">d", bytes.fromhex(s))[0]
+
+
+class Status(Enum):
+    TRUE = "T"
+    FALSE = "F"
+    UNDETERMINED = "U"
+
+
+@dataclass(frozen=True)
+class ClaimResult:
+    status: Status
+    effort: int = 0
 
 
 @dataclass(frozen=True)

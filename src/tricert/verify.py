@@ -17,15 +17,15 @@ floating-point orbit refined at a parameter box seeds the Krawczyk
 certification of its children.
 
 Every claim evaluates a whole quadtree level at once.  The qlike claim
-puts the boundary segments of a level in capped BoxArray batches, and
-each child box resumes its boundary walk from its parent's open blocks
-(see boundary_disjoint_level); the count claim walks the contours of all
-the boxes of a level as one, its segment rows tagged with their box (see
-_contour_walk); the two cycle claims read their statuses from
-tracked_cycle_level, which refines, certifies and tries absence on the
-whole level in batched float Newton and Krawczyk calls, their rows
-dynamics._CHUNK at a time.  The two witnesses
-of component_witnesses are one-box calls of it.
+walks the boundary segments of a level depth first, in capped BoxArray
+batches, and each child box resumes its boundary walk from its parent's
+open blocks (see boundary_disjoint_level); the count claim walks the
+contours of all the boxes of a level as one, its segment rows tagged
+with their box (see _contour_walk); the two cycle claims read their
+statuses from tracked_cycle_level, which refines, certifies and tries
+absence on the whole level in batched float Newton and Krawczyk calls,
+their rows dynamics._CHUNK at a time.  The two witnesses of
+component_witnesses are one-box calls of it.
 
 Each scan claim is a dataclass of its certificate parameters, which
 config() writes into the header; its root seed is a function of the
@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from enum import Enum
 
 import numpy as np
 
@@ -59,6 +58,7 @@ from .dynamics import (
     squared_modulus_rows,
 )
 from .intervals import BoxArray, ComplexBox, Interval, _interleave, _mid_arr, _up_arr
+from .scan import ClaimResult, Status, _hex, adaptive_scan, component_rollup
 
 __all__ = [
     "Status",
@@ -85,18 +85,6 @@ __all__ = [
 TWO_PI = Interval(math.nextafter(math.tau, 0.0), math.nextafter(math.tau, 4.0 * math.pi))
 
 
-class Status(Enum):
-    TRUE = "T"
-    FALSE = "F"
-    UNDETERMINED = "U"
-
-
-@dataclass(frozen=True)
-class ClaimResult:
-    status: Status
-    effort: int = 0
-
-
 @dataclass(frozen=True)
 class ContourEnclosure:
     """Box enclosing a contour integral, with the segment count used."""
@@ -110,13 +98,14 @@ class ContourEnclosure:
 # ---------------------------------------------------------------------------
 
 
-# rows of one segment batch, and of the starts of one walk; a batch's split
-# rows (at most _ROW_CAP) wait in one frame, so one walk holds at most one
-# frame per segment level
+# rows of one segment batch, and of the starts of one walk; a walk recurses
+# on the halves of a batch's split rows _ROW_CAP // 2 parents at a time, so
+# it holds at most one batch per segment level
 _ROW_CAP = 4096
 
 # the deepest segment depth at which a segment's node number 2^depth +
-# index (see _Segments) stays an exact int64
+# index (see _Segments) stays an exact int64; it also bounds the recursion
+# of a walk at 63 frames
 _MAX_SEGMENT_DEPTH = 62
 
 
@@ -204,84 +193,6 @@ class _Walked:
     outside: np.ndarray
 
 
-class _Frame:
-    """The split rows of one batch (parents), waiting for the walks of
-    their halves: opened[2j] and opened[2j + 1] say whether the halves of
-    parents[j] are open, the halves from 2 * next on are not walked yet,
-    and on completion the open flags of the parents go to dest[at]."""
-
-    __slots__ = ("parents", "opened", "next", "dest", "at")
-
-    def __init__(self, parents: _Segments, dest, at):
-        self.parents, self.dest, self.at = parents, dest, at
-        self.opened = np.zeros(2 * len(parents), dtype=bool)
-        self.next = 0
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def _segment_walk(cs: BoxArray, u: ComplexBox, n: int, max_depth: int, starts: _Segments,
-                  effort, inside, outside, inherited) -> list[_Segments]:
-    """Walks the segments starts (at most _ROW_CAP rows): adds each
-    parameter row's segment count to effort, sets its inside and outside
-    flags, and returns its open blocks.  A parameter row that has found
-    the flag opposite to one it inherited (the pair inherited) is FALSE,
-    so its split segments are not halved; a walk from the edges inherits
-    no flag and runs whole.
-
-    A segment is open when it is an open leaf (undecided at max_depth, or
-    not finite) or when both its halves are open.  Each batch's split rows
-    wait in a _Frame while their halves are walked, _ROW_CAP // 2 parents
-    at a time; when all are walked, a lone open half is a block, and so is
-    an open start.  So the walk holds the starts, one batch, at most one
-    frame of _ROW_CAP rows per segment level and the parents of the lone
-    open halves found so far."""
-    re, im = u.re, u.im
-    deepest = 1 << max_depth  # the first node at max_depth
-    top = np.zeros(len(starts), dtype=bool)
-    rows, dest, at = starts, top, 0
-    frames, lone, picks = [], [], []
-    while rows is not None:
-        owner = rows.owner
-        z, c = rows.seg, cs[owner]
-        for _ in range(n):
-            z = z.sqr().conj() + c
-        effort += np.bincount(owner, minlength=len(effort))
-        finite = z.finite()
-        (a, b), (p, q) = z.re, z.im
-        # a row strictly inside U is finite and meets U
-        strict = _inside(u, z.re, z.im)
-        meets = finite & (re.lo <= b) & (a <= re.hi) & (im.lo <= q) & (p <= im.hi)
-        inside[owner[strict]] = True
-        outside[owner[finite ^ meets]] = True
-        split = meets ^ strict
-        crossed = (inherited[0] & outside) | (inherited[1] & inside)
-        grow = split & (rows.node < deepest) & ~crossed[owner]
-        np.logical_or(~finite, split ^ grow, out=dest[at:at + len(rows)])
-        where = np.flatnonzero(grow)
-        if len(where):
-            frames.append(_Frame(rows[where], dest, at + where))
-        rows = None
-        while frames and rows is None:
-            frame = frames[-1]
-            if frame.next < len(frame.parents):
-                part = frame.parents[frame.next:frame.next + _ROW_CAP // 2]
-                rows, dest, at = part.halves(), frame.opened, 2 * frame.next
-                frame.next += len(part)
-                continue
-            frames.pop()
-            first, second = frame.opened[0::2], frame.opened[1::2]
-            one = np.flatnonzero(first ^ second)
-            if len(one):
-                lone.append(frame.parents[one])
-                picks.append(second[one])
-            frame.dest[frame.at] = first & second
-    if not lone:
-        return [starts[top]]
-    # the lone open halves, bisected again all at once
-    halves = _Segments.concat(lone).halves()
-    return [starts[top], halves[np.arange(0, len(halves), 2) + np.concatenate(picks)]]
-
-
 def _starts(seeds, u: ComplexBox) -> tuple[_Segments, np.ndarray, np.ndarray]:
     """The segments where the walks of a level start, and the inside and
     outside flags that its parameter rows inherit.  A row seeded
@@ -309,22 +220,74 @@ def _walk_level(boxes: list[ComplexBox], u: ComplexBox, n: int, max_depth: int, 
     seeds (see _starts): each box's segment count and the _Walked that its
     children resume from.  The starts go _ROW_CAP at a time, shallowest
     first, so that the deep ones, which end within a few segment levels,
-    share their walks."""
+    share their walks.
+
+    Each walk is a depth-first recursion: walk(rows) decides one batch and
+    recurses on the halves of its split rows, _ROW_CAP // 2 parents at a
+    time.  A segment is open when it is an open leaf (undecided at
+    max_depth, or not finite) or when both its halves are open; an open
+    start is a block, and so is an open half whose sibling is not open.  A
+    parameter row that has found the flag opposite to one it inherited is
+    FALSE (crossed), so its split rows are not halved; a walk from the
+    edges inherits no flag and runs whole.  A walk recurses at most
+    max_depth + 1 deep and holds per segment level one batch and the lone
+    open halves found below it."""
     if u.re.lo == u.re.hi or u.im.lo == u.im.hi:
         raise ValueError("dynamical rectangle must have positive area")
     if n < 1:
         raise ValueError("iterate must be >= 1")
     if not 0 <= max_depth <= _MAX_SEGMENT_DEPTH:
         raise ValueError(f"segment depth must lie in [0, {_MAX_SEGMENT_DEPTH}]")
+    re, im = u.re, u.im
+    deepest = 1 << max_depth  # the first node at max_depth
     cs = BoxArray.of(boxes)
     starts, inside, outside = _starts(seeds, u)
     starts = starts[np.argsort(starts.node, kind="stable")]
     inherited = inside.copy(), outside.copy()
     effort = np.zeros(len(boxes), dtype=np.int64)
     blocks = [starts[:0]]
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def decide(rows: _Segments):
+        """Evaluates rows (at most _ROW_CAP), counts them into effort, sets
+        the flags of their parameter rows, and returns the masks of the
+        open rows and of the rows to halve."""
+        owner = rows.owner
+        z, c = rows.seg, cs[owner]
+        for _ in range(n):
+            z = z.sqr().conj() + c
+        effort[:] += np.bincount(owner, minlength=len(effort))
+        finite = z.finite()
+        (a, b), (p, q) = z.re, z.im
+        # a row strictly inside U is finite and meets U
+        strict = _inside(u, z.re, z.im)
+        meets = finite & (re.lo <= b) & (a <= re.hi) & (im.lo <= q) & (p <= im.hi)
+        inside[owner[strict]] = True
+        outside[owner[finite ^ meets]] = True
+        split = meets ^ strict
+        crossed = (inherited[0] & outside) | (inherited[1] & inside)
+        grow = split & (rows.node < deepest) & ~crossed[owner]
+        return ~finite | (split ^ grow), grow
+
+    def walk(rows: _Segments):
+        """Walks rows and returns the mask of the open ones; the lone open
+        halves below them go to blocks."""
+        opened, grow = decide(rows)
+        split, lone = np.flatnonzero(grow), []
+        for k in range(0, len(split), _ROW_CAP // 2):
+            parents = split[k:k + _ROW_CAP // 2]
+            halves = rows[parents].halves()
+            first, second = walk(halves).reshape(-1, 2).T
+            opened[parents] = first & second
+            pair = np.flatnonzero(first ^ second)
+            if len(pair):
+                lone.append(halves[2 * pair + second[pair]])
+        blocks.extend(lone)
+        return opened
+
     for k in range(0, len(starts), _ROW_CAP):
-        blocks += _segment_walk(cs, u, n, max_depth, starts[k:k + _ROW_CAP], effort,
-                                inside, outside, inherited)
+        rows, at = starts[k:k + _ROW_CAP], len(blocks)
+        blocks.insert(at, rows[walk(rows)])  # before the lone halves below them
     blocks = _Segments.concat(blocks)
     blocks = blocks[np.argsort(blocks.owner, kind="stable")]
     offsets = np.searchsorted(blocks.owner, np.arange(len(boxes) + 1))
@@ -529,7 +492,11 @@ def contour_integral(
     return enc
 
 
-def decide_count(enclosure: ContourEnclosure, max_count: int = 16) -> int | None:
+# the largest count that decide_count isolates
+_MAX_COUNT = 16
+
+
+def decide_count(enclosure: ContourEnclosure, max_count: int = _MAX_COUNT) -> int | None:
     """The integer k with 2 pi i k inside the enclosure, if unique."""
     box = enclosure.value
     if not box.re.contains(0.0):
@@ -766,8 +733,6 @@ def component_witnesses(red_cert, period: int, center: complex) -> tuple[int, St
     only for a certified cycle with squared modulus above 1; absence is
     not tried there, since it shows no repelling cycle.
     """
-    from .scan import component_rollup
-
     rect = red_cert.root
     orbit = float_orbit_of_zero(center, period)
     attracting = _witness(ComplexBox.around(center, 1e-10), period, orbit, absence=True)
@@ -945,8 +910,6 @@ def _anchor_cycle(point: ComplexBox, u: ComplexBox, n: int, seed) -> dict[str, s
     """Condition (iv) of qlike_certificate at the anchor's point box, from
     the float seed of a cycle: anchor_proof, and with a proof the cycle's
     entries (see _anchor_proof)."""
-    from .scan import _hex
-
     p = len(seed)
     tracked = tracked_cycle_level([point], p, [seed], absence=False)
     [(cycle, _, _, _)], [modulus] = tracked, _modulus_statuses(tracked)
@@ -1048,8 +1011,6 @@ def qlike_certificate(
     records the anchor and the entries of _anchor_proof, so the proof can
     be checked again from the certificate.
     """
-    from .scan import adaptive_scan, component_rollup
-
     if not param_rect.contains(anchor):
         raise ValueError("anchor parameter must lie in the parameter rectangle")
     claim = BoundaryDisjointClaim(u, n, segment_depth)
@@ -1084,8 +1045,6 @@ def disjointness_certificate(
     Undetermined leaves of the multiplier-realness scan in x_region, red
     leaves the Undetermined leaves of the period parabolic-exclusion scan.
     """
-    from .scan import adaptive_scan
-
     yellow_cert, red_cert = (
         adaptive_scan(param_rect, claim, max_depth, min_width)
         for claim in (MultiplierNonRealClaim(x_region), ParabolicExclusionClaim(period)))

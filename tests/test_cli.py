@@ -36,12 +36,15 @@ class TestRender:
         assert code == 0
         assert out.read_bytes().startswith(b"P6\n")
 
-    def test_bad_region_exits_2(self, tmp_path):
-        code = _run([
-            "render", "--region", "2,-2,-2,2", "--size", "8x8",
-            "-o", str(tmp_path / "x.ppm"),
-        ])
-        assert code == 2
+    def test_bad_region_exits_2(self, tmp_path, capsys):
+        # unordered, not finite, or with a side or a midpoint that overflows,
+        # which made every pixel centre nan or inf
+        out = tmp_path / "x.ppm"
+        for region in ("2,-2,-2,2", "0,1,0,inf", "0,1,0,1e309", "-1e308,1e308,-1,1",
+                       "1e308,1.7e308,-1,1"):
+            assert _run(["render", f"--region={region}", "--size", "8x8", "-o", str(out)]) == 2
+            assert capsys.readouterr().err.startswith("error: rectangle ")
+            assert not out.exists()
 
     def test_bad_size_exits_2(self, tmp_path):
         code = _run([
@@ -314,6 +317,17 @@ class TestVerifyCount:
         code = _run(["verify-count", "--n", "3", "--min-depth", "0", "--max-depth", "0"])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("expect", ["17", "-1"])
+    def test_expect_out_of_range_exits_2(self, expect, tmp_path, capsys):
+        # decide_count isolates the counts 0 to 16 only, so no box could be TRUE
+        out = tmp_path / "C"
+        assert _run(["verify-count", f"--expect={expect}", "--min-depth", "0",
+                     "--max-depth", "0", "-o", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: expect must lie in [0, 16], the counts that can be isolated\n")
+        assert not out.exists()
+        assert _run(["verify-count", "--expect=16", "--min-depth", "0", "--max-depth", "0"]) == 1
 
     def test_overflowing_region_is_undetermined(self, tmp_path):
         # f^2 overflows all along this region's contour

@@ -22,3 +22,12 @@ def test_all_names_resolve(name):
     exports = getattr(module, "__all__", [])
     assert len(exports) == len(set(exports))
     assert [attr for attr in exports if not hasattr(module, attr)] == []
+
+
+def test_claim_protocol_is_reexported():
+    # the scan engine defines the statuses and results that its claims
+    # return; verify, which defines the claims, re-exports them
+    from tricert import scan, verify
+
+    assert {"Status", "ClaimResult"} <= set(scan.__all__) & set(verify.__all__)
+    assert verify.Status is scan.Status and verify.ClaimResult is scan.ClaimResult

@@ -405,7 +405,8 @@ class TestBoundaryDisjoint:
         with pytest.raises(ValueError):
             boundary_disjoint(R_RECT, U_RECT, 0)
 
-    @pytest.mark.parametrize("depth", [0, 3, 8])
+    # at depth 62, the segment depth cap, the walk recurses 63 deep
+    @pytest.mark.parametrize("depth", [0, 3, 8, 62])
     def test_touching_image_is_undetermined(self, depth):
         oracle = _scalar_boundary_disjoint(TOUCHING_C, QUARTER_U, 1, depth)
         assert boundary_disjoint(TOUCHING_C, QUARTER_U, 1, depth) == oracle
@@ -444,15 +445,17 @@ class TestBoundaryDisjoint:
         boxes = _grid(QLIKE_WIDE, 2)
         wide, wide_seeds = boundary_disjoint_level(boxes, PAPER_U, 3, 6)
         monkeypatch.setattr(verify, "_ROW_CAP", 8)
-        walks = []
-        walk = verify._segment_walk
+        walks, walk, level = [], _walk_code(), verify._walk_level.__code__
 
-        def counted(cs, u, n, max_depth, starts, *args):
-            walks.append(len(starts))
-            return walk(cs, u, n, max_depth, starts, *args)
+        def top_walks(frame, event, arg):
+            if frame.f_code is walk and frame.f_back.f_code is level:
+                walks.append(len(frame.f_locals["rows"]))
 
-        monkeypatch.setattr(verify, "_segment_walk", counted)
-        results, seeds = boundary_disjoint_level(boxes, PAPER_U, 3, 6)
+        sys.settrace(top_walks)
+        try:
+            results, seeds = boundary_disjoint_level(boxes, PAPER_U, 3, 6)
+        finally:
+            sys.settrace(None)
         assert results == wide
         assert walks == [8] * 8
         assert wide == [_scalar_boundary_disjoint(c, PAPER_U, 3, 6) for c in boxes]
@@ -567,23 +570,34 @@ def _children(boxes, results, seeds):
     return [child for child, _ in pairs], [seed for _, seed in pairs]
 
 
+def _walk_code():
+    """The code of the walk closure of verify._walk_level."""
+    [code] = [c for c in verify._walk_level.__code__.co_consts
+              if getattr(c, "co_name", None) == "walk"]
+    return code
+
+
 def _live_rows(run):
-    """run()'s result, and the largest number of segment rows that
-    _segment_walk held at once: its starts, the batch under evaluation, the
-    parents waiting in its frames and those of its lone open halves,
-    sampled at every line it executed."""
-    code = verify._segment_walk.__wrapped__.__code__
+    """run()'s result, and the largest number of segment rows that the
+    walks held at once: the batch, the current halves and the lone open
+    halves of every active walk frame, each counted once (a frame's halves
+    are the batch of the frame it called), sampled at every line that a
+    walk executed."""
+    code = _walk_code()
     peak = 0
 
     def local(frame, event, arg):
         nonlocal peak
         if event == "line":
-            names = frame.f_locals
-            starts, rows = names["starts"], names.get("rows")
-            live = (len(starts) + (0 if rows is None or rows is starts else len(rows))
-                    + sum(len(f.parents) for f in names.get("frames", ()))
-                    + sum(len(part) for part in names.get("lone", ())))
-            peak = max(peak, live)
+            held, active = {}, frame
+            while active is not None:
+                if active.f_code is code:
+                    names = active.f_locals
+                    for part in (names["rows"], names.get("halves"), *names.get("lone", ())):
+                        if part is not None:
+                            held[id(part)] = len(part)
+                active = active.f_back
+            peak = max(peak, sum(held.values()))
         return local
 
     sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
@@ -736,7 +750,7 @@ class TestAnchorProof:
             scanned.append(ParamCertificate(cert.claim, cert.root, {}, list(cert.leaves)))
             return cert
 
-        monkeypatch.setattr(scan, "adaptive_scan", recorded)
+        monkeypatch.setattr(verify, "adaptive_scan", recorded)
         rect = ComplexBox(Interval(-1.8, 0.2), Interval(-0.25, 0.25))
         u = ComplexBox(Interval(-0.3, 0.3), Interval(-0.3, 0.3))
         cert = qlike_certificate(rect, u, 3, _CENTER, max_depth=depth, segment_depth=8)
@@ -998,7 +1012,7 @@ def test_disjointness_verdict_of_touching_closed_boxes(monkeypatch, red_extra, s
         cells = yellow if isinstance(claim, MultiplierNonRealClaim) else red
         return _grid_cert(claim, rect, cells)
 
-    monkeypatch.setattr("tricert.scan.adaptive_scan", scan)
+    monkeypatch.setattr(verify, "adaptive_scan", scan)
     found, yellow_cert, red_cert = disjointness_certificate(rect, 9, None, 2)
     pairs = [(a, b) for a in yellow_cert.leaves for b in red_cert.leaves
              if a.status is b.status is Status.UNDETERMINED and a.box.intersects(b.box)]
