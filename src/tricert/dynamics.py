@@ -11,9 +11,11 @@ Fixed points of f_c^n and cycles of f_c have one certifier: the Krawczyk
 operator on the coupled cyclic system G_i = f_c(z_i) - z_{i+1}, in which
 each residual is a single map application, so the certifier never
 evaluates an iterate of f.  Its preconditioner is the closed-form inverse
-of the block-cyclic midpoint Jacobian, in plain float64 arithmetic with no
-LAPACK, and its image is one midpoint-radius evaluation in round to
-nearest, whose radius carries a priori bounds of every rounding error.
+of the block-cyclic Jacobian, in plain float64 arithmetic with no LAPACK,
+taken once per row at the midpoints of its start boxes and kept through
+its epsilon-inflation rounds.  Its image is one midpoint-radius
+evaluation in round to nearest, whose radius carries a priori bounds of
+every rounding error for any preconditioner.
 Moduli and multipliers are read from the certified orbit boxes, a batch of
 cycles at a time.
 
@@ -21,8 +23,10 @@ The certifier and its float Newton seed run on a leading batch axis: one
 call takes B rows, each a parameter box and an orbit, as (B, 2p) endpoint
 arrays, and decides every row as it would decide it alone, bit for bit.
 The (B, 2p, 2p) Jacobians, preconditioners and matrices I - Y J go
-through _CHUNK rows at a time, so a call's memory does not grow with B.
-The one-box function krawczyk_absence is a one-row call of the batch.
+through _CHUNK rows at a time, so a call's memory does not grow with B:
+the cycle certifier runs all the rounds of one chunk before the next, so
+it holds one chunk's preconditioners at a time.  The one-box function
+krawczyk_absence is a one-row call of the batch.
 """
 
 from __future__ import annotations
@@ -149,10 +153,12 @@ def conj_holomorphic_form(
 
 # rows of one Krawczyk kernel or float Newton call: the (rows, 2p, 2p)
 # matrices of a call stay this small however large the level's frontier.
-# A period-9 kernel call costs about 0.2 ms plus 18 us a row, so fewer
-# calls pay off: on verify-disjoint at depth 6, 32, 64, 128 and 256 rows
-# took 0.42, 0.39, 0.34 and 0.34 s at a peak RSS of 34.5, 34.5, 35.3 and
-# 35.5 MB, and 128 has the speed of 256 at less memory
+# A period-9 Krawczyk round costs about 0.13 ms plus 4 us a row, and the
+# preconditioners of a chunk, formed once, about as much, so fewer calls
+# pay off: on verify-disjoint at depth 6, 32, 64, 128 and 256 rows took
+# 0.19, 0.16, 0.14 and 0.14 s at a peak RSS of 32.3, 32.7, 33.3 and
+# 35.4 MB (best of 5 runs in one process on a 2-vCPU VM), and 128 has the
+# speed of 256 at less memory
 _CHUNK = 128
 # float Newton steps, and the epsilon-inflation rounds and tightening
 # steps of the Krawczyk certification
@@ -336,18 +342,56 @@ _U, _ETA, _MAX_N = 2.0 ** -53, 2.0 ** -1074, 400
 _matvec = functools.partial(np.einsum, "brc,bc->br")
 
 
+def _param_mid_rad(c: BoxArray):
+    """The (B, 2) float midpoints (re, im) of the parameter rows and the
+    radii rho about them, rounded up."""
+    c_lo, c_hi = np.stack((c.re[0], c.im[0]), axis=1), np.stack((c.re[1], c.im[1]), axis=1)
+    c_mid = _mid_arr(c_lo, c_hi)
+    return c_mid, _up_arr(np.maximum(c_hi - c_mid, c_mid - c_lo))
+
+
 @np.errstate(over="ignore", invalid="ignore")
-def _krawczyk_rows(c: BoxArray, lo, hi):
-    """The kernel of _krawczyk_image on one chunk of rows.
+def _preconditioner(c: BoxArray, lo, hi):
+    """The terms of the Krawczyk image that depend on its preconditioner
+    alone, for a chunk of rows of parameters c and boxes (lo, hi).
+
+    Returns (Y, |Y|, |s| rho, ok): Y the float inverse of the Jacobian at
+    the boxes' midpoints (_cyclic_inverse), zeroed on the rows whose
+    Jacobian is singular, s = fl(su, sv) the sums of each row's even and
+    odd entries of Y, added in column order, rho the parameter radii, and
+    ok the mask of the regular rows.  Every array is C-ordered, and so is
+    any selection of its rows.
+    """
+    n = lo.shape[1]
+    m = _mid_arr(lo, hi)
+    y = _cyclic_inverse(m[:, 0::2], m[:, 1::2])
+    ok = np.isfinite(y).all(axis=(1, 2))
+    y[~ok] = 0.0
+    su, sv = y[..., 0].copy(), y[..., 1].copy()
+    for j in range(2, n, 2):
+        su += y[..., j]
+        sv += y[..., j + 1]
+    s_rho = _matvec(np.abs(np.stack((su, sv), axis=2)), _param_mid_rad(c)[1])
+    return y, np.abs(y), s_rho, ok
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _krawczyk_rows(c: BoxArray, lo, hi, pre):
+    """The Krawczyk images of one chunk of rows, with the preconditioner
+    terms pre of _preconditioner, which may come from other boxes of the
+    same rows: the one kernel of _krawczyk_image and of the rounds of
+    krawczyk_cycle_rows.
 
     For z in Z and c in C, with d = z - m, |d| <= r and (du, dv) = c -
     c_mid, |du|, |dv| <= rho, the Krawczyk point is
         K = m - Y G(m) - su du - sv dv + (A - Y (J(z) - J(m))) d,
     with G at c_mid, A = I - Y J(m) and su, sv the exact sums of each
-    row's even and odd entries of Y.  A float sum of products whose terms
-    each pass at most k roundings is within gamma_k = k u / (1 - k u) times
-    their moduli's sum, in any order and with or without FMA (Higham,
-    Accuracy and Stability, ch. 3), plus eta/2 per product that underflows:
+    row's even and odd entries of Y.  The bounds below treat Y as a given
+    float matrix, so they hold for a Y taken at any point.  A float sum of
+    products whose terms each pass at most k roundings is within gamma_k =
+    k u / (1 - k u) times their moduli's sum, in any order and with or
+    without FMA (Higham, Accuracy and Stability, ch. 3), plus eta/2 per
+    product that underflows:
     - g = fl(G(m)): x^2 passes 4 roundings, so |G(m) - g| <= gamma_4 g_sum
       + eta, g_sum = x^2 + y^2 + |c_re| + |x_next| or 2|xy| + |c_im| + |y_next|;
     - center = fl(m - fl(Y g)) is within gamma_n |Y| |g| + n eta + u |center|
@@ -367,21 +411,20 @@ def _krawczyk_rows(c: BoxArray, lo, hi):
     relative losses while n <= _MAX_N; the floor 2^-1060 on t covers the
     at most 8 eta an entry of t loses before |Y| multiplies it, 2u |center|
     the center's rounding and 2^-1000 the other underflows.  The endpoints
-    center -+ rad are then stepped outward once.
+    center -+ rad are then stepped outward once.  Returns (k_lo, k_hi,
+    ok), ok the regular rows of pre, which alone carry an image.
     """
     b, n = lo.shape
+    if n > _MAX_N:
+        raise ValueError(f"the Krawczyk bounds hold up to period {_MAX_N // 2}")
     p = n // 2
-    m = _mid_arr(lo, hi)
-    x, yv = m[:, 0::2], m[:, 1::2]
     # every operand of _matvec is C-ordered, so each row's sums run in the
     # order of its one-row batch
-    y = _cyclic_inverse(x, yv)
-    ok = np.isfinite(y).all(axis=(1, 2))
-    y[~ok] = 0.0
+    y, abs_y, s_rho, ok = pre
+    m = _mid_arr(lo, hi)
+    x, yv = m[:, 0::2], m[:, 1::2]
     r = _up_arr(np.maximum(hi - m, m - lo))
-    c_lo, c_hi = np.stack((c.re[0], c.im[0]), axis=1), np.stack((c.re[1], c.im[1]), axis=1)
-    c_mid = _mid_arr(c_lo, c_hi)
-    rho = _up_arr(np.maximum(c_hi - c_mid, c_mid - c_lo))
+    c_mid, rho = _param_mid_rad(c)
     xx, yy, xy = x * x, yv * yv, 2.0 * (x * yv)
     x_next, y_next, cu, cv = _next(x), _next(yv), c_mid[:, :1], c_mid[:, 1:]
     g = _interleave(((xx - yy) + cu) - x_next, (cv - xy) - y_next)
@@ -403,10 +446,9 @@ def _krawczyk_rows(c: BoxArray, lo, hi):
     jr = _interleave(2.0 * (ax * rx + ay * ry) + _next(rx), 2.0 * (ay * rx + ax * ry) + _next(ry))
     dj = _interleave(2.0 * (rx * rx + ry * ry), (2.0 * rx) * (2.0 * ry))
     t = (5 * _U * (g_sum + jr) + (n + 1) * _U * np.abs(g)) + (dj + (p + 1) * _U * np.tile(rho, p))
-    s = y.reshape(b, n, p, 2).sum(axis=2)
     center = m - _matvec(y, g)
-    rad = ((_matvec(np.abs(y), t + 2.0 ** -1060) + _matvec(np.abs(a), r))
-           + (_matvec(np.abs(s), rho) + (5 * _U * r + 2.0 * _ETA * r.sum(axis=1)[:, None])))
+    rad = ((_matvec(abs_y, t + 2.0 ** -1060) + _matvec(np.abs(a), r))
+           + (s_rho + (5 * _U * r + 2.0 * _ETA * r.sum(axis=1)[:, None])))
     rad = (rad * (1.0 + 2.0 ** -44) + 2.0 * _U * np.abs(center)) + 2.0 ** -1000
     k_lo, k_hi = _down_arr(center - rad), _up_arr(center + rad)
     if not (np.isfinite(k_lo[ok]).all() and np.isfinite(k_hi[ok]).all()):
@@ -416,7 +458,8 @@ def _krawczyk_rows(c: BoxArray, lo, hi):
 
 def _krawczyk_image(c: BoxArray, boxes):
     """One Krawczyk step for the coupled cyclic system G_i = f(z_i) - z_{i+1},
-    for B rows at once, _CHUNK at a time.
+    for B rows at once, _CHUNK at a time, each preconditioned at the
+    midpoints of its own boxes: the one-shot image of absence.
 
     c is a BoxArray of B parameter rows and boxes a pair (lo, hi) of
     (B, 2p) endpoint arrays over the coordinates (re z_0, im z_0, re z_1,
@@ -436,9 +479,8 @@ def _krawczyk_image(c: BoxArray, boxes):
     see that row alone, so its image has the same bits in any batch.  An
     overflow in a row with a regular Jacobian raises EmptyIntervalError.
     """
-    if boxes[0].shape[1] > _MAX_N:
-        raise ValueError(f"the Krawczyk bounds hold up to period {_MAX_N // 2}")
-    return _chunked(_krawczyk_rows, c, *boxes)
+    return _chunked(lambda c, lo, hi: _krawczyk_rows(c, lo, hi, _preconditioner(c, lo, hi)),
+                    c, *boxes)
 
 
 def _around(orbits, radius):
@@ -463,22 +505,29 @@ def krawczyk_cycle_rows(c: BoxArray, boxes, radius):
     inflated box wider than 0.5 fails.  Absence is the job of
     krawczyk_absence_rows, where the searched region is explicit.
 
-    Each round evaluates the images of the rows still open, _CHUNK rows at
-    a time, which decide by these rules and update their boxes in place:
-    every row ends as it would by itself, and no array holds a round's
-    images.  Returns (certified, lo, hi, images): the mask of certified
-    rows, the endpoint arrays of boxes, refined in place (the tight orbit
-    boxes of the certified rows), and the number of Krawczyk images each
-    row ran.
+    Each row takes its preconditioner Y once, at the midpoints of its start
+    boxes, and keeps it through all its rounds: any Y keeps the image
+    sound (see _krawczyk_rows), so a row whose Jacobian is singular there
+    fails in its first round, and a regular one is never found singular
+    later.  The rows go _CHUNK at a time, and each chunk runs all its
+    rounds before the next: it forms Y, |Y| and the parameter term once,
+    and each round evaluates the images of its rows still open, which
+    decide by these rules and update their boxes in place.  Every row ends
+    as it would by itself, and no array holds more than a chunk's
+    preconditioners or a round's images.  Returns (certified, lo, hi,
+    images): the mask of certified rows, the endpoint arrays of boxes,
+    refined in place (the tight orbit boxes of the certified rows), and
+    the number of Krawczyk images each row ran.
     """
     lo, hi = boxes
     p = lo.shape[1] // 2
     certified, remaining = np.zeros(len(lo), dtype=bool), np.full(len(lo), _TIGHTEN)
-    images, live = np.zeros(len(lo), dtype=np.int64), np.arange(len(lo))
+    images = np.zeros(len(lo), dtype=np.int64)
 
-    def round_rows(rows):  # one round; returns the mask of the rows still open
+    # a round's images live in this closure alone and are freed on return
+    def round_rows(rows, pre):  # one round; returns the mask of the rows still open
         z_lo, z_hi = lo[rows], hi[rows]
-        k_lo, k_hi, regular = _krawczyk_image(c[rows], (z_lo, z_hi))
+        k_lo, k_hi, regular = _krawczyk_rows(c[rows], z_lo, z_hi, pre)
         # an image strictly inside its boxes certifies the cycle: contract
         # toward the fixed point, then hand back tight boxes; each image
         # lies strictly inside its box, so it is what the two share
@@ -498,15 +547,20 @@ def krawczyk_cycle_rows(c: BoxArray, boxes, radius):
             raise EmptyIntervalError("non-finite inflated box")
         grow &= _up_arr(g_hi - g_lo).max(axis=1) <= 0.5
         lo[rows[grow]], hi[rows[grow]] = g_lo[grow], g_hi[grow]
-        # a singular Jacobian fails, even after a certified round
-        certified[rows[~regular]] = False
-        return (grow | (inside & (remaining[rows] > 0)),)
+        return grow | (inside & (remaining[rows] > 0))
 
-    for _ in range(_ROUNDS):
-        if not len(live):
-            break
-        images[live] += 1
-        live = live[_chunked(round_rows, live)[0]]
+    for start in range(0, len(lo), _CHUNK):
+        rows = np.arange(start, min(start + _CHUNK, len(lo)))
+        pre = _preconditioner(c[rows], lo[rows], hi[rows])
+        for _ in range(_ROUNDS):
+            images[rows] += 1
+            still = round_rows(rows, pre)
+            # rows leave a chunk's preconditioners only when some close: a
+            # copy that keeps every row would only raise the peak
+            if not still.all():
+                rows, pre = rows[still], tuple(a[still] for a in pre)
+            if not len(rows):
+                break
     return certified, lo, hi, images
 
 

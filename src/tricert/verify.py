@@ -24,8 +24,10 @@ contours of all the boxes of a level as one, its segment rows tagged
 with their box (see _contour_walk); the two cycle claims read their
 statuses from tracked_cycle_level, which refines, certifies and tries
 absence on the whole level in batched float Newton and Krawczyk calls,
-their rows dynamics._CHUNK at a time.  The two witnesses of
-component_witnesses are one-box calls of it.
+their rows dynamics._CHUNK at a time.  Each row's Krawczyk
+preconditioner is formed once, at its start boxes, and serves all its
+epsilon-inflation rounds.  The two witnesses of component_witnesses are
+one-box calls of it.
 
 Each scan claim is a dataclass of its certificate parameters, which
 config() writes into the header; its root seed is a function of the

@@ -269,25 +269,17 @@ def test_omega_enclosure_is_cube_root_of_unity():
 
 
 # the scalar Interval kernel, rounded outward after every operation, kept
-# verbatim (with the residual helper it called): the oracle of the image's
-# regular rows and width, and of the tracked scans' certificate bytes
+# verbatim (with the residual helper it called) but for its preconditioner,
+# which _scalar_inverse forms and the caller passes in: the oracle of the
+# image's regular rows and width, and of the tracked scans' certificate bytes
 def _cycle_residuals(c: ComplexBox, points: list[ComplexBox]) -> list[ComplexBox]:
     p = len(points)
     return [eval_f(c, points[i]) - points[(i + 1) % p] for i in range(p)]
 
 
-def _scalar_krawczyk_image(c: ComplexBox, boxes: list[ComplexBox]) -> list[ComplexBox] | None:
-    """One Krawczyk step for the coupled cyclic system G_i = f(z_i) - z_{i+1}.
-
-    Returns the componentwise image K(Z) or None when the midpoint
-    Jacobian is singular.  The preconditioner is the floating-point
-    inverse of the midpoint Jacobian; the matrix I - Y J(Z) is formed
-    entrywise so Y J(mid) cancels against I before interval widths add.
-    G is exactly linear in c, so the parameter enters once per row with a
-    signed coefficient and the orbit's c-sensitivities can cancel.
-    """
-    import numpy as np
-
+def _scalar_inverse(boxes: list[ComplexBox]):
+    """The floating-point inverse of the Jacobian at the boxes' midpoints,
+    or None when it is singular."""
     p = len(boxes)
     mids = [b.midpoint() for b in boxes]
     # float midpoint Jacobian: d f(z) / d(x, y) = [[2x, -2y], [-2y, -2x]]
@@ -304,8 +296,28 @@ def _scalar_krawczyk_image(c: ComplexBox, boxes: list[ComplexBox]) -> list[Compl
         y = np.linalg.inv(j0)
     except np.linalg.LinAlgError:
         return None
-    if not np.all(np.isfinite(y)):
+    return y if np.all(np.isfinite(y)) else None
+
+
+def _scalar_krawczyk_image(c: ComplexBox, boxes: list[ComplexBox]) -> list[ComplexBox] | None:
+    """_scalar_krawczyk_step preconditioned at the boxes' own midpoints."""
+    return _scalar_krawczyk_step(c, boxes, _scalar_inverse(boxes))
+
+
+def _scalar_krawczyk_step(c: ComplexBox, boxes: list[ComplexBox], y) -> list[ComplexBox] | None:
+    """One Krawczyk step for the coupled cyclic system G_i = f(z_i) - z_{i+1}.
+
+    Returns the componentwise image K(Z) with the float preconditioner y,
+    or None when y is None (a singular Jacobian).  The matrix I - Y J(Z)
+    is formed entrywise so Y J(mid) cancels against I before interval
+    widths add.  G is exactly linear in c, so the parameter enters once
+    per row with a signed coefficient and the orbit's c-sensitivities can
+    cancel.
+    """
+    if y is None:
         return None
+    p = len(boxes)
+    mids = [b.midpoint() for b in boxes]
     c_mid = c.midpoint()
     cu = c.re - Interval.point(c_mid.real)
     cv = c.im - Interval.point(c_mid.imag)
@@ -426,13 +438,13 @@ def _scan_kernel_rows():
     scans of PAPER_R, as a list of (parameter box, orbit boxes) per scan."""
     samples = []
     for claim in (ParabolicExclusionClaim(9), MultiplierNonRealClaim(PAPER_X_REGION)):
-        rows, kernel = [], dynamics._krawczyk_image
+        rows, kernel = [], dynamics._krawczyk_rows
 
-        def spy(c, boxes):
-            rows.extend(zip(c.boxes(), *boxes))
-            return kernel(c, boxes)
+        def spy(c, lo, hi, pre):
+            rows.extend(zip(c.boxes(), lo, hi))
+            return kernel(c, lo, hi, pre)
 
-        with mock.patch.object(dynamics, "_krawczyk_image", spy):
+        with mock.patch.object(dynamics, "_krawczyk_rows", spy):
             adaptive_scan(PAPER_R, claim, 6)
         samples.append([(c, _orbit_boxes(lo, hi)) for c, lo, hi in
                         (rows[k] for k in np.linspace(0, len(rows) - 1, 250).astype(int))])
@@ -572,6 +584,57 @@ class TestKrawczykKernel:
             corners = [(mpf(u), mpf(v)) for u in (c.re.lo, c.re.hi) for v in (c.im.lo, c.im.hi)]
             for cu, cv in [(sample(c.re), sample(c.im)), *corners]:
                 _assert_encloses(image, _exact_krawczyk_point(y, m, z, cu, cv))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(_krawczyk_inputs(), _converged_row()), st.data())
+    def test_stale_preconditioner_image_contains_exact_krawczyk_points(self, inputs, data):
+        """The rounds of krawczyk_cycle_rows keep the Y of their start
+        boxes.  With Y the inverse at another point, each orbit coordinate
+        of the midpoint moved by up to 8 radii of its box or 1e-3, K(Z)
+        still holds the exact Krawczyk points of that Y at 60 digits."""
+        c, boxes = inputs
+        cs, (lo, hi) = _batch([(c, boxes)])
+        mid = dynamics._mid_arr(lo, hi)
+        reach = data.draw(st.sampled_from((8.0 * (hi - mid), np.full(mid.shape, 1e-3))))
+        stale = mid + reach * np.array(data.draw(st.lists(
+            st.floats(-1.0, 1.0), min_size=mid.size, max_size=mid.size)))
+        pre = dynamics._preconditioner(cs, stale, stale)
+        y, _, _, regular = pre
+        assume(regular[0])
+        try:
+            image = _row_boxes(*dynamics._krawczyk_rows(cs, lo, hi, pre), 0)
+        except EmptyIntervalError:
+            # the stale Y of a wide box may overflow the image: no claim
+            assume(False)
+        unit = st.floats(0.0, 1.0)
+
+        def sample(i: Interval):
+            return mpf(i.lo) + data.draw(unit) * (mpf(i.hi) - mpf(i.lo))
+
+        with workdps(60):
+            y = [[mpf(v) for v in row] for row in y[0].tolist()]
+            m = [mpf(t) for t in mid[0].tolist()]
+            z = [sample(t) for b in boxes for t in (b.re, b.im)]
+            corners = [(mpf(u), mpf(v)) for u in (c.re.lo, c.re.hi) for v in (c.im.lo, c.im.hi)]
+            for cu, cv in [(sample(c.re), sample(c.im)), *corners]:
+                _assert_encloses(image, _exact_krawczyk_point(y, m, z, cu, cv))
+
+    def test_certified_row_stays_certified_under_its_start_preconditioner(self):
+        # the positive control of the stale Y: the paper's period-9 row in
+        # boxes of radius 1e-6 is certified by the Y of its start boxes, and
+        # each of its tightening images, whose midpoints have moved, lies
+        # strictly inside the last
+        row = (ComplexBox.around(_PAPER_C, 1e-8),
+               [ComplexBox.around(z, 1e-6) for z in _PAPER_ORBIT])
+        c, (lo, hi) = _batch([row])
+        pre, start = dynamics._preconditioner(c, lo, hi), dynamics._mid_arr(lo, hi)
+        for _ in range(dynamics._TIGHTEN):
+            k_lo, k_hi, ok = dynamics._krawczyk_rows(c, lo, hi, pre)
+            assert ok[0] and ((lo < k_lo) & (k_hi < hi)).all()
+            lo, hi = k_lo, k_hi
+        assert (dynamics._mid_arr(lo, hi) != start).any()
+        certified, _, _, images = krawczyk_cycle_rows(c, _batch([row])[1], np.array([1e-6]))
+        assert certified[0] and images[0] == dynamics._TIGHTEN
 
     @pytest.mark.parametrize("e", [2.0 ** -10, 2.0 ** -35])
     def test_image_holds_the_preconditioner_error(self, e):
@@ -869,13 +932,15 @@ class TestFloatNewtonRows:
 
 def _scalar_krawczyk_cycle(kernel, c, period, orbit_guess, radius, tighten=3):
     """The rules of krawczyk_cycle_rows one box at a time, with the kernel
-    passed in: (certified, the tight orbit boxes or [])."""
+    kernel(c, boxes, y) passed in: (certified, the tight orbit boxes or []).
+    The preconditioner y is taken once, at the start boxes, and kept."""
     p = period
     boxes = [ComplexBox.around(z, radius) for z in orbit_guess]
+    y = _scalar_inverse(boxes)
     certified = False
     remaining = max(tighten, 1)
     for _ in range(24):
-        images = kernel(c, boxes)
+        images = kernel(c, boxes, y)
         if images is None:
             return False, []
         inside = all(b.strictly_contains(k) for b, k in zip(boxes, images))
@@ -916,9 +981,9 @@ def _scalar_tracked_cycle(c: ComplexBox, period: int, orbit_guess, absence: bool
     """(orbit boxes or None, absent, refined orbit, Krawczyk images) of one box."""
     images = []
 
-    def kernel(c, boxes):
+    def kernel(c, boxes, y):
         images.append(1)
-        return _scalar_krawczyk_image(c, boxes)
+        return _scalar_krawczyk_step(c, boxes, y)
 
     refined, converged = _scalar_refine_orbit(c.midpoint(), period, orbit_guess)
     boxes = None
@@ -931,7 +996,7 @@ def _scalar_tracked_cycle(c: ComplexBox, period: int, orbit_guess, absence: bool
     absent = False
     if absence and boxes is None and c.width() <= verify._ABSENCE_MAX_WIDTH:
         near = [ComplexBox.around(z, verify._ABSENCE_RADIUS) for z in refined]
-        image = kernel(c, near)
+        image = kernel(c, near, _scalar_inverse(near))
         absent = image is not None and any(not b.intersects(k) for b, k in zip(near, image))
     return boxes, absent, refined, len(images)
 

@@ -782,19 +782,34 @@ def _paper_claims():
     return ParabolicExclusionClaim(9), MultiplierNonRealClaim(PAPER_X_REGION)
 
 
+def _red_level_6():
+    """The red claim's evaluate_level and the boxes and seeds of level 6 of
+    its scan of R_RECT at depth 6."""
+    claim = _paper_claims()[0]
+    levels, evaluate = [], claim.evaluate_level
+
+    def recorded(boxes, seeds):
+        levels.append((boxes, seeds))
+        return evaluate(boxes, seeds)
+
+    claim.evaluate_level = recorded
+    adaptive_scan(R_RECT, claim, 6)
+    return evaluate, *levels[6]
+
+
 class TestTrackedCycleLevel:
     def test_effort_counts_kernel_rows(self, monkeypatch):
         # the paper's red and yellow scans at depth 6: the effort of each
         # level's results adds up to the Krawczyk kernel rows run for it
         # (4,841 and 1,252 over all levels; the leaves keep 3,530 and 940)
         rows = []
-        kernel = dynamics._krawczyk_image
+        kernel = dynamics._krawczyk_rows
 
-        def spy(c, boxes):
+        def spy(c, lo, hi, pre):
             rows.append(len(c))
-            return kernel(c, boxes)
+            return kernel(c, lo, hi, pre)
 
-        monkeypatch.setattr(dynamics, "_krawczyk_image", spy)
+        monkeypatch.setattr(dynamics, "_krawczyk_rows", spy)
         totals = []
         for claim in _paper_claims():
             levels, evaluate = [], claim.evaluate_level
@@ -812,20 +827,37 @@ class TestTrackedCycleLevel:
                            sum(leaf.effort for leaf in cert.leaves)))
         assert totals == [(4841, 3530), (1252, 940)]
 
+    def test_preconditioner_is_formed_once_a_row(self, monkeypatch):
+        # on the red scan's level 6, _cyclic_inverse sees the midpoints of
+        # the start boxes of the converged rows, each exactly once and in
+        # order, though their rounds run 5.2 Krawczyk images a row (2,572
+        # on 498 rows)
+        evaluate, boxes, seeds = _red_level_6()
+        inverse, cycle, seen, calls = dynamics._cyclic_inverse, verify.krawczyk_cycle_rows, [], []
+
+        def spy_inverse(x, y):
+            seen.append(np.stack((x, y), axis=2).reshape(len(x), -1))
+            return inverse(x, y)
+
+        def spy_cycle(c, start_boxes, radius):
+            start, first = dynamics._mid_arr(*start_boxes), len(seen)
+            out = cycle(c, start_boxes, radius)
+            calls.append((start, np.concatenate(seen[first:]), out[3]))
+            return out
+
+        monkeypatch.setattr(dynamics, "_cyclic_inverse", spy_inverse)
+        monkeypatch.setattr(verify, "krawczyk_cycle_rows", spy_cycle)
+        evaluate(boxes, seeds)
+        [(start, inverted, images)] = calls
+        assert len(start) > 400
+        assert inverted.tobytes() == start.tobytes()
+        assert images.sum() > 4 * len(start)
+
     def test_traced_peak_is_bounded_by_the_chunk(self, monkeypatch):
         # the 536 boxes of the red scan's level 6 take about as much traced
         # heap as 64 of them, _CHUNK rows at a time; one chunk of all rows
         # takes about ten times as much
-        claim = _paper_claims()[0]
-        levels, evaluate = [], claim.evaluate_level
-
-        def recorded(boxes, seeds):
-            levels.append((boxes, seeds))
-            return evaluate(boxes, seeds)
-
-        claim.evaluate_level = recorded
-        adaptive_scan(R_RECT, claim, 6)
-        boxes, seeds = levels[6]
+        evaluate, boxes, seeds = _red_level_6()
         assert len(boxes) == 536
 
         def peak(count, chunk):
