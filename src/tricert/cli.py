@@ -178,8 +178,9 @@ def _check_ranges(args) -> None:
         raise UsageError("min_width must be finite")  # box.width() > nan never splits
     if tol is not None and not 0.0 < tol < math.inf:
         raise UsageError("tol must be finite and > 0")
-    if (getattr(args, "segment_depth", None) or 0) > _MAX_SEGMENT_DEPTH:
-        raise UsageError(f"segment_depth must be <= {_MAX_SEGMENT_DEPTH}")
+    for key in ("segment_depth", "contour_depth"):
+        if (getattr(args, key, None) or 0) > _MAX_SEGMENT_DEPTH:
+            raise UsageError(f"{key} must be <= {_MAX_SEGMENT_DEPTH}")
     if getattr(args, "min_depth", None) is not None and args.min_depth > args.max_depth:
         raise UsageError("min_depth must not exceed max_depth")
     if getattr(args, "anchor", None) is not None and not args.rect.contains(args.anchor):

@@ -16,18 +16,19 @@ and its box must lie in the region X.  Cycle claims use continuation: the
 floating-point orbit refined at a parameter box seeds the Krawczyk
 certification of its children.
 
-Every claim evaluates a whole quadtree level at once.  The qlike claim
-walks the boundary segments of a level depth first, in capped BoxArray
-batches, and each child box resumes its boundary walk from its parent's
-open blocks (see boundary_disjoint_level); the count claim walks the
-contours of all the boxes of a level as one, its segment rows tagged
-with their box (see _contour_walk); the two cycle claims read their
-statuses from tracked_cycle_level, which refines, certifies and tries
-absence on the whole level in batched float Newton and Krawczyk calls,
-their rows dynamics._CHUNK at a time.  Each row's Krawczyk
-preconditioner is formed once, at its start boxes, and serves all its
-epsilon-inflation rounds.  The two witnesses of component_witnesses are
-one-box calls of it.
+Every claim evaluates a whole quadtree level at once.  The qlike and
+count claims subdivide the edges of a rectangle in one depth-first walk
+(_walk) over BoxArray batches of at most _ROW_CAP segment rows, each row
+tagged with its box: the qlike walk decides where each segment's image
+lies, and each child box resumes it from its parent's open blocks (see
+boundary_disjoint_level); the count walk sums the argument-principle
+pieces of every box's contour (see _contour_walk).  The two cycle claims
+read their statuses from tracked_cycle_level, which refines, certifies
+and tries absence on the whole level in batched float Newton and
+Krawczyk calls, their rows dynamics._CHUNK at a time.  Each row's
+Krawczyk preconditioner is formed once, at its start boxes, and serves
+all its epsilon-inflation rounds.  The two witnesses of
+component_witnesses are one-box calls of it.
 
 Each scan claim is a dataclass of its certificate parameters, which
 config() writes into the header; its root seed is a function of the
@@ -44,6 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from itertools import accumulate
 
 import numpy as np
 
@@ -96,7 +98,7 @@ class ContourEnclosure:
 
 
 # ---------------------------------------------------------------------------
-# quadratic-like boundary test
+# boundary segment walks and the quadratic-like boundary test
 # ---------------------------------------------------------------------------
 
 
@@ -109,11 +111,6 @@ _ROW_CAP = 4096
 # index (see _Segments) stays an exact int64; it also bounds the recursion
 # of a walk at 63 frames
 _MAX_SEGMENT_DEPTH = 62
-
-
-def _midpoint(a, b):
-    """Interval(min(a, b), max(a, b)).midpoint(), row by row."""
-    return _mid_arr(np.minimum(a, b), np.maximum(a, b))
 
 
 def _inside(u: ComplexBox, re, im):
@@ -131,7 +128,7 @@ def _bisect_rows(re, im):
     does.  Only where im has width 0 does bisect split re (it splits re on
     a tie) and copy im, whose endpoints may be -0.0 and 0.0 there."""
     lo, hi = np.stack((re[0], im[0])), np.stack((re[1], im[1]))
-    m = _midpoint(lo, hi)
+    m = _mid_arr(lo, hi)
     lo, hi = _interleave(lo, m), _interleave(m, hi)
     flat = np.repeat(im[0] == im[1], 2)
     im_lo = np.where(flat, np.repeat(im[0], 2), lo[1])
@@ -140,11 +137,11 @@ def _bisect_rows(re, im):
 
 
 class _Segments:
-    """Boundary segments, one a row.  Row k is the box seg[k] on an edge of
-    dU, walked for parameter row owner[k], and node[k] = 2^depth + index
-    places it in the walk tree of its edge: depth bisections of the edge
-    make 2^depth pieces, index counts them from the edge's start, and the
-    halves of node m are 2m and 2m + 1."""
+    """Segments on the edges of a rectangle, one a row.  Row k is the box
+    seg[k], walked for owner[k], and node[k] = 2^depth + index places it in
+    the walk tree of its edge: depth bisections of the edge make 2^depth
+    pieces, index counts them from the edge's lower end, and the halves of
+    node m are 2m and 2m + 1."""
 
     __slots__ = ("seg", "owner", "node")
 
@@ -153,10 +150,10 @@ class _Segments:
 
     @staticmethod
     def edges(u: ComplexBox) -> "_Segments":
-        """The four edges of dU, for parameter row 0."""
+        """The four edges of U, counterclockwise from the bottom, for owner 0."""
         re, im = u.re, u.im
-        e = np.array([(re.lo, re.hi, im.lo, im.lo), (re.lo, re.hi, im.hi, im.hi),
-                      (re.lo, re.lo, im.lo, im.hi), (re.hi, re.hi, im.lo, im.hi)]).T
+        e = np.array([(re.lo, re.hi, im.lo, im.lo), (re.hi, re.hi, im.lo, im.hi),
+                      (re.lo, re.hi, im.hi, im.hi), (re.lo, re.lo, im.lo, im.hi)]).T
         return _Segments(BoxArray((e[0], e[1]), (e[2], e[3])), np.zeros(4, dtype=np.int64),
                          np.ones(4, dtype=np.int64))
 
@@ -181,6 +178,24 @@ class _Segments:
         node[1::2] += 1
         return _Segments(BoxArray(*_bisect_rows(self.seg.re, self.seg.im)),
                          np.repeat(self.owner, 2), node)
+
+
+def _walk(rows: _Segments, decide, merge):
+    """The results of the depth-first walk from rows, at most _ROW_CAP.
+
+    decide(rows) returns the results of the rows, an array with one entry
+    a row along its last axis, and the mask of the rows to split.  The
+    halves of the split rows are walked _ROW_CAP // 2 parents at a time,
+    and each parent's result becomes merge(halves, results of the halves),
+    the halves of the j-th parent at 2j and 2j + 1.  A walk recurses one
+    frame per segment level and holds one batch and its halves in each."""
+    result, grow = decide(rows)
+    split = np.flatnonzero(grow)
+    for k in range(0, len(split), _ROW_CAP // 2):
+        parents = split[k:k + _ROW_CAP // 2]
+        halves = rows[parents].halves()
+        result[..., parents] = merge(halves, _walk(halves, decide, merge))
+    return result
 
 
 @dataclass(frozen=True)
@@ -220,20 +235,17 @@ def _starts(seeds, u: ComplexBox) -> tuple[_Segments, np.ndarray, np.ndarray]:
 def _walk_level(boxes: list[ComplexBox], u: ComplexBox, n: int, max_depth: int, seeds):
     """The boundary walks of a level's parameter boxes, resumed from their
     seeds (see _starts): each box's segment count and the _Walked that its
-    children resume from.  The starts go _ROW_CAP at a time, shallowest
-    first, so that the deep ones, which end within a few segment levels,
-    share their walks.
+    children resume from.  A row's owner is its parameter row.  The starts
+    go _ROW_CAP at a time through _walk, shallowest first, so that the
+    deep ones, which end within a few segment levels, share their walks.
 
-    Each walk is a depth-first recursion: walk(rows) decides one batch and
-    recurses on the halves of its split rows, _ROW_CAP // 2 parents at a
-    time.  A segment is open when it is an open leaf (undecided at
-    max_depth, or not finite) or when both its halves are open; an open
-    start is a block, and so is an open half whose sibling is not open.  A
-    parameter row that has found the flag opposite to one it inherited is
-    FALSE (crossed), so its split rows are not halved; a walk from the
-    edges inherits no flag and runs whole.  A walk recurses at most
-    max_depth + 1 deep and holds per segment level one batch and the lone
-    open halves found below it."""
+    A segment is open when it is an open leaf (undecided at max_depth, or
+    not finite) or when both its halves are open; an open start is a
+    block, and so is an open half whose sibling is not open.  A parameter
+    row that has found the flag opposite to one it inherited is FALSE
+    (crossed), so its split rows are not halved; a walk from the edges
+    inherits no flag and runs whole.  A walk recurses at most max_depth + 1
+    deep."""
     if u.re.lo == u.re.hi or u.im.lo == u.im.hi:
         raise ValueError("dynamical rectangle must have positive area")
     if n < 1:
@@ -271,25 +283,18 @@ def _walk_level(boxes: list[ComplexBox], u: ComplexBox, n: int, max_depth: int, 
         grow = split & (rows.node < deepest) & ~crossed[owner]
         return ~finite | (split ^ grow), grow
 
-    def walk(rows: _Segments):
-        """Walks rows and returns the mask of the open ones; the lone open
-        halves below them go to blocks."""
-        opened, grow = decide(rows)
-        split, lone = np.flatnonzero(grow), []
-        for k in range(0, len(split), _ROW_CAP // 2):
-            parents = split[k:k + _ROW_CAP // 2]
-            halves = rows[parents].halves()
-            first, second = walk(halves).reshape(-1, 2).T
-            opened[parents] = first & second
-            pair = np.flatnonzero(first ^ second)
-            if len(pair):
-                lone.append(halves[2 * pair + second[pair]])
-        blocks.extend(lone)
-        return opened
+    def merge(halves: _Segments, opened):
+        """A parent is open when both its halves are; a lone open half goes
+        to blocks."""
+        first, second = opened.reshape(-1, 2).T
+        pair = np.flatnonzero(first ^ second)
+        if len(pair):
+            blocks.append(halves[2 * pair + second[pair]])
+        return first & second
 
     for k in range(0, len(starts), _ROW_CAP):
         rows, at = starts[k:k + _ROW_CAP], len(blocks)
-        blocks.insert(at, rows[walk(rows)])  # before the lone halves below them
+        blocks.insert(at, rows[_walk(rows, decide, merge)])  # before the lone halves below them
     blocks = _Segments.concat(blocks)
     blocks = blocks[np.argsort(blocks.owner, kind="stable")]
     offsets = np.searchsorted(blocks.owner, np.arange(len(boxes) + 1))
@@ -369,99 +374,85 @@ def boundary_disjoint(
 # ---------------------------------------------------------------------------
 
 
-# rows of one integrand call of _contour_walk, which holds a whole level of
-# every contour besides: the count integrand's temporaries take about 400
-# bytes a row
-_CONTOUR_ROWS = 2048
-
-
-def _pieces(fn, cs: BoxArray, owner, ax, ay, bx, by) -> BoxArray:
-    """der(S) / val(S) * (b - a) for each segment a->b, S its hull, where
-    fn(c, z) = (val, der) and row k has the parameter row cs[owner[k]];
-    non-finite in the rows where der / val cannot be formed, also on a
-    point a = b, whose factor b - a = 0 keeps a finite der / val finite.
-    The rows go _CONTOUR_ROWS at a time, and a row's bits do not depend on
-    its batch."""
-    out = np.empty((4, len(owner)))
-    for k in range(0, len(owner), _CONTOUR_ROWS):
-        rows = slice(k, k + _CONTOUR_ROWS)
-        a, b, p, q = ax[rows], bx[rows], ay[rows], by[rows]
-        val, der = fn(cs[owner[rows]], BoxArray((np.minimum(a, b), np.maximum(a, b)),
-                                                (np.minimum(p, q), np.maximum(p, q))))
-        if isinstance(val, ComplexBox):  # fn ignored its argument
-            val = BoxArray.of([val] * len(a))
-        piece = der * val.recip() * BoxArray((b - a, b - a), (q - p, q - p))
-        out[:, rows] = *piece.re, *piece.im
-    return BoxArray((out[0], out[1]), (out[2], out[3]))
+# 2^0, ..., 2^_MAX_SEGMENT_DEPTH: depth + 1 of them are at most the node
+# number 2^depth + index (see _Segments)
+_POWERS = 1 << np.arange(_MAX_SEGMENT_DEPTH + 1, dtype=np.int64)
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def _contour_walk(fn, cs: BoxArray, region: ComplexBox, tol: float,
                   max_depth: int) -> list[ContourEnclosure | None]:
     """contour_integral of z -> fn(c, z) over the region, for each parameter
-    row c of cs, in one level-synchronous walk.
+    row c of cs, in one _walk.
 
-    A row is one segment of one contour, tagged with its owner, the index
-    of its row of cs.  Each level evaluates the integrand on the live
-    segments of every contour (see _pieces), and the halves of a split
-    segment take its place, so the rows stay grouped by owner and in
-    order.  A contour that fails (see contour_integral) is None, and its
-    rows are split no further; the other contours go on as if alone.  The
-    kept contributions are summed bottom-up as left + right and each
-    contour's edges in order, so every enclosure and its segment count are
-    those of a depth-first recursion over the same segments.  (A segment
-    endpoint may hold a zero of the other sign than Python's min/max would
-    pick; it reaches the enclosure only through rounded operations, which
-    map both zeros to the same endpoint.)
+    The row with owner 4k + e is a segment of edge e (counterclockwise
+    from the bottom) of the contour of cs[k], and seg is its hull; the top
+    and left edges (e >= 2) run from the hull's upper corner to its lower
+    one.  A contour that fails (see contour_integral) is None, and its rows
+    are split no further; the other contours go on as if alone.  A split
+    segment's value is left + right (IEEE + commutes, so a backward edge's
+    halves may come in either order) and a contour's is 0 + e0 + e1 + e2 +
+    e3, so every enclosure and its segment count are those of a depth-first
+    recursion over the same segments.  (A segment endpoint may hold a zero
+    of the other sign than that recursion's; it reaches the enclosure only
+    through rounded operations, which map both zeros to the same endpoint.)
     """
-    re, im = region.re, region.im
-    corners = np.array([re.lo, re.hi, re.hi, re.lo]), np.array([im.lo, im.lo, im.hi, im.hi])
-    ax, ay = (np.tile(v, len(cs)) for v in corners)
-    bx, by = (np.tile(np.roll(v, -1), len(cs)) for v in corners)
-    owner = np.repeat(np.arange(len(cs)), 4)
+    if not 0 <= max_depth <= _MAX_SEGMENT_DEPTH:
+        raise ValueError(f"contour depth must lie in [0, {_MAX_SEGMENT_DEPTH}]")
+    # the width budget of each depth, halved as the recursion halves it; at
+    # full depth every formed piece is kept
+    budget = np.array([*accumulate(range(max_depth), lambda b, _: b / 2.0, initial=tol / 4.0)])
+    budget[max_depth] = math.inf
     failed = np.zeros(len(cs), dtype=bool)
-    budget, depth = tol / 4.0, max_depth
-    levels = []
-    while len(ax):
-        piece = _pieces(fn, cs, owner, ax, ay, bx, by)
-        formed = piece.finite()
-        bad = np.flatnonzero(~formed)
-        if depth <= 0:
-            kept = formed
-        else:
-            width = np.maximum(_up_arr(piece.re[1] - piece.re[0]),
-                               _up_arr(piece.im[1] - piece.im[0]))
-            kept = formed & (width <= budget)
-            if len(bad):  # above full depth, a failing start point fails
-                fx, fy = ax[bad], ay[bad]
-                bad = bad[~_pieces(fn, cs, owner[bad], fx, fy, fx, fy).finite()]
-        failed[owner[bad]] = True
-        split = ~(kept | failed[owner])
-        levels.append((piece, split))
-        ax, ay, bx, by, owner = ax[split], ay[split], bx[split], by[split], owner[split]
-        mx, my = _midpoint(ax, bx), _midpoint(ay, by)
-        ax, ay, bx, by = (_interleave(ax, mx), _interleave(ay, my),
-                          _interleave(mx, bx), _interleave(my, by))
-        owner = np.repeat(owner, 2)
-        budget /= 2.0
-        depth -= 1
-    # bottom-up: a split segment's value is the sum of its two children,
-    # which sit at 2k and 2k + 1 of the next level for its rank k
-    value = count = None
-    for piece, split in reversed(levels):
-        cnt = np.ones(len(split), dtype=np.int64)
-        if value is not None:
-            summed = value[0::2] + value[1::2]
-            for dst, src in zip((*piece.re, *piece.im), (*summed.re, *summed.im)):
-                dst[split] = src
-            cnt[split] = count[0::2] + count[1::2]
-        value, count = piece, cnt
+    segments = np.zeros(len(cs), dtype=np.int64)
+
+    def piece(rows: _Segments, start: bool = False) -> BoxArray:
+        """der(S) / val(S) * (b - a) for each segment a->b of rows, S its
+        hull, or with start S = a, where b - a becomes 0; non-finite in the
+        rows where der / val cannot be formed, also on a point a = b, whose
+        factor b - a = 0 keeps a finite der / val finite."""
+        (x0, x1), (y0, y1) = rows.seg.re, rows.seg.im
+        back = rows.owner % 4 >= 2
+        if start:
+            x0 = x1 = np.where(back, x1, x0)
+            y0 = y1 = np.where(back, y1, y0)
+        dx, dy = np.where(back, x0 - x1, x1 - x0), np.where(back, y0 - y1, y1 - y0)
+        val, der = fn(cs[rows.owner // 4], BoxArray((x0, x1), (y0, y1)))
+        if isinstance(val, ComplexBox):  # fn ignored its argument
+            val = BoxArray.of([val] * len(dx))
+        return der * val.recip() * BoxArray((dx, dx), (dy, dy))
+
+    def decide(rows: _Segments):
+        """Evaluates rows, marks the contours that fail, counts the rows
+        that are not split into segments, and returns the endpoints of
+        their pieces, ((re lo, re hi), (im lo, im hi)), and the mask of the
+        rows to split."""
+        value, depth = piece(rows), np.searchsorted(_POWERS, rows.node, side="right") - 1
+        width = np.maximum(_up_arr(value.re[1] - value.re[0]), _up_arr(value.im[1] - value.im[0]))
+        fails = ~value.finite()
+        kept = ~fails & (width <= budget[depth])
+        above = np.flatnonzero(fails & (depth < max_depth))
+        if len(above):  # above full depth, a failing start point fails
+            fails[above] = ~piece(rows[above], start=True).finite()
+        failed[rows.owner[fails] // 4] = True
+        split = ~(kept | failed[rows.owner // 4])
+        segments[:] += np.bincount(rows.owner[~split] // 4, minlength=len(cs))
+        return np.array((value.re, value.im)), split
+
+    def merge(halves: _Segments, value):
+        total = BoxArray(*value[..., 0::2]) + BoxArray(*value[..., 1::2])
+        return np.array((total.re, total.im))
+
+    starts = _Segments.edges(region)[np.tile(np.arange(4), len(cs))]
+    starts.owner = np.arange(len(starts))
+    value = BoxArray(*np.concatenate([_walk(starts[k:k + _ROW_CAP], decide, merge)
+                                      for k in range(0, len(starts), _ROW_CAP)], axis=-1))
     total = ComplexBox.point(0j)
     for edge in range(4):
         total = total + value[edge::4]
     boxes = iter(total[~failed].boxes())
-    return [None if lost else ContourEnclosure(next(boxes), segments) for lost, segments
-            in zip(failed.tolist(), count.reshape(-1, 4).sum(axis=1).tolist())]
+    return [None if lost else ContourEnclosure(next(boxes), count)
+            for lost, count in zip(failed.tolist(), segments.tolist())]
 
 
 def contour_integral(
@@ -477,17 +468,18 @@ def contour_integral(
     over a segment a->b lies in its enclosure, so the segment contributes
     der(S) / val(S) * (b - a), S the hull of the segment.  A segment is
     kept when its contribution is at most the budget wide (tol / 4 per
-    edge, halved at each level) or the depth is exhausted; otherwise it is
-    split at its midpoint.  A segment whose integrand cannot be formed,
-    because |val(S)|^2 cannot exclude 0 or an endpoint is non-finite, is
-    split too, and at full depth makes the result None.  The result is
-    None at once when the integrand cannot be formed at the start point a
-    of such a segment: the outward-rounded operations are inclusion-
-    isotonic, so every segment that holds a fails at every depth.
+    edge, halved at each level) or the depth, at most 62, is exhausted;
+    otherwise it is split at its midpoint.  A segment whose integrand
+    cannot be formed, because |val(S)|^2 cannot exclude 0 or an endpoint
+    is non-finite, is split too, and at full depth makes the result None.
+    The result is None at once when the integrand cannot be formed at the
+    start point a of such a segment: the outward-rounded operations are
+    inclusion-isotonic, so every segment that holds a fails at every depth.
 
     fn must take a BoxArray and use only the ComplexBox arithmetic (+, -,
     *, conj, sqr, scale), which BoxArray repeats row by row with the same
-    endpoints.  The one-contour call of _contour_walk.
+    endpoints, so a row's bits do not depend on its batch.  The one-contour
+    call of _contour_walk.
     """
     [enc] = _contour_walk(lambda _, z: fn(z), BoxArray.of([ComplexBox.point(0j)]),
                           region, tol, max_depth)
@@ -799,11 +791,11 @@ class FixedPointCountClaim(_Claim):
 
     TRUE needs the enclosure to isolate 2 pi i expect alone: real part
     containing 0, imaginary part meeting only that one multiple of 2 pi.
-    The contours of a level are one walk (_fixed_point_contours), which
-    gives each box the enclosure of count_fixed_points; a box whose
-    contour fails is UNDETERMINED with no effort.  Pre-split scans of it
-    (min_depth) decide small boxes quickly, where the root's contour would
-    crawl.
+    The contours of a level are one _contour_walk
+    (_fixed_point_contours), which gives each box the enclosure of
+    count_fixed_points; a box whose contour fails is UNDETERMINED with no
+    effort.  Pre-split scans of it (min_depth) decide small boxes quickly,
+    where the root's contour would crawl.
     """
 
     region: ComplexBox

@@ -410,11 +410,15 @@ class TestParameters:
             assert err == "error: no superattracting seed parameter found in the rectangle\n"
             assert "Traceback" not in err
 
-    @pytest.mark.parametrize("command", [["scan", "--claim", "qlike"], ["verify-qlike"]])
+    @pytest.mark.parametrize("command", [
+        ["scan", "--claim", "qlike", "--segment-depth"], ["verify-qlike", "--segment-depth"],
+        ["scan", "--claim", "count", "--contour-depth"], ["verify-count", "--contour-depth"]])
     def test_segment_depth_above_62_exits_2(self, command, capsys):
-        # a segment's node number 2^depth + index must stay an int64
-        assert _run([*command, "--segment-depth", "63", "--max-depth", "0"]) == 2
-        assert capsys.readouterr().err == "error: segment_depth must be <= 62\n"
+        # a segment's node number 2^depth + index must stay an int64, in the
+        # boundary walk and in the contour walk
+        assert _run([*command, "63", "--max-depth", "0"]) == 2
+        key = command[-1][2:].replace("-", "_")
+        assert capsys.readouterr().err == f"error: {key} must be <= 62\n"
 
 
     @pytest.mark.parametrize("argv, error", [

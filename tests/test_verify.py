@@ -83,7 +83,7 @@ def _poly_fn(roots):
     return lambda z: (val(z), der(z))
 
 
-# The depth-first contour integral that preceded the level-synchronous one
+# The scalar depth-first contour integral that preceded the batched walk
 # in tricert.verify, kept as the bitwise oracle for it.
 
 
@@ -290,7 +290,7 @@ def test_count_level_matches_scalar_oracle_box_by_box():
 
 def test_count_level_does_not_depend_on_the_batch():
     # the 4 depth-1 boxes of PAPER_R in one walk, box by box, and in one
-    # walk whose integrand calls see at most 64 rows: the same results
+    # walk whose batches hold at most 64 rows: the same results
     claim = FixedPointCountClaim(PAPER_X_REGION, 6)
     boxes = list(PAPER_R.quarter())
     alone = [claim.evaluate_level([box], [None])[0][0] for box in boxes]
@@ -303,14 +303,40 @@ def test_count_level_does_not_depend_on_the_batch():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(verify, "even_iterate", spy)
         level, _ = claim.evaluate_level(boxes, [None] * 4)
-        # the deepest level of the walk holds 12,626 rows
-        assert (sum(rows), max(rows)) == (26470, verify._CONTOUR_ROWS)
+        # the deepest segment level holds 12,626 rows, so batches fill the cap
+        assert (sum(rows), max(rows)) == (26470, verify._ROW_CAP)
         rows.clear()
-        mp.setattr(verify, "_CONTOUR_ROWS", 64)
+        mp.setattr(verify, "_ROW_CAP", 64)
         capped, _ = claim.evaluate_level(boxes, [None] * 4)
     assert level == alone == capped
     assert [r.status for r in level] == [Status.TRUE] * 4
     assert (sum(rows), max(rows)) == (26470, 64)
+
+
+def test_count_level_live_rows_are_bounded(monkeypatch):
+    # the rows that the contour walk holds stay within _ROW_CAP per segment
+    # level (plus two); uncapped, it holds whole segment levels
+    claim = FixedPointCountClaim(PAPER_X_REGION, 6)
+    boxes = list(PAPER_R.quarter())
+    bound = 64 * (claim.contour_depth + 2)
+    monkeypatch.setattr(verify, "_ROW_CAP", 64)
+    (capped, _), peak = _live_rows(lambda: claim.evaluate_level(boxes, [None] * 4))
+    assert peak <= bound
+    monkeypatch.setattr(verify, "_ROW_CAP", 1 << 20)
+    (uncapped, _), wide_peak = _live_rows(lambda: claim.evaluate_level(boxes, [None] * 4))
+    assert capped == uncapped
+    assert wide_peak > bound
+
+
+def test_contour_depth_is_capped():
+    # the contour walk numbers its segments 2^depth + index in int64, as
+    # the boundary walk does
+    region = ComplexBox(Interval(-1.5, 1.5), Interval(-1.5, 1.5))
+    for depth in (-1, 63):
+        with pytest.raises(ValueError):
+            count_fixed_points(ComplexBox.point(0j), region, 2, max_depth=depth)
+    assert (count_fixed_points(ComplexBox.point(0j), region, 2, max_depth=62)
+            == count_fixed_points(ComplexBox.point(0j), region, 2))
 
 
 # The depth-first boundary test that preceded the batched one in
@@ -445,7 +471,7 @@ class TestBoundaryDisjoint:
         boxes = _grid(QLIKE_WIDE, 2)
         wide, wide_seeds = boundary_disjoint_level(boxes, PAPER_U, 3, 6)
         monkeypatch.setattr(verify, "_ROW_CAP", 8)
-        walks, walk, level = [], _walk_code(), verify._walk_level.__code__
+        walks, walk, level = [], verify._walk.__code__, verify._walk_level.__code__
 
         def top_walks(frame, event, arg):
             if frame.f_code is walk and frame.f_back.f_code is level:
@@ -570,20 +596,12 @@ def _children(boxes, results, seeds):
     return [child for child, _ in pairs], [seed for _, seed in pairs]
 
 
-def _walk_code():
-    """The code of the walk closure of verify._walk_level."""
-    [code] = [c for c in verify._walk_level.__code__.co_consts
-              if getattr(c, "co_name", None) == "walk"]
-    return code
-
-
 def _live_rows(run):
     """run()'s result, and the largest number of segment rows that the
-    walks held at once: the batch, the current halves and the lone open
-    halves of every active walk frame, each counted once (a frame's halves
-    are the batch of the frame it called), sampled at every line that a
-    walk executed."""
-    code = _walk_code()
+    walks held at once: the batch and the current halves of every active
+    verify._walk frame, each counted once (a frame's halves are the batch
+    of the frame it called), sampled at every line that a walk executed."""
+    code = verify._walk.__code__
     peak = 0
 
     def local(frame, event, arg):
@@ -593,7 +611,7 @@ def _live_rows(run):
             while active is not None:
                 if active.f_code is code:
                     names = active.f_locals
-                    for part in (names["rows"], names.get("halves"), *names.get("lone", ())):
+                    for part in (names["rows"], names.get("halves")):
                         if part is not None:
                             held[id(part)] = len(part)
                 active = active.f_back
