@@ -212,7 +212,7 @@ def _emit(cert: ParamCertificate, texts: dict[str, str], out, image=None) -> Non
 
 def _rollup_exit(label: str, cert: ParamCertificate) -> int:
     status = cert.rollup()
-    print(f"{label}: {status.name} over {len(cert.leaves)} leaves")
+    print(f"{label}: {status.name} over {len(cert.status)} leaves")
     return 0 if status is Status.TRUE else 1
 
 
@@ -277,8 +277,7 @@ def _cmd_verify_disjoint(args, texts) -> int:
         args.rect, args.period, PAPER_X_REGION, args.max_depth, args.min_width)
     _emit(yellow_cert, texts, args.out, args.image)
     _emit(red_cert, texts, args.red_out)
-    yellow = sum(1 for l in yellow_cert.leaves if l.status is not Status.TRUE)
-    red = sum(1 for l in red_cert.leaves if l.status is not Status.TRUE)
+    yellow, red = (int((cert.status != "T").sum()) for cert in (yellow_cert, red_cert))
     print(f"verify-disjoint: {status.name} "
           f"(yellow leaves {yellow}, red leaves {red})")
     if yellow == 0 or red == 0:

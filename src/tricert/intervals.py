@@ -512,6 +512,12 @@ class BoxArray:
         e = e.reshape(-1, 4).T
         return BoxArray((e[0], e[1]), (e[2], e[3]))
 
+    @staticmethod
+    def concat(parts) -> "BoxArray":
+        """The rows of the given BoxArrays, in order."""
+        return BoxArray(*(tuple(np.concatenate([getattr(p, axis)[k] for p in parts]) for k in (0, 1))
+                          for axis in ("re", "im")))
+
     def __len__(self) -> int:
         return len(self.re[0])
 
@@ -531,6 +537,23 @@ class BoxArray:
         """Mask of the rows whose four endpoints are finite."""
         return (np.isfinite(self.re[0]) & np.isfinite(self.re[1])
                 & np.isfinite(self.im[0]) & np.isfinite(self.im[1]))
+
+    def contains(self, z: complex) -> np.ndarray:
+        """Mask of the rows that contain the point (ComplexBox.contains)."""
+        (a, b), (c, d) = self.re, self.im
+        return (a <= z.real) & (z.real <= b) & (c <= z.imag) & (z.imag <= d)
+
+    def width(self) -> np.ndarray:
+        """ComplexBox.width of every row."""
+        return np.maximum(_up_arr(self.re[1] - self.re[0]), _up_arr(self.im[1] - self.im[0]))
+
+    def quarter(self) -> "BoxArray":
+        """ComplexBox.quarter of every row, bit for bit: the children of row
+        k, in (SW, SE, NW, NE) order, are rows 4k to 4k + 3."""
+        (a, b), (c, d) = self.re, self.im
+        m, n = _mid_arr(a, b), _mid_arr(c, d)
+        return BoxArray((np.stack((a, m, a, m), axis=1).ravel(), np.stack((m, b, m, b), axis=1).ravel()),
+                        (np.stack((c, c, n, n), axis=1).ravel(), np.stack((n, n, d, d), axis=1).ravel()))
 
     __add__, __radd__ = _binary(_cadd)
     __sub__, __rsub__ = _binary(_csub)

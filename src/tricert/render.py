@@ -149,19 +149,16 @@ def rasterize_scan(
     xs = _axis_centers(cert.root.re.lo, cert.root.re.hi, width, flip=False)
     # ascending: image row j has the center ys[height - 1 - j]
     ys = _axis_centers(cert.root.im.lo, cert.root.im.hi, height, flip=True)[::-1]
-    leaves = cert.leaves
-    e = np.array([(leaf.box.re.lo, leaf.box.re.hi, leaf.box.im.lo, leaf.box.im.hi)
-                  for leaf in leaves], dtype=float).reshape(-1, 4).T
-    col_lo, col_hi = np.searchsorted(xs, e[0], "left"), np.searchsorted(xs, e[1], "right")
-    row_lo = height - np.searchsorted(ys, e[3], "right")
-    row_hi = height - np.searchsorted(ys, e[2], "left")
-    depths = np.array([leaf.depth for leaf in leaves], dtype=np.int64)
-    order = np.lexsort((-np.arange(len(leaves)), depths))
-    colors = {status: np.array(color, dtype=np.uint8) for status, color in palette.items()}
+    (a, b), (c, d) = cert.boxes.re, cert.boxes.im
+    col_lo, col_hi = np.searchsorted(xs, a, "left"), np.searchsorted(xs, b, "right")
+    row_lo = height - np.searchsorted(ys, d, "right")
+    row_hi = height - np.searchsorted(ys, c, "left")
+    order = np.lexsort((-np.arange(len(cert.depth)), cert.depth))
+    colors = {status.value: np.array(color, dtype=np.uint8) for status, color in palette.items()}
     rgb = np.zeros((height, width, 3), dtype=np.uint8)
-    for i, r0, r1, c0, c1 in zip(order.tolist(),
-                                 *(v[order].tolist() for v in (row_lo, row_hi, col_lo, col_hi))):
-        rgb[r0:r1, c0:c1] = colors[leaves[i].status]
+    for status, r0, r1, c0, c1 in zip(*(v[order].tolist()
+                                        for v in (cert.status, row_lo, row_hi, col_lo, col_hi))):
+        rgb[r0:r1, c0:c1] = colors[status]
     return ImageBuffer(width, height, bytearray(rgb.tobytes()))
 
 

@@ -1,11 +1,15 @@
 """Adaptive quadtree subdivision of parameter rectangles.
 
-The engine is generic over claims: a claim evaluates a whole level of
-parameter boxes at once to ClaimResults and hands each box's continuation
-seed to the children of that box.  Only Undetermined boxes are refined,
+The engine is generic over claims and runs on endpoint arrays.  Each
+level of the quadtree is one BoxArray, which a claim evaluates at once:
+claim.evaluate_level(boxes, seeds) returns (status, effort, seeds), the
+status letters (the Status values 'T', 'F', 'U') and efforts of its rows
+as arrays, and the continuation seeds of its rows, which the scan hands
+to the children as seeds[parents], the rows of their parents (None for a
+claim without continuation).  Only Undetermined boxes are refined,
 children always in (SW, SE, NW, NE) order, and the leaves are listed in
-the order of their quadtree paths, so two runs with the same configuration
-produce bit-identical certificates.
+the order of their quadtree paths, so two runs with the same
+configuration produce bit-identical certificates.
 """
 
 from __future__ import annotations
@@ -14,7 +18,9 @@ import struct
 from dataclasses import dataclass
 from enum import Enum
 
-from .intervals import ComplexBox, Interval
+import numpy as np
+
+from .intervals import BoxArray, ComplexBox, EmptyIntervalError, Interval
 
 __all__ = [
     "TOOL_VERSION",
@@ -47,6 +53,8 @@ class Status(Enum):
 
 @dataclass(frozen=True)
 class ClaimResult:
+    """The result of a one-box claim call, such as verify.boundary_disjoint."""
+
     status: Status
     effort: int = 0
 
@@ -59,34 +67,73 @@ class Leaf:
     effort: int = 0
 
 
-@dataclass
+@dataclass(eq=False)
 class ParamCertificate:
     """Leaves of an adaptive scan, tiling the root rectangle exactly, with
-    the claim metadata that makes them reproducible."""
+    the claim metadata that makes them reproducible.
+
+    The leaves are stored once, as arrays in leaf order: leaf i is the box
+    boxes[i] at quadtree depth depth[i], with the status letter status[i]
+    (a Status value) and effort[i]."""
 
     claim: str
     root: ComplexBox
     config: dict
-    leaves: list[Leaf]
+    boxes: BoxArray
+    depth: np.ndarray
+    status: np.ndarray
+    effort: np.ndarray
     tool: str = TOOL_VERSION
+
+    @staticmethod
+    def of(claim: str, root: ComplexBox, config: dict, leaves, tool: str = TOOL_VERSION):
+        """The certificate of the given Leaf objects, in order."""
+        return ParamCertificate(
+            claim, root, config, BoxArray.of([leaf.box for leaf in leaves]),
+            np.array([leaf.depth for leaf in leaves], dtype=np.int64),
+            np.array([leaf.status.value for leaf in leaves], dtype="<U1"),
+            np.array([leaf.effort for leaf in leaves], dtype=np.int64), tool)
+
+    def _leaves(self, rows) -> list[Leaf]:
+        return [Leaf(depth, box, Status(status), effort) for depth, box, status, effort in zip(
+            self.depth[rows].tolist(), self.boxes[rows].boxes(), self.status[rows].tolist(),
+            self.effort[rows].tolist())]
+
+    @property
+    def leaves(self) -> list[Leaf]:
+        """The leaves as Leaf objects, built from the arrays on each access:
+        a copy, which the certificate never reads back."""
+        return self._leaves(slice(None))
 
     def rollup(self) -> Status:
         """TRUE only if every leaf is TRUE; FALSE if some leaf is FALSE."""
-        if all(leaf.status is Status.TRUE for leaf in self.leaves):
+        if (self.status == "T").all():
             return Status.TRUE
-        if any(leaf.status is Status.FALSE for leaf in self.leaves):
+        if (self.status == "F").any():
             return Status.FALSE
         return Status.UNDETERMINED
 
     def leaf_at(self, z: complex) -> Leaf:
         """Deepest leaf containing the point; first in leaf order on ties."""
-        best = None
-        for leaf in self.leaves:
-            if leaf.box.contains(z) and (best is None or leaf.depth > best.depth):
-                best = leaf
-        if best is None:
+        hits = np.flatnonzero(self.boxes.contains(z))
+        if not len(hits):
             raise ValueError(f"point {z} outside the scanned rectangle")
-        return best
+        return self._leaves([hits[np.argmax(self.depth[hits])]])[0]
+
+
+def _path_order(paths: list[np.ndarray]) -> np.ndarray:
+    """The order by quadtree path of the leaves whose paths, the quadrant
+    indices from the root, are the rows of the given (rows, depth) arrays
+    in turn.  The paths are compared zero-padded to the deepest: no leaf's
+    path is a prefix of another's, so the padding never decides."""
+    deepest = max(p.shape[1] for p in paths)
+    if not deepest:
+        return np.arange(sum(map(len, paths)))
+    keys, start = np.zeros((sum(map(len, paths)), deepest), dtype=np.uint8), 0
+    for p in paths:
+        keys[start:start + len(p), :p.shape[1]] = p
+        start += len(p)
+    return np.lexsort(keys.T[::-1])  # the last key of lexsort is its first
 
 
 def adaptive_scan(
@@ -99,38 +146,40 @@ def adaptive_scan(
     """Classify rect by the claim, refining Undetermined boxes quadwise.
 
     The walk is level-synchronous: the live boxes of each depth from
-    min_depth on are evaluated by one claim.evaluate_level(boxes, seeds)
-    call, which returns their results and the seeds of their children.
-    Boxes above min_depth are split without being evaluated.  Budget
-    exhaustion leaves Undetermined leaves in place, never failure.  The
-    leaves are sorted by quadtree path (quadrant indices from the root),
-    the order in which a depth-first walk would emit them.
+    min_depth on are one BoxArray, evaluated by one
+    claim.evaluate_level(boxes, seeds) call (see the module docstring);
+    its Undetermined rows above max_depth and wider than min_width are
+    quartered at once (BoxArray.quarter), and each child takes its
+    parent's row of the returned seeds.  Boxes above min_depth are split
+    without being evaluated and hand the root seed on.  Budget exhaustion
+    leaves Undetermined leaves in place, never failure.  The leaves of
+    all levels are put in the order of their quadtree paths, the order in
+    which a depth-first walk would emit them.
     """
     if max_depth < 0:
         raise ValueError("max_depth must be >= 0")
     if not 0 <= min_depth <= max_depth:
         raise ValueError("min_depth must lie in [0, max_depth]")
-    leaves: list[tuple[tuple[int, ...], Leaf]] = []
-    frontier = [((), rect, claim.initial_seed(rect))]
-    depth = 0
-    while frontier:
-        paths, boxes, seeds = (list(column) for column in zip(*frontier))
-        results = [None] * len(boxes)
+    boxes = BoxArray(*((np.array([i.lo]), np.array([i.hi])) for i in (rect.re, rect.im)))
+    paths = np.zeros((1, 0), dtype=np.uint8)
+    seeds = claim.initial_seed(rect)
+    found = []  # per evaluated level: the paths, boxes, statuses and efforts of its leaves
+    for depth in range(max_depth + 1):
+        split = np.ones(len(boxes), dtype=bool)
         if depth >= min_depth:
-            results, seeds = claim.evaluate_level(boxes, seeds)
-        frontier = []
-        for path, box, result, seed in zip(paths, boxes, results, seeds):
-            if result is None or (
-                result.status is Status.UNDETERMINED
-                and depth < max_depth
-                and box.width() > min_width
-            ):
-                frontier += [(path + (k,), child, seed)
-                             for k, child in enumerate(box.quarter())]
-            else:
-                leaves.append((path, Leaf(depth, box, result.status, result.effort)))
-        depth += 1
-    leaves.sort(key=lambda item: item[0])
+            status, effort, seeds = claim.evaluate_level(boxes, seeds)
+            split = (status == "U") & (depth < max_depth) & (boxes.width() > min_width)
+            leaf = ~split
+            found.append((paths[leaf], boxes[leaf], status[leaf], effort[leaf]))
+        rows = np.flatnonzero(split)
+        if not len(rows):
+            break
+        parents = np.repeat(rows, 4)
+        boxes = boxes[rows].quarter()
+        paths = np.column_stack((paths[parents], np.tile(np.arange(4, dtype=np.uint8), len(rows))))
+        if seeds is not None:
+            seeds = seeds[parents]
+    order = _path_order([p for p, _, _, _ in found])
 
     config = {
         "max_depth": str(max_depth),
@@ -139,7 +188,11 @@ def adaptive_scan(
     }
     config.update(claim.config())
     return ParamCertificate(
-        claim=claim.name, root=rect, config=config, leaves=[leaf for _, leaf in leaves]
+        claim=claim.name, root=rect, config=config,
+        boxes=BoxArray.concat([b for _, b, _, _ in found])[order],
+        depth=np.concatenate([np.full(len(p), p.shape[1]) for p, _, _, _ in found])[order],
+        status=np.concatenate([s for _, _, s, _ in found])[order],
+        effort=np.concatenate([e for _, _, _, e in found])[order],
     )
 
 
@@ -149,9 +202,10 @@ def component_rollup(
     """Connected components of same-status leaves under 4-adjacency.
 
     Two leaves are adjacent when they share an edge segment of positive
-    length.  Returns lists of indices into cert.leaves.
+    length.  Returns lists of indices into the leaves.
     """
-    idx = [i for i, leaf in enumerate(cert.leaves) if leaf.status is status]
+    idx = np.flatnonzero(cert.status == status.value).tolist()
+    re_lo, re_hi, im_lo, im_hi = (v.tolist() for v in (*cert.boxes.re, *cert.boxes.im))
     parent = {i: i for i in idx}
 
     def find(i):
@@ -165,26 +219,25 @@ def component_rollup(
         if ri != rj:
             parent[ri] = rj
 
-    def sweep(lo_key, hi_key, span):
+    def sweep(lo, hi, span_lo, span_hi):
+        """Joins the leaves whose hi edge lies on another's lo edge, where
+        their spans across the edge overlap."""
         starts: dict[float, list[int]] = {}
         ends: dict[float, list[int]] = {}
         for i in idx:
-            b = cert.leaves[i].box
-            starts.setdefault(lo_key(b), []).append(i)
-            ends.setdefault(hi_key(b), []).append(i)
+            starts.setdefault(lo[i], []).append(i)
+            ends.setdefault(hi[i], []).append(i)
         for v, left in ends.items():
             right = starts.get(v)
             if not right:
                 continue
             for i in left:
-                si = span(cert.leaves[i].box)
                 for j in right:
-                    sj = span(cert.leaves[j].box)
-                    if max(si.lo, sj.lo) < min(si.hi, sj.hi):
+                    if max(span_lo[i], span_lo[j]) < min(span_hi[i], span_hi[j]):
                         union(i, j)
 
-    sweep(lambda b: b.re.lo, lambda b: b.re.hi, lambda b: b.im)
-    sweep(lambda b: b.im.lo, lambda b: b.im.hi, lambda b: b.re)
+    sweep(re_lo, re_hi, im_lo, im_hi)
+    sweep(im_lo, im_hi, re_lo, re_hi)
 
     groups: dict[int, list[int]] = {}
     for i in idx:
@@ -204,13 +257,14 @@ def serialize(cert: ParamCertificate) -> bytes:
     ]
     for key in sorted(cert.config):
         lines.append(f"#config.{key}={cert.config[key]}")
-    lines.append(f"#leaves={len(cert.leaves)}")
-    for index, leaf in enumerate(cert.leaves):
-        b = leaf.box
-        lines.append(
-            f"{leaf.depth} {index} {leaf.status.value} "
-            f"{_hex(b.re.lo)} {_hex(b.re.hi)} {_hex(b.im.lo)} {_hex(b.im.hi)}"
-        )
+    lines.append(f"#leaves={len(cert.status)}")
+    # the big-endian hex of each leaf's (re lo, re hi, im lo, im hi), a space
+    # after each: 68 characters a leaf
+    ends = np.stack((*cert.boxes.re, *cert.boxes.im), axis=1).astype(">f8")
+    text = ends.tobytes().hex(" ", 8)
+    lines.extend(f"{depth} {index} {status} {text[68 * index:68 * index + 67]}"
+                 for index, (depth, status) in enumerate(zip(cert.depth.tolist(),
+                                                             cert.status.tolist())))
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
@@ -218,7 +272,7 @@ def parse(data: bytes) -> ParamCertificate:
     claim = tool = None
     rect = None
     config: dict = {}
-    leaves: list[Leaf] = []
+    depth, status, ends = [], [], []
     declared = None
     for line in data.decode("utf-8").splitlines():
         if not line:
@@ -239,24 +293,28 @@ def parse(data: bytes) -> ParamCertificate:
             else:
                 raise ValueError(f"unknown header key: {key}")
             continue
-        depth, _index, token, a, b, c, d = line.split()
-        leaves.append(
-            Leaf(
-                int(depth),
-                ComplexBox(
-                    Interval(_unhex(a), _unhex(b)), Interval(_unhex(c), _unhex(d))
-                ),
-                Status(token),
-            )
-        )
+        level, _index, token, *hexes = line.split()
+        if len(hexes) != 4 or any(len(h) != 16 for h in hexes):
+            raise ValueError(f"a leaf needs four 16-digit hex endpoints: {line!r}")
+        depth.append(int(level))
+        status.append(Status(token).value)
+        ends.extend(hexes)
     if claim is None or rect is None:
         raise ValueError("certificate missing claim or rect header")
-    if declared is not None and declared != len(leaves):
-        raise ValueError(f"leaf count mismatch: header {declared}, found {len(leaves)}")
+    if declared is not None and declared != len(depth):
+        raise ValueError(f"leaf count mismatch: header {declared}, found {len(depth)}")
+    e = np.frombuffer(bytes.fromhex("".join(ends)), dtype=">f8").astype(float).reshape(-1, 4).T
+    # the endpoints of a box, as Interval requires: finite, lo <= hi
+    bad = np.flatnonzero(~(np.isfinite(e).all(axis=0) & (e[0] <= e[1]) & (e[2] <= e[3])))
+    if len(bad):
+        raise EmptyIntervalError(f"leaf {bad[0]} has non-finite or inverted endpoints")
     return ParamCertificate(
         claim=claim,
         root=rect,
         config=config,
-        leaves=leaves,
+        boxes=BoxArray((e[0], e[1]), (e[2], e[3])),
+        depth=np.array(depth, dtype=np.int64),
+        status=np.array(status, dtype="<U1"),
+        effort=np.zeros(len(depth), dtype=np.int64),
         tool=tool or TOOL_VERSION,
     )

@@ -16,13 +16,15 @@ and its box must lie in the region X.  Cycle claims use continuation: the
 floating-point orbit refined at a parameter box seeds the Krawczyk
 certification of its children.
 
-Every claim evaluates a whole quadtree level at once.  The qlike and
-count claims subdivide the edges of a rectangle in one depth-first walk
-(_walk) over BoxArray batches of at most _ROW_CAP segment rows, each row
-tagged with its box: the qlike walk decides where each segment's image
-lies, and each child box resumes it from its parent's open blocks (see
-boundary_disjoint_level); the count walk sums the argument-principle
-pieces of every box's contour (see _contour_walk).  The two cycle claims
+Every claim evaluates a whole quadtree level, one BoxArray, at once, to
+arrays of status letters and efforts and the seeds of its rows (see
+tricert.scan).  The qlike and count claims subdivide the edges of a
+rectangle in one depth-first walk (_walk) over BoxArray batches of at
+most _ROW_CAP segment rows, each row tagged with its box: the qlike
+walk decides where each segment's image lies, and each child box resumes
+it from its parent's open blocks (see boundary_disjoint_level); the
+count walk sums the argument-principle pieces of every box's contour
+(see _contour_walk).  The two cycle claims
 read their statuses from tracked_cycle_level, which refines, certifies
 and tries absence on the whole level in batched float Newton and
 Krawczyk calls, their rows dynamics._CHUNK at a time.  Each row's
@@ -46,6 +48,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,7 +64,7 @@ from .dynamics import (
     multiplier_rows,
     squared_modulus_rows,
 )
-from .intervals import BoxArray, ComplexBox, Interval, _interleave, _mid_arr, _up_arr
+from .intervals import BoxArray, ComplexBox, Interval, _interleave, _mid_arr
 from .scan import ClaimResult, Status, _hex, adaptive_scan, component_rollup
 
 __all__ = [
@@ -161,9 +164,8 @@ class _Segments:
     def concat(parts: list["_Segments"]) -> "_Segments":
         if len(parts) == 1:
             return parts[0]
-        seg = BoxArray(*(tuple(np.concatenate([getattr(p.seg, axis)[k] for p in parts])
-                               for k in (0, 1)) for axis in ("re", "im")))
-        return _Segments(seg, np.concatenate([p.owner for p in parts]),
+        return _Segments(BoxArray.concat([p.seg for p in parts]),
+                         np.concatenate([p.owner for p in parts]),
                          np.concatenate([p.node for p in parts]))
 
     def __len__(self) -> int:
@@ -202,42 +204,38 @@ def _walk(rows: _Segments, decide, merge):
 class _Walked:
     """What the boundary walks of a level hand on: per parameter row its
     inside and outside flags, and its open blocks, the rows
-    offsets[i]:offsets[i + 1] of blocks."""
+    offsets[i]:offsets[i + 1] of blocks, whose owner is i."""
 
     blocks: _Segments
     offsets: np.ndarray
     inside: np.ndarray
     outside: np.ndarray
 
+    @staticmethod
+    def edges(u: ComplexBox, count: int) -> "_Walked":
+        """count rows that walk the four edges of dU with no flag set."""
+        no = np.zeros(1, dtype=bool)
+        return _Walked(_Segments.edges(u), np.array([0, 4]), no, no)[np.zeros(count, dtype=np.int64)]
 
-def _starts(seeds, u: ComplexBox) -> tuple[_Segments, np.ndarray, np.ndarray]:
-    """The segments where the walks of a level start, and the inside and
-    outside flags that its parameter rows inherit.  A row seeded
-    (walked, i) resumes from the open blocks and flags of row i of walked,
-    one seeded None from the four edges of dU with no flag set."""
-    edges = _Segments.edges(u)
-    fresh = (_Walked(edges, np.array([0, 4]), *np.zeros((2, 1), dtype=bool)), 0)
-    pairs = [seed or fresh for seed in seeds]
-    inside, outside = np.zeros((2, len(pairs)), dtype=bool)
-    parts = []
-    for walked in {id(w): w for w, _ in pairs}.values():
-        boxes = np.array([k for k, (w, _) in enumerate(pairs) if w is walked], dtype=np.int64)
-        parent = np.array([i for w, i in pairs if w is walked], dtype=np.int64)
-        inside[boxes], outside[boxes] = walked.inside[parent], walked.outside[parent]
-        start, size = walked.offsets[parent], np.diff(walked.offsets)[parent]
-        # row j of the part is row j - (rows before its box) + start of its box
-        part = walked.blocks[np.arange(size.sum()) + np.repeat(start - np.cumsum(size) + size, size)]
-        part.owner = np.repeat(boxes, size)
-        parts.append(part)
-    return _Segments.concat(parts or [edges[:0]]), inside, outside
+    def __getitem__(self, rows) -> "_Walked":
+        """The walks of the given rows, in turn: row j of the result is row
+        rows[j], its blocks renumbered to owner j."""
+        start, size = self.offsets[rows], np.diff(self.offsets)[rows]
+        # block k of the result is block k - (blocks before its row) + start of its row
+        blocks = self.blocks[np.arange(size.sum()) + np.repeat(start - np.cumsum(size) + size, size)]
+        blocks.owner = np.repeat(np.arange(len(size)), size)
+        return _Walked(blocks, np.concatenate(([0], np.cumsum(size))),
+                       self.inside[rows], self.outside[rows])
 
 
-def _walk_level(boxes: list[ComplexBox], u: ComplexBox, n: int, max_depth: int, seeds):
-    """The boundary walks of a level's parameter boxes, resumed from their
-    seeds (see _starts): each box's segment count and the _Walked that its
-    children resume from.  A row's owner is its parameter row.  The starts
-    go _ROW_CAP at a time through _walk, shallowest first, so that the
-    deep ones, which end within a few segment levels, share their walks.
+def _walk_level(cs: BoxArray, u: ComplexBox, n: int, max_depth: int, seeds: _Walked | None):
+    """The boundary walks of a level's parameter rows cs, resumed from
+    seeds, the _Walked of a level whose row i each row i resumes (None:
+    from the four edges of dU, with no flag set): each row's segment count
+    and the _Walked that its children resume from.  A segment row's owner
+    is its parameter row.  The starts go _ROW_CAP at a time through _walk,
+    shallowest first, so that the deep ones, which end within a few
+    segment levels, share their walks.
 
     A segment is open when it is an open leaf (undecided at max_depth, or
     not finite) or when both its halves are open; an open start is a
@@ -254,11 +252,12 @@ def _walk_level(boxes: list[ComplexBox], u: ComplexBox, n: int, max_depth: int, 
         raise ValueError(f"segment depth must lie in [0, {_MAX_SEGMENT_DEPTH}]")
     re, im = u.re, u.im
     deepest = 1 << max_depth  # the first node at max_depth
-    cs = BoxArray.of(boxes)
-    starts, inside, outside = _starts(seeds, u)
-    starts = starts[np.argsort(starts.node, kind="stable")]
-    inherited = inside.copy(), outside.copy()
-    effort = np.zeros(len(boxes), dtype=np.int64)
+    if seeds is None:
+        seeds = _Walked.edges(u, len(cs))
+    starts = seeds.blocks[np.argsort(seeds.blocks.node, kind="stable")]
+    inherited = seeds.inside, seeds.outside
+    inside, outside = seeds.inside.copy(), seeds.outside.copy()
+    effort = np.zeros(len(cs), dtype=np.int64)
     blocks = [starts[:0]]
 
     @np.errstate(over="ignore", invalid="ignore")
@@ -297,20 +296,22 @@ def _walk_level(boxes: list[ComplexBox], u: ComplexBox, n: int, max_depth: int, 
         blocks.insert(at, rows[_walk(rows, decide, merge)])  # before the lone halves below them
     blocks = _Segments.concat(blocks)
     blocks = blocks[np.argsort(blocks.owner, kind="stable")]
-    offsets = np.searchsorted(blocks.owner, np.arange(len(boxes) + 1))
+    offsets = np.searchsorted(blocks.owner, np.arange(len(cs) + 1))
     return effort, _Walked(blocks, offsets, inside, outside)
 
 
 def boundary_disjoint_level(
-    boxes: list[ComplexBox], u: ComplexBox, n: int, max_depth: int = 14, seeds=None
-) -> tuple[list[ClaimResult], list]:
-    """boundary_disjoint for each parameter box, evaluated in batches, and
-    the seeds that the children of each box resume from.
+    boxes: BoxArray, u: ComplexBox, n: int, max_depth: int = 14, seeds: _Walked | None = None
+) -> tuple[np.ndarray, np.ndarray, _Walked]:
+    """boundary_disjoint for each parameter row, evaluated in batches:
+    the status letters and segment counts of the rows, and the _Walked
+    that the children of each row resume from.
 
-    A row is one boundary segment of one box, with that box's c row.  A
-    box seeded None starts from the four edges of dU; a box seeded with
-    the seed returned for a box that contains it (its parent) starts from
-    that box's open blocks and flags.  Rows go
+    A segment row is one boundary segment of one box, with that box's c
+    row.  Without seeds every box starts from the four edges of dU; with
+    seeds, the _Walked returned for a level, row i starts from the open
+    blocks and flags of its row i, which must be a box that contains it
+    (its parent; the scan passes walked[parents]).  Rows go
     _ROW_CAP at a time through BoxArray, which repeats the ComplexBox
     arithmetic bit for bit, n times.  A row strictly inside U or off U is
     decided; any other row is bisected below max_depth, and at max_depth
@@ -338,21 +339,10 @@ def boundary_disjoint_level(
     gives every box the flags, open leaves and status of a walk from the
     four edges; its segment count is that of its own evaluations.
     """
-    if seeds is None:
-        seeds = [None] * len(boxes)
     effort, walked = _walk_level(boxes, u, n, max_depth, seeds)
-    results = []
-    for segments, inside, outside, undet in zip(
-            effort.tolist(), walked.inside.tolist(), walked.outside.tolist(),
-            (np.diff(walked.offsets) > 0).tolist()):
-        if inside and outside:
-            status = Status.FALSE
-        elif undet:
-            status = Status.UNDETERMINED
-        else:
-            status = Status.TRUE
-        results.append(ClaimResult(status, segments))
-    return results, [(walked, i) for i in range(len(boxes))]
+    status = np.where(walked.inside & walked.outside, "F",
+                      np.where(np.diff(walked.offsets) > 0, "U", "T"))
+    return status, effort, walked
 
 
 def boundary_disjoint(
@@ -366,7 +356,8 @@ def boundary_disjoint(
     curve crosses dU.  UNDETERMINED otherwise, also when the enclosure of
     some piece overflows.  The one-box call of boundary_disjoint_level.
     """
-    return boundary_disjoint_level([c], u, n, max_depth)[0][0]
+    [status], [effort], _ = boundary_disjoint_level(BoxArray.of([c]), u, n, max_depth)
+    return ClaimResult(Status(status), int(effort))
 
 
 # ---------------------------------------------------------------------------
@@ -381,15 +372,16 @@ _POWERS = 1 << np.arange(_MAX_SEGMENT_DEPTH + 1, dtype=np.int64)
 
 @np.errstate(over="ignore", invalid="ignore")
 def _contour_walk(fn, cs: BoxArray, region: ComplexBox, tol: float,
-                  max_depth: int) -> list[ContourEnclosure | None]:
+                  max_depth: int) -> tuple[BoxArray, np.ndarray, np.ndarray]:
     """contour_integral of z -> fn(c, z) over the region, for each parameter
-    row c of cs, in one _walk.
+    row c of cs, in one _walk: the enclosures, the mask of the contours
+    that fail (their enclosure rows mean nothing) and the segment counts.
 
     The row with owner 4k + e is a segment of edge e (counterclockwise
     from the bottom) of the contour of cs[k], and seg is its hull; the top
     and left edges (e >= 2) run from the hull's upper corner to its lower
-    one.  A contour that fails (see contour_integral) is None, and its rows
-    are split no further; the other contours go on as if alone.  A split
+    one.  The rows of a contour that fails (see contour_integral) are split
+    no further; the other contours go on as if alone.  A split
     segment's value is left + right (IEEE + commutes, so a backward edge's
     halves may come in either order) and a contour's is 0 + e0 + e1 + e2 +
     e3, so every enclosure and its segment count are those of a depth-first
@@ -428,7 +420,7 @@ def _contour_walk(fn, cs: BoxArray, region: ComplexBox, tol: float,
         their pieces, ((re lo, re hi), (im lo, im hi)), and the mask of the
         rows to split."""
         value, depth = piece(rows), np.searchsorted(_POWERS, rows.node, side="right") - 1
-        width = np.maximum(_up_arr(value.re[1] - value.re[0]), _up_arr(value.im[1] - value.im[0]))
+        width = value.width()
         fails = ~value.finite()
         kept = ~fails & (width <= budget[depth])
         above = np.flatnonzero(fails & (depth < max_depth))
@@ -445,11 +437,18 @@ def _contour_walk(fn, cs: BoxArray, region: ComplexBox, tol: float,
 
     starts = _Segments.edges(region)[np.tile(np.arange(4), len(cs))]
     starts.owner = np.arange(len(starts))
-    value = BoxArray(*np.concatenate([_walk(starts[k:k + _ROW_CAP], decide, merge)
-                                      for k in range(0, len(starts), _ROW_CAP)], axis=-1))
-    total = ComplexBox.point(0j)
+    value = np.empty((2, 2, len(starts)))
+    for k in range(0, len(starts), _ROW_CAP):
+        value[..., k:k + _ROW_CAP] = _walk(starts[k:k + _ROW_CAP], decide, merge)
+    value, total = BoxArray(*value), ComplexBox.point(0j)
     for edge in range(4):
         total = total + value[edge::4]
+    return total, failed, segments
+
+
+def _enclosures(total: BoxArray, failed, segments) -> list[ContourEnclosure | None]:
+    """The result of _contour_walk as a ContourEnclosure per contour, None
+    for a failed one."""
     boxes = iter(total[~failed].boxes())
     return [None if lost else ContourEnclosure(next(boxes), count)
             for lost, count in zip(failed.tolist(), segments.tolist())]
@@ -481,8 +480,8 @@ def contour_integral(
     endpoints, so a row's bits do not depend on its batch.  The one-contour
     call of _contour_walk.
     """
-    [enc] = _contour_walk(lambda _, z: fn(z), BoxArray.of([ComplexBox.point(0j)]),
-                          region, tol, max_depth)
+    [enc] = _enclosures(*_contour_walk(lambda _, z: fn(z), BoxArray.of([ComplexBox.point(0j)]),
+                                       region, tol, max_depth))
     return enc
 
 
@@ -490,23 +489,27 @@ def contour_integral(
 _MAX_COUNT = 16
 
 
+def _counts(value: BoxArray, max_count: int = _MAX_COUNT) -> np.ndarray:
+    """decide_count of each row of enclosures, -1 where it is None."""
+    multiples = [TWO_PI.scale(float(k)) for k in range(max_count + 1)]
+    lo, hi = (np.array([getattr(m, end) for m in multiples]) for end in ("lo", "hi"))
+    # Interval.intersects of each row's imaginary part with each multiple
+    meets = (value.im[0][:, None] <= hi) & (lo <= value.im[1][:, None])
+    unique = (value.re[0] <= 0.0) & (0.0 <= value.re[1]) & (meets.sum(axis=1) == 1)
+    return np.where(unique, meets.argmax(axis=1), -1)
+
+
 def decide_count(enclosure: ContourEnclosure, max_count: int = _MAX_COUNT) -> int | None:
-    """The integer k with 2 pi i k inside the enclosure, if unique."""
-    box = enclosure.value
-    if not box.re.contains(0.0):
-        return None
-    candidates = [
-        k for k in range(max_count + 1) if box.im.intersects(TWO_PI.scale(float(k)))
-    ]
-    if len(candidates) == 1:
-        return candidates[0]
-    return None
+    """The integer k with 2 pi i k inside the enclosure, if unique: the real
+    part must contain 0 and the imaginary part meet 2 pi k for this k alone
+    among 0, ..., max_count."""
+    [k] = _counts(BoxArray.of([enclosure.value]), max_count).tolist()
+    return None if k < 0 else k
 
 
-def _fixed_point_contours(boxes: list[ComplexBox], region: ComplexBox, n: int, tol: float,
-                          max_depth: int) -> list[ContourEnclosure | None]:
-    """The contour enclosure of count_fixed_points for each parameter box,
-    all in one _contour_walk."""
+def _fixed_point_contours(boxes: BoxArray, region: ComplexBox, n: int, tol: float,
+                          max_depth: int) -> tuple[BoxArray, np.ndarray, np.ndarray]:
+    """The _contour_walk of count_fixed_points for each parameter row."""
     if n % 2 != 0 or n < 2:
         raise ValueError("fixed-point counting needs an even iterate")
     one = ComplexBox.point(1 + 0j)
@@ -515,7 +518,7 @@ def _fixed_point_contours(boxes: list[ComplexBox], region: ComplexBox, n: int, t
         value, derivative = even_iterate(c, z, n)
         return value - z, derivative - one
 
-    return _contour_walk(fn, BoxArray.of(boxes), region, tol, max_depth)
+    return _contour_walk(fn, boxes, region, tol, max_depth)
 
 
 def count_fixed_points(
@@ -531,7 +534,7 @@ def count_fixed_points(
     the count is decided when the enclosure isolates exactly one multiple
     of 2 pi i.  The one-box call of FixedPointCountClaim's walk.
     """
-    [enc] = _fixed_point_contours([c], region, n, tol, max_depth)
+    [enc] = _enclosures(*_fixed_point_contours(BoxArray.of([c]), region, n, tol, max_depth))
     if enc is None:
         return None, None
     return enc, decide_count(enc)
@@ -599,53 +602,58 @@ def _pairwise_disjoint(lo, hi):
     return ~np.triu(meet, 1).any(axis=(1, 2))
 
 
-def tracked_cycle_level(boxes: list[ComplexBox], period: int, seeds, absence: bool = True):
-    """The tracked period-p cycle over each parameter box of a level.
+class _Tracked(NamedTuple):
+    """What tracked_cycle_level finds on a level of B parameter rows."""
 
-    Each seed orbit is refined by float Newton at its box midpoint.  Where
-    Newton converges, Krawczyk certifies the cycle over the whole box; the
-    coupled system is also solved by a shorter cycle traversed several
-    times, which puts one point in two boxes, so only pairwise disjoint
-    orbit boxes count (the exact period).  With absence, a box at most
-    _ABSENCE_MAX_WIDTH wide whose cycle is not certified gets one
-    Krawczyk step on the _ABSENCE_RADIUS neighborhood of its refined
-    orbit.  Every step runs on the whole level, its kernel and Newton rows
-    _CHUNK at a time, and decides each row as it would by itself.
+    cycle: np.ndarray  # the rows with a certified cycle, ascending
+    lo: np.ndarray  # (len(cycle), 2p) endpoints of their orbit boxes
+    hi: np.ndarray
+    absent: np.ndarray  # (B,) mask of the rows with certified absence
+    orbits: np.ndarray  # (B, p) refined orbits, the seeds of the children
+    effort: np.ndarray  # (B,) Krawczyk images run for each row
 
-    Returns one (cycle, absent, refined orbit, effort) per box: cycle is
-    None or the (lo, hi) endpoint rows of the certified orbit boxes, over
-    the coordinates (re z_0, im z_0, re z_1, ...), and effort counts the
-    Krawczyk images run for the box.
+
+def tracked_cycle_level(boxes: BoxArray, period: int, seeds, absence: bool = True) -> _Tracked:
+    """The tracked period-p cycle over each parameter row of a level.
+
+    seeds holds a (B, p) orbit guess per row.  Each seed orbit is refined by
+    float Newton at its box midpoint.  Where Newton converges, Krawczyk
+    certifies the cycle over the whole box; the coupled system is also
+    solved by a shorter cycle traversed several times, which puts one
+    point in two boxes, so only pairwise disjoint orbit boxes count (the
+    exact period).  With absence, a box at most _ABSENCE_MAX_WIDTH wide
+    whose cycle is not certified gets one Krawczyk step on the
+    _ABSENCE_RADIUS neighborhood of its refined orbit.  Every step runs on
+    the whole level, its kernel and Newton rows _CHUNK at a time, and
+    decides each row as it would by itself.  The orbit boxes are over the
+    coordinates (re z_0, im z_0, re z_1, ...).
     """
     count = len(boxes)
-    orbits = np.array(seeds, dtype=complex)
+    orbits = np.asarray(seeds, dtype=complex)
     if orbits.shape != (count, period):
         raise ValueError("orbit guess length must equal the period")
-    c = BoxArray.of(boxes)
     mids = np.empty(count, dtype=complex)
-    mids.real, mids.imag = _mid_arr(*c.re), _mid_arr(*c.im)
+    mids.real, mids.imag = _mid_arr(*boxes.re), _mid_arr(*boxes.im)
     # only Newton reads the guesses: rebinding the name frees them
     orbits, converged = _refine_orbit(mids, orbits)
-    widths = np.maximum(_up_arr(c.re[1] - c.re[0]), _up_arr(c.im[1] - c.im[0]))
-    cycles, effort = [None] * count, np.zeros(count, dtype=np.int64)
+    widths = boxes.width()
+    effort = np.zeros(count, dtype=np.int64)
     held = np.zeros(count, dtype=bool)
     rows = np.flatnonzero(converged)
-    if len(rows):
-        # the start boxes are built first, so no copy of the converged
-        # orbits lives through the rounds
-        radius = np.maximum(1e-9, widths[rows])
-        certified, lo, hi, images = krawczyk_cycle_rows(
-            c[rows], _around(orbits[rows], radius[:, None]), radius)
-        effort[rows] = images
-        held[rows] = certified & _pairwise_disjoint(lo, hi)
-        for k in np.flatnonzero(held[rows]).tolist():
-            cycles[rows[k]] = lo[k], hi[k]
+    # the start boxes are built first, so no copy of the converged orbits
+    # lives through the rounds
+    radius = np.maximum(1e-9, widths[rows])
+    certified, lo, hi, images = krawczyk_cycle_rows(
+        boxes[rows], _around(orbits[rows], radius[:, None]), radius)
+    effort[rows] = images
+    disjoint = certified & _pairwise_disjoint(lo, hi)
+    held[rows] = disjoint
     absent = np.zeros(count, dtype=bool)
     rows = np.flatnonzero(~held & (widths <= _ABSENCE_MAX_WIDTH))
     if absence and len(rows):
-        absent[rows] = krawczyk_absence_rows(c[rows], orbits[rows], _ABSENCE_RADIUS)
+        absent[rows] = krawczyk_absence_rows(boxes[rows], orbits[rows], _ABSENCE_RADIUS)
         effort[rows] += 1
-    return list(zip(cycles, absent.tolist(), orbits.tolist(), effort.tolist()))
+    return _Tracked(np.flatnonzero(held), lo[disjoint], hi[disjoint], absent, orbits, effort)
 
 
 # The statuses of a level are read at once from the endpoint rows of its
@@ -655,64 +663,47 @@ def tracked_cycle_level(boxes: list[ComplexBox], period: int, seeds, absence: bo
 # EmptyIntervalError, decides nothing.
 
 
-def _cycle_rows(tracked):
-    """The indices of the boxes of a level with a certified cycle, and the
-    (K, 2p) endpoint arrays of their orbit boxes."""
-    rows = [k for k, (cycle, _, _, _) in enumerate(tracked) if cycle is not None]
-    cycles = [tracked[k][0] for k in rows]
-    return rows, np.array([lo for lo, _ in cycles]), np.array([hi for _, hi in cycles])
+def _modulus_statuses(tracked: _Tracked) -> np.ndarray:
+    """Per certified cycle of a level (the rows tracked.cycle): 'T' for a
+    strictly attracting and 'F' for a strictly repelling cycle, by its
+    squared modulus product; 'U' when that enclosure holds 1."""
+    m_lo, m_hi = squared_modulus_rows(tracked.lo, tracked.hi)
+    finite = np.isfinite(m_lo) & np.isfinite(m_hi)
+    return np.where(finite & (m_hi < 1.0), "T", np.where(finite & (m_lo > 1.0), "F", "U"))
 
 
-def _modulus_statuses(tracked) -> list[Status | None]:
-    """Per box of a level: TRUE for a strictly attracting and FALSE for a
-    strictly repelling certified cycle, by its squared modulus product;
-    UNDETERMINED when that enclosure holds 1; None without a cycle."""
-    statuses = [None] * len(tracked)
-    rows, lo, hi = _cycle_rows(tracked)
-    if rows:
-        m_lo, m_hi = squared_modulus_rows(lo, hi)
-        finite = np.isfinite(m_lo) & np.isfinite(m_hi)
-        attracting, repelling = finite & (m_hi < 1.0), finite & (m_lo > 1.0)
-        for k, a, r in zip(rows, attracting.tolist(), repelling.tolist()):
-            statuses[k] = Status.TRUE if a else Status.FALSE if r else Status.UNDETERMINED
-    return statuses
-
-
-def _excluded_statuses(tracked) -> list[Status]:
-    """Per box of a level: TRUE when the squared modulus enclosure of the
+def _excluded_statuses(tracked: _Tracked) -> np.ndarray:
+    """Per row of a level: 'T' when the squared modulus enclosure of the
     certified cycle excludes 1 (either side) or the cycle is certified
     absent."""
-    return [Status.TRUE if (absent if modulus is None else modulus is not Status.UNDETERMINED)
-            else Status.UNDETERMINED
-            for modulus, (_, absent, _, _) in zip(_modulus_statuses(tracked), tracked)]
+    status = np.where(tracked.absent, "T", "U")
+    status[tracked.cycle] = np.where(_modulus_statuses(tracked) == "U", "U", "T")
+    return status
 
 
-def _nonreal_statuses(tracked, region: ComplexBox | None) -> list[Status]:
-    """Per box of a level: TRUE when the box of z_0 of the certified period-6
+def _nonreal_statuses(tracked: _Tracked, region: ComplexBox | None) -> np.ndarray:
+    """Per row of a level: 'T' when the box of z_0 of the certified period-6
     cycle lies in the region and the enclosure of Im (f_c^6)'(z_0) excludes
     0."""
-    statuses = [Status.UNDETERMINED] * len(tracked)
-    rows, lo, hi = _cycle_rows(tracked)
-    if rows:
-        m = multiplier_rows(lo, hi)
-        ok = m.finite() & ((m.im[0] > 0.0) | (m.im[1] < 0.0))
-        if region is not None:
-            ok &= ((region.re.lo <= lo[:, 0]) & (hi[:, 0] <= region.re.hi)
-                   & (region.im.lo <= lo[:, 1]) & (hi[:, 1] <= region.im.hi))
-        for k in np.flatnonzero(ok).tolist():
-            statuses[rows[k]] = Status.TRUE
-    return statuses
+    lo, hi = tracked.lo, tracked.hi
+    m = multiplier_rows(lo, hi)
+    ok = m.finite() & ((m.im[0] > 0.0) | (m.im[1] < 0.0))
+    if region is not None:
+        ok &= ((region.re.lo <= lo[:, 0]) & (hi[:, 0] <= region.re.hi)
+               & (region.im.lo <= lo[:, 1]) & (hi[:, 1] <= region.im.hi))
+    status = np.full(len(tracked.absent), "U")
+    status[tracked.cycle[ok]] = "T"
+    return status
 
 
 def _witness(c: ComplexBox, period: int, orbit, absence: bool) -> Status:
     """The modulus status of the tracked cycle on one box (_modulus_statuses);
     without a certified cycle FALSE for a certified absence, else
     UNDETERMINED."""
-    tracked = tracked_cycle_level([c], period, [orbit], absence)
-    [(_, absent, _, _)], [status] = tracked, _modulus_statuses(tracked)
-    if status is None:
-        return Status.FALSE if absent else Status.UNDETERMINED
-    return status
+    tracked = tracked_cycle_level(BoxArray.of([c]), period, [orbit], absence)
+    if not len(tracked.cycle):
+        return Status.FALSE if tracked.absent[0] else Status.UNDETERMINED
+    return Status(_modulus_statuses(tracked)[0])
 
 
 def component_witnesses(red_cert, period: int, center: complex) -> tuple[int, Status, Status]:
@@ -769,8 +760,9 @@ class _Claim:
 class BoundaryDisjointClaim(_Claim):
     """Scan claim: f_c^n(dU) disjoint from dU (the cyan/green/blue test).
 
-    A box's seed is what its parent's boundary walk left open: its inside
-    and outside flags and its open blocks.  The root starts from the four
+    A level's seeds are the _Walked of its boundary walks: each row's
+    inside and outside flags and open blocks, which the scan hands to the
+    children as the rows of their parents.  The root starts from the four
     edges of dU.  Each box's status is the one of a walk from the edges
     (see boundary_disjoint_level), and its effort counts the segments
     that its own level evaluated."""
@@ -794,7 +786,7 @@ class FixedPointCountClaim(_Claim):
     The contours of a level are one _contour_walk
     (_fixed_point_contours), which gives each box the enclosure of
     count_fixed_points; a box whose contour fails is UNDETERMINED with no
-    effort.  Pre-split scans of it (min_depth) decide small boxes quickly,
+    effort.  It seeds nothing.  Pre-split scans of it (min_depth) decide small boxes quickly,
     where the root's contour would crawl.
     """
 
@@ -809,24 +801,24 @@ class FixedPointCountClaim(_Claim):
         return f"fixed-point-count-f{self.n}"
 
     def evaluate_level(self, boxes, seeds):
-        encs = _fixed_point_contours(boxes, self.region, self.n, self.tol, self.contour_depth)
-        return ([ClaimResult(Status.UNDETERMINED) if enc is None else
-                 ClaimResult(Status.TRUE if decide_count(enc) == self.expect
-                             else Status.UNDETERMINED, enc.segments)
-                 for enc in encs], [None] * len(boxes))
+        value, failed, segments = _fixed_point_contours(boxes, self.region, self.n, self.tol,
+                                                        self.contour_depth)
+        status = np.where(~failed & (_counts(value) == self.expect), "T", "U")
+        return status, np.where(failed, 0, segments), None
 
 
-def _initial_seed(rect: ComplexBox, orbit: list[complex]) -> list[complex]:
-    """The orbit refined at the rect's midpoint: the seed of a tracked scan."""
+def _initial_seed(rect: ComplexBox, orbit: list[complex]) -> np.ndarray:
+    """The orbit refined at the rect's midpoint: the (1, p) root seed of a
+    tracked scan."""
     orbits, _ = _refine_orbit(np.array([rect.midpoint()]), np.array([orbit], dtype=complex))
-    return orbits[0].tolist()
+    return orbits
 
 
 @dataclass
 class ParabolicExclusionClaim(_Claim):
     """Scan claim: tracked period-p cycle avoids multiplier one (red = U).
-    A level is one tracked_cycle_level call, with absence.  The root is
-    seeded by the critical orbit of the period-p center that Newton finds
+    A level is one tracked_cycle_level call, with absence, and its seeds
+    are the (B, p) refined orbits.  The root is seeded by the critical orbit of the period-p center that Newton finds
     from the rect's midpoint, so the certificate's rect and period fix the
     seed; the center need not lie in the rect."""
 
@@ -844,15 +836,14 @@ class ParabolicExclusionClaim(_Claim):
 
     def evaluate_level(self, boxes, seeds):
         tracked = tracked_cycle_level(boxes, self.period, seeds)
-        return ([ClaimResult(status, effort)
-                 for status, (_, _, _, effort) in zip(_excluded_statuses(tracked), tracked)],
-                [refined for _, _, refined, _ in tracked])
+        return _excluded_statuses(tracked), tracked.effort, tracked.orbits
 
 
 @dataclass
 class MultiplierNonRealClaim(_Claim):
     """Scan claim: multiplier of the f^6 fixed point is non-real (yellow = U).
-    A level is one tracked_cycle_level call of period 6, without absence."""
+    A level is one tracked_cycle_level call of period 6, without absence,
+    and its seeds are the (B, 6) refined orbits."""
 
     region: ComplexBox | None = None
     guess: complex = 0.04 + 0.04j
@@ -864,9 +855,7 @@ class MultiplierNonRealClaim(_Claim):
 
     def evaluate_level(self, boxes, seeds):
         tracked = tracked_cycle_level(boxes, 6, seeds, absence=False)
-        return ([ClaimResult(status, effort)
-                 for status, (_, _, _, effort) in zip(_nonreal_statuses(tracked, self.region), tracked)],
-                [refined for _, _, refined, _ in tracked])
+        return _nonreal_statuses(tracked, self.region), tracked.effort, tracked.orbits
 
 
 # ---------------------------------------------------------------------------
@@ -878,8 +867,7 @@ class MultiplierNonRealClaim(_Claim):
 # up to _SEED_MAX_PERIOD within _SEED_TOL of the point _SEED_STEPS steps out
 _SEED_STEPS, _SEED_MAX_PERIOD, _SEED_TOL = 4096, 64, 1e-6
 # why an anchor proof fails, by the status of its cycle's squared modulus
-_MODULUS_FAILURES = {None: "uncertified", Status.FALSE: "repelling",
-                     Status.UNDETERMINED: "modulus-straddles-1"}
+_MODULUS_FAILURES = {None: "uncertified", "F": "repelling", "U": "modulus-straddles-1"}
 
 
 def _critical_seed(c: complex) -> list[complex] | None:
@@ -905,11 +893,11 @@ def _anchor_cycle(point: ComplexBox, u: ComplexBox, n: int, seed) -> dict[str, s
     the float seed of a cycle: anchor_proof, and with a proof the cycle's
     entries (see _anchor_proof)."""
     p = len(seed)
-    tracked = tracked_cycle_level([point], p, [seed], absence=False)
-    [(cycle, _, _, _)], [modulus] = tracked, _modulus_statuses(tracked)
-    if modulus is not Status.TRUE:
+    tracked = tracked_cycle_level(BoxArray.of([point]), p, [seed], absence=False)
+    modulus = _modulus_statuses(tracked)[0] if len(tracked.cycle) else None
+    if modulus != "T":
         return {"anchor_proof": _MODULUS_FAILURES[modulus]}
-    lo, hi = cycle
+    [lo], [hi] = tracked.lo, tracked.hi
     inside = _inside(u, (lo[0::2], hi[0::2]), (lo[1::2], hi[1::2]))
     residue = next((r for r in range(n) if inside[r::n].all()), None)
     if residue is None:
@@ -941,7 +929,7 @@ def _anchor_proof(c: complex, u: ComplexBox, n: int, segment_depth: int) -> dict
     point = ComplexBox.point(c)
     cs = BoxArray.of([point])
     entries = {"anchor_preimage_count": str(preimage_count(point, 0j, u, n))}
-    _, walked = _walk_level([point], u, n, segment_depth, [None])
+    _, walked = _walk_level(cs, u, n, segment_depth, None)
     z = BoxArray.of([ComplexBox.point(0j)])
     for _ in range(n):
         z = z.sqr().conj() + cs
@@ -1011,17 +999,12 @@ def qlike_certificate(
     cert = adaptive_scan(param_rect, claim, max_depth, min_width)
     cert.config["anchor"] = f"{anchor.real!r},{anchor.imag!r}"
     cert.config.update(_anchor_proof(anchor, u, n, segment_depth))
-    anchored = set()
+    anchored = np.zeros(len(cert.status), dtype=bool)
     if cert.config["anchor_proof"] == "proven":
+        holds = cert.boxes.contains(anchor)
         for part in component_rollup(cert):
-            if any(cert.leaves[i].box.contains(anchor) for i in part):
-                anchored.update(part)
-    cert.leaves = [
-        type(leaf)(leaf.depth, leaf.box, Status.UNDETERMINED, leaf.effort)
-        if leaf.status is Status.TRUE and i not in anchored
-        else leaf
-        for i, leaf in enumerate(cert.leaves)
-    ]
+            anchored[part] = holds[part].any()
+    cert.status = np.where((cert.status == "T") & ~anchored, "U", cert.status)
     return cert
 
 
@@ -1042,8 +1025,7 @@ def disjointness_certificate(
     yellow_cert, red_cert = (
         adaptive_scan(param_rect, claim, max_depth, min_width)
         for claim in (MultiplierNonRealClaim(x_region), ParabolicExclusionClaim(period)))
-    yellow, red = (BoxArray.of([leaf.box for leaf in cert.leaves if leaf.status is not Status.TRUE])
-                   for cert in (yellow_cert, red_cert))
+    yellow, red = (cert.boxes[cert.status != "T"] for cert in (yellow_cert, red_cert))
     # every yellow box against every red box: closed boxes meet when both
     # coordinate intervals do (ComplexBox.intersects)
     meet = np.ones((len(yellow), len(red)), dtype=bool)

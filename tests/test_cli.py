@@ -1,13 +1,19 @@
 """Exit codes, argument parsing, and config composition of the CLI."""
 
 import hashlib
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
-from tricert.cli import _COMMANDS, _SCAN_CLAIMS, main
-from tricert.scan import parse
+from tricert import cli
+from tricert.cli import _COMMANDS, _SCAN_CLAIMS, PAPER_R, main
+from tricert.intervals import BoxArray, ComplexBox
+from tricert.scan import Leaf, parse
 from tricert.verify import Status
 
 
@@ -593,3 +599,43 @@ def test_header_echoes_the_claim_parameters(tmp_path, monkeypatch, case):
                      and not line.startswith(("#config.anchor_cycle=",
                                               "#config.anchor_modulus=")))
     assert header == expected
+
+
+def test_scans_build_no_per_box_objects(tmp_path, monkeypatch):
+    # these commands, their scans and the serialize and rasterize_scan of
+    # their certificates included, run on endpoint arrays: no
+    # ComplexBox.quarter, BoxArray.of or Leaf construction happens in them
+    calls = []
+
+    def spy(name, fn):
+        def spied(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return spied
+
+    monkeypatch.setattr(ComplexBox, "quarter", spy("quarter", ComplexBox.quarter))
+    monkeypatch.setattr(BoxArray, "of", staticmethod(spy("of", BoxArray.of)))
+    monkeypatch.setattr(Leaf, "__init__", spy("Leaf", Leaf.__init__))
+    out, image = tmp_path / "C", tmp_path / "C.ppm"
+    for argv in (["scan", "--claim", "qlike", "--rect=-1.8025,-1.6745,-0.0482,0.0798",
+                  "--max-depth", "5", "--segment-depth", "8"],
+                 ["verify-count"], ["verify-disjoint", "--max-depth", "4"]):
+        assert _run([*argv, "-o", str(out), "--image", str(image)]) in (0, 1)
+    assert calls == []
+    # the spies see each of these calls
+    parse(out.read_bytes()).leaves
+    PAPER_R.quarter()
+    BoxArray.of([PAPER_R])
+    assert set(calls) == {"quarter", "of", "Leaf"}
+
+
+def test_cli_import_loads_no_unused_heavy_modules():
+    # an unused import of hashlib alone (OpenSSL, about 3.4 MB) raises the
+    # peak RSS of a scan by more than the benchmark allows
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = ("import sys, tricert.cli; "
+            "print(sorted({'hashlib', 'ssl', 'mpmath', 'hypothesis'} & sys.modules.keys()))")
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert run.stdout.strip() == "[]"

@@ -244,7 +244,7 @@ class TestKrawczyk:
 
     def test_guess_length_checked(self):
         with pytest.raises(ValueError, match="orbit guess length must equal the period"):
-            tracked_cycle_level([_pt(0j)], 2, [[0j]])
+            tracked_cycle_level(BoxArray.of([_pt(0j)]), 2, [[0j]])
         with pytest.raises(ValueError):
             krawczyk_absence(_pt(0j), 2, [0j], 1e-6)
 
@@ -1027,11 +1027,15 @@ def _scalar_nonreal(region):
 
 class _PerBox:
     """Base of the oracle claims, which evaluate one box at a time:
-    evaluate_level maps evaluate(box, seed) -> (result, seed) over a level."""
+    evaluate_level maps evaluate(box, seed orbit) -> (result, refined
+    orbit) over the rows of a level, to arrays of status letters and
+    efforts and the (B, p) array of refined orbits."""
 
     def evaluate_level(self, boxes, seeds):
-        pairs = [self.evaluate(box, seed) for box, seed in zip(boxes, seeds)]
-        return [result for result, _ in pairs], [seed for _, seed in pairs]
+        pairs = [self.evaluate(box, seed.tolist()) for box, seed in zip(boxes.boxes(), seeds)]
+        return (np.array([result.status.value for result, _ in pairs], dtype="<U1"),
+                np.array([result.effort for result, _ in pairs], dtype=np.int64),
+                np.array([refined for _, refined in pairs], dtype=complex))
 
 
 class _ScalarTrackedClaim(_PerBox):
@@ -1046,7 +1050,7 @@ class _ScalarTrackedClaim(_PerBox):
 
     def initial_seed(self, rect):
         guess = self.orbit_at(rect.midpoint())
-        return _scalar_refine_orbit(rect.midpoint(), self.period, guess)[0]
+        return np.array([_scalar_refine_orbit(rect.midpoint(), self.period, guess)[0]])
 
     def evaluate(self, box, seed):
         boxes, absent, refined, effort = _scalar_tracked_cycle(box, self.period, seed, self.absence)
@@ -1101,7 +1105,7 @@ def _oracle_scans():
 
 def _assert_scans_match_oracle():
     for (rect, claim, _), (seed, data, leaves) in zip(_tracked_claims(), _oracle_scans()):
-        assert claim.initial_seed(rect) == seed
+        assert claim.initial_seed(rect).tolist() == seed.tolist()
         batch = adaptive_scan(rect, claim, 3)
         assert (serialize(batch), _leaves(batch)) == (data, leaves)
         assert {leaf.status for leaf in batch.leaves} == {Status.TRUE, Status.UNDETERMINED}

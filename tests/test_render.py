@@ -104,12 +104,14 @@ class TestEscape:
 
 
 class _PerBox:
-    """Base of the synthetic claims, which evaluate one box at a time:
-    evaluate_level maps evaluate(box, seed) -> (result, seed) over a level."""
+    """Base of the synthetic claims, which evaluate one box at a time and
+    seed nothing: evaluate_level maps evaluate(box, None) -> (result, None)
+    over the rows of a level, to arrays of status letters and efforts."""
 
     def evaluate_level(self, boxes, seeds):
-        pairs = [self.evaluate(box, seed) for box, seed in zip(boxes, seeds)]
-        return [result for result, _ in pairs], [seed for _, seed in pairs]
+        results = [self.evaluate(box, None)[0] for box in boxes.boxes()]
+        return (np.array([r.status.value for r in results], dtype="<U1"),
+                np.array([r.effort for r in results], dtype=np.int64), None)
 
 
 class _QuadrantClaim(_PerBox):
@@ -136,7 +138,7 @@ class TestRasterize:
 
     def test_uniform_tree(self):
         leaf = Leaf(0, self.UNIT, Status.TRUE)
-        tree = ParamCertificate("synthetic", self.UNIT, {}, [leaf])
+        tree = ParamCertificate.of("synthetic", self.UNIT, {}, [leaf])
         img = rasterize_scan(tree, PALETTE, 8, 8)
         cyan = PALETTE[Status.TRUE]
         for y in range(8):
@@ -161,9 +163,10 @@ def _scalar_rasterize_scan(cert, palette, width, height):
     xs = _axis_centers(cert.root.re.lo, cert.root.re.hi, width, flip=False)
     ys = _axis_centers(cert.root.im.lo, cert.root.im.hi, height, flip=True)
     rgb = np.zeros((height, width, 3), dtype=np.uint8)
-    order = sorted(range(len(cert.leaves)), key=lambda i: (cert.leaves[i].depth, -i))
+    leaves = cert.leaves
+    order = sorted(range(len(leaves)), key=lambda i: (leaves[i].depth, -i))
     for i in order:
-        leaf = cert.leaves[i]
+        leaf = leaves[i]
         cols = np.nonzero((xs >= leaf.box.re.lo) & (xs <= leaf.box.re.hi))[0]
         rows = np.nonzero((ys >= leaf.box.im.lo) & (ys <= leaf.box.im.hi))[0]
         if cols.size and rows.size:
@@ -204,7 +207,7 @@ def _certificates(draw):
     grow(root, 0)
     if draw(st.booleans()):
         leaves = draw(st.permutations(leaves))
-    return ParamCertificate("synthetic", root, {}, leaves), width, height
+    return ParamCertificate.of("synthetic", root, {}, leaves), width, height
 
 
 def _quadrants(box, depth, statuses):
@@ -215,10 +218,10 @@ _T, _F, _U = Status.TRUE, Status.FALSE, Status.UNDETERMINED
 _UNIT = TestRasterize.UNIT
 # the center of a 1x1 image is the corner of all four quadrants, and odd
 # sizes put centers on the midlines
-_TIES = ParamCertificate("synthetic", _UNIT, {}, _quadrants(_UNIT, 1, (_T, _F, _U, _F)))
+_TIES = ParamCertificate.of("synthetic", _UNIT, {}, _quadrants(_UNIT, 1, (_T, _F, _U, _F)))
 # the SW quadrant split again: only its NE leaf holds the 1x1 center, which
 # it shares with the three shallower quadrants
-_DEEP_CORNER = ParamCertificate(
+_DEEP_CORNER = ParamCertificate.of(
     "synthetic", _UNIT, {},
     _quadrants(_UNIT.quarter()[0], 2, (_U, _T, _F, _T)) + _quadrants(_UNIT, 1, (_U, _F, _U, _F))[1:])
 

@@ -4,29 +4,49 @@ import itertools
 import struct
 from collections import Counter
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tricert.intervals import ComplexBox, Interval
+from tricert.cli import PAPER_U
+from tricert.intervals import BoxArray, ComplexBox, Interval
 from tricert.scan import (
     Leaf,
     ParamCertificate,
+    _hex,
     adaptive_scan,
     component_rollup,
     parse,
     serialize,
 )
-from tricert.verify import ClaimResult, Status
+from tricert.verify import BoundaryDisjointClaim, ClaimResult, Status
 
 UNIT = ComplexBox(Interval(0.0, 1.0), Interval(0.0, 1.0))
 
 
+def _objects(values) -> np.ndarray:
+    """The values as a 1-D object array, which the scan indexes by rows."""
+    out = np.empty(len(values), dtype=object)
+    for i, value in enumerate(values):
+        out[i] = value
+    return out
+
+
 class _PerBox:
     """Base of the synthetic claims, which evaluate one box at a time:
-    evaluate_level maps evaluate(box, seed) -> (result, seed) over a level."""
+    evaluate_level maps evaluate(box, seed) -> (result, seed) over the rows
+    of a level, to arrays of status letters and efforts and an object
+    array of seeds."""
+
+    def initial_seed(self, rect):
+        return _objects([self.root_seed])
 
     def evaluate_level(self, boxes, seeds):
-        pairs = [self.evaluate(box, seed) for box, seed in zip(boxes, seeds)]
-        return [result for result, _ in pairs], [seed for _, seed in pairs]
+        pairs = [self.evaluate(box, seed) for box, seed in zip(boxes.boxes(), seeds)]
+        return (np.array([result.status.value for result, _ in pairs], dtype="<U1"),
+                np.array([result.effort for result, _ in pairs], dtype=np.int64),
+                _objects([seed for _, seed in pairs]))
 
 
 class _GridClaim(_PerBox):
@@ -39,11 +59,10 @@ class _GridClaim(_PerBox):
         self.name = "synthetic-grid"
         self.calls = 0
 
+    root_seed = None
+
     def config(self):
         return {"target_depth": str(self.target_depth)}
-
-    def initial_seed(self, rect):
-        return None
 
     def evaluate(self, box, seed):
         self.calls += 1
@@ -81,7 +100,7 @@ def _depth_first_scan(rect, claim, max_depth, min_width=0.0, min_depth=0):
     """The depth-first walk that preceded the level-synchronous one in
     tricert.scan, kept as the oracle of its leaves and their order."""
     leaves = []
-    stack = [(0, rect, claim.initial_seed(rect))]
+    stack = [(0, rect, claim.initial_seed(rect)[0])]
     while stack:
         depth, box, seed = stack.pop()
         result = None
@@ -107,6 +126,7 @@ class _SeedClaim(_PerBox):
     box midpoint, Undetermined on about a third of the boxes."""
 
     name = "synthetic-seed"
+    root_seed = "root"
 
     def __init__(self):
         self.received = []
@@ -114,14 +134,100 @@ class _SeedClaim(_PerBox):
     def config(self):
         return {}
 
-    def initial_seed(self, rect):
-        return "root"
-
     def evaluate(self, box, seed):
         self.received.append((box, seed))
         m = box.midpoint()
         k = int(m.real * 1009 + m.imag * 2003)
         return ClaimResult(list(Status)[k % 3], k % 17), box
+
+
+def _per_box_scan(rect, claim, max_depth, min_width=0.0, min_depth=0):
+    """The level-synchronous scan on per-box objects that preceded the
+    array scan in tricert.scan, kept verbatim (but for building the
+    certificate from its Leaf list) as the bitwise oracle of its leaves
+    and their order.  Its claims evaluate lists of boxes and seeds to
+    ClaimResults (see _PerBoxProtocol)."""
+    if max_depth < 0:
+        raise ValueError("max_depth must be >= 0")
+    if not 0 <= min_depth <= max_depth:
+        raise ValueError("min_depth must lie in [0, max_depth]")
+    leaves: list[tuple[tuple[int, ...], Leaf]] = []
+    frontier = [((), rect, claim.initial_seed(rect))]
+    depth = 0
+    while frontier:
+        paths, boxes, seeds = (list(column) for column in zip(*frontier))
+        results = [None] * len(boxes)
+        if depth >= min_depth:
+            results, seeds = claim.evaluate_level(boxes, seeds)
+        frontier = []
+        for path, box, result, seed in zip(paths, boxes, results, seeds):
+            if result is None or (
+                result.status is Status.UNDETERMINED
+                and depth < max_depth
+                and box.width() > min_width
+            ):
+                frontier += [(path + (k,), child, seed)
+                             for k, child in enumerate(box.quarter())]
+            else:
+                leaves.append((path, Leaf(depth, box, result.status, result.effort)))
+        depth += 1
+    leaves.sort(key=lambda item: item[0])
+
+    config = {
+        "max_depth": str(max_depth),
+        "min_depth": str(min_depth),
+        "min_width": repr(min_width),
+    }
+    config.update(claim.config())
+    return ParamCertificate.of(claim.name, rect, config, [leaf for _, leaf in leaves])
+
+
+def _per_box_serialize(cert: ParamCertificate) -> bytes:
+    """The serialize that wrote one leaf line per Leaf object, kept verbatim
+    as the bitwise oracle of the array serialize."""
+    lines = [
+        f"#claim={cert.claim}",
+        "#rect=" + " ".join(
+            _hex(v)
+            for v in (cert.root.re.lo, cert.root.re.hi, cert.root.im.lo, cert.root.im.hi)
+        ),
+        f"#tool={cert.tool}",
+    ]
+    for key in sorted(cert.config):
+        lines.append(f"#config.{key}={cert.config[key]}")
+    lines.append(f"#leaves={len(cert.leaves)}")
+    for index, leaf in enumerate(cert.leaves):
+        b = leaf.box
+        lines.append(
+            f"{leaf.depth} {index} {leaf.status.value} "
+            f"{_hex(b.re.lo)} {_hex(b.re.hi)} {_hex(b.im.lo)} {_hex(b.im.hi)}"
+        )
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+class _PerBoxProtocol:
+    """A claim of the array protocol seen through the per-box protocol of
+    _per_box_scan: a level is a list of boxes and one of seeds, its results
+    are ClaimResults, and a box's seed is the pair (seeds of a level, row).
+    Every box of a level holds a row of the same seeds: the root's above
+    the first evaluated level, its parent level's below."""
+
+    def __init__(self, claim):
+        self.claim, self.name = claim, claim.name
+
+    def config(self):
+        return self.claim.config()
+
+    def initial_seed(self, rect):
+        return self.claim.initial_seed(rect), 0
+
+    def evaluate_level(self, boxes, seeds):
+        [level] = {id(level): level for level, _ in seeds}.values()
+        rows = np.array([row for _, row in seeds], dtype=np.int64)
+        status, effort, children = self.claim.evaluate_level(
+            BoxArray.of(boxes), None if level is None else level[rows])
+        return ([ClaimResult(Status(s), e) for s, e in zip(status.tolist(), effort.tolist())],
+                [(children, row) for row in range(len(boxes))])
 
 
 def _scan_settings():
@@ -155,6 +261,93 @@ class TestScanOrderOracle:
                 assert box.width() == top
             else:
                 assert box in seed.quarter()
+
+
+# rects of any size on both sides of the origin, and about the qlike-wide
+# rect, where the boundary walks give all three statuses
+_RECTS = st.builds(lambda x, y, w, h: ComplexBox(Interval(x, x + w), Interval(y, y + h)),
+                   st.floats(-2.0, 1.0), st.floats(-1.0, 1.0),
+                   st.floats(1e-9, 2.0), st.floats(1e-9, 2.0))
+_QLIKE_RECTS = st.builds(lambda x, y, w, h: ComplexBox(Interval(x, x + w), Interval(y, y + h)),
+                         st.floats(-1.85, -1.65), st.floats(-0.1, 0.1),
+                         st.floats(1e-4, 0.15), st.floats(1e-4, 0.15))
+
+
+@st.composite
+def _scan_args(draw, rects):
+    """A rect with max_depth, min_width (none, or a fraction of the rect's
+    width) and min_depth."""
+    rect = draw(rects)
+    max_depth = draw(st.integers(0, 5))
+    min_width = draw(st.sampled_from((0.0, 0.3, 0.1, 0.02))) * rect.width()
+    return rect, max_depth, min_width, draw(st.integers(0, max_depth))
+
+
+def _hashed(z):
+    return list(Status)[int(abs(z.real) * 1009 + abs(z.imag) * 2003) % 3]
+
+
+@pytest.mark.parametrize("make, rects", [
+    (lambda: _GridClaim(3, _hashed), _RECTS),
+    (_SeedClaim, _RECTS),
+    (lambda: BoundaryDisjointClaim(PAPER_U, 3, 6), _QLIKE_RECTS),
+], ids=["grid", "seed", "qlike"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_array_scan_matches_per_box_scan(make, rects, data):
+    # leaves, leaf order and certificate bytes are those of the per-box scan
+    rect, max_depth, min_width, min_depth = data.draw(_scan_args(rects))
+    cert = adaptive_scan(rect, make(), max_depth, min_width, min_depth)
+    oracle = _per_box_scan(rect, _PerBoxProtocol(make()), max_depth, min_width, min_depth)
+    assert cert.leaves == oracle.leaves
+    assert serialize(cert) == _per_box_serialize(oracle)
+
+
+class _PointClaim:
+    """Synthetic claim of the array protocol: Undetermined on the boxes that
+    hold the point, elsewhere TRUE left of re = 1/2 and FALSE right of it."""
+
+    name = "synthetic-point"
+
+    def __init__(self, point):
+        self.point = point
+
+    def config(self):
+        return {}
+
+    def initial_seed(self, rect):
+        return None
+
+    def evaluate_level(self, boxes, seeds):
+        status = np.where(boxes.contains(self.point), "U", np.where(boxes.re[0] < 0.5, "T", "F"))
+        return status, np.arange(len(boxes), dtype=np.int64), None
+
+
+def _unit_path(box: ComplexBox, depth: int) -> tuple[int, ...]:
+    """The quadtree path in UNIT of a box at the depth, read off the bits of
+    its lower-left corner: quadrant 1 is east, 2 north."""
+    i, j = int(box.re.lo * 2 ** depth), int(box.im.lo * 2 ** depth)
+    return tuple(((i >> k) & 1) + 2 * ((j >> k) & 1) for k in reversed(range(depth)))
+
+
+@pytest.mark.parametrize("point", [0j, 1 + 0j, 1j, 1 + 1j, complex(1 / 3, 2 / 3)])
+def test_deep_scan_keeps_path_order(point):
+    # 40 levels along the path of one point (a corner, or one with mixed
+    # quadrants): deeper than a path key of 2 bits a level packed in an
+    # int64 could go
+    cert = adaptive_scan(UNIT, _PointClaim(point), 40)
+    leaves = cert.leaves
+    assert (len(leaves), max(leaf.depth for leaf in leaves)) == (121, 40)
+    paths = [_unit_path(leaf.box, leaf.depth) for leaf in leaves]
+    assert paths == sorted(paths) and len(set(paths)) == len(paths)
+    oracle = _per_box_scan(UNIT, _PerBoxProtocol(_PointClaim(point)), 40)
+    assert leaves == oracle.leaves
+    data = serialize(cert)
+    assert data == _per_box_serialize(oracle)
+    back = parse(data)
+    assert serialize(back) == data
+    assert ([(leaf.depth, leaf.box, leaf.status) for leaf in back.leaves]
+            == [(leaf.depth, leaf.box, leaf.status) for leaf in leaves])
 
 
 class TestAdaptiveScan:
@@ -224,7 +417,7 @@ class TestComponentRollup:
         left = Leaf(2, ComplexBox(Interval(0.0, 0.25), Interval(0.0, 0.25)), Status.TRUE)
         right = Leaf(1, ComplexBox(Interval(0.25, 0.5), Interval(0.0, 0.5)), Status.TRUE)
         far = Leaf(1, ComplexBox(Interval(0.5, 1.0), Interval(0.75, 1.0)), Status.TRUE)
-        tree = ParamCertificate("synthetic", UNIT, {}, [left, right, far])
+        tree = ParamCertificate.of("synthetic", UNIT, {}, [left, right, far])
         assert len(component_rollup(tree, Status.TRUE)) == 2
 
 

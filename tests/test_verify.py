@@ -55,9 +55,14 @@ def _orbit_boxes(lo, hi) -> list[ComplexBox]:
     return BoxArray((lo[0::2], hi[0::2]), (lo[1::2], hi[1::2])).boxes()
 
 
+def _results(status, effort, *_) -> list[ClaimResult]:
+    """The status and effort arrays of a level's evaluation as ClaimResults."""
+    return [ClaimResult(Status(s), e) for s, e in zip(status.tolist(), effort.tolist())]
+
+
 def _nonreal(c: ComplexBox, orbit, region: ComplexBox | None = None) -> ClaimResult:
     """MultiplierNonRealClaim's result for one box, seeded with the orbit."""
-    [result], _ = MultiplierNonRealClaim(region).evaluate_level([c], [orbit])
+    [result] = _results(*MultiplierNonRealClaim(region).evaluate_level(BoxArray.of([c]), [orbit]))
     return result
 
 
@@ -175,7 +180,7 @@ class _BothContours:
 
     def __call__(self, fn, cs, region, tol, depth):
         new = _WALK(fn, cs, region, tol, depth)
-        for c, enc in zip(cs.boxes(), new):
+        for c, enc in zip(cs.boxes(), verify._enclosures(*new)):
             old = _scalar_hex(lambda z: fn(c, z), region, tol, depth)
             self.results.append((_enc_hex(enc), old))
         return new
@@ -277,15 +282,14 @@ def test_count_level_matches_scalar_oracle_box_by_box():
     both = _BothContours()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(verify, "_contour_walk", both)
-        results, seeds = claim.evaluate_level(boxes, [None] * len(boxes))
+        status, effort, seeds = claim.evaluate_level(BoxArray.of(boxes), None)
     new, old = zip(*both.results)
     assert [enc is None for enc in new] == [False, True, False, True, False]
     assert new[:3] + new[4:] == old[:3] + old[4:]
     assert old[3] is EmptyIntervalError  # the scalar f^6 raises where the walk fails
-    assert [r.status for r in results] == [Status.TRUE, Status.UNDETERMINED, Status.TRUE,
-                                           Status.UNDETERMINED, Status.TRUE]
-    assert [r.effort for r in results] == [0 if enc is None else enc[1] for enc in new]
-    assert seeds == [None] * len(boxes)
+    assert status.tolist() == ["T", "U", "T", "U", "T"]
+    assert effort.tolist() == [0 if enc is None else enc[1] for enc in new]
+    assert seeds is None
 
 
 def test_count_level_does_not_depend_on_the_batch():
@@ -293,7 +297,7 @@ def test_count_level_does_not_depend_on_the_batch():
     # walk whose batches hold at most 64 rows: the same results
     claim = FixedPointCountClaim(PAPER_X_REGION, 6)
     boxes = list(PAPER_R.quarter())
-    alone = [claim.evaluate_level([box], [None])[0][0] for box in boxes]
+    alone = [_results(*claim.evaluate_level(BoxArray.of([box]), None))[0] for box in boxes]
     rows = []
 
     def spy(c, z, n):
@@ -302,12 +306,12 @@ def test_count_level_does_not_depend_on_the_batch():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(verify, "even_iterate", spy)
-        level, _ = claim.evaluate_level(boxes, [None] * 4)
+        level = _results(*claim.evaluate_level(BoxArray.of(boxes), None))
         # the deepest segment level holds 12,626 rows, so batches fill the cap
         assert (sum(rows), max(rows)) == (26470, verify._ROW_CAP)
         rows.clear()
         mp.setattr(verify, "_ROW_CAP", 64)
-        capped, _ = claim.evaluate_level(boxes, [None] * 4)
+        capped = _results(*claim.evaluate_level(BoxArray.of(boxes), None))
     assert level == alone == capped
     assert [r.status for r in level] == [Status.TRUE] * 4
     assert (sum(rows), max(rows)) == (26470, 64)
@@ -320,10 +324,10 @@ def test_count_level_live_rows_are_bounded(monkeypatch):
     boxes = list(PAPER_R.quarter())
     bound = 64 * (claim.contour_depth + 2)
     monkeypatch.setattr(verify, "_ROW_CAP", 64)
-    (capped, _), peak = _live_rows(lambda: claim.evaluate_level(boxes, [None] * 4))
+    capped, peak = _live_rows(lambda: _results(*claim.evaluate_level(BoxArray.of(boxes), None)))
     assert peak <= bound
     monkeypatch.setattr(verify, "_ROW_CAP", 1 << 20)
-    (uncapped, _), wide_peak = _live_rows(lambda: claim.evaluate_level(boxes, [None] * 4))
+    uncapped, wide_peak = _live_rows(lambda: _results(*claim.evaluate_level(BoxArray.of(boxes), None)))
     assert capped == uncapped
     assert wide_peak > bound
 
@@ -373,6 +377,13 @@ def _scalar_boundary_disjoint(c: ComplexBox, u: ComplexBox, n: int, max_depth: i
     if saw_undet:
         return ClaimResult(Status.UNDETERMINED, effort)
     return ClaimResult(Status.TRUE, effort)
+
+
+def _qlike_level(boxes, u, n, depth, seeds=None):
+    """boundary_disjoint_level on a list of boxes: its results as
+    ClaimResults, and the _Walked that children resume from."""
+    status, effort, walked = boundary_disjoint_level(BoxArray.of(boxes), u, n, depth, seeds)
+    return _results(status, effort), walked
 
 
 QLIKE_WIDE = _parse_rect("-1.8025,-1.6745,-0.0482,0.0798")
@@ -445,7 +456,7 @@ class TestBoundaryDisjoint:
         with pytest.raises(EmptyIntervalError):
             _scalar_boundary_disjoint(far, U_RECT, 3, 2)
         near = ComplexBox.around(R_RECT.midpoint(), 1e-6)
-        results, _ = boundary_disjoint_level([far, near, far], U_RECT, 3, 2)
+        results, _ = _qlike_level([far, near, far], U_RECT, 3, 2)
         assert results[0] == results[2] == ClaimResult(Status.UNDETERMINED, 4)
         assert results[1] == _scalar_boundary_disjoint(near, U_RECT, 3, 2)
 
@@ -455,13 +466,13 @@ class TestBoundaryDisjoint:
     @example([TOUCHING_C, ComplexBox.point(0j)], QUARTER_U, 1, 8)
     def test_batch_matches_scalar_oracle(self, boxes, u, n, depth):
         oracle = [_scalar_boundary_disjoint(c, u, n, depth) for c in boxes]
-        assert boundary_disjoint_level(boxes, u, n, depth)[0] == oracle
+        assert _qlike_level(boxes, u, n, depth)[0] == oracle
 
     def test_mixed_frontier_matches_scalar_oracle(self):
         # one level of the qlike-wide scan: TRUE, FALSE and Undetermined
         # owners share the batches
         boxes = _grid(QLIKE_WIDE, 3)
-        results, _ = boundary_disjoint_level(boxes, PAPER_U, 3, 8)
+        results, _ = _qlike_level(boxes, PAPER_U, 3, 8)
         assert {r.status for r in results} == set(Status)
         assert results == [_scalar_boundary_disjoint(c, PAPER_U, 3, 8) for c in boxes]
 
@@ -469,7 +480,7 @@ class TestBoundaryDisjoint:
         # 8 rows per batch: each walk starts from the edges of two boxes,
         # and the halves of at most 4 parents make one batch
         boxes = _grid(QLIKE_WIDE, 2)
-        wide, wide_seeds = boundary_disjoint_level(boxes, PAPER_U, 3, 6)
+        wide, wide_seeds = _qlike_level(boxes, PAPER_U, 3, 6)
         monkeypatch.setattr(verify, "_ROW_CAP", 8)
         walks, walk, level = [], verify._walk.__code__, verify._walk_level.__code__
 
@@ -479,7 +490,7 @@ class TestBoundaryDisjoint:
 
         sys.settrace(top_walks)
         try:
-            results, seeds = boundary_disjoint_level(boxes, PAPER_U, 3, 6)
+            results, seeds = _qlike_level(boxes, PAPER_U, 3, 6)
         finally:
             sys.settrace(None)
         assert results == wide
@@ -487,8 +498,8 @@ class TestBoundaryDisjoint:
         assert wide == [_scalar_boundary_disjoint(c, PAPER_U, 3, 6) for c in boxes]
         children, child_seeds = _children(boxes, results, seeds)
         _, wide_child_seeds = _children(boxes, wide, wide_seeds)
-        resumed, _ = boundary_disjoint_level(children, PAPER_U, 3, 6, child_seeds)
-        wide_resumed, _ = boundary_disjoint_level(children, PAPER_U, 3, 6, wide_child_seeds)
+        resumed, _ = _qlike_level(children, PAPER_U, 3, 6, child_seeds)
+        wide_resumed, _ = _qlike_level(children, PAPER_U, 3, 6, wide_child_seeds)
         assert [r.status for r in resumed] == [r.status for r in wide_resumed]
 
     def test_live_rows_are_bounded(self, monkeypatch):
@@ -498,17 +509,17 @@ class TestBoundaryDisjoint:
         # count depends on how the rows are batched
         boxes = _grid(QLIKE_WIDE, 3)
         monkeypatch.setattr(verify, "_ROW_CAP", 64)
-        (capped, seeds), peak = _live_rows(lambda: boundary_disjoint_level(boxes, PAPER_U, 3, 6))
+        (capped, seeds), peak = _live_rows(lambda: _qlike_level(boxes, PAPER_U, 3, 6))
         assert peak <= 64 * (6 + 2)
         children, child_seeds = _children(boxes, capped, seeds)
         resumed, resumed_peak = _live_rows(
-            lambda: boundary_disjoint_level(children, PAPER_U, 3, 6, child_seeds)[0])
+            lambda: _qlike_level(children, PAPER_U, 3, 6, child_seeds)[0])
         assert resumed_peak <= 64 * (6 + 2)
         monkeypatch.setattr(verify, "_ROW_CAP", 1 << 20)
         (uncapped, _), wide_peak = _live_rows(
-            lambda: boundary_disjoint_level(boxes, PAPER_U, 3, 6))
+            lambda: _qlike_level(boxes, PAPER_U, 3, 6))
         wide_resumed, wide_resumed_peak = _live_rows(
-            lambda: boundary_disjoint_level(children, PAPER_U, 3, 6, child_seeds)[0])
+            lambda: _qlike_level(children, PAPER_U, 3, 6, child_seeds)[0])
         assert capped == uncapped
         assert [r.status for r in resumed] == [r.status for r in wide_resumed]
         assert min(wide_peak, wide_resumed_peak) > 64 * (6 + 2)
@@ -532,9 +543,9 @@ class TestBoundaryDisjoint:
 
         def counted(boxes, seeds):
             start = len(rows)
-            results, children = evaluate(boxes, seeds)
-            levels.append((sum(r.effort for r in results), sum(rows[start:])))
-            return results, children
+            status, effort, children = evaluate(boxes, seeds)
+            levels.append((int(effort.sum()), sum(rows[start:])))
+            return status, effort, children
 
         claim.evaluate_level = counted
         cert = adaptive_scan(QLIKE_WIDE, claim, 8)
@@ -558,12 +569,12 @@ class TestBoundaryDisjoint:
         totals, evaluate = [0, 0], claim.evaluate_level
 
         def checked(boxes, seeds):
-            results, children = evaluate(boxes, seeds)
-            unseeded, _ = boundary_disjoint_level(boxes, PAPER_U, 3, segment_depth)
-            assert [r.status for r in results] == [r.status for r in unseeded]
-            totals[0] += sum(r.effort for r in results)
-            totals[1] += sum(r.effort for r in unseeded)
-            return results, children
+            status, effort, children = evaluate(boxes, seeds)
+            unseeded, unseeded_effort, _ = boundary_disjoint_level(boxes, PAPER_U, 3, segment_depth)
+            assert status.tolist() == unseeded.tolist()
+            totals[0] += int(effort.sum())
+            totals[1] += int(unseeded_effort.sum())
+            return status, effort, children
 
         claim.evaluate_level = checked
         adaptive_scan(QLIKE_WIDE, claim, max_depth)
@@ -575,9 +586,9 @@ class TestBoundaryDisjoint:
     @example(TOUCHING_C, QUARTER_U, 1, 8)
     def test_resumed_children_match_scalar_oracle(self, parent, u, n, depth):
         # the four children of any parent, resumed from its open blocks
-        _, [seed] = boundary_disjoint_level([parent], u, n, depth)
+        _, walked = _qlike_level([parent], u, n, depth)
         children = parent.quarter()
-        results, _ = boundary_disjoint_level(children, u, n, depth, [seed] * 4)
+        results, _ = _qlike_level(children, u, n, depth, walked[np.zeros(4, dtype=np.int64)])
         assert ([r.status for r in results]
                 == [_scalar_boundary_disjoint(c, u, n, depth).status for c in children])
 
@@ -588,12 +599,12 @@ class TestBoundaryDisjoint:
         assert boundary_disjoint(R_RECT, U_RECT, 3, 62) == boundary_disjoint(R_RECT, U_RECT, 3)
 
 
-def _children(boxes, results, seeds):
-    """The quarters of the Undetermined boxes of a level, each with its
-    parent's seed, as adaptive_scan hands them on."""
-    pairs = [(child, seed) for box, result, seed in zip(boxes, results, seeds)
-             if result.status is Status.UNDETERMINED for child in box.quarter()]
-    return [child for child, _ in pairs], [seed for _, seed in pairs]
+def _children(boxes, results, walked):
+    """The quarters of the Undetermined boxes of a level, and their
+    parents' rows of its _Walked, as adaptive_scan hands them on."""
+    rows = [k for k, result in enumerate(results) if result.status is Status.UNDETERMINED]
+    return ([child for k in rows for child in boxes[k].quarter()],
+            walked[np.repeat(np.array(rows, dtype=np.int64), 4)])
 
 
 def _live_rows(run):
@@ -765,7 +776,7 @@ class TestAnchorProof:
 
         def recorded(*args, **kwargs):
             cert = adaptive_scan(*args, **kwargs)
-            scanned.append(ParamCertificate(cert.claim, cert.root, {}, list(cert.leaves)))
+            scanned.append(ParamCertificate.of(cert.claim, cert.root, {}, cert.leaves))
             return cert
 
         monkeypatch.setattr(verify, "adaptive_scan", recorded)
@@ -834,9 +845,9 @@ class TestTrackedCycleLevel:
 
             def counted(boxes, seeds):
                 start = len(rows)
-                results, children = evaluate(boxes, seeds)
-                levels.append((sum(r.effort for r in results), sum(rows[start:])))
-                return results, children
+                status, effort, children = evaluate(boxes, seeds)
+                levels.append((int(effort.sum()), sum(rows[start:])))
+                return status, effort, children
 
             claim.evaluate_level = counted
             cert = adaptive_scan(R_RECT, claim, 6)
@@ -896,8 +907,8 @@ class TestCycleClaims:
     def test_attracting_fixed_point_of_origin(self):
         box, orbit = ComplexBox.around(0.05 + 0.02j, 1e-9), [0.06 + 0.03j]
         assert verify._witness(box, 1, orbit, absence=True) is Status.TRUE
-        [(_, _, refined, _)] = tracked_cycle_level([box], 1, [orbit])
-        assert refined is not None
+        [refined] = tracked_cycle_level(BoxArray.of([box]), 1, [orbit]).orbits
+        assert np.isfinite(refined).all()
 
     def test_repelling_cycle_reported_false(self):
         # the fixed point of f_c near z=1 for c=0 has multiplier 4
@@ -916,9 +927,9 @@ class TestCycleClaims:
         c = find_superattracting_parameter(3, -1.75 + 0j)
         orbit = float_orbit_of_zero(c, 3) * 2
         box = ComplexBox.around(c, 1e-10)
-        [excluded], _ = ParabolicExclusionClaim(6).evaluate_level([box], [orbit])
+        [excluded], _, _ = ParabolicExclusionClaim(6).evaluate_level(BoxArray.of([box]), [orbit])
         assert verify._witness(box, 6, orbit, absence=True) is Status.UNDETERMINED
-        assert excluded.status is Status.UNDETERMINED
+        assert excluded == "U"
 
     def test_absence_is_no_repelling_witness(self, monkeypatch):
         # on a rect narrow enough for absence at the corner, a certified
@@ -932,7 +943,7 @@ class TestCycleClaims:
                             lambda c, orbits, radius: np.ones(len(c), dtype=bool))
         rect = ComplexBox.around(R_RECT.midpoint(), 3.2e-5)
         assert rect.width() / 16.0 < verify._ABSENCE_MAX_WIDTH
-        cert = ParamCertificate("red", rect, {}, [Leaf(0, rect, Status.TRUE)])
+        cert = ParamCertificate.of("red", rect, {}, [Leaf(0, rect, Status.TRUE)])
         _, _, repelling = component_witnesses(cert, 9, R_RECT.midpoint())
         assert repelling is Status.UNDETERMINED
 
@@ -951,20 +962,37 @@ class TestCycleClaims:
         # the real 6-cycle 2 cos(2 pi 2^k / 63) is certified, yet not TRUE
         c = ComplexBox.around(-2.0 + 0j, 1e-10)
         orbit = [2.0 * math.cos(math.tau * 2**k / 63) + 0j for k in range(6)]
-        assert tracked_cycle_level([c], 6, [orbit])[0][0] is not None
+        assert len(tracked_cycle_level(BoxArray.of([c]), 6, [orbit]).cycle) == 1
         assert _nonreal(c, orbit).status is not Status.TRUE
 
     def test_multiplier_needs_the_fixed_point_box_in_the_region(self):
         # a region that holds the float fixed point but not its whole
         # certified box says nothing about the fixed point of f^6 in it
         c = ComplexBox.around(PAPER_R.midpoint(), 1e-6)
-        orbit = MultiplierNonRealClaim().initial_seed(c)
-        z0 = _orbit_boxes(*tracked_cycle_level([c], 6, [orbit])[0][0])[0]
+        [orbit] = MultiplierNonRealClaim().initial_seed(c)
+        tracked = tracked_cycle_level(BoxArray.of([c]), 6, [orbit])
+        z0 = _orbit_boxes(tracked.lo[0], tracked.hi[0])[0]
         cut = ComplexBox(Interval(0.0, (orbit[0].real + z0.re.hi) / 2.0), PAPER_X_REGION.im)
         assert cut.contains(orbit[0]) and not cut.contains_box(z0)
         whole, partial = _nonreal(c, orbit, PAPER_X_REGION), _nonreal(c, orbit, cut)
         assert whole.status is Status.TRUE
         assert partial.status is Status.UNDETERMINED
+
+
+@pytest.mark.parametrize("claim", [
+    BoundaryDisjointClaim(PAPER_U, 3, 8), FixedPointCountClaim(PAPER_X_REGION, 6),
+    ParabolicExclusionClaim(9), MultiplierNonRealClaim(PAPER_X_REGION),
+], ids=["qlike", "count", "parabolic", "multiplier"])
+def test_claims_evaluate_an_empty_level(claim):
+    # a level of no rows, seeded at no rows of the root's seeds or of those
+    # that a level hands on, gives empty arrays and seeds that index alike
+    boxes, none = BoxArray.of([PAPER_R.quarter()[0]]), np.zeros(0, dtype=np.int64)
+    root = claim.initial_seed(PAPER_R)
+    _, _, children = claim.evaluate_level(boxes, root)
+    for seeds in (root, children):
+        status, effort, after = claim.evaluate_level(boxes[none], None if seeds is None else seeds[none])
+        assert status.shape == effort.shape == (0,)
+        assert after is None or after[none] is not None
 
 
 @pytest.mark.parametrize("claim, config", [
@@ -996,10 +1024,11 @@ def test_multiplier_boxes_hold_the_exact_fixed_point(u, v, radius, data):
     cbox = ComplexBox.around(c_mid, radius)
     claim = MultiplierNonRealClaim(PAPER_X_REGION)
     seed = claim.initial_seed(cbox)
-    [result], _ = claim.evaluate_level([cbox], [seed])
-    [(cycle, _, orbit, _)] = tracked_cycle_level([cbox], 6, [seed], absence=False)
-    assume(cycle is not None)
-    boxes = _orbit_boxes(*cycle)
+    [status], _, _ = claim.evaluate_level(BoxArray.of([cbox]), seed)
+    tracked = tracked_cycle_level(BoxArray.of([cbox]), 6, seed, absence=False)
+    assume(len(tracked.cycle))
+    boxes = _orbit_boxes(tracked.lo[0], tracked.hi[0])
+    [orbit] = tracked.orbits
     enclosure = cycle_multiplier(boxes)
     unit = st.floats(0.0, 1.0)
 
@@ -1032,7 +1061,7 @@ def test_multiplier_boxes_hold_the_exact_fixed_point(u, v, radius, data):
             w = (w * w + c.conjugate()) ** 2 + c
         assert inside(multiplier.real, enclosure.re)
         assert inside(multiplier.imag, enclosure.im)
-    if result.status is Status.TRUE:
+    if status == "T":
         assert PAPER_X_REGION.contains_box(boxes[0]) and not enclosure.im.contains(0.0)
 
 
@@ -1044,7 +1073,7 @@ def _grid_cert(claim, rect, undetermined):
              for i, j in cells}
     leaves = [Leaf(2, boxes[cell], Status.UNDETERMINED if cell in undetermined else Status.TRUE)
               for cell in cells]
-    return ParamCertificate(claim.name, rect, claim.config(), leaves)
+    return ParamCertificate.of(claim.name, rect, claim.config(), leaves)
 
 
 @pytest.mark.parametrize("red_extra, status", [
