@@ -155,11 +155,13 @@ def conj_holomorphic_form(
 # matrices of a call stay this small however large the level's frontier.
 # A period-9 Krawczyk round costs about 0.13 ms plus 4 us a row, and the
 # preconditioners of a chunk, formed once, about as much, so fewer calls
-# pay off: on verify-disjoint at depth 6, 32, 64, 128 and 256 rows took
-# 0.19, 0.16, 0.14 and 0.14 s at a peak RSS of 32.3, 32.7, 33.3 and
-# 35.4 MB (best of 5 runs in one process on a 2-vCPU VM), and 128 has the
-# speed of 256 at less memory
-_CHUNK = 128
+# pay off.  Under the CLI's malloc policy (cli.main), which keeps a call's
+# freed temporaries in the heap, verify-disjoint at depth 6 took a median
+# 0.257 s at 128 rows and 0.242 s at 256 (256 faster in 10 of 10
+# alternating fresh-process runs, 2-vCPU VM), at a peak RSS of 34.97 and
+# 35.89 MB; the traced peak of the red scan's level 6 (536 boxes) is
+# 1.9 MB at 128 rows and 3.4 MB at 256
+_CHUNK = 256
 # float Newton steps, and the epsilon-inflation rounds and tightening
 # steps of the Krawczyk certification
 _NEWTON_STEPS = 50

@@ -300,8 +300,13 @@ def _step_up(y):
     on its bit pattern: +1 for a value of sign bit 0, -1 for sign bit 1.
     y must hold no -0.0 (its +0.0 steps to 5e-324, as nextafter steps both
     zeros); +inf and nan entries are not stepped.  The steps are built in a
-    1-byte array, since an 8-byte temporary as large as a stage buffer of
-    8 x 4,096 entries made the step 4 times slower."""
+    1-byte array.  An 8-byte temporary as large as a stage buffer of
+    8 x 4,096 entries was once timed 4 times slower, while glibc's dynamic
+    thresholds mapped each such temporary anew and the kernel faulted it
+    in.  Under the CLI's malloc policy (cli.main), which keeps it in the
+    heap, an 8-byte temporary still makes the 418 steps of a depth-8 qlike
+    scan 1.05 to 1.45 times slower (1.5 to 1.6 times without the policy;
+    2-vCPU VM), for moving 8 times the bytes."""
     d = np.signbit(y).view(np.int8)
     d *= -2
     d += 1

@@ -293,10 +293,14 @@ def parse(data: bytes) -> ParamCertificate:
             else:
                 raise ValueError(f"unknown header key: {key}")
             continue
-        level, _index, token, *hexes = line.split()
+        level, index, token, *hexes = line.split()
         if len(hexes) != 4 or any(len(h) != 16 for h in hexes):
             raise ValueError(f"a leaf needs four 16-digit hex endpoints: {line!r}")
+        if index != str(len(depth)):  # as serialize writes it
+            raise ValueError(f"leaf index is not the leaf's position {len(depth)}: {line!r}")
         depth.append(int(level))
+        if depth[-1] < 0:
+            raise ValueError(f"leaf depth is negative: {line!r}")
         status.append(Status(token).value)
         ends.extend(hexes)
     if claim is None or rect is None:

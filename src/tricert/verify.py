@@ -107,7 +107,12 @@ class ContourEnclosure:
 
 # rows of one segment batch, and of the starts of one walk; a walk recurses
 # on the halves of a batch's split rows _ROW_CAP // 2 parents at a time, so
-# it holds at most one batch per segment level
+# it holds at most one batch per segment level.  Under the CLI's malloc
+# policy (cli.main), 8,192 rows made verify-count at depth 4 and contour
+# depth 10 6% faster (median 0.067 against 0.063 s, 10 of 10 alternating
+# fresh-process runs, 2-vCPU VM) at 2.0 MB more peak RSS (35.0 MB), and
+# left a depth-8 qlike scan of 3,469 leaves unchanged (0.077 against
+# 0.076 s, faster in 6 of 10), so the cap stays at 4,096
 _ROW_CAP = 4096
 
 # the deepest segment depth at which a segment's node number 2^depth +

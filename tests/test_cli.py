@@ -1,6 +1,8 @@
 """Exit codes, argument parsing, and config composition of the CLI."""
 
+import ctypes
 import hashlib
+import json
 import os
 import re
 import subprocess
@@ -629,13 +631,92 @@ def test_scans_build_no_per_box_objects(tmp_path, monkeypatch):
     assert set(calls) == {"quarter", "of", "Leaf"}
 
 
+def _python(code: str, *args: str) -> str:
+    """The stdout of code run in a fresh interpreter that imports this tricert."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, check=True, timeout=120).stdout
+
+
 def test_cli_import_loads_no_unused_heavy_modules():
     # an unused import of hashlib alone (OpenSSL, about 3.4 MB) raises the
     # peak RSS of a scan by more than the benchmark allows
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     code = ("import sys, tricert.cli; "
             "print(sorted({'hashlib', 'ssl', 'mpmath', 'hypothesis'} & sys.modules.keys()))")
-    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         check=True, timeout=120)
-    assert run.stdout.strip() == "[]"
+    assert _python(code).strip() == "[]"
+
+
+def _glibc() -> bool:
+    try:
+        return (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc")
+    except (ValueError, OSError):
+        return False
+
+
+@pytest.mark.skipif(not _glibc(), reason="main sets a malloc policy on glibc only")
+def test_repeated_count_run_faults_no_pages_in(tmp_path):
+    # under glibc's dynamic thresholds each batch's freed numpy temporaries
+    # went back to the kernel, and every later count run in the process
+    # faulted about 2,300-4,400 pages in again; main's malloc policy keeps
+    # them in the heap
+    code = """
+import json, resource, sys
+from tricert.cli import main
+faults, codes, outputs = [], [], []
+for k in range(2):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    codes.append(main([*sys.argv[2:], "-o", f"{sys.argv[1]}{k}"]))
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    outputs.append(open(f"{sys.argv[1]}{k}", "rb").read())
+print(json.dumps({"faults": faults, "codes": codes, "same": outputs[0] == outputs[1]}))
+"""
+    argv = ["verify-count", "--min-depth", "1", "--max-depth", "4", "--tol", "2",
+            "--contour-depth", "10"]
+    run = json.loads(_python(code, str(tmp_path / "C"), *argv).splitlines()[-1])
+    assert run["codes"] == [0, 0] and run["same"]
+    assert run["faults"][1] < 1000
+
+
+def test_library_import_sets_no_malloc_policy():
+    # only the CLI entry sets the policy: importing the library, or calling
+    # its scans directly, leaves the host process's allocator alone
+    code = """
+import ctypes, json
+reached = []
+
+class Spy(ctypes.CDLL):
+    def __getattr__(self, name):
+        reached.append(name)
+        return super().__getattr__(name)
+
+ctypes.CDLL = Spy
+import tricert, tricert.cli
+from tricert.verify import FixedPointCountClaim
+tricert.scan.adaptive_scan(tricert.cli.PAPER_R, FixedPointCountClaim(tricert.cli.PAPER_X_REGION, 6), 0)
+library = list(reached)
+tricert.cli.main(["centers"])
+print(json.dumps([library, reached]))
+"""
+    library, after_main = json.loads(_python(code).splitlines()[-1])
+    assert "mallopt" not in library
+    assert ("mallopt" in after_main) == _glibc()
+
+
+@pytest.mark.parametrize("confstr", ["raises", "None", "musl"])
+def test_main_runs_without_glibc(confstr, monkeypatch, tmp_path):
+    # where the libc is not glibc, main sets no malloc policy and runs as before
+    def fake(name):
+        if confstr == "raises":
+            raise ValueError("unrecognized configuration name")
+        return None if confstr == "None" else "musl 1.2.4"
+
+    def no_cdll(*args, **kwargs):
+        raise AssertionError("ctypes.CDLL was called")
+
+    monkeypatch.setattr(os, "confstr", fake)
+    monkeypatch.setattr(ctypes, "CDLL", no_cdll)
+    out = tmp_path / "C"
+    assert _run(["verify-count", "--min-depth", "0", "--max-depth", "0",
+                 "--rect", "-1.73875,-1.7387,0.01555,0.0156", "-o", str(out)]) == 0
+    assert parse(out.read_bytes()).rollup() is Status.TRUE

@@ -459,6 +459,20 @@ class TestCertificates:
         with pytest.raises(ValueError):
             parse(tampered.encode())
 
+    @pytest.mark.parametrize("field, value, error", [
+        (1, "7", "index"), (1, "0_1", "index"), (0, "-1", "depth")])
+    def test_mutated_leaf_line_rejected(self, field, value, error):
+        # the second leaf's line with index 7 or 0_1 (which int() reads as
+        # 1), or depth -1, in place of its own
+        lines = serialize(self._sample()).decode().splitlines()
+        second = [i for i, ln in enumerate(lines) if not ln.startswith("#")][1]
+        fields = lines[second].split(" ")
+        fields[field] = value
+        lines[second] = " ".join(fields)
+        with pytest.raises(ValueError, match=error) as raised:
+            parse(("\n".join(lines) + "\n").encode())
+        assert lines[second] in str(raised.value)
+
     def test_empty_leaf_rejected(self):
         # [inf, -inf] endpoints are no box: such a leaf must not parse, let
         # alone as a TRUE leaf that rollup counts
