@@ -41,7 +41,6 @@ from .intervals import (
     EmptyIntervalError,
     Interval,
     _abs_pair,
-    _down_arr,
     _interleave,
     _mid_arr,
     _mul,
@@ -119,10 +118,13 @@ def squared_modulus_rows(lo, hi):
     Returns (lo, hi) arrays, each endpoint that of the Interval product
     [1, 1] * 2|z_0| * ... * 2|z_{p-1}| squared, with |z| = ComplexBox.abs.
     """
+    # the factors 2|z_i| of all orbit points at once, then their product in
+    # orbit order
+    (twice,) = _round(_scale(_abs_pair((lo[:, 0::2], hi[:, 0::2]), (lo[:, 1::2], hi[:, 1::2])),
+                             2.0))
     prod = np.ones(len(lo)), np.ones(len(lo))
-    for z in _orbit_columns(lo, hi):
-        (twice,) = _round(_scale(_abs_pair(z.re, z.im), 2.0))
-        (prod,) = _round(_mul(prod, twice))
+    for i in range(lo.shape[1] // 2):
+        (prod,) = _round(_mul(prod, (twice[0][:, i], twice[1][:, i])))
     return _sqr_pair(prod)
 
 
@@ -160,7 +162,7 @@ def conj_holomorphic_form(
 # 0.257 s at 128 rows and 0.242 s at 256 (256 faster in 10 of 10
 # alternating fresh-process runs, 2-vCPU VM), at a peak RSS of 34.97 and
 # 35.89 MB; the traced peak of the red scan's level 6 (536 boxes) is
-# 1.9 MB at 128 rows and 3.4 MB at 256
+# 1.7 MB at 128 rows and 3.1 MB at 256
 _CHUNK = 256
 # float Newton steps, and the epsilon-inflation rounds and tightening
 # steps of the Krawczyk certification
@@ -204,28 +206,26 @@ def _next(x):
     return np.concatenate((x[:, 1:], x[:, :1]), axis=1)
 
 
-@functools.lru_cache(maxsize=None)
-def _jacobian_entries(p: int):
-    """Flat indices into a 2p x 2p matrix: of the 2x2 blocks [[a, b], [c, d]]
-    of the orbit points, in the order (a..., b..., c..., d...), and of the
-    entries (2i, 2i + 2) and (2i + 1, 2i + 3) mod 2p."""
-    n = 2 * p
-    re = np.arange(0, n, 2)
-    im, nxt = re + 1, (re + 2) % n
-    return (np.concatenate((re * n + re, re * n + im, im * n + re, im * n + im)),
-            np.concatenate((re * n + nxt, im * n + nxt + 1)))
-
-
 def _jacobian(x, y):
     """The float Jacobian of G_i = f(z_i) - z_{i+1} at the orbits x + iy,
     row by row: blocks d f(z) / d(x, y) = [[2x, -2y], [-2y, -2x]] on the
-    diagonal, then -1 added at (2i, 2i + 2) and (2i + 1, 2i + 3) mod 2p."""
+    diagonal, then -1 added at (2i, 2i + 2) and (2i + 1, 2i + 3) mod 2p.
+
+    In the flat row-major 2p x 2p matrix, entry (r, s) of block (i, i)
+    lies at i (4p + 2) + 2p r + s, so each block entry, and each -1 with
+    i < p - 1, is one strided slice."""
     b, p = x.shape
-    blocks, shift = _jacobian_entries(p)
-    j0 = np.zeros((b, 4 * p * p))
-    j0[:, blocks] = np.concatenate((2.0 * x, -2.0 * y, -2.0 * y, -2.0 * x), axis=1)
-    j0[:, shift] -= 1.0
-    return j0.reshape(b, 2 * p, 2 * p)
+    n = 2 * p
+    step, last = 2 * n + 2, (p - 1) * (2 * n + 2)
+    j0 = np.zeros((b, n * n))
+    j0[:, 0::step], j0[:, 1::step] = 2.0 * x, -2.0 * y
+    j0[:, n::step], j0[:, n + 1::step] = -2.0 * y, -2.0 * x
+    j0[:, 2:last:step] -= 1.0
+    j0[:, n + 3:last:step] -= 1.0
+    # i = p - 1 wraps round to (2p - 2, 0) and (2p - 1, 1)
+    j0[:, (n - 2) * n] -= 1.0
+    j0[:, (n - 1) * n + 1] -= 1.0
+    return j0.reshape(b, n, n)
 
 
 @functools.lru_cache(maxsize=None)
@@ -259,25 +259,29 @@ def _cyclic_inverse(x, y):
     image sound.
     """
     b, p = x.shape
-    # [r, t, row, k]: entry (r, t) of D_{k mod p}, k = 0, ..., 2p - 1
-    d = np.empty((2, 2, b, 2 * p))
-    d[0, 0, :, :p], d[0, 1, :, :p], d[1, 1, :, :p] = 2.0 * x, -2.0 * y, -2.0 * x
-    d[1, 0, :, :p] = d[0, 1, :, :p]
-    d[..., p:] = d[..., :p]
-    # [m, r, t, row, j]: L_{j+m} ... L_{j+1}, the identity for m = 0
-    chain = np.empty((p + 1, 2, 2, b, p))
+    # the rows run along the last axis, so every step below is a pass over
+    # whole contiguous blocks of rows
+    # [r, t, k, row]: entry (r, t) of D_{k mod p}, k = 0, ..., 2p - 1
+    d = np.empty((2, 2, 2 * p, b))
+    d[0, 0, :p], d[0, 1, :p], d[1, 1, :p] = 2.0 * x.T, -2.0 * y.T, -2.0 * x.T
+    d[1, 0, :p] = d[0, 1, :p]
+    d[:, :, p:] = d[:, :, :p]
+    # [m, r, t, j, row]: L_{j+m} ... L_{j+1}, the identity for m = 0
+    chain = np.empty((p + 1, 2, 2, p, b))
     chain[0] = np.eye(2)[:, :, None, None]
     for m in range(p):
-        np.sum(d[:, :, None, :, m + 1:m + 1 + p] * chain[m], axis=1, out=chain[m + 1])
+        np.sum(d[:, :, None, m + 1:m + 1 + p] * chain[m], axis=1, out=chain[m + 1])
     a, e = chain[p, 0, 0] - 1.0, chain[p, 1, 1] - 1.0
     det = a * e - chain[p, 0, 1] * chain[p, 1, 0]
     inv = np.stack((np.stack((e, -chain[p, 0, 1])), np.stack((-chain[p, 1, 0], a)))) / det
-    # [row, m, r, s, j]: the products times (M_j - I)^-1
-    blocks = np.empty((b, p, 2, 2, p))
-    view = blocks.transpose(1, 2, 3, 0, 4)
-    np.multiply(chain[:p, :, 0, None], inv[0], out=view)
-    view += chain[:p, :, 1, None] * inv[1]
-    return blocks.reshape(b, -1).take(_cyclic_gather(p), axis=1).reshape(b, 2 * p, 2 * p)
+    # [m, r, s, j, row]: the products times (M_j - I)^-1; each array is
+    # freed once read, so at most two row-sized ones live at a time
+    blocks = chain[:p, :, 0, None] * inv[0]
+    blocks += chain[:p, :, 1, None] * inv[1]
+    del chain, inv
+    y_t = blocks.reshape(-1, b).take(_cyclic_gather(p).ravel(), axis=0)
+    del blocks
+    return np.ascontiguousarray(y_t.T).reshape(b, 2 * p, 2 * p)
 
 
 def _float_f_rows(c_re, c_im, x, y):
@@ -312,19 +316,24 @@ def float_newton_rows(c, orbits):
     """
     x, y = orbits.real.copy(), orbits.imag.copy()
     c_re, c_im = c.real[:, None], c.imag[:, None]
-    live = np.arange(len(c))
+    # the live rows are held compacted and stepped in place; a row is
+    # written back to x, y when it stops
+    rows, lx, ly, l_re, l_im = np.arange(len(c)), x, y, c_re, c_im
     for _ in range(_NEWTON_STEPS):
-        if not len(live):
+        if not len(rows):
             break
-        lx, ly = x[live], y[live]
-        fx, fy = _float_f_rows(c_re[live], c_im[live], lx, ly)
-        g = _interleave(fx - _next(lx), fy - _next(ly))
-        delta, solved = _chunked(_newton_steps, lx, ly, g)
-        ok = solved & np.isfinite(delta).all(axis=1)
-        live, delta = live[ok], delta[ok]
-        x[live] -= delta[:, 0::2]
-        y[live] -= delta[:, 1::2]
-        live = live[np.abs(delta).max(axis=1) >= 1e-14]
+        fx, fy = _float_f_rows(l_re, l_im, lx, ly)
+        delta, solved = _chunked(_newton_steps, lx, ly, _interleave(fx - _next(lx), fy - _next(ly)))
+        size = np.abs(delta).max(axis=1)
+        ok = solved & np.isfinite(size)
+        np.subtract(lx, delta[:, 0::2], out=lx, where=ok[:, None])
+        np.subtract(ly, delta[:, 1::2], out=ly, where=ok[:, None])
+        live = ok & (size >= 1e-14)
+        if not live.all():
+            stop = rows[~live]
+            x[stop], y[stop] = lx[~live], ly[~live]
+            rows, lx, ly, l_re, l_im = rows[live], lx[live], ly[live], l_re[live], l_im[live]
+    x[rows], y[rows] = lx, ly
     fx, fy = _float_f_rows(c_re, c_im, x, y)
     dist = np.hypot(fx - _next(x), fy - _next(y))
     residual = dist[:, 0]
@@ -434,25 +443,34 @@ def _krawczyk_rows(c: BoxArray, lo, hi, pre):
                         (np.abs(xy) + np.abs(cv)) + np.abs(y_next))
     # column 2j + col of J(m) holds d0 in row 2j, d1 in row 2j + 1 and -1 in
     # row 2(j - 1) + col; A = I - Y J(m) entrywise, so Y J(m) cancels against I.
-    # Each column parity of A is written in place from views of Y, and the -1
-    # entries subtract Y shifted by two columns: no (B, 2p, 2p) temporary
+    # Each column parity of Y J(m) is written in place from views of Y, and
+    # the -1 entries subtract Y shifted by two columns: on complex128 views,
+    # whose subtraction is the two real ones, one pass over the flat batch
+    # shifts every column pair but the first, which wraps round.  Only |A|
+    # is read, which is |Y J(m)| off the diagonal: no (B, 2p, 2p) temporary
     a = np.empty((b, n, n))
     a4, y4 = a.reshape(b, n, p, 2), y.reshape(b, n, p, 2)
     for col, (d0, d1) in enumerate(((2.0 * x, -2.0 * yv), (-2.0 * yv, -2.0 * x))):
         np.multiply(y4[..., 0], d0[:, None], out=a4[..., col])
         a4[..., col] += y4[..., 1] * d1[:, None]
-    a[..., 2:] -= y[..., :-2]
-    a[..., :2] -= y[..., -2:]
-    np.subtract(np.eye(n), a, out=a)
+    a_pairs, y_pairs = a.view(np.complex128), y.view(np.complex128)
+    first = a_pairs[..., 0] - y_pairs[..., -1]
+    flat = a_pairs.reshape(-1)
+    np.subtract(flat[1:], y_pairs.reshape(-1)[:-1], out=flat[1:])
+    a_pairs[..., 0] = first
+    diagonal = a.reshape(b, -1)[:, ::n + 1]
+    one_minus = 1.0 - diagonal
+    np.abs(a, out=a)
+    np.abs(one_minus, out=diagonal)  # a is |A| from here on
     ax, ay, rx, ry = np.abs(x), np.abs(yv), r[:, 0::2], r[:, 1::2]
     jr = _interleave(2.0 * (ax * rx + ay * ry) + _next(rx), 2.0 * (ay * rx + ax * ry) + _next(ry))
     dj = _interleave(2.0 * (rx * rx + ry * ry), (2.0 * rx) * (2.0 * ry))
     t = (5 * _U * (g_sum + jr) + (n + 1) * _U * np.abs(g)) + (dj + (p + 1) * _U * np.tile(rho, p))
     center = m - _matvec(y, g)
-    rad = ((_matvec(abs_y, t + 2.0 ** -1060) + _matvec(np.abs(a), r))
+    rad = ((_matvec(abs_y, t + 2.0 ** -1060) + _matvec(a, r))
            + (s_rho + (5 * _U * r + 2.0 * _ETA * r.sum(axis=1)[:, None])))
     rad = (rad * (1.0 + 2.0 ** -44) + 2.0 * _U * np.abs(center)) + 2.0 ** -1000
-    k_lo, k_hi = _down_arr(center - rad), _up_arr(center + rad)
+    [(k_lo, k_hi)] = _round((center - rad, center + rad))
     if not (np.isfinite(k_lo[ok]).all() and np.isfinite(k_hi[ok]).all()):
         raise EmptyIntervalError("non-finite Krawczyk image")
     return k_lo, k_hi, ok
@@ -488,7 +506,7 @@ def _krawczyk_image(c: BoxArray, boxes):
 def _around(orbits, radius):
     """The endpoint rows of ComplexBox.around(z, radius) for each orbit point."""
     mid = _interleave(orbits.real, orbits.imag)
-    return _down_arr(mid - radius), _up_arr(mid + radius)
+    return _round((mid - radius, mid + radius))[0]
 
 
 @np.errstate(over="ignore", invalid="ignore")

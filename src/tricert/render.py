@@ -9,6 +9,7 @@ pixel.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +54,13 @@ class ImageBuffer:
     def pixel(self, x: int, y: int) -> tuple[int, int, int]:
         base = 3 * (y * self.width + x)
         return tuple(self.pixels[base:base + 3])
+
+
+def _raster(*shape: int) -> tuple[bytearray, np.ndarray]:
+    """A zeroed pixel buffer and a writable uint8 array of the given shape
+    over its bytes: painting the array fills the buffer, with no copy."""
+    pixels = bytearray(math.prod(shape))
+    return pixels, np.frombuffer(pixels, dtype=np.uint8).reshape(shape)
 
 
 def _axis_centers(lo: float, hi: float, count: int, flip: bool) -> np.ndarray:
@@ -119,13 +127,13 @@ def render_escape(
             if index.size == 0:
                 break
     shade = np.minimum(255, (flat_escape.astype(np.int64) * 255) // maxiter)
-    rgb = np.zeros((grid.size, 3), dtype=np.uint8)
+    pixels, rgb = _raster(grid.size, 3)
     hit = flat_escape > 0
     rgb[hit, 0] = shade[hit]
     rgb[hit, 1] = shade[hit]
     rgb[hit, 2] = 255
     rgb[~hit] = _INTERIOR
-    return ImageBuffer(width, height, bytearray(rgb.tobytes()))
+    return ImageBuffer(width, height, pixels)
 
 
 def rasterize_scan(
@@ -155,16 +163,16 @@ def rasterize_scan(
     row_hi = height - np.searchsorted(ys, c, "left")
     order = np.lexsort((-np.arange(len(cert.depth)), cert.depth))
     colors = {status.value: np.array(color, dtype=np.uint8) for status, color in palette.items()}
-    rgb = np.zeros((height, width, 3), dtype=np.uint8)
+    pixels, rgb = _raster(height, width, 3)
     for status, r0, r1, c0, c1 in zip(*(v[order].tolist()
                                         for v in (cert.status, row_lo, row_hi, col_lo, col_hi))):
         rgb[r0:r1, c0:c1] = colors[status]
-    return ImageBuffer(width, height, bytearray(rgb.tobytes()))
+    return ImageBuffer(width, height, pixels)
 
 
 def write_ppm(img: ImageBuffer, sink=None) -> bytes:
     """Binary portable pixmap: P6, dimensions, 255, raw RGB."""
-    data = f"P6\n{img.width} {img.height}\n255\n".encode("ascii") + bytes(img.pixels)
+    data = f"P6\n{img.width} {img.height}\n255\n".encode("ascii") + img.pixels
     if sink is not None:
         sink.write(data)
     return data
