@@ -32,6 +32,7 @@ krawczyk_absence is a one-row call of the batch.
 from __future__ import annotations
 
 import functools
+from typing import NamedTuple
 
 import numpy as np
 
@@ -206,26 +207,39 @@ def _next(x):
     return np.concatenate((x[:, 1:], x[:, :1]), axis=1)
 
 
-def _jacobian(x, y):
-    """The float Jacobian of G_i = f(z_i) - z_{i+1} at the orbits x + iy,
-    row by row: blocks d f(z) / d(x, y) = [[2x, -2y], [-2y, -2x]] on the
-    diagonal, then -1 added at (2i, 2i + 2) and (2i + 1, 2i + 3) mod 2p.
-
-    In the flat row-major 2p x 2p matrix, entry (r, s) of block (i, i)
-    lies at i (4p + 2) + 2p r + s, so each block entry, and each -1 with
-    i < p - 1, is one strided slice."""
-    b, p = x.shape
+def _minus_ones(b: int, p: int):
+    """b flat row-major 2p x 2p Jacobians of G_i = f(z_i) - z_{i+1} that
+    hold only the entries that do not depend on the orbit: -1 at (2i, 2i +
+    2) and (2i + 1, 2i + 3) mod 2p, and 0 elsewhere.  The orbit's blocks
+    d f(z) / d(x, y) = [[2x, -2y], [-2y, -2x]] go on the diagonal, where
+    entry (r, s) of block (i, i) lies at i (4p + 2) + 2p r + s; so each -1
+    with i < p - 1 is one strided slice, two entries off its row's block.
+    For p = 1 the -1 entries wrap round onto the diagonal block, which
+    _jacobians writes as 2x - 1 and -2x - 1."""
     n = 2 * p
     step, last = 2 * n + 2, (p - 1) * (2 * n + 2)
     j0 = np.zeros((b, n * n))
-    j0[:, 0::step], j0[:, 1::step] = 2.0 * x, -2.0 * y
-    j0[:, n::step], j0[:, n + 1::step] = -2.0 * y, -2.0 * x
-    j0[:, 2:last:step] -= 1.0
-    j0[:, n + 3:last:step] -= 1.0
+    j0[:, 2:last:step] = -1.0
+    j0[:, n + 3:last:step] = -1.0
     # i = p - 1 wraps round to (2p - 2, 0) and (2p - 1, 1)
-    j0[:, (n - 2) * n] -= 1.0
-    j0[:, (n - 1) * n + 1] -= 1.0
-    return j0.reshape(b, n, n)
+    j0[:, (n - 2) * n] = -1.0
+    j0[:, (n - 1) * n + 1] = -1.0
+    return j0
+
+
+def _jacobians(j, x, y):
+    """The Jacobians at the orbits x + iy of (b, p) coordinates: their
+    diagonal blocks written over the first b rows of j, from _minus_ones,
+    as (b, 2p, 2p) matrices."""
+    b, p = x.shape
+    n, step = 2 * p, 4 * p + 2
+    j = j[:b]
+    j[:, 0::step], j[:, 1::step] = 2.0 * x, -2.0 * y
+    j[:, n::step], j[:, n + 1::step] = -2.0 * y, -2.0 * x
+    if p == 1:
+        j[:, 0] -= 1.0
+        j[:, 3] -= 1.0
+    return j.reshape(b, n, n)
 
 
 @functools.lru_cache(maxsize=None)
@@ -239,9 +253,9 @@ def _cyclic_gather(p: int):
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _cyclic_inverse(x, y):
-    """The inverses of the midpoint Jacobians of _jacobian at the orbits
-    x + iy, as a C-contiguous (B, 2p, 2p) array, from their block-cyclic
-    structure alone.
+    """The inverses of the Jacobians of the coupled system (_minus_ones)
+    at the orbits x + iy, as a C-contiguous (B, 2p, 2p) array, from their
+    block-cyclic structure alone.
 
     Block row i of J reads L_i d_i - d_{i+1}, where L_k d = w_k conj(d),
     w_k = 2 conj(z_k), is the real 2x2 block D_k = [[2x, -2y], [-2y, -2x]].
@@ -293,37 +307,43 @@ def _float_f_rows(c_re, c_im, x, y):
     return (1.0 * re - 0.0 * im) + c_re, (1.0 * im + 0.0 * re) + c_im
 
 
-def _newton_steps(x, y, g):
-    """The Newton steps of a chunk of rows at the orbits x + iy, whose
-    residuals are g, and the mask of the rows with a regular Jacobian."""
-    delta, solved = _stacked(_jacobian(x, y), g[..., None])
-    return delta[..., 0], solved
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def float_newton_rows(c, orbits):
     """Floating-point Newton on the coupled cyclic system, row by row.
 
     c is a (B,) complex array of parameters and orbits a (B, p) complex
     array of orbit guesses.  Each step solves the stacked Jacobians of the
-    rows still live, _CHUNK rows at a time; a row stops on its own when
-    its step is singular or not finite (keeping its orbit) or below 1e-14
-    (after taking it), so every row is refined as by itself.  Returns the
+    rows still live, _CHUNK rows at a time, in one buffer of a chunk's
+    Jacobians that the call allocates once (_minus_ones); a row stops on
+    its own when its step is singular or not finite (keeping its orbit) or
+    below 1e-14 (after taking it), so every row is refined as by itself.  Returns the
     refined orbits and the residuals max_i |f(z_i) - z_{i+1}|, both bit for
     bit as in Python's complex arithmetic wherever that does not overflow
     (see _float_f_rows); callers decide whether a residual is small enough
     to call the row converged.
     """
     x, y = orbits.real.copy(), orbits.imag.copy()
+    b, p = x.shape
     c_re, c_im = c.real[:, None], c.imag[:, None]
+    # the Jacobians of one chunk, whose constant entries are written once:
+    # each step writes a chunk's diagonal blocks over them in place
+    jac = _minus_ones(min(b, _CHUNK), p)
+
+    def steps(lx, ly, g):  # the Newton steps of a chunk, and its regular rows
+        delta, solved = _stacked(_jacobians(jac, lx, ly), g[..., None])
+        return delta[..., 0], solved
+
     # the live rows are held compacted and stepped in place; a row is
     # written back to x, y when it stops
-    rows, lx, ly, l_re, l_im = np.arange(len(c)), x, y, c_re, c_im
+    rows, lx, ly, l_re, l_im = np.arange(b), x, y, c_re, c_im
     for _ in range(_NEWTON_STEPS):
         if not len(rows):
             break
         fx, fy = _float_f_rows(l_re, l_im, lx, ly)
-        delta, solved = _chunked(_newton_steps, lx, ly, _interleave(fx - _next(lx), fy - _next(ly)))
+        g = np.empty((len(rows), 2 * p))
+        np.subtract(fx, _next(lx), out=g[:, 0::2])
+        np.subtract(fy, _next(ly), out=g[:, 1::2])
+        delta, solved = _chunked(steps, lx, ly, g)
         size = np.abs(delta).max(axis=1)
         ok = solved & np.isfinite(size)
         np.subtract(lx, delta[:, 0::2], out=lx, where=ok[:, None])
@@ -353,25 +373,29 @@ _U, _ETA, _MAX_N = 2.0 ** -53, 2.0 ** -1074, 400
 _matvec = functools.partial(np.einsum, "brc,bc->br")
 
 
-def _param_mid_rad(c: BoxArray):
-    """The (B, 2) float midpoints (re, im) of the parameter rows and the
-    radii rho about them, rounded up."""
-    c_lo, c_hi = np.stack((c.re[0], c.im[0]), axis=1), np.stack((c.re[1], c.im[1]), axis=1)
-    c_mid = _mid_arr(c_lo, c_hi)
-    return c_mid, _up_arr(np.maximum(c_hi - c_mid, c_mid - c_lo))
+class _Pre(NamedTuple):
+    """The terms of the Krawczyk image of a chunk of rows that its rounds
+    keep: those of its preconditioner and of its parameter boxes.  Every
+    array is C-ordered, and so is any selection of its rows."""
+
+    y: np.ndarray  # (B, 2p, 2p) preconditioners, zeroed where not ok
+    abs_y: np.ndarray  # |Y|
+    s_rho: np.ndarray  # (B, 2p) |s| rho
+    cu: np.ndarray  # (B, 1) float midpoints of the parameters' real parts
+    cv: np.ndarray  # (B, 1) and of their imaginary parts
+    rho_t: np.ndarray  # (B, 2p) (p + 1) u tile(rho, p), a term of t
+    ok: np.ndarray  # (B,) the rows with a regular Jacobian
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _preconditioner(c: BoxArray, lo, hi):
-    """The terms of the Krawczyk image that depend on its preconditioner
-    alone, for a chunk of rows of parameters c and boxes (lo, hi).
+def _preconditioner(c: BoxArray, lo, hi) -> _Pre:
+    """The _Pre of a chunk of rows of parameters c and boxes (lo, hi).
 
-    Returns (Y, |Y|, |s| rho, ok): Y the float inverse of the Jacobian at
-    the boxes' midpoints (_cyclic_inverse), zeroed on the rows whose
-    Jacobian is singular, s = fl(su, sv) the sums of each row's even and
-    odd entries of Y, added in column order, rho the parameter radii, and
-    ok the mask of the regular rows.  Every array is C-ordered, and so is
-    any selection of its rows.
+    Y is the float inverse of the Jacobian at the boxes' midpoints
+    (_cyclic_inverse), zeroed on the rows whose Jacobian is singular, s =
+    fl(su, sv) the sums of each row's even and odd entries of Y, added in
+    column order, and rho the parameter radii about their float
+    midpoints, rounded up.
     """
     n = lo.shape[1]
     m = _mid_arr(lo, hi)
@@ -382,16 +406,21 @@ def _preconditioner(c: BoxArray, lo, hi):
     for j in range(2, n, 2):
         su += y[..., j]
         sv += y[..., j + 1]
-    s_rho = _matvec(np.abs(np.stack((su, sv), axis=2)), _param_mid_rad(c)[1])
-    return y, np.abs(y), s_rho, ok
+    c_lo, c_hi = np.stack((c.re[0], c.im[0]), axis=1), np.stack((c.re[1], c.im[1]), axis=1)
+    c_mid = _mid_arr(c_lo, c_hi)
+    rho = _up_arr(np.maximum(c_hi - c_mid, c_mid - c_lo))
+    s_rho = _matvec(np.abs(np.stack((su, sv), axis=2)), rho)
+    p = n // 2
+    return _Pre(y, np.abs(y), s_rho, c_mid[:, :1].copy(), c_mid[:, 1:].copy(),
+                (p + 1) * _U * np.tile(rho, p), ok)
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _krawczyk_rows(c: BoxArray, lo, hi, pre):
-    """The Krawczyk images of one chunk of rows, with the preconditioner
-    terms pre of _preconditioner, which may come from other boxes of the
-    same rows: the one kernel of _krawczyk_image and of the rounds of
-    krawczyk_cycle_rows.
+def _krawczyk_rows(lo, hi, pre: _Pre):
+    """The Krawczyk images of one chunk of rows of boxes (lo, hi), with the
+    terms pre of _preconditioner, whose preconditioners may come from
+    other boxes of the same rows: the one kernel of _krawczyk_image and of
+    the rounds of krawczyk_cycle_rows.
 
     For z in Z and c in C, with d = z - m, |d| <= r and (du, dv) = c -
     c_mid, |du|, |dv| <= rho, the Krawczyk point is
@@ -431,13 +460,12 @@ def _krawczyk_rows(c: BoxArray, lo, hi, pre):
     p = n // 2
     # every operand of _matvec is C-ordered, so each row's sums run in the
     # order of its one-row batch
-    y, abs_y, s_rho, ok = pre
+    y, cu, cv = pre.y, pre.cu, pre.cv
     m = _mid_arr(lo, hi)
     x, yv = m[:, 0::2], m[:, 1::2]
     r = _up_arr(np.maximum(hi - m, m - lo))
-    c_mid, rho = _param_mid_rad(c)
     xx, yy, xy = x * x, yv * yv, 2.0 * (x * yv)
-    x_next, y_next, cu, cv = _next(x), _next(yv), c_mid[:, :1], c_mid[:, 1:]
+    x_next, y_next = _next(x), _next(yv)
     g = _interleave(((xx - yy) + cu) - x_next, (cv - xy) - y_next)
     g_sum = _interleave((xx + yy) + (np.abs(cu) + np.abs(x_next)),
                         (np.abs(xy) + np.abs(cv)) + np.abs(y_next))
@@ -465,15 +493,15 @@ def _krawczyk_rows(c: BoxArray, lo, hi, pre):
     ax, ay, rx, ry = np.abs(x), np.abs(yv), r[:, 0::2], r[:, 1::2]
     jr = _interleave(2.0 * (ax * rx + ay * ry) + _next(rx), 2.0 * (ay * rx + ax * ry) + _next(ry))
     dj = _interleave(2.0 * (rx * rx + ry * ry), (2.0 * rx) * (2.0 * ry))
-    t = (5 * _U * (g_sum + jr) + (n + 1) * _U * np.abs(g)) + (dj + (p + 1) * _U * np.tile(rho, p))
+    t = (5 * _U * (g_sum + jr) + (n + 1) * _U * np.abs(g)) + (dj + pre.rho_t)
     center = m - _matvec(y, g)
-    rad = ((_matvec(abs_y, t + 2.0 ** -1060) + _matvec(a, r))
-           + (s_rho + (5 * _U * r + 2.0 * _ETA * r.sum(axis=1)[:, None])))
+    rad = ((_matvec(pre.abs_y, t + 2.0 ** -1060) + _matvec(a, r))
+           + (pre.s_rho + (5 * _U * r + 2.0 * _ETA * r.sum(axis=1)[:, None])))
     rad = (rad * (1.0 + 2.0 ** -44) + 2.0 * _U * np.abs(center)) + 2.0 ** -1000
     [(k_lo, k_hi)] = _round((center - rad, center + rad))
-    if not (np.isfinite(k_lo[ok]).all() and np.isfinite(k_hi[ok]).all()):
+    if not (np.isfinite(k_lo[pre.ok]).all() and np.isfinite(k_hi[pre.ok]).all()):
         raise EmptyIntervalError("non-finite Krawczyk image")
-    return k_lo, k_hi, ok
+    return k_lo, k_hi, pre.ok
 
 
 def _krawczyk_image(c: BoxArray, boxes):
@@ -499,7 +527,7 @@ def _krawczyk_image(c: BoxArray, boxes):
     see that row alone, so its image has the same bits in any batch.  An
     overflow in a row with a regular Jacobian raises EmptyIntervalError.
     """
-    return _chunked(lambda c, lo, hi: _krawczyk_rows(c, lo, hi, _preconditioner(c, lo, hi)),
+    return _chunked(lambda c, lo, hi: _krawczyk_rows(lo, hi, _preconditioner(c, lo, hi)),
                     c, *boxes)
 
 
@@ -509,6 +537,35 @@ def _around(orbits, radius):
     return _round((mid - radius, mid + radius))[0]
 
 
+def _inflation_round(lo, hi, pre: _Pre, pad, certified, remaining):
+    """One round of krawczyk_cycle_rows on the open rows of a chunk, held
+    compacted: updates their boxes (lo, hi), certified and remaining in
+    place, and returns the mask of the rows still open.  pad is 4 times
+    each row's radius, as a (rows, 1) column.  The round's images live in
+    this call alone and are freed on return."""
+    p = lo.shape[1] // 2
+    k_lo, k_hi, regular = _krawczyk_rows(lo, hi, pre)
+    # an image strictly inside its boxes certifies the cycle: contract
+    # toward the fixed point, then hand back tight boxes; each image lies
+    # strictly inside its box, so it is what the two share
+    inside = regular & ((lo < k_lo) & (k_hi < hi)).all(axis=1)
+    lo[inside], hi[inside] = k_lo[inside], k_hi[inside]
+    certified |= inside
+    remaining[inside] -= 1
+    # any other image ends a certified row; an uncertified row fails when
+    # its image misses its boxes, else grows by epsilon inflation unless
+    # that makes a box wider than 0.5
+    grow = regular & ~certified & ((lo <= k_hi) & (k_lo <= hi)).all(axis=1)
+    width = _up_arr(k_hi - k_lo).reshape(-1, p, 2).max(axis=2)
+    g_pad = np.repeat(0.125 * width + pad, 2, axis=1)
+    g_lo, g_hi = k_lo - g_pad, k_hi + g_pad
+    if not (np.isfinite(g_lo[grow]).all() and np.isfinite(g_hi[grow]).all()):
+        raise EmptyIntervalError("non-finite inflated box")
+    grow &= _up_arr(g_hi - g_lo).max(axis=1) <= 0.5
+    lo[grow], hi[grow] = g_lo[grow], g_hi[grow]
+    return grow | (inside & (remaining > 0))
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def krawczyk_cycle_rows(c: BoxArray, boxes, radius):
     """Krawczyk existence certification of a full cycle as a coupled
@@ -516,8 +573,9 @@ def krawczyk_cycle_rows(c: BoxArray, boxes, radius):
 
     Each residual involves a single map application, so there is no
     iterate-depth wrapping.  c is a BoxArray of B parameter rows, boxes the
-    (lo, hi) pair of (B, 2p) endpoint arrays of the start boxes, _around
-    each orbit guess with its row's radius, and radius that (B,) array.
+    (lo, hi) pair of (B, 2p) endpoint arrays of the start boxes (_around
+    an orbit guess, or the certified orbit boxes of a box that holds the
+    row's), and radius the (B,) array of the rows' inflation radii.
     The boxes grow by epsilon inflation, which hands every orbit point a
     radius matched to its own parameter sensitivity: an image strictly
     inside its boxes certifies the cycle and is tightened up to _TIGHTEN
@@ -530,55 +588,38 @@ def krawczyk_cycle_rows(c: BoxArray, boxes, radius):
     sound (see _krawczyk_rows), so a row whose Jacobian is singular there
     fails in its first round, and a regular one is never found singular
     later.  The rows go _CHUNK at a time, and each chunk runs all its
-    rounds before the next: it forms Y, |Y| and the parameter term once,
-    and each round evaluates the images of its rows still open, which
-    decide by these rules and update their boxes in place.  Every row ends
-    as it would by itself, and no array holds more than a chunk's
-    preconditioners or a round's images.  Returns (certified, lo, hi,
-    images): the mask of certified rows, the endpoint arrays of boxes,
+    rounds before the next: it forms Y, |Y| and the parameter terms once
+    (_Pre), and each round (_inflation_round) evaluates the images of its
+    rows still open, held compacted, which decide by these rules and
+    update their boxes.  A row is written back once, when it closes.
+    Every row ends as it would by itself, and no array holds more than a
+    chunk's preconditioners or a round's images.  Returns (certified, lo,
+    hi, images): the mask of certified rows, the endpoint arrays of boxes,
     refined in place (the tight orbit boxes of the certified rows), and
     the number of Krawczyk images each row ran.
     """
     lo, hi = boxes
-    p = lo.shape[1] // 2
-    certified, remaining = np.zeros(len(lo), dtype=bool), np.full(len(lo), _TIGHTEN)
+    certified = np.zeros(len(lo), dtype=bool)
     images = np.zeros(len(lo), dtype=np.int64)
-
-    # a round's images live in this closure alone and are freed on return
-    def round_rows(rows, pre):  # one round; returns the mask of the rows still open
-        z_lo, z_hi = lo[rows], hi[rows]
-        k_lo, k_hi, regular = _krawczyk_rows(c[rows], z_lo, z_hi, pre)
-        # an image strictly inside its boxes certifies the cycle: contract
-        # toward the fixed point, then hand back tight boxes; each image
-        # lies strictly inside its box, so it is what the two share
-        inside = regular & ((z_lo < k_lo) & (k_hi < z_hi)).all(axis=1)
-        won = rows[inside]
-        lo[won], hi[won] = k_lo[inside], k_hi[inside]
-        certified[won] = True
-        remaining[won] -= 1
-        # any other image ends a certified row; an uncertified row fails
-        # when its image misses its boxes, else grows by epsilon inflation
-        # unless that makes a box wider than 0.5
-        grow = regular & ~certified[rows] & ((z_lo <= k_hi) & (k_lo <= z_hi)).all(axis=1)
-        width = _up_arr(k_hi - k_lo).reshape(-1, p, 2).max(axis=2)
-        pad = np.repeat(0.125 * width + 4.0 * radius[rows, None], 2, axis=1)
-        g_lo, g_hi = k_lo - pad, k_hi + pad
-        if not (np.isfinite(g_lo[grow]).all() and np.isfinite(g_hi[grow]).all()):
-            raise EmptyIntervalError("non-finite inflated box")
-        grow &= _up_arr(g_hi - g_lo).max(axis=1) <= 0.5
-        lo[rows[grow]], hi[rows[grow]] = g_lo[grow], g_hi[grow]
-        return grow | (inside & (remaining[rows] > 0))
-
     for start in range(0, len(lo), _CHUNK):
         rows = np.arange(start, min(start + _CHUNK, len(lo)))
-        pre = _preconditioner(c[rows], lo[rows], hi[rows])
-        for _ in range(_ROUNDS):
-            images[rows] += 1
-            still = round_rows(rows, pre)
-            # rows leave a chunk's preconditioners only when some close: a
-            # copy that keeps every row would only raise the peak
+        z_lo, z_hi, pad = lo[rows], hi[rows], 4.0 * radius[rows, None]
+        won, remaining = np.zeros(len(rows), dtype=bool), np.full(len(rows), _TIGHTEN)
+        pre = _preconditioner(c[rows], z_lo, z_hi)
+        for done in range(1, _ROUNDS + 1):
+            still = _inflation_round(z_lo, z_hi, pre, pad, won, remaining)
+            if done == _ROUNDS:
+                still[:] = False
+            # rows leave a chunk's arrays only when some close: a copy that
+            # keeps every row would only raise the peak
             if not still.all():
-                rows, pre = rows[still], tuple(a[still] for a in pre)
+                out = ~still
+                gone = rows[out]
+                lo[gone], hi[gone] = z_lo[out], z_hi[out]
+                certified[gone], images[gone] = won[out], done
+                rows, z_lo, z_hi, pad, won, remaining = (
+                    a[still] for a in (rows, z_lo, z_hi, pad, won, remaining))
+                pre = pre._make(a[still] for a in pre)
             if not len(rows):
                 break
     return certified, lo, hi, images

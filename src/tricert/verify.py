@@ -12,9 +12,15 @@ is always legal):
 The last two share one certifier: the Krawczyk operator on the coupled
 cyclic system, whose orbit boxes must be pairwise disjoint (the exact
 period).  The fixed point of f_c^6 is z_0 of a certified period-6 cycle,
-and its box must lie in the region X.  Cycle claims use continuation: the
-floating-point orbit refined at a parameter box seeds the Krawczyk
-certification of its children.
+and its box must lie in the region X.  Cycle claims hand each box's
+findings on to its children.  A child of a box whose cycle was held
+(certified, in pairwise disjoint boxes) starts Krawczyk from the parent's
+orbit boxes X: those hold the parent's cycle for every c of the child's
+box, so an image K(X) inside X proves the one cycle in X to be the
+parent's, with no float Newton (Moore, SIAM J. Numer. Anal. 14, 1977;
+Rump, Acta Numerica 19, 2010).  Every other box, and a child whose image
+from X is not held, uses continuation: the floating-point orbit handed
+on, refined by Newton at its midpoint, seeds its Krawczyk certification.
 
 Every claim evaluates a whole quadtree level, one BoxArray, at once, to
 arrays of status letters and efforts and the seeds of its rows (see
@@ -25,9 +31,10 @@ walk decides where each segment's image lies, and each child box resumes
 it from its parent's open blocks (see boundary_disjoint_level); the
 count walk sums the argument-principle pieces of every box's contour
 (see _contour_walk).  The two cycle claims
-read their statuses from tracked_cycle_level, which refines, certifies
-and tries absence on the whole level in batched float Newton and
-Krawczyk calls, their rows dynamics._CHUNK at a time.  Each row's
+read their statuses from tracked_cycle_level, which certifies from
+inherited boxes, refines, certifies and tries absence on the whole
+level in batched Krawczyk and float Newton calls, their rows
+dynamics._CHUNK at a time.  Each row's
 Krawczyk preconditioner is formed once, at its start boxes, and serves
 all its epsilon-inflation rounds.  The two witnesses of
 component_witnesses are one-box calls of it.
@@ -607,6 +614,32 @@ def _pairwise_disjoint(lo, hi):
     return ~np.triu(meet, 1).any(axis=(1, 2))
 
 
+@dataclass(frozen=True)
+class _CycleSeeds:
+    """What a tracked-cycle level hands on: per row its orbit guess, and
+    whether its cycle was held, with the endpoint rows of the orbit boxes
+    of the held rows, in row order."""
+
+    orbits: np.ndarray  # (B, p) orbit guesses
+    held: np.ndarray  # (B,) mask of the rows whose cycle was held
+    lo: np.ndarray  # (held.sum(), 2p) endpoints of their orbit boxes
+    hi: np.ndarray
+
+    @staticmethod
+    def of(orbits) -> "_CycleSeeds":
+        """Orbit guesses alone, with no cycle held."""
+        orbits = np.asarray(orbits, dtype=complex)
+        none = np.zeros((0, 2 * orbits.shape[-1]))
+        return _CycleSeeds(orbits, np.zeros(len(orbits), dtype=bool), none, none)
+
+    def __getitem__(self, rows) -> "_CycleSeeds":
+        """The seeds of the given rows, in turn: row j of the result is row
+        rows[j]."""
+        held = self.held[rows]
+        at = (np.cumsum(self.held) - 1)[rows][held]
+        return _CycleSeeds(self.orbits[rows], held, self.lo[at], self.hi[at])
+
+
 class _Tracked(NamedTuple):
     """What tracked_cycle_level finds on a level of B parameter rows."""
 
@@ -614,51 +647,80 @@ class _Tracked(NamedTuple):
     lo: np.ndarray  # (len(cycle), 2p) endpoints of their orbit boxes
     hi: np.ndarray
     absent: np.ndarray  # (B,) mask of the rows with certified absence
-    orbits: np.ndarray  # (B, p) refined orbits, the seeds of the children
+    orbits: np.ndarray  # (B, p) orbit guesses, refined where Newton ran
     effort: np.ndarray  # (B,) Krawczyk images run for each row
+
+    def seeds(self) -> _CycleSeeds:
+        """The seeds that the rows hand on to their children."""
+        held = np.zeros(len(self.orbits), dtype=bool)
+        held[self.cycle] = True
+        return _CycleSeeds(self.orbits, held, self.lo, self.hi)
 
 
 def tracked_cycle_level(boxes: BoxArray, period: int, seeds, absence: bool = True) -> _Tracked:
     """The tracked period-p cycle over each parameter row of a level.
 
-    seeds holds a (B, p) orbit guess per row.  Each seed orbit is refined by
-    float Newton at its box midpoint.  Where Newton converges, Krawczyk
-    certifies the cycle over the whole box; the coupled system is also
+    seeds is the _CycleSeeds of the level's rows, or a (B, p) orbit guess
+    per row, with no cycle held.  A row whose parent's cycle was held
+    starts Krawczyk from the parent's orbit boxes.  An image strictly
+    inside them proves a unique cycle in them for every c of the row's
+    box, and they hold the parent's cycle at every such c, so it is the
+    parent's cycle (Krawczyk uniqueness: Moore, SIAM J. Numer. Anal. 14,
+    1977; Rump, Acta Numerica 19, 2010), found with no float Newton.  Every
+    other row, and every row whose inherited certification is not held,
+    refines its orbit guess by float Newton at its box midpoint, and
+    where Newton converges, Krawczyk certifies the cycle over the whole
+    box from boxes about the refined orbit.  The coupled system is also
     solved by a shorter cycle traversed several times, which puts one
-    point in two boxes, so only pairwise disjoint orbit boxes count (the
-    exact period).  With absence, a box at most _ABSENCE_MAX_WIDTH wide
-    whose cycle is not certified gets one Krawczyk step on the
-    _ABSENCE_RADIUS neighborhood of its refined orbit.  Every step runs on
-    the whole level, its kernel and Newton rows _CHUNK at a time, and
-    decides each row as it would by itself.  The orbit boxes are over the
-    coordinates (re z_0, im z_0, re z_1, ...).
+    point in two boxes, so only pairwise disjoint orbit boxes are held
+    (the exact period).  Both Krawczyk calls take the row's box width, at
+    least 1e-9, as its inflation radius.  With absence, a box at most
+    _ABSENCE_MAX_WIDTH wide whose cycle is not held gets one Krawczyk step
+    on the _ABSENCE_RADIUS neighborhood of its refined orbit.  Every step
+    runs on the whole level, its kernel and Newton rows _CHUNK at a time,
+    and decides each row as it would by itself.  The orbit boxes are over
+    the coordinates (re z_0, im z_0, re z_1, ...).
     """
     count = len(boxes)
-    orbits = np.asarray(seeds, dtype=complex)
-    if orbits.shape != (count, period):
+    if not isinstance(seeds, _CycleSeeds):
+        seeds = _CycleSeeds.of(seeds)
+    if seeds.orbits.shape != (count, period):
         raise ValueError("orbit guess length must equal the period")
-    mids = np.empty(count, dtype=complex)
-    mids.real, mids.imag = _mid_arr(*boxes.re), _mid_arr(*boxes.im)
-    # only Newton reads the guesses: rebinding the name frees them
-    orbits, converged = _refine_orbit(mids, orbits)
     widths = boxes.width()
+    radius = np.maximum(1e-9, widths)
     effort = np.zeros(count, dtype=np.int64)
     held = np.zeros(count, dtype=bool)
+
+    def certify(rows, start):
+        """Krawczyk from the start boxes of rows: the held rows among them
+        and the endpoints of their orbit boxes."""
+        certified, lo, hi, images = krawczyk_cycle_rows(boxes[rows], start, radius[rows])
+        effort[rows] += images
+        won = certified & _pairwise_disjoint(lo, hi)
+        held[rows] = won
+        return rows[won], lo[won], hi[won]
+
+    inherited = certify(np.flatnonzero(seeds.held), (seeds.lo.copy(), seeds.hi.copy()))
+    mids = np.empty(count, dtype=complex)
+    mids.real, mids.imag = _mid_arr(*boxes.re), _mid_arr(*boxes.im)
+    rows = np.flatnonzero(~held)
+    if len(rows) == count:  # Newton takes the guesses whole, with no copy
+        orbits, converged = _refine_orbit(mids, seeds.orbits)
+    else:
+        orbits, converged = seeds.orbits.copy(), np.zeros(count, dtype=bool)
+        orbits[rows], converged[rows] = _refine_orbit(mids[rows], orbits[rows])
     rows = np.flatnonzero(converged)
     # the start boxes are built first, so no copy of the converged orbits
     # lives through the rounds
-    radius = np.maximum(1e-9, widths[rows])
-    certified, lo, hi, images = krawczyk_cycle_rows(
-        boxes[rows], _around(orbits[rows], radius[:, None]), radius)
-    effort[rows] = images
-    disjoint = certified & _pairwise_disjoint(lo, hi)
-    held[rows] = disjoint
+    refined = certify(rows, _around(orbits[rows], radius[rows, None]))
+    cycle, lo, hi = (np.concatenate(parts) for parts in zip(inherited, refined))
+    order = np.argsort(cycle)
     absent = np.zeros(count, dtype=bool)
     rows = np.flatnonzero(~held & (widths <= _ABSENCE_MAX_WIDTH))
     if absence and len(rows):
         absent[rows] = krawczyk_absence_rows(boxes[rows], orbits[rows], _ABSENCE_RADIUS)
         effort[rows] += 1
-    return _Tracked(np.flatnonzero(held), lo[disjoint], hi[disjoint], absent, orbits, effort)
+    return _Tracked(cycle[order], lo[order], hi[order], absent, orbits, effort)
 
 
 # The statuses of a level are read at once from the endpoint rows of its
@@ -823,7 +885,7 @@ def _initial_seed(rect: ComplexBox, orbit: list[complex]) -> np.ndarray:
 class ParabolicExclusionClaim(_Claim):
     """Scan claim: tracked period-p cycle avoids multiplier one (red = U).
     A level is one tracked_cycle_level call, with absence, and its seeds
-    are the (B, p) refined orbits.  The root is seeded by the critical orbit of the period-p center that Newton finds
+    are the _CycleSeeds it hands on.  The root is seeded by the critical orbit of the period-p center that Newton finds
     from the rect's midpoint, so the certificate's rect and period fix the
     seed; the center need not lie in the rect."""
 
@@ -841,14 +903,15 @@ class ParabolicExclusionClaim(_Claim):
 
     def evaluate_level(self, boxes, seeds):
         tracked = tracked_cycle_level(boxes, self.period, seeds)
-        return _excluded_statuses(tracked), tracked.effort, tracked.orbits
+        return _excluded_statuses(tracked), tracked.effort, tracked.seeds()
 
 
 @dataclass
 class MultiplierNonRealClaim(_Claim):
     """Scan claim: multiplier of the f^6 fixed point is non-real (yellow = U).
     A level is one tracked_cycle_level call of period 6, without absence,
-    and its seeds are the (B, 6) refined orbits."""
+    and its seeds are the _CycleSeeds it hands on.  A guess whose float
+    orbit overflows seeds orbits of nan, which track no cycle."""
 
     region: ComplexBox | None = None
     guess: complex = 0.04 + 0.04j
@@ -856,11 +919,15 @@ class MultiplierNonRealClaim(_Claim):
 
     def initial_seed(self, rect: ComplexBox):
         c = rect.midpoint()
-        return _initial_seed(rect, [float_iterate(c, self.guess, k) for k in range(6)])
+        try:
+            orbit = [float_iterate(c, self.guess, k) for k in range(6)]
+        except OverflowError:
+            orbit = [complex(math.nan, math.nan)] * 6
+        return _initial_seed(rect, orbit)
 
     def evaluate_level(self, boxes, seeds):
         tracked = tracked_cycle_level(boxes, 6, seeds, absence=False)
-        return _nonreal_statuses(tracked, self.region), tracked.effort, tracked.orbits
+        return _nonreal_statuses(tracked, self.region), tracked.effort, tracked.seeds()
 
 
 # ---------------------------------------------------------------------------

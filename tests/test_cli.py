@@ -222,6 +222,18 @@ class TestScan:
         assert captured.err == ""
         assert [leaf.status.value for leaf in parse(out.read_bytes()).leaves] == ["U"] * 4
 
+    def test_overflowing_multiplier_seed_is_undetermined(self, tmp_path, capsys):
+        # the seed orbit's complex power overflows at |c| ~ 1e20: its rows
+        # are not finite, so every leaf is Undetermined, not a traceback
+        out = tmp_path / "cert.txt"
+        code = _run(["scan", "--claim", "multiplier", "--rect", "1e20,2e20,0,1",
+                     "--max-depth", "1", "-o", str(out)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == "scan multiplier: UNDETERMINED over 4 leaves\n"
+        assert captured.err == ""
+        assert [leaf.status.value for leaf in parse(out.read_bytes()).leaves] == ["U"] * 4
+
     def test_scan_image_output(self, tmp_path):
         out = tmp_path / "cert.txt"
         img = tmp_path / "scan.ppm"

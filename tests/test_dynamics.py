@@ -35,7 +35,6 @@ from tricert.dynamics import (
 from tricert.intervals import BoxArray, ComplexBox, EmptyIntervalError, Interval, _abs_pair
 from tricert.scan import adaptive_scan, serialize
 from tricert.verify import (
-    ClaimResult,
     MultiplierNonRealClaim,
     ParabolicExclusionClaim,
     Status,
@@ -435,18 +434,30 @@ def _bits(image):
 @functools.lru_cache(maxsize=None)
 def _scan_kernel_rows():
     """250 evenly spaced kernel rows of each of the depth-6 red and yellow
-    scans of PAPER_R, as a list of (parameter box, orbit boxes) per scan."""
+    scans of PAPER_R, as a list of (parameter box, orbit boxes) per scan.
+    The kernel sees a row's parameter box through the float midpoint that
+    _preconditioner took of it, which tells the boxes of a scan apart."""
     samples = []
     for claim in (ParabolicExclusionClaim(9), MultiplierNonRealClaim(PAPER_X_REGION)):
-        rows, kernel = [], dynamics._krawczyk_rows
+        rows, box_at = [], {}
+        kernel, precondition = dynamics._krawczyk_rows, dynamics._preconditioner
 
-        def spy(c, lo, hi, pre):
-            rows.extend(zip(c.boxes(), lo, hi))
-            return kernel(c, lo, hi, pre)
+        def mids(pre):
+            return zip(pre.cu[:, 0].tolist(), pre.cv[:, 0].tolist())
 
-        with mock.patch.object(dynamics, "_krawczyk_rows", spy):
+        def spy_pre(c, lo, hi):
+            pre = precondition(c, lo, hi)
+            box_at.update(zip(mids(pre), c.boxes()))
+            return pre
+
+        def spy(lo, hi, pre):
+            rows.extend(zip(mids(pre), lo, hi))
+            return kernel(lo, hi, pre)
+
+        with mock.patch.object(dynamics, "_krawczyk_rows", spy), \
+                mock.patch.object(dynamics, "_preconditioner", spy_pre):
             adaptive_scan(PAPER_R, claim, 6)
-        samples.append([(c, _orbit_boxes(lo, hi)) for c, lo, hi in
+        samples.append([(box_at[mid], _orbit_boxes(lo, hi)) for mid, lo, hi in
                         (rows[k] for k in np.linspace(0, len(rows) - 1, 250).astype(int))])
     return samples
 
@@ -599,10 +610,10 @@ class TestKrawczykKernel:
         stale = mid + reach * np.array(data.draw(st.lists(
             st.floats(-1.0, 1.0), min_size=mid.size, max_size=mid.size)))
         pre = dynamics._preconditioner(cs, stale, stale)
-        y, _, _, regular = pre
-        assume(regular[0])
+        y = pre.y
+        assume(pre.ok[0])
         try:
-            image = _row_boxes(*dynamics._krawczyk_rows(cs, lo, hi, pre), 0)
+            image = _row_boxes(*dynamics._krawczyk_rows(lo, hi, pre), 0)
         except EmptyIntervalError:
             # the stale Y of a wide box may overflow the image: no claim
             assume(False)
@@ -629,7 +640,7 @@ class TestKrawczykKernel:
         c, (lo, hi) = _batch([row])
         pre, start = dynamics._preconditioner(c, lo, hi), dynamics._mid_arr(lo, hi)
         for _ in range(dynamics._TIGHTEN):
-            k_lo, k_hi, ok = dynamics._krawczyk_rows(c, lo, hi, pre)
+            k_lo, k_hi, ok = dynamics._krawczyk_rows(lo, hi, pre)
             assert ok[0] and ((lo < k_lo) & (k_hi < hi)).all()
             lo, hi = k_lo, k_hi
         assert (dynamics._mid_arr(lo, hi) != start).any()
@@ -728,7 +739,7 @@ class TestCyclicInverse:
         # 1e-12 relative and inverts J to 1e-12; it is C-ordered, and each
         # row has the bits of its one-row batch
         x, y = orbits
-        j = dynamics._jacobian(x, y)
+        j = dynamics._jacobians(dynamics._minus_ones(*x.shape), x, y)
         assume((np.linalg.cond(j) <= 100.0).all())
         inverse = dynamics._cyclic_inverse(x, y)
         assert inverse.flags.c_contiguous and inverse.shape == j.shape
@@ -785,6 +796,35 @@ def test_kernel_bits_do_not_depend_on_the_blas_kernel(tmp_path):
     k_lo, k_hi, ok = dynamics._krawczyk_image(c, (lo, hi))
     assert ok.all()
     assert digests == {hashlib.sha256(k_lo.tobytes() + k_hi.tobytes() + ok.tobytes()).hexdigest()}
+
+
+_YELLOW_BITS = """
+import hashlib
+from tricert.cli import PAPER_R, PAPER_X_REGION
+from tricert.scan import adaptive_scan, serialize
+from tricert.verify import MultiplierNonRealClaim
+cert = adaptive_scan(PAPER_R, MultiplierNonRealClaim(PAPER_X_REGION), 5)
+print(hashlib.sha256(serialize(cert) + cert.effort.tobytes()).hexdigest())
+"""
+
+
+def test_yellow_scan_does_not_depend_on_the_blas_kernel():
+    # below its root every yellow row starts Krawczyk from its parent's
+    # orbit boxes, with no LAPACK solve; only the root's two Newton rows
+    # still solve by LAPACK, and the certificate and its efforts are the
+    # same on each kernel
+    src = str(Path(dynamics.__file__).resolve().parents[1])
+    digests = set()
+    for core in (None, "Prescott", "Haswell"):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        if core:
+            env["OPENBLAS_CORETYPE"] = core
+        run = subprocess.run([sys.executable, "-c", _YELLOW_BITS], env=env,
+                             capture_output=True, text=True, check=True)
+        digests.add(run.stdout.strip())
+    cert = adaptive_scan(PAPER_R, MultiplierNonRealClaim(PAPER_X_REGION), 5)
+    assert digests == {hashlib.sha256(serialize(cert) + cert.effort.tobytes()).hexdigest()}
 
 
 # ---------------------------------------------------------------------------
@@ -927,15 +967,16 @@ class TestFloatNewtonRows:
 
 # The per-box tracked-cycle path that preceded verify.tracked_cycle_level,
 # on the scalar kernel and the scalar Newton, kept as the bitwise oracle of
-# the batch; it counts the Krawczyk images of each box as its effort.
+# the batch, with its rule that a box whose parent held its cycle starts
+# from the parent's orbit boxes; it counts the Krawczyk images of each box
+# as its effort.
 
 
-def _scalar_krawczyk_cycle(kernel, c, period, orbit_guess, radius, tighten=3):
-    """The rules of krawczyk_cycle_rows one box at a time, with the kernel
-    kernel(c, boxes, y) passed in: (certified, the tight orbit boxes or []).
-    The preconditioner y is taken once, at the start boxes, and kept."""
-    p = period
-    boxes = [ComplexBox.around(z, radius) for z in orbit_guess]
+def _scalar_krawczyk_cycle(kernel, c, boxes, radius, tighten=3):
+    """The rules of krawczyk_cycle_rows one box at a time, from the start
+    boxes, with the kernel kernel(c, boxes, y) passed in: (certified, the
+    tight orbit boxes or []).  The preconditioner y is taken once, at the
+    start boxes, and kept."""
     y = _scalar_inverse(boxes)
     certified = False
     remaining = max(tighten, 1)
@@ -977,22 +1018,38 @@ def _scalar_refine_orbit(c_mid, period, orbit_guess):
     return orbit, residual < 1e-10
 
 
-def _scalar_tracked_cycle(c: ComplexBox, period: int, orbit_guess, absence: bool):
-    """(orbit boxes or None, absent, refined orbit, Krawczyk images) of one box."""
+def _held(boxes):
+    """The certified orbit boxes when they are pairwise disjoint, else None."""
+    p = len(boxes)
+    if any(boxes[i].intersects(boxes[j]) for i in range(p) for j in range(i + 1, p)):
+        return None
+    return boxes
+
+
+def _scalar_tracked_cycle(c: ComplexBox, period: int, seed, absence: bool):
+    """(held orbit boxes or None, absent, orbit guess, Krawczyk images) of
+    one box, from its seed (orbit guess, the parent's held orbit boxes or
+    None).  Krawczyk starts from the parent's boxes where it held its
+    cycle; the orbit guess is refined by Newton only where that is not
+    held."""
     images = []
 
     def kernel(c, boxes, y):
         images.append(1)
         return _scalar_krawczyk_step(c, boxes, y)
 
-    refined, converged = _scalar_refine_orbit(c.midpoint(), period, orbit_guess)
-    boxes = None
-    if converged:
-        certified, found = _scalar_krawczyk_cycle(kernel, c, period, refined, max(1e-9, c.width()))
-        if certified and not any(
-                found[i].intersects(found[j])
-                for i in range(period) for j in range(i + 1, period)):
-            boxes = found
+    orbit_guess, parent = seed
+    radius = max(1e-9, c.width())
+    boxes, refined = None, orbit_guess
+    if parent is not None:
+        certified, found = _scalar_krawczyk_cycle(kernel, c, parent, radius)
+        boxes = _held(found) if certified else None
+    if boxes is None:
+        refined, converged = _scalar_refine_orbit(c.midpoint(), period, orbit_guess)
+        if converged:
+            certified, found = _scalar_krawczyk_cycle(
+                kernel, c, [ComplexBox.around(z, radius) for z in refined], radius)
+            boxes = _held(found) if certified else None
     absent = False
     if absence and boxes is None and c.width() <= verify._ABSENCE_MAX_WIDTH:
         near = [ComplexBox.around(z, verify._ABSENCE_RADIUS) for z in refined]
@@ -1025,23 +1082,11 @@ def _scalar_nonreal(region):
     return status
 
 
-class _PerBox:
-    """Base of the oracle claims, which evaluate one box at a time:
-    evaluate_level maps evaluate(box, seed orbit) -> (result, refined
-    orbit) over the rows of a level, to arrays of status letters and
-    efforts and the (B, p) array of refined orbits."""
-
-    def evaluate_level(self, boxes, seeds):
-        pairs = [self.evaluate(box, seed.tolist()) for box, seed in zip(boxes.boxes(), seeds)]
-        return (np.array([result.status.value for result, _ in pairs], dtype="<U1"),
-                np.array([result.effort for result, _ in pairs], dtype=np.int64),
-                np.array([refined for _, refined in pairs], dtype=complex))
-
-
-class _ScalarTrackedClaim(_PerBox):
+class _ScalarTrackedClaim:
     """A tracked-cycle claim evaluated box by box on the per-box path, with
     the batch claim's name and header and its seeds refined by the scalar
-    Newton."""
+    Newton.  A level's seeds are an object array of (orbit guess, held
+    orbit boxes or None) per row; the root's are a (1, p) orbit array."""
 
     def __init__(self, claim, period, orbit_at, absence, verdict):
         self.name, self.config = claim.name, claim.config
@@ -1052,10 +1097,17 @@ class _ScalarTrackedClaim(_PerBox):
         guess = self.orbit_at(rect.midpoint())
         return np.array([_scalar_refine_orbit(rect.midpoint(), self.period, guess)[0]])
 
-    def evaluate(self, box, seed):
-        boxes, absent, refined, effort = _scalar_tracked_cycle(box, self.period, seed, self.absence)
-        status = Status.TRUE if self.verdict(boxes, absent) else Status.UNDETERMINED
-        return ClaimResult(status, effort), refined
+    def evaluate_level(self, boxes, seeds):
+        if seeds.dtype != object:
+            seeds = [(orbit.tolist(), None) for orbit in seeds]
+        status, effort, handed = [], [], np.empty(len(boxes), dtype=object)
+        for k, (box, seed) in enumerate(zip(boxes.boxes(), seeds)):
+            held, absent, orbit, images = _scalar_tracked_cycle(box, self.period, seed,
+                                                                self.absence)
+            status.append("T" if self.verdict(held, absent) else "U")
+            effort.append(images)
+            handed[k] = (orbit, held)
+        return np.array(status, dtype="<U1"), np.array(effort, dtype=np.int64), handed
 
 
 def _cell(rect: ComplexBox, path) -> ComplexBox:

@@ -830,13 +830,15 @@ class TestTrackedCycleLevel:
     def test_effort_counts_kernel_rows(self, monkeypatch):
         # the paper's red and yellow scans at depth 6: the effort of each
         # level's results adds up to the Krawczyk kernel rows run for it
-        # (4,841 and 1,252 over all levels; the leaves keep 3,530 and 940)
+        # (4,841 and 940 over all levels; the leaves keep 3,530 and 705).
+        # Yellow's rows below the root start from their parents' orbit
+        # boxes, where Newton-seeded boxes ran 1,252 and 940
         rows = []
         kernel = dynamics._krawczyk_rows
 
-        def spy(c, lo, hi, pre):
-            rows.append(len(c))
-            return kernel(c, lo, hi, pre)
+        def spy(lo, hi, pre):
+            rows.append(len(lo))
+            return kernel(lo, hi, pre)
 
         monkeypatch.setattr(dynamics, "_krawczyk_rows", spy)
         totals = []
@@ -854,13 +856,14 @@ class TestTrackedCycleLevel:
             assert all(effort == kernel_rows for effort, kernel_rows in levels)
             totals.append((sum(effort for effort, _ in levels),
                            sum(leaf.effort for leaf in cert.leaves)))
-        assert totals == [(4841, 3530), (1252, 940)]
+        assert totals == [(4841, 3530), (940, 705)]
 
     def test_preconditioner_is_formed_once_a_row(self, monkeypatch):
         # on the red scan's level 6, _cyclic_inverse sees the midpoints of
         # the start boxes of the converged rows, each exactly once and in
         # order, though their rounds run 5.2 Krawczyk images a row (2,572
-        # on 498 rows)
+        # on 498 rows); no row there has a held parent, so the call for
+        # the inherited boxes has no rows
         evaluate, boxes, seeds = _red_level_6()
         inverse, cycle, seen, calls = dynamics._cyclic_inverse, verify.krawczyk_cycle_rows, [], []
 
@@ -871,7 +874,8 @@ class TestTrackedCycleLevel:
         def spy_cycle(c, start_boxes, radius):
             start, first = dynamics._mid_arr(*start_boxes), len(seen)
             out = cycle(c, start_boxes, radius)
-            calls.append((start, np.concatenate(seen[first:]), out[3]))
+            if len(c):
+                calls.append((start, np.concatenate(seen[first:]), out[3]))
             return out
 
         monkeypatch.setattr(dynamics, "_cyclic_inverse", spy_inverse)
@@ -901,6 +905,85 @@ class TestTrackedCycleLevel:
         capped = peak(536, 32)
         assert capped < 2 * peak(64, 32)
         assert peak(536, 536) > 5 * capped
+
+
+def _yellow_root():
+    """The yellow claim's root box of R_RECT, its tracked level and the
+    seeds of its four children."""
+    claim = _paper_claims()[1]
+    root = BoxArray.of([R_RECT])
+    tracked = tracked_cycle_level(root, 6, claim.initial_seed(R_RECT), absence=False)
+    return root, tracked, tracked.seeds()[np.zeros(4, dtype=np.int64)]
+
+
+def _newton_rows(monkeypatch):
+    """The row counts of verify's float_newton_rows calls from here on."""
+    rows, newton = [], verify.float_newton_rows
+
+    def spy(c, orbits):
+        rows.append(len(c))
+        return newton(c, orbits)
+
+    monkeypatch.setattr(verify, "float_newton_rows", spy)
+    return rows
+
+
+class TestInheritedCycles:
+    def test_children_of_a_held_row_run_no_newton(self, monkeypatch):
+        # the root's cycle is held, so its children start Krawczyk from its
+        # orbit boxes: Newton sees no row, and each child's boxes lie
+        # inside the root's
+        root, tracked, seeds = _yellow_root()
+        assert tracked.cycle.tolist() == [0] and seeds.held.all()
+        rows = _newton_rows(monkeypatch)
+        children = tracked_cycle_level(root.quarter(), 6, seeds, absence=False)
+        assert sum(rows) == 0
+        assert children.cycle.tolist() == [0, 1, 2, 3]
+        assert (children.lo > tracked.lo).all() and (children.hi < tracked.hi).all()
+        # the orbit guesses are handed on as they came
+        assert children.orbits.tobytes() == seeds.orbits.tobytes()
+
+    def test_failed_inheritance_falls_back_to_newton(self, monkeypatch):
+        # with every inherited image made to fail, the children refine the
+        # handed-on orbits by Newton and end as the rows of a level with no
+        # cycle held do, each with the one failed image on top
+        root, tracked, seeds = _yellow_root()
+        cycle, calls = verify.krawczyk_cycle_rows, []
+
+        def failing_first(c, start, radius):
+            calls.append(len(c))
+            if len(calls) > 1:
+                return cycle(c, start, radius)
+            return np.zeros(len(c), dtype=bool), *start, np.ones(len(c), dtype=np.int64)
+
+        fresh = tracked_cycle_level(root.quarter(), 6, seeds.orbits, absence=False)
+        monkeypatch.setattr(verify, "krawczyk_cycle_rows", failing_first)
+        rows = _newton_rows(monkeypatch)
+        fallen = tracked_cycle_level(root.quarter(), 6, seeds, absence=False)
+        assert calls == [4, 4] and rows == [4]
+        assert len(fresh.cycle) == 4
+        for field in ("cycle", "lo", "hi", "absent", "orbits"):
+            assert getattr(fallen, field).tobytes() == getattr(fresh, field).tobytes()
+        assert (fallen.effort == fresh.effort + 1).all()
+
+    def test_paper_scans_keep_red_off_the_inherited_path(self, monkeypatch):
+        # on the depth-6 scans of R_RECT, yellow runs Newton on its root
+        # rows alone (its seed and level 0), and no red row is held and
+        # Undetermined, so no red row starts from inherited boxes
+        red, yellow = _paper_claims()
+        rows = _newton_rows(monkeypatch)
+        adaptive_scan(R_RECT, yellow, 6)
+        assert len(rows) == 8 and [n for n in rows if n] == [1, 1]
+        evaluate, held_u = red.evaluate_level, []
+
+        def recorded(boxes, seeds):
+            status, effort, children = evaluate(boxes, seeds)
+            held_u.append(int((children.held & (status == "U")).sum()))
+            return status, effort, children
+
+        red.evaluate_level = recorded
+        adaptive_scan(R_RECT, red, 6)
+        assert held_u == [0] * 7
 
 
 class TestCycleClaims:
@@ -951,6 +1034,16 @@ class TestCycleClaims:
         # Newton finds no period-9 center from this midpoint to seed from
         with pytest.raises(ValueError, match="no superattracting seed parameter"):
             ParabolicExclusionClaim(9).initial_seed(ComplexBox.around(100 + 100j, 1.0))
+
+    def test_overflowing_multiplier_seed_tracks_nothing(self):
+        # float_iterate's complex power overflows from the guess at |c| ~ 1e20;
+        # the root seed is then not finite and every leaf is Undetermined
+        rect = ComplexBox(Interval(1e20, 2e20), Interval(0.0, 1.0))
+        with pytest.raises(OverflowError):
+            float_iterate(rect.midpoint(), MultiplierNonRealClaim.guess, 5)
+        assert not np.isfinite(MultiplierNonRealClaim().initial_seed(rect)).any()
+        cert = adaptive_scan(rect, MultiplierNonRealClaim(), 1)
+        assert cert.status.tolist() == ["U"] * 4
 
     def test_multiplier_nonreal_newton_failure(self):
         c = 1e8 + 1e8j
