@@ -1,7 +1,7 @@
 """Validated numerics for the anti-quadratic family f_c(z) = conj(z)^2 + c.
 
 Interval-certified predicates over parameter rectangles: quadratic-like
-restriction, argument-principle fixed-point counting, attracting-cycle
+restriction, fixed-point counting by Krawczyk boxes, attracting-cycle
 and parabolic-exclusion certification, plus the certified period-3
 centers, escape-time rendering, and a line-oriented certificate format.
 """

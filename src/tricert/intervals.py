@@ -431,20 +431,14 @@ def _sqr_pair(a):
     return _clamp(_round(raw)[0], keep)
 
 
-def _abs_sqr(re, im):
-    """ComplexBox.abs_sqr on (re, im) pairs before its clamp at 0: the
-    rounded sum of the rounded squares, in two stages."""
+def _abs_pair(re, im):
+    """ComplexBox.abs on (re, im) pairs: the square root of |z|^2 (the
+    rounded sum of the rounded squares), whose lower endpoint is exactly 0
+    where the one of |z|^2 is at most 0 (always so when the box contains
+    0).  np.sqrt is correctly rounded, like math.sqrt."""
     (a, keep_a), (b, keep_b) = _sqr(re), _sqr(im)
     a, b = _round(a, b)
-    return _round(_add(_clamp(a, keep_a), _clamp(b, keep_b)))[0]
-
-
-def _abs_pair(re, im):
-    """ComplexBox.abs on (re, im) pairs: the square root of |z|^2, whose
-    lower endpoint is exactly 0 where the one of |z|^2 is at most 0 (always
-    so when the box contains 0).  np.sqrt is correctly rounded, like
-    math.sqrt."""
-    n_lo, n_hi = _abs_sqr(re, im)
+    n_lo, n_hi = _round(_add(_clamp(a, keep_a), _clamp(b, keep_b)))[0]
     pos = n_lo > 0.0
     lo, hi = _round((np.sqrt(np.where(pos, n_lo, 0.0)), np.sqrt(n_hi)))[0]
     return np.where(pos, lo, 0.0), hi
@@ -492,16 +486,16 @@ class BoxArray:
     """A batch of complex boxes held as float64 endpoint arrays.
 
     `re` and `im` are (lo, hi) pairs of equally long arrays; row i is the
-    box [re[0][i], re[1][i]] x [im[0][i], im[1][i]].  +, -, *, conj, sqr,
-    scale and recip are the ComplexBox operations row by row, in the same
+    box [re[0][i], re[1][i]] x [im[0][i], im[1][i]].  +, -, *, conj, sqr
+    and scale are the ComplexBox operations row by row, in the same
     operation order and with the same outward rounding, so every endpoint
     of a row equals the one of the ComplexBox result.  A ComplexBox operand
     broadcasts on either side of +, - and *.
 
-    Where ComplexBox raises, on a non-finite endpoint or in recip, the row
-    carries inf or nan instead.  Every operation keeps a non-finite row
-    non-finite, so a row whose result is finite is one on which the
-    ComplexBox evaluation succeeds.
+    Where ComplexBox raises, on a non-finite endpoint, the row carries inf
+    or nan instead.  Every operation keeps a non-finite row non-finite, so
+    a row whose result is finite is one on which the ComplexBox evaluation
+    succeeds.
     """
 
     __slots__ = ("re", "im")
@@ -576,17 +570,3 @@ class BoxArray:
 
     def scale(self, k: float) -> "BoxArray":
         return BoxArray(*_round(_scale(self.re, k), _scale(self.im, k)))
-
-    @np.errstate(divide="ignore", over="ignore", invalid="ignore")
-    def recip(self) -> "BoxArray":
-        """Enclosure of {1/z} per row; non-finite in the rows ComplexBox.recip
-        refuses."""
-        n_lo, n_hi = _abs_sqr(self.re, self.im)
-        r = _round((1.0 / n_hi, 1.0 / n_lo))[0]
-        # nan where |z|^2 cannot exclude 0 (ComplexBox clamps |z|^2 at 0 only
-        # there) or is non-finite; an overflow of 1/|z|^2 or of the products
-        # below leaves an infinite endpoint
-        ok = (n_lo > 0.0) & np.isfinite(n_hi)
-        r = np.where(ok, r[0], np.nan), np.where(ok, r[1], np.nan)
-        re, im = _round(_mul(self.re, r), _mul(self.im, r))
-        return BoxArray(re, _neg_pair(im))

@@ -5,7 +5,7 @@ answer is backed by containment-sound interval computation, Undetermined
 is always legal):
 
 * boundary disjointness of f_c^n(dU) from dU, the quadratic-like test;
-* fixed-point counting by an argument-principle contour enclosure;
+* zero counting by exclusion and Krawczyk boxes (fixed points of f_c^n);
 * attracting-cycle / parabolic-exclusion certification of a tracked cycle;
 * non-realness of the multiplier of the certified fixed point of f_c^6.
 
@@ -24,17 +24,18 @@ on, refined by Newton at its midpoint, seeds its Krawczyk certification.
 
 Every claim evaluates a whole quadtree level, one BoxArray, at once, to
 arrays of status letters and efforts and the seeds of its rows (see
-tricert.scan).  The qlike and count claims subdivide the edges of a
-rectangle in one depth-first walk (_walk) over BoxArray batches of at
-most _ROW_CAP segment rows, each row tagged with its box: the qlike
-walk decides where each segment's image lies, and each child box resumes
-it from its parent's open blocks (see boundary_disjoint_level); the
-count walk sums the argument-principle pieces of every box's contour
-(see _contour_walk).  The two cycle claims
-read their statuses from tracked_cycle_level, which certifies from
-inherited boxes, refines, certifies and tries absence on the whole
-level in batched Krawczyk and float Newton calls, their rows
-dynamics._CHUNK at a time.  Each row's
+tricert.scan).  The qlike claim subdivides the edges of U in one
+depth-first walk (_walk) over BoxArray batches of at most _ROW_CAP
+segment rows, each row tagged with its box, which decides where each
+segment's image lies; each child box resumes it from its parent's open
+blocks (see boundary_disjoint_level).  The count claim and the qlike
+anchor's preimage count run count_zeros: for every box of a level at
+once, a quadtree over the region drops the cells where the function
+excludes 0 and those inside one-variable Krawczyk boxes, each holding one
+simple zero.  The two cycle claims read their statuses from
+tracked_cycle_level, which certifies from inherited boxes, refines,
+certifies and tries absence on the whole level in batched Krawczyk and
+float Newton calls, their rows dynamics._CHUNK at a time.  Each row's
 Krawczyk preconditioner is formed once, at its start boxes, and serves
 all its epsilon-inflation rounds.  The two witnesses of
 component_witnesses are one-box calls of it.
@@ -54,7 +55,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -77,12 +77,10 @@ from .scan import ClaimResult, Status, _hex, adaptive_scan, component_rollup
 __all__ = [
     "Status",
     "ClaimResult",
-    "ContourEnclosure",
+    "ZeroCount",
     "boundary_disjoint",
     "boundary_disjoint_level",
-    "contour_integral",
-    "count_fixed_points",
-    "decide_count",
+    "count_zeros",
     "preimage_count",
     "tracked_cycle_level",
     "component_witnesses",
@@ -96,17 +94,6 @@ __all__ = [
     "disjointness_certificate",
 ]
 
-TWO_PI = Interval(math.nextafter(math.tau, 0.0), math.nextafter(math.tau, 4.0 * math.pi))
-
-
-@dataclass(frozen=True)
-class ContourEnclosure:
-    """Box enclosing a contour integral, with the segment count used."""
-
-    value: ComplexBox
-    segments: int
-
-
 # ---------------------------------------------------------------------------
 # boundary segment walks and the quadratic-like boundary test
 # ---------------------------------------------------------------------------
@@ -115,11 +102,10 @@ class ContourEnclosure:
 # rows of one segment batch, and of the starts of one walk; a walk recurses
 # on the halves of a batch's split rows _ROW_CAP // 2 parents at a time, so
 # it holds at most one batch per segment level.  Under the CLI's malloc
-# policy (cli.main), 8,192 rows made verify-count at depth 4 and contour
-# depth 10 6% faster (median 0.067 against 0.063 s, 10 of 10 alternating
-# fresh-process runs, 2-vCPU VM) at 2.0 MB more peak RSS (35.0 MB), and
-# left a depth-8 qlike scan of 3,469 leaves unchanged (0.077 against
-# 0.076 s, faster in 6 of 10), so the cap stays at 4,096
+# policy (cli.main), 8,192 rows left a depth-8 qlike scan of 3,469 leaves
+# unchanged (0.077 against 0.076 s, faster in 6 of 10 alternating
+# fresh-process runs, 2-vCPU VM), so the cap stays at 4,096.  It also caps
+# the live cells of one parameter row of count_zeros
 _ROW_CAP = 4096
 
 # the deepest segment depth at which a segment's node number 2^depth +
@@ -373,207 +359,237 @@ def boundary_disjoint(
 
 
 # ---------------------------------------------------------------------------
-# argument-principle counting
+# zero counting by exclusion and Krawczyk
 # ---------------------------------------------------------------------------
 
 
-# 2^0, ..., 2^_MAX_SEGMENT_DEPTH: depth + 1 of them are at most the node
-# number 2^depth + index (see _Segments)
-_POWERS = 1 << np.arange(_MAX_SEGMENT_DEPTH + 1, dtype=np.int64)
+# parameter rows of one count batch: a row holds at most _ROW_CAP live
+# cells, so a batch holds at most _COUNT_ROWS * _ROW_CAP
+_COUNT_ROWS = 16
+# a row with more survivors than this tries no Krawczyk start at that
+# depth, which bounds the touch matrix of the starts
+_START_CELLS = 64
+# a group of survivors starts Krawczyk only when the hull D of its cells'
+# derivative enclosures has radius below this share of |mid D|, so that
+# 1 - y der(C, Z) may contract: on the four boxes of the paper's count no
+# start above it held, and skipping them made the count about 30% faster
+_START_SPREAD = 0.5
+# the epsilon-inflation rounds of one Krawczyk start
+_START_ROUNDS = 4
+_ONE = ComplexBox.point(1 + 0j)
+
+
+class ZeroCount(NamedTuple):
+    """What count_zeros finds for B parameter rows."""
+
+    count: np.ndarray  # (B,) zeros in the region, -1 where undetermined
+    effort: np.ndarray  # (B,) box evaluations of fn for each row
+    owner: np.ndarray  # the row of each counted Krawczyk box, ascending
+    boxes: BoxArray  # the Krawczyk boxes Z counted by the decided rows
+    images: BoxArray  # their images K(Z), each inside its Z and the region
+
+
+def _meets(a: BoxArray, b: BoxArray) -> np.ndarray:
+    """The (len(a), len(b)) mask of the closed boxes that meet
+    (ComplexBox.intersects)."""
+    meet = np.ones((len(a), len(b)), dtype=bool)
+    for x, y in ((a.re, b.re), (a.im, b.im)):
+        meet &= (x[0][:, None] <= y[1][None, :]) & (y[0][None, :] <= x[1][:, None])
+    return meet
+
+
+def _starts(cells: BoxArray, owner, der: BoxArray):
+    """The hulls of the components of touching cells of each row, their
+    rows, and the hulls of the components' derivative enclosures der.  A
+    cell's label ends as the least index in its component."""
+    touch = (owner[:, None] == owner[None, :]) & _meets(cells, cells)
+    labels = np.arange(len(owner))
+    while len(labels):
+        least = np.where(touch, labels[None, :], len(labels)).min(axis=1)
+        if (least == labels).all():
+            break
+        labels = least
+    order = np.argsort(labels, kind="stable")
+    first = np.flatnonzero(np.diff(labels[order], prepend=-1))
+    hulls = [BoxArray(*[(np.minimum.reduceat(v[0][order], first),
+                         np.maximum.reduceat(v[1][order], first)) for v in (box.re, box.im)])
+             for box in (cells, der)]
+    return hulls[0], owner[order[first]], hulls[1]
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _zero_image(fn, cs: BoxArray, z: BoxArray):
+    """The one-variable Krawczyk image K(Z) = m - y val(C, m) + (1 - y
+    der(C, Z)) (Z - m) of each row Z of z over its parameter row C of cs,
+    m the midpoint of Z, and the float y = 1 / mid der(C, m) of each row
+    (not finite where mid der(C, m) is 0)."""
+    mr, mi = _mid_arr(*z.re), _mid_arr(*z.im)
+    m = BoxArray((mr, mr), (mi, mi))
+    val, der = fn(BoxArray.concat([cs, cs]), BoxArray.concat([m, z]))
+    k = len(z)
+    y = 1.0 / (_mid_arr(*der.re)[:k] + 1j * _mid_arr(*der.im)[:k])
+    point = BoxArray((y.real, y.real), (y.imag, y.imag))
+    return m - point * val[:k] + (_ONE - point * der[k:]) * (z - m), y
+
+
+def _krawczyk_starts(fn, cs: BoxArray, start: BoxArray):
+    """Krawczyk with epsilon inflation from the start boxes, row k over
+    the parameter row cs[k]: the mask of the rows held, their boxes Z and
+    images K(Z) (_zero_image; strictly inside Z where held), and the box
+    evaluations of each row.  A round that does not hold fails its row
+    when the image is not finite, misses Z or is no narrower than Z;
+    otherwise Z becomes the image grown by an eighth of its width, for at
+    most _START_ROUNDS rounds."""
+    box = np.array([*start.re, *start.im])  # rows of re lo, re hi, im lo, im hi
+    image = np.full_like(box, np.nan)
+    effort = np.zeros(len(start), dtype=np.int64)
+    rows = np.arange(len(start))
+    for _ in range(_START_ROUNDS):
+        a0, b0, p0, q0 = box[:, rows]
+        found, _ = _zero_image(fn, cs[rows], BoxArray((a0, b0), (p0, q0)))
+        effort[rows] += 2
+        a, b, p, q = ends = np.array([*found.re, *found.im])
+        finite = found.finite()
+        inside = finite & (a0 < a) & (b < b0) & (p0 < p) & (q < q0)
+        image[:, rows[inside]] = ends[:, inside]
+        width = np.maximum(b - a, q - p)
+        grow = (finite & ~inside & (a0 <= b) & (a <= b0) & (p0 <= q) & (p <= q0)
+                & (width < np.maximum(b0 - a0, q0 - p0)))
+        box[:, rows[grow]] = (ends + np.outer([-0.125, 0.125, -0.125, 0.125], width))[:, grow]
+        rows = rows[grow]
+        if not len(rows):
+            break
+    return ~np.isnan(image[0]), BoxArray(box[:2], box[2:]), BoxArray(image[:2], image[2:]), effort
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _contour_walk(fn, cs: BoxArray, region: ComplexBox, tol: float,
-                  max_depth: int) -> tuple[BoxArray, np.ndarray, np.ndarray]:
-    """contour_integral of z -> fn(c, z) over the region, for each parameter
-    row c of cs, in one _walk: the enclosures, the mask of the contours
-    that fail (their enclosure rows mean nothing) and the segment counts.
+def _count_batch(fn, cs: BoxArray, region: ComplexBox, max_depth: int) -> ZeroCount:
+    """count_zeros of at most _COUNT_ROWS parameter rows, breadth-first:
+    each depth evaluates the live cells of every row in one call of fn."""
+    rows = len(cs)
+    effort = np.zeros(rows, dtype=np.int64)
+    undecided = np.zeros(rows, dtype=bool)
+    owner = np.arange(rows)
+    re, im = region.re, region.im
+    cells = BoxArray((np.full(rows, re.lo), np.full(rows, re.hi)),
+                     (np.full(rows, im.lo), np.full(rows, im.hi)))
+    # the Krawczyk boxes so far, their images and rows, and which are counted
+    zs, images, z_owner, counted = cells[:0], cells[:0], owner[:0], np.zeros(0, dtype=bool)
 
-    The row with owner 4k + e is a segment of edge e (counterclockwise
-    from the bottom) of the contour of cs[k], and seg is its hull; the top
-    and left edges (e >= 2) run from the hull's upper corner to its lower
-    one.  The rows of a contour that fails (see contour_integral) are split
-    no further; the other contours go on as if alone.  A split
-    segment's value is left + right (IEEE + commutes, so a backward edge's
-    halves may come in either order) and a contour's is 0 + e0 + e1 + e2 +
-    e3, so every enclosure and its segment count are those of a depth-first
-    recursion over the same segments.  (A segment endpoint may hold a zero
-    of the other sign than that recursion's; it reaches the enclosure only
-    through rounded operations, which map both zeros to the same endpoint.)
+    def outside_boxes(cells, owner):
+        """The mask of the cells that lie in none of their row's boxes."""
+        inside = owner[:, None] == z_owner[None, :]
+        for x, y in ((cells.re, zs.re), (cells.im, zs.im)):
+            inside &= (y[0][None, :] <= x[0][:, None]) & (x[1][:, None] <= y[1][None, :])
+        return ~inside.any(axis=1)
+
+    for depth in range(max_depth + 1):
+        val, der = fn(cs[owner], cells)
+        effort += np.bincount(owner, minlength=rows)
+        finite = val.finite()
+        undecided[owner[~finite]] = True
+        (a, b), (p, q) = val.re, val.im
+        keep = (finite & (a <= 0.0) & (0.0 <= b) & (p <= 0.0) & (0.0 <= q)
+                & ~undecided[owner] & outside_boxes(cells, owner))
+        cells, owner, der = cells[keep], owner[keep], der[keep]
+        few = np.bincount(owner, minlength=rows)[owner] <= _START_CELLS
+        start, start_owner, slope = _starts(cells[few], owner[few], der[few])
+        (a, b), (p, q) = slope.re, slope.im
+        mid = _mid_arr(a, b) + 1j * _mid_arr(p, q)
+        fresh = np.hypot(b - a, q - p) < 2.0 * _START_SPREAD * np.abs(mid)
+        fresh &= ~(_meets(start, zs) & (start_owner[:, None] == z_owner[None, :])).any(axis=1)
+        if fresh.any():
+            held, z, image, tries = _krawczyk_starts(fn, cs[start_owner[fresh]], start[fresh])
+            np.add.at(effort, start_owner[fresh], tries)
+            # a zero lies in the region when its image does, and off it
+            # when its image misses the region; otherwise the box is dropped
+            (a, b), (p, q) = image.re, image.im
+            within = (re.lo <= a) & (b <= re.hi) & (im.lo <= p) & (q <= im.hi)
+            held &= within | (b < re.lo) | (re.hi < a) | (q < im.lo) | (im.hi < p)
+            zs, images = BoxArray.concat([zs, z[held]]), BoxArray.concat([images, image[held]])
+            z_owner = np.concatenate((z_owner, start_owner[fresh][held]))
+            counted = np.concatenate((counted, within[held]))
+            keep = outside_boxes(cells, owner)
+            cells, owner = cells[keep], owner[keep]
+        if not len(owner):
+            break
+        if depth == max_depth:
+            undecided[owner] = True
+            break
+        crowded = np.bincount(owner, minlength=rows) * 4 > _ROW_CAP
+        undecided |= crowded
+        cells, owner = cells[~crowded[owner]].quarter(), np.repeat(owner[~crowded[owner]], 4)
+    overlap = _meets(zs, zs) & (z_owner[:, None] == z_owner[None, :])
+    undecided[z_owner[overlap.sum(axis=1) > 1]] = True
+    counted &= ~undecided[z_owner]
+    order = np.argsort(z_owner[counted], kind="stable")
+    found = z_owner[counted][order]
+    count = np.where(undecided, -1, np.bincount(found, minlength=rows))
+    return ZeroCount(count, effort, found, zs[counted][order], images[counted][order])
+
+
+def count_zeros(fn, cs: BoxArray, region: ComplexBox, max_depth: int) -> ZeroCount:
+    """The number of zeros of z -> fn(c, z) in the region, for every c of
+    each parameter row C of cs, by a quadtree of exclusion closed by
+    Krawczyk boxes.
+
+    fn(c, z) returns BoxArray enclosures (val, der) of a function
+    holomorphic in z and of its derivative, row by row.  A cell B of the
+    quadtree is dropped when val(C, B) excludes 0, or when it lies in a
+    box Z of its row with K(Z) (_zero_image) strictly inside Z: then for
+    every c in C, Z holds exactly one zero, a simple one, in K(Z)
+    (Krawczyk, Computing 4, 1969; Rump, Acta Numerica 19, 2010), as the
+    mean value form of a holomorphic function on the convex Z lies in the
+    outward-rounded image.  A box is kept when K(Z) lies in the region
+    (its zero is counted) or misses it.  The boxes start from the hulls of
+    the touching survivors of a row that meet none of its boxes
+    (_START_CELLS, _START_SPREAD); the other survivors are quartered.
+
+    A row's count is its number of counted boxes once no cell is left and
+    its boxes are pairwise disjoint.  It is -1 (undetermined) at once
+    when a cell's enclosure is not finite, and when a cell survives
+    max_depth (at most 62), the row would hold more than _ROW_CAP live
+    cells, or two of its boxes meet; a multiple zero is never held.  Rows
+    go _COUNT_ROWS at a time, and each row's results are its own.
     """
     if not 0 <= max_depth <= _MAX_SEGMENT_DEPTH:
-        raise ValueError(f"contour depth must lie in [0, {_MAX_SEGMENT_DEPTH}]")
-    # the width budget of each depth, halved as the recursion halves it; at
-    # full depth every formed piece is kept
-    budget = np.array([*accumulate(range(max_depth), lambda b, _: b / 2.0, initial=tol / 4.0)])
-    budget[max_depth] = math.inf
-    failed = np.zeros(len(cs), dtype=bool)
-    segments = np.zeros(len(cs), dtype=np.int64)
-
-    def piece(rows: _Segments, start: bool = False) -> BoxArray:
-        """der(S) / val(S) * (b - a) for each segment a->b of rows, S its
-        hull, or with start S = a, where b - a becomes 0; non-finite in the
-        rows where der / val cannot be formed, also on a point a = b, whose
-        factor b - a = 0 keeps a finite der / val finite."""
-        (x0, x1), (y0, y1) = rows.seg.re, rows.seg.im
-        back = rows.owner % 4 >= 2
-        if start:
-            x0 = x1 = np.where(back, x1, x0)
-            y0 = y1 = np.where(back, y1, y0)
-        dx, dy = np.where(back, x0 - x1, x1 - x0), np.where(back, y0 - y1, y1 - y0)
-        val, der = fn(cs[rows.owner // 4], BoxArray((x0, x1), (y0, y1)))
-        if isinstance(val, ComplexBox):  # fn ignored its argument
-            val = BoxArray.of([val] * len(dx))
-        return der * val.recip() * BoxArray((dx, dx), (dy, dy))
-
-    def decide(rows: _Segments):
-        """Evaluates rows, marks the contours that fail, counts the rows
-        that are not split into segments, and returns the endpoints of
-        their pieces, ((re lo, re hi), (im lo, im hi)), and the mask of the
-        rows to split."""
-        value, depth = piece(rows), np.searchsorted(_POWERS, rows.node, side="right") - 1
-        width = value.width()
-        fails = ~value.finite()
-        kept = ~fails & (width <= budget[depth])
-        above = np.flatnonzero(fails & (depth < max_depth))
-        if len(above):  # above full depth, a failing start point fails
-            fails[above] = ~piece(rows[above], start=True).finite()
-        failed[rows.owner[fails] // 4] = True
-        split = ~(kept | failed[rows.owner // 4])
-        segments[:] += np.bincount(rows.owner[~split] // 4, minlength=len(cs))
-        return np.array((value.re, value.im)), split
-
-    def merge(halves: _Segments, value):
-        total = BoxArray(*value[..., 0::2]) + BoxArray(*value[..., 1::2])
-        return np.array((total.re, total.im))
-
-    starts = _Segments.edges(region)[np.tile(np.arange(4), len(cs))]
-    starts.owner = np.arange(len(starts))
-    value = np.empty((2, 2, len(starts)))
-    for k in range(0, len(starts), _ROW_CAP):
-        value[..., k:k + _ROW_CAP] = _walk(starts[k:k + _ROW_CAP], decide, merge)
-    value, total = BoxArray(*value), ComplexBox.point(0j)
-    for edge in range(4):
-        total = total + value[edge::4]
-    return total, failed, segments
+        raise ValueError(f"count depth must lie in [0, {_MAX_SEGMENT_DEPTH}]")
+    firsts = range(0, max(len(cs), 1), _COUNT_ROWS)  # one batch of no rows for none
+    parts = [_count_batch(fn, cs[k:k + _COUNT_ROWS], region, max_depth) for k in firsts]
+    return ZeroCount(np.concatenate([p.count for p in parts]),
+                     np.concatenate([p.effort for p in parts]),
+                     np.concatenate([p.owner + k for p, k in zip(parts, firsts)]),
+                     BoxArray.concat([p.boxes for p in parts]),
+                     BoxArray.concat([p.images for p in parts]))
 
 
-def _enclosures(total: BoxArray, failed, segments) -> list[ContourEnclosure | None]:
-    """The result of _contour_walk as a ContourEnclosure per contour, None
-    for a failed one."""
-    boxes = iter(total[~failed].boxes())
-    return [None if lost else ContourEnclosure(next(boxes), count)
-            for lost, count in zip(failed.tolist(), segments.tolist())]
-
-
-def contour_integral(
-    fn,
-    region: ComplexBox,
-    tol: float = 1.0,
-    max_depth: int = 16,
-) -> ContourEnclosure | None:
-    """Enclosure of the counterclockwise contour integral of der/val over
-    the boundary of an axis-aligned rectangle, where fn(z) = (val, der).
-
-    Each edge is cut into straight segments.  The average of the integrand
-    over a segment a->b lies in its enclosure, so the segment contributes
-    der(S) / val(S) * (b - a), S the hull of the segment.  A segment is
-    kept when its contribution is at most the budget wide (tol / 4 per
-    edge, halved at each level) or the depth, at most 62, is exhausted;
-    otherwise it is split at its midpoint.  A segment whose integrand
-    cannot be formed, because |val(S)|^2 cannot exclude 0 or an endpoint
-    is non-finite, is split too, and at full depth makes the result None.
-    The result is None at once when the integrand cannot be formed at the
-    start point a of such a segment: the outward-rounded operations are
-    inclusion-isotonic, so every segment that holds a fails at every depth.
-
-    fn must take a BoxArray and use only the ComplexBox arithmetic (+, -,
-    *, conj, sqr, scale), which BoxArray repeats row by row with the same
-    endpoints, so a row's bits do not depend on its batch.  The one-contour
-    call of _contour_walk.
-    """
-    [enc] = _enclosures(*_contour_walk(lambda _, z: fn(z), BoxArray.of([ComplexBox.point(0j)]),
-                                       region, tol, max_depth))
-    return enc
-
-
-# the largest count that decide_count isolates
-_MAX_COUNT = 16
-
-
-def _counts(value: BoxArray, max_count: int = _MAX_COUNT) -> np.ndarray:
-    """decide_count of each row of enclosures, -1 where it is None."""
-    multiples = [TWO_PI.scale(float(k)) for k in range(max_count + 1)]
-    lo, hi = (np.array([getattr(m, end) for m in multiples]) for end in ("lo", "hi"))
-    # Interval.intersects of each row's imaginary part with each multiple
-    meets = (value.im[0][:, None] <= hi) & (lo <= value.im[1][:, None])
-    unique = (value.re[0] <= 0.0) & (0.0 <= value.re[1]) & (meets.sum(axis=1) == 1)
-    return np.where(unique, meets.argmax(axis=1), -1)
-
-
-def decide_count(enclosure: ContourEnclosure, max_count: int = _MAX_COUNT) -> int | None:
-    """The integer k with 2 pi i k inside the enclosure, if unique: the real
-    part must contain 0 and the imaginary part meet 2 pi k for this k alone
-    among 0, ..., max_count."""
-    [k] = _counts(BoxArray.of([enclosure.value]), max_count).tolist()
-    return None if k < 0 else k
-
-
-def _fixed_point_contours(boxes: BoxArray, region: ComplexBox, n: int, tol: float,
-                          max_depth: int) -> tuple[BoxArray, np.ndarray, np.ndarray]:
-    """The _contour_walk of count_fixed_points for each parameter row."""
+def _fixed_points(n: int):
+    """fn of count_zeros for the fixed points of the even iterate f_c^n:
+    f_c^n(z) - z and its derivative."""
     if n % 2 != 0 or n < 2:
         raise ValueError("fixed-point counting needs an even iterate")
-    one = ComplexBox.point(1 + 0j)
 
     def fn(c, z):
         value, derivative = even_iterate(c, z, n)
-        return value - z, derivative - one
+        return value - z, derivative - _ONE
 
-    return _contour_walk(fn, boxes, region, tol, max_depth)
-
-
-def count_fixed_points(
-    c: ComplexBox,
-    region: ComplexBox,
-    n: int,
-    tol: float = 1.0,
-    max_depth: int = 16,
-) -> tuple[ContourEnclosure | None, int | None]:
-    """Count fixed points of the even iterate f_c^n in the region.
-
-    Uses the argument-principle integral of ((f^n)' - 1)/(f^n(z) - z);
-    the count is decided when the enclosure isolates exactly one multiple
-    of 2 pi i.  The one-box call of FixedPointCountClaim's walk.
-    """
-    [enc] = _enclosures(*_fixed_point_contours(BoxArray.of([c]), region, n, tol, max_depth))
-    if enc is None:
-        return None, None
-    return enc, decide_count(enc)
+    return fn
 
 
-def preimage_count(
-    c: ComplexBox,
-    w: complex,
-    u: ComplexBox,
-    n: int,
-    tol: float = 1.0,
-    max_depth: int = 16,
-) -> int | None:
-    """Certified number of solutions of f_c^n(z) = w in U, for odd n.
-
-    Solutions are the zeros of the holomorphic companion H(z) - conj(w).
-    """
+def preimage_count(c: ComplexBox, w: complex, u: ComplexBox, n: int,
+                   max_depth: int = 16) -> int | None:
+    """Certified number of solutions of f_c^n(z) = w in U, for odd n and
+    every c of the box, or None: count_zeros of the holomorphic companion
+    H(z) - conj(w) (conj_holomorphic_form).  A multiple solution, such as
+    the one of z^8 = 0 at c = 0 for n = 3, leaves it undetermined."""
     wbar = ComplexBox.point(w.conjugate())
 
-    def fn(z: ComplexBox) -> tuple[ComplexBox, ComplexBox]:
+    def fn(c, z):
         value, derivative = conj_holomorphic_form(c, z, n)
         return value - wbar, derivative
 
-    enc = contour_integral(fn, u, tol, max_depth)
-    if enc is None:
-        return None
-    return decide_count(enc)
+    [k] = count_zeros(fn, BoxArray.of([c]), u, max_depth).count.tolist()
+    return None if k < 0 else k
 
 
 # ---------------------------------------------------------------------------
@@ -678,7 +694,8 @@ def tracked_cycle_level(boxes: BoxArray, period: int, seeds, absence: bool = Tru
     _ABSENCE_MAX_WIDTH wide whose cycle is not held gets one Krawczyk step
     on the _ABSENCE_RADIUS neighborhood of its refined orbit.  Every step
     runs on the whole level, its kernel and Newton rows _CHUNK at a time,
-    and decides each row as it would by itself.  The orbit boxes are over
+    is skipped when it has no rows, and decides each row as it would by
+    itself.  The orbit boxes are over
     the coordinates (re z_0, im z_0, re z_1, ...).
     """
     count = len(boxes)
@@ -694,6 +711,8 @@ def tracked_cycle_level(boxes: BoxArray, period: int, seeds, absence: bool = Tru
     def certify(rows, start):
         """Krawczyk from the start boxes of rows: the held rows among them
         and the endpoints of their orbit boxes."""
+        if not len(rows):
+            return rows, *start
         certified, lo, hi, images = krawczyk_cycle_rows(boxes[rows], start, radius[rows])
         effort[rows] += images
         won = certified & _pairwise_disjoint(lo, hi)
@@ -704,11 +723,12 @@ def tracked_cycle_level(boxes: BoxArray, period: int, seeds, absence: bool = Tru
     mids = np.empty(count, dtype=complex)
     mids.real, mids.imag = _mid_arr(*boxes.re), _mid_arr(*boxes.im)
     rows = np.flatnonzero(~held)
-    if len(rows) == count:  # Newton takes the guesses whole, with no copy
+    if len(rows) == count > 0:  # Newton takes the guesses whole, with no copy
         orbits, converged = _refine_orbit(mids, seeds.orbits)
     else:
         orbits, converged = seeds.orbits.copy(), np.zeros(count, dtype=bool)
-        orbits[rows], converged[rows] = _refine_orbit(mids[rows], orbits[rows])
+        if len(rows):
+            orbits[rows], converged[rows] = _refine_orbit(mids[rows], orbits[rows])
     rows = np.flatnonzero(converged)
     # the start boxes are built first, so no copy of the converged orbits
     # lives through the rounds
@@ -846,21 +866,18 @@ class BoundaryDisjointClaim(_Claim):
 @dataclass
 class FixedPointCountClaim(_Claim):
     """Scan claim: the even iterate has exactly `expect` fixed points in
-    the region, decided by the argument-principle enclosure.
+    the region, all simple, for every parameter of the box.
 
-    TRUE needs the enclosure to isolate 2 pi i expect alone: real part
-    containing 0, imaginary part meeting only that one multiple of 2 pi.
-    The contours of a level are one _contour_walk
-    (_fixed_point_contours), which gives each box the enclosure of
-    count_fixed_points; a box whose contour fails is UNDETERMINED with no
-    effort.  It seeds nothing.  Pre-split scans of it (min_depth) decide small boxes quickly,
-    where the root's contour would crawl.
+    A level is one count_zeros call on f_c^n(z) - z, with contour_depth
+    as the depth cap of its quadtree over the region: a box is TRUE when
+    its count is expect, and its effort is the count's box evaluations.
+    It seeds nothing.  Pre-split scans of it (min_depth) keep each box's
+    fixed point within reach of one Krawczyk box.
     """
 
     region: ComplexBox
     n: int
     expect: int = 1
-    tol: float = 2.0
     contour_depth: int = 10
 
     @property
@@ -868,10 +885,8 @@ class FixedPointCountClaim(_Claim):
         return f"fixed-point-count-f{self.n}"
 
     def evaluate_level(self, boxes, seeds):
-        value, failed, segments = _fixed_point_contours(boxes, self.region, self.n, self.tol,
-                                                        self.contour_depth)
-        status = np.where(~failed & (_counts(value) == self.expect), "T", "U")
-        return status, np.where(failed, 0, segments), None
+        found = count_zeros(_fixed_points(self.n), boxes, self.region, self.contour_depth)
+        return np.where(found.count == self.expect, "T", "U"), found.effort, None
 
 
 def _initial_seed(rect: ComplexBox, orbit: list[complex]) -> np.ndarray:
@@ -1098,14 +1113,10 @@ def disjointness_certificate(
         adaptive_scan(param_rect, claim, max_depth, min_width)
         for claim in (MultiplierNonRealClaim(x_region), ParabolicExclusionClaim(period)))
     yellow, red = (cert.boxes[cert.status != "T"] for cert in (yellow_cert, red_cert))
-    # every yellow box against every red box: closed boxes meet when both
-    # coordinate intervals do (ComplexBox.intersects)
-    meet = np.ones((len(yellow), len(red)), dtype=bool)
-    for a, b in ((yellow.re, red.re), (yellow.im, red.im)):
-        meet &= (a[0][:, None] <= b[1][None, :]) & (b[0][None, :] <= a[1][:, None])
-    # closures that touch at this budget are Undetermined; with one locus
-    # certified empty the two are vacuously disjoint
-    status = Status.UNDETERMINED if meet.any() else Status.TRUE
+    # every yellow box against every red box; closures that touch at this
+    # budget are Undetermined, and with one locus certified empty the two
+    # are vacuously disjoint
+    status = Status.UNDETERMINED if _meets(yellow, red).any() else Status.TRUE
     return status, yellow_cert, red_cert
 
 

@@ -23,15 +23,13 @@ from tricert.dynamics import (
 from tricert.intervals import BoxArray, ComplexBox, Interval
 from tricert.render import MULTIPLIER_PALETTE, rasterize_scan, render_escape, write_ppm
 from tricert.scan import adaptive_scan, serialize
+from tricert import verify
 from tricert.verify import (
-    TWO_PI,
     FixedPointCountClaim,
     MultiplierNonRealClaim,
     Status,
     component_witnesses,
-    contour_integral,
-    count_fixed_points,
-    decide_count,
+    count_zeros,
     disjointness_certificate,
     find_superattracting_parameter,
     qlike_certificate,
@@ -74,23 +72,22 @@ def test_acceptance_2_unique_fixed_point(capsys):
     leaves_ok = len(cert.leaves) > 0 and all(
         leaf.status is Status.TRUE for leaf in cert.leaves
     )
-    # re-run the contour on every leaf box to inspect the raw enclosures:
-    # each must contain 2 pi i and exclude both 0 and 4 pi i exactly
-    enclosures_ok = True
-    for leaf in cert.leaves:
-        enc, count = count_fixed_points(
-            leaf.box, PAPER_X_REGION, 6, tol=2.0, max_depth=10
-        )
-        if enc is None or count != 1:
-            enclosures_ok = False
-            break
-        box = enc.value
-        if not (box.re.contains(0.0) and box.im.intersects(TWO_PI)):
-            enclosures_ok = False
-            break
-        if box.contains(0j) or box.im.intersects(TWO_PI.scale(2.0)):
-            enclosures_ok = False
-            break
+    # re-count every leaf box to inspect the evidence: its quadtree over X
+    # emptied (the count is decided) with one Krawczyk box Z, whose image
+    # K(Z), formed again in the scalar arithmetic, lies strictly inside Z
+    # and inside X, so Z holds one fixed point for every c of the leaf
+    fn = verify._fixed_points(6)
+    found = count_zeros(fn, cert.boxes, PAPER_X_REGION, 10)
+    enclosures_ok = (found.count.tolist() == [1] * len(cert.leaves)
+                     and found.owner.tolist() == list(range(len(cert.leaves))))
+    one = ComplexBox.point(1 + 0j)
+    for leaf, z in zip(cert.leaves, found.boxes.boxes()):
+        [y] = verify._zero_image(fn, BoxArray.of([leaf.box]), BoxArray.of([z]))[1]
+        m = ComplexBox.point(complex(z.re.midpoint(), z.im.midpoint()))
+        (val, _), (_, der) = even_iterate(leaf.box, m, 6), even_iterate(leaf.box, z, 6)
+        y = ComplexBox.point(y)
+        image = m - y * (val - m) + (one - y * (der - one)) * (z - m)
+        enclosures_ok &= z.strictly_contains(image) and PAPER_X_REGION.contains_box(image)
     elapsed = time.time() - start
     ok = leaves_ok and enclosures_ok and elapsed < 900.0
     _report(capsys, 2, "unique fixed point of the sixth iterate", ok)
@@ -202,25 +199,20 @@ def _poly_oracle_suite(count):
             continue
         inside = sum(1 for r in roots if abs(r.real) < 1.0 and abs(r.imag) < 1.0)
 
-        def val(z):
-            acc = ComplexBox.point(1 + 0j)
-            for r in roots:
-                acc = acc * (z - ComplexBox.point(r))
-            return acc
+        def fn(c, z):
+            factors = [z - ComplexBox.point(r) for r in roots]
+            val = der = None
+            for k, factor in enumerate(factors):
+                val = factor if val is None else val * factor
+                rest = factors[:k] + factors[k + 1:]
+                term = rest[0] if rest else z.scale(0.0) + ComplexBox.point(1 + 0j)
+                for other in rest[1:]:
+                    term = term * other
+                der = term if der is None else der + term
+            return val, der
 
-        def der(z):
-            total = ComplexBox.point(0j)
-            for skip in range(len(roots)):
-                acc = ComplexBox.point(1 + 0j)
-                for j, r in enumerate(roots):
-                    if j != skip:
-                        acc = acc * (z - ComplexBox.point(r))
-                total = total + acc
-            return total
-
-        enc = contour_integral(lambda z: (val(z), der(z)), region, tol=1.5,
-                               max_depth=12)
-        if enc is None or decide_count(enc) != inside:
+        [found] = count_zeros(fn, BoxArray.of([ComplexBox.point(0j)]), region, 12).count.tolist()
+        if found != inside:
             return False
         done += 1
     return True

@@ -10,9 +10,10 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from tricert import cli
+from tricert import cli, dynamics, verify
 from tricert.cli import _COMMANDS, _SCAN_CLAIMS, PAPER_R, main
 from tricert.intervals import BoxArray, ComplexBox
 from tricert.scan import Leaf, parse
@@ -324,14 +325,27 @@ class TestVerifyCount:
 
     def test_golden_count_certificate(self, tmp_path):
         # the 4 depth-1 boxes of PAPER_R at the paper's settings, each TRUE;
-        # the digest is that of the walks box by box that preceded the
-        # walk of the whole level
+        # the header holds no tol since the count stopped reading it
         out = tmp_path / "C"
         assert _run(["verify-count", "--min-depth", "1", "--max-depth", "4", "--tol", "2",
                      "--contour-depth", "10", "-o", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "a7ce5ccb8405bc293af3f8258379140bccfaf884da27310c486a2abf35ea2d4e"
+            "bf10c19100040b78f3de3d07d9e0e1d7b6a714d1ffad6acba74c411a0ec86085"
         )
+
+    def test_count_runs_no_newton_and_no_lapack(self, tmp_path, monkeypatch):
+        # the count certifies by exclusion and Krawczyk alone: at the
+        # benchmark's settings it reaches neither float Newton nor LAPACK
+        def refuse(*args, **kwargs):
+            raise AssertionError("the count reached float Newton or LAPACK")
+
+        for owner, name in ((dynamics, "float_newton_rows"), (verify, "float_newton_rows"),
+                            (verify, "_refine_orbit"), (np.linalg, "solve"), (np.linalg, "inv")):
+            monkeypatch.setattr(owner, name, refuse)
+        out = tmp_path / "C"
+        assert _run(["verify-count", "--min-depth", "1", "--max-depth", "4", "--tol", "2",
+                     "--contour-depth", "10", "-o", str(out)]) == 0
+        assert parse(out.read_bytes()).status.tolist() == ["T"] * 4
 
     def test_odd_iterate_exits_2(self, capsys):
         code = _run(["verify-count", "--n", "3", "--min-depth", "0", "--max-depth", "0"])
@@ -340,7 +354,7 @@ class TestVerifyCount:
 
     @pytest.mark.parametrize("expect", ["17", "-1"])
     def test_expect_out_of_range_exits_2(self, expect, tmp_path, capsys):
-        # decide_count isolates the counts 0 to 16 only, so no box could be TRUE
+        # --expect keeps the [0, 16] contract of the counts it once isolated
         out = tmp_path / "C"
         assert _run(["verify-count", f"--expect={expect}", "--min-depth", "0",
                      "--max-depth", "0", "-o", str(out)]) == 2
@@ -350,7 +364,7 @@ class TestVerifyCount:
         assert _run(["verify-count", "--expect=16", "--min-depth", "0", "--max-depth", "0"]) == 1
 
     def test_overflowing_region_is_undetermined(self, tmp_path):
-        # f^2 overflows all along this region's contour
+        # f^2 overflows on the region, so its one cell is not finite
         out = tmp_path / "c.txt"
         code = _run(["verify-count", "--region", "1e80,2e80,1e80,2e80", "--n", "2",
                      "--min-depth", "0", "--max-depth", "0", "-o", str(out)])
@@ -434,8 +448,8 @@ class TestParameters:
         ["scan", "--claim", "qlike", "--segment-depth"], ["verify-qlike", "--segment-depth"],
         ["scan", "--claim", "count", "--contour-depth"], ["verify-count", "--contour-depth"]])
     def test_segment_depth_above_62_exits_2(self, command, capsys):
-        # a segment's node number 2^depth + index must stay an int64, in the
-        # boundary walk and in the contour walk
+        # a segment's node number 2^depth + index must stay an int64 in the
+        # boundary walk; the count's quadtree keeps the same cap
         assert _run([*command, "63", "--max-depth", "0"]) == 2
         key = command[-1][2:].replace("-", "_")
         assert capsys.readouterr().err == f"error: {key} must be <= 62\n"
@@ -446,7 +460,7 @@ class TestParameters:
         (["scan", "--claim", "qlike", "--min-width", "nan"], "min_width must be finite"),
         (["verify-qlike", "--min-width", "inf"], "min_width must be finite"),
         (["verify-disjoint", "--min-width=-inf"], "min_width must be finite"),
-        # nan walked every contour to full depth and wrote tol=nan
+        # tol no longer affects the count, but is still checked and echoed
         (["verify-count", "--tol", "nan", "--min-depth", "0"], "tol must be finite and > 0"),
         (["verify-count", "--tol", "inf", "--min-depth", "0"], "tol must be finite and > 0"),
         (["scan", "--claim", "count", "--tol", "0"], "tol must be finite and > 0"),
@@ -520,7 +534,6 @@ _HEADERS = {
 #config.min_width=0.0
 #config.n=6
 #config.region=0.0,0.08,0.0,0.08
-#config.tol=2.0
 """),
     "verify-disjoint-Y": (["verify-disjoint", "--red-out", "R"], """\
 #claim=multiplier-nonreal-p6
@@ -571,7 +584,6 @@ _HEADERS = {
 #config.min_width=0.0
 #config.n=6
 #config.region=0.0,0.08,0.0,0.08
-#config.tol=2.0
 """),
     "scan-parabolic": (["scan", "--claim", "parabolic"], """\
 #claim=parabolic-excluded-p9

@@ -10,24 +10,27 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from mpmath import mpc, mpf, workdps
+from mpmath import iv, mpc, mpf, workdps
 
 from tricert import dynamics, scan, verify
 from tricert.cli import PAPER_R, PAPER_U, PAPER_X_REGION, _parse_rect
-from tricert.dynamics import cycle_multiplier, eval_f, even_iterate, float_iterate
+from tricert.dynamics import (
+    conj_holomorphic_form,
+    cycle_multiplier,
+    eval_f,
+    even_iterate,
+    float_iterate,
+)
 from tricert.intervals import (
     BoxArray,
     ComplexBox,
     EmptyIntervalError,
     Interval,
-    ZeroDivisionBoxError,
 )
 from tricert.scan import Leaf, ParamCertificate, adaptive_scan
 from tricert.verify import (
-    TWO_PI,
     BoundaryDisjointClaim,
     ClaimResult,
-    ContourEnclosure,
     FixedPointCountClaim,
     MultiplierNonRealClaim,
     ParabolicExclusionClaim,
@@ -35,9 +38,7 @@ from tricert.verify import (
     boundary_disjoint,
     boundary_disjoint_level,
     component_witnesses,
-    contour_integral,
-    count_fixed_points,
-    decide_count,
+    count_zeros,
     disjointness_certificate,
     find_superattracting_parameter,
     float_orbit_of_zero,
@@ -67,234 +68,187 @@ def _nonreal(c: ComplexBox, orbit, region: ComplexBox | None = None) -> ClaimRes
 
 
 def _poly_fn(roots):
-    """The (val, der) box evaluator for prod (z - r) over the given roots."""
+    """fn of count_zeros for prod (z - r) over the given roots (at least
+    one): the (val, der) boxes of each row, whatever its parameter."""
 
-    def val(z: ComplexBox) -> ComplexBox:
-        acc = ComplexBox.point(1 + 0j)
-        for r in roots:
+    def val(z: BoxArray) -> BoxArray:
+        acc = z - ComplexBox.point(roots[0])
+        for r in roots[1:]:
             acc = acc * (z - ComplexBox.point(r))
         return acc
 
-    def der(z: ComplexBox) -> ComplexBox:
-        total = ComplexBox.point(0j)
+    def der(z: BoxArray) -> BoxArray:
+        total = z.scale(0.0)
         for skip in range(len(roots)):
-            acc = ComplexBox.point(1 + 0j)
+            acc = total + ComplexBox.point(1 + 0j)
             for j, r in enumerate(roots):
                 if j != skip:
                     acc = acc * (z - ComplexBox.point(r))
             total = total + acc
         return total
 
-    return lambda z: (val(z), der(z))
+    return lambda c, z: (val(z), der(z))
 
 
-# The scalar depth-first contour integral that preceded the batched walk
-# in tricert.verify, kept as the bitwise oracle for it.
+_UNIT = ComplexBox(Interval(-1.0, 1.0), Interval(-1.0, 1.0))
+_ORIGIN = BoxArray.of([ComplexBox.point(0j)])
 
 
-def _scalar_edge_integral(fn, a: complex, b: complex, budget: float, depth: int):
-    """Enclosure of the integral of der/val along the straight segment a->b.
-
-    Returns (box, segments) or None when the denominator cannot be
-    certified nonzero, or the contribution overflows, at full depth.  The
-    average of the integrand over the segment lies in its enclosure, so
-    each piece contributes enclosure * (b - a).
-    """
-    seg = ComplexBox(Interval(min(a.real, b.real), max(a.real, b.real)),
-                     Interval(min(a.imag, b.imag), max(a.imag, b.imag)))
-    val, der = fn(seg)
-    try:
-        contribution = der * val.recip() * ComplexBox.point(b - a)
-    except (ZeroDivisionBoxError, EmptyIntervalError):
-        contribution = None
-    if contribution is not None:
-        if contribution.width() <= budget or depth <= 0:
-            return contribution, 1
-    elif depth <= 0:
-        return None
-    mid = complex(
-        Interval(min(a.real, b.real), max(a.real, b.real)).midpoint(),
-        Interval(min(a.imag, b.imag), max(a.imag, b.imag)).midpoint(),
-    )
-    left = _scalar_edge_integral(fn, a, mid, budget / 2.0, depth - 1)
-    if left is None:
-        return None
-    right = _scalar_edge_integral(fn, mid, b, budget / 2.0, depth - 1)
-    if right is None:
-        return None
-    return left[0] + right[0], left[1] + right[1]
+def _poly_count(roots, region=_UNIT, depth=14) -> int:
+    """The count_zeros count of the polynomial's roots in the region."""
+    [k] = count_zeros(_poly_fn(roots), _ORIGIN, region, depth).count.tolist()
+    return k
 
 
-def _scalar_contour_integral(
-    fn,
-    region: ComplexBox,
-    tol: float = 1.0,
-    max_depth: int = 16,
-) -> ContourEnclosure | None:
-    """Enclosure of the counterclockwise contour integral of der/val over
-    the boundary of an axis-aligned rectangle, where fn(z) = (val, der).
-
-    None when the denominator enclosure cannot exclude 0 on some piece of
-    the contour at full subdivision depth.
-    """
-    z00 = complex(region.re.lo, region.im.lo)
-    z10 = complex(region.re.hi, region.im.lo)
-    z11 = complex(region.re.hi, region.im.hi)
-    z01 = complex(region.re.lo, region.im.hi)
-    total = ComplexBox.point(0j)
-    segments = 0
-    for a, b in ((z00, z10), (z10, z11), (z11, z01), (z01, z00)):
-        piece = _scalar_edge_integral(fn, a, b, tol / 4.0, max_depth)
-        if piece is None:
-            return None
-        total = total + piece[0]
-        segments += piece[1]
-    return ContourEnclosure(total, segments)
+def _mp_f(c, z):
+    """f_c(z) = conj(z)^2 + c on mpmath.iv complex intervals."""
+    return iv.mpc(z.real, -z.imag) ** 2 + c
 
 
-def _enc_hex(enc):
-    if enc is None:
-        return None
-    v = enc.value
-    return tuple(x.hex() for x in (v.re.lo, v.re.hi, v.im.lo, v.im.hi)), enc.segments
+def _mp_fixed(c, z):
+    """f_c^6(z) - z, the function whose zeros FixedPointCountClaim counts."""
+    w = z
+    for _ in range(6):
+        w = _mp_f(c, w)
+    return w - z
 
 
-_WALK = verify._contour_walk
+def _mp_preimage(c, z, w=0.1 - 0.05j):
+    """H(z) - conj(w) for f_c^3 = conj H, as preimage_count forms it."""
+    return _mp_f(c, _mp_f(c, z)) ** 2 + iv.mpc(c.real, -c.imag) - iv.mpc(w.real, -w.imag)
 
 
-def _scalar_hex(fn, region, tol, depth):
-    """_enc_hex of the oracle, or EmptyIntervalError where its scalar
-    evaluation of fn overflows."""
-    try:
-        return _enc_hex(_scalar_contour_integral(fn, region, tol, depth))
-    except EmptyIntervalError:
-        return EmptyIntervalError
+_ZERO_FNS = {
+    "fixed-point": (verify._fixed_points(6), _mp_fixed, PAPER_X_REGION),
+    "preimage": (lambda c, z: (lambda v, d: (v - ComplexBox.point(0.1 + 0.05j), d))(
+        *conj_holomorphic_form(c, z, 3)), _mp_preimage, U_RECT),
+}
 
 
-class _BothContours:
-    """Stands in for verify._contour_walk: runs it, and the oracle on each
-    of its contours alone, and records both results per contour."""
+@pytest.mark.parametrize("kind", list(_ZERO_FNS))
+@settings(max_examples=100, deadline=None)
+@given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.sampled_from((0.0, 1e-6, 1.25e-4)),
+       st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.sampled_from((1e-4, 1e-3, 1e-2)),
+       st.lists(st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 1.0)),
+                min_size=4, max_size=4))
+def test_krawczyk_image_holds_the_newton_points(kind, u, v, radius, x, y, width, at):
+    """Oracle: for c and z sampled in random boxes C and Z, the Newton point
+    z - y g(c, z), with g evaluated in mpmath.iv at 60 digits, lies in the
+    image K(Z) of verify._zero_image, for the fixed-point and preimage
+    functions of the two counts."""
+    fn, exact, region = _ZERO_FNS[kind]
+    cbox = ComplexBox.around(complex(PAPER_R.re.lo + u * PAPER_R.re.width(),
+                                     PAPER_R.im.lo + v * PAPER_R.im.width()), radius)
+    zbox = ComplexBox.around(complex(region.re.lo + x * region.re.width(),
+                                     region.im.lo + y * region.im.width()), width)
+    image, [pre] = verify._zero_image(fn, BoxArray.of([cbox]), BoxArray.of([zbox]))
+    assume(image.finite()[0])
+    [k] = image.boxes()
 
-    def __init__(self):
-        self.results = []
+    def point(box: ComplexBox, s: float, t: float) -> complex:
+        re, im = box.re, box.im
+        return complex(min(re.hi, re.lo + s * (re.hi - re.lo)), min(im.hi, im.lo + t * (im.hi - im.lo)))
 
-    def __call__(self, fn, cs, region, tol, depth):
-        new = _WALK(fn, cs, region, tol, depth)
-        for c, enc in zip(cs.boxes(), verify._enclosures(*new)):
-            old = _scalar_hex(lambda z: fn(c, z), region, tol, depth)
-            self.results.append((_enc_hex(enc), old))
-        return new
-
-
-def _against_oracle(fn, *args):
-    """The (new, oracle) contour results of the contours fn runs."""
-    both = _BothContours()
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(verify, "_contour_walk", both)
-        fn(*args)
-    assert both.results
-    return both.results
+    c, z = point(cbox, *at[:2]), point(zbox, *at[2:])
+    with workdps(60):
+        saved, iv.dps = iv.dps, 60
+        try:
+            newton = iv.mpc(z.real, z.imag) - iv.mpc(pre.real, pre.imag) * exact(
+                iv.mpc(c.real, c.imag), iv.mpc(z.real, z.imag))
+            assert newton.real in iv.mpf([k.re.lo, k.re.hi])
+            assert newton.imag in iv.mpf([k.im.lo, k.im.hi])
+        finally:
+            iv.dps = saved
 
 
-# the unit square, and a flat one whose edges run from -0.0 to 0.0
-_REGIONS = (ComplexBox(Interval(-1.0, 1.0), Interval(-1.0, 1.0)),
-            ComplexBox(Interval(-0.0, 0.0), Interval(-1.0, 1.0)))
 # a root coordinate in the plane, or exactly on the line of an edge
 _ROOT_COORD = st.one_of(st.floats(-1.6, 1.6), st.sampled_from((-1.0, 0.0, 1.0)))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(st.lists(st.builds(complex, _ROOT_COORD, _ROOT_COORD), min_size=1, max_size=4),
-       st.sampled_from(_REGIONS), st.sampled_from((0.3, 1.5)), st.sampled_from((0, 3, 8)))
-# a root so near the contour that der / val overflows on the segment
-# through it, which fails that segment like a zero of val
-@example([1.5j, 6.24443287045962e-155j], _REGIONS[1], 0.3, 3)
-def test_contour_matches_scalar_oracle_on_polynomials(roots, region, tol, depth):
-    fn = _poly_fn(roots)
-    new = contour_integral(fn, region, tol, depth)
-    assert _enc_hex(new) == _enc_hex(_scalar_contour_integral(fn, region, tol, depth))
-    re, im = region.re, region.im
-    if any(region.contains(r) and (r.real in (re.lo, re.hi) or r.imag in (im.lo, im.hi))
-           for r in roots):
-        assert new is None  # a zero on the contour
+       st.sampled_from((0, 3, 8)))
+@example([1.0 + 0.5j, 0.25j], 8)  # a root on an edge
+@example([0.5j, 0.5j], 8)  # a double root
+def test_polynomial_counts_are_never_wrong(roots, depth):
+    # decided or not, a count is never wrong: where it is decided it is
+    # the number of roots in the closed square, each simple
+    k = _poly_count(roots, depth=depth)
+    inside = [r for r in roots if _UNIT.contains(r)]
+    assert k == -1 or (k == len(inside) and len(set(inside)) == len(inside))
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.builds(complex, _ROOT_COORD, _ROOT_COORD), max_size=2),
-       st.lists(st.builds(complex, _ROOT_COORD, _ROOT_COORD), min_size=2, max_size=5),
-       st.sampled_from(_REGIONS), st.sampled_from((0.3, 1.5)), st.sampled_from((0, 3, 8)))
-def test_contour_walk_matches_scalar_oracle_per_contour(roots, own, region, tol, depth):
-    # contour k counts the zeros of a polynomial with the shared roots and
-    # the root own[k], its parameter; one walk gives each contour the
-    # oracle's result on it alone, also where others of the walk fail
-    poly = _poly_fn(roots)
-
-    def fn(c, z):
-        val, der = poly(z)
-        return val * (z - c), der * (z - c) + val
-
-    both = _BothContours()
-    both(fn, BoxArray.of([ComplexBox.point(r) for r in own]), region, tol, depth)
-    assert len(both.results) == len(own)
-    for new, old in both.results:
-        assert new == old
-
-
-@settings(max_examples=20, deadline=None)
-@given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.sampled_from((0.0, 1e-6, 1e-4)),
-       st.sampled_from((2, 4, 6)), st.sampled_from((2, 5, 7)))
-@example(0.25, 0.25, 1.25e-4, 6, 10)  # a quarter of R at the paper's settings
-def test_contour_matches_scalar_oracle_on_the_count_integrand(u, v, radius, n, depth):
-    c = ComplexBox.around(complex(PAPER_R.re.lo + u * PAPER_R.re.width(),
-                                  PAPER_R.im.lo + v * PAPER_R.im.width()), radius)
-    [(new, old)] = _against_oracle(count_fixed_points, c, PAPER_X_REGION, n, 2.0, depth)
-    assert new == old
-
-
-@settings(max_examples=20, deadline=None)
-@given(st.floats(-0.3, 0.3), st.floats(-0.3, 0.3), st.sampled_from((1, 3)),
-       st.sampled_from((0.5, 1.0)), st.sampled_from((3, 8)))
-def test_contour_matches_scalar_oracle_on_preimage_count(x, y, n, tol, depth):
-    c = ComplexBox.around(R_RECT.midpoint(), 1e-6)
-    [(new, old)] = _against_oracle(preimage_count, c, complex(x, y), U_RECT, n, tol, depth)
-    assert new == old
+@pytest.mark.parametrize("roots, count", [
+    ([0.3 + 0.2j, -0.5 - 0.5j], 2),  # inside
+    ([1.5 + 0.2j, 0.3j, -4.0 - 1.2j], 1),  # outside but one
+    ([10.0, 10j], 0),  # far outside
+    ([1.001 + 0.5j, -0.25j], 1),  # just off an edge
+    ([0.999 + 0.5j, -0.999 - 0.999j], 2),  # just inside an edge and a corner
+    ([1.0 + 0.5j], -1),  # on an edge
+    ([0j, 0j], -1),  # z^2: a double root
+    ([0.5, 0.5, -0.5], -1),  # a double root beside a simple one
+])
+def test_polynomial_roots_inside_outside_and_near_the_edge(roots, count):
+    assert _poly_count(roots, depth=16) == count
 
 
 def test_overflow_is_undetermined():
-    # f^2 overflows on every piece of this contour; Undetermined, not a raise
+    # f^2 overflows on the region's one cell: Undetermined at once, with no
+    # further splitting, not a raise
     far = ComplexBox(Interval(1e80, 2e80), Interval(1e80, 2e80))
-    assert count_fixed_points(ComplexBox.point(0j), far, 2) == (None, None)
+    found = count_zeros(verify._fixed_points(2), _ORIGIN, far, 10)
+    assert found.count.tolist() == [-1] and found.effort.tolist() == [1]
 
 
-# parameter boxes whose contours over PAPER_X_REGION fail: on the first
-# f^6(z) - z holds 0 at every contour point; on the second f^6 overflows
-# (as over the region of test_overflow_is_undetermined)
+# parameter boxes whose counts over PAPER_X_REGION fail: on the first
+# f^6(z) - z holds 0 on every cell, until a row would hold more than
+# _ROW_CAP cells; on the second f^6 overflows (as over the region of
+# test_overflow_is_undetermined)
 _WIDE_C = ComplexBox(Interval(-4.0, 4.0), Interval(-4.0, 4.0))
 _FAR_C = ComplexBox(Interval(1e80, 2e80), Interval(1e80, 2e80))
 
 
+def _scalar_image(n: int, c: ComplexBox, z: ComplexBox, y: complex) -> ComplexBox:
+    """The Krawczyk image K(Z) of verify._zero_image for f_c^n(z) - z, in the
+    scalar ComplexBox arithmetic, with the kernel's float y."""
+    one, m = ComplexBox.point(1 + 0j), ComplexBox.point(complex(z.re.midpoint(), z.im.midpoint()))
+    val, _ = even_iterate(c, m, n)
+    _, der = even_iterate(c, z, n)
+    return m - ComplexBox.point(y) * (val - m) + (one - ComplexBox.point(y) * (der - one)) * (z - m)
+
+
+def _box_hex(box: ComplexBox):
+    return tuple(x.hex() for x in (box.re.lo, box.re.hi, box.im.lo, box.im.hi))
+
+
 def test_count_level_matches_scalar_oracle_box_by_box():
-    # one walk for the level; each box as the oracle walks it alone, where
-    # the two failing boxes are None and leave the others alone
+    # one count for the level; each box as it counts alone, where the two
+    # failing boxes are Undetermined and leave the others alone, and each
+    # counted Krawczyk box's image as the scalar arithmetic forms it
     q = PAPER_R.quarter()
     boxes = [q[0], _WIDE_C, q[3], _FAR_C, q[1]]
-    claim = FixedPointCountClaim(PAPER_X_REGION, 6, contour_depth=8)
-    both = _BothContours()
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(verify, "_contour_walk", both)
-        status, effort, seeds = claim.evaluate_level(BoxArray.of(boxes), None)
-    new, old = zip(*both.results)
-    assert [enc is None for enc in new] == [False, True, False, True, False]
-    assert new[:3] + new[4:] == old[:3] + old[4:]
-    assert old[3] is EmptyIntervalError  # the scalar f^6 raises where the walk fails
+    fn = verify._fixed_points(6)
+    level = count_zeros(fn, BoxArray.of(boxes), PAPER_X_REGION, 8)
+    alone = [count_zeros(fn, BoxArray.of([box]), PAPER_X_REGION, 8) for box in boxes]
+    assert level.count.tolist() == [1, -1, 1, -1, 1]
+    assert level.effort.tolist() == [found.effort[0] for found in alone]
+    assert level.owner.tolist() == [0, 2, 4]
+    for row, z, k in zip(level.owner.tolist(), level.boxes.boxes(), level.images.boxes()):
+        [y] = verify._zero_image(fn, BoxArray.of([boxes[row]]), BoxArray.of([z]))[1]
+        assert _box_hex(_scalar_image(6, boxes[row], z, y)) == _box_hex(k)
+        assert z.strictly_contains(k) and PAPER_X_REGION.contains_box(k)
+        [solo] = alone[row].images.boxes()
+        assert _box_hex(solo) == _box_hex(k)
+    status, effort, seeds = FixedPointCountClaim(PAPER_X_REGION, 6, contour_depth=8).evaluate_level(
+        BoxArray.of(boxes), None)
     assert status.tolist() == ["T", "U", "T", "U", "T"]
-    assert effort.tolist() == [0 if enc is None else enc[1] for enc in new]
+    assert effort.tolist() == level.effort.tolist()
     assert seeds is None
 
 
-def test_count_level_does_not_depend_on_the_batch():
-    # the 4 depth-1 boxes of PAPER_R in one walk, box by box, and in one
-    # walk whose batches hold at most 64 rows: the same results
+def test_count_level_does_not_depend_on_the_batch(monkeypatch):
+    # the 4 depth-1 boxes of PAPER_R in one batch, box by box, and in
+    # batches of 3 and 1: the same results, and every evaluation counted
     claim = FixedPointCountClaim(PAPER_X_REGION, 6)
     boxes = list(PAPER_R.quarter())
     alone = [_results(*claim.evaluate_level(BoxArray.of([box]), None))[0] for box in boxes]
@@ -304,43 +258,67 @@ def test_count_level_does_not_depend_on_the_batch():
         rows.append(len(z))
         return even_iterate(c, z, n)
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(verify, "even_iterate", spy)
-        level = _results(*claim.evaluate_level(BoxArray.of(boxes), None))
-        # the deepest segment level holds 12,626 rows, so batches fill the cap
-        assert (sum(rows), max(rows)) == (26470, verify._ROW_CAP)
-        rows.clear()
-        mp.setattr(verify, "_ROW_CAP", 64)
-        capped = _results(*claim.evaluate_level(BoxArray.of(boxes), None))
-    assert level == alone == capped
+    monkeypatch.setattr(verify, "even_iterate", spy)
+    level = _results(*claim.evaluate_level(BoxArray.of(boxes), None))
+    assert sum(rows) == sum(r.effort for r in level) == 254
+    batched = []
+    for size in (3, 1):
+        monkeypatch.setattr(verify, "_COUNT_ROWS", size)
+        batched.append(_results(*claim.evaluate_level(BoxArray.of(boxes), None)))
+    assert level == alone == batched[0] == batched[1]
     assert [r.status for r in level] == [Status.TRUE] * 4
-    assert (sum(rows), max(rows)) == (26470, 64)
 
 
 def test_count_level_live_rows_are_bounded(monkeypatch):
-    # the rows that the contour walk holds stay within _ROW_CAP per segment
-    # level (plus two); uncapped, it holds whole segment levels
-    claim = FixedPointCountClaim(PAPER_X_REGION, 6)
-    boxes = list(PAPER_R.quarter())
-    bound = 64 * (claim.contour_depth + 2)
+    # no row holds more than _ROW_CAP live cells: the paper's boxes count
+    # as before, a box whose cells all survive is Undetermined once it
+    # would pass the cap, and fn sees at most _ROW_CAP rows a box
+    claim = FixedPointCountClaim(PAPER_X_REGION, 6, contour_depth=6)
+    boxes = BoxArray.of([*PAPER_R.quarter(), _WIDE_C])
+    rows = []
+
+    def spy(c, z, n):
+        rows.append(len(z))
+        return even_iterate(c, z, n)
+
+    monkeypatch.setattr(verify, "even_iterate", spy)
     monkeypatch.setattr(verify, "_ROW_CAP", 64)
-    capped, peak = _live_rows(lambda: _results(*claim.evaluate_level(BoxArray.of(boxes), None)))
-    assert peak <= bound
+    capped = _results(*claim.evaluate_level(boxes, None))
+    assert max(rows) <= 64 * len(boxes)
+    rows.clear()
     monkeypatch.setattr(verify, "_ROW_CAP", 1 << 20)
-    uncapped, wide_peak = _live_rows(lambda: _results(*claim.evaluate_level(BoxArray.of(boxes), None)))
-    assert capped == uncapped
-    assert wide_peak > bound
+    uncapped = _results(*claim.evaluate_level(boxes, None))
+    assert max(rows) > 64 * len(boxes)
+    assert capped[:4] == uncapped[:4]
+    assert [r.status for r in capped] == [r.status for r in uncapped] == [Status.TRUE] * 4 + [
+        Status.UNDETERMINED]
+    assert capped[4].effort < uncapped[4].effort
+
+
+def test_overlapping_krawczyk_boxes_are_undetermined(monkeypatch):
+    # two starts from the same survivors hold the same zero in boxes that
+    # meet, which must not count it twice
+    starts = verify._starts
+
+    def twice(cells, owner, der):
+        hulls, rows, slopes = starts(cells, owner, der)
+        both = np.repeat(np.arange(len(rows)), 2)
+        return hulls[both], rows[both], slopes[both]
+
+    assert _poly_count([0.25 + 0.25j]) == 1
+    monkeypatch.setattr(verify, "_starts", twice)
+    assert _poly_count([0.25 + 0.25j]) == -1
 
 
 def test_contour_depth_is_capped():
-    # the contour walk numbers its segments 2^depth + index in int64, as
-    # the boundary walk does
+    # the count's quadtree depth stays within the boundary walk's cap
     region = ComplexBox(Interval(-1.5, 1.5), Interval(-1.5, 1.5))
+    fn = verify._fixed_points(2)
     for depth in (-1, 63):
         with pytest.raises(ValueError):
-            count_fixed_points(ComplexBox.point(0j), region, 2, max_depth=depth)
-    assert (count_fixed_points(ComplexBox.point(0j), region, 2, max_depth=62)
-            == count_fixed_points(ComplexBox.point(0j), region, 2))
+            count_zeros(fn, _ORIGIN, region, depth)
+    assert (count_zeros(fn, _ORIGIN, region, 62).count.tolist()
+            == count_zeros(fn, _ORIGIN, region, 16).count.tolist() == [4])
 
 
 # The depth-first boundary test that preceded the batched one in
@@ -424,12 +402,13 @@ class TestBoundaryDisjoint:
         # for c=0 the boundary image z^8-bar lands inside U, which the
         # boundary scan calls TRUE; but the restriction has degree 8, and
         # the anchor proof refuses it already at condition (i): all of dU
-        # must map off U
+        # must map off U.  The preimage of 0 is a zero of multiplicity 8,
+        # which no Krawczyk box isolates, so its count is undetermined
         rect = ComplexBox(Interval(-0.001, 0.001), Interval(-0.001, 0.001))
         [leaf] = adaptive_scan(rect, BoundaryDisjointClaim(U_RECT, 3), 0).leaves
         assert leaf.status is Status.TRUE
         cert = qlike_certificate(rect, U_RECT, 3, 0j, max_depth=0)
-        assert cert.config["anchor_preimage_count"] == "8"
+        assert cert.config["anchor_preimage_count"] == "None"
         assert cert.config["anchor_proof"] == "boundary"
         assert [leaf.status for leaf in cert.leaves] == [Status.UNDETERMINED]
 
@@ -638,46 +617,44 @@ def _live_rows(run):
 
 
 class TestContourCounting:
+    """Zeros counted inside a rectangle's contour by count_zeros."""
+
     def test_quartic_fixed_points(self):
         # c=0, n=2: fixed points of z^4 in the square are 0, 1, and the
-        # two complex cube roots of unity
+        # two complex cube roots of unity, each in its own Krawczyk box
         region = ComplexBox(Interval(-1.5, 1.5), Interval(-1.5, 1.5))
-        enc, count = count_fixed_points(ComplexBox.point(0j), region, 2)
-        assert enc is not None
-        assert count == 4
-        assert enc.value.im.intersects(TWO_PI.scale(4.0))
+        found = count_zeros(verify._fixed_points(2), _ORIGIN, region, 16)
+        assert found.count.tolist() == [4] and found.owner.tolist() == [0] * 4
+        boxes, images = found.boxes.boxes(), found.images.boxes()
+        for z, k in zip(boxes, images):
+            assert z.strictly_contains(k) and region.contains_box(k)
+        for point in (0j, 1 + 0j, complex(-0.5, 3 ** 0.5 / 2), complex(-0.5, -(3 ** 0.5) / 2)):
+            assert sum(k.contains(point) for k in images) == 1
+        assert not any(a.intersects(b) for i, a in enumerate(boxes) for b in boxes[i + 1:])
 
     def test_empty_region(self):
         region = ComplexBox(Interval(10.0, 11.0), Interval(10.0, 11.0))
-        enc, count = count_fixed_points(ComplexBox.point(0j), region, 2)
-        assert count == 0
-        assert enc.value.contains(0j)
+        found = count_zeros(verify._fixed_points(2), _ORIGIN, region, 16)
+        assert found.count.tolist() == [0] and len(found.boxes) == 0
 
-    def test_contour_bits_are_pinned(self):
-        # the batch contour uses elementwise numpy only, no BLAS, so these
+    def test_count_bits_are_pinned(self):
+        # the count uses elementwise numpy only, no BLAS, so these
         # endpoints hold on any machine
-        enc, count = count_fixed_points(PAPER_R.quarter()[0], PAPER_X_REGION, 6, 2.0, 10)
-        assert count == 1
-        assert _enc_hex(enc) == (("-0x1.46c752a5cca58p+0", "0x1.4ade13d51c050p+0",
-                                  "0x1.39ad090fa616bp+2", "0x1.005fa910ba29dp+3"), 3305)
+        found = count_zeros(verify._fixed_points(6), BoxArray.of([PAPER_R.quarter()[0]]),
+                            PAPER_X_REGION, 10)
+        assert found.count.tolist() == [1] and found.effort.tolist() == [63]
+        [z], [k] = found.boxes.boxes(), found.images.boxes()
+        assert _box_hex(z) == ("0x1.999999999999ap-6", "0x1.1eb851eb851ecp-5",
+                               "0x1.47ae147ae147bp-5", "0x1.999999999999ap-5")
+        assert _box_hex(k) == ("0x1.a15a9dd6a727ep-6", "0x1.122f3edcdbe09p-5",
+                               "0x1.55158699a87c5p-5", "0x1.9697768b30c86p-5")
 
     def test_odd_iterate_rejected(self):
         with pytest.raises(ValueError):
-            count_fixed_points(ComplexBox.point(0j), U_RECT, 3)
-
-    def test_decide_count_needs_isolation(self):
-        wide = ContourEnclosure(
-            ComplexBox(Interval(-0.1, 0.1), Interval(0.0, 20.0)), 4
-        )
-        assert decide_count(wide) is None
-        offset = ContourEnclosure(
-            ComplexBox(Interval(1.0, 2.0), Interval(6.0, 7.0)), 4
-        )
-        assert decide_count(offset) is None
+            FixedPointCountClaim(U_RECT, 3).evaluate_level(BoxArray.of([PAPER_R]), None)
 
     def test_random_polynomials_match_root_oracle(self):
         rng = random.Random(31)
-        region = ComplexBox(Interval(-1.0, 1.0), Interval(-1.0, 1.0))
         done = 0
         while done < 15:
             degree = rng.randint(1, 4)
@@ -693,11 +670,7 @@ class TestContourCounting:
             if near_edge:
                 continue
             inside = sum(1 for r in roots if abs(r.real) < 1.0 and abs(r.imag) < 1.0)
-            enc = contour_integral(_poly_fn(roots), region, tol=1.5, max_depth=12)
-            assert enc is not None
-            assert enc.value.re.contains(0.0)
-            assert enc.value.im.intersects(TWO_PI.scale(float(inside)))
-            assert decide_count(enc) == inside
+            assert _poly_count(roots, depth=12) == inside
             done += 1
 
 
@@ -937,7 +910,7 @@ class TestInheritedCycles:
         assert tracked.cycle.tolist() == [0] and seeds.held.all()
         rows = _newton_rows(monkeypatch)
         children = tracked_cycle_level(root.quarter(), 6, seeds, absence=False)
-        assert sum(rows) == 0
+        assert rows == []  # not even a call of no rows
         assert children.cycle.tolist() == [0, 1, 2, 3]
         assert (children.lo > tracked.lo).all() and (children.hi < tracked.hi).all()
         # the orbit guesses are handed on as they came
@@ -973,7 +946,7 @@ class TestInheritedCycles:
         red, yellow = _paper_claims()
         rows = _newton_rows(monkeypatch)
         adaptive_scan(R_RECT, yellow, 6)
-        assert len(rows) == 8 and [n for n in rows if n] == [1, 1]
+        assert rows == [1, 1]
         evaluate, held_u = red.evaluate_level, []
 
         def recorded(boxes, seeds):
@@ -984,6 +957,30 @@ class TestInheritedCycles:
         red.evaluate_level = recorded
         adaptive_scan(R_RECT, red, 6)
         assert held_u == [0] * 7
+
+
+    def test_no_kernel_call_gets_no_rows(self, monkeypatch):
+        # a step of tracked_cycle_level with no rows to give is skipped: on
+        # the depth-5 paper scans every Newton and Krawczyk call has rows,
+        # and an empty level makes no call at all
+        calls = []
+        for name in ("_refine_orbit", "krawczyk_cycle_rows", "krawczyk_absence_rows"):
+            def spy(c, *args, _kernel=getattr(verify, name), _name=name):
+                calls.append((_name, len(c)))
+                return _kernel(c, *args)
+
+            monkeypatch.setattr(verify, name, spy)
+        for claim in _paper_claims():
+            adaptive_scan(R_RECT, claim, 5)
+        # (absence needs boxes narrower than these scans reach)
+        assert {name for name, _ in calls} == {"_refine_orbit", "krawczyk_cycle_rows"}
+        assert all(rows > 0 for _, rows in calls)
+        none = np.zeros(0, dtype=np.int64)
+        for claim in _paper_claims():
+            root = claim.initial_seed(R_RECT)
+            calls.clear()
+            claim.evaluate_level(BoxArray.of([R_RECT])[none], root[none])
+            assert calls == []
 
 
 class TestCycleClaims:
@@ -1091,9 +1088,8 @@ def test_claims_evaluate_an_empty_level(claim):
 @pytest.mark.parametrize("claim, config", [
     (BoundaryDisjointClaim(PAPER_U, 3),
      {"u": "-0.3,0.3,-0.3,0.3", "n": "3", "segment_depth": "14"}),
-    (FixedPointCountClaim(PAPER_X_REGION, 6, tol=0.5),
-     {"region": "0.0,0.08,0.0,0.08", "n": "6", "expect": "1", "tol": "0.5",
-      "contour_depth": "10"}),
+    (FixedPointCountClaim(PAPER_X_REGION, 6, contour_depth=8),
+     {"region": "0.0,0.08,0.0,0.08", "n": "6", "expect": "1", "contour_depth": "8"}),
     (ParabolicExclusionClaim(9), {"period": "9"}),
     (MultiplierNonRealClaim(PAPER_X_REGION), {"guess": "0.04,0.04", "region": "0.0,0.08,0.0,0.08"}),
     (MultiplierNonRealClaim(), {"guess": "0.04,0.04"}),
@@ -1191,7 +1187,3 @@ def test_disjointness_verdict_of_touching_closed_boxes(monkeypatch, red_extra, s
     assert len(pairs) == (status is Status.UNDETERMINED)
     assert found is status
 
-
-def test_two_pi_encloses_tau():
-    assert TWO_PI.lo < math.tau < TWO_PI.hi or TWO_PI.contains(math.tau)
-    assert TWO_PI.width() < 1e-14
