@@ -13,9 +13,10 @@ each residual is a single map application, so the certifier never
 evaluates an iterate of f.  Its preconditioner is the closed-form inverse
 of the block-cyclic Jacobian, in plain float64 arithmetic with no LAPACK,
 taken once per row at the midpoints of its start boxes and kept through
-its epsilon-inflation rounds.  Its image is one midpoint-radius
-evaluation in round to nearest, whose radius carries a priori bounds of
-every rounding error for any preconditioner.
+its epsilon-inflation rounds.  A float orbit starts from boxes sized by
+the spread of its image over the parameter box.  Its image is one
+midpoint-radius evaluation in round to nearest, whose radius carries a
+priori bounds of every rounding error for any preconditioner.
 Moduli and multipliers are read from the certified orbit boxes, a batch of
 cycles at a time.
 
@@ -162,14 +163,19 @@ def conj_holomorphic_form(
 # freed temporaries in the heap, verify-disjoint at depth 6 took a median
 # 0.257 s at 128 rows and 0.242 s at 256 (256 faster in 10 of 10
 # alternating fresh-process runs, 2-vCPU VM), at a peak RSS of 34.97 and
-# 35.89 MB; the traced peak of the red scan's level 6 (536 boxes) is
-# 1.7 MB at 128 rows and 3.1 MB at 256
+# 35.89 MB; the traced peak of the red scan's level 6 (then 536 boxes)
+# was 1.7 MB at 128 rows and 3.1 MB at 256
 _CHUNK = 256
-# float Newton steps, and the epsilon-inflation rounds and tightening
-# steps of the Krawczyk certification
+# float Newton steps, and the epsilon-inflation rounds of the Krawczyk
+# certification
 _NEWTON_STEPS = 50
 _ROUNDS = 24
-_TIGHTEN = 3
+# the images a certified row runs: the one that certifies and one that
+# tightens its boxes.  A third kept every paper certificate byte-identical
+# and ran 23% more images in verify-disjoint at depth 6 (4,189 against
+# 3,417); without the second, the yellow children that start from the
+# boxes leave 79 U leaves at depth 6 instead of 78
+_TIGHTEN = 2
 
 
 def _chunked(fn, *rows):
@@ -566,6 +572,24 @@ def _inflation_round(lo, hi, pre: _Pre, pad, certified, remaining):
     return grow | (inside & (remaining > 0))
 
 
+def _sized_start(lo, hi, pre: _Pre, pad):
+    """The start boxes of the rows of a chunk whose boxes are points, a
+    float orbit each: written over them in place as the orbit -+ (2 |s|
+    rho + pad), each coordinate rounded outward.  Returns the mask of the
+    rows that go on to the rounds: all but the sized ones whose boxes are
+    not finite or wider than 0.5."""
+    sized = (lo == hi).all(axis=1)
+    if not sized.any():
+        return ~sized
+    reach = 2.0 * pre.s_rho[sized] + pad[sized]
+    [(s_lo, s_hi)] = _round((lo[sized] - reach, lo[sized] + reach))
+    lo[sized], hi[sized] = s_lo, s_hi
+    keep = ~sized
+    # a box that is not finite has an inf or nan width
+    keep[sized] = _up_arr(s_hi - s_lo).max(axis=1) <= 0.5
+    return keep
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def krawczyk_cycle_rows(c: BoxArray, boxes, radius):
     """Krawczyk existence certification of a full cycle as a coupled
@@ -573,25 +597,40 @@ def krawczyk_cycle_rows(c: BoxArray, boxes, radius):
 
     Each residual involves a single map application, so there is no
     iterate-depth wrapping.  c is a BoxArray of B parameter rows, boxes the
-    (lo, hi) pair of (B, 2p) endpoint arrays of the start boxes (_around
-    an orbit guess, or the certified orbit boxes of a box that holds the
-    row's), and radius the (B,) array of the rows' inflation radii.
+    (lo, hi) pair of (B, 2p) endpoint arrays of the start boxes, and
+    radius the (B,) array of the rows' inflation radii.  A row whose boxes
+    are points is a float orbit (a Newton seed): it starts from the boxes
+    orbit -+ (2 |s| rho + 4 radius) per coordinate (_sized_start), where
+    |s| rho is the parameter term of its Krawczyk radius, the spread of
+    the image over the parameter box.  The first image of a point-like
+    box would only measure that term, which _Pre holds before any image
+    runs.  With the factor 2 the sized box, of radius r, holds its image
+    whenever the contraction term |I - Y J(m)| r of the image is at most
+    r / 2 and its other terms (the center's offset from the orbit, the
+    quadratic and the rounding terms) stay below 2 radius.  A sized
+    start that is not finite or wider than 0.5 fails its row with no
+    image.  Any other row (the certified orbit boxes of a box that holds
+    the row's cycle, or any boxes) starts from its boxes as given.  Any
+    start box is sound: K(Z) strictly inside Z is the proof (Rump, Acta
+    Numerica 19, 2010).
     The boxes grow by epsilon inflation, which hands every orbit point a
     radius matched to its own parameter sensitivity: an image strictly
-    inside its boxes certifies the cycle and is tightened up to _TIGHTEN
-    times; an image that misses its boxes, a singular Jacobian or an
-    inflated box wider than 0.5 fails.  Absence is the job of
-    krawczyk_absence_rows, where the searched region is explicit.
+    inside its boxes certifies the cycle, and a certified row runs up to
+    _TIGHTEN images in all, the later ones tightening its boxes; an image
+    that misses its boxes, a singular Jacobian or an inflated box wider
+    than 0.5 fails.  Absence is the job of krawczyk_absence_rows, where
+    the searched region is explicit.
 
     Each row takes its preconditioner Y once, at the midpoints of its start
-    boxes, and keeps it through all its rounds: any Y keeps the image
-    sound (see _krawczyk_rows), so a row whose Jacobian is singular there
-    fails in its first round, and a regular one is never found singular
-    later.  The rows go _CHUNK at a time, and each chunk runs all its
-    rounds before the next: it forms Y, |Y| and the parameter terms once
-    (_Pre), and each round (_inflation_round) evaluates the images of its
-    rows still open, held compacted, which decide by these rules and
-    update their boxes.  A row is written back once, when it closes.
+    boxes as given (a sized row's orbit), and keeps it through all its
+    rounds: any Y keeps the image sound (see _krawczyk_rows), so a row
+    whose Jacobian is singular there fails in its first round, and a
+    regular one is never found singular later.  The rows go _CHUNK at a
+    time, and each chunk runs all its rounds before the next: it forms Y,
+    |Y| and the parameter terms once (_Pre), sizes its float orbits'
+    start boxes, and each round (_inflation_round) evaluates the images
+    of its rows still open, held compacted, which decide by these rules
+    and update their boxes.  A row is written back once, when it closes.
     Every row ends as it would by itself, and no array holds more than a
     chunk's preconditioners or a round's images.  Returns (certified, lo,
     hi, images): the mask of certified rows, the endpoint arrays of boxes,
@@ -606,8 +645,10 @@ def krawczyk_cycle_rows(c: BoxArray, boxes, radius):
         z_lo, z_hi, pad = lo[rows], hi[rows], 4.0 * radius[rows, None]
         won, remaining = np.zeros(len(rows), dtype=bool), np.full(len(rows), _TIGHTEN)
         pre = _preconditioner(c[rows], z_lo, z_hi)
-        for done in range(1, _ROUNDS + 1):
-            still = _inflation_round(z_lo, z_hi, pre, pad, won, remaining)
+        still = _sized_start(z_lo, z_hi, pre, pad)
+        for done in range(_ROUNDS + 1):
+            if done:
+                still = _inflation_round(z_lo, z_hi, pre, pad, won, remaining)
             if done == _ROUNDS:
                 still[:] = False
             # rows leave a chunk's arrays only when some close: a copy that

@@ -60,7 +60,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .dynamics import (
-    _around,
     conj_holomorphic_form,
     even_iterate,
     float_f,
@@ -686,17 +685,18 @@ def tracked_cycle_level(boxes: BoxArray, period: int, seeds, absence: bool = Tru
     other row, and every row whose inherited certification is not held,
     refines its orbit guess by float Newton at its box midpoint, and
     where Newton converges, Krawczyk certifies the cycle over the whole
-    box from boxes about the refined orbit.  The coupled system is also
-    solved by a shorter cycle traversed several times, which puts one
-    point in two boxes, so only pairwise disjoint orbit boxes are held
-    (the exact period).  Both Krawczyk calls take the row's box width, at
-    least 1e-9, as its inflation radius.  With absence, a box at most
-    _ABSENCE_MAX_WIDTH wide whose cycle is not held gets one Krawczyk step
-    on the _ABSENCE_RADIUS neighborhood of its refined orbit.  Every step
-    runs on the whole level, its kernel and Newton rows _CHUNK at a time,
-    is skipped when it has no rows, and decides each row as it would by
-    itself.  The orbit boxes are over
-    the coordinates (re z_0, im z_0, re z_1, ...).
+    box from the refined orbit given as points, which krawczyk_cycle_rows
+    widens to boxes sized by the row's parameter spread.  The coupled
+    system is also solved by a shorter cycle traversed several times,
+    which puts one point in two boxes, so only pairwise disjoint orbit
+    boxes are held (the exact period).  Both Krawczyk calls take the row's
+    box width, at least 1e-9, as its inflation radius.  With absence, a
+    box at most _ABSENCE_MAX_WIDTH wide whose cycle is not held gets one
+    Krawczyk step on the _ABSENCE_RADIUS neighborhood of its refined
+    orbit.  Every step runs on the whole level, its kernel and Newton rows
+    _CHUNK at a time, is skipped when it has no rows, and decides each row
+    as it would by itself.  The orbit boxes are over the coordinates (re
+    z_0, im z_0, re z_1, ...).
     """
     count = len(boxes)
     if not isinstance(seeds, _CycleSeeds):
@@ -730,9 +730,10 @@ def tracked_cycle_level(boxes: BoxArray, period: int, seeds, absence: bool = Tru
         if len(rows):
             orbits[rows], converged[rows] = _refine_orbit(mids[rows], orbits[rows])
     rows = np.flatnonzero(converged)
-    # the start boxes are built first, so no copy of the converged orbits
-    # lives through the rounds
-    refined = certify(rows, _around(orbits[rows], radius[rows, None]))
+    # the start boxes are the converged orbits as points, which
+    # krawczyk_cycle_rows sizes by each row's parameter spread
+    points = _interleave(orbits[rows].real, orbits[rows].imag)
+    refined = certify(rows, (points, points.copy()))
     cycle, lo, hi = (np.concatenate(parts) for parts in zip(inherited, refined))
     order = np.argsort(cycle)
     absent = np.zeros(count, dtype=bool)

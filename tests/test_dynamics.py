@@ -647,6 +647,50 @@ class TestKrawczykKernel:
         certified, _, _, images = krawczyk_cycle_rows(c, _batch([row])[1], np.array([1e-6]))
         assert certified[0] and images[0] == dynamics._TIGHTEN
 
+    def test_fresh_row_certifies_on_its_first_image(self):
+        # a float orbit, given as points, starts from boxes sized by its
+        # parameter spread: on the depth-6 box of PAPER_R about the period-9
+        # center the first image lies strictly inside them, and the row
+        # runs exactly _TIGHTEN images; started from boxes of its inflation
+        # radius about the orbit, the same row runs more
+        box = PAPER_R
+        for _ in range(6):
+            box = next(q for q in box.quarter() if q.contains(_PAPER_C))
+        orbit, residual = _float_newton(box.midpoint(), _PAPER_ORBIT)
+        assert residual < 1e-10
+        c, radius = BoxArray.of([box]), np.array([box.width()])
+        points = np.array([[t for z in orbit for t in (z.real, z.imag)]])
+        kernel, first = dynamics._krawczyk_rows, []
+
+        def spy(lo, hi, pre):
+            out = kernel(lo, hi, pre)
+            first.append(((lo < out[0]) & (out[1] < hi)).all())
+            return out
+
+        with mock.patch.object(dynamics, "_krawczyk_rows", spy):
+            certified, _, _, images = krawczyk_cycle_rows(c, (points, points.copy()), radius)
+        assert certified[0] and first[0] and images[0] == dynamics._TIGHTEN
+        start = dynamics._around(np.array([orbit]), radius[:, None])
+        certified, _, _, images = krawczyk_cycle_rows(c, start, radius)
+        assert certified[0] and images[0] > dynamics._TIGHTEN
+
+    @pytest.mark.parametrize("rho", [8.0, 2.0 ** -4])
+    def test_sized_start_that_overflows_or_is_too_wide_fails_at_once(self, rho):
+        # z = 1/2 + 2^-511 i is the fixed point of modulus just over 1/2
+        # (multiplier nearly 1) of a parameter c: J = [[0, -2^-510],
+        # [-2^-510, -2]] is regular, with determinant -2^-1020, so Y holds
+        # 2^1021.  Over a parameter radius of 8, |s| rho overflows (a start
+        # about z of radius 2^-600 raises EmptyIntervalError from its
+        # image), and over 2^-4 the sized start is 2^1019 wide: either way
+        # the row fails with no image run
+        z = complex(0.5, 2.0 ** -511)
+        c = BoxArray.of([ComplexBox.around(z - z.conjugate() ** 2, rho)])
+        point = np.array([[z.real, z.imag]])
+        pre = dynamics._preconditioner(c, point, point)
+        assert pre.ok[0] and np.abs(pre.y).max() == 2.0 ** 1021
+        certified, _, _, images = krawczyk_cycle_rows(c, (point, point.copy()), np.array([1e-9]))
+        assert not certified[0] and images[0] == 0
+
     @pytest.mark.parametrize("e", [2.0 ** -10, 2.0 ** -35])
     def test_image_holds_the_preconditioner_error(self, e):
         """K(Z) must hold the exact Krawczyk points for any preconditioner Y.
@@ -967,19 +1011,21 @@ class TestFloatNewtonRows:
 
 # The per-box tracked-cycle path that preceded verify.tracked_cycle_level,
 # on the scalar kernel and the scalar Newton, kept as the bitwise oracle of
-# the batch, with its rule that a box whose parent held its cycle starts
-# from the parent's orbit boxes; it counts the Krawczyk images of each box
-# as its effort.
+# the batch, with its rules that a box whose parent held its cycle starts
+# from the parent's orbit boxes and a box seeded by Newton starts from
+# boxes sized by its parameter spread; it counts the Krawczyk images of
+# each box as its effort.
 
 
-def _scalar_krawczyk_cycle(kernel, c, boxes, radius, tighten=3):
+def _scalar_krawczyk_cycle(kernel, c, boxes, radius, y=None):
     """The rules of krawczyk_cycle_rows one box at a time, from the start
     boxes, with the kernel kernel(c, boxes, y) passed in: (certified, the
-    tight orbit boxes or []).  The preconditioner y is taken once, at the
-    start boxes, and kept."""
-    y = _scalar_inverse(boxes)
+    tight orbit boxes or []).  The preconditioner y, by default taken at
+    the start boxes, is kept through the rounds."""
+    if y is None:
+        y = _scalar_inverse(boxes)
     certified = False
-    remaining = max(tighten, 1)
+    remaining = max(dynamics._TIGHTEN, 1)
     for _ in range(24):
         images = kernel(c, boxes, y)
         if images is None:
@@ -1011,6 +1057,31 @@ def _scalar_krawczyk_cycle(kernel, c, boxes, radius, tighten=3):
     return (True, boxes) if certified else (False, [])
 
 
+def _scalar_sized_start(c: ComplexBox, orbit, radius: float):
+    """The start of krawczyk_cycle_rows from a float orbit: the
+    preconditioner y at the orbit's points, and each coordinate -+ (2 |s|
+    rho + 4 radius), with |s| rho = |su| rho_re + |sv| rho_im from the sums
+    su, sv of that row's even and odd entries of y (0 for a singular y)
+    and the parameter radii rho.  Returns (boxes, y), boxes None when not
+    finite or wider than 0.5."""
+    y = _scalar_inverse([ComplexBox.point(z) for z in orbit])
+    c_mid = c.midpoint()
+    rho = [Interval.point(max(-d.lo, d.hi)) for d in (
+        c.re - Interval.point(c_mid.real), c.im - Interval.point(c_mid.imag))]
+    coords = [t for z in orbit for t in (z.real, z.imag)]
+    try:
+        sides = []
+        for r, x in enumerate(coords):
+            su, sv = (0.0, 0.0) if y is None else (sum(y[r, 0::2]), sum(y[r, 1::2]))
+            s_rho = Interval.point(abs(su)) * rho[0] + Interval.point(abs(sv)) * rho[1]
+            reach = (s_rho.scale(2.0) + Interval.point(4.0 * radius)).hi
+            sides.append(Interval.point(x) + Interval(-reach, reach))
+        boxes = [ComplexBox(sides[2 * i], sides[2 * i + 1]) for i in range(len(orbit))]
+    except EmptyIntervalError:
+        return None, y
+    return (boxes if max(b.width() for b in boxes) <= 0.5 else None), y
+
+
 def _scalar_refine_orbit(c_mid, period, orbit_guess):
     orbit, residual = _scalar_float_newton_cycle(c_mid, period, orbit_guess)
     if not all(math.isfinite(z.real) and math.isfinite(z.imag) for z in orbit):
@@ -1031,7 +1102,7 @@ def _scalar_tracked_cycle(c: ComplexBox, period: int, seed, absence: bool):
     one box, from its seed (orbit guess, the parent's held orbit boxes or
     None).  Krawczyk starts from the parent's boxes where it held its
     cycle; the orbit guess is refined by Newton only where that is not
-    held."""
+    held, and Krawczyk then starts from its sized boxes."""
     images = []
 
     def kernel(c, boxes, y):
@@ -1046,9 +1117,9 @@ def _scalar_tracked_cycle(c: ComplexBox, period: int, seed, absence: bool):
         boxes = _held(found) if certified else None
     if boxes is None:
         refined, converged = _scalar_refine_orbit(c.midpoint(), period, orbit_guess)
-        if converged:
-            certified, found = _scalar_krawczyk_cycle(
-                kernel, c, [ComplexBox.around(z, radius) for z in refined], radius)
+        start, y = _scalar_sized_start(c, refined, radius) if converged else (None, None)
+        if start is not None:
+            certified, found = _scalar_krawczyk_cycle(kernel, c, start, radius, y)
             boxes = _held(found) if certified else None
     absent = False
     if absence and boxes is None and c.width() <= verify._ABSENCE_MAX_WIDTH:

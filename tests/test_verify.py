@@ -118,10 +118,27 @@ def _mp_preimage(c, z, w=0.1 - 0.05j):
     return _mp_f(c, _mp_f(c, z)) ** 2 + iv.mpc(c.real, -c.imag) - iv.mpc(w.real, -w.imag)
 
 
+def _mp_fixed_der(c, z):
+    """The derivative (f_c^6)'(z) - 1 of _mp_fixed, along the second
+    iterates w: (f_c^2)'(w) = 4 w (w^2 + conj(c))."""
+    cbar, d = iv.mpc(c.real, -c.imag), 1
+    for _ in range(3):
+        s = z ** 2 + cbar
+        d, z = d * 4 * z * s, s ** 2 + c
+    return d - 1
+
+
+def _mp_preimage_der(c, z):
+    """The derivative H'(z) = 2 f_c^2(z) (f_c^2)'(z) of _mp_preimage."""
+    s = z ** 2 + iv.mpc(c.real, -c.imag)
+    return 2 * (s ** 2 + c) * 4 * z * s
+
+
+# kind: (fn of count_zeros, its value and derivative in mpmath.iv, region)
 _ZERO_FNS = {
-    "fixed-point": (verify._fixed_points(6), _mp_fixed, PAPER_X_REGION),
+    "fixed-point": (verify._fixed_points(6), _mp_fixed, _mp_fixed_der, PAPER_X_REGION),
     "preimage": (lambda c, z: (lambda v, d: (v - ComplexBox.point(0.1 + 0.05j), d))(
-        *conj_holomorphic_form(c, z, 3)), _mp_preimage, U_RECT),
+        *conj_holomorphic_form(c, z, 3)), _mp_preimage, _mp_preimage_der, U_RECT),
 }
 
 
@@ -133,10 +150,14 @@ _ZERO_FNS = {
                 min_size=4, max_size=4))
 def test_krawczyk_image_holds_the_newton_points(kind, u, v, radius, x, y, width, at):
     """Oracle: for c and z sampled in random boxes C and Z, the Newton point
-    z - y g(c, z), with g evaluated in mpmath.iv at 60 digits, lies in the
-    image K(Z) of verify._zero_image, for the fixed-point and preimage
-    functions of the two counts."""
-    fn, exact, region = _ZERO_FNS[kind]
+    z - y g(c, z), and for each corner and edge midpoint z of Z the point
+    m - y g(c, m) + (1 - y g'(c, z)) (z - m) of the Krawczyk form, with g
+    and g' evaluated in mpmath.iv at 60 digits, lie in the image K(Z) of
+    verify._zero_image, for the fixed-point and preimage functions of the
+    two counts.  At the corners z - m is widest, so the contraction term
+    (1 - y der(C, Z)) (Z - m) of K(Z) must reach about as far as its exact
+    range there."""
+    fn, exact, slope, region = _ZERO_FNS[kind]
     cbox = ComplexBox.around(complex(PAPER_R.re.lo + u * PAPER_R.re.width(),
                                      PAPER_R.im.lo + v * PAPER_R.im.width()), radius)
     zbox = ComplexBox.around(complex(region.re.lo + x * region.re.width(),
@@ -149,14 +170,22 @@ def test_krawczyk_image_holds_the_newton_points(kind, u, v, radius, x, y, width,
         re, im = box.re, box.im
         return complex(min(re.hi, re.lo + s * (re.hi - re.lo)), min(im.hi, im.lo + t * (im.hi - im.lo)))
 
+    def held(value):
+        assert value.real in iv.mpf([k.re.lo, k.re.hi])
+        assert value.imag in iv.mpf([k.im.lo, k.im.hi])
+
     c, z = point(cbox, *at[:2]), point(zbox, *at[2:])
+    m = zbox.midpoint()
     with workdps(60):
         saved, iv.dps = iv.dps, 60
         try:
-            newton = iv.mpc(z.real, z.imag) - iv.mpc(pre.real, pre.imag) * exact(
-                iv.mpc(c.real, c.imag), iv.mpc(z.real, z.imag))
-            assert newton.real in iv.mpf([k.re.lo, k.re.hi])
-            assert newton.imag in iv.mpf([k.im.lo, k.im.hi])
+            y, cv, zv, mv = (iv.mpc(w.real, w.imag) for w in (pre, c, z, m))
+            held(zv - y * exact(cv, zv))
+            center = mv - y * exact(cv, mv)
+            for s, t in ((0, 0), (0, 1), (1, 0), (1, 1), (0.5, 0), (0.5, 1), (0, 0.5), (1, 0.5)):
+                edge = point(zbox, s, t)
+                ev = iv.mpc(edge.real, edge.imag)
+                held(center + (1 - y * slope(cv, ev)) * (ev - mv))
         finally:
             iv.dps = saved
 
@@ -803,9 +832,11 @@ class TestTrackedCycleLevel:
     def test_effort_counts_kernel_rows(self, monkeypatch):
         # the paper's red and yellow scans at depth 6: the effort of each
         # level's results adds up to the Krawczyk kernel rows run for it
-        # (4,841 and 940 over all levels; the leaves keep 3,530 and 705).
-        # Yellow's rows below the root start from their parents' orbit
-        # boxes, where Newton-seeded boxes ran 1,252 and 940
+        # (2,791 and 626 over all levels; the leaves keep 1,918 and 470).
+        # Red's Newton-seeded rows start from boxes sized by their
+        # parameter spread, where boxes of the inflation radius ran 4,356
+        # images at this tightening budget, and yellow's rows below the
+        # root start from their parents' orbit boxes
         rows = []
         kernel = dynamics._krawczyk_rows
 
@@ -829,14 +860,14 @@ class TestTrackedCycleLevel:
             assert all(effort == kernel_rows for effort, kernel_rows in levels)
             totals.append((sum(effort for effort, _ in levels),
                            sum(leaf.effort for leaf in cert.leaves)))
-        assert totals == [(4841, 3530), (940, 705)]
+        assert totals == [(2791, 1918), (626, 470)]
 
     def test_preconditioner_is_formed_once_a_row(self, monkeypatch):
-        # on the red scan's level 6, _cyclic_inverse sees the midpoints of
-        # the start boxes of the converged rows, each exactly once and in
-        # order, though their rounds run 5.2 Krawczyk images a row (2,572
-        # on 498 rows); no row there has a held parent, so the call for
-        # the inherited boxes has no rows
+        # on the red scan's level 6, _cyclic_inverse sees the converged
+        # orbits that start the rows, each exactly once and in order,
+        # though their rounds run 3.1 Krawczyk images a row (1,500 on 478
+        # rows); no row there has a held parent, so the call for the
+        # inherited boxes has no rows
         evaluate, boxes, seeds = _red_level_6()
         inverse, cycle, seen, calls = dynamics._cyclic_inverse, verify.krawczyk_cycle_rows, [], []
 
@@ -857,14 +888,14 @@ class TestTrackedCycleLevel:
         [(start, inverted, images)] = calls
         assert len(start) > 400
         assert inverted.tobytes() == start.tobytes()
-        assert images.sum() > 4 * len(start)
+        assert images.sum() > 3 * len(start)
 
     def test_traced_peak_is_bounded_by_the_chunk(self, monkeypatch):
-        # the 536 boxes of the red scan's level 6 take about as much traced
+        # the 516 boxes of the red scan's level 6 take about as much traced
         # heap as 64 of them, _CHUNK rows at a time; one chunk of all rows
         # takes about ten times as much
         evaluate, boxes, seeds = _red_level_6()
-        assert len(boxes) == 536
+        assert len(boxes) == 516
 
         def peak(count, chunk):
             monkeypatch.setattr(dynamics, "_CHUNK", chunk)
@@ -875,9 +906,9 @@ class TestTrackedCycleLevel:
             finally:
                 tracemalloc.stop()
 
-        capped = peak(536, 32)
+        capped = peak(516, 32)
         assert capped < 2 * peak(64, 32)
-        assert peak(536, 536) > 5 * capped
+        assert peak(516, 516) > 5 * capped
 
 
 def _yellow_root():
@@ -915,6 +946,21 @@ class TestInheritedCycles:
         assert (children.lo > tracked.lo).all() and (children.hi < tracked.hi).all()
         # the orbit guesses are handed on as they came
         assert children.orbits.tobytes() == seeds.orbits.tobytes()
+
+    def test_inherited_rows_start_from_the_parents_boxes(self, monkeypatch):
+        # only a float orbit's start is sized: the children's first
+        # Krawczyk image is taken on the root's orbit boxes, bit for bit
+        root, tracked, seeds = _yellow_root()
+        starts, kernel = [], dynamics._krawczyk_rows
+
+        def spy(lo, hi, pre):
+            starts.append((lo.tobytes(), hi.tobytes()))
+            return kernel(lo, hi, pre)
+
+        monkeypatch.setattr(dynamics, "_krawczyk_rows", spy)
+        tracked_cycle_level(root.quarter(), 6, seeds, absence=False)
+        assert starts[0] == (seeds.lo.tobytes(), seeds.hi.tobytes())
+        assert seeds.lo.tobytes() == np.repeat(tracked.lo, 4, axis=0).tobytes()
 
     def test_failed_inheritance_falls_back_to_newton(self, monkeypatch):
         # with every inherited image made to fail, the children refine the
@@ -1026,6 +1072,23 @@ class TestCycleClaims:
         cert = ParamCertificate.of("red", rect, {}, [Leaf(0, rect, Status.TRUE)])
         _, _, repelling = component_witnesses(cert, 9, R_RECT.midpoint())
         assert repelling is Status.UNDETERMINED
+
+    def test_overflowing_sized_start_is_undetermined(self, monkeypatch):
+        # |s| rho made to overflow on every row, as for a cycle near
+        # multiplier 1 whose huge but finite Y meets a wide parameter box:
+        # each Newton-seeded row fails with no Krawczyk image, so the red
+        # scan (boxes too wide for absence) ends with every leaf
+        # Undetermined, where an image of the row raised EmptyIntervalError
+        precondition = dynamics._preconditioner
+
+        def overflowing(c, lo, hi):
+            pre = precondition(c, lo, hi)
+            return pre._replace(s_rho=np.full_like(pre.s_rho, np.inf))
+
+        monkeypatch.setattr(dynamics, "_preconditioner", overflowing)
+        cert = adaptive_scan(R_RECT, ParabolicExclusionClaim(9), 2)
+        assert len(cert.status) == 16 and set(cert.status.tolist()) == {"U"}
+        assert sum(leaf.effort for leaf in cert.leaves) == 0
 
     def test_parabolic_seed_needs_a_center(self):
         # Newton finds no period-9 center from this midpoint to seed from
