@@ -6,7 +6,7 @@ and parabolic-exclusion certification, plus the certified period-3
 centers, escape-time rendering, and a line-oriented certificate format.
 """
 
-from .intervals import ComplexBox, EmptyIntervalError, Interval, ZeroDivisionBoxError
+from .intervals import ComplexBox, EmptyIntervalError, Interval
 from .scan import ClaimResult, Leaf, ParamCertificate, Status, adaptive_scan, component_rollup
 
 __version__ = "0.1.0"
@@ -15,7 +15,6 @@ __all__ = [
     "Interval",
     "ComplexBox",
     "EmptyIntervalError",
-    "ZeroDivisionBoxError",
     "Status",
     "ClaimResult",
     "Leaf",

@@ -11,27 +11,37 @@ c* onto that of omega c*.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .dynamics import OMEGA, eval_f
-from .intervals import ComplexBox, Interval
+from .intervals import BoxArray, ComplexBox, Interval, _add, _down, _mul, _round, _up
 
 __all__ = [
     "CenterSolution",
     "real_root_enclosure",
     "solve_period3_centers",
     "AIRPLANE_CUBIC",
+    "OMEGA",
 ]
 
 
 # real factor of f_c^3(0) for real c: c (c^3 + 2 c^2 + c + 1)
 AIRPLANE_CUBIC = (1.0, 1.0, 2.0, 1.0)  # c^3 + 2c^2 + c + 1, ascending: 1 + c + 2c^2 + c^3
 
+# enclosure of omega = (-1 + sqrt(3) i) / 2, the tricorn's rotational
+# symmetry: math.sqrt is correctly rounded, so [down(r), up(r)] holds
+# sqrt(3) for r = math.sqrt(3.0), and its halves, each stepped outward,
+# hold sqrt(3) / 2
+_R3 = math.sqrt(3.0)
+OMEGA = ComplexBox(Interval.point(-0.5), Interval(_down(_down(_R3) * 0.5), _up(_up(_R3) * 0.5)))
 
-def _poly_enclosure(coeffs_ascending, x: Interval) -> Interval:
-    acc = Interval.point(0.0)
+
+def _poly_enclosure(coeffs_ascending, x: float):
+    """Enclosure of the polynomial at the point x by Horner's rule: the
+    rounded (lo, hi) endpoints of acc * x + a at each step."""
+    acc, x = (0.0, 0.0), (x, x)
     for a in reversed(coeffs_ascending):
-        acc = acc * x + Interval.point(a)
+        acc = _round(_add(_round(_mul(acc, x))[0], (a, a)))[0]
     return acc
 
 
@@ -45,10 +55,10 @@ def real_root_enclosure(
     """
 
     def sign_at(x: float) -> int:
-        v = _poly_enclosure(coeffs_ascending, Interval.point(x))
-        if v.lo > 0:
+        lo, hi = _poly_enclosure(coeffs_ascending, x)
+        if lo > 0:
             return 1
-        if v.hi < 0:
+        if hi < 0:
             return -1
         return 0
 
@@ -92,21 +102,22 @@ def solve_period3_centers() -> list[CenterSolution]:
     root = real_root_enclosure(AIRPLANE_CUBIC, Interval(-1.8, -1.7))
     # Im(c*) is exactly 0: the real factor of f_c^3(0) is c (c^3+2c^2+c+1)
     c_star = ComplexBox(root, Interval.point(0.0))
+    star, omega = BoxArray.of([c_star]), BoxArray.of([OMEGA])
     solutions = [CenterSolution(ComplexBox.point(0j), "zero"),
                  CenterSolution(c_star, "c*"),
-                 CenterSolution(OMEGA * c_star, "omega*c*"),
-                 CenterSolution(OMEGA * OMEGA * c_star, "omega2*c*")]
+                 CenterSolution((omega * star).boxes()[0], "omega*c*"),
+                 CenterSolution((omega * omega * star).boxes()[0], "omega2*c*")]
     for sol in solutions[1:]:
         _check_exact_period3(sol)
     return solutions
 
 
 def _check_exact_period3(sol: CenterSolution) -> None:
-    c = sol.c
+    c = BoxArray.of([sol.c])
     z1 = c  # f(0) = c
-    z2 = eval_f(c, z1)
-    z3 = eval_f(c, z2)
-    if not z3.contains(0j):
+    z2 = z1.sqr().conj() + c
+    z3 = z2.sqr().conj() + c
+    if not z3.contains(0j)[0]:
         raise RuntimeError(f"{sol.label}: f^3(0) enclosure misses 0")
-    if z1.contains(0j) or z2.contains(0j):
+    if z1.contains(0j)[0] or z2.contains(0j)[0]:
         raise RuntimeError(f"{sol.label}: period is not exactly 3")

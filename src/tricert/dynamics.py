@@ -4,8 +4,8 @@ The map is f_c(z) = conj(z)^2 + c.  Its second iterate
 f_c^2(z) = (z^2 + conj(c))^2 + c is holomorphic, so even iterates carry an
 ordinary complex derivative, accumulated through the factored chain-rule
 form 4 z (z^2 + conj(c)).  Odd iterates are handled through the
-holomorphic companion H with f_c^n(z) = conj(H(z)).  These evaluators use
-only the ComplexBox arithmetic, so they also run on a BoxArray batch.
+holomorphic companion H with f_c^n(z) = conj(H(z)).  These evaluators run
+on BoxArray batches, one box per row; the map itself is z.sqr().conj() + c.
 
 Fixed points of f_c^n and cycles of f_c have one certifier: the Krawczyk
 operator on the coupled cyclic system G_i = f_c(z_i) - z_{i+1}, in which
@@ -40,8 +40,6 @@ import numpy as np
 from .intervals import (
     BoxArray,
     ComplexBox,
-    EmptyIntervalError,
-    Interval,
     _abs_pair,
     _interleave,
     _mid_arr,
@@ -53,8 +51,6 @@ from .intervals import (
 )
 
 __all__ = [
-    "OMEGA",
-    "eval_f",
     "even_iterate",
     "conj_holomorphic_form",
     "cycle_multiplier",
@@ -69,12 +65,7 @@ __all__ = [
 ]
 
 
-def eval_f(c: ComplexBox, z: ComplexBox) -> ComplexBox:
-    """Enclosure of f_c(z) = conj(z)^2 + c."""
-    return z.sqr().conj() + c
-
-
-def even_iterate(c: ComplexBox, z: ComplexBox, n: int) -> tuple[ComplexBox, ComplexBox]:
+def even_iterate(c: BoxArray, z: BoxArray, n: int) -> tuple[BoxArray, BoxArray]:
     """Enclosures of f_c^n(z) and (f_c^n)'(z) for even n >= 0, from one orbit walk.
 
     f_c^2(z) = (z^2 + conj(c))^2 + c has (f_c^2)'(z) = 4 z (z^2 + conj(c)),
@@ -91,12 +82,12 @@ def even_iterate(c: ComplexBox, z: ComplexBox, n: int) -> tuple[ComplexBox, Comp
     return z, d
 
 
-def cycle_multiplier(orbit: list[ComplexBox]) -> ComplexBox:
+def cycle_multiplier(orbit: list[BoxArray]) -> BoxArray:
     """Enclosure of (f_c^p)'(z_0) along the boxes of a cycle of even period p.
 
     (f_c^2)'(z) = 4 z conj(f_c(z)), so the multiplier is
     prod_j 4 z_{2j} conj(z_{2j+1}); its modulus is prod_i 2|z_i|.  The
-    boxes may be BoxArray columns, one row per cycle.
+    boxes are BoxArray columns, one row per cycle.
     """
     if len(orbit) % 2 != 0:
         raise ValueError("the multiplier of f_c^p is holomorphic only for even p")
@@ -117,8 +108,8 @@ def squared_modulus_rows(lo, hi):
     multiplier of f_c^p along a cycle, for the orbit boxes of each row of
     (B, 2p) endpoints over (re z_0, im z_0, re z_1, ...).
 
-    Returns (lo, hi) arrays, each endpoint that of the Interval product
-    [1, 1] * 2|z_0| * ... * 2|z_{p-1}| squared, with |z| = ComplexBox.abs.
+    Returns (lo, hi) arrays, the endpoints of the interval product
+    [1, 1] * 2|z_0| * ... * 2|z_{p-1}| squared, with |z| from _abs_pair.
     """
     # the factors 2|z_i| of all orbit points at once, then their product in
     # orbit order
@@ -136,8 +127,8 @@ def multiplier_rows(lo, hi) -> BoxArray:
 
 
 def conj_holomorphic_form(
-    c: ComplexBox, z: ComplexBox, n: int
-) -> tuple[ComplexBox, ComplexBox]:
+    c: BoxArray, z: BoxArray, n: int
+) -> tuple[BoxArray, BoxArray]:
     """Enclosures of H(z) and H'(z) for the holomorphic H with
     f_c^n(z) = conj(H(z)), n odd.
 
@@ -458,7 +449,8 @@ def _krawczyk_rows(lo, hi, pre: _Pre):
     at most 8 eta an entry of t loses before |Y| multiplies it, 2u |center|
     the center's rounding and 2^-1000 the other underflows.  The endpoints
     center -+ rad are then stepped outward once.  Returns (k_lo, k_hi,
-    ok), ok the regular rows of pre, which alone carry an image.
+    ok), ok the regular rows of pre whose image is finite, which alone
+    carry an image: a row whose image overflows fails like a singular one.
     """
     b, n = lo.shape
     if n > _MAX_N:
@@ -505,9 +497,7 @@ def _krawczyk_rows(lo, hi, pre: _Pre):
            + (pre.s_rho + (5 * _U * r + 2.0 * _ETA * r.sum(axis=1)[:, None])))
     rad = (rad * (1.0 + 2.0 ** -44) + 2.0 * _U * np.abs(center)) + 2.0 ** -1000
     [(k_lo, k_hi)] = _round((center - rad, center + rad))
-    if not (np.isfinite(k_lo[pre.ok]).all() and np.isfinite(k_hi[pre.ok]).all()):
-        raise EmptyIntervalError("non-finite Krawczyk image")
-    return k_lo, k_hi, pre.ok
+    return k_lo, k_hi, pre.ok & (np.isfinite(k_lo) & np.isfinite(k_hi)).all(axis=1)
 
 
 def _krawczyk_image(c: BoxArray, boxes):
@@ -530,8 +520,8 @@ def _krawczyk_image(c: BoxArray, boxes):
     entrywise, so Y J(m) cancels against I before radii add; G is exactly
     linear in c, so c enters through the signed sums of Y's even and odd
     columns, and the orbit's c-sensitivities can cancel.  Each row's sums
-    see that row alone, so its image has the same bits in any batch.  An
-    overflow in a row with a regular Jacobian raises EmptyIntervalError.
+    see that row alone, so its image has the same bits in any batch.  A
+    row whose image overflows goes without one, like a singular row.
     """
     return _chunked(lambda c, lo, hi: _krawczyk_rows(lo, hi, _preconditioner(c, lo, hi)),
                     c, *boxes)
@@ -565,8 +555,7 @@ def _inflation_round(lo, hi, pre: _Pre, pad, certified, remaining):
     width = _up_arr(k_hi - k_lo).reshape(-1, p, 2).max(axis=2)
     g_pad = np.repeat(0.125 * width + pad, 2, axis=1)
     g_lo, g_hi = k_lo - g_pad, k_hi + g_pad
-    if not (np.isfinite(g_lo[grow]).all() and np.isfinite(g_hi[grow]).all()):
-        raise EmptyIntervalError("non-finite inflated box")
+    # a box that is not finite has an inf or nan width
     grow &= _up_arr(g_hi - g_lo).max(axis=1) <= 0.5
     lo[grow], hi[grow] = g_lo[grow], g_hi[grow]
     return grow | (inside & (remaining > 0))
@@ -709,8 +698,3 @@ def float_iterate(c: complex, z: complex, n: int) -> complex:
         z = float_f(c, z)
     return z
 
-
-_SQRT3 = Interval.point(3.0).sqrt()
-
-# enclosure of omega = (-1 + sqrt(3) i) / 2, the tricorn's rotational symmetry
-OMEGA = ComplexBox(Interval.point(-0.5), _SQRT3.scale(0.5))

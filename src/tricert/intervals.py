@@ -1,11 +1,15 @@
-"""Outward-rounded real intervals and axis-aligned complex boxes.
+"""Outward-rounded complex interval arithmetic on batches of boxes.
 
-Every arithmetic operation is containment-sound: the result encloses the
-exact mathematical image of its inputs.  Endpoints are binary64; outward
-rounding is done by stepping each computed endpoint to the adjacent
-representable value, never by switching the FPU rounding mode: scalars by
-math.nextafter, endpoint arrays by np.nextafter or, from _STEP_MIN entries
-on, by one integer step on the bit pattern, which gives the same value.
+Interval and ComplexBox are value types: a closed real interval and an
+axis-aligned complex box, with predicates, width, midpoint and splits.
+BoxArray holds a batch of boxes as float64 endpoint arrays and carries the
+one arithmetic (Moore, Interval Analysis, 1966): every operation is
+containment-sound, its result enclosing the exact image of its inputs.
+Endpoints are binary64; outward rounding is done by stepping each computed
+endpoint to the adjacent representable value, never by switching the FPU
+rounding mode: scalars by math.nextafter, endpoint arrays by np.nextafter
+or, from _STEP_MIN entries on, by one integer step on the bit pattern,
+which gives the same value.
 A BoxArray operation rounds stage by stage: the endpoints of one stage
 (the two squares and the product in sqr, then the difference and the
 doubled product; the four endpoints of + and -) are stacked in one buffer
@@ -14,10 +18,8 @@ a stage of k endpoints takes the integer step from 1,024 / k rows on,
 about where the step overtakes np.nextafter.
 All values are immutable and safe to share between threads.  Intervals and
 boxes are never empty: a non-finite or inverted endpoint pair raises
-EmptyIntervalError, so no operation needs an emptiness case.
-
-BoxArray holds a batch of boxes as float64 endpoint arrays and repeats the
-ComplexBox arithmetic row by row with bit-identical endpoints.
+EmptyIntervalError.  A BoxArray row carries inf or nan instead, and no
+operation needs an emptiness case.
 """
 
 from __future__ import annotations
@@ -27,19 +29,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Interval", "ComplexBox", "BoxArray", "EmptyIntervalError", "ZeroDivisionBoxError"]
+__all__ = ["Interval", "ComplexBox", "BoxArray", "EmptyIntervalError"]
 
 _INF = math.inf
 
 
 class EmptyIntervalError(ValueError):
     """Raised when an interval would get a non-finite or an inverted endpoint
-    pair, and by sqrt of an interval with a negative part."""
-
-
-class ZeroDivisionBoxError(ZeroDivisionError):
-    """Raised by recip when the enclosure cannot exclude zero, or when the
-    reciprocal overflows."""
+    pair."""
 
 
 def _down(x: float) -> float:
@@ -110,53 +107,6 @@ class Interval:
         m = self.midpoint()
         return Interval(self.lo, m), Interval(m, self.hi)
 
-    # -- arithmetic ------------------------------------------------------
-
-    def __add__(self, other: "Interval") -> "Interval":
-        return Interval(_down(self.lo + other.lo), _up(self.hi + other.hi))
-
-    def __sub__(self, other: "Interval") -> "Interval":
-        return Interval(_down(self.lo - other.hi), _up(self.hi - other.lo))
-
-    def __neg__(self) -> "Interval":
-        return Interval(-self.hi, -self.lo)
-
-    def __mul__(self, other: "Interval") -> "Interval":
-        a, b, c, d = self.lo, self.hi, other.lo, other.hi
-        p0, p1, p2, p3 = a * c, a * d, b * c, b * d
-        return Interval(_down(min(p0, p1, p2, p3)), _up(max(p0, p1, p2, p3)))
-
-    def scale(self, k: float) -> "Interval":
-        """Multiply by an exact scalar."""
-        if k >= 0:
-            return Interval(_down(self.lo * k), _up(self.hi * k))
-        return Interval(_down(self.hi * k), _up(self.lo * k))
-
-    def sqr(self) -> "Interval":
-        """Tight enclosure of {x^2 : x in self} (never dips below 0)."""
-        a, b = self.lo, self.hi
-        if a >= 0:
-            return Interval(max(_down(a * a), 0.0), _up(b * b))
-        if b <= 0:
-            return Interval(max(_down(b * b), 0.0), _up(a * a))
-        return Interval(0.0, _up(max(a * a, b * b)))
-
-    def sqrt(self) -> "Interval":
-        if self.lo < 0:
-            raise EmptyIntervalError(f"sqrt of interval with negative part: {self}")
-        lo = 0.0 if self.lo == 0.0 else max(_down(math.sqrt(self.lo)), 0.0)
-        return Interval(lo, _up(math.sqrt(self.hi)))
-
-    def recip(self) -> "Interval":
-        """Enclosure of {1/x}; refuses intervals containing 0 and intervals
-        so close to 0 that the reciprocal overflows."""
-        if self.lo <= 0.0 <= self.hi:
-            raise ZeroDivisionBoxError(f"recip of interval containing 0: {self}")
-        lo, hi = _down(1.0 / self.hi), _up(1.0 / self.lo)
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise ZeroDivisionBoxError(f"recip of interval overflows: {self}")
-        return Interval(lo, hi)
-
     def __repr__(self) -> str:
         return f"[{self.lo!r}, {self.hi!r}]"
 
@@ -175,62 +125,6 @@ class ComplexBox:
     @staticmethod
     def around(z: complex, r: float) -> "ComplexBox":
         return ComplexBox(Interval.around(z.real, r), Interval.around(z.imag, r))
-
-    # -- arithmetic ------------------------------------------------------
-
-    def __add__(self, other: "ComplexBox") -> "ComplexBox":
-        if not isinstance(other, ComplexBox):
-            return NotImplemented  # a BoxArray operand: BoxArray.__radd__
-        return ComplexBox(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "ComplexBox") -> "ComplexBox":
-        if not isinstance(other, ComplexBox):
-            return NotImplemented  # a BoxArray operand: BoxArray.__rsub__
-        return ComplexBox(self.re - other.re, self.im - other.im)
-
-    def __mul__(self, other: "ComplexBox") -> "ComplexBox":
-        if not isinstance(other, ComplexBox):
-            return NotImplemented  # a BoxArray operand: BoxArray.__rmul__
-        a, b, c, d = self.re, self.im, other.re, other.im
-        return ComplexBox(a * c - b * d, a * d + b * c)
-
-    def conj(self) -> "ComplexBox":
-        """Complex conjugate; the imaginary sign flip is exact."""
-        return ComplexBox(self.re, -self.im)
-
-    def sqr(self) -> "ComplexBox":
-        """Enclosure of {z^2}, using the tight real-square specialization."""
-        a, b = self.re, self.im
-        return ComplexBox(a.sqr() - b.sqr(), (a * b).scale(2.0))
-
-    def scale(self, k: float) -> "ComplexBox":
-        return ComplexBox(self.re.scale(k), self.im.scale(k))
-
-    def abs_sqr(self) -> Interval:
-        """Enclosure of {|z|^2}; the true value is nonnegative, so the
-        outward-rounded lower bound is clamped at 0."""
-        s = self.re.sqr() + self.im.sqr()
-        return Interval(max(s.lo, 0.0), s.hi) if s.lo < 0.0 else s
-
-    def abs(self) -> Interval:
-        """Enclosure of {|z|}; lower bound exactly 0 when the box contains 0."""
-        if self.contains(0j):
-            m = self.abs_sqr()
-            return Interval(0.0, m.sqrt().hi)
-        return self.abs_sqr().sqrt()
-
-    def recip(self) -> "ComplexBox":
-        """Enclosure of {1/z}; refuses boxes whose |z|^2 cannot exclude 0
-        and boxes whose enclosure overflows (1/|z|^2, or its products with
-        the coordinates)."""
-        n = self.abs_sqr()
-        if n.lo <= 0.0:
-            raise ZeroDivisionBoxError(f"recip of box possibly containing 0: {self}")
-        r = n.recip()
-        try:
-            return ComplexBox(self.re * r, -(self.im * r))
-        except EmptyIntervalError:
-            raise ZeroDivisionBoxError(f"recip of box overflows: {self}") from None
 
     # -- geometry --------------------------------------------------------
 
@@ -280,8 +174,8 @@ class ComplexBox:
 # ---------------------------------------------------------------------------
 
 # A BoxArray operation rounds in stages: all the endpoints that one stage of
-# the ComplexBox formula rounds are stacked into one buffer and rounded in
-# one pass (_outward).  A buffer of at least this many entries is rounded
+# its formula rounds are stacked into one buffer and rounded in one pass
+# (_outward).  A buffer of at least this many entries is rounded
 # by the integer step, a smaller one by np.nextafter, so a stage of k
 # endpoints takes the step from 1,024 / k rows on.  Both give the same
 # bits on every non-nan entry, and a nan stays a nan (the step leaves it
@@ -373,13 +267,13 @@ def _mid_arr(lo, hi):
     return np.minimum(hi, np.maximum(lo, m))
 
 
-# The Interval operations on (lo, hi) pairs of float64 endpoint arrays,
-# before rounding: each returns the pair that Interval rounds outward, and
+# The real interval operations on (lo, hi) pairs of float64 endpoint
+# arrays, before rounding: each returns the pair to round outward, and
 # _round rounds the pairs of one stage of a BoxArray operation together.
-# Where Interval picks an endpoint by a sign test or by Python's min/max,
-# these take np.minimum/np.maximum: the values are the same and may differ
-# only in the sign of a zero, which the outward step maps to the same
-# endpoint.  np.minimum/np.maximum propagate nan.
+# An endpoint that a sign test would pick is taken by np.minimum or
+# np.maximum: the value is the same and may differ only in the sign of a
+# zero, which the outward step maps to the same endpoint.
+# np.minimum/np.maximum propagate nan.
 
 
 def _add(a, b):
@@ -398,17 +292,17 @@ def _mul(a, b):
 
 
 def _scale(a, k):
-    """Interval.scale by exact scalars k (an array or a float)."""
+    """The product with exact scalars k (an array or a float)."""
     x, y = a[0] * k, a[1] * k
     return np.minimum(x, y), np.maximum(x, y)
 
 
 def _sqr(a):
-    """Interval.sqr: the smaller and the larger square of a's endpoints, row
-    by row, and the mask of the rows that do not straddle 0, which _clamp
-    needs after rounding.  The squares are those that Interval.sqr selects
-    by the signs of the endpoints: the smaller is the lower endpoint where
-    a does not straddle 0, and the larger is always the upper one."""
+    """The square {x^2 : x in a}: the smaller and the larger square of a's
+    endpoints, row by row, and the mask of the rows that do not straddle 0,
+    which _clamp needs after rounding.  The smaller square is the lower
+    endpoint where a does not straddle 0, and the larger is always the
+    upper one."""
     lo, hi = a
     ll, hh = lo * lo, hi * hi
     return (np.minimum(ll, hh), np.maximum(ll, hh)), (lo >= 0.0) | (hi <= 0.0)
@@ -426,16 +320,16 @@ def _neg_pair(a):
 
 
 def _sqr_pair(a):
-    """Interval.sqr on a pair, rounded."""
+    """The square of a pair, rounded: its lower endpoint never below 0."""
     raw, keep = _sqr(a)
     return _clamp(_round(raw)[0], keep)
 
 
 def _abs_pair(re, im):
-    """ComplexBox.abs on (re, im) pairs: the square root of |z|^2 (the
-    rounded sum of the rounded squares), whose lower endpoint is exactly 0
-    where the one of |z|^2 is at most 0 (always so when the box contains
-    0).  np.sqrt is correctly rounded, like math.sqrt."""
+    """|z| on (re, im) pairs: the square root of |z|^2 (the rounded sum of
+    the rounded squares), whose lower endpoint is exactly 0 where the one
+    of |z|^2 is at most 0 (always so when the box contains 0).  np.sqrt is
+    correctly rounded."""
     (a, keep_a), (b, keep_b) = _sqr(re), _sqr(im)
     a, b = _round(a, b)
     n_lo, n_hi = _round(_add(_clamp(a, keep_a), _clamp(b, keep_b)))[0]
@@ -487,15 +381,15 @@ class BoxArray:
 
     `re` and `im` are (lo, hi) pairs of equally long arrays; row i is the
     box [re[0][i], re[1][i]] x [im[0][i], im[1][i]].  +, -, *, conj, sqr
-    and scale are the ComplexBox operations row by row, in the same
-    operation order and with the same outward rounding, so every endpoint
-    of a row equals the one of the ComplexBox result.  A ComplexBox operand
-    broadcasts on either side of +, - and *.
+    and scale enclose the complex operations row by row:
+    (a + bi)(c + di) = (ac - bd) + (ad + bc)i from the four real products,
+    z^2 = (a^2 - b^2) + 2ab i with the real squares clamped at 0, and each
+    endpoint rounded outward.  A ComplexBox operand broadcasts on either
+    side of +, - and *.
 
-    Where ComplexBox raises, on a non-finite endpoint, the row carries inf
-    or nan instead.  Every operation keeps a non-finite row non-finite, so
-    a row whose result is finite is one on which the ComplexBox evaluation
-    succeeds.
+    A row whose endpoint overflows carries inf or nan.  Every operation
+    keeps a non-finite row non-finite, so a row whose result is finite is
+    an enclosure.
     """
 
     __slots__ = ("re", "im")

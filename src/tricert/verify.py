@@ -304,22 +304,21 @@ def boundary_disjoint_level(
     the status letters and segment counts of the rows, and the _Walked
     that the children of each row resume from.
 
-    A segment row is one boundary segment of one box, with that box's c
-    row.  Without seeds every box starts from the four edges of dU; with
-    seeds, the _Walked returned for a level, row i starts from the open
-    blocks and flags of its row i, which must be a box that contains it
-    (its parent; the scan passes walked[parents]).  Rows go
-    _ROW_CAP at a time through BoxArray, which repeats the ComplexBox
-    arithmetic bit for bit, n times.  A row strictly inside U or off U is
-    decided; any other row is bisected below max_depth, and at max_depth
-    is an open leaf.  A row that is not finite, where the ComplexBox
-    evaluation would overflow, is an open leaf and is not split.  A box
-    with an open leaf is Undetermined unless it is FALSE.  The flags of a
-    box are a union over its rows, so they do not depend on the order of
-    evaluation, and from the edges neither does its segment count.  A box
-    that finds the flag opposite to one it inherited is FALSE whatever
-    else it finds, so its split rows are no longer halved, and its count
-    depends on the order of evaluation.
+    A segment row is one boundary segment of one box, with that box's c row.
+    Without seeds every box starts from the four edges of dU; with seeds,
+    the _Walked returned for a level, row i starts from the open blocks and
+    flags of its row i, which must be a box that contains it (its parent;
+    the scan passes walked[parents]).  Rows go _ROW_CAP at a time through
+    the BoxArray map z.sqr().conj() + c, n times.  A row strictly inside U
+    or off U is decided; any other row is bisected below max_depth, and at
+    max_depth is an open leaf.  A row that is not finite, where the
+    evaluation overflows, is an open leaf and is not split.  A box with an
+    open leaf is Undetermined unless it is FALSE.  The flags of a box are a
+    union over its rows, so they do not depend on the order of evaluation,
+    and from the edges neither does its segment count.  A box that finds the
+    flag opposite to one it inherited is FALSE whatever else it finds, so
+    its split rows are no longer halved, and its count depends on the order
+    of evaluation.
 
     A box's open blocks are the maximal nodes of its walk trees with no
     decided node below them: sibling halves that are both open merge into
@@ -745,10 +744,9 @@ def tracked_cycle_level(boxes: BoxArray, period: int, seeds, absence: bool = Tru
 
 
 # The statuses of a level are read at once from the endpoint rows of its
-# certified cycles, in the BoxArray twins of the Interval and ComplexBox
-# arithmetic, so every enclosure is the one the scalar read would give.  A
-# read with a non-finite endpoint, where that arithmetic raised
-# EmptyIntervalError, decides nothing.
+# certified cycles, in the BoxArray arithmetic and its endpoint-pair
+# helpers.  A read with a non-finite endpoint, where an enclosure
+# overflowed, decides nothing.
 
 
 def _modulus_statuses(tracked: _Tracked) -> np.ndarray:

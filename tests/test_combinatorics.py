@@ -4,11 +4,15 @@ import cmath
 import math
 import time
 
+import numpy as np
 import pytest
 from mpmath import findroot, mpc, mpf, sqrt, workdps
 
+import scalar
+from tricert import combinatorics
 from tricert.combinatorics import (
     AIRPLANE_CUBIC,
+    OMEGA,
     real_root_enclosure,
     solve_period3_centers,
 )
@@ -36,6 +40,16 @@ class TestRealRootEnclosure:
     def test_requires_sign_change(self):
         with pytest.raises(ValueError):
             real_root_enclosure(AIRPLANE_CUBIC, Interval(0.0, 1.0))
+
+    def test_horner_steps_have_the_scalar_bits(self):
+        # the enclosure on endpoint pairs is the scalar acc * x + a, step by
+        # step, at 2,001 points of the bracket
+        for x in np.linspace(-1.8, -1.7, 2001).tolist():
+            acc = scalar.Interval.point(0.0)
+            for a in reversed(AIRPLANE_CUBIC):
+                acc = acc * scalar.Interval.point(x) + scalar.Interval.point(a)
+            lo, hi = combinatorics._poly_enclosure(AIRPLANE_CUBIC, x)
+            assert (float(lo).hex(), float(hi).hex()) == (acc.lo.hex(), acc.hi.hex())
 
 
 class TestCenters:
@@ -66,6 +80,14 @@ class TestCenters:
         for label, turn in (("omega*c*", 2 * math.pi / 3), ("omega2*c*", 4 * math.pi / 3)):
             diff = (cmath.phase(by_label[label]) - base) % (2 * math.pi)
             assert abs(diff - turn) < 1e-9, label
+
+    def test_rotations_have_the_bits_of_the_scalar_products(self):
+        # the one-row BoxArray products against the scalar OMEGA * c* and
+        # (OMEGA * OMEGA) * c*
+        by_label = {s.label: s.c for s in solve_period3_centers()}
+        omega, star = scalar.box(OMEGA), scalar.box(by_label["c*"])
+        assert by_label["omega*c*"] == omega * star
+        assert by_label["omega2*c*"] == omega * omega * star
 
     def test_rotated_centers_hold_the_exact_rotations(self):
         # oracle: the real root of c^3 + 2c^2 + c + 1 at 50 digits, and its

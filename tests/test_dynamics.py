@@ -16,23 +16,25 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath import mpf, workdps
 
+import scalar
+from scalar import ComplexBox, Interval, eval_f
 from tricert import dynamics, intervals, verify
 from tricert.cli import PAPER_R, PAPER_X_REGION
+from tricert.combinatorics import OMEGA
 from tricert.dynamics import (
-    OMEGA,
     conj_holomorphic_form,
     cycle_multiplier,
-    eval_f,
     even_iterate,
     float_f,
     float_iterate,
     float_newton_rows,
     krawczyk_absence,
+    krawczyk_absence_rows,
     krawczyk_cycle_rows,
     multiplier_rows,
     squared_modulus_rows,
 )
-from tricert.intervals import BoxArray, ComplexBox, EmptyIntervalError, Interval, _abs_pair
+from tricert.intervals import BoxArray, EmptyIntervalError, _abs_pair
 from tricert.scan import adaptive_scan, serialize
 from tricert.verify import (
     MultiplierNonRealClaim,
@@ -44,8 +46,14 @@ from tricert.verify import (
 )
 
 
-def _pt(z: complex) -> ComplexBox:
-    return ComplexBox.point(z)
+def _batch_of_points(values) -> BoxArray:
+    """The points as the rows of a batch."""
+    return BoxArray.of([ComplexBox.point(v) for v in values])
+
+
+def _pt(z: complex) -> BoxArray:
+    """The point z as a one-row batch."""
+    return _batch_of_points([z])
 
 
 def _rows(boxes):
@@ -82,43 +90,45 @@ def _squared_modulus(boxes) -> Interval:
 
 
 class TestEvaluation:
+    # the map z.sqr().conj() + c on one-row batches, and on a batch of 2000
     def test_eval_f_at_i(self):
-        assert eval_f(_pt(0j), _pt(1j)).contains(-1 + 0j)
+        assert eval_f(_pt(0j), _pt(1j)).contains(-1 + 0j)[0]
 
     def test_superattracting_two_cycle(self):
         c = _pt(-1 + 0j)
         z1 = eval_f(c, _pt(0j))
-        assert z1.contains(-1 + 0j)
-        assert eval_f(c, z1).contains(0j)
+        assert z1.contains(-1 + 0j)[0]
+        assert eval_f(c, z1).contains(0j)[0]
 
     def test_eval_f2_point(self):
         # c=0, z=2: second iterate is z^4
-        assert even_iterate(_pt(0j), _pt(2 + 0j), 2)[0].contains(16 + 0j)
+        assert even_iterate(_pt(0j), _pt(2 + 0j), 2)[0].contains(16 + 0j)[0]
 
     def test_eval_f2_matches_composition(self):
         rng = random.Random(11)
-        for _ in range(2000):
-            c = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-            z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-            twice = eval_f(_pt(c), eval_f(_pt(c), _pt(z)))
-            direct, _ = even_iterate(_pt(c), _pt(z), 2)
-            w = float_f(c, float_f(c, z))
-            assert twice.contains(w)
-            assert direct.contains(w)
-            assert direct.intersects(twice)
+        pairs = [(complex(rng.uniform(-2, 2), rng.uniform(-2, 2)),
+                  complex(rng.uniform(-2, 2), rng.uniform(-2, 2))) for _ in range(2000)]
+        c, z = (_batch_of_points(column) for column in zip(*pairs))
+        twice = eval_f(c, eval_f(c, z))
+        direct, _ = even_iterate(c, z, 2)
+        for (a, b), t, d in zip(pairs, twice.boxes(), direct.boxes()):
+            w = float_f(a, float_f(a, b))
+            assert t.contains(w)
+            assert d.contains(w)
+            assert d.intersects(t)
 
     def test_iterate_integer_orbit(self):
         # c=1, z=1: 1, 2, 5, 26, 677, exactly representable
-        box = _pt(1 + 0j)
+        z = _pt(1 + 0j)
         for value in (1.0, 2.0, 5.0, 26.0, 677.0):
-            assert box.contains(complex(value, 0.0))
-            box = eval_f(_pt(1 + 0j), box)
+            assert z.contains(complex(value, 0.0))[0]
+            z = eval_f(_pt(1 + 0j), z)
 
     def test_iterate_alternating_orbit(self):
-        box = _pt(0j)
+        z = _pt(0j)
         for value in (0.0, -1.0, 0.0, -1.0, 0.0):
-            assert box.contains(complex(value, 0.0))
-            box = eval_f(_pt(-1 + 0j), box)
+            assert z.contains(complex(value, 0.0))[0]
+            z = eval_f(_pt(-1 + 0j), z)
 
 
 class TestEscape:
@@ -137,13 +147,13 @@ class TestEscape:
 
 class TestDerivatives:
     def test_critical_point(self):
-        _, d = even_iterate(_pt(1j), ComplexBox.point(0j), 2)
-        assert d.contains(0j)
+        _, d = even_iterate(_pt(1j), _pt(0j), 2)
+        assert d.contains(0j)[0]
 
     def test_quartic_derivative(self):
         # c=0: f^2 = z^4, derivative 4 at z=1
         _, d = even_iterate(_pt(0j), _pt(1 + 0j), 2)
-        assert d.contains(4 + 0j)
+        assert d.contains(4 + 0j)[0]
 
     def test_finite_difference_agreement(self):
         rng = random.Random(13)
@@ -162,7 +172,7 @@ class TestDerivatives:
             approx = (g(z + h) - g(z - h)) / (2 * h)
             if abs(approx) < 1e-3:
                 continue
-            v, d = (b.midpoint() for b in even_iterate(_pt(c), _pt(z), n))
+            v, d = (b.boxes()[0].midpoint() for b in even_iterate(_pt(c), _pt(z), n))
             assert abs(v - g(z)) <= 1e-9 * max(1.0, abs(g(z)))
             assert abs(d - approx) <= 1e-6 * abs(approx)
             checked += 1
@@ -177,18 +187,19 @@ class TestDerivatives:
             orbit = [z]
             for _ in range(n - 1):
                 orbit.append(eval_f(c, orbit[-1]))
-            assert cycle_multiplier(orbit).intersects(even_iterate(c, z, n)[1])
+            [multiplier] = cycle_multiplier(orbit).boxes()
+            assert multiplier.intersects(even_iterate(c, z, n)[1].boxes()[0])
 
     def test_cycle_multiplier_needs_even_period(self):
         with pytest.raises(ValueError):
             cycle_multiplier([_pt(0j), _pt(1 + 0j), _pt(1j)])
 
     def test_modulus_superattracting(self):
-        orbit = [_pt(0j), _pt(-1 + 0j)]
+        orbit = [ComplexBox.point(0j), ComplexBox.point(-1 + 0j)]
         assert _squared_modulus(orbit).contains(0.0)
 
     def test_modulus_lower_bound_with_origin(self):
-        orbit = [ComplexBox(Interval(-0.1, 0.1), Interval(-0.1, 0.1)), _pt(1 + 0j)]
+        orbit = [ComplexBox(Interval(-0.1, 0.1), Interval(-0.1, 0.1)), ComplexBox.point(1 + 0j)]
         m = _squared_modulus(orbit)
         assert m.contains(0.0)
         assert -1e-300 <= m.lo <= 0.0
@@ -197,35 +208,35 @@ class TestDerivatives:
 class TestConjHolomorphicForm:
     def test_identity_n1(self):
         z = 1 + 1j
-        h = conj_holomorphic_form(_pt(0j), _pt(z), 1)[0].midpoint()
+        h = conj_holomorphic_form(_pt(0j), _pt(z), 1)[0].boxes()[0].midpoint()
         assert abs(h.conjugate() - float_f(0j, z)) < 1e-12
 
     def test_point_agreement_n3(self):
         rng = random.Random(14)
-        for _ in range(2000):
-            c = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
-            z = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
-            h, _ = conj_holomorphic_form(_pt(c), _pt(z), 3)
-            assert h.conj().contains(float_iterate(c, z, 3))
+        pairs = [(complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)),
+                  complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))) for _ in range(2000)]
+        h, _ = conj_holomorphic_form(*(_batch_of_points(column) for column in zip(*pairs)), 3)
+        for (c, z), enclosure in zip(pairs, h.conj().boxes()):
+            assert enclosure.contains(float_iterate(c, z, 3))
 
 
 class TestKrawczyk:
     def test_superattracting_two_cycle(self):
-        boxes = _krawczyk_cycle(_pt(-1 + 0j), [0j, -1 + 0j], 1e-6)
+        boxes = _krawczyk_cycle(ComplexBox.point(-1 + 0j), [0j, -1 + 0j], 1e-6)
         assert boxes is not None
         assert boxes[0].contains(0j)
         assert boxes[1].contains(-1 + 0j)
         assert _squared_modulus(boxes).contains(0.0)
 
     def test_fixed_point_at_origin(self):
-        boxes = _krawczyk_cycle(_pt(0j), [0j], 1e-6)
+        boxes = _krawczyk_cycle(ComplexBox.point(0j), [0j], 1e-6)
         assert boxes is None or boxes[0].contains(0j)
 
     def test_attracting_fixed_point(self):
         c = 0.1 + 0.05j
         orbit, residual = _float_newton(c, [0.1 + 0.1j])
         assert residual < 1e-12
-        boxes = _krawczyk_cycle(_pt(c), orbit, 1e-8)
+        boxes = _krawczyk_cycle(ComplexBox.point(c), orbit, 1e-8)
         assert boxes is not None
         assert boxes[0].contains(orbit[0])
 
@@ -235,17 +246,17 @@ class TestKrawczyk:
         assert _krawczyk_cycle(c, orbit, 1e-6) is not None
 
     def test_absence_far_from_any_cycle(self):
-        assert krawczyk_absence(_pt(0j), 1, [5 + 5j], 1e-3)
+        assert krawczyk_absence(ComplexBox.point(0j), 1, [5 + 5j], 1e-3)
 
     def test_absence_refuses_genuine_cycle(self):
         orbit, _ = _float_newton(0.1 + 0.05j, [0.1 + 0.1j])
-        assert not krawczyk_absence(_pt(0.1 + 0.05j), 1, orbit, 1e-3)
+        assert not krawczyk_absence(ComplexBox.point(0.1 + 0.05j), 1, orbit, 1e-3)
 
     def test_guess_length_checked(self):
         with pytest.raises(ValueError, match="orbit guess length must equal the period"):
-            tracked_cycle_level(BoxArray.of([_pt(0j)]), 2, [[0j]])
+            tracked_cycle_level(_pt(0j), 2, [[0j]])
         with pytest.raises(ValueError):
-            krawczyk_absence(_pt(0j), 2, [0j], 1e-6)
+            krawczyk_absence(ComplexBox.point(0j), 2, [0j], 1e-6)
 
 
 class TestFloatNewtonCycle:
@@ -257,7 +268,10 @@ class TestFloatNewtonCycle:
 
 
 def test_omega_enclosure_is_cube_root_of_unity():
-    w3 = OMEGA * OMEGA * OMEGA
+    # OMEGA is the scalar sqrt(3), halved: [-0.5] + sqrt([3, 3]) / 2 i
+    assert OMEGA == ComplexBox(Interval.point(-0.5), Interval.point(3.0).sqrt().scale(0.5))
+    omega = BoxArray.of([OMEGA])
+    [w3] = (omega * omega * omega).boxes()
     assert w3.contains(1 + 0j)
     assert w3.width() < 1e-14
 
@@ -315,6 +329,7 @@ def _scalar_krawczyk_step(c: ComplexBox, boxes: list[ComplexBox], y) -> list[Com
     """
     if y is None:
         return None
+    c, boxes = scalar.box(c), [scalar.box(b) for b in boxes]
     p = len(boxes)
     mids = [b.midpoint() for b in boxes]
     c_mid = c.midpoint()
@@ -491,10 +506,19 @@ class TestKrawczykKernel:
         assert _scalar_krawczyk_image(c, boxes) is None
 
     def test_overflow_raises_like_the_oracle(self):
+        # where the scalar evaluation raises on an overflow, the batch marks
+        # that row not ok, and a regular row beside it keeps the bits of its
+        # one-row batch
         boxes = [ComplexBox.around(1e200 + 0j, 1e190), ComplexBox.around(1e-3j, 1e-6)]
-        for kernel in (_image, _scalar_krawczyk_image):
-            with pytest.raises(EmptyIntervalError):
-                kernel(ComplexBox.point(0j), boxes)
+        c = ComplexBox.point(0j)
+        with pytest.raises(EmptyIntervalError):
+            _scalar_krawczyk_image(c, boxes)
+        regular = (ComplexBox.point(-1 + 0j), [ComplexBox.around(0j, 1e-6),
+                                               ComplexBox.around(-1 + 0j, 1e-6)])
+        assert _image(c, boxes) is None and _scalar_krawczyk_image(*regular) is not None
+        k_lo, k_hi, ok = dynamics._krawczyk_image(*_batch([(c, boxes), regular]))
+        assert ok.tolist() == [False, True]
+        assert _bits(_row_boxes(k_lo, k_hi, ok, 1)) == _bits(_image(*regular))
 
     def test_periods_beyond_the_error_bounds_are_refused(self):
         # the scale 1 + 2^-44 covers the roundings of the radius up to 2p = 400
@@ -517,17 +541,15 @@ class TestKrawczykKernel:
     def test_mixed_batch_matches_scalar_oracle(self, rows, pick):
         # point and box c, real-axis rows (zeros in Y) and singular rows
         # share one stack, in one chunk and across chunks of 2: only the
-        # rows whose Jacobian the scalar evaluation finds singular go
-        # without an image, an overflow raises like the scalar evaluation,
-        # and each row's image has the bits of its one-row batch
+        # rows whose Jacobian the scalar evaluation finds singular, or on
+        # which it raises on an overflow, go without an image, and each
+        # row's image has the bits of its one-row batch
         regular = []
         for c, boxes in rows:
             try:
                 regular.append(_scalar_krawczyk_image(c, boxes) is not None)
             except EmptyIntervalError:
-                with pytest.raises(EmptyIntervalError):
-                    dynamics._krawczyk_image(*_batch(rows))
-                return
+                regular.append(False)
         alone = [_bits(_image(c, boxes)) for c, boxes in rows]
         for chunk in (32, 2):
             with mock.patch.object(dynamics, "_CHUNK", chunk):
@@ -612,11 +634,9 @@ class TestKrawczykKernel:
         pre = dynamics._preconditioner(cs, stale, stale)
         y = pre.y
         assume(pre.ok[0])
-        try:
-            image = _row_boxes(*dynamics._krawczyk_rows(lo, hi, pre), 0)
-        except EmptyIntervalError:
-            # the stale Y of a wide box may overflow the image: no claim
-            assume(False)
+        image = _row_boxes(*dynamics._krawczyk_rows(lo, hi, pre), 0)
+        # the stale Y of a wide box may overflow the image: no claim
+        assume(image is not None)
         unit = st.floats(0.0, 1.0)
 
         def sample(i: Interval):
@@ -680,9 +700,9 @@ class TestKrawczykKernel:
         # (multiplier nearly 1) of a parameter c: J = [[0, -2^-510],
         # [-2^-510, -2]] is regular, with determinant -2^-1020, so Y holds
         # 2^1021.  Over a parameter radius of 8, |s| rho overflows (a start
-        # about z of radius 2^-600 raises EmptyIntervalError from its
-        # image), and over 2^-4 the sized start is 2^1019 wide: either way
-        # the row fails with no image run
+        # about z of radius 2^-600 overflows its image: see the next test),
+        # and over 2^-4 the sized start is 2^1019 wide: either way the row
+        # fails with no image run
         z = complex(0.5, 2.0 ** -511)
         c = BoxArray.of([ComplexBox.around(z - z.conjugate() ** 2, rho)])
         point = np.array([[z.real, z.imag]])
@@ -690,6 +710,22 @@ class TestKrawczykKernel:
         assert pre.ok[0] and np.abs(pre.y).max() == 2.0 ** 1021
         certified, _, _, images = krawczyk_cycle_rows(c, (point, point.copy()), np.array([1e-9]))
         assert not certified[0] and images[0] == 0
+
+    def test_overflowing_image_fails_its_row(self):
+        # the row above over the parameter radius 8, started from boxes of
+        # radius 2^-600 about z, as a held parent's orbit boxes or an
+        # absence neighborhood are given: its image overflows, so the row
+        # is neither certified nor absent, and a level that inherits it as
+        # held returns with the row uncertified
+        z = complex(0.5, 2.0 ** -511)
+        c = BoxArray.of([ComplexBox.around(z - z.conjugate() ** 2, 8.0)])
+        orbit = np.array([[z]])
+        lo, hi = dynamics._around(orbit, 2.0 ** -600)
+        certified, _, _, images = krawczyk_cycle_rows(c, (lo.copy(), hi.copy()), np.array([1e-9]))
+        assert not certified[0] and images[0] == 1
+        assert not krawczyk_absence_rows(c, orbit, 2.0 ** -600)[0]
+        tracked = tracked_cycle_level(c, 1, verify._CycleSeeds(orbit, np.array([True]), lo, hi))
+        assert tracked.cycle.tolist() == [] and tracked.effort[0] >= 1
 
     @pytest.mark.parametrize("e", [2.0 ** -10, 2.0 ** -35])
     def test_image_holds_the_preconditioner_error(self, e):
@@ -1065,6 +1101,7 @@ def _scalar_sized_start(c: ComplexBox, orbit, radius: float):
     and the parameter radii rho.  Returns (boxes, y), boxes None when not
     finite or wider than 0.5."""
     y = _scalar_inverse([ComplexBox.point(z) for z in orbit])
+    c = scalar.box(c)
     c_mid = c.midpoint()
     rho = [Interval.point(max(-d.lo, d.hi)) for d in (
         c.re - Interval.point(c_mid.real), c.im - Interval.point(c_mid.imag))]
@@ -1135,7 +1172,7 @@ def _scalar_antiholo_modulus(orbit: list[ComplexBox]) -> Interval:
     """Enclosure of prod_i 2|z_i| along the orbit boxes."""
     prod = Interval.point(1.0)
     for z in orbit:
-        prod = prod * z.abs().scale(2.0)
+        prod = prod * scalar.box(z).abs().scale(2.0)
     return prod
 
 
@@ -1149,7 +1186,7 @@ def _scalar_excluded(boxes, absent):
 def _scalar_nonreal(region):
     def status(boxes, absent):
         return (boxes is not None and region.contains_box(boxes[0])
-                and not cycle_multiplier(boxes).im.contains(0.0))
+                and not scalar.cycle_multiplier(boxes).im.contains(0.0))
     return status
 
 
@@ -1303,7 +1340,7 @@ def test_read_boxes_reach_zero_endpoints():
 @given(st.sampled_from((1, 2, 3, 6, 9)).flatmap(
     lambda p: st.lists(st.lists(_read_box(), min_size=p, max_size=p), min_size=1, max_size=5)))
 def test_array_reads_match_scalar_reads(orbits):
-    """_abs_pair gives the endpoints (float.hex) of ComplexBox.abs, and
+    """_abs_pair gives the endpoints (float.hex) of the scalar abs, and
     squared_modulus_rows and multiplier_rows, row by row, those of the
     scalar antiholo_modulus(boxes).sqr() and cycle_multiplier(boxes)."""
     rows = [_rows(boxes) for boxes in orbits]
@@ -1317,6 +1354,6 @@ def test_array_reads_match_scalar_reads(orbits):
     if len(orbits[0]) % 2 == 0:
         m = multiplier_rows(lo, hi)
         cols = [v.tolist() for v in (*m.re, *m.im)]
-        scalar = [cycle_multiplier(boxes) for boxes in orbits]
+        want = [scalar.cycle_multiplier(boxes) for boxes in orbits]
         assert [tuple(c[k].hex() for c in cols) for k in range(len(orbits))] == [
-            _hex_interval(w.re) + _hex_interval(w.im) for w in scalar]
+            _hex_interval(w.re) + _hex_interval(w.im) for w in want]

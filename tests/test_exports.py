@@ -24,6 +24,16 @@ def test_all_names_resolve(name):
     assert [attr for attr in exports if not hasattr(module, attr)] == []
 
 
+def test_scalar_arithmetic_names_are_gone():
+    # BoxArray is the one arithmetic: no scalar map, no reciprocal error;
+    # OMEGA lives with the centers that use it
+    from tricert import combinatorics, dynamics, intervals
+
+    assert "ZeroDivisionBoxError" not in set(tricert.__all__) | set(intervals.__all__)
+    assert not {"eval_f", "OMEGA"} & set(dynamics.__all__)
+    assert "OMEGA" in combinatorics.__all__
+
+
 def test_claim_protocol_is_reexported():
     # the scan engine defines the statuses and results that its claims
     # return; verify, which defines the claims, re-exports them

@@ -1,4 +1,6 @@
-"""Containment soundness and geometry of intervals and complex boxes."""
+"""Containment soundness and geometry of intervals and complex boxes: the
+value types, the scalar reference arithmetic of tests/scalar.py, and
+BoxArray against both it and mpmath.iv."""
 
 import contextlib
 import math
@@ -12,27 +14,36 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import iv
 
+import scalar
 from tricert import intervals
+from tricert.dynamics import squared_modulus_rows
 from tricert.intervals import (
     BoxArray,
     ComplexBox,
     EmptyIntervalError,
     Interval,
-    ZeroDivisionBoxError,
+    _abs_pair,
+    _add,
     _down_arr,
     _mid_arr,
+    _mul,
+    _round,
+    _scale,
+    _sqr_pair,
+    _sub,
     _up_arr,
 )
 
 
 def _random_interval(rng, span=4.0):
+    """An interval in the scalar reference arithmetic."""
     a = rng.uniform(-span, span)
     b = rng.uniform(-span, span)
-    return Interval(min(a, b), max(a, b))
+    return scalar.Interval(min(a, b), max(a, b))
 
 
 def _random_box(rng, span=4.0):
-    return ComplexBox(_random_interval(rng, span), _random_interval(rng, span))
+    return scalar.ComplexBox(_random_interval(rng, span), _random_interval(rng, span))
 
 
 def _member(rng, iv):
@@ -45,7 +56,7 @@ def _box_member(rng, box):
 
 class TestInterval:
     def test_exact_integer_add(self):
-        s = Interval(1.0, 2.0) + Interval(3.0, 4.0)
+        s = scalar.Interval(1.0, 2.0) + scalar.Interval(3.0, 4.0)
         assert s.contains_interval(Interval(4.0, 6.0))
 
     def test_inverted_endpoints_rejected(self):
@@ -66,20 +77,14 @@ class TestInterval:
             assert (a - a).contains(0.0)
 
     def test_sqr_never_negative(self):
-        s = Interval(-1.0, 1.0).sqr()
+        s = scalar.Interval(-1.0, 1.0).sqr()
         assert s.lo == 0.0 and s.contains(1.0)
-        assert Interval(-2.0, -1.0).sqr().lo >= 0.0
+        assert scalar.Interval(-2.0, -1.0).sqr().lo >= 0.0
 
     def test_sqrt_domain(self):
-        assert Interval(0.0, 4.0).sqrt().contains(2.0)
+        assert scalar.Interval(0.0, 4.0).sqrt().contains(2.0)
         with pytest.raises(EmptyIntervalError):
-            Interval(-1.0, 1.0).sqrt()
-
-    def test_recip_refuses_zero(self):
-        with pytest.raises(ZeroDivisionBoxError):
-            Interval(-1.0, 1.0).recip()
-        r = Interval(2.0, 4.0).recip()
-        assert r.contains(0.25) and r.contains(0.5)
+            scalar.Interval(-1.0, 1.0).sqrt()
 
     def test_midpoint_is_member(self):
         rng = random.Random(2)
@@ -102,8 +107,8 @@ class TestInterval:
         for _ in range(500):
             a_big = _random_interval(rng)
             b_big = _random_interval(rng)
-            a = Interval(_member(rng, a_big), a_big.hi)
-            b = Interval(b_big.lo, _member(rng, b_big))
+            a = scalar.Interval(_member(rng, a_big), a_big.hi)
+            b = scalar.Interval(b_big.lo, _member(rng, b_big))
             for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y):
                 assert op(a_big, b_big).contains_interval(op(a, b))
 
@@ -126,49 +131,31 @@ class TestComplexBox:
             assert z.conj().conj() == z
 
     def test_conj_of_real_box_is_identity(self):
-        z = ComplexBox(Interval(1.0, 2.0), Interval.point(0.0))
+        z = scalar.ComplexBox(Interval(1.0, 2.0), Interval.point(0.0))
         assert z.conj() == z
 
     def test_conj_flips_imaginary(self):
-        z = ComplexBox(Interval(1.0, 2.0), Interval(3.0, 4.0))
+        z = scalar.ComplexBox(Interval(1.0, 2.0), Interval(3.0, 4.0))
         assert z.conj() == ComplexBox(Interval(1.0, 2.0), Interval(-4.0, -3.0))
 
     def test_sqr_real_segment(self):
-        z = ComplexBox(Interval(-1.0, 1.0), Interval.point(0.0))
+        z = scalar.ComplexBox(Interval(-1.0, 1.0), Interval.point(0.0))
         s = z.sqr()
         assert s.re.contains_interval(Interval(0.0, 1.0))
         # the tight real-square keeps the lower bound at 0 up to rounding
         assert s.re.lo >= -1e-300
 
     def test_sqr_of_i(self):
-        s = ComplexBox.point(1j).sqr()
+        s = scalar.ComplexBox.point(1j).sqr()
         assert s.contains(-1.0 + 0j)
 
     def test_abs_345(self):
-        z = ComplexBox.point(3.0 + 4.0j)
+        z = scalar.ComplexBox.point(3.0 + 4.0j)
         assert z.abs().contains(5.0)
 
     def test_abs_lower_bound_zero_when_containing_origin(self):
-        z = ComplexBox(Interval(-1.0, 1.0), Interval(-1.0, 1.0))
+        z = scalar.ComplexBox(Interval(-1.0, 1.0), Interval(-1.0, 1.0))
         assert z.abs().lo == 0.0
-
-    def test_recip_refuses_origin(self):
-        with pytest.raises(ZeroDivisionBoxError):
-            ComplexBox(Interval(-1.0, 1.0), Interval(-1.0, 1.0)).recip()
-
-    def test_recip_overflow_refused(self):
-        # |z|^2 is positive but subnormal, so 1/|z|^2 overflows
-        z = ComplexBox(Interval(0.0, 0.0), Interval(-1.0, -2.817337595393107e-160))
-        with pytest.raises(ZeroDivisionBoxError):
-            z.recip()
-        with pytest.raises(ZeroDivisionBoxError):
-            Interval(1e-320, 1.0).recip()
-        with pytest.raises(ZeroDivisionBoxError):
-            Interval(-1.0, -1e-320).recip()
-        # 1/|z|^2 is finite, but its product with im z overflows
-        wide = ComplexBox(Interval(0.0, 0.0), Interval(2.4125832194209025e-153, 1047.0))
-        with pytest.raises(ZeroDivisionBoxError):
-            wide.recip()
 
     def test_width_outward(self):
         u = ComplexBox(Interval(-0.3, 0.3), Interval(-0.3, 0.3))
@@ -197,18 +184,15 @@ class TestComplexBox:
             assert a.abs().contains(abs(z))
             assert a.abs_sqr().contains(z.real * z.real + z.imag * z.imag)
 
-    def test_recip_fuzz(self):
-        rng = random.Random(8)
-        done = 0
-        while done < 500:
-            a = _random_box(rng)
-            try:
-                r = a.recip()
-            except ZeroDivisionBoxError:
-                continue
-            z = _box_member(rng, a)
-            assert r.contains(1.0 / z)
-            done += 1
+
+def test_value_types_carry_no_arithmetic():
+    # BoxArray is the one arithmetic: Interval and ComplexBox are values
+    arithmetic = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                  "__truediv__", "__rtruediv__", "__pow__", "__neg__", "__pos__", "__abs__",
+                  "sqr", "sqrt", "scale", "conj", "abs", "abs_sqr", "recip")
+    for cls in (Interval, ComplexBox):
+        assert [name for name in arithmetic if hasattr(cls, name)] == []
+    assert not hasattr(intervals, "ZeroDivisionBoxError")
 
 
 _ENDPOINTS = st.one_of(st.floats(-1e6, 1e6), st.floats(-1e-6, 1e-6))
@@ -231,6 +215,20 @@ def _iv(x: Interval):
     return iv.mpf([x.lo, x.hi])
 
 
+def _pair(column):
+    """The (lo, hi) endpoint arrays of a column of intervals."""
+    return np.array([x.lo for x in column]), np.array([x.hi for x in column])
+
+
+def _row(pair, i: int):
+    """Row i of an endpoint pair as an mpmath interval."""
+    return iv.mpf([float(pair[0][i]), float(pair[1][i])])
+
+
+# exact scalars of BoxArray.scale and _scale
+_FACTORS = st.sampled_from((4.0, 2.0, -0.5, 0.0, 0.1))
+
+
 @contextlib.contextmanager
 def _iv_digits(dps):
     saved, iv.dps = iv.dps, dps
@@ -241,40 +239,49 @@ def _iv_digits(dps):
 
 
 class TestAgainstMpmathIv:
-    """The same formula in mpmath.iv at 60 digits lies inside tricert's
-    enclosure: an independent oracle for each operation's rounding."""
+    """The same formula in mpmath.iv at 60 digits lies inside the enclosure
+    of every row of a batch, as the library computes it: an independent
+    oracle for each operation's rounding."""
 
     @settings(max_examples=300, deadline=None)
-    @given(_intervals(), _intervals(), _intervals(sign=1), _intervals(sign=-1))
-    def test_interval_ops(self, x, y, pos, neg):
+    @given(st.lists(st.tuples(_intervals(), _intervals(), _intervals(sign=1), _intervals(sign=-1)),
+                    min_size=1, max_size=6), _FACTORS)
+    def test_interval_ops(self, rows, k):
+        # the real operations on endpoint pairs, and |u + iv| by _abs_pair
+        # on boxes off both axes
+        x, y, pos, neg = (_pair(column) for column in zip(*rows))
+        add, sub, mul, scaled = _round(_add(x, y), _sub(x, y), _mul(x, y), _scale(x, k))
+        sq, modulus = _sqr_pair(x), _abs_pair(pos, neg)
         with _iv_digits(60):
-            a, b = _iv(x), _iv(y)
-            assert a + b in _iv(x + y)
-            assert a - b in _iv(x - y)
-            assert a * b in _iv(x * y)
-            assert a ** 2 in _iv(x.sqr())
-            assert iv.sqrt(_iv(pos)) in _iv(pos.sqrt())
-            assert 1 / _iv(pos) in _iv(pos.recip())
-            assert 1 / _iv(neg) in _iv(neg.recip())
+            for i, ends in enumerate(rows):
+                a, b, u, v = (_iv(t) for t in ends)
+                assert a + b in _row(add, i)
+                assert a - b in _row(sub, i)
+                assert a * b in _row(mul, i)
+                assert k * a in _row(scaled, i)
+                assert a ** 2 in _row(sq, i)
+                assert iv.sqrt(u ** 2 + v ** 2) in _row(modulus, i)
 
     @settings(max_examples=300, deadline=None)
-    @given(_boxes(), _boxes())
-    def test_complex_box_ops(self, z, w):
+    @given(st.lists(st.tuples(_boxes(), _boxes()), min_size=1, max_size=6), _FACTORS)
+    def test_complex_box_ops(self, pairs, k):
+        # BoxArray + - * sqr conj scale, |z| by _abs_pair, and the squared
+        # modulus product (2|z| 2|w|)^2 of the period-2 orbit rows (z, w)
+        z, w = BoxArray.of([p[0] for p in pairs]), BoxArray.of([p[1] for p in pairs])
+        results = (z + w, z - w, z * w, z.sqr(), z.conj(), z.scale(k))
+        modulus = _abs_pair(z.re, z.im)
+        orbits = [np.stack((z.re[e], z.im[e], w.re[e], w.im[e]), axis=1) for e in (0, 1)]
+        squared = squared_modulus_rows(*orbits)
         with _iv_digits(60):
-            a, b, c, d = _iv(z.re), _iv(z.im), _iv(w.re), _iv(w.im)
-            prod, sq = z * w, z.sqr()
-            assert a * c - b * d in _iv(prod.re)
-            assert a * d + b * c in _iv(prod.im)
-            assert a ** 2 - b ** 2 in _iv(sq.re)
-            assert 2 * a * b in _iv(sq.im)
-            norm = a ** 2 + b ** 2
-            assert iv.sqrt(norm) in _iv(z.abs())
-            try:
-                r = z.recip()
-            except ZeroDivisionBoxError:
-                return  # |z|^2 may be 0, or 1/|z|^2 overflows
-            assert a / norm in _iv(r.re)
-            assert -(b / norm) in _iv(r.im)
+            for i, (zi, wi) in enumerate(pairs):
+                a, b, c, d = _iv(zi.re), _iv(zi.im), _iv(wi.re), _iv(wi.im)
+                exact = ((a + c, b + d), (a - c, b - d), (a * c - b * d, a * d + b * c),
+                         (a ** 2 - b ** 2, 2 * a * b), (a, -b), (k * a, k * b))
+                for got, (re, im) in zip(results, exact):
+                    assert re in _row(got.re, i) and im in _row(got.im, i)
+                norm, other = iv.sqrt(a ** 2 + b ** 2), iv.sqrt(c ** 2 + d ** 2)
+                assert norm in _row(modulus, i)
+                assert (2 * norm * 2 * other) ** 2 in _row(squared, i)
 
 
 # endpoints of every scale, with signed zeros: tiny ones make |z|^2 subnormal
@@ -297,10 +304,11 @@ def _hex(box: ComplexBox):
 
 
 def _scalar_hex(op, *args):
-    """The endpoints of the ComplexBox result, or None where it raises."""
+    """The endpoints of the scalar result on the boxes, or None where it
+    raises."""
     try:
-        return _hex(op(*args))
-    except (EmptyIntervalError, ZeroDivisionBoxError):
+        return _hex(op(*(scalar.box(a) for a in args)))
+    except EmptyIntervalError:
         return None
 
 
@@ -327,8 +335,8 @@ _UNARY = {
 
 def _assert_ops_match(pairs, w):
     """Every BoxArray row of the pairs' first and second boxes has the
-    endpoints (float.hex) of the ComplexBox result, and is non-finite exactly
-    where ComplexBox raises; w broadcasts on either side."""
+    endpoints (float.hex) of the scalar result, and is non-finite exactly
+    where the scalar evaluation raises; w broadcasts on either side."""
     xs, ys = [p[0] for p in pairs], [p[1] for p in pairs]
     x, y = BoxArray.of(xs), BoxArray.of(ys)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -359,7 +367,7 @@ _ZEROS = (_box(-0.0, -0.0, -1.0, -0.0), _box(0.0, 0.0, 0.0, 0.0))
 @example([_CANCELS], _SQR_NEG_ZERO)
 @example([_ZEROS, _CANCELS], _ZEROS[0])
 def test_box_array_ops_match_complex_box(pairs, w):
-    """The ComplexBox endpoints on every row, by np.nextafter (these batches
+    """The scalar endpoints on every row, by np.nextafter (these batches
     are below _STEP_MIN) and by the integer step alone (_STEP_MIN 0)."""
     _assert_ops_match(pairs, w)
     with mock.patch.object(intervals, "_STEP_MIN", 0):

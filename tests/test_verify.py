@@ -12,14 +12,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath import iv, mpc, mpf, workdps
 
+import scalar
 from tricert import dynamics, scan, verify
 from tricert.cli import PAPER_R, PAPER_U, PAPER_X_REGION, _parse_rect
 from tricert.dynamics import (
     conj_holomorphic_form,
-    cycle_multiplier,
-    eval_f,
     even_iterate,
     float_iterate,
+    multiplier_rows,
 )
 from tricert.intervals import (
     BoxArray,
@@ -239,11 +239,12 @@ _FAR_C = ComplexBox(Interval(1e80, 2e80), Interval(1e80, 2e80))
 
 def _scalar_image(n: int, c: ComplexBox, z: ComplexBox, y: complex) -> ComplexBox:
     """The Krawczyk image K(Z) of verify._zero_image for f_c^n(z) - z, in the
-    scalar ComplexBox arithmetic, with the kernel's float y."""
-    one, m = ComplexBox.point(1 + 0j), ComplexBox.point(complex(z.re.midpoint(), z.im.midpoint()))
-    val, _ = even_iterate(c, m, n)
-    _, der = even_iterate(c, z, n)
-    return m - ComplexBox.point(y) * (val - m) + (one - ComplexBox.point(y) * (der - one)) * (z - m)
+    scalar arithmetic, with the kernel's float y."""
+    c, z, point = scalar.box(c), scalar.box(z), scalar.ComplexBox.point
+    one, m = point(1 + 0j), point(complex(z.re.midpoint(), z.im.midpoint()))
+    val, _ = scalar.even_iterate(c, m, n)
+    _, der = scalar.even_iterate(c, z, n)
+    return m - point(y) * (val - m) + (one - point(y) * (der - one)) * (z - m)
 
 
 def _box_hex(box: ComplexBox):
@@ -355,11 +356,11 @@ def test_contour_depth_is_capped():
 
 
 def _scalar_boundary_disjoint(c: ComplexBox, u: ComplexBox, n: int, max_depth: int = 14):
-    """boundary_disjoint one segment at a time; raises EmptyIntervalError
-    where an enclosure overflows."""
-    re, im = u.re, u.im
-    edges = [ComplexBox(re, Interval.point(im.lo)), ComplexBox(re, Interval.point(im.hi)),
-             ComplexBox(Interval.point(re.lo), im), ComplexBox(Interval.point(re.hi), im)]
+    """boundary_disjoint one segment at a time, in the scalar arithmetic;
+    raises EmptyIntervalError where an enclosure overflows."""
+    c, re, im, segment = scalar.box(c), u.re, u.im, scalar.ComplexBox
+    edges = [segment(re, Interval.point(im.lo)), segment(re, Interval.point(im.hi)),
+             segment(Interval.point(re.lo), im), segment(Interval.point(re.hi), im)]
     stack = [(seg, 0) for seg in edges]
     effort = 0
     saw_inside = saw_outside = saw_undet = False
@@ -367,7 +368,7 @@ def _scalar_boundary_disjoint(c: ComplexBox, u: ComplexBox, n: int, max_depth: i
         seg, depth = stack.pop()
         z = seg
         for _ in range(n):
-            z = eval_f(c, z)
+            z = scalar.eval_f(c, z)
         effort += 1
         if u.strictly_contains(z):
             saw_inside = True
@@ -751,9 +752,10 @@ class TestAnchorProof:
         # onto a set that meets the next
         assert len(boxes) == 3 and all(PAPER_U.strictly_contains(b) for b in boxes)
         assert boxes[0].contains(0j)
-        c = ComplexBox.point(_CENTER)
+        c = scalar.ComplexBox.point(_CENTER)
         for k, box in enumerate(boxes):
-            assert eval_f(c, eval_f(c, eval_f(c, box))).intersects(boxes[(k + 1) % 3])
+            image = scalar.eval_f(c, scalar.eval_f(c, scalar.eval_f(c, scalar.box(box))))
+            assert image.intersects(boxes[(k + 1) % 3])
         m_lo, m_hi = _unhex(config["anchor_modulus"])
         assert 0.0 <= m_lo <= m_hi < 1.0
 
@@ -1181,7 +1183,7 @@ def test_multiplier_boxes_hold_the_exact_fixed_point(u, v, radius, data):
     assume(len(tracked.cycle))
     boxes = _orbit_boxes(tracked.lo[0], tracked.hi[0])
     [orbit] = tracked.orbits
-    enclosure = cycle_multiplier(boxes)
+    [enclosure] = multiplier_rows(tracked.lo, tracked.hi).boxes()
     unit = st.floats(0.0, 1.0)
 
     def inside(x, iv: Interval) -> bool:
