@@ -326,23 +326,38 @@ _COMMANDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# the commands, in the order that tricert -h lists them
+_NAMES = ("render", *_COMMANDS, "centers")
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or, given the name of one, of that
+    command alone: a run parses its own command's arguments only."""
     parser = _Parser(
         prog="tricert",
         description="Certified renormalization structure checks for z -> conj(z)^2 + c",
     )
-    subs = parser.add_subparsers(dest="command", required=True)
+    # a parser of one command still names every command in its usage line,
+    # which an error in that command's arguments prints
+    metavar = None if command is None else "{" + ",".join(_NAMES) + "}"
+    subs = parser.add_subparsers(dest="command", required=True, metavar=metavar)
 
-    p = subs.add_parser("render", help="escape-time image")
-    p.add_argument("--mode", choices=["tricorn", "mandelbrot", "julia"],
-                   default="tricorn")
-    p.add_argument("--region", default="-2,2,-2,2")
-    p.add_argument("--size", default="600x600")
-    p.add_argument("--maxiter", type=int, default=500)
-    p.add_argument("--c", default="0,0", help="Julia parameter re,im")
-    p.add_argument("-o", "--out", required=True)
+    def wanted(name: str) -> bool:
+        return command in (None, name)
+
+    if wanted("render"):
+        p = subs.add_parser("render", help="escape-time image")
+        p.add_argument("--mode", choices=["tricorn", "mandelbrot", "julia"],
+                       default="tricorn")
+        p.add_argument("--region", default="-2,2,-2,2")
+        p.add_argument("--size", default="600x600")
+        p.add_argument("--maxiter", type=int, default=500)
+        p.add_argument("--c", default="0,0", help="Julia parameter re,im")
+        p.add_argument("-o", "--out", required=True)
 
     for name, (_, help_text, defaults) in _COMMANDS.items():
+        if not wanted(name):
+            continue
         p = subs.add_parser(name, help=help_text)
         flags = list(defaults)
         if name == "scan":
@@ -355,10 +370,11 @@ def _build_parser() -> argparse.ArgumentParser:
                            metavar=_FORMATS.get(_PARSERS[key]), help=_HELP.get(key))
         p.add_argument("-o", "--out", help="certificate output path")
         p.add_argument("--image", help="rasterized scan image output path (P6)")
-    subs.choices["verify-disjoint"].add_argument(
-        "--red-out", dest="red_out", help="parabolic certificate path")
+        if name == "verify-disjoint":
+            p.add_argument("--red-out", dest="red_out", help="parabolic certificate path")
 
-    subs.add_parser("centers", help="report the certified period-3 centers")
+    if wanted("centers"):
+        subs.add_parser("centers", help="report the certified period-3 centers")
     return parser
 
 
@@ -396,7 +412,8 @@ def _keep_freed_memory() -> None:
 
 def main(argv=None) -> int:
     _keep_freed_memory()
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser(argv[0] if argv and argv[0] in _NAMES else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

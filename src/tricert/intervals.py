@@ -173,20 +173,21 @@ class ComplexBox:
 # endpoint arrays
 # ---------------------------------------------------------------------------
 
-# A BoxArray operation rounds in stages: all the endpoints that one stage of
-# its formula rounds are stacked into one buffer and rounded in one pass
-# (_outward).  A buffer of at least this many entries is rounded
-# by the integer step, a smaller one by np.nextafter, so a stage of k
-# endpoints takes the step from 1,024 / k rows on.  Both give the same
-# bits on every non-nan entry, and a nan stays a nan (the step leaves it
-# alone; nextafter may return another nan).  np.nextafter calls libm once
-# per entry, while the step runs a fixed number of whole-buffer passes,
-# which cost more on small buffers.  _outward of a stage of 4 endpoints on
-# a 2-vCPU VM (numpy 2.4) takes 8.3 us by nextafter against 10.6 us by the
-# step at 512 entries, 13.0 against 12.5 us at 1,024 and 24.9 against
-# 13.6 us at 2,048; for stages of 1 to 8 endpoints the two cross between
-# 768 and 1,024 entries.
+# Every rounding is one call of _outward on a buffer whose lows come ahead
+# of its highs: a BoxArray stage writes its unrounded endpoints straight
+# into such a buffer, and _round stacks its pairs into one.  A buffer of at
+# least this many entries is rounded by the integer step, a smaller one by
+# np.nextafter, so a stage of k endpoints takes the step from 1,024 / k
+# rows on.  Both give the same bits on every non-nan entry, and a nan stays
+# a nan (the step leaves it alone; nextafter may return another nan).
+# np.nextafter calls libm once per entry, while the step runs a fixed
+# number of whole-buffer passes, which cost more on small buffers.
+# _outward of a buffer of 2 lows and 2 highs a row on a 2-vCPU VM
+# (numpy 2.4) takes 4.6 us by nextafter against 7.3 us by the step at 512
+# entries, 8.2 against 8.0 us at 1,024 and 15.6 against 9.3 us at 2,048.
 _STEP_MIN = 1024
+# the directions of the lows and of the highs, for np.nextafter
+_TOWARD = np.array([[-_INF], [_INF]])
 
 
 def _step_up(y):
@@ -210,45 +211,48 @@ def _step_up(y):
     return y
 
 
-def _outward(lows, highs):
-    """The arrays of lows rounded down and those of highs rounded up, each
-    entry to the adjacent binary64 value (np.nextafter toward -inf and
-    +inf): two stacked arrays, one row per input, rounded in one pass.
+def _outward(buf, k: int):
+    """buf rounded outward in place and returned: each entry of its first k
+    rows (the lows) down and each entry of the other rows (the highs) up,
+    to the adjacent binary64 value, as np.nextafter toward -inf and +inf.
 
-    The inputs are equally shaped arrays.  A lower endpoint x is rounded
-    as -(-x rounded up), the same value, so the whole buffer is rounded
-    up: the lows go in as 0.0 - x, which is -x exactly with +0.0 for
-    either zero, and are negated back at the end.  Before the integer step
-    the highs become x + 0.0, which maps -0.0 to +0.0, since the step
-    turns a -0.0 into a nan; np.nextafter steps both zeros alike."""
-    k = len(lows)
-    buf = np.array((*lows, *highs), dtype=float)
+    The integer step only steps up, so there a lower endpoint x is rounded
+    as -(-x rounded up), the same value: the lows become 0.0 - x, which is
+    -x exactly with +0.0 for either zero, and are negated back at the end;
+    the highs become x + 0.0, which maps -0.0 to +0.0, since the step turns
+    a -0.0 into a nan.  np.nextafter steps both zeros alike."""
+    if buf.size < _STEP_MIN:
+        if 2 * k == len(buf):  # as many lows as highs: one call
+            halves = buf.reshape(2, -1, copy=False)
+            np.nextafter(halves, _TOWARD, out=halves)
+        else:
+            np.nextafter(buf[:k], -_INF, out=buf[:k])
+            np.nextafter(buf[k:], _INF, out=buf[k:])
+        return buf
     lo, hi = buf[:k], buf[k:]
     np.subtract(0.0, lo, out=lo)
-    if buf.size < _STEP_MIN:
-        np.nextafter(buf, _INF, out=buf)
-    else:
-        np.add(hi, 0.0, out=hi)
-        _step_up(buf)
+    np.add(hi, 0.0, out=hi)
+    _step_up(buf)
     np.negative(lo, out=lo)
-    return lo, hi
+    return buf
 
 
 def _round(*pairs):
-    """The unrounded (lo, hi) endpoint pairs of one stage, rounded outward
-    together: each lo down and each hi up."""
-    lo, hi = _outward([p[0] for p in pairs], [p[1] for p in pairs])
-    return [(lo[i], hi[i]) for i in range(len(pairs))]
+    """The unrounded (lo, hi) endpoint pairs of one stage, stacked in one
+    buffer and rounded outward together: each lo down and each hi up."""
+    k = len(pairs)
+    buf = _outward(np.array([p[0] for p in pairs] + [p[1] for p in pairs], dtype=float), k)
+    return [(buf[i], buf[k + i]) for i in range(k)]
 
 
 def _down_arr(x):
     """The next binary64 value below each entry of x (nextafter toward -inf)."""
-    return _outward((x,), ())[0][0]
+    return _outward(np.array((x,), dtype=float), 1)[0]
 
 
 def _up_arr(x):
     """The next binary64 value above each entry of x (nextafter toward +inf)."""
-    return _outward((), (x,))[1][0]
+    return _outward(np.array((x,), dtype=float), 0)[0]
 
 
 def _interleave(x, y):
@@ -269,11 +273,12 @@ def _mid_arr(lo, hi):
 
 # The real interval operations on (lo, hi) pairs of float64 endpoint
 # arrays, before rounding: each returns the pair to round outward, and
-# _round rounds the pairs of one stage of a BoxArray operation together.
-# An endpoint that a sign test would pick is taken by np.minimum or
-# np.maximum: the value is the same and may differ only in the sign of a
-# zero, which the outward step maps to the same endpoint.
-# np.minimum/np.maximum propagate nan.
+# _round rounds the pairs of one stage together.  The BoxArray operations
+# below compute the same formulas on endpoint matrices.  An endpoint that a
+# sign test would pick is taken by np.minimum or np.maximum: the value is
+# the same and may differ only in the sign of a zero, which the outward
+# step maps to the same endpoint.  np.minimum/np.maximum propagate nan, so
+# the order in which they meet the candidates changes no rounded bit.
 
 
 def _add(a, b):
@@ -315,10 +320,6 @@ def _clamp(a, keep):
     return np.where(keep, np.maximum(a[0], 0.0), 0.0), a[1]
 
 
-def _neg_pair(a):
-    return -a[1], -a[0]
-
-
 def _sqr_pair(a):
     """The square of a pair, rounded: its lower endpoint never below 0."""
     raw, keep = _sqr(a)
@@ -338,26 +339,94 @@ def _abs_pair(re, im):
     return np.where(pos, lo, 0.0), hi
 
 
+# The complex operations on endpoint matrices: (4, B) float64 arrays whose
+# rows are re lo, im lo, re hi, im hi, so that rows :2 are a row's lows and
+# rows 2: its highs (a ComplexBox operand is a (4, 1) matrix and
+# broadcasts).  A stage writes its unrounded endpoints, all its lows ahead
+# of all its highs, into one fresh buffer by whole-block ufunc calls and
+# rounds the buffer in place (_outward); each endpoint is the one that the
+# pair operations above compute, from the same operands in the same order.
+
+
 def _cadd(x, y):
-    return _round(_add(x[0], y[0]), _add(x[1], y[1]))
+    return _outward(np.add(x, y), 2)
 
 
 def _csub(x, y):
-    return _round(_sub(x[0], y[0]), _sub(x[1], y[1]))
+    """The lows of x less the highs of y, and the highs of x less the lows
+    of y, in one call."""
+    return _outward(np.subtract(x.reshape(2, 2, -1), y.reshape(2, 2, -1)[::-1]).reshape(4, -1), 2)
 
 
 def _cmul(x, y):
-    (a, b), (c, d) = x, y
-    ac, bd, ad, bc = _round(_mul(a, c), _mul(b, d), _mul(a, d), _mul(b, c))
-    return _round(_sub(ac, bd), _add(ad, bc))
+    """(a + bi)(c + di) in two stages: the real products ac, bd, ad and bc,
+    then ac - bd and ad + bc.  The endpoint products of (a, b) with (c, d),
+    then with (d, c), fill a block of 8 rows at a time, which is reduced
+    into the stage's lows and highs; (d, c) waits in the rows of the stage
+    that its products fill."""
+    ends = x.reshape(2, 1, 2, -1)  # the lows and the highs of (a, b)
+    n = y.shape[1] if x.shape[1] == 1 else x.shape[1]  # a (4, 1) operand broadcasts
+    s = np.empty((2, 2, 2, n))  # the lows, then the highs, of [[ac, bd], [ad, bc]]
+    swapped = s[:, 1]
+    np.copyto(swapped, y.reshape(2, 2, -1)[:, ::-1])
+    block = np.multiply(ends, y.reshape(1, 2, 2, -1))
+    for k in (0, 1):  # (ac, bd), then (ad, bc)
+        if k:
+            np.multiply(ends, swapped[None], out=block)
+        products = block.reshape(4, 2 * n)
+        np.minimum.reduce(products, axis=0, out=s[0, k].reshape(-1))
+        np.maximum.reduce(products, axis=0, out=s[1, k].reshape(-1))
+    del block, products
+    s = _outward(s.reshape(8, n), 4)  # rows ac, bd, ad, bc lows, then highs
+    out = np.empty((4, n))
+    np.subtract(s[0::4], s[5::-4], out=out[0::2])
+    np.add(s[2::4], s[3::4], out=out[1::2])
+    return _outward(out, 2)
 
 
-def _pairs(x):
-    """The (re, im) endpoint pairs of a BoxArray or a ComplexBox, else None."""
+def _csqr(x):
+    """z^2 = (a^2 - b^2) + 2ab i in two stages: the squares of a and b and
+    their product, then the difference of the squares (clamped at 0 as in
+    _sqr_pair) and the doubled product."""
+    n = x.shape[1]
+    s = np.empty((2, 3, n))  # the lows, then the highs, of a^2, b^2, ab
+    lo, hi = s
+    squares = np.multiply(x, x).reshape(2, 2, n)
+    np.minimum(squares[0], squares[1], out=lo[:2])
+    np.maximum(squares[0], squares[1], out=hi[:2])
+    products = squares.reshape(4, n)  # the endpoint products of a and b, in the squares' memory
+    np.multiply(x[0], x[1::2], out=products[:2])
+    np.multiply(x[2], x[1::2], out=products[2:])
+    np.minimum.reduce(products, axis=0, out=lo[2])
+    np.maximum.reduce(products, axis=0, out=hi[2])
+    straddle = (x[:2] >= 0.0) | (x[2:] <= 0.0)
+    np.logical_not(straddle, out=straddle)
+    _outward(s.reshape(6, n), 3)
+    np.maximum(lo[:2], 0.0, out=lo[:2])
+    np.putmask(lo[:2], straddle, 0.0)
+    s = s.reshape(6, n)  # rows a^2, b^2, ab lows, then highs
+    out = products
+    np.subtract(s[0::3], s[4::-3], out=out[0::2])
+    twice = np.multiply(s[2::3], 2.0)
+    np.minimum(twice[0], twice[1], out=out[1])
+    np.maximum(twice[0], twice[1], out=out[3])
+    return _outward(out, 2)
+
+
+def _cscale(x, k):
+    ends = np.multiply(x, k).reshape(2, 2, -1)
+    out = np.empty_like(ends)
+    np.minimum(ends[0], ends[1], out=out[0])
+    np.maximum(ends[0], ends[1], out=out[1])
+    return _outward(out.reshape(4, -1), 2)
+
+
+def _matrix(x):
+    """The endpoint matrix of a BoxArray or a ComplexBox, else None."""
     if isinstance(x, BoxArray):
-        return x.re, x.im
+        return x.e
     if isinstance(x, ComplexBox):
-        return (x.re.lo, x.re.hi), (x.im.lo, x.im.hi)
+        return np.array([[x.re.lo], [x.im.lo], [x.re.hi], [x.im.hi]])
     return None
 
 
@@ -366,101 +435,119 @@ def _binary(op):
     order of op is the order written in the expression."""
 
     def forward(self, other):
-        o = _pairs(other)
-        return NotImplemented if o is None else BoxArray(*op((self.re, self.im), o))
+        o = _matrix(other)
+        return NotImplemented if o is None else BoxArray._of(op(self.e, o))
 
     def reflected(self, other):
-        o = _pairs(other)
-        return NotImplemented if o is None else BoxArray(*op(o, (self.re, self.im)))
+        o = _matrix(other)
+        return NotImplemented if o is None else BoxArray._of(op(o, self.e))
 
     return forward, reflected
 
 
 class BoxArray:
-    """A batch of complex boxes held as float64 endpoint arrays.
+    """A batch of complex boxes held as one float64 endpoint matrix.
 
-    `re` and `im` are (lo, hi) pairs of equally long arrays; row i is the
-    box [re[0][i], re[1][i]] x [im[0][i], im[1][i]].  +, -, *, conj, sqr
-    and scale enclose the complex operations row by row:
-    (a + bi)(c + di) = (ac - bd) + (ad + bc)i from the four real products,
-    z^2 = (a^2 - b^2) + 2ab i with the real squares clamped at 0, and each
-    endpoint rounded outward.  A ComplexBox operand broadcasts on either
-    side of +, - and *.
+    `e` is a (4, B) matrix with rows re lo, im lo, re hi, im hi; row i of the
+    batch is the box [e[0, i], e[2, i]] x [e[1, i], e[3, i]].  `re` and `im`
+    are (lo, hi) pairs of views of it, and the constructor takes such
+    pairs.  +, -, *, conj, sqr and scale enclose the complex operations row
+    by row: (a + bi)(c + di) = (ac - bd) + (ad + bc)i from the four real
+    products, z^2 = (a^2 - b^2) + 2ab i with the real squares clamped at 0,
+    and each endpoint rounded outward.  A ComplexBox operand broadcasts on
+    either side of +, - and *.
 
     A row whose endpoint overflows carries inf or nan.  Every operation
     keeps a non-finite row non-finite, so a row whose result is finite is
-    an enclosure.
+    an enclosure.  No operation writes into the matrix of an operand.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("e",)
 
     def __init__(self, re, im):
-        self.re = re
-        self.im = im
+        self.e = np.array((re[0], im[0], re[1], im[1]), dtype=float)
+
+    @staticmethod
+    def _of(e) -> "BoxArray":
+        """The batch of the (4, B) endpoint matrix e, not copied."""
+        batch = object.__new__(BoxArray)
+        batch.e = e
+        return batch
+
+    @property
+    def re(self):
+        return self.e[0], self.e[2]
+
+    @property
+    def im(self):
+        return self.e[1], self.e[3]
 
     @staticmethod
     def of(boxes) -> "BoxArray":
         """The batch of the given ComplexBoxes, in order."""
-        e = np.array([(b.re.lo, b.re.hi, b.im.lo, b.im.hi) for b in boxes], dtype=float)
-        e = e.reshape(-1, 4).T
-        return BoxArray((e[0], e[1]), (e[2], e[3]))
+        e = np.array([(b.re.lo, b.im.lo, b.re.hi, b.im.hi) for b in boxes], dtype=float)
+        return BoxArray._of(np.ascontiguousarray(e.reshape(-1, 4).T))
 
     @staticmethod
     def concat(parts) -> "BoxArray":
         """The rows of the given BoxArrays, in order."""
-        return BoxArray(*(tuple(np.concatenate([getattr(p, axis)[k] for p in parts]) for k in (0, 1))
-                          for axis in ("re", "im")))
+        return BoxArray._of(np.concatenate([p.e for p in parts], axis=1))
 
     def __len__(self) -> int:
-        return len(self.re[0])
+        return self.e.shape[1]
 
     def __getitem__(self, rows) -> "BoxArray":
-        """The batch of the selected rows (a numpy index)."""
-        return BoxArray((self.re[0][rows], self.re[1][rows]),
-                        (self.im[0][rows], self.im[1][rows]))
+        """The batch of the selected rows (a slice, a boolean mask or an
+        array of row numbers)."""
+        if isinstance(rows, slice):
+            return BoxArray._of(self.e[:, rows])
+        rows = np.asarray(rows)
+        if rows.dtype == bool:
+            return BoxArray._of(self.e[:, rows])
+        return BoxArray._of(np.take(self.e, rows, axis=1))
 
     def boxes(self) -> list[ComplexBox]:
         """The rows as ComplexBoxes; raises EmptyIntervalError on a non-finite row."""
-        return [
-            ComplexBox(Interval(a, b), Interval(c, d))
-            for a, b, c, d in zip(*(v.tolist() for v in (*self.re, *self.im)))
-        ]
+        return [ComplexBox(Interval(a, c), Interval(b, d)) for a, b, c, d in self.e.T.tolist()]
 
     def finite(self) -> np.ndarray:
         """Mask of the rows whose four endpoints are finite."""
-        return (np.isfinite(self.re[0]) & np.isfinite(self.re[1])
-                & np.isfinite(self.im[0]) & np.isfinite(self.im[1]))
+        return np.isfinite(self.e).all(axis=0)
 
     def contains(self, z: complex) -> np.ndarray:
         """Mask of the rows that contain the point (ComplexBox.contains)."""
-        (a, b), (c, d) = self.re, self.im
+        a, c, b, d = self.e
         return (a <= z.real) & (z.real <= b) & (c <= z.imag) & (z.imag <= d)
 
     def width(self) -> np.ndarray:
         """ComplexBox.width of every row."""
-        return np.maximum(_up_arr(self.re[1] - self.re[0]), _up_arr(self.im[1] - self.im[0]))
+        w = _outward(np.subtract(self.e[2:], self.e[:2]), 0)
+        return np.maximum(w[0], w[1])
 
     def quarter(self) -> "BoxArray":
         """ComplexBox.quarter of every row, bit for bit: the children of row
         k, in (SW, SE, NW, NE) order, are rows 4k to 4k + 3."""
-        (a, b), (c, d) = self.re, self.im
-        m, n = _mid_arr(a, b), _mid_arr(c, d)
-        return BoxArray((np.stack((a, m, a, m), axis=1).ravel(), np.stack((m, b, m, b), axis=1).ravel()),
-                        (np.stack((c, c, n, n), axis=1).ravel(), np.stack((n, n, d, d), axis=1).ravel()))
+        a, c, b, d = self.e
+        m, n = _mid_arr(self.e[:2], self.e[2:])
+        out = np.empty((4, len(self), 4))
+        np.stack((a, m, a, m), axis=1, out=out[0])
+        np.stack((c, c, n, n), axis=1, out=out[1])
+        np.stack((m, b, m, b), axis=1, out=out[2])
+        np.stack((n, n, d, d), axis=1, out=out[3])
+        return BoxArray._of(out.reshape(4, -1))
 
     __add__, __radd__ = _binary(_cadd)
     __sub__, __rsub__ = _binary(_csub)
     __mul__, __rmul__ = _binary(_cmul)
 
     def conj(self) -> "BoxArray":
-        return BoxArray(self.re, _neg_pair(self.im))
+        out = np.empty_like(self.e)
+        out[0::2] = self.e[0::2]
+        np.negative(self.e[3::-2], out=out[1::2])
+        return BoxArray._of(out)
 
     def sqr(self) -> "BoxArray":
-        """Two stages: the squares of re and im and their product, then the
-        difference of the squares and the doubled product."""
-        (a, keep_a), (b, keep_b) = _sqr(self.re), _sqr(self.im)
-        a, b, ab = _round(a, b, _mul(self.re, self.im))
-        return BoxArray(*_round(_sub(_clamp(a, keep_a), _clamp(b, keep_b)), _scale(ab, 2.0)))
+        return BoxArray._of(_csqr(self.e))
 
     def scale(self, k: float) -> "BoxArray":
-        return BoxArray(*_round(_scale(self.re, k), _scale(self.im, k)))
+        return BoxArray._of(_cscale(self.e, k))

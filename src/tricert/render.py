@@ -170,9 +170,24 @@ def rasterize_scan(
     return ImageBuffer(width, height, pixels)
 
 
-def write_ppm(img: ImageBuffer, sink=None) -> bytes:
-    """Binary portable pixmap: P6, dimensions, 255, raw RGB."""
-    data = f"P6\n{img.width} {img.height}\n255\n".encode("ascii") + img.pixels
-    if sink is not None:
-        sink.write(data)
-    return data
+class _Written(int):
+    """The number of bytes that write_ppm wrote to a sink, which len() reads
+    as it reads the length of the bytes returned without one."""
+
+    __slots__ = ()
+
+    def __len__(self) -> int:
+        return int(self)
+
+
+def write_ppm(img: ImageBuffer, sink=None):
+    """Binary portable pixmap: P6, dimensions, 255, raw RGB.  Without a sink,
+    returns its bytes.  With one, writes the header and then the pixel
+    buffer, never joining them into a copy as large as the raster, and
+    returns the number of bytes written."""
+    header = f"P6\n{img.width} {img.height}\n255\n".encode("ascii")
+    if sink is None:
+        return header + img.pixels
+    sink.write(header)
+    sink.write(img.pixels)
+    return _Written(len(header) + len(img.pixels))

@@ -405,6 +405,43 @@ class TestVerifyArcs:
 _AREA = ["max_depth", "min_width", "rect"]
 
 
+def _subparsers(parser):
+    """The subparsers of a parser, by command name."""
+    [action] = [a for a in parser._actions if isinstance(a, cli.argparse._SubParsersAction)]
+    return action.choices
+
+
+class TestParsers:
+    """A run builds the parser of its own command only; the help, the usage
+    and the errors stay those of the parser of every command."""
+
+    def test_top_level_help_lists_every_command(self, capsys):
+        assert _run(["-h"]) == 0
+        listed = re.findall(r"^    (\S+) ", capsys.readouterr().out, re.M)
+        assert listed == ["render", *_COMMANDS, "centers"] == list(cli._NAMES)
+        assert len(listed) == 7
+
+    @pytest.mark.parametrize("command", cli._NAMES)
+    def test_a_command_builds_its_own_parser_alone(self, command):
+        full, alone = cli._build_parser(), cli._build_parser(command)
+        assert list(_subparsers(alone)) == [command]
+        assert alone.format_usage() == full.format_usage()
+        assert (_subparsers(alone)[command].format_help()
+                == _subparsers(full)[command].format_help())
+
+    def test_an_unknown_command_lists_every_choice(self, capsys):
+        assert _run(["verify-everything"]) == 2
+        assert capsys.readouterr().err.endswith(
+            "invalid choice: 'verify-everything' (choose from "
+            + ", ".join(f"'{name}'" for name in cli._NAMES) + ")\n")
+
+    def test_an_unknown_flag_prints_the_full_usage(self, capsys):
+        assert _run(["verify-count", "--bogus"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(cli._build_parser().format_usage())
+        assert err.endswith("error: unrecognized arguments: --bogus\n")
+
+
 class TestParameters:
     @pytest.mark.parametrize("command, claim, keys", [
         pytest.param("verify-qlike", None, ["anchor", "max_depth", "min_width", "n", "rect",

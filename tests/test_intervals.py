@@ -6,6 +6,8 @@ import contextlib
 import math
 import random
 import sys
+import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -479,3 +481,122 @@ def test_midpoint_and_width_arrays_match_interval(pairs):
         mid, width = _mid_arr(lo, hi), _up_arr(hi - lo)
     assert [v.hex() for v in mid.tolist()] == [x.midpoint().hex() for x in ivs]
     assert [v.hex() for v in width.tolist()] == [x.width().hex() for x in ivs]
+
+
+# ---------------------------------------------------------------------------
+# the last rounding of each operation, against exact rationals
+# ---------------------------------------------------------------------------
+
+
+def _is_float(q: Fraction) -> bool:
+    return math.isfinite(float(q)) and Fraction(float(q)) == q
+
+
+def _assert_outside(got, lo: Fraction, hi: Fraction, what: str):
+    """The rounded endpoints got = (lo, hi) enclose the exact [lo, hi], and
+    each lies strictly outside its exact value wherever that value is not a
+    float: a last stage that is not rounded outward lands inside about half
+    the time."""
+    g_lo, g_hi = Fraction(got[0]), Fraction(got[1])
+    assert g_lo <= lo and hi <= g_hi, what
+    assert _is_float(lo) or g_lo < lo, what
+    assert _is_float(hi) or hi < g_hi, what
+
+
+def _ends(batch: BoxArray, axis: int, i: int):
+    """The endpoints of re (axis 0) or im (axis 1) of row i."""
+    lo, hi = batch.re if axis == 0 else batch.im
+    return lo[i], hi[i]
+
+
+def _last_stage_rows(seed: int, rows: int = 400):
+    """Pairs of boxes with endpoints of mixed scales, signs and zeros, whose
+    products and squares stay finite and normal."""
+    rng = np.random.default_rng(seed)
+    scale = rng.choice([1.0, 1e-3, 1e3, 3.0], size=(rows, 8))
+    ends = rng.uniform(-1.0, 1.0, size=(rows, 8)) * scale
+    ends[rng.random(size=ends.shape) < 0.05] = 0.0
+    ends = ends.reshape(rows, 4, 2)
+    ends.sort(axis=2)
+    return [tuple(_box(*r[0], *r[1]) for r in (row[:2], row[2:])) for row in ends]
+
+
+class TestLastRounding:
+    """The last stage of each BoxArray operation and of _abs_pair, rebuilt
+    exactly in fractions.Fraction from its float inputs (the stages before
+    it in the scalar arithmetic of tests/scalar.py), lies inside the
+    operation's result, each endpoint strictly where the exact value is not
+    a float.  Unlike the mpmath oracle above, this sees a dropped last
+    rounding, which only moves an endpoint by the rounding error."""
+
+    def test_add_sub_mul(self):
+        pairs = _last_stage_rows(11)
+        x, y = BoxArray.of([p[0] for p in pairs]), BoxArray.of([p[1] for p in pairs])
+        add, sub, mul = x + y, x - y, x * y
+        F = Fraction
+        for i, (u, v) in enumerate(pairs):
+            for axis, (p, q) in ((0, (u.re, v.re)), (1, (u.im, v.im))):
+                _assert_outside(_ends(add, axis, i), F(p.lo) + F(q.lo), F(p.hi) + F(q.hi),
+                                f"add row {i}")
+                _assert_outside(_ends(sub, axis, i), F(p.lo) - F(q.hi), F(p.hi) - F(q.lo),
+                                f"sub row {i}")
+            a, b = scalar.Interval(u.re.lo, u.re.hi), scalar.Interval(u.im.lo, u.im.hi)
+            c, d = scalar.Interval(v.re.lo, v.re.hi), scalar.Interval(v.im.lo, v.im.hi)
+            ac, bd, ad, bc = a * c, b * d, a * d, b * c
+            _assert_outside(_ends(mul, 0, i), F(ac.lo) - F(bd.hi), F(ac.hi) - F(bd.lo),
+                            f"mul re row {i}")
+            _assert_outside(_ends(mul, 1, i), F(ad.lo) + F(bc.lo), F(ad.hi) + F(bc.hi),
+                            f"mul im row {i}")
+
+    def test_sqr_scale_abs(self):
+        pairs = _last_stage_rows(12)
+        x = BoxArray.of([p[0] for p in pairs])
+        sq, modulus = x.sqr(), _abs_pair(x.re, x.im)
+        scaled = {k: x.scale(k) for k in (0.1, -3.0, 4.0)}
+        F = Fraction
+        for i, (u, _) in enumerate(pairs):
+            a, b = scalar.Interval(u.re.lo, u.re.hi), scalar.Interval(u.im.lo, u.im.hi)
+            a2, b2, ab = a.sqr(), b.sqr(), a * b
+            _assert_outside(_ends(sq, 0, i), F(a2.lo) - F(b2.hi), F(a2.hi) - F(b2.lo),
+                            f"sqr re row {i}")
+            _assert_outside(_ends(sq, 1, i), 2 * F(ab.lo), 2 * F(ab.hi), f"sqr im row {i}")
+            for k, got in scaled.items():
+                for axis, p in ((0, u.re), (1, u.im)):
+                    _assert_outside(_ends(got, axis, i), *sorted((F(p.lo) * F(k), F(p.hi) * F(k))),
+                                    f"scale {k} row {i}")
+            # |z| = sqrt(n) for n = |z|^2, compared through squares: a root
+            # r is a float exactly where float(r)^2 = n
+            n = a2 + b2
+            lo, hi = F(modulus[0][i]), F(modulus[1][i])
+            assert hi >= 0 and hi * hi >= F(n.hi), f"abs hi row {i}"
+            assert F(math.sqrt(n.hi)) ** 2 == F(n.hi) or hi * hi > F(n.hi), f"abs hi row {i}"
+            if n.lo > 0.0:
+                assert 0 <= lo and lo * lo <= F(n.lo), f"abs lo row {i}"
+                assert F(math.sqrt(n.lo)) ** 2 == F(n.lo) or lo * lo < F(n.lo), f"abs lo row {i}"
+            else:
+                assert lo == 0, f"abs lo row {i}"
+
+
+# tracemalloc peaks at 4,096 rows, in bytes (numpy 2.4), when each stage
+# was formed one endpoint array at a time and stacked into a fresh buffer
+# to be rounded: the stage buffers must not hold more than those copies did
+_STACKED_PEAKS = {
+    "z.sqr().conj() + c": (lambda z, c: z.sqr().conj() + c, 552_048),
+    "z * c": (lambda z, c: z * c, 625_296),
+}
+
+
+@pytest.mark.parametrize("expression", sorted(_STACKED_PEAKS))
+def test_stage_buffers_stay_below_the_stacked_peaks(expression):
+    evaluate, bound = _STACKED_PEAKS[expression]
+    rng = np.random.default_rng(3)
+    ends = np.sort(rng.uniform(-1.0, 1.0, size=(2, 4096, 4)), axis=2)
+    z, c = (BoxArray((e[:, 0], e[:, 1]), (e[:, 2], e[:, 3])) for e in ends)
+    evaluate(z, c)
+    tracemalloc.start()
+    try:
+        evaluate(z, c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound

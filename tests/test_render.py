@@ -45,10 +45,11 @@ class TestPPM:
         assert len(data) == len(b"P6\n5 3\n255\n") + 45
 
     def test_sink_receives_identical_bytes(self):
-        img = ImageBuffer(2, 2, bytearray(12))
+        img = ImageBuffer(2, 2, bytearray(range(12)))
         sink = io.BytesIO()
-        data = write_ppm(img, sink)
-        assert sink.getvalue() == data
+        written = write_ppm(img, sink)
+        assert sink.getvalue() == write_ppm(img)
+        assert written == len(written) == len(write_ppm(img))
 
     def test_round_trip_through_reference_reader(self):
         img = render_escape(SQUARE, 16, 16, 30)
