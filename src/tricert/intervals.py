@@ -2,20 +2,21 @@
 
 Interval and ComplexBox are value types: a closed real interval and an
 axis-aligned complex box, with predicates, width, midpoint and splits.
-BoxArray holds a batch of boxes as float64 endpoint arrays and carries the
-one arithmetic (Moore, Interval Analysis, 1966): every operation is
-containment-sound, its result enclosing the exact image of its inputs.
-Endpoints are binary64; outward rounding is done by stepping each computed
-endpoint to the adjacent representable value, never by switching the FPU
-rounding mode: scalars by math.nextafter, endpoint arrays by np.nextafter
-or, from _STEP_MIN entries on, by one integer step on the bit pattern,
-which gives the same value.
-A BoxArray operation rounds stage by stage: the endpoints of one stage
-(the two squares and the product in sqr, then the difference and the
-doubled product; the four endpoints of + and -) are stacked in one buffer
-and rounded in one pass, and the _STEP_MIN rule applies to that buffer:
-a stage of k endpoints takes the integer step from 1,024 / k rows on,
-about where the step overtakes np.nextafter.
+BoxArray holds a batch of boxes as one (4, B) float64 endpoint matrix and
+carries the one arithmetic (Moore, Interval Analysis, 1966): every
+operation is containment-sound, its result enclosing the exact image of
+its inputs.  Endpoints are binary64; outward rounding is done by stepping
+each computed endpoint to the adjacent representable value, never by
+switching the FPU rounding mode: scalars by math.nextafter, endpoint
+arrays by np.nextafter or, from _STEP_MIN entries on, by one integer step
+on the bit pattern, which gives the same value.
+A BoxArray operation rounds stage by stage: each stage (the two squares
+and the product in sqr, then the difference and the doubled product; the
+four endpoints of + and -) writes its unrounded lows and highs straight
+into one buffer by a few whole-matrix ufunc calls, and the buffer is
+rounded in place, lows down and highs up (_outward).  The _STEP_MIN rule
+applies to that buffer: a stage of k endpoints takes the integer step
+from 1,024 / k rows on, about where the step overtakes np.nextafter.
 All values are immutable and safe to share between threads.  Intervals and
 boxes are never empty: a non-finite or inverted endpoint pair raises
 EmptyIntervalError.  A BoxArray row carries inf or nan instead, and no
@@ -182,9 +183,10 @@ class ComplexBox:
 # a nan (the step leaves it alone; nextafter may return another nan).
 # np.nextafter calls libm once per entry, while the step runs a fixed
 # number of whole-buffer passes, which cost more on small buffers.
-# _outward of a buffer of 2 lows and 2 highs a row on a 2-vCPU VM
-# (numpy 2.4) takes 4.6 us by nextafter against 7.3 us by the step at 512
-# entries, 8.2 against 8.0 us at 1,024 and 15.6 against 9.3 us at 2,048.
+# _outward of a buffer of 2 lows and 2 highs a row (a stage of + or -) on
+# a 2-vCPU VM (numpy 2.4, the CLI's malloc policy, best of 7) takes 5.2 us
+# by nextafter against 7.3 us by the step at 512 entries, 7.0 against 7.2
+# us at 768, 9.9 against 7.9 us at 1,024 and 19.7 against 9.1 us at 2,048.
 _STEP_MIN = 1024
 # the directions of the lows and of the highs, for np.nextafter
 _TOWARD = np.array([[-_INF], [_INF]])
@@ -215,6 +217,8 @@ def _outward(buf, k: int):
     """buf rounded outward in place and returned: each entry of its first k
     rows (the lows) down and each entry of the other rows (the highs) up,
     to the adjacent binary64 value, as np.nextafter toward -inf and +inf.
+    buf is a C-contiguous array, as every buffer that this module forms
+    is, so that its reshaped halves are views of it.
 
     The integer step only steps up, so there a lower endpoint x is rounded
     as -(-x rounded up), the same value: the lows become 0.0 - x, which is
@@ -223,7 +227,7 @@ def _outward(buf, k: int):
     a -0.0 into a nan.  np.nextafter steps both zeros alike."""
     if buf.size < _STEP_MIN:
         if 2 * k == len(buf):  # as many lows as highs: one call
-            halves = buf.reshape(2, -1, copy=False)
+            halves = buf.reshape(2, -1)
             np.nextafter(halves, _TOWARD, out=halves)
         else:
             np.nextafter(buf[:k], -_INF, out=buf[:k])
@@ -278,7 +282,8 @@ def _mid_arr(lo, hi):
 # sign test would pick is taken by np.minimum or np.maximum: the value is
 # the same and may differ only in the sign of a zero, which the outward
 # step maps to the same endpoint.  np.minimum/np.maximum propagate nan, so
-# the order in which they meet the candidates changes no rounded bit.
+# the order in which they meet the candidates changes no rounded endpoint
+# but the payload of a nan.
 
 
 def _add(a, b):
@@ -366,17 +371,16 @@ def _cmul(x, y):
     that its products fill."""
     ends = x.reshape(2, 1, 2, -1)  # the lows and the highs of (a, b)
     n = y.shape[1] if x.shape[1] == 1 else x.shape[1]  # a (4, 1) operand broadcasts
-    s = np.empty((2, 2, 2, n))  # the lows, then the highs, of [[ac, bd], [ad, bc]]
-    swapped = s[:, 1]
+    s = np.empty((2, 2, 2 * n))  # the lows, then the highs, of (ac, bd) and (ad, bc)
+    swapped = s[:, 1].reshape(1, 2, 2, n)
     np.copyto(swapped, y.reshape(2, 2, -1)[:, ::-1])
-    block = np.multiply(ends, y.reshape(1, 2, 2, -1))
-    for k in (0, 1):  # (ac, bd), then (ad, bc)
-        if k:
-            np.multiply(ends, swapped[None], out=block)
-        products = block.reshape(4, 2 * n)
-        np.minimum.reduce(products, axis=0, out=s[0, k].reshape(-1))
-        np.maximum.reduce(products, axis=0, out=s[1, k].reshape(-1))
-    del block, products
+    products = np.empty((4, 2 * n))
+    block = products.reshape(2, 2, 2, n)
+    for k, other in enumerate((y.reshape(1, 2, 2, -1), swapped)):
+        np.multiply(ends, other, out=block)
+        np.minimum.reduce(products, axis=0, out=s[0, k])
+        np.maximum.reduce(products, axis=0, out=s[1, k])
+    del products, block
     s = _outward(s.reshape(8, n), 4)  # rows ac, bd, ad, bc lows, then highs
     out = np.empty((4, n))
     np.subtract(s[0::4], s[5::-4], out=out[0::2])
@@ -394,9 +398,8 @@ def _csqr(x):
     squares = np.multiply(x, x).reshape(2, 2, n)
     np.minimum(squares[0], squares[1], out=lo[:2])
     np.maximum(squares[0], squares[1], out=hi[:2])
-    products = squares.reshape(4, n)  # the endpoint products of a and b, in the squares' memory
-    np.multiply(x[0], x[1::2], out=products[:2])
-    np.multiply(x[2], x[1::2], out=products[2:])
+    np.multiply(x[0::2, None], x[None, 1::2], out=squares)  # a's ends times b's, in their place
+    products = squares.reshape(4, n)
     np.minimum.reduce(products, axis=0, out=lo[2])
     np.maximum.reduce(products, axis=0, out=hi[2])
     straddle = (x[:2] >= 0.0) | (x[2:] <= 0.0)
@@ -503,8 +506,8 @@ class BoxArray:
             return BoxArray._of(self.e[:, rows])
         rows = np.asarray(rows)
         if rows.dtype == bool:
-            return BoxArray._of(self.e[:, rows])
-        return BoxArray._of(np.take(self.e, rows, axis=1))
+            return BoxArray._of(self.e.compress(rows, axis=1))
+        return BoxArray._of(self.e.take(rows, axis=1))
 
     def boxes(self) -> list[ComplexBox]:
         """The rows as ComplexBoxes; raises EmptyIntervalError on a non-finite row."""
