@@ -120,20 +120,19 @@ def _inside(u: ComplexBox, re, im):
     return (u.re.lo < a) & (b < u.re.hi) & (u.im.lo < p) & (q < u.im.hi)
 
 
-def _bisect_rows(re, im):
+def _bisect_rows(seg: BoxArray) -> BoxArray:
     """ComplexBox.bisect on rows of boundary segments: the halves of row k
     sit at 2k and 2k + 1.  One coordinate of a segment is a point whose
     endpoints are the same float, and the midpoint of such a point is that
     float, so halving both coordinates splits the other one as bisect
     does.  Only where im has width 0 does bisect split re (it splits re on
     a tie) and copy im, whose endpoints may be -0.0 and 0.0 there."""
-    lo, hi = np.stack((re[0], im[0])), np.stack((re[1], im[1]))
+    lo, hi = seg.e[:2], seg.e[2:]
     m = _mid_arr(lo, hi)
-    lo, hi = _interleave(lo, m), _interleave(m, hi)
-    flat = np.repeat(im[0] == im[1], 2)
-    im_lo = np.where(flat, np.repeat(im[0], 2), lo[1])
-    im_hi = np.where(flat, np.repeat(im[1], 2), hi[1])
-    return (lo[0], hi[0]), (im_lo, im_hi)
+    halves = np.concatenate((_interleave(lo, m), _interleave(m, hi)))
+    flat = np.repeat(seg.e[1] == seg.e[3], 2)
+    halves[1::2] = np.where(flat, np.repeat(seg.e[1::2], 2, axis=1), halves[1::2])
+    return BoxArray._of(halves)
 
 
 class _Segments:
@@ -175,7 +174,7 @@ class _Segments:
         """The halves of every row, at 2k and 2k + 1."""
         node = np.repeat(2 * self.node, 2)
         node[1::2] += 1
-        return _Segments(BoxArray(*_bisect_rows(self.seg.re, self.seg.im)),
+        return _Segments(_bisect_rows(self.seg),
                          np.repeat(self.owner, 2), node)
 
 
