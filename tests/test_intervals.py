@@ -1,6 +1,7 @@
 """Containment soundness and geometry of intervals and complex boxes: the
-value types, the scalar reference arithmetic of tests/scalar.py, and
-BoxArray against both it and mpmath.iv."""
+value types, the scalar reference arithmetic of tests/scalar.py, BoxArray
+against both it and mpmath.iv, the last rounding of each BoxArray
+operation against exact rationals, and the memory its stages hold."""
 
 import contextlib
 import math
