@@ -54,8 +54,10 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # accept values like -2,2,-2,2 or -1,0 after --region / --rect / --c
-        self._negative_number_matcher = re.compile(r"^-\d+(\.\d+)?([,x].*)?$")
+        # read a token that starts with a minus sign and a digit, or a minus
+        # sign, a dot and a digit (-2,2,-2,2, -1e-3,0 or -.5,0), as the
+        # value of --region / --rect / --anchor / --c, not as a flag
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
 
 def _parse_endpoint(token: str) -> float:

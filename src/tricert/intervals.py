@@ -14,9 +14,12 @@ A BoxArray operation rounds stage by stage: each stage (the two squares
 and the product in sqr, then the difference and the doubled product; the
 four endpoints of + and -) writes its unrounded lows and highs straight
 into one buffer by a few whole-matrix ufunc calls, and the buffer is
-rounded in place, lows down and highs up (_outward).  The _STEP_MIN rule
-applies to that buffer: a stage of k endpoints takes the integer step
-from 1,024 / k rows on, about where the step overtakes np.nextafter.
+rounded in place, lows down and highs up (_outward), whatever its memory
+layout: an operand may be a column-major or strided view, and the result
+has the same bits.  The _STEP_MIN rule applies to that buffer: a stage of
+k endpoints takes the integer step from 1,024 / k rows on, about where the
+step overtakes np.nextafter.  The box tests (meets, within, contains) are
+written once, on endpoint matrices, and give rowwise or pairwise masks.
 All values are immutable and safe to share between threads.  Intervals and
 boxes are never empty: a non-finite or inverted endpoint pair raises
 EmptyIntervalError.  A BoxArray row carries inf or nan instead, and no
@@ -217,8 +220,9 @@ def _outward(buf, k: int):
     """buf rounded outward in place and returned: each entry of its first k
     rows (the lows) down and each entry of the other rows (the highs) up,
     to the adjacent binary64 value, as np.nextafter toward -inf and +inf.
-    buf is a C-contiguous array, as every buffer that this module forms
-    is, so that its reshaped halves are views of it.
+    buf may have any layout: only a C-contiguous buffer, whose halves
+    reshape to a view of it, is rounded by one np.nextafter call, and any
+    other by one call on each slice.
 
     The integer step only steps up, so there a lower endpoint x is rounded
     as -(-x rounded up), the same value: the lows become 0.0 - x, which is
@@ -226,7 +230,7 @@ def _outward(buf, k: int):
     the highs become x + 0.0, which maps -0.0 to +0.0, since the step turns
     a -0.0 into a nan.  np.nextafter steps both zeros alike."""
     if buf.size < _STEP_MIN:
-        if 2 * k == len(buf):  # as many lows as highs: one call
+        if 2 * k == len(buf) and buf.flags.c_contiguous:  # as many lows as highs: one call
             halves = buf.reshape(2, -1)
             np.nextafter(halves, _TOWARD, out=halves)
         else:
@@ -247,11 +251,6 @@ def _round(*pairs):
     k = len(pairs)
     buf = _outward(np.array([p[0] for p in pairs] + [p[1] for p in pairs], dtype=float), k)
     return [(buf[i], buf[k + i]) for i in range(k)]
-
-
-def _down_arr(x):
-    """The next binary64 value below each entry of x (nextafter toward -inf)."""
-    return _outward(np.array((x,), dtype=float), 1)[0]
 
 
 def _up_arr(x):
@@ -288,10 +287,6 @@ def _mid_arr(lo, hi):
 
 def _add(a, b):
     return a[0] + b[0], a[1] + b[1]
-
-
-def _sub(a, b):
-    return a[0] - b[1], a[1] - b[0]
 
 
 def _mul(a, b):
@@ -424,6 +419,25 @@ def _cscale(x, k):
     return _outward(out.reshape(4, -1), 2)
 
 
+# The box tests on endpoint matrices, each a mask over the broadcast shape
+# of x and y less their first axis: rowwise for two (4, B) matrices, or for
+# a (4, B) and a (4, 1) one, and pairwise (A, B) for a (4, A, 1) matrix
+# against a (4, 1, B) one.  A comparison with nan is false, so a row with a
+# nan endpoint neither meets a box nor lies in one.
+
+
+def _meet(x, y):
+    """The mask of the boxes x that meet the boxes y (ComplexBox.intersects)."""
+    return ((x[:2] <= y[2:]) & (y[:2] <= x[2:])).all(axis=0)
+
+
+def _within(x, y, strict: bool):
+    """The mask of the boxes x that lie in the boxes y (y.contains_box(x)),
+    or strictly inside them (y.strictly_contains(x))."""
+    below = np.less if strict else np.less_equal
+    return (below(y[:2], x[:2]) & below(x[2:], y[2:])).all(axis=0)
+
+
 def _matrix(x):
     """The endpoint matrix of a BoxArray or a ComplexBox, else None."""
     if isinstance(x, BoxArray):
@@ -458,7 +472,7 @@ class BoxArray:
     by row: (a + bi)(c + di) = (ac - bd) + (ad + bc)i from the four real
     products, z^2 = (a^2 - b^2) + 2ab i with the real squares clamped at 0,
     and each endpoint rounded outward.  A ComplexBox operand broadcasts on
-    either side of +, - and *.
+    either side of +, - and *, and as the other box of meets and within.
 
     A row whose endpoint overflows carries inf or nan.  Every operation
     keeps a non-finite row non-finite, so a row whose result is finite is
@@ -500,11 +514,13 @@ class BoxArray:
         return self.e.shape[1]
 
     def __getitem__(self, rows) -> "BoxArray":
-        """The batch of the selected rows (a slice, a boolean mask or an
-        array of row numbers)."""
+        """The batch of the selected rows (a slice, a boolean mask or a 1-D
+        array of row numbers); any other index raises TypeError."""
         if isinstance(rows, slice):
             return BoxArray._of(self.e[:, rows])
         rows = np.asarray(rows)
+        if rows.ndim != 1:
+            raise TypeError("a BoxArray takes a slice, a boolean mask or a 1-D array of rows")
         if rows.dtype == bool:
             return BoxArray._of(self.e.compress(rows, axis=1))
         return BoxArray._of(self.e.take(rows, axis=1))
@@ -519,8 +535,16 @@ class BoxArray:
 
     def contains(self, z: complex) -> np.ndarray:
         """Mask of the rows that contain the point (ComplexBox.contains)."""
-        a, c, b, d = self.e
-        return (a <= z.real) & (z.real <= b) & (c <= z.imag) & (z.imag <= d)
+        return _within(np.array([[z.real], [z.imag]] * 2), self.e, False)
+
+    def meets(self, other) -> np.ndarray:
+        """Mask of the rows that meet the rows of other (ComplexBox.intersects)."""
+        return _meet(self.e, _matrix(other))
+
+    def within(self, other, strict: bool = False) -> np.ndarray:
+        """Mask of the rows that lie in the rows of other (its contains_box),
+        or strictly inside them (its strictly_contains)."""
+        return _within(self.e, _matrix(other), strict)
 
     def width(self) -> np.ndarray:
         """ComplexBox.width of every row."""

@@ -70,7 +70,8 @@ from .dynamics import (
     multiplier_rows,
     squared_modulus_rows,
 )
-from .intervals import BoxArray, ComplexBox, Interval, _interleave, _mid_arr
+from .intervals import (BoxArray, ComplexBox, Interval, _interleave, _matrix, _meet, _mid_arr,
+                        _within)
 from .scan import ClaimResult, Status, _hex, adaptive_scan, component_rollup
 
 __all__ = [
@@ -111,13 +112,6 @@ _ROW_CAP = 4096
 # index (see _Segments) stays an exact int64; it also bounds the recursion
 # of a walk at 63 frames
 _MAX_SEGMENT_DEPTH = 62
-
-
-def _inside(u: ComplexBox, re, im):
-    """The rows of the boxes re x im (endpoint pairs of arrays) that lie
-    strictly inside U."""
-    (a, b), (p, q) = re, im
-    return (u.re.lo < a) & (b < u.re.hi) & (u.im.lo < p) & (q < u.im.hi)
 
 
 def _bisect_rows(seg: BoxArray) -> BoxArray:
@@ -246,7 +240,6 @@ def _walk_level(cs: BoxArray, u: ComplexBox, n: int, max_depth: int, seeds: _Wal
         raise ValueError("iterate must be >= 1")
     if not 0 <= max_depth <= _MAX_SEGMENT_DEPTH:
         raise ValueError(f"segment depth must lie in [0, {_MAX_SEGMENT_DEPTH}]")
-    re, im = u.re, u.im
     deepest = 1 << max_depth  # the first node at max_depth
     if seeds is None:
         seeds = _Walked.edges(u, len(cs))
@@ -267,10 +260,9 @@ def _walk_level(cs: BoxArray, u: ComplexBox, n: int, max_depth: int, seeds: _Wal
             z = z.sqr().conj() + c
         effort[:] += np.bincount(owner, minlength=len(effort))
         finite = z.finite()
-        (a, b), (p, q) = z.re, z.im
         # a row strictly inside U is finite and meets U
-        strict = _inside(u, z.re, z.im)
-        meets = finite & (re.lo <= b) & (a <= re.hi) & (im.lo <= q) & (p <= im.hi)
+        strict = z.within(u, strict=True)
+        meets = finite & z.meets(u)
         inside[owner[strict]] = True
         outside[owner[finite ^ meets]] = True
         split = meets ^ strict
@@ -386,20 +378,11 @@ class ZeroCount(NamedTuple):
     images: BoxArray  # their images K(Z), each inside its Z and the region
 
 
-def _meets(a: BoxArray, b: BoxArray) -> np.ndarray:
-    """The (len(a), len(b)) mask of the closed boxes that meet
-    (ComplexBox.intersects)."""
-    meet = np.ones((len(a), len(b)), dtype=bool)
-    for x, y in ((a.re, b.re), (a.im, b.im)):
-        meet &= (x[0][:, None] <= y[1][None, :]) & (y[0][None, :] <= x[1][:, None])
-    return meet
-
-
 def _starts(cells: BoxArray, owner, der: BoxArray):
     """The hulls of the components of touching cells of each row, their
     rows, and the hulls of the components' derivative enclosures der.  A
     cell's label ends as the least index in its component."""
-    touch = (owner[:, None] == owner[None, :]) & _meets(cells, cells)
+    touch = (owner[:, None] == owner[None, :]) & _meet(cells.e[:, :, None], cells.e[:, None])
     labels = np.arange(len(owner))
     while len(labels):
         least = np.where(touch, labels[None, :], len(labels)).min(axis=1)
@@ -408,10 +391,13 @@ def _starts(cells: BoxArray, owner, der: BoxArray):
         labels = least
     order = np.argsort(labels, kind="stable")
     first = np.flatnonzero(np.diff(labels[order], prepend=-1))
-    hulls = [BoxArray(*[(np.minimum.reduceat(v[0][order], first),
-                         np.maximum.reduceat(v[1][order], first)) for v in (box.re, box.im)])
-             for box in (cells, der)]
-    return hulls[0], owner[order[first]], hulls[1]
+
+    def hulls(box: BoxArray) -> BoxArray:
+        e = box.e.take(order, axis=1)
+        return BoxArray._of(np.concatenate((np.minimum.reduceat(e[:2], first, axis=1),
+                                            np.maximum.reduceat(e[2:], first, axis=1))))
+
+    return hulls(cells), owner[order[first]], hulls(der)
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -420,12 +406,13 @@ def _zero_image(fn, cs: BoxArray, z: BoxArray):
     der(C, Z)) (Z - m) of each row Z of z over its parameter row C of cs,
     m the midpoint of Z, and the float y = 1 / mid der(C, m) of each row
     (not finite where mid der(C, m) is 0)."""
-    mr, mi = _mid_arr(*z.re), _mid_arr(*z.im)
-    m = BoxArray((mr, mr), (mi, mi))
+    mid = _mid_arr(z.e[:2], z.e[2:])
+    m = BoxArray._of(np.concatenate((mid, mid)))
     val, der = fn(BoxArray.concat([cs, cs]), BoxArray.concat([m, z]))
     k = len(z)
-    y = 1.0 / (_mid_arr(*der.re)[:k] + 1j * _mid_arr(*der.im)[:k])
-    point = BoxArray((y.real, y.real), (y.imag, y.imag))
+    d = _mid_arr(der.e[:2, :k], der.e[2:, :k])
+    y = 1.0 / (d[0] + 1j * d[1])
+    point = BoxArray._of(np.array((y.real, y.imag) * 2))
     return m - point * val[:k] + (_ONE - point * der[k:]) * (z - m), y
 
 
@@ -437,26 +424,25 @@ def _krawczyk_starts(fn, cs: BoxArray, start: BoxArray):
     when the image is not finite, misses Z or is no narrower than Z;
     otherwise Z becomes the image grown by an eighth of its width, for at
     most _START_ROUNDS rounds."""
-    box = np.array([*start.re, *start.im])  # rows of re lo, re hi, im lo, im hi
+    box = start.e.copy()
     image = np.full_like(box, np.nan)
     effort = np.zeros(len(start), dtype=np.int64)
     rows = np.arange(len(start))
     for _ in range(_START_ROUNDS):
-        a0, b0, p0, q0 = box[:, rows]
-        found, _ = _zero_image(fn, cs[rows], BoxArray((a0, b0), (p0, q0)))
+        z = BoxArray._of(box.take(rows, axis=1))
+        found, _ = _zero_image(fn, cs[rows], z)
         effort[rows] += 2
-        a, b, p, q = ends = np.array([*found.re, *found.im])
         finite = found.finite()
-        inside = finite & (a0 < a) & (b < b0) & (p0 < p) & (q < q0)
-        image[:, rows[inside]] = ends[:, inside]
-        width = np.maximum(b - a, q - p)
-        grow = (finite & ~inside & (a0 <= b) & (a <= b0) & (p0 <= q) & (p <= q0)
-                & (width < np.maximum(b0 - a0, q0 - p0)))
-        box[:, rows[grow]] = (ends + np.outer([-0.125, 0.125, -0.125, 0.125], width))[:, grow]
+        inside = finite & found.within(z, strict=True)
+        image[:, rows[inside]] = found[inside].e
+        # unrounded: width() rounds up, which would move the grown boxes
+        width = (found.e[2:] - found.e[:2]).max(axis=0)
+        grow = finite & ~inside & found.meets(z) & (width < (z.e[2:] - z.e[:2]).max(axis=0))
+        box[:, rows[grow]] = found[grow].e + np.outer([-0.125, -0.125, 0.125, 0.125], width[grow])
         rows = rows[grow]
         if not len(rows):
             break
-    return ~np.isnan(image[0]), BoxArray(box[:2], box[2:]), BoxArray(image[:2], image[2:]), effort
+    return ~np.isnan(image[0]), BoxArray._of(box), BoxArray._of(image), effort
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -467,42 +453,36 @@ def _count_batch(fn, cs: BoxArray, region: ComplexBox, max_depth: int) -> ZeroCo
     effort = np.zeros(rows, dtype=np.int64)
     undecided = np.zeros(rows, dtype=bool)
     owner = np.arange(rows)
-    re, im = region.re, region.im
-    cells = BoxArray((np.full(rows, re.lo), np.full(rows, re.hi)),
-                     (np.full(rows, im.lo), np.full(rows, im.hi)))
+    cells = BoxArray._of(np.repeat(_matrix(region), rows, axis=1))
     # the Krawczyk boxes so far, their images and rows, and which are counted
     zs, images, z_owner, counted = cells[:0], cells[:0], owner[:0], np.zeros(0, dtype=bool)
 
     def outside_boxes(cells, owner):
         """The mask of the cells that lie in none of their row's boxes."""
-        inside = owner[:, None] == z_owner[None, :]
-        for x, y in ((cells.re, zs.re), (cells.im, zs.im)):
-            inside &= (y[0][None, :] <= x[0][:, None]) & (x[1][:, None] <= y[1][None, :])
-        return ~inside.any(axis=1)
+        inside = _within(cells.e[:, :, None], zs.e[:, None], False)
+        return ~(inside & (owner[:, None] == z_owner[None, :])).any(axis=1)
 
     for depth in range(max_depth + 1):
         val, der = fn(cs[owner], cells)
         effort += np.bincount(owner, minlength=rows)
         finite = val.finite()
         undecided[owner[~finite]] = True
-        (a, b), (p, q) = val.re, val.im
-        keep = (finite & (a <= 0.0) & (0.0 <= b) & (p <= 0.0) & (0.0 <= q)
-                & ~undecided[owner] & outside_boxes(cells, owner))
+        keep = finite & val.contains(0j) & ~undecided[owner] & outside_boxes(cells, owner)
         cells, owner, der = cells[keep], owner[keep], der[keep]
         few = np.bincount(owner, minlength=rows)[owner] <= _START_CELLS
         start, start_owner, slope = _starts(cells[few], owner[few], der[few])
-        (a, b), (p, q) = slope.re, slope.im
-        mid = _mid_arr(a, b) + 1j * _mid_arr(p, q)
-        fresh = np.hypot(b - a, q - p) < 2.0 * _START_SPREAD * np.abs(mid)
-        fresh &= ~(_meets(start, zs) & (start_owner[:, None] == z_owner[None, :])).any(axis=1)
+        mid = _mid_arr(slope.e[:2], slope.e[2:])
+        spread = np.hypot(*(slope.e[2:] - slope.e[:2]))
+        fresh = spread < 2.0 * _START_SPREAD * np.abs(mid[0] + 1j * mid[1])
+        fresh &= ~(_meet(start.e[:, :, None], zs.e[:, None])
+                   & (start_owner[:, None] == z_owner[None, :])).any(axis=1)
         if fresh.any():
             held, z, image, tries = _krawczyk_starts(fn, cs[start_owner[fresh]], start[fresh])
             np.add.at(effort, start_owner[fresh], tries)
             # a zero lies in the region when its image does, and off it
             # when its image misses the region; otherwise the box is dropped
-            (a, b), (p, q) = image.re, image.im
-            within = (re.lo <= a) & (b <= re.hi) & (im.lo <= p) & (q <= im.hi)
-            held &= within | (b < re.lo) | (re.hi < a) | (q < im.lo) | (im.hi < p)
+            within = image.within(region)
+            held &= within | ~image.meets(region)
             zs, images = BoxArray.concat([zs, z[held]]), BoxArray.concat([images, image[held]])
             z_owner = np.concatenate((z_owner, start_owner[fresh][held]))
             counted = np.concatenate((counted, within[held]))
@@ -516,7 +496,7 @@ def _count_batch(fn, cs: BoxArray, region: ComplexBox, max_depth: int) -> ZeroCo
         crowded = np.bincount(owner, minlength=rows) * 4 > _ROW_CAP
         undecided |= crowded
         cells, owner = cells[~crowded[owner]].quarter(), np.repeat(owner[~crowded[owner]], 4)
-    overlap = _meets(zs, zs) & (z_owner[:, None] == z_owner[None, :])
+    overlap = _meet(zs.e[:, :, None], zs.e[:, None]) & (z_owner[:, None] == z_owner[None, :])
     undecided[z_owner[overlap.sum(axis=1) > 1]] = True
     counted &= ~undecided[z_owner]
     order = np.argsort(z_owner[counted], kind="stable")
@@ -774,8 +754,7 @@ def _nonreal_statuses(tracked: _Tracked, region: ComplexBox | None) -> np.ndarra
     m = multiplier_rows(lo, hi)
     ok = m.finite() & ((m.im[0] > 0.0) | (m.im[1] < 0.0))
     if region is not None:
-        ok &= ((region.re.lo <= lo[:, 0]) & (hi[:, 0] <= region.re.hi)
-               & (region.im.lo <= lo[:, 1]) & (hi[:, 1] <= region.im.hi))
+        ok &= _within(np.concatenate((lo[:, :2].T, hi[:, :2].T)), _matrix(region), False)
     status = np.full(len(tracked.absent), "U")
     status[tracked.cycle[ok]] = "T"
     return status
@@ -898,9 +877,10 @@ def _initial_seed(rect: ComplexBox, orbit: list[complex]) -> np.ndarray:
 class ParabolicExclusionClaim(_Claim):
     """Scan claim: tracked period-p cycle avoids multiplier one (red = U).
     A level is one tracked_cycle_level call, with absence, and its seeds
-    are the _CycleSeeds it hands on.  The root is seeded by the critical orbit of the period-p center that Newton finds
-    from the rect's midpoint, so the certificate's rect and period fix the
-    seed; the center need not lie in the rect."""
+    are the _CycleSeeds it hands on.  The root is seeded by the critical
+    orbit of the period-p center that Newton finds from the rect's
+    midpoint, so the certificate's rect and period fix the seed; the
+    center need not lie in the rect."""
 
     period: int
 
@@ -983,7 +963,7 @@ def _anchor_cycle(point: ComplexBox, u: ComplexBox, n: int, seed) -> dict[str, s
     if modulus != "T":
         return {"anchor_proof": _MODULUS_FAILURES[modulus]}
     [lo], [hi] = tracked.lo, tracked.hi
-    inside = _inside(u, (lo[0::2], hi[0::2]), (lo[1::2], hi[1::2]))
+    inside = _within(np.concatenate([v.reshape(-1, 2).T for v in (lo, hi)]), _matrix(u), True)
     residue = next((r for r in range(n) if inside[r::n].all()), None)
     if residue is None:
         return {"anchor_proof": "cycle-leaves-u"}
@@ -1022,7 +1002,7 @@ def _anchor_proof(c: complex, u: ComplexBox, n: int, segment_depth: int) -> dict
         reason = "boundary"
     elif entries["anchor_preimage_count"] != "2":
         reason = "preimage-count"
-    elif not _inside(u, z.re, z.im)[0]:
+    elif not z.within(u, strict=True)[0]:
         reason = "critical-value"
     elif (seed := _critical_seed(c)) is None or len(seed) % n:
         reason = "seed"
@@ -1114,7 +1094,8 @@ def disjointness_certificate(
     # every yellow box against every red box; closures that touch at this
     # budget are Undetermined, and with one locus certified empty the two
     # are vacuously disjoint
-    status = Status.UNDETERMINED if _meets(yellow, red).any() else Status.TRUE
+    touch = _meet(yellow.e[:, :, None], red.e[:, None]).any()
+    status = Status.UNDETERMINED if touch else Status.TRUE
     return status, yellow_cert, red_cert
 
 

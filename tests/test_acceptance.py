@@ -30,7 +30,6 @@ from tricert.intervals import (
     _mul,
     _round,
     _sqr_pair,
-    _sub,
 )
 from tricert.render import MULTIPLIER_PALETTE, rasterize_scan, render_escape, write_ppm
 from tricert.scan import adaptive_scan, serialize
@@ -171,7 +170,7 @@ def test_acceptance_5_period3_centers(capsys):
 def _fuzz_containment(cases):
     """The number of misses of the library's interval operations on `cases`
     drawn rows of intervals a, b, each checked at a member x of a and y of
-    b: the real + - * and square on endpoint pairs, and the square,
+    b: the real + and * and the square on endpoint pairs, and the square,
     conjugate and modulus of the box a + bi as BoxArray rows."""
     rng = random.Random(61)
     rows = []
@@ -189,8 +188,7 @@ def _fuzz_containment(cases):
         return (pair[0] <= v) & (v <= pair[1])
 
     checks = (
-        *(held(got, v) for got, v in zip(_round(_add(a, b), _sub(a, b), _mul(a, b)),
-                                         (x + y, x - y, x * y))),
+        *(held(got, v) for got, v in zip(_round(_add(a, b), _mul(a, b)), (x + y, x * y))),
         held(_sqr_pair(a), x * x),
         held(square.re, (z * z).real) & held(square.im, (z * z).imag),
         held(conj.re, x) & held(conj.im, -y),

@@ -442,6 +442,35 @@ class TestParsers:
         assert err.endswith("error: unrecognized arguments: --bogus\n")
 
 
+_NEGATIVE_VALUES = ["-1e-3,1e-3,-1e-3,1e-3", "-.5,0.5,-0.5,0.5", "-2.5E+1,0,-1,-.25",
+                    "-2,2,-2,2"]
+
+
+class TestNegativeValues:
+    """A value that starts with a minus sign and a digit, or with a minus
+    sign, a dot and a digit, is the value of the flag before it, in every
+    notation of a float."""
+
+    @pytest.mark.parametrize("value", _NEGATIVE_VALUES)
+    @pytest.mark.parametrize("argv, flag, parts", [
+        (["scan", "--claim", "qlike"], "rect", 4),
+        (["scan", "--claim", "qlike"], "region", 4),
+        (["verify-qlike"], "anchor", 2),
+        (["render", "-o", "out.ppm"], "c", 2),
+    ])
+    def test_value_after_its_flag(self, argv, flag, parts, value):
+        value = ",".join(value.split(",")[:parts])
+        args = cli._build_parser(argv[0]).parse_args([*argv, "--" + flag, value])
+        assert getattr(args, flag) == value
+
+    @pytest.mark.parametrize("rect", _NEGATIVE_VALUES[:2])
+    def test_scan_runs_and_unknown_flags_still_exit_2(self, rect, tmp_path):
+        argv = ["scan", "--claim", "qlike", "--rect", rect, "--max-depth", "0",
+                "-o", str(tmp_path / "q.cert")]
+        assert _run(argv) in (0, 1)
+        assert _run([*argv, "--bogus"]) == 2
+
+
 class TestParameters:
     @pytest.mark.parametrize("command, claim, keys", [
         pytest.param("verify-qlike", None, ["anchor", "max_depth", "min_width", "n", "rect",

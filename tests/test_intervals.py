@@ -27,14 +27,15 @@ from tricert.intervals import (
     Interval,
     _abs_pair,
     _add,
-    _down_arr,
+    _meet,
     _mid_arr,
     _mul,
+    _outward,
     _round,
     _scale,
     _sqr_pair,
-    _sub,
     _up_arr,
+    _within,
 )
 
 
@@ -253,13 +254,12 @@ class TestAgainstMpmathIv:
         # the real operations on endpoint pairs, and |u + iv| by _abs_pair
         # on boxes off both axes
         x, y, pos, neg = (_pair(column) for column in zip(*rows))
-        add, sub, mul, scaled = _round(_add(x, y), _sub(x, y), _mul(x, y), _scale(x, k))
+        add, mul, scaled = _round(_add(x, y), _mul(x, y), _scale(x, k))
         sq, modulus = _sqr_pair(x), _abs_pair(pos, neg)
         with _iv_digits(60):
             for i, ends in enumerate(rows):
                 a, b, u, v = (_iv(t) for t in ends)
                 assert a + b in _row(add, i)
-                assert a - b in _row(sub, i)
                 assert a * b in _row(mul, i)
                 assert k * a in _row(scaled, i)
                 assert a ** 2 in _row(sq, i)
@@ -401,6 +401,127 @@ def test_box_array_ops_at_the_cutoff(rows):
 
 
 # ---------------------------------------------------------------------------
+# the layout of the endpoint matrix
+# ---------------------------------------------------------------------------
+
+
+def _layouts(e):
+    """The endpoint matrix e as a C-ordered, a column-major (the layout of
+    the gather e[:, rows]) and a strided view, all with e's values."""
+    strided = np.empty((4, 2 * e.shape[1]))[:, ::2]
+    strided[...] = e
+    return {"C": np.ascontiguousarray(e), "column-major": np.asfortranarray(e),
+            "strided": strided}
+
+
+_LAYOUT_OPS = {
+    "+": lambda z, c: (z + c).e,
+    "-": lambda z, c: (z - c).e,
+    "*": lambda z, c: (z * c).e,
+    "sqr": lambda z, c: z.sqr().e,
+    "scale": lambda z, c: z.scale(-0.75).e,
+    "conj": lambda z, c: z.conj().e,
+    "width": lambda z, c: z.width(),
+    "quarter": lambda z, c: z.quarter().e,
+    "z.sqr().conj() + c": lambda z, c: (z.sqr().conj() + c).e,
+}
+
+
+def _assert_same_bits(a, b, what):
+    nan = np.isnan(a)
+    assert np.array_equal(nan, np.isnan(b)), what
+    assert np.array_equal(a[~nan].view(np.int64), b[~nan].view(np.int64)), what
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(_any_boxes(), _any_boxes()), min_size=1, max_size=8),
+       st.sampled_from([None, 0]))
+@example([_CANCELS, _ZEROS, (_SQR_NEG_ZERO, _ZEROS[0])] + [_CANCELS] * 5, None)
+def test_ops_give_the_same_bits_in_every_matrix_layout(pairs, step_min):
+    """Every BoxArray operation gives the bits of its C-ordered operands on
+    column-major and strided-view ones, by np.nextafter (these batches are
+    below _STEP_MIN) and by the integer step alone (step_min 0)."""
+    z, c = (BoxArray.of([p[k] for p in pairs]).e for k in (0, 1))
+    zs, cs = _layouts(z), _layouts(c)
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(np.errstate(over="ignore", invalid="ignore"))
+        if step_min is not None:
+            stack.enter_context(mock.patch.object(intervals, "_STEP_MIN", step_min))
+        for name, op in _LAYOUT_OPS.items():
+            want = op(BoxArray._of(zs["C"]), BoxArray._of(cs["C"]))
+            for layout in ("column-major", "strided"):
+                got = op(BoxArray._of(zs[layout]), BoxArray._of(cs[layout]))
+                _assert_same_bits(got, want, f"{name} on {layout} matrices")
+
+
+# ---------------------------------------------------------------------------
+# the box tests: meets, within, contains
+# ---------------------------------------------------------------------------
+
+
+def _raw_box(a, b, c, d):
+    """A ComplexBox of any endpoints, inf, nan and inverted pairs included,
+    to run the scalar predicates on the rows that a BoxArray may carry."""
+
+    def raw(lo, hi):
+        x = object.__new__(Interval)
+        object.__setattr__(x, "lo", lo)
+        object.__setattr__(x, "hi", hi)
+        return x
+
+    return ComplexBox(raw(a, b), raw(c, d))
+
+
+# few values, so that edges often touch; signed zeros, infinities and nan
+_EDGE_VALUES = st.sampled_from((-1.0, -0.5, -0.0, 0.0, 0.5, 1.0, math.inf, -math.inf, math.nan))
+_EDGE_ROWS = st.lists(st.tuples(*[_EDGE_VALUES] * 4), min_size=1, max_size=6)
+
+
+def _batch(rows):
+    """The BoxArray of rows (re lo, re hi, im lo, im hi) and their scalar boxes."""
+    return BoxArray._of(np.array(rows, dtype=float).T[[0, 2, 1, 3]]), [_raw_box(*r) for r in rows]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_EDGE_ROWS, _EDGE_ROWS, _any_boxes(), st.tuples(_EDGE_VALUES, _EDGE_VALUES))
+@example([(0.0, 1.0, 0.0, 1.0), (-0.0, 0.0, 1.0, 1.0)],
+         [(1.0, 1.0, -0.0, 0.0), (0.0, 1.0, 0.0, 1.0)], _box(0.0, 1.0, 0.0, 1.0), (1.0, -0.0))
+def test_box_tests_match_complex_box(xs, ys, w, point):
+    """meets and within (and strictly), row by row, pairwise (_meet and
+    _within on (4, A, 1) against (4, 1, B) matrices) and against a
+    ComplexBox operand, and contains, give the scalar predicates of every
+    pair of boxes: touching edges, signed zeros, inf and nan included."""
+    (x, bx), (y, by) = _batch(xs), _batch(ys)
+    n = min(len(xs), len(ys))
+    x_n, y_n = x[:n], y[:n]
+    assert x_n.meets(y_n).tolist() == [a.intersects(b) for a, b in zip(bx, by)]
+    assert x_n.within(y_n).tolist() == [b.contains_box(a) for a, b in zip(bx, by)]
+    assert x_n.within(y_n, strict=True).tolist() == [b.strictly_contains(a) for a, b in zip(bx, by)]
+    pairs = x.e[:, :, None], y.e[:, None]
+    assert _meet(*pairs).tolist() == [[a.intersects(b) for b in by] for a in bx]
+    assert _within(*pairs, False).tolist() == [[b.contains_box(a) for b in by] for a in bx]
+    assert _within(*pairs, True).tolist() == [[b.strictly_contains(a) for b in by] for a in bx]
+    assert x.meets(w).tolist() == [a.intersects(w) for a in bx]
+    assert x.within(w).tolist() == [w.contains_box(a) for a in bx]
+    assert x.within(w, strict=True).tolist() == [w.strictly_contains(a) for a in bx]
+    z = complex(*point)
+    assert x.contains(z).tolist() == [a.contains(z) for a in bx]
+
+
+def test_box_array_takes_only_row_indexes():
+    """An int or a 2-D index would give a malformed batch, so it raises;
+    a slice, a boolean mask and a 1-D array of row numbers select rows."""
+    boxes = [_box(0.0, 1.0, 0.0, 1.0), _box(1.0, 2.0, -1.0, 0.0), _box(2.0, 3.0, 2.0, 4.0)]
+    batch = BoxArray.of(boxes)
+    for rows in (1, np.int64(1), np.array(1), np.array([[0, 1]]), np.ones((3, 1), dtype=bool)):
+        with pytest.raises(TypeError):
+            batch[rows]
+    assert batch[1:].boxes() == boxes[1:]
+    assert batch[[True, False, True]].boxes() == [boxes[0], boxes[2]]
+    assert batch[np.array([2, 0])].boxes() == [boxes[2], boxes[0]]
+
+
+# ---------------------------------------------------------------------------
 # outward rounding of endpoint arrays
 # ---------------------------------------------------------------------------
 
@@ -415,16 +536,23 @@ def _bit_patterns():
     return np.concatenate((bits, bits | np.int64(-2**63))).view(np.float64)
 
 
-def _assert_rounds_like_nextafter(x):
-    """_down_arr and _up_arr give np.nextafter's bits on every non-nan entry
-    of x, keep x's shape, and keep each nan a nan."""
+def _assert_rounds_like_nextafter(x, view=lambda a: a):
+    """_outward, given view(a copy of x) with its first k rows as lows, rounds
+    that view in place for k of none, half and all of its rows: np.nextafter's
+    bits toward -inf on the lows and toward +inf on the highs at every
+    non-nan entry, and each nan kept a nan.  The view keeps its shape and
+    strides, so a strided or transposed one reaches _outward as it is."""
+    want = view(x)
+    nan = np.isnan(want)
     with np.errstate(over="ignore", invalid="ignore"):  # signaling nans
-        for ours, direction in ((_down_arr(x), -math.inf), (_up_arr(x), math.inf)):
-            ours, theirs = np.asarray(ours), np.asarray(np.nextafter(x, direction))
-            assert ours.shape == np.shape(x)
-            nan = np.isnan(np.asarray(x))
-            assert np.array_equal(np.isnan(ours), nan)
-            assert np.array_equal(ours[~nan].view(np.int64), theirs[~nan].view(np.int64))
+        for k in (0, len(want) // 2, len(want)):
+            buf = view(x.copy())
+            assert buf.strides == want.strides
+            assert _outward(buf, k) is buf
+            theirs = np.concatenate((np.nextafter(want[:k], -math.inf),
+                                     np.nextafter(want[k:], math.inf)))
+            assert np.array_equal(np.isnan(buf), nan)
+            assert np.array_equal(buf[~nan].view(np.int64), theirs[~nan].view(np.int64))
 
 
 class TestOutwardRounding:
@@ -443,20 +571,21 @@ class TestOutwardRounding:
         for k in range(0, len(x), n):
             _assert_rounds_like_nextafter(x[k:k + n] if k + n <= len(x) else x[-n:])
 
-    @pytest.mark.parametrize("step_min", [0, None])
+    @pytest.mark.parametrize("step_min", [0, None, pytest.param(1 << 62, id="nextafter")])
     def test_shapes_and_strides(self, monkeypatch, step_min):
-        # 0-d, 3-D and non-contiguous arrays, by the integer step alone
-        # (step_min 0) and by the size rule
+        # one-entry, 3-D and non-contiguous arrays, by the integer step
+        # alone (step_min 0), by the size rule, and by np.nextafter alone
         if step_min is not None:
             monkeypatch.setattr(intervals, "_STEP_MIN", step_min)
         x = _bit_patterns()
         for v in (0.0, -0.0, 5e-324, -5e-324, 1.5, -sys.float_info.max, math.inf, -math.inf,
                   math.nan):
-            _assert_rounds_like_nextafter(np.array(v))
-        _assert_rounds_like_nextafter(x.reshape(16, 32, -1))
-        _assert_rounds_like_nextafter(x[::3])
-        _assert_rounds_like_nextafter(x.reshape(64, -1)[:, 1::2])
-        _assert_rounds_like_nextafter(x.reshape(16, 32, -1).transpose(2, 0, 1))
+            _assert_rounds_like_nextafter(np.array([v]))
+        _assert_rounds_like_nextafter(x, lambda a: a.reshape(16, 32, -1))
+        _assert_rounds_like_nextafter(x, lambda a: a[::3])
+        _assert_rounds_like_nextafter(x, lambda a: a.reshape(64, -1)[:, 1::2])
+        _assert_rounds_like_nextafter(x, lambda a: a.reshape(16, 32, -1).transpose(2, 0, 1))
+        _assert_rounds_like_nextafter(x, lambda a: np.asfortranarray(a.reshape(64, -1)))
 
     def test_nan_stays_nan(self):
         # nans whose pattern one integer step would turn into -0.0 or -inf
@@ -464,7 +593,8 @@ class TestOutwardRounding:
         x = np.resize(x, intervals._STEP_MIN)
         assert np.isnan(x).all()
         with np.errstate(invalid="ignore"):
-            assert np.isnan(_down_arr(x)).all() and np.isnan(_up_arr(x)).all()
+            assert np.isnan(_outward(x.copy(), len(x))).all()
+            assert np.isnan(_outward(x.copy(), 0)).all()
 
 
 _TWIN_ENDPOINTS = st.one_of(

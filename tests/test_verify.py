@@ -540,13 +540,13 @@ class TestBoundaryDisjoint:
         # 33,044; the oracle rechecks the status of every fifth leaf (all
         # of them take about 8 s)
         rows = []
-        inside = verify._inside
+        within = BoxArray.within
 
-        def spy(u, re, im):
-            rows.append(len(re[0]))
-            return inside(u, re, im)
+        def spy(self, other, strict=False):
+            rows.append(len(self))
+            return within(self, other, strict)
 
-        monkeypatch.setattr(verify, "_inside", spy)
+        monkeypatch.setattr(BoxArray, "within", spy)
         claim = BoundaryDisjointClaim(PAPER_U, 3, 8)
         levels, evaluate = [], claim.evaluate_level
 
