@@ -58,7 +58,6 @@ __all__ = [
     "multiplier_rows",
     "krawczyk_cycle_rows",
     "krawczyk_absence",
-    "krawczyk_absence_rows",
     "float_f",
     "float_iterate",
     "float_newton_rows",
@@ -607,8 +606,8 @@ def krawczyk_cycle_rows(c: BoxArray, boxes, radius):
     inside its boxes certifies the cycle, and a certified row runs up to
     _TIGHTEN images in all, the later ones tightening its boxes; an image
     that misses its boxes, a singular Jacobian or an inflated box wider
-    than 0.5 fails.  Absence is the job of krawczyk_absence_rows, where
-    the searched region is explicit.
+    than 0.5 fails.  Absence is the job of krawczyk_absence, where the
+    searched region is explicit.
 
     Each row takes its preconditioner Y once, at the midpoints of its start
     boxes as given (a sized row's orbit), and keeps it through all its
@@ -655,14 +654,6 @@ def krawczyk_cycle_rows(c: BoxArray, boxes, radius):
     return certified, lo, hi, images
 
 
-def krawczyk_absence_rows(c: BoxArray, orbits, radius: float):
-    """krawczyk_absence for B rows at once: one Krawczyk image per row.
-    Returns the mask of the rows with certified absence."""
-    lo, hi = _around(orbits, radius)
-    k_lo, k_hi, regular = _krawczyk_image(c, (lo, hi))
-    return regular & ~((lo <= k_hi) & (k_lo <= hi)).all(axis=1)
-
-
 def krawczyk_absence(
     c: ComplexBox,
     period: int,
@@ -675,13 +666,13 @@ def krawczyk_absence(
     component misses its box, the coupled system has no solution with
     every orbit point within `radius` of the guess, for any parameter in
     c.  The tracked region is exactly these boxes, so a True here is a
-    statement about that neighborhood only.  The one-row call of
-    krawczyk_absence_rows.
+    statement about that neighborhood only.
     """
     if len(orbit_guess) != period:
         raise ValueError("orbit guess length must equal the period")
-    return bool(krawczyk_absence_rows(
-        BoxArray.of([c]), np.array([orbit_guess], dtype=complex), radius)[0])
+    lo, hi = _around(np.array([orbit_guess], dtype=complex), radius)
+    [k_lo], [k_hi], [regular] = _krawczyk_image(BoxArray.of([c]), (lo, hi))
+    return bool(regular and not ((lo[0] <= k_hi) & (k_lo <= hi[0])).all())
 
 
 # ---------------------------------------------------------------------------

@@ -515,12 +515,15 @@ class BoxArray:
 
     def __getitem__(self, rows) -> "BoxArray":
         """The batch of the selected rows (a slice, a boolean mask or a 1-D
-        array of row numbers); any other index raises TypeError."""
+        array of row numbers); an empty index of any kind gives an empty
+        batch, and any other index raises TypeError."""
         if isinstance(rows, slice):
             return BoxArray._of(self.e[:, rows])
         rows = np.asarray(rows)
         if rows.ndim != 1:
             raise TypeError("a BoxArray takes a slice, a boolean mask or a 1-D array of rows")
+        if not rows.size:  # np.asarray([]) is float
+            return BoxArray._of(self.e[:, :0])
         if rows.dtype == bool:
             return BoxArray._of(self.e.compress(rows, axis=1))
         return BoxArray._of(self.e.take(rows, axis=1))

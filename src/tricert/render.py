@@ -117,7 +117,7 @@ def render_escape(
             z = np.conj(z) ** 2 + param
         else:
             z = z * z + param
-        escaped = np.abs(z) > 2.0
+        escaped = np.hypot(z.real, z.imag) > 2.0
         if escaped.any():
             flat_escape[index[escaped]] = k
             keep = ~escaped

@@ -33,11 +33,11 @@ anchor's preimage count run count_zeros: for every box of a level at
 once, a quadtree over the region drops the cells where the function
 excludes 0 and those inside one-variable Krawczyk boxes, each holding one
 simple zero.  The two cycle claims read their statuses from
-tracked_cycle_level, which certifies from inherited boxes, refines,
-certifies and tries absence on the whole level in batched Krawczyk and
-float Newton calls, their rows dynamics._CHUNK at a time.  Each row's
-Krawczyk preconditioner is formed once, at its start boxes, and serves
-all its epsilon-inflation rounds.  The two witnesses of
+tracked_cycle_level, which certifies from inherited boxes, refines and
+certifies on the whole level in batched Krawczyk and float Newton calls,
+their rows dynamics._CHUNK at a time.  Each row's Krawczyk
+preconditioner is formed once, at its start boxes, and serves all its
+epsilon-inflation rounds.  The two witnesses of
 component_witnesses are one-box calls of it.
 
 Each scan claim is a dataclass of its certificate parameters, which
@@ -65,7 +65,6 @@ from .dynamics import (
     float_f,
     float_iterate,
     float_newton_rows,
-    krawczyk_absence_rows,
     krawczyk_cycle_rows,
     multiplier_rows,
     squared_modulus_rows,
@@ -473,7 +472,7 @@ def _count_batch(fn, cs: BoxArray, region: ComplexBox, max_depth: int) -> ZeroCo
         start, start_owner, slope = _starts(cells[few], owner[few], der[few])
         mid = _mid_arr(slope.e[:2], slope.e[2:])
         spread = np.hypot(*(slope.e[2:] - slope.e[:2]))
-        fresh = spread < 2.0 * _START_SPREAD * np.abs(mid[0] + 1j * mid[1])
+        fresh = spread < 2.0 * _START_SPREAD * np.hypot(*mid)
         fresh &= ~(_meet(start.e[:, :, None], zs.e[:, None])
                    & (start_owner[:, None] == z_owner[None, :])).any(axis=1)
         if fresh.any():
@@ -576,11 +575,6 @@ def preimage_count(c: ComplexBox, w: complex, u: ComplexBox, n: int,
 
 # float Newton on the coupled system counts as converged below this residual
 _NEWTON_RESIDUAL_TOL = 1e-10
-# the searched neighborhood for a certified-absence statement
-_ABSENCE_RADIUS = 3e-4
-# absence is only attempted when the cycle cannot outrun the tracked
-# neighborhood across the box: |dz/dc| stays in the low hundreds here
-_ABSENCE_MAX_WIDTH = 5e-6
 
 
 def _refine_orbit(c_mids, guesses):
@@ -639,7 +633,6 @@ class _Tracked(NamedTuple):
     cycle: np.ndarray  # the rows with a certified cycle, ascending
     lo: np.ndarray  # (len(cycle), 2p) endpoints of their orbit boxes
     hi: np.ndarray
-    absent: np.ndarray  # (B,) mask of the rows with certified absence
     orbits: np.ndarray  # (B, p) orbit guesses, refined where Newton ran
     effort: np.ndarray  # (B,) Krawczyk images run for each row
 
@@ -650,7 +643,7 @@ class _Tracked(NamedTuple):
         return _CycleSeeds(self.orbits, held, self.lo, self.hi)
 
 
-def tracked_cycle_level(boxes: BoxArray, period: int, seeds, absence: bool = True) -> _Tracked:
+def tracked_cycle_level(boxes: BoxArray, period: int, seeds) -> _Tracked:
     """The tracked period-p cycle over each parameter row of a level.
 
     seeds is the _CycleSeeds of the level's rows, or a (B, p) orbit guess
@@ -668,21 +661,18 @@ def tracked_cycle_level(boxes: BoxArray, period: int, seeds, absence: bool = Tru
     system is also solved by a shorter cycle traversed several times,
     which puts one point in two boxes, so only pairwise disjoint orbit
     boxes are held (the exact period).  Both Krawczyk calls take the row's
-    box width, at least 1e-9, as its inflation radius.  With absence, a
-    box at most _ABSENCE_MAX_WIDTH wide whose cycle is not held gets one
-    Krawczyk step on the _ABSENCE_RADIUS neighborhood of its refined
-    orbit.  Every step runs on the whole level, its kernel and Newton rows
-    _CHUNK at a time, is skipped when it has no rows, and decides each row
-    as it would by itself.  The orbit boxes are over the coordinates (re
-    z_0, im z_0, re z_1, ...).
+    box width, at least 1e-9, as its inflation radius.  Every step runs on
+    the whole level, its kernel and Newton rows _CHUNK at a time, is
+    skipped when it has no rows, and decides each row as it would by
+    itself.  The orbit boxes are over the coordinates (re z_0, im z_0,
+    re z_1, ...).
     """
     count = len(boxes)
     if not isinstance(seeds, _CycleSeeds):
         seeds = _CycleSeeds.of(seeds)
     if seeds.orbits.shape != (count, period):
         raise ValueError("orbit guess length must equal the period")
-    widths = boxes.width()
-    radius = np.maximum(1e-9, widths)
+    radius = np.maximum(1e-9, boxes.width())
     effort = np.zeros(count, dtype=np.int64)
     held = np.zeros(count, dtype=bool)
 
@@ -714,12 +704,7 @@ def tracked_cycle_level(boxes: BoxArray, period: int, seeds, absence: bool = Tru
     refined = certify(rows, (points, points.copy()))
     cycle, lo, hi = (np.concatenate(parts) for parts in zip(inherited, refined))
     order = np.argsort(cycle)
-    absent = np.zeros(count, dtype=bool)
-    rows = np.flatnonzero(~held & (widths <= _ABSENCE_MAX_WIDTH))
-    if absence and len(rows):
-        absent[rows] = krawczyk_absence_rows(boxes[rows], orbits[rows], _ABSENCE_RADIUS)
-        effort[rows] += 1
-    return _Tracked(cycle[order], lo[order], hi[order], absent, orbits, effort)
+    return _Tracked(cycle[order], lo[order], hi[order], orbits, effort)
 
 
 # The statuses of a level are read at once from the endpoint rows of its
@@ -739,9 +724,8 @@ def _modulus_statuses(tracked: _Tracked) -> np.ndarray:
 
 def _excluded_statuses(tracked: _Tracked) -> np.ndarray:
     """Per row of a level: 'T' when the squared modulus enclosure of the
-    certified cycle excludes 1 (either side) or the cycle is certified
-    absent."""
-    status = np.where(tracked.absent, "T", "U")
+    certified cycle excludes 1 (either side)."""
+    status = np.full(len(tracked.orbits), "U")
     status[tracked.cycle] = np.where(_modulus_statuses(tracked) == "U", "U", "T")
     return status
 
@@ -755,18 +739,17 @@ def _nonreal_statuses(tracked: _Tracked, region: ComplexBox | None) -> np.ndarra
     ok = m.finite() & ((m.im[0] > 0.0) | (m.im[1] < 0.0))
     if region is not None:
         ok &= _within(np.concatenate((lo[:, :2].T, hi[:, :2].T)), _matrix(region), False)
-    status = np.full(len(tracked.absent), "U")
+    status = np.full(len(tracked.orbits), "U")
     status[tracked.cycle[ok]] = "T"
     return status
 
 
-def _witness(c: ComplexBox, period: int, orbit, absence: bool) -> Status:
+def _witness(c: ComplexBox, period: int, orbit) -> Status:
     """The modulus status of the tracked cycle on one box (_modulus_statuses);
-    without a certified cycle FALSE for a certified absence, else
-    UNDETERMINED."""
-    tracked = tracked_cycle_level(BoxArray.of([c]), period, [orbit], absence)
+    UNDETERMINED without a certified cycle."""
+    tracked = tracked_cycle_level(BoxArray.of([c]), period, [orbit])
     if not len(tracked.cycle):
-        return Status.FALSE if tracked.absent[0] else Status.UNDETERMINED
+        return Status.UNDETERMINED
     return Status(_modulus_statuses(tracked)[0])
 
 
@@ -778,18 +761,17 @@ def component_witnesses(red_cert, period: int, center: complex) -> tuple[int, St
     _witness statuses of the cycle through the critical orbit of the
     superattracting center: on a 1e-10 box about the center (the
     attracting witness, TRUE), and on the lower-left 1/16 corner of the
-    rect (the repelling witness, FALSE).  The repelling witness is FALSE
-    only for a certified cycle with squared modulus above 1; absence is
-    not tried there, since it shows no repelling cycle.
+    rect (the repelling witness, FALSE).  Either is FALSE only for a
+    certified cycle with squared modulus above 1.
     """
     rect = red_cert.root
     orbit = float_orbit_of_zero(center, period)
-    attracting = _witness(ComplexBox.around(center, 1e-10), period, orbit, absence=True)
+    attracting = _witness(ComplexBox.around(center, 1e-10), period, orbit)
     corner = ComplexBox(
         Interval(rect.re.lo, rect.re.lo + rect.re.width() / 16.0),
         Interval(rect.im.lo, rect.im.lo + rect.im.width() / 16.0),
     )
-    repelling = _witness(corner, period, orbit, absence=False)
+    repelling = _witness(corner, period, orbit)
     return len(component_rollup(red_cert, Status.TRUE)), attracting, repelling
 
 
@@ -876,11 +858,12 @@ def _initial_seed(rect: ComplexBox, orbit: list[complex]) -> np.ndarray:
 @dataclass
 class ParabolicExclusionClaim(_Claim):
     """Scan claim: tracked period-p cycle avoids multiplier one (red = U).
-    A level is one tracked_cycle_level call, with absence, and its seeds
-    are the _CycleSeeds it hands on.  The root is seeded by the critical
-    orbit of the period-p center that Newton finds from the rect's
-    midpoint, so the certificate's rect and period fix the seed; the
-    center need not lie in the rect."""
+    A level is one tracked_cycle_level call, and its seeds are the
+    _CycleSeeds it hands on.  A box is TRUE exactly where its certified
+    cycle's squared modulus product excludes 1 (_excluded_statuses).  The
+    root is seeded by the critical orbit of the period-p center that Newton
+    finds from the rect's midpoint, so the certificate's rect and period
+    fix the seed; the center need not lie in the rect."""
 
     period: int
 
@@ -902,9 +885,9 @@ class ParabolicExclusionClaim(_Claim):
 @dataclass
 class MultiplierNonRealClaim(_Claim):
     """Scan claim: multiplier of the f^6 fixed point is non-real (yellow = U).
-    A level is one tracked_cycle_level call of period 6, without absence,
-    and its seeds are the _CycleSeeds it hands on.  A guess whose float
-    orbit overflows seeds orbits of nan, which track no cycle."""
+    A level is one tracked_cycle_level call of period 6, and its seeds
+    are the _CycleSeeds it hands on.  A guess whose float orbit overflows
+    seeds orbits of nan, which track no cycle."""
 
     region: ComplexBox | None = None
     guess: complex = 0.04 + 0.04j
@@ -919,7 +902,7 @@ class MultiplierNonRealClaim(_Claim):
         return _initial_seed(rect, orbit)
 
     def evaluate_level(self, boxes, seeds):
-        tracked = tracked_cycle_level(boxes, 6, seeds, absence=False)
+        tracked = tracked_cycle_level(boxes, 6, seeds)
         return _nonreal_statuses(tracked, self.region), tracked.effort, tracked.seeds()
 
 
@@ -958,7 +941,7 @@ def _anchor_cycle(point: ComplexBox, u: ComplexBox, n: int, seed) -> dict[str, s
     the float seed of a cycle: anchor_proof, and with a proof the cycle's
     entries (see _anchor_proof)."""
     p = len(seed)
-    tracked = tracked_cycle_level(BoxArray.of([point]), p, [seed], absence=False)
+    tracked = tracked_cycle_level(BoxArray.of([point]), p, [seed])
     modulus = _modulus_statuses(tracked)[0] if len(tracked.cycle) else None
     if modulus != "T":
         return {"anchor_proof": _MODULUS_FAILURES[modulus]}

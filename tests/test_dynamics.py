@@ -29,7 +29,6 @@ from tricert.dynamics import (
     float_iterate,
     float_newton_rows,
     krawczyk_absence,
-    krawczyk_absence_rows,
     krawczyk_cycle_rows,
     multiplier_rows,
     squared_modulus_rows,
@@ -718,12 +717,13 @@ class TestKrawczykKernel:
         # is neither certified nor absent, and a level that inherits it as
         # held returns with the row uncertified
         z = complex(0.5, 2.0 ** -511)
-        c = BoxArray.of([ComplexBox.around(z - z.conjugate() ** 2, 8.0)])
+        cbox = ComplexBox.around(z - z.conjugate() ** 2, 8.0)
+        c = BoxArray.of([cbox])
         orbit = np.array([[z]])
         lo, hi = dynamics._around(orbit, 2.0 ** -600)
         certified, _, _, images = krawczyk_cycle_rows(c, (lo.copy(), hi.copy()), np.array([1e-9]))
         assert not certified[0] and images[0] == 1
-        assert not krawczyk_absence_rows(c, orbit, 2.0 ** -600)[0]
+        assert not krawczyk_absence(cbox, 1, [z], 2.0 ** -600)
         tracked = tracked_cycle_level(c, 1, verify._CycleSeeds(orbit, np.array([True]), lo, hi))
         assert tracked.cycle.tolist() == [] and tracked.effort[0] >= 1
 
@@ -1134,8 +1134,8 @@ def _held(boxes):
     return boxes
 
 
-def _scalar_tracked_cycle(c: ComplexBox, period: int, seed, absence: bool):
-    """(held orbit boxes or None, absent, orbit guess, Krawczyk images) of
+def _scalar_tracked_cycle(c: ComplexBox, period: int, seed):
+    """(held orbit boxes or None, orbit guess, Krawczyk images) of
     one box, from its seed (orbit guess, the parent's held orbit boxes or
     None).  Krawczyk starts from the parent's boxes where it held its
     cycle; the orbit guess is refined by Newton only where that is not
@@ -1158,12 +1158,7 @@ def _scalar_tracked_cycle(c: ComplexBox, period: int, seed, absence: bool):
         if start is not None:
             certified, found = _scalar_krawczyk_cycle(kernel, c, start, radius, y)
             boxes = _held(found) if certified else None
-    absent = False
-    if absence and boxes is None and c.width() <= verify._ABSENCE_MAX_WIDTH:
-        near = [ComplexBox.around(z, verify._ABSENCE_RADIUS) for z in refined]
-        image = kernel(c, near, _scalar_inverse(near))
-        absent = image is not None and any(not b.intersects(k) for b, k in zip(near, image))
-    return boxes, absent, refined, len(images)
+    return boxes, refined, len(images)
 
 
 # the scalar modulus read that dynamics.squared_modulus_rows replaced, kept
@@ -1176,15 +1171,15 @@ def _scalar_antiholo_modulus(orbit: list[ComplexBox]) -> Interval:
     return prod
 
 
-def _scalar_excluded(boxes, absent):
-    if boxes is not None:
-        m2 = _scalar_antiholo_modulus(boxes).sqr()
-        return m2.hi < 1.0 or m2.lo > 1.0
-    return absent
+def _scalar_excluded(boxes):
+    if boxes is None:
+        return False
+    m2 = _scalar_antiholo_modulus(boxes).sqr()
+    return m2.hi < 1.0 or m2.lo > 1.0
 
 
 def _scalar_nonreal(region):
-    def status(boxes, absent):
+    def status(boxes):
         return (boxes is not None and region.contains_box(boxes[0])
                 and not scalar.cycle_multiplier(boxes).im.contains(0.0))
     return status
@@ -1196,10 +1191,9 @@ class _ScalarTrackedClaim:
     Newton.  A level's seeds are an object array of (orbit guess, held
     orbit boxes or None) per row; the root's are a (1, p) orbit array."""
 
-    def __init__(self, claim, period, orbit_at, absence, verdict):
+    def __init__(self, claim, period, orbit_at, verdict):
         self.name, self.config = claim.name, claim.config
-        self.period, self.orbit_at = period, orbit_at
-        self.absence, self.verdict = absence, verdict
+        self.period, self.orbit_at, self.verdict = period, orbit_at, verdict
 
     def initial_seed(self, rect):
         guess = self.orbit_at(rect.midpoint())
@@ -1210,9 +1204,8 @@ class _ScalarTrackedClaim:
             seeds = [(orbit.tolist(), None) for orbit in seeds]
         status, effort, handed = [], [], np.empty(len(boxes), dtype=object)
         for k, (box, seed) in enumerate(zip(boxes.boxes(), seeds)):
-            held, absent, orbit, images = _scalar_tracked_cycle(box, self.period, seed,
-                                                                self.absence)
-            status.append("T" if self.verdict(held, absent) else "U")
+            held, orbit, images = _scalar_tracked_cycle(box, self.period, seed)
+            status.append("T" if self.verdict(held) else "U")
             effort.append(images)
             handed[k] = (orbit, held)
         return np.array(status, dtype="<U1"), np.array(effort, dtype=np.int64), handed
@@ -1225,8 +1218,8 @@ def _cell(rect: ComplexBox, path) -> ComplexBox:
 
 
 # sub-rects of PAPER_R whose depth-3 leaves are 3.9e-6 wide: on RED_CELL the
-# red scan tries absence on 52 boxes and certifies it on 33; on YELLOW_CELL
-# the yellow scan leaves 22 of 46 leaves Undetermined.  The red scan of the
+# red scan leaves 59 of 64 leaves Undetermined; on YELLOW_CELL the yellow
+# scan leaves 22 of 46 leaves Undetermined.  The red scan of the
 # whole PAPER_R runs the top levels, where the inflation radius is about the
 # box width.
 RED_CELL = _cell(PAPER_R, (0, 3, 1, 3))
@@ -1240,13 +1233,13 @@ def _tracked_claims():
     # the red seed is the critical orbit of the center found from the rect's
     # midpoint, as the batch claim finds it
     red_oracle = _ScalarTrackedClaim(
-        red, 9, lambda c: float_orbit_of_zero(find_superattracting_parameter(9, c), 9), True,
+        red, 9, lambda c: float_orbit_of_zero(find_superattracting_parameter(9, c), 9),
         _scalar_excluded)
     return [
         (PAPER_R, red, red_oracle),
         (RED_CELL, red, red_oracle),
         (YELLOW_CELL, yellow, _ScalarTrackedClaim(
-            yellow, 6, lambda c: [float_iterate(c, yellow.guess, k) for k in range(6)], False,
+            yellow, 6, lambda c: [float_iterate(c, yellow.guess, k) for k in range(6)],
             _scalar_nonreal(PAPER_X_REGION))),
     ]
 
@@ -1273,7 +1266,7 @@ def _assert_scans_match_oracle():
 
 
 def test_scan_bytes_match_scalar_oracle():
-    # red on PAPER_R, red with certified absence and yellow: the certificate
+    # red on PAPER_R and on RED_CELL, and yellow: the certificate
     # bytes and each leaf's status and effort are those of the per-box path
     _assert_scans_match_oracle()
 

@@ -510,7 +510,9 @@ def test_box_tests_match_complex_box(xs, ys, w, point):
 
 def test_box_array_takes_only_row_indexes():
     """An int or a 2-D index would give a malformed batch, so it raises;
-    a slice, a boolean mask and a 1-D array of row numbers select rows."""
+    a slice, a boolean mask and a 1-D array of row numbers select rows, and
+    an empty index of any kind, the float np.asarray([]) of an empty list
+    among them, selects none."""
     boxes = [_box(0.0, 1.0, 0.0, 1.0), _box(1.0, 2.0, -1.0, 0.0), _box(2.0, 3.0, 2.0, 4.0)]
     batch = BoxArray.of(boxes)
     for rows in (1, np.int64(1), np.array(1), np.array([[0, 1]]), np.ones((3, 1), dtype=bool)):
@@ -519,6 +521,9 @@ def test_box_array_takes_only_row_indexes():
     assert batch[1:].boxes() == boxes[1:]
     assert batch[[True, False, True]].boxes() == [boxes[0], boxes[2]]
     assert batch[np.array([2, 0])].boxes() == [boxes[2], boxes[0]]
+    for rows in ([], (), np.array([]), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool),
+                 slice(0, 0)):
+        assert batch[rows].e.shape == (4, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,13 @@
 
 import dataclasses
 import math
+import os
+import platform
 import random
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -323,6 +327,58 @@ def test_count_level_live_rows_are_bounded(monkeypatch):
     assert [r.status for r in capped] == [r.status for r in uncapped] == [Status.TRUE] * 4 + [
         Status.UNDETERMINED]
     assert capped[4].effort < uncapped[4].effort
+
+
+# the count at verify-count's settings and the qlike anchor's preimage
+# count, with every count_zeros result they form: the digest of the
+# certificate, its efforts, and each result's counts, efforts, Krawczyk
+# boxes and images
+_COUNT_BITS = """
+import hashlib, sys
+import numpy as np
+from tricert import verify
+from tricert.cli import PAPER_N, PAPER_R, PAPER_U, PAPER_X_REGION
+from tricert.intervals import ComplexBox
+from tricert.scan import adaptive_scan, serialize
+found, count_zeros = [], verify.count_zeros
+verify.count_zeros = lambda *args: found.append(count_zeros(*args)) or found[-1]
+cert = adaptive_scan(PAPER_R, verify.FixedPointCountClaim(PAPER_X_REGION, 6), 4, min_depth=1)
+anchor = complex(*map(float.fromhex, sys.argv[1:]))
+k = verify.preimage_count(ComplexBox.point(anchor), 0j, PAPER_U, PAPER_N)
+digest = hashlib.sha256(serialize(cert) + cert.effort.tobytes() + str(k).encode())
+for z in found:
+    digest.update(b"".join(np.ascontiguousarray(a).tobytes()
+                           for a in (z.count, z.effort, z.owner, z.boxes.e, z.images.e)))
+print(len(found), k, digest.hexdigest())
+"""
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="X86_V2 names an x86-64 dispatch target")
+def test_counts_do_not_depend_on_numpy_dispatch():
+    # NPY_ENABLE_CPU_FEATURES=X86_V2 turns off numpy's dispatched AVX2 and
+    # AVX-512 loops, under which complex np.abs took other last bits; the
+    # count's start rule reads np.hypot, and the bytes and efforts are the
+    # same under both.  The anchor is handed over in hex, so neither
+    # process forms an input by a transcendental ufunc, whose bits also
+    # follow the dispatch
+    anchor = find_superattracting_parameter(9, PAPER_R.midpoint())
+    src = str(Path(verify.__file__).resolve().parents[1])
+    outputs = set()
+    for features in (None, "X86_V2"):
+        env = {k: v for k, v in os.environ.items() if k != "NPY_ENABLE_CPU_FEATURES"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        if features:
+            env["NPY_ENABLE_CPU_FEATURES"] = features
+        run = subprocess.run([sys.executable, "-c", _COUNT_BITS, anchor.real.hex(),
+                              anchor.imag.hex()], env=env, capture_output=True, text=True,
+                             check=True, timeout=120)
+        outputs.add(run.stdout.strip())
+    [output] = outputs
+    calls, k, _ = output.split()
+    # the scan's one level (its four depth-1 boxes are TRUE) and the
+    # preimage count, which counts the anchor's two preimages
+    assert (calls, k) == ("2", "2")
 
 
 def test_overlapping_krawczyk_boxes_are_undetermined(monkeypatch):
@@ -918,7 +974,7 @@ def _yellow_root():
     seeds of its four children."""
     claim = _paper_claims()[1]
     root = BoxArray.of([R_RECT])
-    tracked = tracked_cycle_level(root, 6, claim.initial_seed(R_RECT), absence=False)
+    tracked = tracked_cycle_level(root, 6, claim.initial_seed(R_RECT))
     return root, tracked, tracked.seeds()[np.zeros(4, dtype=np.int64)]
 
 
@@ -942,7 +998,7 @@ class TestInheritedCycles:
         root, tracked, seeds = _yellow_root()
         assert tracked.cycle.tolist() == [0] and seeds.held.all()
         rows = _newton_rows(monkeypatch)
-        children = tracked_cycle_level(root.quarter(), 6, seeds, absence=False)
+        children = tracked_cycle_level(root.quarter(), 6, seeds)
         assert rows == []  # not even a call of no rows
         assert children.cycle.tolist() == [0, 1, 2, 3]
         assert (children.lo > tracked.lo).all() and (children.hi < tracked.hi).all()
@@ -960,7 +1016,7 @@ class TestInheritedCycles:
             return kernel(lo, hi, pre)
 
         monkeypatch.setattr(dynamics, "_krawczyk_rows", spy)
-        tracked_cycle_level(root.quarter(), 6, seeds, absence=False)
+        tracked_cycle_level(root.quarter(), 6, seeds)
         assert starts[0] == (seeds.lo.tobytes(), seeds.hi.tobytes())
         assert seeds.lo.tobytes() == np.repeat(tracked.lo, 4, axis=0).tobytes()
 
@@ -977,13 +1033,13 @@ class TestInheritedCycles:
                 return cycle(c, start, radius)
             return np.zeros(len(c), dtype=bool), *start, np.ones(len(c), dtype=np.int64)
 
-        fresh = tracked_cycle_level(root.quarter(), 6, seeds.orbits, absence=False)
+        fresh = tracked_cycle_level(root.quarter(), 6, seeds.orbits)
         monkeypatch.setattr(verify, "krawczyk_cycle_rows", failing_first)
         rows = _newton_rows(monkeypatch)
-        fallen = tracked_cycle_level(root.quarter(), 6, seeds, absence=False)
+        fallen = tracked_cycle_level(root.quarter(), 6, seeds)
         assert calls == [4, 4] and rows == [4]
         assert len(fresh.cycle) == 4
-        for field in ("cycle", "lo", "hi", "absent", "orbits"):
+        for field in ("cycle", "lo", "hi", "orbits"):
             assert getattr(fallen, field).tobytes() == getattr(fresh, field).tobytes()
         assert (fallen.effort == fresh.effort + 1).all()
 
@@ -1012,7 +1068,7 @@ class TestInheritedCycles:
         # the depth-5 paper scans every Newton and Krawczyk call has rows,
         # and an empty level makes no call at all
         calls = []
-        for name in ("_refine_orbit", "krawczyk_cycle_rows", "krawczyk_absence_rows"):
+        for name in ("_refine_orbit", "krawczyk_cycle_rows"):
             def spy(c, *args, _kernel=getattr(verify, name), _name=name):
                 calls.append((_name, len(c)))
                 return _kernel(c, *args)
@@ -1020,7 +1076,6 @@ class TestInheritedCycles:
             monkeypatch.setattr(verify, name, spy)
         for claim in _paper_claims():
             adaptive_scan(R_RECT, claim, 5)
-        # (absence needs boxes narrower than these scans reach)
         assert {name for name, _ in calls} == {"_refine_orbit", "krawczyk_cycle_rows"}
         assert all(rows > 0 for _, rows in calls)
         none = np.zeros(0, dtype=np.int64)
@@ -1034,20 +1089,20 @@ class TestInheritedCycles:
 class TestCycleClaims:
     def test_attracting_fixed_point_of_origin(self):
         box, orbit = ComplexBox.around(0.05 + 0.02j, 1e-9), [0.06 + 0.03j]
-        assert verify._witness(box, 1, orbit, absence=True) is Status.TRUE
+        assert verify._witness(box, 1, orbit) is Status.TRUE
         [refined] = tracked_cycle_level(BoxArray.of([box]), 1, [orbit]).orbits
         assert np.isfinite(refined).all()
 
     def test_repelling_cycle_reported_false(self):
         # the fixed point of f_c near z=1 for c=0 has multiplier 4
         box = ComplexBox.around(0j, 1e-9)
-        assert verify._witness(box, 1, [1.0 + 0j], absence=True) is Status.FALSE
+        assert verify._witness(box, 1, [1.0 + 0j]) is Status.FALSE
 
     def test_attracting_period9_at_component_center(self):
         center = find_superattracting_parameter(9, R_RECT.midpoint())
         orbit = float_orbit_of_zero(center, 9)
         box = ComplexBox.around(center, 1e-10)
-        assert verify._witness(box, 9, orbit, absence=True) is Status.TRUE
+        assert verify._witness(box, 9, orbit) is Status.TRUE
 
     def test_repeated_shorter_cycle_is_not_certified(self):
         # the period-3 orbit of 0 at the airplane center, traversed twice,
@@ -1056,30 +1111,27 @@ class TestCycleClaims:
         orbit = float_orbit_of_zero(c, 3) * 2
         box = ComplexBox.around(c, 1e-10)
         [excluded], _, _ = ParabolicExclusionClaim(6).evaluate_level(BoxArray.of([box]), [orbit])
-        assert verify._witness(box, 6, orbit, absence=True) is Status.UNDETERMINED
+        assert verify._witness(box, 6, orbit) is Status.UNDETERMINED
         assert excluded == "U"
 
-    def test_absence_is_no_repelling_witness(self, monkeypatch):
-        # on a rect narrow enough for absence at the corner, a certified
-        # absence there would show no repelling cycle
+    def test_uncertified_corner_is_no_repelling_witness(self, monkeypatch):
+        # with no cycle certified, a witness has no modulus to read: the
+        # repelling witness at the corner is not FALSE, and neither is the
+        # attracting one at the center
         def uncertified(c, boxes, radius):
             lo = np.zeros(boxes[0].shape)
             return np.zeros(len(c), dtype=bool), lo, lo, np.ones(len(c), dtype=np.int64)
 
         monkeypatch.setattr(verify, "krawczyk_cycle_rows", uncertified)
-        monkeypatch.setattr(verify, "krawczyk_absence_rows",
-                            lambda c, orbits, radius: np.ones(len(c), dtype=bool))
-        rect = ComplexBox.around(R_RECT.midpoint(), 3.2e-5)
-        assert rect.width() / 16.0 < verify._ABSENCE_MAX_WIDTH
-        cert = ParamCertificate.of("red", rect, {}, [Leaf(0, rect, Status.TRUE)])
-        _, _, repelling = component_witnesses(cert, 9, R_RECT.midpoint())
-        assert repelling is Status.UNDETERMINED
+        cert = ParamCertificate.of("red", R_RECT, {}, [Leaf(0, R_RECT, Status.TRUE)])
+        _, attracting, repelling = component_witnesses(cert, 9, R_RECT.midpoint())
+        assert attracting is repelling is Status.UNDETERMINED
 
     def test_overflowing_sized_start_is_undetermined(self, monkeypatch):
         # |s| rho made to overflow on every row, as for a cycle near
         # multiplier 1 whose huge but finite Y meets a wide parameter box:
         # each Newton-seeded row fails with no Krawczyk image, so the red
-        # scan (boxes too wide for absence) ends with every leaf
+        # scan ends with every leaf
         # Undetermined, where an image of the row raised EmptyIntervalError
         precondition = dynamics._preconditioner
 
@@ -1134,6 +1186,66 @@ class TestCycleClaims:
         assert partial.status is Status.UNDETERMINED
 
 
+def _one_cycle(p: int) -> verify._Tracked:
+    """A level of one row whose period-p cycle is certified; the predicates
+    below read it only through the monkeypatched enclosures."""
+    lo, hi = np.zeros((1, 2 * p)), np.ones((1, 2 * p))
+    return verify._Tracked(np.array([0]), lo, hi, np.zeros((1, p), dtype=complex),
+                           np.ones(1, dtype=np.int64))
+
+
+_BELOW_ONE, _ABOVE_ONE = np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)
+
+
+class TestStrictPredicates:
+    """An enclosure that touches the value a claim excludes decides nothing:
+    a squared modulus product that reaches 1 may be a parabolic cycle's,
+    and an Im multiplier that reaches 0 a real multiplier's."""
+
+    @pytest.mark.parametrize("m_lo, m_hi, status", [
+        (0.5, 1.0, "U"),  # ends exactly at 1
+        (1.0, 2.0, "U"),  # starts exactly at 1
+        (1.0, 1.0, "U"),
+        (0.5, _BELOW_ONE, "T"),
+        (_ABOVE_ONE, 2.0, "F"),
+    ])
+    def test_modulus_enclosure_at_one(self, monkeypatch, m_lo, m_hi, status):
+        monkeypatch.setattr(verify, "squared_modulus_rows",
+                            lambda lo, hi: (np.array([m_lo]), np.array([m_hi])))
+        tracked = _one_cycle(9)
+        assert verify._modulus_statuses(tracked).tolist() == [status]
+        # red is TRUE on either strict side and nowhere else
+        assert verify._excluded_statuses(tracked).tolist() == ["U" if status == "U" else "T"]
+
+    @pytest.mark.parametrize("im_lo, im_hi, status", [
+        (0.0, 1.0, "U"), (-0.0, 1.0, "U"),  # touches 0 from above
+        (-1.0, 0.0, "U"), (-1.0, -0.0, "U"),  # touches 0 from below
+        (5e-324, 1.0, "T"), (-1.0, -5e-324, "T"),
+    ])
+    def test_multiplier_enclosure_at_zero(self, monkeypatch, im_lo, im_hi, status):
+        multiplier = BoxArray.of([ComplexBox(Interval(-1.0, 1.0), Interval(im_lo, im_hi))])
+        monkeypatch.setattr(verify, "multiplier_rows", lambda lo, hi: multiplier)
+        assert verify._nonreal_statuses(_one_cycle(6), None).tolist() == [status]
+
+    @pytest.mark.parametrize("second, held", [
+        ((1.0, 0.0, 2.0, 1.0), False),  # shares the edge re = 1
+        ((0.0, 1.0, 1.0, 2.0), False),  # shares the edge im = 1
+        ((1.0, 1.0, 2.0, 2.0), False),  # shares only the corner 1 + 1i
+        ((_ABOVE_ONE, 0.0, 2.0, 1.0), True),  # one ulp apart
+        ((_ABOVE_ONE, _ABOVE_ONE, 2.0, 2.0), True),
+    ])
+    def test_touching_orbit_boxes_are_not_held(self, second, held):
+        # a cycle of a divisor period puts one point in two boxes, and
+        # boxes that touch can share it; the first box is [0, 1] x [0, 1],
+        # each box given as (re lo, im lo, re hi, im hi)
+        a, b, c, d = second
+        lo, hi = np.array([[0.0, 0.0, a, b]]), np.array([[1.0, 1.0, c, d]])
+        assert verify._pairwise_disjoint(lo, hi).tolist() == [held]
+        # in either order
+        swap = [2, 3, 0, 1]
+        assert verify._pairwise_disjoint(lo[:, swap], hi[:, swap]).tolist() == [held]
+
+
 @pytest.mark.parametrize("claim", [
     BoundaryDisjointClaim(PAPER_U, 3, 8), FixedPointCountClaim(PAPER_X_REGION, 6),
     ParabolicExclusionClaim(9), MultiplierNonRealClaim(PAPER_X_REGION),
@@ -1179,7 +1291,7 @@ def test_multiplier_boxes_hold_the_exact_fixed_point(u, v, radius, data):
     claim = MultiplierNonRealClaim(PAPER_X_REGION)
     seed = claim.initial_seed(cbox)
     [status], _, _ = claim.evaluate_level(BoxArray.of([cbox]), seed)
-    tracked = tracked_cycle_level(BoxArray.of([cbox]), 6, seed, absence=False)
+    tracked = tracked_cycle_level(BoxArray.of([cbox]), 6, seed)
     assume(len(tracked.cycle))
     boxes = _orbit_boxes(tracked.lo[0], tracked.hi[0])
     [orbit] = tracked.orbits
