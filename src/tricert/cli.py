@@ -167,8 +167,8 @@ def _resolve(args, defaults: dict[str, str | None]) -> dict[str, str]:
     return texts
 
 
-# the largest --expect, the counts that the argument-principle contour
-# could isolate, kept as verify-count's contract
+# the largest --expect, kept as verify-count's contract; count_zeros
+# itself sets no bound on the zeros it counts
 _MAX_COUNT = 16
 # the least meaningful value of each integer parameter
 _LEAST = {"max_depth": 0, "min_depth": 0, "segment_depth": 0, "contour_depth": 0,

@@ -100,35 +100,29 @@ def render_escape(
         raise ValueError(f"unknown render mode: {mode}")
     xs = _axis_centers(region.re.lo, region.re.hi, width, flip=False)
     ys = _axis_centers(region.im.lo, region.im.hi, height, flip=True)
-    grid = xs[np.newaxis, :] + 1j * ys[:, np.newaxis]
+    # the pixels in row-major order; the square of z is taken in real
+    # arithmetic, (x^2 - y^2, 2xy), conjugated for the tricorn, whose bits
+    # do not follow numpy's CPU dispatch as a complex power's may
+    x, y = np.tile(xs, height), np.repeat(ys, width)
     if mode == "julia":
-        z = grid.copy()
-        param = np.full_like(grid, c)
+        px, py = np.full_like(x, c.real), np.full_like(y, c.imag)
     else:
-        z = grid.copy()
-        param = grid
-    escape = np.zeros(grid.shape, dtype=np.int32)
-    index = np.arange(grid.size)
-    z = z.ravel()
-    param = param.ravel()
-    flat_escape = escape.ravel()
+        px, py = x, y
+    twice = -2.0 if mode == "tricorn" else 2.0
+    escape = np.zeros(x.size, dtype=np.int32)
+    index = np.arange(x.size)
     for k in range(1, maxiter + 1):
-        if mode == "tricorn":
-            z = np.conj(z) ** 2 + param
-        else:
-            z = z * z + param
-        escaped = np.hypot(z.real, z.imag) > 2.0
+        x, y = x * x - y * y + px, twice * x * y + py
+        escaped = np.hypot(x, y) > 2.0
         if escaped.any():
-            flat_escape[index[escaped]] = k
+            escape[index[escaped]] = k
             keep = ~escaped
-            z = z[keep]
-            param = param[keep]
-            index = index[keep]
+            x, y, px, py, index = x[keep], y[keep], px[keep], py[keep], index[keep]
             if index.size == 0:
                 break
-    shade = np.minimum(255, (flat_escape.astype(np.int64) * 255) // maxiter)
-    pixels, rgb = _raster(grid.size, 3)
-    hit = flat_escape > 0
+    shade = np.minimum(255, (escape.astype(np.int64) * 255) // maxiter)
+    pixels, rgb = _raster(escape.size, 3)
+    hit = escape > 0
     rgb[hit, 0] = shade[hit]
     rgb[hit, 1] = shade[hit]
     rgb[hit, 2] = 255

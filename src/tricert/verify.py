@@ -603,48 +603,32 @@ def _pairwise_disjoint(lo, hi):
 
 @dataclass(frozen=True)
 class _CycleSeeds:
-    """What a tracked-cycle level hands on: per row its orbit guess, and
-    whether its cycle was held, with the endpoint rows of the orbit boxes
-    of the held rows, in row order."""
+    """What a tracked-cycle level finds and hands on, row by row: its orbit
+    guess, whether its cycle was held, and the endpoints of its orbit
+    boxes, nan on every row not held."""
 
-    orbits: np.ndarray  # (B, p) orbit guesses
+    orbits: np.ndarray  # (B, p) orbit guesses, refined where Newton ran
     held: np.ndarray  # (B,) mask of the rows whose cycle was held
-    lo: np.ndarray  # (held.sum(), 2p) endpoints of their orbit boxes
+    lo: np.ndarray  # (B, 2p) endpoints of their orbit boxes
     hi: np.ndarray
 
     @staticmethod
     def of(orbits) -> "_CycleSeeds":
         """Orbit guesses alone, with no cycle held."""
         orbits = np.asarray(orbits, dtype=complex)
-        none = np.zeros((0, 2 * orbits.shape[-1]))
+        none = np.full((len(orbits), 2 * orbits.shape[-1]), np.nan)
         return _CycleSeeds(orbits, np.zeros(len(orbits), dtype=bool), none, none)
 
     def __getitem__(self, rows) -> "_CycleSeeds":
         """The seeds of the given rows, in turn: row j of the result is row
         rows[j]."""
-        held = self.held[rows]
-        at = (np.cumsum(self.held) - 1)[rows][held]
-        return _CycleSeeds(self.orbits[rows], held, self.lo[at], self.hi[at])
+        return _CycleSeeds(self.orbits[rows], self.held[rows], self.lo[rows], self.hi[rows])
 
 
-class _Tracked(NamedTuple):
-    """What tracked_cycle_level finds on a level of B parameter rows."""
-
-    cycle: np.ndarray  # the rows with a certified cycle, ascending
-    lo: np.ndarray  # (len(cycle), 2p) endpoints of their orbit boxes
-    hi: np.ndarray
-    orbits: np.ndarray  # (B, p) orbit guesses, refined where Newton ran
-    effort: np.ndarray  # (B,) Krawczyk images run for each row
-
-    def seeds(self) -> _CycleSeeds:
-        """The seeds that the rows hand on to their children."""
-        held = np.zeros(len(self.orbits), dtype=bool)
-        held[self.cycle] = True
-        return _CycleSeeds(self.orbits, held, self.lo, self.hi)
-
-
-def tracked_cycle_level(boxes: BoxArray, period: int, seeds) -> _Tracked:
-    """The tracked period-p cycle over each parameter row of a level.
+def tracked_cycle_level(boxes: BoxArray, period: int, seeds) -> tuple[_CycleSeeds, np.ndarray]:
+    """The tracked period-p cycle over each parameter row of a level: the
+    _CycleSeeds of the level's rows, which its children inherit, and the
+    Krawczyk images run for each row.
 
     seeds is the _CycleSeeds of the level's rows, or a (B, p) orbit guess
     per row, with no cycle held.  A row whose parent's cycle was held
@@ -675,19 +659,20 @@ def tracked_cycle_level(boxes: BoxArray, period: int, seeds) -> _Tracked:
     radius = np.maximum(1e-9, boxes.width())
     effort = np.zeros(count, dtype=np.int64)
     held = np.zeros(count, dtype=bool)
+    # two arrays: certify writes both in place
+    lo, hi = np.full((count, 2 * period), np.nan), np.full((count, 2 * period), np.nan)
 
     def certify(rows, start):
-        """Krawczyk from the start boxes of rows: the held rows among them
-        and the endpoints of their orbit boxes."""
-        if not len(rows):
-            return rows, *start
-        certified, lo, hi, images = krawczyk_cycle_rows(boxes[rows], start, radius[rows])
-        effort[rows] += images
-        won = certified & _pairwise_disjoint(lo, hi)
-        held[rows] = won
-        return rows[won], lo[won], hi[won]
+        """Krawczyk from the start boxes of rows: marks the held rows among
+        them and writes the endpoints of their orbit boxes into place."""
+        if len(rows):
+            certified, k_lo, k_hi, images = krawczyk_cycle_rows(boxes[rows], start, radius[rows])
+            effort[rows] += images
+            won = certified & _pairwise_disjoint(k_lo, k_hi)
+            held[rows], lo[rows[won]], hi[rows[won]] = won, k_lo[won], k_hi[won]
 
-    inherited = certify(np.flatnonzero(seeds.held), (seeds.lo.copy(), seeds.hi.copy()))
+    rows = np.flatnonzero(seeds.held)
+    certify(rows, (seeds.lo[rows], seeds.hi[rows]))
     mids = np.empty(count, dtype=complex)
     mids.real, mids.imag = _mid_arr(*boxes.re), _mid_arr(*boxes.im)
     rows = np.flatnonzero(~held)
@@ -701,56 +686,48 @@ def tracked_cycle_level(boxes: BoxArray, period: int, seeds) -> _Tracked:
     # the start boxes are the converged orbits as points, which
     # krawczyk_cycle_rows sizes by each row's parameter spread
     points = _interleave(orbits[rows].real, orbits[rows].imag)
-    refined = certify(rows, (points, points.copy()))
-    cycle, lo, hi = (np.concatenate(parts) for parts in zip(inherited, refined))
-    order = np.argsort(cycle)
-    return _Tracked(cycle[order], lo[order], hi[order], orbits, effort)
+    certify(rows, (points, points.copy()))
+    return _CycleSeeds(orbits, held, lo, hi), effort
 
 
 # The statuses of a level are read at once from the endpoint rows of its
-# certified cycles, in the BoxArray arithmetic and its endpoint-pair
-# helpers.  A read with a non-finite endpoint, where an enclosure
-# overflowed, decides nothing.
+# orbit boxes, in the BoxArray arithmetic and its endpoint-pair helpers.  A
+# read with a non-finite endpoint, where an enclosure overflowed or a row
+# holds no cycle (its boxes are nan), decides nothing.
 
 
-def _modulus_statuses(tracked: _Tracked) -> np.ndarray:
-    """Per certified cycle of a level (the rows tracked.cycle): 'T' for a
-    strictly attracting and 'F' for a strictly repelling cycle, by its
-    squared modulus product; 'U' when that enclosure holds 1."""
-    m_lo, m_hi = squared_modulus_rows(tracked.lo, tracked.hi)
+def _modulus_statuses(cycles: _CycleSeeds) -> np.ndarray:
+    """Per row of a level: 'T' for a strictly attracting and 'F' for a
+    strictly repelling certified cycle, by its squared modulus product;
+    'U' when that enclosure holds 1, or with no cycle held."""
+    m_lo, m_hi = squared_modulus_rows(cycles.lo, cycles.hi)
     finite = np.isfinite(m_lo) & np.isfinite(m_hi)
     return np.where(finite & (m_hi < 1.0), "T", np.where(finite & (m_lo > 1.0), "F", "U"))
 
 
-def _excluded_statuses(tracked: _Tracked) -> np.ndarray:
+def _excluded_statuses(cycles: _CycleSeeds) -> np.ndarray:
     """Per row of a level: 'T' when the squared modulus enclosure of the
     certified cycle excludes 1 (either side)."""
-    status = np.full(len(tracked.orbits), "U")
-    status[tracked.cycle] = np.where(_modulus_statuses(tracked) == "U", "U", "T")
-    return status
+    return np.where(_modulus_statuses(cycles) == "U", "U", "T")
 
 
-def _nonreal_statuses(tracked: _Tracked, region: ComplexBox | None) -> np.ndarray:
+def _nonreal_statuses(cycles: _CycleSeeds, region: ComplexBox | None) -> np.ndarray:
     """Per row of a level: 'T' when the box of z_0 of the certified period-6
     cycle lies in the region and the enclosure of Im (f_c^6)'(z_0) excludes
     0."""
-    lo, hi = tracked.lo, tracked.hi
+    lo, hi = cycles.lo, cycles.hi
     m = multiplier_rows(lo, hi)
     ok = m.finite() & ((m.im[0] > 0.0) | (m.im[1] < 0.0))
     if region is not None:
         ok &= _within(np.concatenate((lo[:, :2].T, hi[:, :2].T)), _matrix(region), False)
-    status = np.full(len(tracked.orbits), "U")
-    status[tracked.cycle[ok]] = "T"
-    return status
+    return np.where(ok, "T", "U")
 
 
 def _witness(c: ComplexBox, period: int, orbit) -> Status:
     """The modulus status of the tracked cycle on one box (_modulus_statuses);
     UNDETERMINED without a certified cycle."""
-    tracked = tracked_cycle_level(BoxArray.of([c]), period, [orbit])
-    if not len(tracked.cycle):
-        return Status.UNDETERMINED
-    return Status(_modulus_statuses(tracked)[0])
+    cycles, _ = tracked_cycle_level(BoxArray.of([c]), period, [orbit])
+    return Status(_modulus_statuses(cycles)[0])
 
 
 def component_witnesses(red_cert, period: int, center: complex) -> tuple[int, Status, Status]:
@@ -878,8 +855,8 @@ class ParabolicExclusionClaim(_Claim):
         return _initial_seed(rect, float_orbit_of_zero(center, self.period))
 
     def evaluate_level(self, boxes, seeds):
-        tracked = tracked_cycle_level(boxes, self.period, seeds)
-        return _excluded_statuses(tracked), tracked.effort, tracked.seeds()
+        cycles, effort = tracked_cycle_level(boxes, self.period, seeds)
+        return _excluded_statuses(cycles), effort, cycles
 
 
 @dataclass
@@ -902,8 +879,8 @@ class MultiplierNonRealClaim(_Claim):
         return _initial_seed(rect, orbit)
 
     def evaluate_level(self, boxes, seeds):
-        tracked = tracked_cycle_level(boxes, 6, seeds)
-        return _nonreal_statuses(tracked, self.region), tracked.effort, tracked.seeds()
+        cycles, effort = tracked_cycle_level(boxes, 6, seeds)
+        return _nonreal_statuses(cycles, self.region), effort, cycles
 
 
 # ---------------------------------------------------------------------------
@@ -941,11 +918,11 @@ def _anchor_cycle(point: ComplexBox, u: ComplexBox, n: int, seed) -> dict[str, s
     the float seed of a cycle: anchor_proof, and with a proof the cycle's
     entries (see _anchor_proof)."""
     p = len(seed)
-    tracked = tracked_cycle_level(BoxArray.of([point]), p, [seed])
-    modulus = _modulus_statuses(tracked)[0] if len(tracked.cycle) else None
+    cycles, _ = tracked_cycle_level(BoxArray.of([point]), p, [seed])
+    modulus = _modulus_statuses(cycles)[0] if cycles.held[0] else None
     if modulus != "T":
         return {"anchor_proof": _MODULUS_FAILURES[modulus]}
-    [lo], [hi] = tracked.lo, tracked.hi
+    [lo], [hi] = cycles.lo, cycles.hi
     inside = _within(np.concatenate([v.reshape(-1, 2).T for v in (lo, hi)]), _matrix(u), True)
     residue = next((r for r in range(n) if inside[r::n].all()), None)
     if residue is None:

@@ -693,6 +693,24 @@ def test_header_echoes_the_claim_parameters(tmp_path, monkeypatch, case):
     assert header == expected
 
 
+def test_qlike_anchor_entries_are_pinned(tmp_path, monkeypatch):
+    # the anchor's certified 9-cycle boxes and squared modulus at
+    # verify-qlike's defaults, to the last bit.  They are the same under
+    # every BLAS kernel and numpy dispatch tried, and terms of the Krawczyk
+    # radius that no other output feels move them
+    monkeypatch.chdir(tmp_path)
+    assert _run(["verify-qlike", "-o", "Q"]) == 0
+    entries = [line for line in (tmp_path / "Q").read_text().splitlines()
+               if line.startswith(("#config.anchor_cycle=", "#config.anchor_modulus="))]
+    assert entries == [
+        "#config.anchor_cycle=bd5778056e99f281 3d5818056e99f281 bd3c3264c0c661c1"
+        " 3d3bc4e4c0c661c1 bfb88fbd64283475 bfb88fbd642824cb bfc52e8c1a324625"
+        " bfc52e8c1a324587 3fb3154214e761ff 3fb3154214e794c1 3fbfe380c20c616b"
+        " 3fbfe380c20c9123",
+        "#config.anchor_modulus=0000000000000000 3bb21348e5720dd2",
+    ]
+
+
 def test_scans_build_no_per_box_objects(tmp_path, monkeypatch):
     # these commands, their scans and the serialize and rasterize_scan of
     # their certificates included, run on endpoint arrays: no

@@ -710,6 +710,32 @@ class TestKrawczykKernel:
         certified, _, _, images = krawczyk_cycle_rows(c, (point, point.copy()), np.array([1e-9]))
         assert not certified[0] and images[0] == 0
 
+    @pytest.mark.parametrize("end, coordinate", [(0, 0), (0, 1), (1, 0), (1, 1)])
+    def test_image_touching_its_box_certifies_nothing(self, monkeypatch, end, coordinate):
+        # K(Z) in Z proves a cycle in Z, and only K(Z) strictly inside Z
+        # proves it the only one there, which inheritance and the exact
+        # period rest on: an image that keeps one endpoint of its box (end
+        # 0 the lower, 1 the upper) and lies strictly inside it otherwise
+        # certifies no row, in any round
+        c = 0.1 + 0.05j
+        orbit, _ = _float_newton(c, [0.1 + 0.1j])
+        points = np.array([[orbit[0].real, orbit[0].imag]])
+
+        def run():
+            return krawczyk_cycle_rows(_pt(c), (points.copy(), points.copy()), np.array([1e-6]))
+
+        assert run()[0].tolist() == [True]
+
+        def touching(lo, hi, pre):
+            quarter = (hi - lo) / 4.0
+            image = [lo + quarter, hi - quarter]
+            image[end][:, coordinate] = (lo, hi)[end][:, coordinate]
+            return *image, pre.ok
+
+        monkeypatch.setattr(dynamics, "_krawczyk_rows", touching)
+        certified, _, _, images = run()
+        assert certified.tolist() == [False] and images[0] > 1
+
     def test_overflowing_image_fails_its_row(self):
         # the row above over the parameter radius 8, started from boxes of
         # radius 2^-600 about z, as a held parent's orbit boxes or an
@@ -724,8 +750,8 @@ class TestKrawczykKernel:
         certified, _, _, images = krawczyk_cycle_rows(c, (lo.copy(), hi.copy()), np.array([1e-9]))
         assert not certified[0] and images[0] == 1
         assert not krawczyk_absence(cbox, 1, [z], 2.0 ** -600)
-        tracked = tracked_cycle_level(c, 1, verify._CycleSeeds(orbit, np.array([True]), lo, hi))
-        assert tracked.cycle.tolist() == [] and tracked.effort[0] >= 1
+        tracked, effort = tracked_cycle_level(c, 1, verify._CycleSeeds(orbit, np.array([True]), lo, hi))
+        assert tracked.held.tolist() == [False] and effort[0] >= 1
 
     @pytest.mark.parametrize("e", [2.0 ** -10, 2.0 ** -35])
     def test_image_holds_the_preconditioner_error(self, e):

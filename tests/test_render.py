@@ -1,12 +1,17 @@
 """Escape-time rendering, scan rasterization, and the P6 format."""
 
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import tricert
 from tricert.intervals import ComplexBox, Interval
 from tricert.render import (
     MULTIPLIER_PALETTE,
@@ -102,6 +107,37 @@ class TestEscape:
             render_escape(SQUARE, 4, 4, 0)
         with pytest.raises(ValueError):
             render_escape(SQUARE, 4, 4, 10, mode="nova")
+
+
+_RENDER_BYTES = """
+import hashlib
+from tricert.intervals import ComplexBox, Interval
+from tricert.render import render_escape
+box = ComplexBox(Interval(-2.0, 2.0), Interval(-2.0, 2.0))
+for mode, size in (("tricorn", 256), ("mandelbrot", 200), ("julia", 64)):
+    img = render_escape(box, size, size, 500, mode, -0.75 + 0.125j)
+    print(hashlib.sha256(bytes(img.pixels)).hexdigest())
+"""
+
+
+def test_render_does_not_depend_on_numpy_dispatch():
+    # NPY_ENABLE_CPU_FEATURES=X86_V2 turns off numpy's dispatched AVX2 and
+    # AVX-512 loops, under which the complex products np.conj(z) ** 2 and
+    # z * z took other last bits: the tricorn and mandelbrot renders below
+    # had other bytes under each.  render_escape squares in real
+    # arithmetic, and its bytes are the same under both
+    src = str(Path(tricert.__file__).resolve().parents[1])
+    outputs = set()
+    for features in (None, "X86_V2"):
+        env = {k: v for k, v in os.environ.items() if k != "NPY_ENABLE_CPU_FEATURES"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        if features:
+            env["NPY_ENABLE_CPU_FEATURES"] = features
+        run = subprocess.run([sys.executable, "-c", _RENDER_BYTES], env=env, capture_output=True,
+                             text=True, check=True, timeout=120)
+        outputs.add(run.stdout)
+    [output] = outputs
+    assert len(set(output.split())) == 3
 
 
 class _PerBox:

@@ -396,6 +396,38 @@ def test_overlapping_krawczyk_boxes_are_undetermined(monkeypatch):
     assert _poly_count([0.25 + 0.25j]) == -1
 
 
+@pytest.mark.parametrize("endpoint", range(4))
+def test_image_touching_its_box_holds_no_zero(monkeypatch, endpoint):
+    # K(Z) strictly inside Z proves one zero in Z, and the count drops the
+    # cells in Z on that uniqueness: an image that keeps one endpoint of
+    # Z (re lo, im lo, re hi, im hi) and lies strictly inside it otherwise
+    # holds no box, in any round, and the zero's cells survive max_depth
+    assert _poly_count([0.25 + 0.25j], depth=6) == 1
+
+    def touching(fn, cs, z):
+        quarter = (z.e[2:] - z.e[:2]) / 4.0
+        image = np.concatenate((z.e[:2] + quarter, z.e[2:] - quarter))
+        image[endpoint] = z.e[endpoint]
+        return BoxArray._of(image), np.ones(len(z))
+
+    monkeypatch.setattr(verify, "_zero_image", touching)
+    found = count_zeros(_poly_fn([0.25 + 0.25j]), _ORIGIN, _UNIT, 6)
+    assert found.count.tolist() == [-1] and len(found.boxes) == 0
+
+
+def test_value_touching_zero_keeps_its_cell():
+    # f(z) = z, whose value on a cell is the cell itself: on [0, 1] x
+    # [-1, 1] its zero 0 lies on the region's edge, and so on the edge of
+    # the value box of every cell that holds it.  Those cells are kept to
+    # max_depth, so the count is -1; dropping them would count 0
+    def fn(c, z):
+        return z, BoxArray._of(np.tile([[1.0], [0.0], [1.0], [0.0]], len(z)))
+
+    edge = ComplexBox(Interval(0.0, 1.0), Interval(-1.0, 1.0))
+    assert count_zeros(fn, _ORIGIN, _UNIT, 4).count.tolist() == [1]
+    assert count_zeros(fn, _ORIGIN, edge, 4).count.tolist() == [-1]
+
+
 def test_contour_depth_is_capped():
     # the count's quadtree depth stays within the boundary walk's cap
     region = ComplexBox(Interval(-1.5, 1.5), Interval(-1.5, 1.5))
@@ -974,8 +1006,8 @@ def _yellow_root():
     seeds of its four children."""
     claim = _paper_claims()[1]
     root = BoxArray.of([R_RECT])
-    tracked = tracked_cycle_level(root, 6, claim.initial_seed(R_RECT))
-    return root, tracked, tracked.seeds()[np.zeros(4, dtype=np.int64)]
+    tracked, _ = tracked_cycle_level(root, 6, claim.initial_seed(R_RECT))
+    return root, tracked, tracked[np.zeros(4, dtype=np.int64)]
 
 
 def _newton_rows(monkeypatch):
@@ -996,11 +1028,11 @@ class TestInheritedCycles:
         # orbit boxes: Newton sees no row, and each child's boxes lie
         # inside the root's
         root, tracked, seeds = _yellow_root()
-        assert tracked.cycle.tolist() == [0] and seeds.held.all()
+        assert tracked.held.tolist() == [True] and seeds.held.all()
         rows = _newton_rows(monkeypatch)
-        children = tracked_cycle_level(root.quarter(), 6, seeds)
+        children, _ = tracked_cycle_level(root.quarter(), 6, seeds)
         assert rows == []  # not even a call of no rows
-        assert children.cycle.tolist() == [0, 1, 2, 3]
+        assert children.held.tolist() == [True] * 4
         assert (children.lo > tracked.lo).all() and (children.hi < tracked.hi).all()
         # the orbit guesses are handed on as they came
         assert children.orbits.tobytes() == seeds.orbits.tobytes()
@@ -1033,15 +1065,15 @@ class TestInheritedCycles:
                 return cycle(c, start, radius)
             return np.zeros(len(c), dtype=bool), *start, np.ones(len(c), dtype=np.int64)
 
-        fresh = tracked_cycle_level(root.quarter(), 6, seeds.orbits)
+        fresh, fresh_effort = tracked_cycle_level(root.quarter(), 6, seeds.orbits)
         monkeypatch.setattr(verify, "krawczyk_cycle_rows", failing_first)
         rows = _newton_rows(monkeypatch)
-        fallen = tracked_cycle_level(root.quarter(), 6, seeds)
+        fallen, fallen_effort = tracked_cycle_level(root.quarter(), 6, seeds)
         assert calls == [4, 4] and rows == [4]
-        assert len(fresh.cycle) == 4
-        for field in ("cycle", "lo", "hi", "orbits"):
+        assert fresh.held.sum() == 4
+        for field in ("held", "lo", "hi", "orbits"):
             assert getattr(fallen, field).tobytes() == getattr(fresh, field).tobytes()
-        assert (fallen.effort == fresh.effort + 1).all()
+        assert (fallen_effort == fresh_effort + 1).all()
 
     def test_paper_scans_keep_red_off_the_inherited_path(self, monkeypatch):
         # on the depth-6 scans of R_RECT, yellow runs Newton on its root
@@ -1090,7 +1122,7 @@ class TestCycleClaims:
     def test_attracting_fixed_point_of_origin(self):
         box, orbit = ComplexBox.around(0.05 + 0.02j, 1e-9), [0.06 + 0.03j]
         assert verify._witness(box, 1, orbit) is Status.TRUE
-        [refined] = tracked_cycle_level(BoxArray.of([box]), 1, [orbit]).orbits
+        [refined] = tracked_cycle_level(BoxArray.of([box]), 1, [orbit])[0].orbits
         assert np.isfinite(refined).all()
 
     def test_repelling_cycle_reported_false(self):
@@ -1169,7 +1201,7 @@ class TestCycleClaims:
         # the real 6-cycle 2 cos(2 pi 2^k / 63) is certified, yet not TRUE
         c = ComplexBox.around(-2.0 + 0j, 1e-10)
         orbit = [2.0 * math.cos(math.tau * 2**k / 63) + 0j for k in range(6)]
-        assert len(tracked_cycle_level(BoxArray.of([c]), 6, [orbit]).cycle) == 1
+        assert tracked_cycle_level(BoxArray.of([c]), 6, [orbit])[0].held.sum() == 1
         assert _nonreal(c, orbit).status is not Status.TRUE
 
     def test_multiplier_needs_the_fixed_point_box_in_the_region(self):
@@ -1177,7 +1209,7 @@ class TestCycleClaims:
         # certified box says nothing about the fixed point of f^6 in it
         c = ComplexBox.around(PAPER_R.midpoint(), 1e-6)
         [orbit] = MultiplierNonRealClaim().initial_seed(c)
-        tracked = tracked_cycle_level(BoxArray.of([c]), 6, [orbit])
+        tracked, _ = tracked_cycle_level(BoxArray.of([c]), 6, [orbit])
         z0 = _orbit_boxes(tracked.lo[0], tracked.hi[0])[0]
         cut = ComplexBox(Interval(0.0, (orbit[0].real + z0.re.hi) / 2.0), PAPER_X_REGION.im)
         assert cut.contains(orbit[0]) and not cut.contains_box(z0)
@@ -1186,12 +1218,11 @@ class TestCycleClaims:
         assert partial.status is Status.UNDETERMINED
 
 
-def _one_cycle(p: int) -> verify._Tracked:
+def _one_cycle(p: int) -> verify._CycleSeeds:
     """A level of one row whose period-p cycle is certified; the predicates
     below read it only through the monkeypatched enclosures."""
     lo, hi = np.zeros((1, 2 * p)), np.ones((1, 2 * p))
-    return verify._Tracked(np.array([0]), lo, hi, np.zeros((1, p), dtype=complex),
-                           np.ones(1, dtype=np.int64))
+    return verify._CycleSeeds(np.zeros((1, p), dtype=complex), np.array([True]), lo, hi)
 
 
 _BELOW_ONE, _ABOVE_ONE = np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)
@@ -1246,6 +1277,49 @@ class TestStrictPredicates:
         assert verify._pairwise_disjoint(lo[:, swap], hi[:, swap]).tolist() == [held]
 
 
+class TestAnchorInOpenU:
+    """The anchor proof asks for the cycle of g and the critical value g(0)
+    in the open U: a box that reaches dU proves neither."""
+
+    @pytest.mark.parametrize("endpoint", range(4))
+    @pytest.mark.parametrize("on_edge", [True, False])
+    def test_cycle_box_on_the_edge_of_u(self, monkeypatch, endpoint, on_edge):
+        # the superattracting fixed point 0 of f_0 in a box that reaches
+        # dU at one endpoint (re lo, im lo, re hi, im hi), or stops one ulp
+        # short of it
+        u = ComplexBox(Interval(-0.25, 0.25), Interval(-0.25, 0.25))
+        ends = np.array([-0.1, -0.1, 0.1, 0.1])
+        edge = (-0.25, -0.25, 0.25, 0.25)[endpoint]
+        ends[endpoint] = edge if on_edge else np.nextafter(edge, 0.0)
+        cycle = verify._CycleSeeds(np.zeros((1, 1), dtype=complex), np.array([True]),
+                                   ends[None, :2], ends[None, 2:])
+        monkeypatch.setattr(verify, "tracked_cycle_level",
+                            lambda boxes, period, seeds: (cycle, np.ones(1, dtype=np.int64)))
+        proof = verify._anchor_cycle(ComplexBox.point(0j), u, 1, [0j])
+        assert proof["anchor_proof"] == ("cycle-leaves-u" if on_edge else "proven")
+
+    @pytest.mark.parametrize("endpoint", range(4))
+    @pytest.mark.parametrize("on_edge", [True, False])
+    def test_critical_value_on_the_edge_of_u(self, monkeypatch, endpoint, on_edge):
+        # the walk and the preimage count made to pass, and U's edge on one
+        # endpoint of the computed box of g(0) = f_c^3(0), or one ulp
+        # beyond it
+        c, n = complex(-1.7384677075422084, 0.01577114241202889), 3
+        z = BoxArray.of([ComplexBox.point(0j)])
+        for _ in range(n):
+            z = z.sqr().conj() + BoxArray.of([ComplexBox.point(c)])
+        ends = z.e[:, 0] + np.array([-0.1, -0.1, 0.1, 0.1])
+        edge = z.e[endpoint, 0]
+        ends[endpoint] = edge if on_edge else np.nextafter(edge, (-1, -1, 1, 1)[endpoint])
+        u = ComplexBox(Interval(ends[0], ends[2]), Interval(ends[1], ends[3]))
+        walked = verify._Walked(verify._Segments.edges(u)[:0], np.zeros(2, dtype=np.int64),
+                                np.array([False]), np.array([True]))
+        monkeypatch.setattr(verify, "_walk_level", lambda *args: (np.ones(1), walked))
+        monkeypatch.setattr(verify, "preimage_count", lambda *args: 2)
+        proof = verify._anchor_proof(c, u, n, 8)["anchor_proof"]
+        assert (proof == "critical-value") == on_edge
+
+
 @pytest.mark.parametrize("claim", [
     BoundaryDisjointClaim(PAPER_U, 3, 8), FixedPointCountClaim(PAPER_X_REGION, 6),
     ParabolicExclusionClaim(9), MultiplierNonRealClaim(PAPER_X_REGION),
@@ -1291,8 +1365,8 @@ def test_multiplier_boxes_hold_the_exact_fixed_point(u, v, radius, data):
     claim = MultiplierNonRealClaim(PAPER_X_REGION)
     seed = claim.initial_seed(cbox)
     [status], _, _ = claim.evaluate_level(BoxArray.of([cbox]), seed)
-    tracked = tracked_cycle_level(BoxArray.of([cbox]), 6, seed)
-    assume(len(tracked.cycle))
+    tracked, _ = tracked_cycle_level(BoxArray.of([cbox]), 6, seed)
+    assume(tracked.held[0])
     boxes = _orbit_boxes(tracked.lo[0], tracked.hi[0])
     [orbit] = tracked.orbits
     [enclosure] = multiplier_rows(tracked.lo, tracked.hi).boxes()
