@@ -20,14 +20,18 @@ priori bounds of every rounding error for any preconditioner.
 Moduli and multipliers are read from the certified orbit boxes, a batch of
 cycles at a time.
 
-The certifier and its float Newton seed run on a leading batch axis: one
-call takes B rows, each a parameter box and an orbit, as (B, 2p) endpoint
-arrays, and decides every row as it would decide it alone, bit for bit.
-The (B, 2p, 2p) Jacobians, preconditioners and matrices I - Y J go
-through _CHUNK rows at a time, so a call's memory does not grow with B:
-the cycle certifier runs all the rounds of one chunk before the next, so
-it holds one chunk's preconditioners at a time.  The one-box function
-krawczyk_absence is a one-row call of the batch.
+The certifier and its float Newton seed run on a batch axis: one call
+takes B rows, each a parameter box and an orbit, and decides every row as
+it would decide it alone, bit for bit.  The orbit boxes of a batch are one
+(4, B, p) endpoint matrix, laid out like a BoxArray's: rows re lo, im lo,
+re hi, im hi, with the orbit point on the last axis, so that every box test
+on them is intervals._meet or _within.  Only where Y multiplies them are
+the coordinates interleaved as (re z_0, im z_0, re z_1, ...) vectors.  The
+(B, 2p, 2p) Jacobians, preconditioners and matrices I - Y J go through
+_CHUNK rows at a time, so a call's memory does not grow with B: the cycle
+certifier runs all the rounds of one chunk before the next, so it holds
+one chunk's preconditioners at a time.  The one-box function
+krawczyk_absence runs the kernel on one row.
 """
 
 from __future__ import annotations
@@ -42,12 +46,15 @@ from .intervals import (
     ComplexBox,
     _abs_pair,
     _interleave,
+    _meet,
     _mid_arr,
     _mul,
+    _outward,
     _round,
     _scale,
     _sqr_pair,
     _up_arr,
+    _within,
 )
 
 __all__ = [
@@ -96,33 +103,27 @@ def cycle_multiplier(orbit: list[BoxArray]) -> BoxArray:
     return prod
 
 
-def _orbit_columns(lo, hi) -> list[BoxArray]:
-    """The orbit boxes of (B, 2p) endpoint rows as p BoxArray columns."""
-    return [BoxArray((lo[:, i], hi[:, i]), (lo[:, i + 1], hi[:, i + 1]))
-            for i in range(0, lo.shape[1], 2)]
-
-
-def squared_modulus_rows(lo, hi):
+def squared_modulus_rows(z):
     """Enclosures of (prod_i 2|z_i|)^2, the squared modulus of the
-    multiplier of f_c^p along a cycle, for the orbit boxes of each row of
-    (B, 2p) endpoints over (re z_0, im z_0, re z_1, ...).
+    multiplier of f_c^p along a cycle, for each row of the (4, B, p) orbit
+    boxes z.
 
     Returns (lo, hi) arrays, the endpoints of the interval product
     [1, 1] * 2|z_0| * ... * 2|z_{p-1}| squared, with |z| from _abs_pair.
     """
     # the factors 2|z_i| of all orbit points at once, then their product in
     # orbit order
-    (twice,) = _round(_scale(_abs_pair((lo[:, 0::2], hi[:, 0::2]), (lo[:, 1::2], hi[:, 1::2])),
-                             2.0))
-    prod = np.ones(len(lo)), np.ones(len(lo))
-    for i in range(lo.shape[1] // 2):
+    (twice,) = _round(_scale(_abs_pair((z[0], z[2]), (z[1], z[3])), 2.0))
+    prod = np.ones(z.shape[1]), np.ones(z.shape[1])
+    for i in range(z.shape[2]):
         (prod,) = _round(_mul(prod, (twice[0][:, i], twice[1][:, i])))
     return _sqr_pair(prod)
 
 
-def multiplier_rows(lo, hi) -> BoxArray:
-    """cycle_multiplier of the orbit boxes of each row of (B, 2p) endpoints."""
-    return cycle_multiplier(_orbit_columns(lo, hi))
+def multiplier_rows(z) -> BoxArray:
+    """cycle_multiplier of each row of the (4, B, p) orbit boxes z, whose
+    column i is the BoxArray of the boxes of z_i."""
+    return cycle_multiplier([BoxArray._of(z[:, :, i]) for i in range(z.shape[2])])
 
 
 def conj_holomorphic_form(
@@ -376,7 +377,7 @@ class _Pre(NamedTuple):
 
     y: np.ndarray  # (B, 2p, 2p) preconditioners, zeroed where not ok
     abs_y: np.ndarray  # |Y|
-    s_rho: np.ndarray  # (B, 2p) |s| rho
+    s_rho: np.ndarray  # (B, p, 2) |s| rho, the re and im of each orbit point
     cu: np.ndarray  # (B, 1) float midpoints of the parameters' real parts
     cv: np.ndarray  # (B, 1) and of their imaginary parts
     rho_t: np.ndarray  # (B, 2p) (p + 1) u tile(rho, p), a term of t
@@ -384,8 +385,8 @@ class _Pre(NamedTuple):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _preconditioner(c: BoxArray, lo, hi) -> _Pre:
-    """The _Pre of a chunk of rows of parameters c and boxes (lo, hi).
+def _preconditioner(c: BoxArray, z) -> _Pre:
+    """The _Pre of a chunk of rows of parameters c and (4, B, p) boxes z.
 
     Y is the float inverse of the Jacobian at the boxes' midpoints
     (_cyclic_inverse), zeroed on the rows whose Jacobian is singular, s =
@@ -393,30 +394,40 @@ def _preconditioner(c: BoxArray, lo, hi) -> _Pre:
     column order, and rho the parameter radii about their float
     midpoints, rounded up.
     """
-    n = lo.shape[1]
-    m = _mid_arr(lo, hi)
-    y = _cyclic_inverse(m[:, 0::2], m[:, 1::2])
+    p = z.shape[2]
+    y = _cyclic_inverse(*_mid_arr(z[:2], z[2:]))
     ok = np.isfinite(y).all(axis=(1, 2))
     y[~ok] = 0.0
     su, sv = y[..., 0].copy(), y[..., 1].copy()
-    for j in range(2, n, 2):
+    for j in range(2, 2 * p, 2):
         su += y[..., j]
         sv += y[..., j + 1]
     c_lo, c_hi = np.stack((c.re[0], c.im[0]), axis=1), np.stack((c.re[1], c.im[1]), axis=1)
     c_mid = _mid_arr(c_lo, c_hi)
     rho = _up_arr(np.maximum(c_hi - c_mid, c_mid - c_lo))
     s_rho = _matvec(np.abs(np.stack((su, sv), axis=2)), rho)
-    p = n // 2
-    return _Pre(y, np.abs(y), s_rho, c_mid[:, :1].copy(), c_mid[:, 1:].copy(),
+    return _Pre(y, np.abs(y), s_rho.reshape(-1, p, 2), c_mid[:, :1].copy(), c_mid[:, 1:].copy(),
                 (p + 1) * _U * np.tile(rho, p), ok)
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _krawczyk_rows(lo, hi, pre: _Pre):
-    """The Krawczyk images of one chunk of rows of boxes (lo, hi), with the
-    terms pre of _preconditioner, whose preconditioners may come from
-    other boxes of the same rows: the one kernel of _krawczyk_image and of
-    the rounds of krawczyk_cycle_rows.
+def _krawczyk_rows(z, pre: _Pre):
+    """The Krawczyk images of one chunk of rows of (4, B, p) orbit boxes z
+    for the coupled cyclic system G_i = f(z_i) - z_{i+1}, with the terms
+    pre of _preconditioner, whose preconditioners may come from other boxes
+    of the same rows: the one kernel of krawczyk_cycle_rows and of
+    krawczyk_absence.
+
+    Y is a float inverse of a Jacobian of the system, from its block-cyclic
+    structure (_cyclic_inverse), with the same bits on every machine.  The
+    image is one midpoint-radius evaluation in round to nearest (Rump, BIT
+    39, 1999; Acta Numerica 19, 2010): the center m - Y G(m, c_mid), and a
+    radius bounding a priori the spread of K over C and Z and every
+    rounding error.  I - Y J(m) is formed entrywise, so Y J(m) cancels
+    against I before radii add; G is exactly linear in c, so c enters
+    through the signed sums of Y's even and odd columns, and the orbit's
+    c-sensitivities can cancel.  Each row's sums see that row alone, so its
+    image has the same bits in any batch.
 
     For z in Z and c in C, with d = z - m, |d| <= r and (du, dv) = c -
     c_mid, |du|, |dv| <= rho, the Krawczyk point is
@@ -447,20 +458,22 @@ def _krawczyk_rows(lo, hi, pre: _Pre):
     relative losses while n <= _MAX_N; the floor 2^-1060 on t covers the
     at most 8 eta an entry of t loses before |Y| multiplies it, 2u |center|
     the center's rounding and 2^-1000 the other underflows.  The endpoints
-    center -+ rad are then stepped outward once.  Returns (k_lo, k_hi,
-    ok), ok the regular rows of pre whose image is finite, which alone
-    carry an image: a row whose image overflows fails like a singular one.
+    center -+ rad are then stepped outward once, in the (4, B, p) matrix
+    that the call returns with ok, the regular rows of pre whose image is
+    finite, which alone carry an image: a row whose image overflows fails
+    like a singular one.
     """
-    b, n = lo.shape
+    _, b, p = z.shape
+    n = 2 * p
     if n > _MAX_N:
         raise ValueError(f"the Krawczyk bounds hold up to period {_MAX_N // 2}")
-    p = n // 2
     # every operand of _matvec is C-ordered, so each row's sums run in the
-    # order of its one-row batch
+    # order of its one-row batch; the coordinates that Y multiplies are
+    # interleaved (re z_0, im z_0, re z_1, ...)
     y, cu, cv = pre.y, pre.cu, pre.cv
-    m = _mid_arr(lo, hi)
-    x, yv = m[:, 0::2], m[:, 1::2]
-    r = _up_arr(np.maximum(hi - m, m - lo))
+    x, yv = m = _mid_arr(z[:2], z[2:])
+    rx, ry = _up_arr(np.maximum(z[2:] - m, m - z[:2]))
+    r = _interleave(rx, ry)
     xx, yy, xy = x * x, yv * yv, 2.0 * (x * yv)
     x_next, y_next = _next(x), _next(yv)
     g = _interleave(((xx - yy) + cu) - x_next, (cv - xy) - y_next)
@@ -487,94 +500,72 @@ def _krawczyk_rows(lo, hi, pre: _Pre):
     one_minus = 1.0 - diagonal
     np.abs(a, out=a)
     np.abs(one_minus, out=diagonal)  # a is |A| from here on
-    ax, ay, rx, ry = np.abs(x), np.abs(yv), r[:, 0::2], r[:, 1::2]
+    ax, ay = np.abs(x), np.abs(yv)
     jr = _interleave(2.0 * (ax * rx + ay * ry) + _next(rx), 2.0 * (ay * rx + ax * ry) + _next(ry))
     dj = _interleave(2.0 * (rx * rx + ry * ry), (2.0 * rx) * (2.0 * ry))
     t = (5 * _U * (g_sum + jr) + (n + 1) * _U * np.abs(g)) + (dj + pre.rho_t)
-    center = m - _matvec(y, g)
+    center = _interleave(x, yv) - _matvec(y, g)
     rad = ((_matvec(pre.abs_y, t + 2.0 ** -1060) + _matvec(a, r))
-           + (pre.s_rho + (5 * _U * r + 2.0 * _ETA * r.sum(axis=1)[:, None])))
+           + (pre.s_rho.reshape(b, n) + (5 * _U * r + 2.0 * _ETA * r.sum(axis=1)[:, None])))
     rad = (rad * (1.0 + 2.0 ** -44) + 2.0 * _U * np.abs(center)) + 2.0 ** -1000
-    [(k_lo, k_hi)] = _round((center - rad, center + rad))
-    return k_lo, k_hi, pre.ok & (np.isfinite(k_lo) & np.isfinite(k_hi)).all(axis=1)
-
-
-def _krawczyk_image(c: BoxArray, boxes):
-    """One Krawczyk step for the coupled cyclic system G_i = f(z_i) - z_{i+1},
-    for B rows at once, _CHUNK at a time, each preconditioned at the
-    midpoints of its own boxes: the one-shot image of absence.
-
-    c is a BoxArray of B parameter rows and boxes a pair (lo, hi) of
-    (B, 2p) endpoint arrays over the coordinates (re z_0, im z_0, re z_1,
-    ...) of each row's orbit boxes.  Returns the endpoints of the images
-    K(Z) and the mask of the rows whose midpoint Jacobian is regular; the
-    other rows carry no image.
-
-    Y is a float inverse of the midpoint Jacobian, from its block-cyclic
-    structure (_cyclic_inverse), with the same bits on every machine.  The
-    image is one midpoint-radius evaluation in round to nearest (Rump,
-    BIT 39, 1999; Acta Numerica 19, 2010): the center m - Y G(m, c_mid),
-    and a radius bounding a priori the spread of K over C and Z and every
-    rounding error (derived in _krawczyk_rows).  I - Y J(m) is formed
-    entrywise, so Y J(m) cancels against I before radii add; G is exactly
-    linear in c, so c enters through the signed sums of Y's even and odd
-    columns, and the orbit's c-sensitivities can cancel.  Each row's sums
-    see that row alone, so its image has the same bits in any batch.  A
-    row whose image overflows goes without one, like a singular row.
-    """
-    return _chunked(lambda c, lo, hi: _krawczyk_rows(lo, hi, _preconditioner(c, lo, hi)),
-                    c, *boxes)
+    # the lows, then the highs, of each orbit point's re and im
+    k = np.empty((2, 2, b, p))
+    center, rad = (v.reshape(b, p, 2).transpose(2, 0, 1) for v in (center, rad))
+    np.subtract(center, rad, out=k[0])
+    np.add(center, rad, out=k[1])
+    k = _outward(k.reshape(4, b, p), 2)
+    return k, pre.ok & np.isfinite(k).all(axis=(0, 2))
 
 
 def _around(orbits, radius):
-    """The endpoint rows of ComplexBox.around(z, radius) for each orbit point."""
-    mid = _interleave(orbits.real, orbits.imag)
-    return _round((mid - radius, mid + radius))[0]
+    """The (4, B, p) boxes ComplexBox.around(z, radius) of the points of the
+    (B, p) orbits, for a radius that broadcasts against them."""
+    mid = np.stack((orbits.real, orbits.imag))
+    return _outward(np.concatenate((mid - radius, mid + radius)), 2)
 
 
-def _inflation_round(lo, hi, pre: _Pre, pad, certified, remaining):
+def _inflation_round(z, pre: _Pre, pad, certified, remaining):
     """One round of krawczyk_cycle_rows on the open rows of a chunk, held
-    compacted: updates their boxes (lo, hi), certified and remaining in
+    compacted: updates their (4, B, p) boxes z, certified and remaining in
     place, and returns the mask of the rows still open.  pad is 4 times
     each row's radius, as a (rows, 1) column.  The round's images live in
     this call alone and are freed on return."""
-    p = lo.shape[1] // 2
-    k_lo, k_hi, regular = _krawczyk_rows(lo, hi, pre)
+    k, regular = _krawczyk_rows(z, pre)
     # an image strictly inside its boxes certifies the cycle: contract
     # toward the fixed point, then hand back tight boxes; each image lies
     # strictly inside its box, so it is what the two share
-    inside = regular & ((lo < k_lo) & (k_hi < hi)).all(axis=1)
-    lo[inside], hi[inside] = k_lo[inside], k_hi[inside]
+    inside = regular & _within(k, z, True).all(axis=1)
+    z[:, inside] = k[:, inside]
     certified |= inside
     remaining[inside] -= 1
     # any other image ends a certified row; an uncertified row fails when
     # its image misses its boxes, else grows by epsilon inflation unless
     # that makes a box wider than 0.5
-    grow = regular & ~certified & ((lo <= k_hi) & (k_lo <= hi)).all(axis=1)
-    width = _up_arr(k_hi - k_lo).reshape(-1, p, 2).max(axis=2)
-    g_pad = np.repeat(0.125 * width + pad, 2, axis=1)
-    g_lo, g_hi = k_lo - g_pad, k_hi + g_pad
+    grow = regular & ~certified & _meet(k, z).all(axis=1)
+    g_pad = 0.125 * _up_arr(k[2:] - k[:2]).max(axis=0) + pad
+    grown = np.concatenate((k[:2] - g_pad, k[2:] + g_pad))
     # a box that is not finite has an inf or nan width
-    grow &= _up_arr(g_hi - g_lo).max(axis=1) <= 0.5
-    lo[grow], hi[grow] = g_lo[grow], g_hi[grow]
+    grow &= _up_arr(grown[2:] - grown[:2]).max(axis=(0, 2)) <= 0.5
+    z[:, grow] = grown[:, grow]
     return grow | (inside & (remaining > 0))
 
 
-def _sized_start(lo, hi, pre: _Pre, pad):
-    """The start boxes of the rows of a chunk whose boxes are points, a
-    float orbit each: written over them in place as the orbit -+ (2 |s|
-    rho + pad), each coordinate rounded outward.  Returns the mask of the
-    rows that go on to the rounds: all but the sized ones whose boxes are
-    not finite or wider than 0.5."""
-    sized = (lo == hi).all(axis=1)
+def _sized_start(z, pre: _Pre, pad):
+    """The start boxes of the rows of a chunk whose (4, B, p) boxes z are
+    points, a float orbit each: written over them in place as the orbit -+
+    (2 |s| rho + pad), each coordinate rounded outward.  Returns the mask
+    of the rows that go on to the rounds: all but the sized ones whose
+    boxes are not finite or wider than 0.5."""
+    sized = (z[:2] == z[2:]).all(axis=(0, 2))
     if not sized.any():
         return ~sized
-    reach = 2.0 * pre.s_rho[sized] + pad[sized]
-    [(s_lo, s_hi)] = _round((lo[sized] - reach, lo[sized] + reach))
-    lo[sized], hi[sized] = s_lo, s_hi
+    reach = 2.0 * np.moveaxis(pre.s_rho[sized], 2, 0) + pad[sized]
+    point = z[:2, sized]
+    start = _outward(np.concatenate((point - reach, point + reach)), 2)
+    z[:, sized] = start
     keep = ~sized
     # a box that is not finite has an inf or nan width
-    keep[sized] = _up_arr(s_hi - s_lo).max(axis=1) <= 0.5
+    keep[sized] = _up_arr(start[2:] - start[:2]).max(axis=(0, 2)) <= 0.5
     return keep
 
 
@@ -585,17 +576,17 @@ def krawczyk_cycle_rows(c: BoxArray, boxes, radius):
 
     Each residual involves a single map application, so there is no
     iterate-depth wrapping.  c is a BoxArray of B parameter rows, boxes the
-    (lo, hi) pair of (B, 2p) endpoint arrays of the start boxes, and
-    radius the (B,) array of the rows' inflation radii.  A row whose boxes
-    are points is a float orbit (a Newton seed): it starts from the boxes
-    orbit -+ (2 |s| rho + 4 radius) per coordinate (_sized_start), where
-    |s| rho is the parameter term of its Krawczyk radius, the spread of
-    the image over the parameter box.  The first image of a point-like
-    box would only measure that term, which _Pre holds before any image
-    runs.  With the factor 2 the sized box, of radius r, holds its image
-    whenever the contraction term |I - Y J(m)| r of the image is at most
-    r / 2 and its other terms (the center's offset from the orbit, the
-    quadratic and the rounding terms) stay below 2 radius.  A sized
+    (4, B, p) endpoint matrix of the start boxes, and radius the (B,)
+    array of the rows' inflation radii.  A row whose boxes are points is a
+    float orbit (a Newton seed): it starts from the boxes orbit -+ (2 |s|
+    rho + 4 radius) per coordinate (_sized_start), where |s| rho is the
+    parameter term of its Krawczyk radius, the spread of the image over
+    the parameter box.  The first image of a point-like box would only
+    measure that term, which _Pre holds before any image runs.  With the
+    factor 2 the sized box, of radius r, holds its image whenever the
+    contraction term |I - Y J(m)| r of the image is at most r / 2 and its
+    other terms (the center's offset from the orbit, the quadratic and the
+    rounding terms) stay below 2 radius.  A sized
     start that is not finite or wider than 0.5 fails its row with no
     image.  Any other row (the certified orbit boxes of a box that holds
     the row's cycle, or any boxes) starts from its boxes as given.  Any
@@ -620,23 +611,23 @@ def krawczyk_cycle_rows(c: BoxArray, boxes, radius):
     of its rows still open, held compacted, which decide by these rules
     and update their boxes.  A row is written back once, when it closes.
     Every row ends as it would by itself, and no array holds more than a
-    chunk's preconditioners or a round's images.  Returns (certified, lo,
-    hi, images): the mask of certified rows, the endpoint arrays of boxes,
-    refined in place (the tight orbit boxes of the certified rows), and
-    the number of Krawczyk images each row ran.
+    chunk's preconditioners or a round's images.  Returns (certified,
+    boxes, images): the mask of certified rows, the orbit boxes, refined
+    in place (the tight orbit boxes of the certified rows), and the number
+    of Krawczyk images each row ran.
     """
-    lo, hi = boxes
-    certified = np.zeros(len(lo), dtype=bool)
-    images = np.zeros(len(lo), dtype=np.int64)
-    for start in range(0, len(lo), _CHUNK):
-        rows = np.arange(start, min(start + _CHUNK, len(lo)))
-        z_lo, z_hi, pad = lo[rows], hi[rows], 4.0 * radius[rows, None]
+    count = boxes.shape[1]
+    certified = np.zeros(count, dtype=bool)
+    images = np.zeros(count, dtype=np.int64)
+    for start in range(0, count, _CHUNK):
+        rows = np.arange(start, min(start + _CHUNK, count))
+        z, pad = boxes[:, rows], 4.0 * radius[rows, None]
         won, remaining = np.zeros(len(rows), dtype=bool), np.full(len(rows), _TIGHTEN)
-        pre = _preconditioner(c[rows], z_lo, z_hi)
-        still = _sized_start(z_lo, z_hi, pre, pad)
+        pre = _preconditioner(c[rows], z)
+        still = _sized_start(z, pre, pad)
         for done in range(_ROUNDS + 1):
             if done:
-                still = _inflation_round(z_lo, z_hi, pre, pad, won, remaining)
+                still = _inflation_round(z, pre, pad, won, remaining)
             if done == _ROUNDS:
                 still[:] = False
             # rows leave a chunk's arrays only when some close: a copy that
@@ -644,14 +635,14 @@ def krawczyk_cycle_rows(c: BoxArray, boxes, radius):
             if not still.all():
                 out = ~still
                 gone = rows[out]
-                lo[gone], hi[gone] = z_lo[out], z_hi[out]
+                boxes[:, gone] = z[:, out]
                 certified[gone], images[gone] = won[out], done
-                rows, z_lo, z_hi, pad, won, remaining = (
-                    a[still] for a in (rows, z_lo, z_hi, pad, won, remaining))
+                rows, pad, won, remaining = (a[still] for a in (rows, pad, won, remaining))
+                z = z[:, still]
                 pre = pre._make(a[still] for a in pre)
             if not len(rows):
                 break
-    return certified, lo, hi, images
+    return certified, boxes, images
 
 
 def krawczyk_absence(
@@ -670,9 +661,9 @@ def krawczyk_absence(
     """
     if len(orbit_guess) != period:
         raise ValueError("orbit guess length must equal the period")
-    lo, hi = _around(np.array([orbit_guess], dtype=complex), radius)
-    [k_lo], [k_hi], [regular] = _krawczyk_image(BoxArray.of([c]), (lo, hi))
-    return bool(regular and not ((lo[0] <= k_hi) & (k_lo <= hi[0])).all())
+    z = _around(np.array([orbit_guess], dtype=complex), radius)
+    k, [regular] = _krawczyk_rows(z, _preconditioner(BoxArray.of([c]), z))
+    return bool(regular and not _meet(k, z).all())
 
 
 # ---------------------------------------------------------------------------

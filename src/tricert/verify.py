@@ -591,38 +591,33 @@ def _refine_orbit(c_mids, guesses):
     return orbits, finite & (residual < _NEWTON_RESIDUAL_TOL)
 
 
-def _pairwise_disjoint(lo, hi):
-    """The rows of (B, 2p) orbit-box endpoints whose p boxes are pairwise
+def _pairwise_disjoint(z):
+    """The rows of (4, B, p) orbit boxes whose p boxes are pairwise
     disjoint."""
-    meet = np.ones((len(lo), lo.shape[1] // 2, lo.shape[1] // 2), dtype=bool)
-    for axis in (0, 1):
-        a, b = lo[:, axis::2], hi[:, axis::2]
-        meet &= (a[:, :, None] <= b[:, None, :]) & (a[:, None, :] <= b[:, :, None])
-    return ~np.triu(meet, 1).any(axis=(1, 2))
+    return ~np.triu(_meet(z[..., :, None], z[..., None, :]), 1).any(axis=(1, 2))
 
 
 @dataclass(frozen=True)
 class _CycleSeeds:
     """What a tracked-cycle level finds and hands on, row by row: its orbit
-    guess, whether its cycle was held, and the endpoints of its orbit
-    boxes, nan on every row not held."""
+    guess, whether its cycle was held, and its orbit boxes, nan on every
+    row not held."""
 
     orbits: np.ndarray  # (B, p) orbit guesses, refined where Newton ran
     held: np.ndarray  # (B,) mask of the rows whose cycle was held
-    lo: np.ndarray  # (B, 2p) endpoints of their orbit boxes
-    hi: np.ndarray
+    boxes: np.ndarray  # (4, B, p) endpoint matrix of their orbit boxes
 
     @staticmethod
     def of(orbits) -> "_CycleSeeds":
         """Orbit guesses alone, with no cycle held."""
         orbits = np.asarray(orbits, dtype=complex)
-        none = np.full((len(orbits), 2 * orbits.shape[-1]), np.nan)
-        return _CycleSeeds(orbits, np.zeros(len(orbits), dtype=bool), none, none)
+        return _CycleSeeds(orbits, np.zeros(len(orbits), dtype=bool),
+                           np.full((4, *orbits.shape), np.nan))
 
     def __getitem__(self, rows) -> "_CycleSeeds":
         """The seeds of the given rows, in turn: row j of the result is row
         rows[j]."""
-        return _CycleSeeds(self.orbits[rows], self.held[rows], self.lo[rows], self.hi[rows])
+        return _CycleSeeds(self.orbits[rows], self.held[rows], self.boxes[:, rows])
 
 
 def tracked_cycle_level(boxes: BoxArray, period: int, seeds) -> tuple[_CycleSeeds, np.ndarray]:
@@ -648,8 +643,8 @@ def tracked_cycle_level(boxes: BoxArray, period: int, seeds) -> tuple[_CycleSeed
     box width, at least 1e-9, as its inflation radius.  Every step runs on
     the whole level, its kernel and Newton rows _CHUNK at a time, is
     skipped when it has no rows, and decides each row as it would by
-    itself.  The orbit boxes are over the coordinates (re z_0, im z_0,
-    re z_1, ...).
+    itself.  The orbit boxes are a (4, B, p) endpoint matrix, rows re lo,
+    im lo, re hi, im hi, with the orbit point on the last axis.
     """
     count = len(boxes)
     if not isinstance(seeds, _CycleSeeds):
@@ -659,20 +654,19 @@ def tracked_cycle_level(boxes: BoxArray, period: int, seeds) -> tuple[_CycleSeed
     radius = np.maximum(1e-9, boxes.width())
     effort = np.zeros(count, dtype=np.int64)
     held = np.zeros(count, dtype=bool)
-    # two arrays: certify writes both in place
-    lo, hi = np.full((count, 2 * period), np.nan), np.full((count, 2 * period), np.nan)
+    z = np.full((4, count, period), np.nan)
 
     def certify(rows, start):
         """Krawczyk from the start boxes of rows: marks the held rows among
-        them and writes the endpoints of their orbit boxes into place."""
+        them and writes their orbit boxes into place."""
         if len(rows):
-            certified, k_lo, k_hi, images = krawczyk_cycle_rows(boxes[rows], start, radius[rows])
+            certified, k, images = krawczyk_cycle_rows(boxes[rows], start, radius[rows])
             effort[rows] += images
-            won = certified & _pairwise_disjoint(k_lo, k_hi)
-            held[rows], lo[rows[won]], hi[rows[won]] = won, k_lo[won], k_hi[won]
+            won = certified & _pairwise_disjoint(k)
+            held[rows], z[:, rows[won]] = won, k[:, won]
 
     rows = np.flatnonzero(seeds.held)
-    certify(rows, (seeds.lo[rows], seeds.hi[rows]))
+    certify(rows, seeds.boxes[:, rows])
     mids = np.empty(count, dtype=complex)
     mids.real, mids.imag = _mid_arr(*boxes.re), _mid_arr(*boxes.im)
     rows = np.flatnonzero(~held)
@@ -685,12 +679,12 @@ def tracked_cycle_level(boxes: BoxArray, period: int, seeds) -> tuple[_CycleSeed
     rows = np.flatnonzero(converged)
     # the start boxes are the converged orbits as points, which
     # krawczyk_cycle_rows sizes by each row's parameter spread
-    points = _interleave(orbits[rows].real, orbits[rows].imag)
-    certify(rows, (points, points.copy()))
-    return _CycleSeeds(orbits, held, lo, hi), effort
+    points = orbits[rows]
+    certify(rows, np.stack([points.real, points.imag] * 2))
+    return _CycleSeeds(orbits, held, z), effort
 
 
-# The statuses of a level are read at once from the endpoint rows of its
+# The statuses of a level are read at once from the endpoint matrix of its
 # orbit boxes, in the BoxArray arithmetic and its endpoint-pair helpers.  A
 # read with a non-finite endpoint, where an enclosure overflowed or a row
 # holds no cycle (its boxes are nan), decides nothing.
@@ -700,7 +694,7 @@ def _modulus_statuses(cycles: _CycleSeeds) -> np.ndarray:
     """Per row of a level: 'T' for a strictly attracting and 'F' for a
     strictly repelling certified cycle, by its squared modulus product;
     'U' when that enclosure holds 1, or with no cycle held."""
-    m_lo, m_hi = squared_modulus_rows(cycles.lo, cycles.hi)
+    m_lo, m_hi = squared_modulus_rows(cycles.boxes)
     finite = np.isfinite(m_lo) & np.isfinite(m_hi)
     return np.where(finite & (m_hi < 1.0), "T", np.where(finite & (m_lo > 1.0), "F", "U"))
 
@@ -715,11 +709,10 @@ def _nonreal_statuses(cycles: _CycleSeeds, region: ComplexBox | None) -> np.ndar
     """Per row of a level: 'T' when the box of z_0 of the certified period-6
     cycle lies in the region and the enclosure of Im (f_c^6)'(z_0) excludes
     0."""
-    lo, hi = cycles.lo, cycles.hi
-    m = multiplier_rows(lo, hi)
+    m = multiplier_rows(cycles.boxes)
     ok = m.finite() & ((m.im[0] > 0.0) | (m.im[1] < 0.0))
     if region is not None:
-        ok &= _within(np.concatenate((lo[:, :2].T, hi[:, :2].T)), _matrix(region), False)
+        ok &= _within(cycles.boxes[:, :, 0], _matrix(region), False)
     return np.where(ok, "T", "U")
 
 
@@ -922,14 +915,14 @@ def _anchor_cycle(point: ComplexBox, u: ComplexBox, n: int, seed) -> dict[str, s
     modulus = _modulus_statuses(cycles)[0] if cycles.held[0] else None
     if modulus != "T":
         return {"anchor_proof": _MODULUS_FAILURES[modulus]}
-    [lo], [hi] = cycles.lo, cycles.hi
-    inside = _within(np.concatenate([v.reshape(-1, 2).T for v in (lo, hi)]), _matrix(u), True)
+    z = cycles.boxes[:, 0]
+    inside = _within(z, _matrix(u), True)
     residue = next((r for r in range(n) if inside[r::n].all()), None)
     if residue is None:
         return {"anchor_proof": "cycle-leaves-u"}
-    m_lo, m_hi = squared_modulus_rows(lo[None], hi[None])
-    ends = [v for k in range(2 * residue, 2 * p, 2 * n)
-            for v in (lo[k], hi[k], lo[k + 1], hi[k + 1])]
+    m_lo, m_hi = squared_modulus_rows(cycles.boxes)
+    # (re lo, re hi, im lo, im hi) of each box of z_r, z_{r+n}, ... in turn
+    ends = z[[0, 2, 1, 3], residue::n].T.ravel()
     return {"anchor_proof": "proven", "anchor_period": str(p), "anchor_residue": str(residue),
             "anchor_cycle": " ".join(map(_hex, ends)),
             "anchor_modulus": f"{_hex(m_lo[0])} {_hex(m_hi[0])}"}

@@ -244,12 +244,11 @@ def _odd_multiplier_suite(count):
     converged = residual <= 1e-10
     cbox = BoxArray.of([ComplexBox.point(v) for v in c[converged].tolist()])
     radius = np.full(len(cbox), 1e-8)
-    certified, lo, hi, _ = krawczyk_cycle_rows(cbox, _around(orbits[converged], radius[:, None]),
-                                               radius)
+    certified, z, _ = krawczyk_cycle_rows(cbox, _around(orbits[converged], radius[:, None]), radius)
     rows = np.flatnonzero(certified)[:count]
-    lo, hi = lo[rows], hi[rows]
-    m_lo, m_hi = squared_modulus_rows(lo, hi)  # a fixed point: one orbit box
-    _, d = even_iterate(cbox[rows], BoxArray((lo[:, 0], hi[:, 0]), (lo[:, 1], hi[:, 1])), 2)
+    z = z[:, rows]
+    m_lo, m_hi = squared_modulus_rows(z)  # a fixed point: one orbit box
+    _, d = even_iterate(cbox[rows], BoxArray._of(z[:, :, 0]), 2)
     # the odd-cycle multiplier is real and nonnegative, and equals the
     # derivative of the doubled iterate
     ok = ((m_lo >= 0.0) & (d.im[0] <= 0.0) & (0.0 <= d.im[1])

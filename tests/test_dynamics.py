@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -56,23 +57,21 @@ def _pt(z: complex) -> BoxArray:
 
 
 def _rows(boxes):
-    """The (1, 2p) endpoint rows of one orbit's boxes."""
-    lo = np.array([[v for b in boxes for v in (b.re.lo, b.im.lo)]])
-    hi = np.array([[v for b in boxes for v in (b.re.hi, b.im.hi)]])
-    return lo, hi
+    """The (4, 1, p) endpoint matrix of one orbit's boxes."""
+    return BoxArray.of(boxes).e[:, None]
 
 
-def _orbit_boxes(lo, hi) -> list[ComplexBox]:
-    """The orbit boxes of one (2p,) endpoint row."""
-    return BoxArray((lo[0::2], hi[0::2]), (lo[1::2], hi[1::2])).boxes()
+def _orbit_boxes(z) -> list[ComplexBox]:
+    """The orbit boxes of one (4, p) endpoint row."""
+    return BoxArray._of(z).boxes()
 
 
 def _krawczyk_cycle(c: ComplexBox, orbit, radius: float):
     """krawczyk_cycle_rows on one row: its certified orbit boxes, or None."""
-    certified, lo, hi, _ = krawczyk_cycle_rows(
+    certified, z, _ = krawczyk_cycle_rows(
         BoxArray.of([c]), dynamics._around(np.array([orbit], dtype=complex), radius),
         np.array([radius]))
-    return _orbit_boxes(lo[0], hi[0]) if certified[0] else None
+    return _orbit_boxes(z[:, 0]) if certified[0] else None
 
 
 def _float_newton(c: complex, orbit):
@@ -84,7 +83,7 @@ def _float_newton(c: complex, orbit):
 
 def _squared_modulus(boxes) -> Interval:
     """squared_modulus_rows of one orbit, as an Interval."""
-    lo, hi = squared_modulus_rows(*_rows(boxes))
+    lo, hi = squared_modulus_rows(_rows(boxes))
     return Interval(float(lo[0]), float(hi[0]))
 
 
@@ -422,21 +421,30 @@ def _exact_box(z: complex, r: float) -> ComplexBox:
 
 
 def _batch(rows):
-    """The BoxArray of the rows' parameters and the (lo, hi) endpoint rows
-    of their orbit boxes."""
-    lo = np.array([[t for b in boxes for t in (b.re.lo, b.im.lo)] for _, boxes in rows])
-    hi = np.array([[t for b in boxes for t in (b.re.hi, b.im.hi)] for _, boxes in rows])
-    return BoxArray.of([c for c, _ in rows]), (lo, hi)
+    """The BoxArray of the rows' parameters and the (4, B, p) endpoint
+    matrix of their orbit boxes."""
+    return BoxArray.of([c for c, _ in rows]), np.stack([BoxArray.of(b).e for _, b in rows], axis=1)
 
 
-def _row_boxes(k_lo, k_hi, ok, i):
-    return _orbit_boxes(k_lo[i], k_hi[i]) if ok[i] else None
+def _krawczyk_image(c: BoxArray, z):
+    """The Krawczyk images of the (4, B, p) orbit boxes z and the mask of
+    the rows that carry one, _CHUNK rows at a time, each preconditioned at
+    the midpoints of its own boxes."""
+    parts = [dynamics._krawczyk_rows(z[:, k:k + dynamics._CHUNK],
+                                     dynamics._preconditioner(c[k:k + dynamics._CHUNK],
+                                                              z[:, k:k + dynamics._CHUNK]))
+             for k in range(0, len(c), dynamics._CHUNK)]
+    return np.concatenate([k for k, _ in parts], axis=1), np.concatenate([ok for _, ok in parts])
+
+
+def _row_boxes(k, ok, i):
+    return _orbit_boxes(k[:, i]) if ok[i] else None
 
 
 def _image(c, boxes):
     """The image boxes of one row from its one-row batch, or None when its
     midpoint Jacobian is singular."""
-    return _row_boxes(*dynamics._krawczyk_image(*_batch([(c, boxes)])), 0)
+    return _row_boxes(*_krawczyk_image(*_batch([(c, boxes)])), 0)
 
 
 def _bits(image):
@@ -459,19 +467,19 @@ def _scan_kernel_rows():
         def mids(pre):
             return zip(pre.cu[:, 0].tolist(), pre.cv[:, 0].tolist())
 
-        def spy_pre(c, lo, hi):
-            pre = precondition(c, lo, hi)
+        def spy_pre(c, z):
+            pre = precondition(c, z)
             box_at.update(zip(mids(pre), c.boxes()))
             return pre
 
-        def spy(lo, hi, pre):
-            rows.extend(zip(mids(pre), lo, hi))
-            return kernel(lo, hi, pre)
+        def spy(z, pre):
+            rows.extend(zip(mids(pre), np.moveaxis(z, 1, 0)))
+            return kernel(z, pre)
 
         with mock.patch.object(dynamics, "_krawczyk_rows", spy), \
                 mock.patch.object(dynamics, "_preconditioner", spy_pre):
             adaptive_scan(PAPER_R, claim, 6)
-        samples.append([(box_at[mid], _orbit_boxes(lo, hi)) for mid, lo, hi in
+        samples.append([(box_at[mid], _orbit_boxes(z)) for mid, z in
                         (rows[k] for k in np.linspace(0, len(rows) - 1, 250).astype(int))])
     return samples
 
@@ -515,15 +523,15 @@ class TestKrawczykKernel:
         regular = (ComplexBox.point(-1 + 0j), [ComplexBox.around(0j, 1e-6),
                                                ComplexBox.around(-1 + 0j, 1e-6)])
         assert _image(c, boxes) is None and _scalar_krawczyk_image(*regular) is not None
-        k_lo, k_hi, ok = dynamics._krawczyk_image(*_batch([(c, boxes), regular]))
+        k, ok = _krawczyk_image(*_batch([(c, boxes), regular]))
         assert ok.tolist() == [False, True]
-        assert _bits(_row_boxes(k_lo, k_hi, ok, 1)) == _bits(_image(*regular))
+        assert _bits(_row_boxes(k, ok, 1)) == _bits(_image(*regular))
 
     def test_periods_beyond_the_error_bounds_are_refused(self):
         # the scale 1 + 2^-44 covers the roundings of the radius up to 2p = 400
-        row = np.zeros((1, 402))
+        row = np.zeros((4, 1, 201))
         with pytest.raises(ValueError):
-            dynamics._krawczyk_image(BoxArray.of([ComplexBox.point(0j)]), (row, row))
+            _krawczyk_image(BoxArray.of([ComplexBox.point(0j)]), row)
 
     @settings(max_examples=100, deadline=None)
     @given(st.sampled_from((1, 2, 3, 9)).flatmap(
@@ -552,11 +560,11 @@ class TestKrawczykKernel:
         alone = [_bits(_image(c, boxes)) for c, boxes in rows]
         for chunk in (32, 2):
             with mock.patch.object(dynamics, "_CHUNK", chunk):
-                k_lo, k_hi, ok = dynamics._krawczyk_image(*_batch(rows))
+                k, ok = _krawczyk_image(*_batch(rows))
             assert ok.tolist() == regular
-            assert [_bits(_row_boxes(k_lo, k_hi, ok, i)) for i in range(len(rows))] == alone
+            assert [_bits(_row_boxes(k, ok, i)) for i in range(len(rows))] == alone
         i = pick % len(rows)
-        assert _bits(_row_boxes(k_lo, k_hi, ok, i)) == _bits(_image(*rows[i]))
+        assert _bits(_row_boxes(k, ok, i)) == _bits(_image(*rows[i]))
 
     def test_singular_row_is_lost_alone(self, monkeypatch):
         # a singular row's preconditioner is not finite; only the singular
@@ -570,21 +578,21 @@ class TestKrawczykKernel:
         assert alone is not None
         for chunk in (32, 2):
             monkeypatch.setattr(dynamics, "_CHUNK", chunk)
-            k_lo, k_hi, ok = dynamics._krawczyk_image(*_batch(rows))
+            k, ok = _krawczyk_image(*_batch(rows))
             assert ok.tolist() == [True, False, True, True, False]
             for i in (0, 2, 3):
-                assert _bits(_row_boxes(k_lo, k_hi, ok, i)) == alone
+                assert _bits(_row_boxes(k, ok, i)) == alone
 
     def test_width_against_scalar_oracle(self):
         # on kernel rows of the paper's scans the error bounds of the
         # midpoint-radius image widen it by at most 1e-6 of the width of
         # the scalar evaluation, which rounds outward after every operation
         for rows in _scan_kernel_rows():
-            k_lo, k_hi, ok = dynamics._krawczyk_image(*_batch(rows))
+            k, ok = _krawczyk_image(*_batch(rows))
             assert ok.all()
-            for (c, boxes), lo, hi in zip(rows, k_lo, k_hi):
+            for (c, boxes), lo, hi in zip(rows, np.moveaxis(k[:2], 1, 0), np.moveaxis(k[2:], 1, 0)):
                 oracle = _scalar_krawczyk_image(c, boxes)
-                widths = [t.hi - t.lo for b in oracle for t in (b.re, b.im)]
+                widths = [[b.re.hi - b.re.lo for b in oracle], [b.im.hi - b.im.lo for b in oracle]]
                 assert (hi - lo <= (1.0 + 1e-6) * np.array(widths)).all()
 
     @settings(max_examples=60, deadline=None)
@@ -625,15 +633,15 @@ class TestKrawczykKernel:
         of the midpoint moved by up to 8 radii of its box or 1e-3, K(Z)
         still holds the exact Krawczyk points of that Y at 60 digits."""
         c, boxes = inputs
-        cs, (lo, hi) = _batch([(c, boxes)])
-        mid = dynamics._mid_arr(lo, hi)
-        reach = data.draw(st.sampled_from((8.0 * (hi - mid), np.full(mid.shape, 1e-3))))
+        cs, z = _batch([(c, boxes)])
+        mid = dynamics._mid_arr(z[:2], z[2:])
+        reach = data.draw(st.sampled_from((8.0 * (z[2:] - mid), np.full(mid.shape, 1e-3))))
         stale = mid + reach * np.array(data.draw(st.lists(
-            st.floats(-1.0, 1.0), min_size=mid.size, max_size=mid.size)))
-        pre = dynamics._preconditioner(cs, stale, stale)
+            st.floats(-1.0, 1.0), min_size=mid.size, max_size=mid.size))).reshape(mid.shape)
+        pre = dynamics._preconditioner(cs, np.concatenate((stale, stale)))
         y = pre.y
         assume(pre.ok[0])
-        image = _row_boxes(*dynamics._krawczyk_rows(lo, hi, pre), 0)
+        image = _row_boxes(*dynamics._krawczyk_rows(z, pre), 0)
         # the stale Y of a wide box may overflow the image: no claim
         assume(image is not None)
         unit = st.floats(0.0, 1.0)
@@ -643,7 +651,7 @@ class TestKrawczykKernel:
 
         with workdps(60):
             y = [[mpf(v) for v in row] for row in y[0].tolist()]
-            m = [mpf(t) for t in mid[0].tolist()]
+            m = [mpf(t) for t in mid[:, 0].T.ravel().tolist()]
             z = [sample(t) for b in boxes for t in (b.re, b.im)]
             corners = [(mpf(u), mpf(v)) for u in (c.re.lo, c.re.hi) for v in (c.im.lo, c.im.hi)]
             for cu, cv in [(sample(c.re), sample(c.im)), *corners]:
@@ -656,14 +664,14 @@ class TestKrawczykKernel:
         # strictly inside the last
         row = (ComplexBox.around(_PAPER_C, 1e-8),
                [ComplexBox.around(z, 1e-6) for z in _PAPER_ORBIT])
-        c, (lo, hi) = _batch([row])
-        pre, start = dynamics._preconditioner(c, lo, hi), dynamics._mid_arr(lo, hi)
+        c, z = _batch([row])
+        pre, start = dynamics._preconditioner(c, z), dynamics._mid_arr(z[:2], z[2:])
         for _ in range(dynamics._TIGHTEN):
-            k_lo, k_hi, ok = dynamics._krawczyk_rows(lo, hi, pre)
-            assert ok[0] and ((lo < k_lo) & (k_hi < hi)).all()
-            lo, hi = k_lo, k_hi
-        assert (dynamics._mid_arr(lo, hi) != start).any()
-        certified, _, _, images = krawczyk_cycle_rows(c, _batch([row])[1], np.array([1e-6]))
+            k, ok = dynamics._krawczyk_rows(z, pre)
+            assert ok[0] and ((z[:2] < k[:2]) & (k[2:] < z[2:])).all()
+            z = k
+        assert (dynamics._mid_arr(z[:2], z[2:]) != start).any()
+        certified, _, images = krawczyk_cycle_rows(c, _batch([row])[1], np.array([1e-6]))
         assert certified[0] and images[0] == dynamics._TIGHTEN
 
     def test_fresh_row_certifies_on_its_first_image(self):
@@ -678,19 +686,19 @@ class TestKrawczykKernel:
         orbit, residual = _float_newton(box.midpoint(), _PAPER_ORBIT)
         assert residual < 1e-10
         c, radius = BoxArray.of([box]), np.array([box.width()])
-        points = np.array([[t for z in orbit for t in (z.real, z.imag)]])
+        points = np.array([[z.real for z in orbit], [z.imag for z in orbit]] * 2)[:, None]
         kernel, first = dynamics._krawczyk_rows, []
 
-        def spy(lo, hi, pre):
-            out = kernel(lo, hi, pre)
-            first.append(((lo < out[0]) & (out[1] < hi)).all())
+        def spy(z, pre):
+            out = kernel(z, pre)
+            first.append(((z[:2] < out[0][:2]) & (out[0][2:] < z[2:])).all())
             return out
 
         with mock.patch.object(dynamics, "_krawczyk_rows", spy):
-            certified, _, _, images = krawczyk_cycle_rows(c, (points, points.copy()), radius)
+            certified, _, images = krawczyk_cycle_rows(c, points, radius)
         assert certified[0] and first[0] and images[0] == dynamics._TIGHTEN
         start = dynamics._around(np.array([orbit]), radius[:, None])
-        certified, _, _, images = krawczyk_cycle_rows(c, start, radius)
+        certified, _, images = krawczyk_cycle_rows(c, start, radius)
         assert certified[0] and images[0] > dynamics._TIGHTEN
 
     @pytest.mark.parametrize("rho", [8.0, 2.0 ** -4])
@@ -704,10 +712,10 @@ class TestKrawczykKernel:
         # fails with no image run
         z = complex(0.5, 2.0 ** -511)
         c = BoxArray.of([ComplexBox.around(z - z.conjugate() ** 2, rho)])
-        point = np.array([[z.real, z.imag]])
-        pre = dynamics._preconditioner(c, point, point)
+        point = np.array([z.real, z.imag] * 2).reshape(4, 1, 1)
+        pre = dynamics._preconditioner(c, point)
         assert pre.ok[0] and np.abs(pre.y).max() == 2.0 ** 1021
-        certified, _, _, images = krawczyk_cycle_rows(c, (point, point.copy()), np.array([1e-9]))
+        certified, _, images = krawczyk_cycle_rows(c, point.copy(), np.array([1e-9]))
         assert not certified[0] and images[0] == 0
 
     @pytest.mark.parametrize("end, coordinate", [(0, 0), (0, 1), (1, 0), (1, 1)])
@@ -719,21 +727,23 @@ class TestKrawczykKernel:
         # certifies no row, in any round
         c = 0.1 + 0.05j
         orbit, _ = _float_newton(c, [0.1 + 0.1j])
-        points = np.array([[orbit[0].real, orbit[0].imag]])
+        points = np.array([orbit[0].real, orbit[0].imag] * 2).reshape(4, 1, 1)
 
         def run():
-            return krawczyk_cycle_rows(_pt(c), (points.copy(), points.copy()), np.array([1e-6]))
+            return krawczyk_cycle_rows(_pt(c), points.copy(), np.array([1e-6]))
 
         assert run()[0].tolist() == [True]
 
-        def touching(lo, hi, pre):
-            quarter = (hi - lo) / 4.0
-            image = [lo + quarter, hi - quarter]
-            image[end][:, coordinate] = (lo, hi)[end][:, coordinate]
-            return *image, pre.ok
+        def touching(z, pre):
+            # rows re lo, im lo, re hi, im hi: the endpoint of coordinate
+            # `coordinate` at end `end` is row 2 end + coordinate
+            quarter = (z[2:] - z[:2]) / 4.0
+            image = np.concatenate((z[:2] + quarter, z[2:] - quarter))
+            image[2 * end + coordinate] = z[2 * end + coordinate]
+            return image, pre.ok
 
         monkeypatch.setattr(dynamics, "_krawczyk_rows", touching)
-        certified, _, _, images = run()
+        certified, _, images = run()
         assert certified.tolist() == [False] and images[0] > 1
 
     def test_overflowing_image_fails_its_row(self):
@@ -746,11 +756,12 @@ class TestKrawczykKernel:
         cbox = ComplexBox.around(z - z.conjugate() ** 2, 8.0)
         c = BoxArray.of([cbox])
         orbit = np.array([[z]])
-        lo, hi = dynamics._around(orbit, 2.0 ** -600)
-        certified, _, _, images = krawczyk_cycle_rows(c, (lo.copy(), hi.copy()), np.array([1e-9]))
+        boxes = dynamics._around(orbit, 2.0 ** -600)
+        certified, _, images = krawczyk_cycle_rows(c, boxes.copy(), np.array([1e-9]))
         assert not certified[0] and images[0] == 1
         assert not krawczyk_absence(cbox, 1, [z], 2.0 ** -600)
-        tracked, effort = tracked_cycle_level(c, 1, verify._CycleSeeds(orbit, np.array([True]), lo, hi))
+        seeds = verify._CycleSeeds(orbit, np.array([True]), boxes)
+        tracked, effort = tracked_cycle_level(c, 1, seeds)
         assert tracked.held.tolist() == [False] and effort[0] >= 1
 
     @pytest.mark.parametrize("e", [2.0 ** -10, 2.0 ** -35])
@@ -776,6 +787,31 @@ class TestKrawczykKernel:
                 k = _exact_krawczyk_point(ys, m, [mpf(x), side * mpf(r)], mpf(x - x * x), mpf(0))
                 assert abs(k[1]) == mpf(e) * r
                 _assert_encloses(image, k)
+
+    def test_image_holds_the_column_sum_error(self):
+        """K(Z) must hold the exact Krawczyk points when the float sums s of
+        Y's columns cancel.  A row of Y whose even entries are (1e16, 1,
+        -1e16) has the float sum su = 0 and the exact sum 1, so |s| rho
+        misses its c-term.  With Z the point 0 (p = 3) and C = [-1e-3,
+        1e-3]^2, the exact K = -Y G(0, c) of that row is -Re c, and every
+        term of its radius but |Y| times the gamma_p rho term (p + 1) u rho
+        of t, about 9e-3, is rounding-sized."""
+        cbox = ComplexBox(Interval(-1e-3, 1e-3), Interval(-1e-3, 1e-3))
+        c, z = _batch([(cbox, [ComplexBox.point(0j)] * 3)])
+        y = np.zeros((1, 6, 6))
+        y[0, 0, 0::2] = 1e16, 1.0, -1e16
+        assert (y[0, 0, 0] + y[0, 0, 2]) + y[0, 0, 4] == 0.0
+        # the other rows of Y are 0, so every float sum of its columns is 0
+        pre = dynamics._preconditioner(c, z)._replace(y=y, abs_y=np.abs(y),
+                                                      s_rho=np.zeros((1, 3, 2)))
+        k, ok = dynamics._krawczyk_rows(z, pre)
+        assert ok[0]
+        for cu, cv in ((u, v) for u in (-1e-3, 1e-3) for v in (-1e-3, 1e-3)):
+            g = [Fraction(cu), Fraction(cv)] * 3  # G_i(0, c) = f_c(0) - 0 = c
+            for r in range(6):
+                point = -sum(Fraction(y[0, r, j]) * g[j] for j in range(6))
+                i, part = divmod(r, 2)
+                assert Fraction(k[part, 0, i]) <= point <= Fraction(k[2 + part, 0, i])
 
 
 def _exact_krawczyk_point(y, m, z, cu, cv):
@@ -866,7 +902,7 @@ class TestCyclicInverse:
         boxes = [_exact_box(z, 2.0 ** -k) for z in orbit]
         c = ComplexBox.point(0.25 + 0j) if point_c else _exact_box(0.25 + 0j, 2.0 ** -k)
         regular = (c, [_exact_box(complex(0.1 * (i + 1), 0.05), 2.0 ** -k) for i in range(len(orbit))])
-        _, _, ok = dynamics._krawczyk_image(*_batch([(c, boxes), regular]))
+        _, ok = _krawczyk_image(*_batch([(c, boxes), regular]))
         assert ok.tolist() == [False, True]
 
 
@@ -876,7 +912,8 @@ import numpy as np
 from tricert import dynamics
 from tricert.intervals import BoxArray
 a = np.load(sys.argv[1])
-out = dynamics._krawczyk_image(BoxArray((a["c0"], a["c1"]), (a["c2"], a["c3"])), (a["lo"], a["hi"]))
+c, z = BoxArray((a["c0"], a["c1"]), (a["c2"], a["c3"])), a["z"]
+out = dynamics._krawczyk_rows(z, dynamics._preconditioner(c, z))
 print(hashlib.sha256(b"".join(t.tobytes() for t in out)).hexdigest())
 """
 
@@ -884,11 +921,11 @@ print(hashlib.sha256(b"".join(t.tobytes() for t in out)).hexdigest())
 def test_kernel_bits_do_not_depend_on_the_blas_kernel(tmp_path):
     # OPENBLAS_CORETYPE makes OpenBLAS load the kernels of another x86-64
     # CPU; a LAPACK preconditioner changed the images' last bits with it,
-    # the block-cyclic one leaves k_lo, k_hi and ok byte for byte the same
-    c, (lo, hi) = _batch(_scan_kernel_rows()[0][::6][:40])
-    assert lo.shape == (40, 18)
+    # the block-cyclic one leaves the images and ok byte for byte the same
+    c, z = _batch(_scan_kernel_rows()[0][::6][:40])
+    assert z.shape == (4, 40, 9)
     batch = tmp_path / "batch.npz"
-    np.savez(batch, c0=c.re[0], c1=c.re[1], c2=c.im[0], c3=c.im[1], lo=lo, hi=hi)
+    np.savez(batch, c0=c.re[0], c1=c.re[1], c2=c.im[0], c3=c.im[1], z=z)
     src = str(Path(dynamics.__file__).resolve().parents[1])
     digests = set()
     for core in (None, "Prescott", "Haswell"):
@@ -899,9 +936,9 @@ def test_kernel_bits_do_not_depend_on_the_blas_kernel(tmp_path):
         run = subprocess.run([sys.executable, "-c", _KERNEL_BITS, str(batch)], env=env,
                              capture_output=True, text=True, check=True)
         digests.add(run.stdout.strip())
-    k_lo, k_hi, ok = dynamics._krawczyk_image(c, (lo, hi))
+    k, ok = _krawczyk_image(c, z)
     assert ok.all()
-    assert digests == {hashlib.sha256(k_lo.tobytes() + k_hi.tobytes() + ok.tobytes()).hexdigest()}
+    assert digests == {hashlib.sha256(k.tobytes() + ok.tobytes()).hexdigest()}
 
 
 _YELLOW_BITS = """
@@ -1361,18 +1398,26 @@ def test_read_boxes_reach_zero_endpoints():
 def test_array_reads_match_scalar_reads(orbits):
     """_abs_pair gives the endpoints (float.hex) of the scalar abs, and
     squared_modulus_rows and multiplier_rows, row by row, those of the
-    scalar antiholo_modulus(boxes).sqr() and cycle_multiplier(boxes)."""
-    rows = [_rows(boxes) for boxes in orbits]
-    lo, hi = np.concatenate([r[0] for r in rows]), np.concatenate([r[1] for r in rows])
+    scalar antiholo_modulus(boxes).sqr() and cycle_multiplier(boxes).
+    These reads and verify._pairwise_disjoint give the bits of the
+    C-ordered matrix on a column-major copy and on strided views."""
+    rows = np.concatenate([_rows(boxes) for boxes in orbits], axis=1)
     z = BoxArray.of([box for boxes in orbits for box in boxes])
     assert [(a.hex(), b.hex()) for a, b in zip(*(v.tolist() for v in _abs_pair(z.re, z.im)))] == [
         _hex_interval(box.abs()) for boxes in orbits for box in boxes]
-    m_lo, m_hi = squared_modulus_rows(lo, hi)
+    m_lo, m_hi = squared_modulus_rows(rows)
     assert [(a.hex(), b.hex()) for a, b in zip(m_lo.tolist(), m_hi.tolist())] == [
         _hex_interval(_scalar_antiholo_modulus(boxes).sqr()) for boxes in orbits]
     if len(orbits[0]) % 2 == 0:
-        m = multiplier_rows(lo, hi)
+        m = multiplier_rows(rows)
         cols = [v.tolist() for v in (*m.re, *m.im)]
         want = [scalar.cycle_multiplier(boxes) for boxes in orbits]
         assert [tuple(c[k].hex() for c in cols) for k in range(len(orbits))] == [
             _hex_interval(w.re) + _hex_interval(w.im) for w in want]
+    disjoint = verify._pairwise_disjoint(rows).tolist()
+    for view in (np.asfortranarray(rows), np.repeat(rows, 2, axis=1)[:, ::2],
+                 np.repeat(rows, 2, axis=2)[..., ::2]):
+        assert [v.tobytes() for v in squared_modulus_rows(view)] == [m_lo.tobytes(), m_hi.tobytes()]
+        assert verify._pairwise_disjoint(view).tolist() == disjoint
+        if len(orbits[0]) % 2 == 0:
+            assert multiplier_rows(view).e.tobytes() == m.e.tobytes()

@@ -273,8 +273,7 @@ class TestAgainstMpmathIv:
         z, w = BoxArray.of([p[0] for p in pairs]), BoxArray.of([p[1] for p in pairs])
         results = (z + w, z - w, z * w, z.sqr(), z.conj(), z.scale(k))
         modulus = _abs_pair(z.re, z.im)
-        orbits = [np.stack((z.re[e], z.im[e], w.re[e], w.im[e]), axis=1) for e in (0, 1)]
-        squared = squared_modulus_rows(*orbits)
+        squared = squared_modulus_rows(np.stack((z.e, w.e), axis=2))
         with _iv_digits(60):
             for i, (zi, wi) in enumerate(pairs):
                 a, b, c, d = _iv(zi.re), _iv(zi.im), _iv(wi.re), _iv(wi.im)
@@ -490,7 +489,10 @@ def test_box_tests_match_complex_box(xs, ys, w, point):
     """meets and within (and strictly), row by row, pairwise (_meet and
     _within on (4, A, 1) against (4, 1, B) matrices) and against a
     ComplexBox operand, and contains, give the scalar predicates of every
-    pair of boxes: touching edges, signed zeros, inf and nan included."""
+    pair of boxes: touching edges, signed zeros, inf and nan included.  So
+    do _meet and _within on (4, B, p) orbit matrices, rowwise and pairwise
+    within each row ((4, B, p, 1) against (4, B, 1, p)), as the cycle code
+    tests its orbit boxes."""
     (x, bx), (y, by) = _batch(xs), _batch(ys)
     n = min(len(xs), len(ys))
     x_n, y_n = x[:n], y[:n]
@@ -501,6 +503,20 @@ def test_box_tests_match_complex_box(xs, ys, w, point):
     assert _meet(*pairs).tolist() == [[a.intersects(b) for b in by] for a in bx]
     assert _within(*pairs, False).tolist() == [[b.contains_box(a) for b in by] for a in bx]
     assert _within(*pairs, True).tolist() == [[b.strictly_contains(a) for b in by] for a in bx]
+    # orbits of p = 2 boxes a row: (x_i, y_i) against (y_i, x_i)
+    orbits = list(zip(bx, by))
+    zx, zy = np.stack((x_n.e, y_n.e), axis=2), np.stack((y_n.e, x_n.e), axis=2)
+    assert _meet(zx, zy).tolist() == [[a.intersects(b), b.intersects(a)] for a, b in orbits]
+    assert _within(zx, zy, False).tolist() == [
+        [b.contains_box(a), a.contains_box(b)] for a, b in orbits]
+    assert _within(zx, zy, True).tolist() == [
+        [b.strictly_contains(a), a.strictly_contains(b)] for a, b in orbits]
+    pairs = zx[..., :, None], zx[..., None, :]
+    assert _meet(*pairs).tolist() == [[[a.intersects(b) for b in o] for a in o] for o in orbits]
+    assert _within(*pairs, False).tolist() == [
+        [[b.contains_box(a) for b in o] for a in o] for o in orbits]
+    assert _within(*pairs, True).tolist() == [
+        [[b.strictly_contains(a) for b in o] for a in o] for o in orbits]
     assert x.meets(w).tolist() == [a.intersects(w) for a in bx]
     assert x.within(w).tolist() == [w.contains_box(a) for a in bx]
     assert x.within(w, strict=True).tolist() == [w.strictly_contains(a) for a in bx]

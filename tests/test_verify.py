@@ -55,9 +55,9 @@ R_RECT = ComplexBox(Interval(-1.73875, -1.73825), Interval(0.01555, 0.01605))
 U_RECT = ComplexBox(Interval(-0.3, 0.3), Interval(-0.3, 0.3))
 
 
-def _orbit_boxes(lo, hi) -> list[ComplexBox]:
-    """The orbit boxes of one (2p,) endpoint row."""
-    return BoxArray((lo[0::2], hi[0::2]), (lo[1::2], hi[1::2])).boxes()
+def _orbit_boxes(z) -> list[ComplexBox]:
+    """The orbit boxes of one (4, p) endpoint row."""
+    return BoxArray._of(z).boxes()
 
 
 def _results(status, effort, *_) -> list[ClaimResult]:
@@ -930,9 +930,9 @@ class TestTrackedCycleLevel:
         rows = []
         kernel = dynamics._krawczyk_rows
 
-        def spy(lo, hi, pre):
-            rows.append(len(lo))
-            return kernel(lo, hi, pre)
+        def spy(z, pre):
+            rows.append(z.shape[1])
+            return kernel(z, pre)
 
         monkeypatch.setattr(dynamics, "_krawczyk_rows", spy)
         totals = []
@@ -962,23 +962,23 @@ class TestTrackedCycleLevel:
         inverse, cycle, seen, calls = dynamics._cyclic_inverse, verify.krawczyk_cycle_rows, [], []
 
         def spy_inverse(x, y):
-            seen.append(np.stack((x, y), axis=2).reshape(len(x), -1))
+            seen.append(np.stack((x, y)))
             return inverse(x, y)
 
         def spy_cycle(c, start_boxes, radius):
-            start, first = dynamics._mid_arr(*start_boxes), len(seen)
+            start, first = dynamics._mid_arr(start_boxes[:2], start_boxes[2:]), len(seen)
             out = cycle(c, start_boxes, radius)
             if len(c):
-                calls.append((start, np.concatenate(seen[first:]), out[3]))
+                calls.append((start, np.concatenate(seen[first:], axis=1), out[2]))
             return out
 
         monkeypatch.setattr(dynamics, "_cyclic_inverse", spy_inverse)
         monkeypatch.setattr(verify, "krawczyk_cycle_rows", spy_cycle)
         evaluate(boxes, seeds)
         [(start, inverted, images)] = calls
-        assert len(start) > 400
+        assert start.shape[1] > 400
         assert inverted.tobytes() == start.tobytes()
-        assert images.sum() > 3 * len(start)
+        assert images.sum() > 3 * start.shape[1]
 
     def test_traced_peak_is_bounded_by_the_chunk(self, monkeypatch):
         # the 516 boxes of the red scan's level 6 take about as much traced
@@ -1033,7 +1033,8 @@ class TestInheritedCycles:
         children, _ = tracked_cycle_level(root.quarter(), 6, seeds)
         assert rows == []  # not even a call of no rows
         assert children.held.tolist() == [True] * 4
-        assert (children.lo > tracked.lo).all() and (children.hi < tracked.hi).all()
+        assert (children.boxes[:2] > tracked.boxes[:2]).all()
+        assert (children.boxes[2:] < tracked.boxes[2:]).all()
         # the orbit guesses are handed on as they came
         assert children.orbits.tobytes() == seeds.orbits.tobytes()
 
@@ -1043,14 +1044,14 @@ class TestInheritedCycles:
         root, tracked, seeds = _yellow_root()
         starts, kernel = [], dynamics._krawczyk_rows
 
-        def spy(lo, hi, pre):
-            starts.append((lo.tobytes(), hi.tobytes()))
-            return kernel(lo, hi, pre)
+        def spy(z, pre):
+            starts.append(z.tobytes())
+            return kernel(z, pre)
 
         monkeypatch.setattr(dynamics, "_krawczyk_rows", spy)
         tracked_cycle_level(root.quarter(), 6, seeds)
-        assert starts[0] == (seeds.lo.tobytes(), seeds.hi.tobytes())
-        assert seeds.lo.tobytes() == np.repeat(tracked.lo, 4, axis=0).tobytes()
+        assert starts[0] == seeds.boxes.tobytes()
+        assert seeds.boxes.tobytes() == np.repeat(tracked.boxes, 4, axis=1).tobytes()
 
     def test_failed_inheritance_falls_back_to_newton(self, monkeypatch):
         # with every inherited image made to fail, the children refine the
@@ -1063,7 +1064,7 @@ class TestInheritedCycles:
             calls.append(len(c))
             if len(calls) > 1:
                 return cycle(c, start, radius)
-            return np.zeros(len(c), dtype=bool), *start, np.ones(len(c), dtype=np.int64)
+            return np.zeros(len(c), dtype=bool), start, np.ones(len(c), dtype=np.int64)
 
         fresh, fresh_effort = tracked_cycle_level(root.quarter(), 6, seeds.orbits)
         monkeypatch.setattr(verify, "krawczyk_cycle_rows", failing_first)
@@ -1071,7 +1072,7 @@ class TestInheritedCycles:
         fallen, fallen_effort = tracked_cycle_level(root.quarter(), 6, seeds)
         assert calls == [4, 4] and rows == [4]
         assert fresh.held.sum() == 4
-        for field in ("held", "lo", "hi", "orbits"):
+        for field in ("held", "boxes", "orbits"):
             assert getattr(fallen, field).tobytes() == getattr(fresh, field).tobytes()
         assert (fallen_effort == fresh_effort + 1).all()
 
@@ -1151,8 +1152,8 @@ class TestCycleClaims:
         # repelling witness at the corner is not FALSE, and neither is the
         # attracting one at the center
         def uncertified(c, boxes, radius):
-            lo = np.zeros(boxes[0].shape)
-            return np.zeros(len(c), dtype=bool), lo, lo, np.ones(len(c), dtype=np.int64)
+            none = np.zeros(len(c), dtype=bool)
+            return none, np.zeros(boxes.shape), np.ones(len(c), dtype=np.int64)
 
         monkeypatch.setattr(verify, "krawczyk_cycle_rows", uncertified)
         cert = ParamCertificate.of("red", R_RECT, {}, [Leaf(0, R_RECT, Status.TRUE)])
@@ -1167,8 +1168,8 @@ class TestCycleClaims:
         # Undetermined, where an image of the row raised EmptyIntervalError
         precondition = dynamics._preconditioner
 
-        def overflowing(c, lo, hi):
-            pre = precondition(c, lo, hi)
+        def overflowing(c, z):
+            pre = precondition(c, z)
             return pre._replace(s_rho=np.full_like(pre.s_rho, np.inf))
 
         monkeypatch.setattr(dynamics, "_preconditioner", overflowing)
@@ -1210,7 +1211,7 @@ class TestCycleClaims:
         c = ComplexBox.around(PAPER_R.midpoint(), 1e-6)
         [orbit] = MultiplierNonRealClaim().initial_seed(c)
         tracked, _ = tracked_cycle_level(BoxArray.of([c]), 6, [orbit])
-        z0 = _orbit_boxes(tracked.lo[0], tracked.hi[0])[0]
+        z0 = _orbit_boxes(tracked.boxes[:, 0])[0]
         cut = ComplexBox(Interval(0.0, (orbit[0].real + z0.re.hi) / 2.0), PAPER_X_REGION.im)
         assert cut.contains(orbit[0]) and not cut.contains_box(z0)
         whole, partial = _nonreal(c, orbit, PAPER_X_REGION), _nonreal(c, orbit, cut)
@@ -1221,8 +1222,8 @@ class TestCycleClaims:
 def _one_cycle(p: int) -> verify._CycleSeeds:
     """A level of one row whose period-p cycle is certified; the predicates
     below read it only through the monkeypatched enclosures."""
-    lo, hi = np.zeros((1, 2 * p)), np.ones((1, 2 * p))
-    return verify._CycleSeeds(np.zeros((1, p), dtype=complex), np.array([True]), lo, hi)
+    boxes = np.concatenate((np.zeros((2, 1, p)), np.ones((2, 1, p))))
+    return verify._CycleSeeds(np.zeros((1, p), dtype=complex), np.array([True]), boxes)
 
 
 _BELOW_ONE, _ABOVE_ONE = np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)
@@ -1242,7 +1243,7 @@ class TestStrictPredicates:
     ])
     def test_modulus_enclosure_at_one(self, monkeypatch, m_lo, m_hi, status):
         monkeypatch.setattr(verify, "squared_modulus_rows",
-                            lambda lo, hi: (np.array([m_lo]), np.array([m_hi])))
+                            lambda z: (np.array([m_lo]), np.array([m_hi])))
         tracked = _one_cycle(9)
         assert verify._modulus_statuses(tracked).tolist() == [status]
         # red is TRUE on either strict side and nowhere else
@@ -1255,7 +1256,7 @@ class TestStrictPredicates:
     ])
     def test_multiplier_enclosure_at_zero(self, monkeypatch, im_lo, im_hi, status):
         multiplier = BoxArray.of([ComplexBox(Interval(-1.0, 1.0), Interval(im_lo, im_hi))])
-        monkeypatch.setattr(verify, "multiplier_rows", lambda lo, hi: multiplier)
+        monkeypatch.setattr(verify, "multiplier_rows", lambda z: multiplier)
         assert verify._nonreal_statuses(_one_cycle(6), None).tolist() == [status]
 
     @pytest.mark.parametrize("second, held", [
@@ -1269,12 +1270,10 @@ class TestStrictPredicates:
         # a cycle of a divisor period puts one point in two boxes, and
         # boxes that touch can share it; the first box is [0, 1] x [0, 1],
         # each box given as (re lo, im lo, re hi, im hi)
-        a, b, c, d = second
-        lo, hi = np.array([[0.0, 0.0, a, b]]), np.array([[1.0, 1.0, c, d]])
-        assert verify._pairwise_disjoint(lo, hi).tolist() == [held]
+        z = np.array([(0.0, 0.0, 1.0, 1.0), second]).T[:, None]
+        assert verify._pairwise_disjoint(z).tolist() == [held]
         # in either order
-        swap = [2, 3, 0, 1]
-        assert verify._pairwise_disjoint(lo[:, swap], hi[:, swap]).tolist() == [held]
+        assert verify._pairwise_disjoint(z[..., ::-1]).tolist() == [held]
 
 
 class TestAnchorInOpenU:
@@ -1292,7 +1291,7 @@ class TestAnchorInOpenU:
         edge = (-0.25, -0.25, 0.25, 0.25)[endpoint]
         ends[endpoint] = edge if on_edge else np.nextafter(edge, 0.0)
         cycle = verify._CycleSeeds(np.zeros((1, 1), dtype=complex), np.array([True]),
-                                   ends[None, :2], ends[None, 2:])
+                                   ends[:, None, None])
         monkeypatch.setattr(verify, "tracked_cycle_level",
                             lambda boxes, period, seeds: (cycle, np.ones(1, dtype=np.int64)))
         proof = verify._anchor_cycle(ComplexBox.point(0j), u, 1, [0j])
@@ -1367,9 +1366,9 @@ def test_multiplier_boxes_hold_the_exact_fixed_point(u, v, radius, data):
     [status], _, _ = claim.evaluate_level(BoxArray.of([cbox]), seed)
     tracked, _ = tracked_cycle_level(BoxArray.of([cbox]), 6, seed)
     assume(tracked.held[0])
-    boxes = _orbit_boxes(tracked.lo[0], tracked.hi[0])
+    boxes = _orbit_boxes(tracked.boxes[:, 0])
     [orbit] = tracked.orbits
-    [enclosure] = multiplier_rows(tracked.lo, tracked.hi).boxes()
+    [enclosure] = multiplier_rows(tracked.boxes).boxes()
     unit = st.floats(0.0, 1.0)
 
     def inside(x, iv: Interval) -> bool:
